@@ -17,7 +17,6 @@ from math import gcd
 
 from mpmath import iv
 from mpmath.libmp import to_rational
-from sympy import Poly, cyclotomic_poly, symbols
 
 __all__ = [
     "CyclotomicField",
@@ -32,8 +31,6 @@ __all__ = [
 PRECISION_START = 64
 PRECISION_CAP = 16384
 
-_X = symbols("x")
-
 
 class ConductorMismatch(ValueError):
     """Raised when combining elements of different cyclotomic fields."""
@@ -41,6 +38,25 @@ class ConductorMismatch(ValueError):
 
 def _euler_phi(m: int) -> int:
     return sum(1 for a in range(1, m + 1) if gcd(a, m) == 1)
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_coeffs(m: int) -> tuple:
+    """Integer coefficients of Phi_m, low degree first: x^m - 1 divided
+    exactly by Phi_d for every proper divisor d of m."""
+    quotient = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            divisor = _cyclotomic_coeffs(d)
+            top = len(divisor) - 1
+            out = [0] * (len(quotient) - top)
+            for k in range(len(out) - 1, -1, -1):
+                c = out[k] = quotient[k + top]
+                if c:
+                    for i, b in enumerate(divisor):
+                        quotient[k + i] -= c * b
+            quotient = out
+    return tuple(quotient)
 
 
 @lru_cache(maxsize=None)
@@ -56,8 +72,7 @@ class _Field:
         if m < 1:
             raise ValueError("conductor must be positive")
         self.m = m
-        poly = Poly(cyclotomic_poly(m, _X), _X)
-        self.modulus = tuple(int(c) for c in reversed(poly.all_coeffs()))
+        self.modulus = _cyclotomic_coeffs(m)
         self.degree = len(self.modulus) - 1
         assert self.degree == _euler_phi(m)
         # power_table[k] = coefficients of z^k reduced mod Phi_m, 0 <= k < max(m, 2*deg)

@@ -381,7 +381,6 @@ def enumerate_rational_classes(omega_coords, max_denominator: int):
     ladders = [_convergent_ladder(c, max_denominator) for c in omega_coords]
     seen = set()
     out = []
-    denoms = sorted({f.denominator for ladder in ladders for f in ladder})
     bounds = []
     d = 1
     while d <= max_denominator:

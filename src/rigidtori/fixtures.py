@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .groups import FiniteGroup
@@ -336,7 +337,7 @@ def _direct_sum_structures(built):
     total = sum(rep.rank for rep, _ in built)
     big_m = 1
     for _, st in built:
-        big_m = big_m * st.field.m // _gcd(big_m, st.field.m)
+        big_m = lcm(big_m, st.field.m)
     field = CyclotomicField(big_m)
     mats = []
     for g in range(group.order):
@@ -388,9 +389,3 @@ def _random_unimodular_conjugate(rep, structure, rng):
     t_k = [[field.from_rational(x) for x in row] for row in t]
     new_cols = [linalg.mat_vec(t_k, col) for col in structure.u_columns]
     return new_rep, ExactHodgeStructure(new_rep, field, new_cols)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a) if a else 1

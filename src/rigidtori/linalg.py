@@ -9,6 +9,7 @@ provides integer-lattice routines (Hermite form, saturated integer kernels).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 __all__ = [
     "mat_mul",
@@ -313,16 +314,7 @@ def saturate_lattice(rational_rows):
     # clear denominators of the complement vectors; columns of the system
     cols = []
     for v in comp:
-        den = 1
-        for x in v:
-            den = den * x.denominator // _gcd(den, x.denominator)
+        den = lcm(*(x.denominator for x in v))
         cols.append([int(x * den) for x in v])
-    sys = transpose(cols)  # x @ sys_col form: we need x . v = 0 for each v
     mat = [[cols[j][i] for j in range(len(cols))] for i in range(n)]
     return integer_kernel(mat)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a) if a else 1

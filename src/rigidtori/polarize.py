@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import linalg
 from .cyclotomic import CyclotomicNumber, SubfieldSpec
@@ -125,35 +125,60 @@ def find_zeta(field_spec: SubfieldSpec, designated, seed: int = 0,
     basis = imaginary_subspace(field_spec)
     if not basis:
         raise NotCMField("imaginary subspace is zero")
-    dim = len(basis)
-    prec = 128
-    for _round in range(12):
-        w = np.array([[float(b.embed(a, prec).imag_mid) for b in basis]
-                      for a in designated])
-        # maximize delta st w q >= delta, -1 <= q <= 1
-        c = np.zeros(dim + 1)
-        c[-1] = -1.0
-        a_ub = np.hstack([-w, np.ones((len(designated), 1))])
-        bounds = [(-1, 1)] * dim + [(0, 1)]
-        res = linprog(c, A_ub=a_ub, b_ub=np.zeros(len(designated)),
-                      bounds=bounds, method="highs")
-        if res.status == 0 and -res.fun > 1e-12:
-            q = res.x[:dim]
-            denom = 16
-            while denom <= max_denominator:
-                coords = [Fraction(x).limit_denominator(denom) for x in q]
-                if any(coords):
-                    zeta = _combine(basis, coords)
-                    signs = _certify_signs(field_spec, zeta, designated)
-                    if signs is not None:
-                        return ImaginaryElement(
-                            field_spec=field_spec, element=zeta,
-                            sign_table=tuple(signs))
-                denom *= 2
-        prec *= 2
+
+    def embeddings(prec):
+        return [[float(b.embed(a, prec).imag_mid) for b in basis]
+                for a in designated]
+
+    def certify(coords):
+        zeta = _combine(basis, coords)
+        signs = _certify_signs(field_spec, zeta, designated)
+        if signs is None:
+            return None
+        return ImaginaryElement(field_spec=field_spec, element=zeta,
+                                sign_table=tuple(signs))
+
+    found = _lp_witness(embeddings, certify, rounds=12, prec=128,
+                        max_denominator=max_denominator)
+    if found is not None:
+        return found
     raise NotCMField(
         "no certified zeta found; the sign cone appears empty "
         f"for designated cosets {designated}")
+
+
+def _lp_witness(embeddings, certify, rounds, prec, max_denominator):
+    """The LP-rationalize-certify loop behind every zeta search.
+
+    Per round, `embeddings(prec)` gives the float imaginary parts of the
+    basis elements at the designated embeddings (one row each).  A
+    Chebyshev-centre LP (maximize delta subject to w q >= delta,
+    -1 <= q <= 1) proposes coordinates q, which are rationalized with
+    doubling denominator bounds up to `max_denominator` and handed to
+    `certify`; its first non-None result is returned.  The precision doubles
+    each round; None after `rounds` rounds.  scipy is imported here only.
+    """
+    from scipy.optimize import linprog
+    for _round in range(rounds):
+        w = np.array(embeddings(prec))
+        dim = w.shape[1]
+        c = np.zeros(dim + 1)
+        c[-1] = -1.0
+        a_ub = np.hstack([-w, np.ones((len(w), 1))])
+        res = linprog(c, A_ub=a_ub, b_ub=np.zeros(len(w)),
+                      bounds=[(-1, 1)] * dim + [(0, 1)], method="highs")
+        if res.status == 0 and -res.fun > 1e-12:
+            denom = 16
+            while denom <= max_denominator:
+                coords = [Fraction(x).limit_denominator(denom)
+                          for x in res.x[:dim]]
+                if any(coords):
+                    found = certify(coords)
+                    if found is not None:
+                        return found
+                denom *= 2
+        prec *= 2
+    return None
 
 
 def _validate_designated(field_spec, designated):
@@ -359,25 +384,12 @@ def _g_average(rep, e_mat):
 
 
 def _primitive_integral(e_mat):
-    den = 1
-    for row in e_mat:
-        for x in row:
-            den = den * x.denominator // _gcd(den, x.denominator)
-    num_gcd = 0
+    den = lcm(*(x.denominator for row in e_mat for x in row))
     ints = [[int(x * den) for x in row] for row in e_mat]
-    for row in ints:
-        for x in row:
-            num_gcd = _gcd(num_gcd, x)
+    num_gcd = gcd(*(x for row in ints for x in row))
     if num_gcd == 0:
         raise ValueError("zero form")
     return [[Fraction(x, num_gcd) for x in row] for row in ints]
-
-
-def _gcd(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # -- verification -------------------------------------------------------------
@@ -673,38 +685,25 @@ def polarization_exists(poly_coefficients, designated,
     dim = len(basis)
     if dim == 1:
         return _decide_dim_one(F, basis[0], designated)
-    prec = 64
-    for _round in range(8):
-        w = []
-        for i in designated:
-            row = []
-            for b in basis:
-                _, im, _ = F.evaluate_box(b, i, prec)
-                row.append(float(im))
-            w.append(row)
-        w = np.array(w)
-        c = np.zeros(dim + 1)
-        c[-1] = -1.0
-        a_ub = np.hstack([-w, np.ones((len(designated), 1))])
-        res = linprog(c, A_ub=a_ub, b_ub=np.zeros(len(designated)),
-                      bounds=[(-1, 1)] * dim + [(0, 1)], method="highs")
-        if res.status == 0 and -res.fun > 1e-12:
-            denom = 16
-            while denom <= max_denominator:
-                coords = [Fraction(x).limit_denominator(denom)
-                          for x in res.x[:dim]]
-                if any(coords):
-                    zeta = [sum(Fraction(b[t]) * c0 for b, c0 in zip(basis, coords))
-                            for t in range(F.degree)]
-                    signs = _certify_poly_signs(F, zeta, designated)
-                    if signs is not None:
-                        return ExistenceCertificate(
-                            verdict="exists-with-witness",
-                            witness=tuple(zeta),
-                            witness_signs=tuple(signs),
-                            obstruction=None)
-                denom *= 2
-        prec *= 2
+
+    def embeddings(prec):
+        return [[float(F.evaluate_box(b, i, prec)[1]) for b in basis]
+                for i in designated]
+
+    def certify(coords):
+        zeta = [sum(Fraction(b[t]) * c0 for b, c0 in zip(basis, coords))
+                for t in range(F.degree)]
+        signs = _certify_poly_signs(F, zeta, designated)
+        if signs is None:
+            return None
+        return ExistenceCertificate(
+            verdict="exists-with-witness", witness=tuple(zeta),
+            witness_signs=tuple(signs), obstruction=None)
+
+    found = _lp_witness(embeddings, certify, rounds=8, prec=64,
+                        max_denominator=max_denominator)
+    if found is not None:
+        return found
     raise NotCMField(
         "sign-cone feasibility undecided: the imaginary subspace has "
         f"dimension {dim} >= 2 but the LP failed to certify a witness; "

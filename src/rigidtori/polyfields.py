@@ -9,14 +9,38 @@ Q(theta), and the power sums s_j = alpha^j + conj(alpha)^j obey
 s_j = theta s_(j-1) - p s_(j-2), so the condition "sum x_j s_j = 0" becomes
 deg(theta) exact rational linear equations on x.  No splitting fields, no
 numerics in the kernel computation.
+
+Root enclosures come from the inclusion-disc bound (Henrici, Applied and
+Computational Complex Analysis I, 6.4): for any z, the disc of radius
+n |f(z)/f'(z)| around z holds a root of f.  All n roots start from the
+centres of sympy's isolating rectangles and are polished per precision by
+Newton steps with Aberth's deflation in mpmath.  Each centre
+z = (a + bi)/2^e is certified exactly in integer arithmetic at a
+precision c >= prec: n^2 |f(z)|^2 <= 4^-c |f'(z)|^2, so the disc has
+radius at most 2^-c, and the n centres are more than 4 * 2^-c apart,
+so the discs are disjoint and each holds exactly one root.  c starts at
+prec and doubles while two centres are too close; the returned radius
+stays 2^-prec, so boxes of roots closer than that may overlap.  Root
+indices follow sympy's `all_roots` order, which the conjugate pairing,
+designated roots and callers rely on.  That order is certified, not
+matched: every root lies in the union of the discs, so when sympy's
+isolating rectangle for index k meets exactly one box (the box of
+half-width 2^-c around a centre contains its disc), the root with index
+k is the one in that disc.  A rectangle that meets two boxes is refined
+by sympy's bisection until it meets one.  Certified centres are cached
+per precision on the field.
+
+sympy is imported only inside the methods that use it (factoring, root
+isolation, resultants, Sturm counts), so importing this module stays cheap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
-from sympy import Poly, Rational, factor_list, resultant, symbols
+import mpmath
 
 from . import linalg
 from .cyclotomic import _poly_xgcd_mod
@@ -30,7 +54,8 @@ __all__ = [
 
 DEGREE_CAP = 16
 
-_T, _U = symbols("t u")
+# Extra working bits for the Newton polish; doubled when a certificate fails.
+_GUARD_BITS = 32
 
 
 class ReduciblePolynomial(ValueError):
@@ -193,6 +218,7 @@ class PolynomialField:
     """Q[t]/f for a monic irreducible integer polynomial with no real roots."""
 
     def __init__(self, coefficients):
+        from sympy import Poly, factor_list, symbols
         coeffs = [int(c) for c in coefficients]
         if not coeffs or coeffs[-1] != 1:
             raise ReduciblePolynomial("polynomial must be monic with integer "
@@ -202,16 +228,19 @@ class PolynomialField:
         if self.degree < 1 or self.degree > DEGREE_CAP:
             raise ReduciblePolynomial(
                 f"degree must be between 1 and {DEGREE_CAP}")
-        self._poly = Poly([c for c in reversed(coeffs)], _T)
+        self._poly = Poly([c for c in reversed(coeffs)], symbols("t"))
         factors = factor_list(self._poly)[1]
         if len(factors) != 1 or factors[0][1] != 1:
             raise ReduciblePolynomial("polynomial is reducible over Q")
-        self._roots = self._poly.all_roots(radicals=False)
-        n_real = sum(1 for r in self._roots if r.is_real)
+        roots = self._poly.all_roots(radicals=False)
+        n_real = sum(1 for r in roots if r.is_real)
         if n_real:
             raise RealEmbeddingPresent(
                 f"polynomial has {n_real} real roots; field is not totally "
                 "imaginary")
+        self._rectangles = [_IsolatingRectangle(r) for r in roots]
+        self._approx = [rect.centre() for rect in self._rectangles]
+        self._centres = {}
         self.pairs = self._pair_roots()
         self._pair_data = None
         self._im_basis = None
@@ -219,11 +248,62 @@ class PolynomialField:
     # -- certified enclosures ---------------------------------------------
 
     def root_box(self, index: int, prec_bits: int = 64):
-        """Certified rational box (re, im, radius) around root `index`."""
-        eps = Fraction(1, 2 ** prec_bits)
-        val = self._roots[index].eval_rational(dx=eps, dy=eps)
-        re, im = val.as_real_imag()
-        return (Fraction(Rational(re)), Fraction(Rational(im)), eps)
+        """Certified rational box (re, im, radius) around root `index`:
+        the root lies within `radius` = 2^-prec_bits of (re, im)."""
+        centres = self._centres.get(prec_bits)
+        if centres is None:
+            centres = self._centres[prec_bits] = self._certified_centres(
+                prec_bits)
+        re, im = centres[index]
+        return re, im, Fraction(1, 2 ** prec_bits)
+
+    def _certified_centres(self, prec_bits):
+        """Centres (re, im) of all roots in sympy's order, each certified
+        to lie within 2^-prec_bits of its root (see the module docstring).
+        The discs are certified at `cert` >= prec_bits bits, doubled while
+        two centres are within 4 * 2^-cert of each other."""
+        cert, guard = prec_bits, _GUARD_BITS
+        for _attempt in range(16):
+            bits = cert + guard
+            self._approx = _polish(self.coeffs, self._approx, bits)
+            # centres on the grid 2^-bits (ldexp and int are exact)
+            points = [(int(mpmath.ldexp(z.real, bits)),
+                       int(mpmath.ldexp(z.imag, bits))) for z in self._approx]
+            if not all(_inclusion_disc_fits(self.coeffs, a, b, bits, cert)
+                       for a, b in points):
+                guard *= 2
+                continue
+            if not _pairwise_apart(points, bits, cert):
+                cert *= 2
+                continue
+            scale = 2 ** bits
+            centres = [(Fraction(a, scale), Fraction(b, scale))
+                       for a, b in points]
+            order = self._certified_order(centres, cert)
+            self._approx = [self._approx[j] for j in order]
+            return tuple(centres[j] for j in order)
+        raise ArithmeticError(
+            f"could not certify the roots of {self.coeffs} at {prec_bits} bits")
+
+    def _certified_order(self, centres, cert_bits):
+        """order[k] = the centre whose disc holds sympy's root k, for
+        disjoint certified discs of radius 2^-cert_bits.  The discs hold
+        every root, so a rectangle meeting only one centre's box pins its
+        root to that disc; rectangles meeting two boxes are refined."""
+        eps = Fraction(1, 2 ** cert_bits)
+        order = []
+        for rect in self._rectangles:
+            while True:
+                hits = [j for j, (re, im) in enumerate(centres)
+                        if rect.meets(re - eps, re + eps, im - eps, im + eps)]
+                if len(hits) == 1:
+                    break
+                if not hits:
+                    raise ArithmeticError("an isolating rectangle meets no "
+                                          "certified root disc")
+                rect.refine()
+            order.append(hits[0])
+        return order
 
     def _pair_roots(self):
         """Certified pairing of complex-conjugate roots by box separation."""
@@ -314,12 +394,14 @@ class PolynomialField:
     # -- the purely-imaginary subspace --------------------------------------
 
     def pair_data(self):
+        from sympy import Poly, factor_list, resultant, symbols
         if self._pair_data is not None:
             return self._pair_data
+        t, u = self._poly.gen, symbols("u")
         sum_res = Poly(
-            resultant(self._poly.as_expr().subs(_T, _U - _T),
-                      self._poly.as_expr(), _T), _U)
-        factors = [Poly(fac, _U) for fac, _ in factor_list(sum_res)[1]]
+            resultant(self._poly.as_expr().subs(t, u - t),
+                      self._poly.as_expr(), t), u)
+        factors = [Poly(fac, u) for fac, _ in factor_list(sum_res)[1]]
         data = []
         for (i, ibar) in self.pairs:
             g = self._identify_factor(factors, i, ibar)
@@ -342,13 +424,13 @@ class PolynomialField:
             mid, rad = self._theta_box(i, ibar, prec)
             alive = []
             for fac in factors:
-                coeffs = [Fraction(Rational(c)) for c in reversed(fac.all_coeffs())]
+                coeffs = [Fraction(c.p, c.q) for c in reversed(fac.all_coeffs())]
                 lo, hi = _real_interval_eval(coeffs, mid - rad, mid + rad)
                 if lo <= 0 <= hi:
                     alive.append(fac)
             if len(alive) == 1:
                 fac = alive[0]
-                return [Fraction(Rational(c)) for c in reversed(fac.all_coeffs())]
+                return [Fraction(c.p, c.q) for c in reversed(fac.all_coeffs())]
             prec *= 2
         raise AssertionError("could not isolate the minimal polynomial of theta")
 
@@ -451,13 +533,9 @@ class PolynomialField:
         basis = linalg.nullspace(rows) if rows else []
         cleaned = []
         for vec in linalg.row_space_basis(basis) if basis else []:
-            den = 1
-            for x in vec:
-                den = den * x.denominator // _gcd_int(den, x.denominator)
+            den = lcm(*(x.denominator for x in vec))
             ints = [int(x * den) for x in vec]
-            g = 0
-            for x in ints:
-                g = _gcd_int(g, x)
+            g = gcd(*ints)
             cleaned.append(tuple(Fraction(x, g if g else 1) for x in ints))
         self._im_basis = tuple(cleaned)
         return self._im_basis
@@ -479,11 +557,13 @@ class PolynomialField:
             # i^k cycle 1, i, -1, -i; drop the overall i-multiple for odd case
             sign = (1, 1, -1, -1)[k % 4]
             sub.append(c * sign)
+        from sympy import Poly, Rational
+        t = self._poly.gen
         poly = Poly([Rational(q.numerator, q.denominator)
-                     for q in reversed(sub)], _T)
+                     for q in reversed(sub)], t)
         if poly.degree() <= 0:
             return True
-        square_free = poly.div(poly.gcd(poly.diff(_T)))[0]
+        square_free = poly.div(poly.gcd(poly.diff(t)))[0]
         return square_free.count_roots() == square_free.degree()
 
     def _multiplication_charpoly(self, coeffs):
@@ -537,8 +617,107 @@ def _charpoly(mat):
     return coeffs
 
 
-def _gcd_int(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
+
+# -- certified roots ----------------------------------------------------------
+
+
+class _IsolatingRectangle:
+    """sympy's isolating rectangle for one indexed root.  sympy returns the
+    root as c * CRootOf(g, k) with c > 0 when it rescales f first (x^2 + 4
+    is 4 (y^2 + 1) at x = 2y), so the rectangle of CRootOf(g, k) is scaled
+    by c."""
+
+    def __init__(self, root):
+        scale, inner = root.as_coeff_Mul()
+        self._scale = Fraction(int(scale.p), int(scale.q))
+        self._interval = inner._get_interval()
+
+    def bounds(self):
+        """(x_lo, x_hi, y_lo, y_hi) of the closed rectangle."""
+        iv = self._interval
+        return tuple(
+            self._scale * Fraction(int(q.numerator), int(q.denominator))
+            for q in (iv.ax, iv.bx, iv.ay, iv.by))
+
+    def meets(self, x_lo, x_hi, y_lo, y_hi):
+        """Whether the closed box [x_lo, x_hi] x [y_lo, y_hi] meets the
+        closed rectangle."""
+        ax, bx, ay, by = self.bounds()
+        return x_lo <= bx and ax <= x_hi and y_lo <= by and ay <= y_hi
+
+    def centre(self):
+        """The midpoint as an mpc, a starting point for the Newton polish
+        (exact rationals, so huge coefficients cannot overflow a float)."""
+        ax, bx, ay, by = self.bounds()
+        re, im = (ax + bx) / 2, (ay + by) / 2
+        return mpmath.mpc(mpmath.mpf(re.numerator) / re.denominator,
+                          mpmath.mpf(im.numerator) / im.denominator)
+
+    def refine(self):
+        """One bisection step; the rectangle still isolates its root."""
+        self._interval = self._interval.refine()
+
+
+def _polish(coeffs, approx, bits):
+    """Newton steps on all roots at once, with Aberth's deflation term so
+    that no two approximations converge to the same root, until every step
+    is below 2^-bits relative to its root.  Each step about doubles the
+    correct bits, so the working precision climbs to `bits` by doubling.
+    Certification happens afterwards; this only proposes."""
+    high_first = list(reversed(coeffs))
+    ladder = [bits]
+    while ladder[-1] > 128:
+        ladder.append(ladder[-1] // 2)
+    z = list(approx)
+    for level in reversed(ladder):
+        with mpmath.workprec(level + 16):
+            tol = mpmath.ldexp(1, -level)
+            z = [mpmath.mpc(w) for w in z]
+            for _step in range(8 + 2 * level.bit_length()):
+                steps = []
+                for i, zi in enumerate(z):
+                    val, der = mpmath.polyval(high_first, zi, derivative=True)
+                    deflation = mpmath.fsum(
+                        1 / (zi - zj) for j, zj in enumerate(z) if j != i)
+                    # f/f' / (1 - f/f' * deflation), kept finite where f' = 0
+                    steps.append(val / (der - val * deflation))
+                z = [zi - step for zi, step in zip(z, steps)]
+                if all(abs(step) <= tol * max(1, abs(zi))
+                       for zi, step in zip(z, steps)):
+                    break
+    return z
+
+
+def _gaussian_horner(coeffs, a, b, s):
+    """s^d p(w/s) as a Gaussian integer (re, im), for w = a + bi and an
+    integer polynomial p of degree d (coefficients low degree first)."""
+    re, im = coeffs[-1], 0
+    spow = s
+    for c in reversed(coeffs[:-1]):
+        re, im = re * a - im * b + c * spow, re * b + im * a
+        spow *= s
+    return re, im
+
+
+def _inclusion_disc_fits(coeffs, a, b, bits, prec_bits):
+    """Whether n |f(z)/f'(z)| <= 2^-prec_bits at z = (a + bi)/2^bits, so
+    the disc of that radius around z holds a root of f.  Exact: with
+    s = 2^bits, F = s^n f(z) and D = s^(n-1) f'(z) are Gaussian integers,
+    and the test is n^2 |F|^2 4^prec_bits <= |D|^2 4^bits."""
+    n = len(coeffs) - 1
+    s = 1 << bits
+    fr, fi = _gaussian_horner(coeffs, a, b, s)
+    dr, di = _gaussian_horner([k * c for k, c in enumerate(coeffs)][1:],
+                              a, b, s)
+    return ((n * n * (fr * fr + fi * fi)) << (2 * prec_bits)
+            <= (dr * dr + di * di) << (2 * bits))
+
+
+def _pairwise_apart(points, bits, prec_bits):
+    """Whether the centres (a + bi)/2^bits are pairwise more than
+    4 * 2^-prec_bits apart, so that their discs and boxes of radius
+    2^-prec_bits are disjoint."""
+    bound = 16 << (2 * (bits - prec_bits))
+    return all((a1 - a2) ** 2 + (b1 - b2) ** 2 > bound
+               for k, (a1, b1) in enumerate(points)
+               for a2, b2 in points[k + 1:])

@@ -245,3 +245,23 @@ def test_cayley_group_needs_generator_elements(tmp_path):
     assert main(["rigidity", "--input", inp, "--output", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["result"]["hom_dimension"] == 1
+
+
+def test_import_leaves_sympy_and_scipy_unloaded():
+    # sympy and scipy cost most of a cold start; only the standalone-field
+    # and LP paths may load them
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import rigidtori
+    src = str(Path(rigidtori.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, rigidtori.cli; "
+            "print(sorted({'sympy', 'scipy'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

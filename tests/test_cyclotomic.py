@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from rigidtori.cyclotomic import (ConductorMismatch, CyclotomicField,
-                                  SubfieldSpec)
+                                  SubfieldSpec, _cyclotomic_coeffs)
 
 
 def random_element(field, rng, span=6):
@@ -201,3 +201,11 @@ def test_field_trace_of_subfield():
     S = SubfieldSpec(F, [1])
     assert S.field_trace(F.one()) == 2
     assert S.field_trace(F.zeta()) == 0
+
+
+def test_cyclotomic_coeffs_match_sympy():
+    from sympy import Poly, cyclotomic_poly, symbols
+    x = symbols("x")
+    for m in range(1, 201):
+        expected = Poly(cyclotomic_poly(m, x), x).all_coeffs()[::-1]
+        assert _cyclotomic_coeffs(m) == tuple(int(c) for c in expected)

@@ -111,3 +111,79 @@ def test_evaluate_box_contains_truth():
         re, im, rad = F.evaluate_box([Fraction(0), Fraction(1)], i, 128)
         assert abs(re) <= rad
         assert abs(abs(im) - 1) <= rad
+
+
+def test_square_d_quadratics_decide():
+    # sympy returns the roots of x^2 + d, d a square, as c * CRootOf(x^2 + 1)
+    from rigidtori.polarize import polarization_exists
+    for coeffs in ((4, 0, 1), (9, 0, 1)):
+        for designated in ([0], [1]):
+            cert = polarization_exists(coeffs, designated)
+            assert cert.verdict == "exists-with-witness"
+            assert cert.witness_signs[designated[0]] == 1
+
+
+def test_root_boxes_agree_with_sympy_bisection():
+    # one polynomial per benchmark family: Phi_7, x^6 + c, x^2 + d,
+    # x^4 + a x^2 + b, x^4 + x + c; the reference is sympy's exact
+    # bisection at the same index, so indices keep sympy's order
+    eps = Fraction(1, 2 ** 64)
+    for coeffs in ((1, 1, 1, 1, 1, 1, 1), (2, 0, 0, 0, 0, 0, 1), (7, 0, 1),
+                   (5, 0, 5, 0, 1), (1, 1, 0, 0, 1)):
+        F = PolynomialField(coeffs)
+        for i, root in enumerate(F._poly.all_roots(radicals=False)):
+            ref = root.eval_rational(dx=eps, dy=eps)
+            ref_re, ref_im = (Fraction(int(q.p), int(q.q))
+                              for q in ref.as_real_imag())
+            re, im, rad = F.root_box(i, 64)
+            assert rad == eps
+            assert abs(re - ref_re) <= 2 * eps, (coeffs, i)
+            assert abs(im - ref_im) <= 2 * eps, (coeffs, i)
+
+
+def test_roots_closer_than_the_requested_radius():
+    # (x^2 + N)^2 + 1 has the roots +-sqrt(-N +- i); the two in each half
+    # plane are about 1/sqrt(N) = 7e-10 apart, closer than 4 * 2^-32, so
+    # the 32-bit boxes overlap and the discs are certified more finely
+    import mpmath
+    n = 2 * 10 ** 18
+    F = PolynomialField((n * n + 1, 0, 2 * n, 0, 1))
+    assert F.pairs == ((0, 1), (2, 3))
+
+    def mp(q):
+        return mpmath.mpf(q.numerator) / q.denominator
+
+    with mpmath.workdps(60):
+        truth = [s * mpmath.sqrt(mpmath.mpc(-n, e))
+                 for s in (1, -1) for e in (1, -1)]
+        for prec in (32, 64):
+            found = set()
+            for i in range(4):
+                re, im, rad = F.root_box(i, prec)
+                assert rad == Fraction(1, 2 ** prec)
+                inside = {k for k, z in enumerate(truth)
+                          if abs(mp(re) - z.real) <= mp(rad)
+                          and abs(mp(im) - z.imag) <= mp(rad)}
+                assert inside, (prec, i)
+                found |= inside
+            assert found == set(range(4))
+    # sympy's order: real part first, then imaginary part
+    assert [F.root_box(i)[0] < 0 for i in range(4)] == [True, True, False,
+                                                       False]
+    assert [F.root_box(i)[1] > 0 for i in range(4)] == [False, True, False,
+                                                       True]
+
+
+def test_certified_order_refines_a_rectangle_meeting_two_boxes():
+    # x^2 + 1, with a decoy centre inside the isolating rectangle of i:
+    # that rectangle meets two boxes until bisection shrinks it towards i
+    F = PolynomialField((1, 0, 1))
+    rect = F._rectangles[1]
+    x_lo, x_hi, y_lo, y_hi = rect.bounds()
+    decoy = ((x_lo + x_hi) / 2, (y_lo + y_hi) / 2)
+    assert decoy != (0, 1)
+    before = rect.bounds()
+    order = F._certified_order([(Fraction(0), Fraction(-1)),
+                                (Fraction(0), Fraction(1)), decoy], 16)
+    assert order == [0, 1]
+    assert rect.bounds() != before
