@@ -30,7 +30,7 @@ def show(group):
         print(f"  rows {orbit.rows}: field of degree {fs.degree} "
               f"inside Q(zeta_{fs.field.m}), {orbit.tag}")
 
-    centre = centre_decomposition(table, decomp)
+    centre = centre_decomposition(table)
     parts = " + ".join(
         f"F_{s.orbit_index}(deg {s.field_spec.degree}, {s.tag})"
         for s in centre)

@@ -3,7 +3,8 @@ classification of the character fields, construction of rational
 polarizations for rigid actions, and numeric search for nearby projective
 deformations of arbitrary actions."""
 
-from .characters import character_table, centre_decomposition, galois_orbits
+from .characters import (centre_decomposition, character_table, galois_orbits,
+                         table_for)
 from .cyclotomic import CyclotomicField, CyclotomicNumber, SubfieldSpec
 from .deform import (find_projective_neighbor, invariant_kahler_class,
                      invariant_two_forms, newton_solve, zero_two_part)
@@ -27,6 +28,7 @@ __all__ = [
     "SubfieldSpec",
     "FiniteGroup",
     "character_table",
+    "table_for",
     "galois_orbits",
     "centre_decomposition",
     "IntegralRepresentation",

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import deform as deform_mod
 from . import polarize as polarize_mod
-from .characters import DEFAULT_SEED, character_table, centre_decomposition, galois_orbits
+from .characters import (DEFAULT_SEED, centre_decomposition, character_table,
+                         galois_orbits, table_for)
 from .fixtures import NON_CM_QUARTIC, group_by_name
 from .hodge import (HSViolation, InconsistentCharacter, InvalidRepresentation,
                     RoundingFailure, brute_force_hom_dimension,
@@ -159,9 +160,9 @@ def _scalar(x):
 
 def run_analyze(doc, args):
     group = load_group_doc(doc)
-    table = character_table(group, seed=args.seed)
+    table = table_for(group)
     decomp = galois_orbits(table)
-    centre = centre_decomposition(table, decomp)
+    centre = centre_decomposition(table)
     classes = table.classes
     rows = []
     for r in range(table.size):
@@ -201,30 +202,29 @@ def run_analyze(doc, args):
     return {"command": "analyze", "seed": args.seed, "result": result}
 
 
-def _spec_and_structure(rep, j_matrix, spec_doc, args):
-    """Resolve the Hodge data pathways of a representation document."""
-    table = character_table(rep.group, seed=args.seed)
-    decomp = galois_orbits(table)
-    spec = None
-    chi10 = None
-    structure = None
+def _spec_and_structure(rep, j_matrix, spec_doc):
+    """Resolve the Hodge data pathways of a representation document.
+
+    Returns (table, spec, chi10, structure): a symbolic_spec document gives
+    an exact structure and no chi10, a J_matrix document the numeric chi10
+    and no structure."""
+    table = table_for(rep.group)
     if spec_doc is not None:
-        spec = load_symbolic_spec(spec_doc, decomp)
-        structure = exact_structure_from_spec(rep, spec)
-        chi10 = structure.hodge_character()
-    elif j_matrix is not None:
+        spec = load_symbolic_spec(spec_doc, galois_orbits(table))
+        return table, spec, None, exact_structure_from_spec(rep, spec)
+    if j_matrix is not None:
         chi10 = hodge_character_from_numeric(rep, j_matrix)
-        spec = spec_from_character(chi10)
-    else:
-        raise SchemaError("representation document needs J_matrix or "
-                          "symbolic_spec for this command")
-    return table, decomp, spec, chi10, structure
+        return table, spec_from_character(chi10), chi10, None
+    raise SchemaError("representation document needs J_matrix or "
+                      "symbolic_spec for this command")
 
 
 def run_rigidity(doc, args):
     rep, j_matrix, spec_doc = load_representation_doc(doc)
-    table, decomp, spec, chi10, structure = _spec_and_structure(
-        rep, j_matrix, spec_doc, args)
+    table, spec, numeric_chi10, structure = _spec_and_structure(
+        rep, j_matrix, spec_doc)
+    chi10 = (structure.hodge_character() if numeric_chi10 is None
+             else numeric_chi10)
     char_report = rigidity_by_character(chi10, table)
     centre_report = rigidity_by_centre(spec)
     methods = [
@@ -236,7 +236,8 @@ def run_rigidity(doc, args):
     if structure is None and char_report.is_rigid:
         structure = exact_structure_from_spec(rep, spec)
     if structure is not None:
-        bf = brute_force_hom_dimension(rep, structure, chi10)
+        # a numeric chi10 is cross-checked against the structure's own
+        bf = brute_force_hom_dimension(rep, structure, numeric_chi10)
         methods.append({"method": "brute_force", "hom_dimension": bf,
                         "is_rigid": bf == 0})
     else:
@@ -263,8 +264,7 @@ def run_rigidity(doc, args):
 
 def run_enumerate(doc, args):
     rep, j_matrix, spec_doc = load_representation_doc(doc)
-    table = character_table(rep.group, seed=args.seed)
-    decomp = galois_orbits(table)
+    decomp = galois_orbits(table_for(rep.group))
     pieces = isotypic_split(rep, decomp)
     mults = [len(img) // orbit.field_spec.degree
              for (p, img), orbit in zip(pieces, decomp.orbits)]
@@ -296,8 +296,7 @@ def run_polarize(doc, args):
     if isinstance(doc, dict) and "polynomial" in doc:
         return _run_polarize_polynomial(doc, args)
     rep, j_matrix, spec_doc = load_representation_doc(doc)
-    table, decomp, spec, chi10, structure = _spec_and_structure(
-        rep, j_matrix, spec_doc, args)
+    _, spec, _, _ = _spec_and_structure(rep, j_matrix, spec_doc)
     form = polarize_mod.assemble_polarization(
         rep, spec=spec, g_invariant=args.g_invariant, seed=args.seed)
     cert = form.certificate
@@ -343,8 +342,7 @@ def _run_polarize_polynomial(doc, args):
 def run_deform(doc, args):
     rep, j_matrix, spec_doc = load_representation_doc(doc)
     if j_matrix is None and spec_doc is not None:
-        table = character_table(rep.group, seed=args.seed)
-        decomp = galois_orbits(table)
+        decomp = galois_orbits(table_for(rep.group))
         spec = load_symbolic_spec(spec_doc, decomp)
         structure = exact_structure_from_spec(rep, spec)
         j_matrix = structure.j_matrix_float().tolist()
@@ -386,7 +384,7 @@ def run_selftest(args):
 
     def check_tables():
         for name in ("S3", "Q8", "Z12"):
-            table = character_table(group_by_name(name), seed=args.seed)
+            table = character_table(group_by_name(name))
             table.verify()
             table.verify_columns()
 

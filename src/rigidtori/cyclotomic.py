@@ -18,6 +18,8 @@ from math import gcd
 from mpmath import iv
 from mpmath.libmp import to_rational
 
+from . import linalg
+
 __all__ = [
     "CyclotomicField",
     "CyclotomicNumber",
@@ -515,16 +517,12 @@ class SubfieldSpec:
             orbit = {(a * k) % m for a in self.fixing_subgroup}
             seen |= orbit
             sums.append(self.field.from_exponent_dict({e: 1 for e in orbit}))
-        # extract a maximal independent subset, deterministically
-        basis = []
-        rows = []
-        for s in sums:
-            cand = rows + [list(s.coeffs)]
-            if _rational_rank(cand) > len(rows):
-                rows = cand
-                basis.append(s)
-            if len(basis) == self.degree:
-                break
+        # the first maximal independent subset: the sums independent of the
+        # ones before them are the pivot columns of the matrix of all sums
+        _, pivots = linalg.rref(
+            [[Fraction(s.coeffs[i]) for s in sums]
+             for i in range(self.field.degree)])
+        basis = [sums[c] for c in pivots]
         if len(basis) != self.degree:
             raise AssertionError("orbit sums failed to span the fixed field")
         return basis
@@ -577,8 +575,10 @@ class SubfieldSpec:
 
     def coordinates(self, x: CyclotomicNumber):
         """Exact coordinates of x in the subfield basis, or None if outside."""
-        cols = [list(b.coeffs) for b in self.basis]
-        return _solve_columns(cols, list(x.coeffs))
+        return linalg.solve(
+            [[Fraction(b.coeffs[i]) for b in self.basis]
+             for i in range(self.field.degree)],
+            [Fraction(c) for c in x.coeffs])
 
     def element(self, coords) -> CyclotomicNumber:
         acc = self.field.zero()
@@ -608,56 +608,3 @@ class SubfieldSpec:
     def __repr__(self):
         return (f"SubfieldSpec(m={self.field.m}, H={self.fixing_subgroup}, "
                 f"degree={self.degree})")
-
-
-def _rational_rank(rows) -> int:
-    rows = [list(map(Fraction, r)) for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    r = 0
-    while r < len(rows) and col < ncols:
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        lead = rows[r][col]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col] / lead
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        col += 1
-        rank += 1
-    return rank
-
-
-def _solve_columns(cols, target):
-    """Solve sum_j x_j * cols[j] = target over Q; None if inconsistent."""
-    n = len(target)
-    k = len(cols)
-    aug = [[Fraction(cols[j][i]) for j in range(k)] + [Fraction(target[i])]
-           for i in range(n)]
-    piv_cols = []
-    r = 0
-    for c in range(k):
-        piv = next((i for i in range(r, n) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        lead = aug[r][c]
-        aug[r] = [x / lead for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-    for i in range(r, n):
-        if aug[i][k] != 0:
-            return None
-    sol = [Fraction(0)] * k
-    for row, c in enumerate(piv_cols):
-        sol[c] = aug[row][k]
-    return sol

@@ -234,14 +234,13 @@ def random_hodge_fixture(rng: random.Random, groups=None, max_rank: int = 8):
     and rational scalar pieces are taken in pairs.  The direct sum is
     conjugated by a random unimodular matrix.  Returns (rep, structure).
     """
-    from .characters import galois_orbits
-    from .hodge import (SummandType, SymbolicHodgeSpec, _table_of,
-                        exact_structure_from_spec, isotypic_split)
+    from .characters import galois_orbits, table_for
+    from .hodge import isotypic_split
     if groups is None:
         groups = small_groups()
     for _attempt in range(50):
         group = rng.choice(groups)
-        table = _table_of(regular_representation(group))
+        table = table_for(group)
         decomp = galois_orbits(table)
         reg = regular_representation(group)
         pieces = isotypic_split(reg, decomp)
@@ -268,22 +267,20 @@ def random_hodge_fixture(rng: random.Random, groups=None, max_rank: int = 8):
             budget -= choice[2]
         if not blocks:
             continue
-        built = [_build_block(reg, table, decomp, pieces, kind, j, rng)
+        built = [_build_block(reg, decomp, pieces, kind, j, rng)
                  for kind, j, _ in blocks]
         rep, structure = _direct_sum_structures(built)
         return _random_unimodular_conjugate(rep, structure, rng)
     raise RuntimeError("fixture generation failed to find viable blocks")
 
 
-def _build_block(reg, table, decomp, pieces, kind, orbit_index, rng):
-    from .hodge import SummandType, SymbolicHodgeSpec, exact_structure_from_spec
+def _build_block(reg, decomp, pieces, kind, orbit_index, rng):
+    from .hodge import (SummandType, SymbolicHodgeSpec,
+                        exact_structure_from_spec, isotypic_split)
     model, _ = integral_model(reg, pieces[orbit_index][1])
-    from .hodge import isotypic_split
-    from .characters import galois_orbits
-    model_decomp = decomp  # same group, same orbits
-    model_pieces = isotypic_split(model, model_decomp)
+    model_pieces = isotypic_split(model, decomp)  # same group, same orbits
     summands = []
-    for j, orbit in enumerate(model_decomp.orbits):
+    for j, orbit in enumerate(decomp.orbits):
         fs = orbit.field_spec
         mult = len(model_pieces[j][1]) // fs.degree
         if mult == 0 or j != orbit_index:
@@ -311,7 +308,7 @@ def _build_block(reg, table, decomp, pieces, kind, orbit_index, rng):
                 (a, mult) for a in fs.coset_reps())))
     if kind == "real_pair":
         model = _double_rep(model)
-    spec = SymbolicHodgeSpec(decomposition=model_decomp,
+    spec = SymbolicHodgeSpec(decomposition=decomp,
                              summands=tuple(summands))
     structure = exact_structure_from_spec(model, spec)
     return model, structure

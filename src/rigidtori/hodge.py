@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linalg
 from .characters import (CharacterTable, GaloisOrbitDecomposition,
-                         centre_decomposition, galois_orbits)
+                         galois_orbits, table_for)
 from .cyclotomic import CyclotomicField, CyclotomicNumber
 from .groups import FiniteGroup
 
@@ -200,8 +200,6 @@ def hodge_character_from_numeric(rep: IntegralRepresentation, j_matrix,
     chi10(g^j) = (tr rho(g^j) - i tr(rho(g^j) J)) / 2 over j; each
     multiplicity must sit within `tol` of a nonnegative integer.
     """
-    from .characters import character_table  # noqa: F401  (type only)
-
     J = np.asarray(j_matrix, dtype=float)
     n2 = rep.rank
     if J.shape != (n2, n2):
@@ -213,7 +211,7 @@ def hodge_character_from_numeric(rep: IntegralRepresentation, j_matrix,
         if np.linalg.norm(J @ R - R @ J) > commute_tol * max(1.0, np.linalg.norm(R)):
             raise RoundingFailure(f"J does not commute with rho({g})")
 
-    table = _table_of(rep)
+    table = table_for(rep.group)
     field = table.field
     m = field.m
     values = []
@@ -240,19 +238,6 @@ def hodge_character_from_numeric(rep: IntegralRepresentation, j_matrix,
     chi = HodgeCharacter(table=table, values=tuple(values))
     chi.check_hodge_symmetry(rep)
     return chi
-
-
-_TABLE_CACHE = {}
-
-
-def _table_of(rep: IntegralRepresentation) -> CharacterTable:
-    key = rep.group.table  # content key: id() could alias after collection
-    tab = _TABLE_CACHE.get(key)
-    if tab is None:
-        from .characters import character_table
-        tab = character_table(rep.group)
-        _TABLE_CACHE[key] = tab
-    return tab
 
 
 # -- symbolic Hodge types ----------------------------------------------------
@@ -443,7 +428,7 @@ class ExactHodgeStructure:
         return a, b
 
     def hodge_character(self) -> HodgeCharacter:
-        table = _table_of(self.rep)
+        table = table_for(self.rep.group)
         small = table.field
         values = []
         for g in table.classes.representatives:
@@ -488,12 +473,11 @@ def _coerce_to_subcyclotomic(x: CyclotomicNumber, small) -> CyclotomicNumber:
     ratio = big.m // small.m
     if small.m * ratio != big.m:
         raise ValueError("not a subfield")
-    cols = []
-    for t in range(small.degree):
-        emb = big.zeta(ratio * t) if t else big.one()
-        cols.append(list(emb.coeffs))
-    from .cyclotomic import _solve_columns
-    coords = _solve_columns(cols, list(x.coeffs))
+    powers = [big.zeta(ratio * t) if t else big.one()
+              for t in range(small.degree)]
+    coords = linalg.solve(
+        [[Fraction(p.coeffs[i]) for p in powers] for i in range(big.degree)],
+        [Fraction(c) for c in x.coeffs])
     if coords is None:
         raise ValueError("value leaves the smaller cyclotomic field")
     return small.from_coeffs(coords)

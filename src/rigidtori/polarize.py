@@ -338,7 +338,7 @@ def assemble_polarization(rep: IntegralRepresentation,
 def _subfield_action_matrices(rep, decomp, orbit_index, centre_mats):
     """Rational action matrices of the subfield basis elements of F_j."""
     from .characters import centre_decomposition
-    summands = centre_decomposition(decomp.table, decomp)
+    summands = centre_decomposition(decomp.table)
     summand = summands[orbit_index]
     k = summand.field_spec.degree
     d = decomp.table.size

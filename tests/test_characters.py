@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from rigidtori.characters import (centre_decomposition, character_table,
-                                  galois_orbits,
+                                  galois_orbits, table_for,
                                   _exact_eigenspace_refinement,
                                   _class_eigenvalue_candidates,
                                   _permissible_degrees)
@@ -193,8 +193,7 @@ def test_cm_tag_iff_nonreal_value():
 
 def test_centre_decomposition_z4():
     table = character_table(cyclic(4))
-    decomp = galois_orbits(table)
-    centre = centre_decomposition(table, decomp)
+    centre = centre_decomposition(table)
     degrees = sorted(s.field_spec.degree for s in centre)
     assert degrees == [1, 1, 2]
     assert sorted(s.tag for s in centre) == ["CM", "TotallyReal", "TotallyReal"]
@@ -209,6 +208,20 @@ def test_centre_decomposition_trivial():
     assert centre[0].field_spec.degree == 1
 
 
-def test_table_seed_recorded():
-    table = character_table(cyclic(5), seed=99)
-    assert table.seed == 99
+
+def test_orbits_and_centre_computed_once_per_table():
+    table = character_table(cyclic(6))
+    assert galois_orbits(table) is galois_orbits(table)
+    assert centre_decomposition(table) is centre_decomposition(table)
+    assert galois_orbits(table).table is table
+
+
+def test_table_for_compares_cayley_tables_by_content():
+    from rigidtori.groups import FiniteGroup
+    g = symmetric_3()
+    table = table_for(g)
+    assert table_for(FiniteGroup(g.table, name="other")) is table
+    # one entry only: another group replaces it
+    assert table_for(cyclic(3)) is not table
+    assert table_for(g) is not table
+    assert table_for(g).rows == table.rows

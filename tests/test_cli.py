@@ -18,6 +18,16 @@ GAUSSIAN_DOC = {
     "J_matrix": [[0.0, -1.0], [1.0, 0.0]],
 }
 
+SYMBOLIC_DOC = {
+    "group": {"name": "Z4", "permutation_generators": [[1, 2, 3, 0]]},
+    "rank": 2,
+    "generator_matrices": [[[0, -1], [1, 0]]],
+    "symbolic_spec": {
+        "multiplicities": [1, 0, 0],
+        "tau": {"0": {"1": 1, "3": 0}},
+    },
+}
+
 
 def test_analyze_s3(tmp_path, capsys):
     inp = write(tmp_path, "s3.json", {"builtin": "S3"})
@@ -107,22 +117,57 @@ def test_rigidity_non_rigid_numeric_skips_brute_force(tmp_path):
 
 
 def test_rigidity_symbolic_spec_input(tmp_path):
-    doc = {
-        "group": {"name": "Z4", "permutation_generators": [[1, 2, 3, 0]]},
-        "rank": 2,
-        "generator_matrices": [[[0, -1], [1, 0]]],
-        "symbolic_spec": {
-            "multiplicities": [1, 0, 0],
-            "tau": {"0": {"1": 1, "3": 0}},
-        },
-    }
-    inp = write(tmp_path, "sym.json", doc)
+    inp = write(tmp_path, "sym.json", SYMBOLIC_DOC)
     out = tmp_path / "rig.json"
     assert main(["rigidity", "--input", inp, "--output", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["result"]["is_rigid"] is True
     methods = {m["method"]: m for m in report["result"]["methods"]}
     assert methods["brute_force"]["hom_dimension"] == 0
+
+
+@pytest.mark.parametrize("doc", [GAUSSIAN_DOC, SYMBOLIC_DOC],
+                         ids=["J_matrix", "symbolic_spec"])
+def test_rigidity_then_polarize_build_one_table(tmp_path, monkeypatch, doc):
+    from rigidtori import characters
+    from rigidtori.fixtures import cyclic
+    characters.table_for(cyclic(1))  # the memo now holds another group
+    built = []
+    init = characters.CharacterTable.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(characters.CharacterTable, "__init__", counting_init)
+    inp = write(tmp_path, "rep.json", doc)
+    assert main(["rigidity", "--input", inp]) == 0
+    assert main(["polarize", "--input", inp]) == 0
+    assert len(built) == 1
+
+
+def test_hodge_character_runs_once_per_rigidity_request(tmp_path,
+                                                         monkeypatch):
+    from rigidtori.hodge import ExactHodgeStructure
+    calls = []
+    hodge_character = ExactHodgeStructure.hodge_character
+
+    def counting(self):
+        calls.append(self)
+        return hodge_character(self)
+
+    monkeypatch.setattr(ExactHodgeStructure, "hodge_character", counting)
+    inp = write(tmp_path, "sym.json", SYMBOLIC_DOC)
+    assert main(["rigidity", "--input", inp]) == 0
+    assert len(calls) == 1
+    assert main(["polarize", "--input", inp]) == 0
+    assert len(calls) == 1
+    # a J_matrix document still cross-checks the exact structure's
+    # character against the numeric one
+    del calls[:]
+    inp = write(tmp_path, "gauss.json", GAUSSIAN_DOC)
+    assert main(["rigidity", "--input", inp]) == 0
+    assert len(calls) == 1
 
 
 def test_enumerate_command(tmp_path):
