@@ -1,20 +1,37 @@
 """Exact character tables, central idempotents, and Galois-orbit data.
 
 The table is computed by Burnside's class-algebra method: the class-sum
-matrices M_i commute and their simultaneous eigenvectors, normalized at the
-identity class, are the vectors of central-character values
-omega_i = |C_i| chi(g_i) / chi(1), which all lie in Z[zeta_m] for
-m = exponent(G).
+matrices M_i, (M_i)[j][k] = a_ijk, commute, and their simultaneous
+eigenvectors, normalized at the identity class, are the vectors of
+central-character values omega_k = |C_k| chi(g_k) / chi(1), which lie in
+Z[zeta_m] for m = exponent(G).
 
-Eigenvalues are drawn from the exact candidate family
-|C_i| * (sum of D many e-th roots of unity) / D, where e is the element
-order in C_i and D runs over the permissible irreducible degrees.  A seeded
-random linear combination of the class matrices separates the eigenvectors
-numerically; each recognized row is then verified exactly against every
-class matrix, so floating point only ever supplies hints.  A slower
-all-exact eigenspace refinement backs up the numeric path.  The table does
-not depend on the combination drawn: rows come out in canonical order and
-each one is certified exactly, so the draw uses the constant DEFAULT_SEED.
+Exact values are recovered as Dixon does (Numer. Math. 10, 1967).  A seeded
+random combination of the class matrices gives numeric eigenvectors v with
+v_0 = 1.  From each, chi(1) = round(sqrt(|G| / sum_k |v_k|^2 / |C_k|)) and
+chi_k = v_k chi(1) / |C_k|.  On a class k of element order e, the power map
+gives the multiplicity of the eigenvalue zeta_e^j of rho(g_k) as
+n_j = (1/e) sum_t chi(g_k^t) zeta_e^(-jt), a non-negative integer; rounded,
+the n_j give omega_k = (|C_k| / chi(1)) sum_j n_j zeta_e^j exactly.  If a
+rounding is ambiguous, the next combination is tried; if every draw fails,
+an all-exact eigenspace refinement against candidate eigenvalues (sums of
+chi(1) many e-th roots of unity) takes over.  The draw uses the constant
+DEFAULT_SEED; the table does not depend on it, since rows come out in
+canonical order and are certified exactly.  Floating point only proposes.
+
+One exact certificate decides, for d vectors w with w_0 = 1.  A set S of
+classes is chosen so that the tuples (w_s), s in S, are pairwise distinct.
+Checked exactly: sum_k a_sjk w_k = w_s w_j for every s in S and every j,
+and M_i M_s = M_s M_i, in integers, for every i and every s in S.  Then
+each w is a joint eigenvector of {M_s} with eigenvalues (w_s), and d
+vectors with pairwise distinct joint eigenvalues are a basis, so every
+joint eigenspace of {M_s} is a line.  Each M_i commutes with every M_s, so
+it preserves these lines: M_i w = lambda w.  Since a_i0k = delta_ik (class
+0 is the identity), lambda = (M_i w)_0 = w_i.  So M_i w = w_i w for every
+i: the d vectors are the d central characters.  The degrees follow exactly
+from chi(1)^2 = |G| / sum_k |w_k|^2 / |C_k|, and their squares must sum to
+|G|.  `CharacterTable.verify` (row orthonormality) stays public as an
+independent check but is not part of the computation.
 
 `table_for(group)` is the one table cache.  It keeps the last group's table
 only, compared by Cayley-table content, so every step of a request shares
@@ -24,7 +41,8 @@ either.  A larger memo only costs memory: on the cold-groups stream (seed 1),
 where no table repeats, a 16-entry LRU raised the peak RSS from about 41 MB
 to 43.7 MB, and one entry to 41.3-41.4 MB.  `galois_orbits` and
 `centre_decomposition` are computed once per table object and then return
-that same result.
+that same result.  Galois images of rows are read through the power maps,
+sigma_a(chi)(g) = chi(g^a), by permuting columns.
 """
 
 from __future__ import annotations
@@ -54,6 +72,8 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 1729
+# largest distance of a rounded degree or multiplicity from its float value
+_ROUNDING_TOLERANCE = 1e-3
 
 
 class TableComputationError(RuntimeError):
@@ -212,26 +232,23 @@ def character_table(group: FiniteGroup) -> CharacterTable:
     classes = group.conjugacy_classes()
     d = classes.count
     field = CyclotomicField(group.exponent)
-    degrees = _permissible_degrees(group.order, d)
-    per_class_candidates = []
-    for k in range(d):
-        size = classes.sizes[k]
-        eorder = group.element_order[classes.representatives[k]]
-        cands = _class_eigenvalue_candidates(field, size, eorder, degrees)
-        per_class_candidates.append(cands)
-
-    vectors = _numeric_then_exact_eigenvectors(
-        classes, field, per_class_candidates)
+    vectors = _dixon_vectors(classes, field)
     if vectors is None:
-        vectors = _exact_eigenspace_refinement(classes, field, per_class_candidates)
-
+        degrees = _permissible_degrees(group.order, d)
+        per_class_candidates = [
+            _class_eigenvalue_candidates(
+                field, classes.sizes[k],
+                group.element_order[classes.representatives[k]], degrees)
+            for k in range(d)]
+        vectors = _exact_eigenspace_refinement(classes, field,
+                                               per_class_candidates)
     rows, degs = _rows_from_eigenvectors(group, classes, field, vectors)
+    if sum(dd * dd for dd in degs) != group.order:
+        raise TableComputationError("degree squares do not sum to |G|")
     order = sorted(range(d), key=lambda r: (degs[r], _row_key(rows[r])))
-    table = CharacterTable(group, classes, field,
-                           [rows[r] for r in order],
-                           [degs[r] for r in order])
-    table.verify()
-    return table
+    return CharacterTable(group, classes, field,
+                          [rows[r] for r in order],
+                          [degs[r] for r in order])
 
 
 _LAST_TABLE = None  # (Cayley table, its CharacterTable) of the last group
@@ -252,15 +269,37 @@ def _row_key(row):
     return tuple(tuple(c.coeffs) for c in row)
 
 
+def _power_classes(classes: ConjugacyClassData):
+    """Per class k, the classes of g_k^t for 0 <= t < ord(g_k)."""
+    table = classes.group.table
+    out = []
+    for g in classes.representatives:
+        powers, cur = [0], g
+        while cur != 0:
+            powers.append(classes.membership[cur])
+            cur = table[cur][g]
+        out.append(powers)
+    return out
+
+
 def _rows_from_eigenvectors(group, classes, field, vectors):
-    """Turn verified central-character vectors into character rows."""
+    """Turn certified central-character vectors into character rows.
+
+    chi(1)^2 = |G| / sum_k w_k conj(w_k) / |C_k|.  Since conj(w_k) = w_kbar
+    (kbar the inverse class) and a certified w multiplies like the class
+    sums, w_k w_kbar = sum_l a_(k kbar l) w_l, the sum is the linear form
+    sum_l c_l w_l with c_l = sum_k a_(k kbar l) / |C_k|."""
     d = classes.count
     rows = []
     degs = []
+    norm_form = [sum(Fraction(classes.coefficients[k][classes.inverse_class(k)][l],
+                              classes.sizes[k]) for k in range(d))
+                 for l in range(d)]
     for w in vectors:
         s = field.zero()
-        for k in range(d):
-            s = s + w[k] * w[k].conjugate() * Fraction(1, classes.sizes[k])
+        for wl, c in zip(w, norm_form):
+            if c:
+                s = s + wl * c
         ratio = s.as_rational()
         if ratio is None or ratio <= 0:
             raise TableComputationError("non-rational norm for eigenvector")
@@ -270,43 +309,91 @@ def _rows_from_eigenvectors(group, classes, field, vectors):
         deg = math.isqrt(deg_sq.numerator)
         if deg * deg != deg_sq.numerator:
             raise TableComputationError("chi(1)^2 not a perfect square")
-        row = [w[k] * Fraction(deg, classes.sizes[k]) for k in range(d)]
-        rows.append(row)
+        rows.append([w[k] * Fraction(deg, classes.sizes[k]) for k in range(d)])
         degs.append(deg)
-    if len({_row_key(r) for r in rows}) != d:
-        raise TableComputationError("duplicate eigenvectors")
     return rows, degs
 
 
-def _verify_vector(classes, field, w) -> bool:
-    """Exact check: w is a simultaneous eigenvector of every class matrix,
-    with eigenvalues w_i (identity coordinate normalized to 1)."""
+def _separating_classes(vectors):
+    """Classes S whose coordinates (w_s), s in S, tell the vectors apart,
+    or None if no set does.  Greedy: each step adds the class that splits
+    the vectors into the most groups, the first in class order on ties."""
+    n = len(vectors)
+    values = {}   # value coefficients -> small id, so keys hash fast
+    ids = [[values.setdefault(x.coeffs, len(values)) for x in w]
+           for w in vectors]
+    separating = []
+    keys = [() for _ in vectors]
+    while len(set(keys)) < n:
+        splits = [len({key + (v[s],) for key, v in zip(keys, ids)})
+                  for s in range(len(ids[0]))]
+        best = max(range(len(splits)), key=lambda s: (splits[s], -s))
+        if splits[best] == len(set(keys)):
+            return None
+        separating.append(best)
+        keys = [key + (v[best],) for key, v in zip(keys, ids)]
+    return separating
+
+
+def _certify(classes: ConjugacyClassData, vectors) -> bool:
+    """Exact check that `vectors` are the d central characters.
+
+    With S from `_separating_classes`, checked exactly: w_0 = 1,
+    sum_k a_sjk w_k = w_s w_j for s in S and every j, and M_i M_s = M_s M_i
+    for every i and s in S.  The module docstring shows why this gives
+    M_i w = w_i w for every i."""
     d = classes.count
-    if w[0] != field.one():
+    if len(vectors) != d or any(w[0] != 1 for w in vectors):
         return False
-    for i in range(d):
-        mat = classes.class_matrix(i)
-        for j in range(d):
-            acc = field.zero()
-            for k in range(d):
-                a = mat[j][k]
-                if a:
-                    acc = acc + w[k] * a
-            if acc != w[i] * w[j]:
-                return False
-    return True
+    separating = _separating_classes(vectors)
+    if separating is None:
+        return False
+    for s in separating:
+        for w in vectors:
+            ws = w[s]
+            for j, row in enumerate(classes.coefficients[s]):
+                lhs = [0] * len(ws.coeffs)
+                for k, a in enumerate(row):
+                    if a:
+                        for i, c in enumerate(w[k].coeffs):
+                            if c:
+                                lhs[i] += a * c
+                if tuple(lhs) != (ws * w[j]).coeffs:
+                    return False
+    sparse = [[{k: a for k, a in enumerate(row) if a} for row in mat]
+              for mat in classes.coefficients]
+    return all(_sparse_product(sparse[i], sparse[s]) ==
+               _sparse_product(sparse[s], sparse[i])
+               for s in separating for i in range(d))
 
 
-def _numeric_then_exact_eigenvectors(classes, field, per_class_candidates):
-    """Fast path: seeded random combination of class matrices, numpy
-    eigenvectors, per-coordinate recognition against the exact candidate
-    lists, then full exact verification.  Returns None when anything is
-    ambiguous, deferring to the exact refinement."""
+def _sparse_product(x, y):
+    """Exact product of integer matrices given as rows {column: entry}."""
+    out = []
+    for row in x:
+        acc = {}
+        for j, a in row.items():
+            for k, b in y[j].items():
+                acc[k] = acc.get(k, 0) + a * b
+        out.append({k: c for k, c in acc.items() if c})
+    return out
+
+
+def _dixon_vectors(classes: ConjugacyClassData, field):
+    """Fast path: numeric eigenvectors of a seeded random combination of the
+    class matrices, exact values recovered from rounded eigenvalue
+    multiplicities (Dixon), then the one exact certificate.  Returns None
+    when a rounding is ambiguous or the certificate fails for every draw,
+    deferring to the exact refinement."""
     d = classes.count
+    powers = _power_classes(classes)
+    # dft[e][j][t] = zeta_e^(-jt) / e, for the element orders e
+    dft = {}
+    for pw in powers:
+        e = len(pw)
+        if e not in dft:
+            dft[e] = np.exp(-2j * np.pi * np.outer(range(e), range(e)) / e) / e
     mats = [np.array(classes.class_matrix(i), dtype=float) for i in range(d)]
-    cand_floats = []
-    for k in range(d):
-        cand_floats.append([(_complex_value(c), c) for c in per_class_candidates[k]])
     rng = random.Random(DEFAULT_SEED)
     for _attempt in range(8):
         weights = [rng.randint(1, 2 ** 20) for _ in range(d)]
@@ -315,36 +402,49 @@ def _numeric_then_exact_eigenvectors(classes, field, per_class_candidates):
             _, vecs = np.linalg.eig(combo)
         except np.linalg.LinAlgError:
             continue
-        found = {}
-        ok = True
+        vectors = []
         for idx in range(d):
-            v = vecs[:, idx]
-            if abs(v[0]) < 1e-9:
-                ok = False
+            w = _recover_vector(vecs[:, idx], classes, field, powers, dft)
+            if w is None:
                 break
-            v = v / v[0]
-            exact = []
-            for k in range(d):
-                best = None
-                best_dist = 1e-6
-                for fval, cand in cand_floats[k]:
-                    dist = abs(fval - v[k])
-                    if dist < best_dist:
-                        best_dist = dist
-                        best = cand
-                if best is None:
-                    ok = False
-                    break
-                exact.append(best)
-            if not ok:
-                break
-            key = tuple(c.coeffs for c in exact)
-            found[key] = exact
-        if ok and len(found) == d:
-            vectors = list(found.values())
-            if all(_verify_vector(classes, field, w) for w in vectors):
+            vectors.append(w)
+        else:
+            # repeated vectors are rejected: no class separates them
+            if _certify(classes, vectors):
                 return vectors
     return None
+
+
+def _recover_vector(v, classes, field, powers, dft):
+    """Exact central character w near the numeric eigenvector v, or None.
+
+    With v_0 = 1: chi(1) = sqrt(|G| / sum_k |v_k|^2/|C_k|) and chi_k =
+    v_k chi(1)/|C_k|.  On class k of element order e, the multiplicity of
+    the eigenvalue zeta_e^j is n_j = (1/e) sum_t chi(g_k^t) zeta_e^(-jt);
+    then w_k = (|C_k|/chi(1)) sum_j n_j zeta_e^j, built exactly."""
+    if abs(v[0]) < 1e-9:
+        return None
+    v = v / v[0]
+    sizes = np.array(classes.sizes, dtype=float)
+    deg_float = math.sqrt(
+        classes.group.order / float(np.sum(np.abs(v) ** 2 / sizes)))
+    deg = round(deg_float)
+    if deg < 1 or abs(deg - deg_float) > _ROUNDING_TOLERANCE:
+        return None
+    chi = v * deg / sizes
+    w = []
+    for k, pw in enumerate(powers):
+        e = len(pw)
+        mults = dft[e] @ chi[pw]   # n_j for j = 0, ..., e-1
+        rounded = np.rint(mults.real)
+        if (np.max(np.abs(mults - rounded)) > _ROUNDING_TOLERANCE
+                or rounded.min() < 0 or rounded.sum() != deg):
+            return None
+        step = field.m // e
+        w.append(field.from_exponent_dict(
+            {step * j: Fraction(int(n) * classes.sizes[k], deg)
+             for j, n in enumerate(rounded) if n}))
+    return w
 
 
 def _exact_eigenspace_refinement(classes, field, per_class_candidates):
@@ -402,10 +502,9 @@ def _exact_eigenspace_refinement(classes, field, per_class_candidates):
         if w[0].is_zero():
             raise TableComputationError("eigenvector vanishes at the identity")
         inv = w[0].inverse()
-        w = [x * inv for x in w]
-        if not _verify_vector(classes, field, w):
-            raise TableComputationError("verification failed on exact path")
-        vectors.append(w)
+        vectors.append([x * inv for x in w])
+    if not _certify(classes, vectors):
+        raise TableComputationError("verification failed on exact path")
     return vectors
 
 
@@ -454,21 +553,29 @@ def galois_orbits(table: CharacterTable) -> GaloisOrbitDecomposition:
 
 
 def _galois_orbits(table):
+    # sigma_a(chi)(g) = chi(g^a): the image of a row is the row read through
+    # the a-th power map on classes
     field = table.field
     d = table.size
-    key_to_row = {_row_key(table.rows[r]): r for r in range(d)}
-    units = field.units
+    values = {}   # value coefficients -> small id, so row keys hash fast
+    keys = [tuple(values.setdefault(v.coeffs, len(values)) for v in row)
+            for row in table.rows]
+    key_to_row = {key: r for r, key in enumerate(keys)}
+    powers = _power_classes(table.classes)
+    power_map = {a: [pw[a % len(pw)] for pw in powers] for a in field.units}
+
+    def image(r, a):
+        return key_to_row.get(tuple(keys[r][k] for k in power_map[a]))
+
     assigned = [False] * d
     orbits = []
     for r in range(d):
         if assigned[r]:
             continue
         stabilizer = []
-        coset_to_row = {}
         members = []
-        for a in units:
-            img = tuple(tuple((v.galois(a)).coeffs) for v in table.rows[r])
-            row_img = key_to_row.get(img)
+        for a in field.units:
+            row_img = image(r, a)
             if row_img is None:
                 raise TableComputationError("Galois image is not a table row")
             if row_img == r:
@@ -476,9 +583,7 @@ def _galois_orbits(table):
             if row_img not in members:
                 members.append(row_img)
         spec = SubfieldSpec(field, stabilizer)
-        for rep in spec.coset_reps():
-            img = tuple(tuple((v.galois(rep)).coeffs) for v in table.rows[r])
-            coset_to_row[rep] = key_to_row[img]
+        coset_to_row = {rep: image(r, rep) for rep in spec.coset_reps()}
         for m in members:
             assigned[m] = True
         idem = _orbit_idempotent(table, members)
@@ -496,14 +601,17 @@ def _galois_orbits(table):
 
 def _orbit_idempotent(table: CharacterTable, member_rows):
     """e_K(chi) = sum over the orbit of e_chi; coefficients must be rational."""
+    # the coefficient of g is (chi(1)/|G|) sum_chi chi(g^-1): one per class
     g = table.group
-    acc = [table.field.zero() for _ in range(g.order)]
-    for row in member_rows:
-        for elem, c in enumerate(table.central_idempotent(row)):
-            acc[elem] = acc[elem] + c
+    per_class = []
+    for k in range(table.size):
+        acc = table.field.zero()
+        for row in member_rows:
+            acc = acc + table.rows[row][k] * Fraction(table.degrees[row], g.order)
+        per_class.append(acc.as_rational())
     out = []
-    for elem, c in enumerate(acc):
-        q = c.as_rational()
+    for elem in range(g.order):
+        q = per_class[table.classes.membership[g.inverse[elem]]]
         if q is None:
             raise TableComputationError(
                 f"orbit idempotent has irrational coefficient at element {elem}")

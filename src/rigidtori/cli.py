@@ -296,9 +296,12 @@ def run_polarize(doc, args):
     if isinstance(doc, dict) and "polynomial" in doc:
         return _run_polarize_polynomial(doc, args)
     rep, j_matrix, spec_doc = load_representation_doc(doc)
-    _, spec, _, _ = _spec_and_structure(rep, j_matrix, spec_doc)
+    # a symbolic_spec document's structure is built before the rigidity
+    # checks, so its domain errors win over NotRigid; it is built only here
+    _, spec, _, structure = _spec_and_structure(rep, j_matrix, spec_doc)
     form = polarize_mod.assemble_polarization(
-        rep, spec=spec, g_invariant=args.g_invariant, seed=args.seed)
+        rep, spec=spec, g_invariant=args.g_invariant, seed=args.seed,
+        structure=structure)
     cert = form.certificate
     result = {
         "rank": form.rank,

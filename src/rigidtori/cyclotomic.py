@@ -128,7 +128,8 @@ class _Field:
         for k, q in exps.items():
             q = Fraction(q)
             for i, c in enumerate(self.power_table[k % self.m]):
-                acc[i] += q * c
+                if c:
+                    acc[i] += q * c
         return CyclotomicNumber(self, tuple(acc))
 
 
@@ -177,11 +178,19 @@ class CyclotomicNumber:
         return (-self).__add__(other)
 
     def __mul__(self, other):
+        # O(phi(m)) scaling when an operand is rational; else O(phi(m)^2)
+        if isinstance(other, (int, Fraction)):
+            return CyclotomicNumber(
+                self.field, tuple(c * other for c in self.coeffs))
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        deg = self.field.degree
         a, b = self.coeffs, other.coeffs
+        if not any(b[1:]):
+            return CyclotomicNumber(self.field, tuple(c * b[0] for c in a))
+        if not any(a[1:]):
+            return CyclotomicNumber(self.field, tuple(a[0] * c for c in b))
+        deg = self.field.degree
         conv = [Fraction(0)] * (2 * deg - 1)
         for i, ai in enumerate(a):
             if not ai:
@@ -244,6 +253,8 @@ class CyclotomicNumber:
         a %= m
         if gcd(a, m) != 1:
             raise ValueError(f"embedding index {a} not coprime to {m}")
+        if not any(self.coeffs[1:]):
+            return self   # rational: fixed by every sigma_a
         acc = [Fraction(0)] * self.field.degree
         table = self.field.power_table
         for i, c in enumerate(self.coeffs):
@@ -499,6 +510,7 @@ class SubfieldSpec:
         self.fixing_subgroup = tuple(H)
         self.degree = len(field.units) // len(H)
         self.basis = tuple(basis) if basis is not None else self._orbit_sum_basis()
+        self._reduced = None   # (pivot positions, inverse), see coordinates
         if len(self.basis) != self.degree:
             raise ValueError("basis length must equal phi(m)/|H|")
         for b in self.basis:
@@ -574,11 +586,26 @@ class SubfieldSpec:
         return all(x.galois(a) == x for a in self.fixing_subgroup)
 
     def coordinates(self, x: CyclotomicNumber):
-        """Exact coordinates of x in the subfield basis, or None if outside."""
-        return linalg.solve(
-            [[Fraction(b.coeffs[i]) for b in self.basis]
-             for i in range(self.field.degree)],
-            [Fraction(c) for c in x.coeffs])
+        """Exact coordinates of x in the subfield basis, or None if outside.
+
+        The basis is reduced once: on k power-basis positions where it is
+        invertible, the coordinates are one product with the inverse, and
+        x lies in the subfield iff they reproduce all of x."""
+        if self._reduced is None:
+            _, pivots = linalg.rref([list(b.coeffs) for b in self.basis])
+            inverse = linalg.inverse(
+                [[b.coeffs[p] for b in self.basis] for p in pivots])
+            self._reduced = (pivots, inverse)
+        pivots, inverse = self._reduced
+        coords = [sum(q * x.coeffs[p] for q, p in zip(row, pivots))
+                  for row in inverse]
+        rebuilt = [0] * self.field.degree
+        for q, b in zip(coords, self.basis):
+            if q:
+                for i, c in enumerate(b.coeffs):
+                    if c:
+                        rebuilt[i] += q * c
+        return coords if tuple(rebuilt) == x.coeffs else None
 
     def element(self, coords) -> CyclotomicNumber:
         acc = self.field.zero()

@@ -109,8 +109,13 @@ class IntegralRepresentation:
         for m in self.matrices:
             if len(m) != n or any(len(row) != n for row in m):
                 raise InvalidRepresentation("ragged matrix")
-        for a in range(g.order):
-            for b in range(g.order):
+        # rho(e) = I and rho(a) rho(s) = rho(as) for the generators s give
+        # rho(a) rho(b) = rho(ab) for all b, by induction on a word for b
+        if self.matrices[0] != tuple(tuple(int(i == j) for j in range(n))
+                                     for i in range(n)):
+            raise InvalidRepresentation("rho(identity) is not the identity")
+        for b in self.generator_indices():
+            for a in range(g.order):
                 if _int_mat_mul(self.matrices[a], self.matrices[b]) != \
                         [list(r) for r in self.matrices[g.table[a][b]]]:
                     raise InvalidRepresentation(

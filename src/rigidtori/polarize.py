@@ -263,11 +263,15 @@ def assemble_polarization(rep: IntegralRepresentation,
                           chi10=None,
                           j_matrix=None,
                           g_invariant: bool = False,
-                          seed: int = 0) -> PolarizationForm:
+                          seed: int = 0,
+                          structure: ExactHodgeStructure | None = None,
+                          ) -> PolarizationForm:
     """Block trace-form polarization for a rigid action.
 
     Input is a symbolic Hodge type, a Hodge character, or a numeric (rho, J)
-    pair (converted via the character bridge).  Raises NotRigid when the
+    pair (converted via the character bridge).  The exact structure the
+    form is certified against is built from the spec unless `structure`,
+    already built from that same spec, is given.  Raises NotRigid when the
     action is not rigid.
     """
     if spec is None:
@@ -325,7 +329,8 @@ def assemble_polarization(rep: IntegralRepresentation,
     if g_invariant:
         e_mat = _g_average(rep, e_mat)
     e_mat = _primitive_integral(e_mat)
-    structure = exact_structure_from_spec(rep, spec)
+    if structure is None:
+        structure = exact_structure_from_spec(rep, spec)
     cert = verify_polarization(e_mat, structure=structure, rep=rep,
                                check_g_invariance=True)
     return PolarizationForm(

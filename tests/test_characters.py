@@ -1,15 +1,22 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rigidtori.characters import (centre_decomposition, character_table,
                                   galois_orbits, table_for,
+                                  _certify, _dixon_vectors,
                                   _exact_eigenspace_refinement,
                                   _class_eigenvalue_candidates,
-                                  _permissible_degrees)
+                                  _permissible_degrees, _row_key,
+                                  _rows_from_eigenvectors,
+                                  _separating_classes)
 from rigidtori.cyclotomic import CyclotomicField
-from rigidtori.fixtures import (cyclic, group_by_name, quaternion_8,
-                                small_groups, symmetric_3, symmetric_4)
+from rigidtori.fixtures import (abelian, cyclic, dicyclic, dihedral,
+                                group_by_name, quaternion_8, small_groups,
+                                symmetric_3, symmetric_4)
 
 
 def test_trivial_group_table():
@@ -225,3 +232,135 @@ def test_table_for_compares_cayley_tables_by_content():
     assert table_for(cyclic(3)) is not table
     assert table_for(g) is not table
     assert table_for(g).rows == table.rows
+
+
+# -- Dixon recovery and the separating-set certificate ----------------------
+
+
+def _pool_group(name):
+    from rigidtori.groups import FiniteGroup
+    perms = {
+        "A5": [(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)],
+        "S5": [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)],
+        "F21": [(1, 2, 3, 4, 5, 6, 0), (0, 2, 4, 6, 1, 3, 5)],
+    }
+    if name in perms:
+        return FiniteGroup.from_permutations(perms[name], name=name)
+    if name == "Z2xZ2xZ6":
+        return abelian([2, 2, 6])
+    return cyclic(int(name[1:]))
+
+
+def _dixon(group):
+    classes = group.conjugacy_classes()
+    field = CyclotomicField(group.exponent)
+    return classes, field, _dixon_vectors(classes, field)
+
+
+def test_certificate_accepts_the_central_characters():
+    for g in (cyclic(6), symmetric_3(), quaternion_8(), symmetric_4()):
+        classes, _, vectors = _dixon(g)
+        assert vectors is not None
+        assert _certify(classes, vectors)
+
+
+def test_certificate_rejects_one_wrong_coordinate():
+    classes, field, vectors = _dixon(symmetric_4())
+    for r in range(len(vectors)):
+        for k in range(1, classes.count):
+            bad = [list(w) for w in vectors]
+            bad[r][k] = bad[r][k] + field.one()
+            assert not _certify(classes, bad), (r, k)
+
+
+def test_certificate_rejects_vectors_no_class_separates():
+    classes, _, vectors = _dixon(cyclic(6))
+    # each vector alone is a genuine central character, but one is missing
+    # and another counted twice
+    twice = [vectors[0]] + list(vectors[1:-1]) + [vectors[0]]
+    assert not _certify(classes, twice)
+    assert _separating_classes(twice) is None
+
+
+def test_certificate_rejects_non_commuting_structure_constants():
+    import dataclasses
+    classes, _, vectors = _dixon(cyclic(6))
+    separating = _separating_classes(vectors)
+    assert _certify(classes, vectors)
+    i = next(i for i in range(1, classes.count) if i not in separating)
+    broken = [list(map(list, m)) for m in classes.coefficients]
+    broken[i][0][0] += 1
+    mats = np.array(broken)
+    assert any(not np.array_equal(mats[i] @ mats[s], mats[s] @ mats[i])
+               for s in separating)
+    fake = dataclasses.replace(
+        classes, coefficients=tuple(tuple(map(tuple, m)) for m in broken))
+    # the eigenvector equations on S only read M_s, s in S: they still hold
+    assert not _certify(fake, vectors)
+
+
+@pytest.mark.parametrize("name", ["S5", "A5", "Z21", "Z24", "F21",
+                                  "Z2xZ2xZ6"])
+def test_dixon_recovery_matches_exact_refinement(name):
+    g = _pool_group(name)
+    classes, field, fast = _dixon(g)
+    degrees = _permissible_degrees(g.order, classes.count)
+    cands = [_class_eigenvalue_candidates(
+        field, classes.sizes[k],
+        g.element_order[classes.representatives[k]], degrees)
+        for k in range(classes.count)]
+    slow = _exact_eigenspace_refinement(classes, field, cands)
+    assert fast is not None
+    assert sorted(_row_key(w) for w in fast) == \
+        sorted(_row_key(w) for w in slow)
+    fast_rows = _rows_from_eigenvectors(g, classes, field, fast)
+    slow_rows = _rows_from_eigenvectors(g, classes, field, slow)
+    assert sorted(zip(fast_rows[1], map(_row_key, fast_rows[0]))) == \
+        sorted(zip(slow_rows[1], map(_row_key, slow_rows[0])))
+
+
+def test_fallback_never_taken_on_fixture_groups(monkeypatch):
+    from rigidtori import characters
+
+    def refuse(*args):
+        raise AssertionError("exact refinement taken")
+
+    monkeypatch.setattr(characters, "_exact_eigenspace_refinement", refuse)
+    monkeypatch.setattr(characters, "_class_eigenvalue_candidates", refuse)
+    for g in small_groups() + [symmetric_4(), dihedral(8), dicyclic(4),
+                               abelian([2, 2, 2, 2])]:
+        assert sum(d * d for d in character_table(g).degrees) == g.order
+
+
+def test_character_table_does_not_call_verify(monkeypatch):
+    from rigidtori.characters import CharacterTable
+
+    def refuse(self):
+        raise AssertionError("CharacterTable.verify called")
+
+    monkeypatch.setattr(CharacterTable, "verify", refuse)
+    for g in (symmetric_3(), cyclic(8), quaternion_8()):
+        character_table(g)
+
+
+BUNDLED = small_groups() + [symmetric_4()]
+
+
+@given(data=st.data())
+def test_relabelled_cayley_tables_give_identical_rows(data):
+    from rigidtori.groups import FiniteGroup
+    g = data.draw(st.sampled_from(BUNDLED))
+    perm = [0] + data.draw(st.permutations(range(1, g.order)))
+    table = [[0] * g.order for _ in range(g.order)]
+    for x in range(g.order):
+        for y in range(g.order):
+            table[perm[x]][perm[y]] = perm[g.table[x][y]]
+    h = FiniteGroup(table, name="relabelled")
+    want = character_table(g)
+    got = character_table(h)
+    # column k of `want` is the class of perm[g_k] in h
+    cols = [got.classes.membership[perm[r]]
+            for r in want.classes.representatives]
+    assert sorted(got.degrees) == sorted(want.degrees)
+    assert sorted(tuple(row[c].coeffs for c in cols) for row in got.rows) == \
+        sorted(_row_key(row) for row in want.rows)

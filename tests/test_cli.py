@@ -310,3 +310,39 @@ def test_import_leaves_sympy_and_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_polarize_builds_a_symbolic_structure_once(tmp_path, monkeypatch):
+    from rigidtori import cli, hodge, polarize
+    calls = []
+    build = hodge.exact_structure_from_spec
+
+    def counting(rep, spec):
+        calls.append(spec)
+        return build(rep, spec)
+
+    for module in (cli, hodge, polarize):
+        monkeypatch.setattr(module, "exact_structure_from_spec", counting)
+    inp = write(tmp_path, "sym.json", SYMBOLIC_DOC)
+    assert main(["polarize", "--input", inp]) == 0
+    assert len(calls) == 1
+
+
+def test_polarize_symbolic_structure_error_wins_over_not_rigid(tmp_path):
+    # two copies of the Gaussian action with tau = (1, 1): Hodge symmetry
+    # holds but the type is not one-sided, so the action is not rigid and
+    # no exact structure exists; the structure's error is reported
+    doc = {
+        "group": {"name": "Z4", "permutation_generators": [[1, 2, 3, 0]]},
+        "rank": 4,
+        "generator_matrices": [[[0, -1, 0, 0], [1, 0, 0, 0],
+                                [0, 0, 0, -1], [0, 0, 1, 0]]],
+        "symbolic_spec": {
+            "multiplicities": [2, 0, 0],
+            "tau": {"0": {"1": 1, "3": 1}},
+        },
+    }
+    inp = write(tmp_path, "two.json", doc)
+    out = tmp_path / "err.json"
+    assert main(["polarize", "--input", inp, "--output", str(out)]) == 1
+    assert json.loads(out.read_text())["error"]["error"] == "HSViolation"

@@ -209,3 +209,42 @@ def test_cyclotomic_coeffs_match_sympy():
     for m in range(1, 201):
         expected = Poly(cyclotomic_poly(m, x), x).all_coeffs()[::-1]
         assert _cyclotomic_coeffs(m) == tuple(int(c) for c in expected)
+
+
+def test_scalar_products_match_full_products():
+    rng = random.Random(3)
+    for m in (5, 12, 15):
+        F = CyclotomicField(m)
+        z = F.zeta()
+        for _ in range(5):
+            x = random_element(F, rng)
+            q = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            # both products on the right have no rational operand
+            full = x * (F.from_rational(q) + z) - x * z
+            for prod in (x * q, q * x, x * F.from_rational(q),
+                         F.from_rational(q) * x):
+                assert prod == full
+                assert all(isinstance(c, Fraction) for c in prod.coeffs)
+            assert x * 3 == 3 * x == x + x + x
+
+
+def test_subfield_coordinates_reduce_the_basis_once(monkeypatch):
+    from rigidtori import linalg
+    rng = random.Random(5)
+    F = CyclotomicField(15)
+    S = SubfieldSpec(F, [1, 4])
+    calls = []
+    inverse = linalg.inverse
+    monkeypatch.setattr(linalg, "inverse",
+                        lambda a: calls.append(1) or inverse(a))
+    for _ in range(6):
+        coords = [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                  for _ in range(S.degree)]
+        x = S.element(coords)
+        assert S.coordinates(x) == coords
+        assert S.coordinates(x) == linalg.solve(
+            [[b.coeffs[i] for b in S.basis] for i in range(F.degree)],
+            list(x.coeffs))
+        # outside the subfield: x plus a non-fixed element
+        assert S.coordinates(x + F.zeta()) is None
+    assert len(calls) == 1

@@ -42,6 +42,19 @@ def test_representation_validation():
         IntegralRepresentation(g, [[[1, 0], [0, 1]], [[2, 0], [0, 1]]])
 
 
+def test_validation_catches_a_corrupted_non_generator():
+    rep = regular_representation(symmetric_3())
+    gens = rep.generator_indices()
+    x, y = [g for g in range(1, rep.group.order) if g not in gens][:2]
+    matrices = list(rep.matrices)
+    matrices[x] = matrices[y]
+    with pytest.raises(InvalidRepresentation):
+        IntegralRepresentation(rep.group, matrices)
+    with pytest.raises(InvalidRepresentation):
+        IntegralRepresentation(rep.group,
+                               [rep.matrices[1]] + list(rep.matrices[1:]))
+
+
 def test_generator_expansion_matches_elements():
     rep = gaussian_action()
     g = rep.group

@@ -111,6 +111,15 @@ def test_a5_and_s5_tables():
     assert sorted(table5.degrees) == [1, 1, 4, 4, 5, 5, 6]
 
 
+def test_s6_table():
+    s6 = FiniteGroup.from_permutations(
+        [(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)], name="S6")
+    table = character_table(s6)
+    assert sorted(table.degrees) == [1, 1, 5, 5, 5, 5, 9, 9, 10, 10, 16]
+    table.verify()
+    table.verify_columns()
+
+
 def test_f21_degree_three_cm_orbit_polarization():
     # C7 : C3 has a Galois orbit of 3-dimensional characters over the
     # imaginary quadratic field Q(sqrt(-7)); the rank-18 isotypic model
