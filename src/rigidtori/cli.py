@@ -54,10 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-denominator", type=int, default=256)
     parser.add_argument("--epsilon", type=float, default=1.0)
     parser.add_argument("--g-invariant", action="store_true")
-    parser.add_argument("--tolerance-relation-i", type=float,
-                        default=polarize_mod.RELATION_I_TOL)
-    parser.add_argument("--tolerance-min-eigenvalue", type=float,
-                        default=polarize_mod.MIN_EIGENVALUE_BOUND)
     parser.add_argument("--tolerance-newton", type=float,
                         default=deform_mod.NEWTON_TOL)
     parser.add_argument("--tolerance-margin", type=float,
@@ -300,8 +296,7 @@ def run_polarize(doc, args):
     # checks, so its domain errors win over NotRigid; it is built only here
     _, spec, _, structure = _spec_and_structure(rep, j_matrix, spec_doc)
     form = polarize_mod.assemble_polarization(
-        rep, spec=spec, g_invariant=args.g_invariant, seed=args.seed,
-        structure=structure)
+        rep, spec=spec, g_invariant=args.g_invariant, structure=structure)
     cert = form.certificate
     result = {
         "rank": form.rank,
@@ -395,7 +390,7 @@ def run_selftest(args):
         from .fixtures import gaussian_action
         rep = gaussian_action()
         form = polarize_mod.assemble_polarization(
-            rep, j_matrix=[[0, -1], [1, 0]], seed=args.seed)
+            rep, j_matrix=[[0, -1], [1, 0]])
         expected = ((0, 1), (-1, 0))
         got = tuple(tuple(int(x) for x in row) for row in form.matrix)
         assert got == expected, f"Gaussian form {got} != {expected}"

@@ -67,7 +67,9 @@ class FiniteGroup:
             for j, q in enumerate(elements):
                 prod = tuple(p[q[k]] for k in range(npts))
                 table[i][j] = index[prod]
-        group = FiniteGroup(table, name=name)
+        # composition of permutations is associative and the closure holds
+        # the identity and inverses, so the table needs no validation
+        group = FiniteGroup(table, name=name, validate=False)
         group.permutations = tuple(elements)
         return group
 

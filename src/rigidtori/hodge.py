@@ -10,6 +10,15 @@ Three independent rigidity pathways are provided and cross-checked:
 Exact splittings are carried as `ExactHodgeStructure` (a cyclotomic basis of
 U); numeric complex structures enter through `hodge_character_from_numeric`,
 which rounds eigenvalue multiplicities to exact cyclotomic integers.
+
+An exact structure costs one elimination: its basis matrix P = [U | conj(U)]
+is inverted once, at construction, which is also the proof that U + conj(U)
+spans.  The action of rho(g) in that basis is P^-1 rho(g) P, a product.
+G-stability of U is certified on a generating set only (a subspace stable
+under the generators is stable under every word in them), after which each
+Hodge-character value is a trace tr(rho(g) Pi) through the projector
+Pi = P[:, :n] P^-1[:n, :] onto U along conj(U): integer times cyclotomic
+products, with no elimination per conjugacy class.
 """
 
 from __future__ import annotations
@@ -38,7 +47,6 @@ __all__ = [
     "HSViolation",
     "RoundingFailure",
     "hodge_character_from_numeric",
-    "hodge_character_from_exact",
     "rigidity_by_character",
     "rigidity_by_centre",
     "brute_force_hom_dimension",
@@ -120,10 +128,8 @@ class IntegralRepresentation:
                         [list(r) for r in self.matrices[g.table[a][b]]]:
                     raise InvalidRepresentation(
                         f"not a homomorphism at pair ({a},{b})")
-        for idx, m in enumerate(self.matrices):
-            d = linalg.det([[Fraction(x) for x in row] for row in m])
-            if d not in (1, -1):
-                raise InvalidRepresentation(f"det rho({idx}) = {d}, not a unit")
+        # a homomorphism gives rho(g)^ord(g) = rho(e) = I, so every rho(g)
+        # is unimodular (determinant +-1) without computing it
 
     def matrix(self, g: int):
         return self.matrices[g]
@@ -403,9 +409,12 @@ class ExactHodgeStructure:
         full = [list(col) for col in self.u_columns]
         full += [[c.conjugate() for c in col] for col in self.u_columns]
         mat = [[full[j][i] for j in range(n2)] for i in range(n2)]
-        if linalg.rank(mat) != n2:
-            raise InvalidRepresentation("U + conj(U) does not span")
+        try:
+            inv = linalg.inverse(mat)
+        except ValueError:
+            raise InvalidRepresentation("U + conj(U) does not span") from None
         self._basis_matrix = mat  # columns: u_1..u_n, conj(u_1)..conj(u_n)
+        self._basis_inverse = inv
 
     @property
     def n(self) -> int:
@@ -414,16 +423,11 @@ class ExactHodgeStructure:
     def restricted_action(self, g: int):
         """(A_g, B_g): matrices of rho(g) on U and on conj(U); errors if the
         subspaces are not invariant."""
-        K = self.field
-        n2 = self.rep.rank
-        rho = self.rep.matrices[g]
         n = self.n
-        rho_k = [[K.from_rational(rho[i][j]) for j in range(n2)] for i in range(n2)]
-        images = linalg.mat_mul(rho_k, self._basis_matrix)
-        sol = linalg.solve_many(self._basis_matrix, images)
-        if sol is None:
-            raise InvalidRepresentation("rho(g) does not preserve U")
-        zero = K.zero()
+        rho = self.rep.matrices[g]
+        cols = list(zip(*self._basis_matrix))
+        images = [[_dot_int(row, col) for col in cols] for row in rho]
+        sol = linalg.mat_mul(self._basis_inverse, images)
         for i in range(n):
             for j in range(n):
                 if not (sol[n + i][j].is_zero() and sol[i][n + j].is_zero()):
@@ -433,15 +437,21 @@ class ExactHodgeStructure:
         return a, b
 
     def hodge_character(self) -> HodgeCharacter:
+        """chi10(g) = tr(rho(g) Pi), Pi the projector onto U along conj(U),
+        after certifying on the generators that U and conj(U) are stable."""
+        for g in self.rep.generator_indices():
+            self.restricted_action(g)
         table = table_for(self.rep.group)
-        small = table.field
+        n = self.n
+        proj = linalg.mat_mul([row[:n] for row in self._basis_matrix],
+                              self._basis_inverse[:n])
+        proj_cols = list(zip(*proj))
         values = []
         for g in table.classes.representatives:
-            a, _ = self.restricted_action(g)
-            tr = a[0][0]
-            for i in range(1, self.n):
-                tr = tr + a[i][i]
-            values.append(_coerce_to_subcyclotomic(tr, small))
+            tr = self.field.zero()
+            for row, col in zip(self.rep.matrices[g], proj_cols):
+                tr = tr + _dot_int(row, col)
+            values.append(_coerce_to_subcyclotomic(tr, table.field))
         return HodgeCharacter(table=table, values=tuple(values))
 
     def j_matrix_float(self):
@@ -470,6 +480,16 @@ class ExactHodgeStructure:
         return out
 
 
+def _dot_int(ints, vec):
+    """sum ints[t] * vec[t] for an integer row and a cyclotomic vector,
+    skipping the zero integers."""
+    acc = vec[0].field.zero()
+    for x, v in zip(ints, vec):
+        if x:
+            acc = acc + v * x
+    return acc
+
+
 def _coerce_to_subcyclotomic(x: CyclotomicNumber, small) -> CyclotomicNumber:
     """Rewrite x in a cyclotomic subfield Q(zeta_m') of Q(zeta_M), m' | M."""
     if x.field.m == small.m:
@@ -486,10 +506,6 @@ def _coerce_to_subcyclotomic(x: CyclotomicNumber, small) -> CyclotomicNumber:
     if coords is None:
         raise ValueError("value leaves the smaller cyclotomic field")
     return small.from_coeffs(coords)
-
-
-def hodge_character_from_exact(structure: ExactHodgeStructure) -> HodgeCharacter:
-    return structure.hodge_character()
 
 
 def brute_force_hom_dimension(rep: IntegralRepresentation,

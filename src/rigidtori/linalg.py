@@ -26,7 +26,6 @@ __all__ = [
     "solve",
     "solve_many",
     "inverse",
-    "det",
     "row_space_basis",
     "intersect",
     "in_span",
@@ -188,34 +187,11 @@ def solve_many(a, b):
 
 
 def inverse(a):
-    n = len(a)
-    sol = solve_many(a, identity(n, _one_like(a)))
-    if sol is None or rank(a) < n:
+    """Exact inverse of a square matrix; ValueError if it is singular."""
+    sol = solve_many(a, identity(len(a), _one_like(a)))
+    if sol is None:
         raise ValueError("matrix not invertible")
     return sol
-
-
-def det(a):
-    n = len(a)
-    rows = [list(r) for r in a]
-    sign = 1
-    result = None
-    one = _one_like(a)
-    result = one
-    for c in range(n):
-        piv = next((i for i in range(c, n) if not _is_zero(rows[i][c])), None)
-        if piv is None:
-            return _zero_of(one)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            sign = -sign
-        result = result * rows[c][c]
-        inv = rows[c][c] ** -1 if hasattr(rows[c][c], "__pow__") else 1 / rows[c][c]
-        for i in range(c + 1, n):
-            if not _is_zero(rows[i][c]):
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return result * sign if sign == 1 else -result
 
 
 def row_space_basis(a):

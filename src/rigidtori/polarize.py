@@ -110,7 +110,7 @@ def imaginary_subspace(field_spec: SubfieldSpec):
     return [field_spec.element(vec) for vec in kernel]
 
 
-def find_zeta(field_spec: SubfieldSpec, designated, seed: int = 0,
+def find_zeta(field_spec: SubfieldSpec, designated,
               max_denominator: int = 2 ** 20) -> ImaginaryElement:
     """An imaginary zeta with certified Im sigma_a(zeta) > 0 for a in the
     designated set (one coset per conjugate pair).
@@ -263,7 +263,6 @@ def assemble_polarization(rep: IntegralRepresentation,
                           chi10=None,
                           j_matrix=None,
                           g_invariant: bool = False,
-                          seed: int = 0,
                           structure: ExactHodgeStructure | None = None,
                           ) -> PolarizationForm:
     """Block trace-form polarization for a rigid action.
@@ -307,7 +306,7 @@ def assemble_polarization(rep: IntegralRepresentation,
         fspec = orbit.field_spec
         tau = s.tau_dict()
         designated = [a for a in fspec.coset_reps() if tau[a] > 0]
-        zeta = find_zeta(fspec, designated, seed=seed)
+        zeta = find_zeta(fspec, designated)
         gens, _ = f_module_basis(image, centre_mats)
         basis_mats = _subfield_action_matrices(rep, decomp, s.orbit_index,
                                                centre_mats)
@@ -321,9 +320,13 @@ def assemble_polarization(rep: IntegralRepresentation,
                            tuple(fspec.coordinates(zeta.element)),
                            zeta.sign_table))
     w = [[columns[j][i] for j in range(len(columns))] for i in range(n2)]
-    if len(columns) != n2 or linalg.rank(w) != n2:
+    if len(columns) != n2:
         raise NonCMFieldActive("assembled basis does not span the lattice")
-    w_inv = linalg.inverse(w)
+    try:
+        w_inv = linalg.inverse(w)
+    except ValueError:
+        raise NonCMFieldActive(
+            "assembled basis does not span the lattice") from None
     big = _block_diag(blocks)
     e_mat = linalg.mat_mul(linalg.transpose(w_inv), linalg.mat_mul(big, w_inv))
     if g_invariant:

@@ -100,3 +100,15 @@ def test_power_and_inverse():
     for x in range(g.order):
         assert g.mul(x, g.inverse[x]) == 0
         assert g.power(x, g.element_order[x]) == 0
+
+
+def test_from_permutations_does_not_revalidate(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a closure of permutations was revalidated")
+
+    monkeypatch.setattr(FiniteGroup, "_validate", refuse)
+    s4 = FiniteGroup.from_permutations([(1, 2, 3, 0), (1, 0, 2, 3)])
+    assert s4.order == 24
+    assert s4.table == symmetric_4().table
+    with pytest.raises(AssertionError):
+        FiniteGroup(s4.table)

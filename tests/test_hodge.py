@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rigidtori.characters import character_table, galois_orbits
+from rigidtori.characters import character_table, galois_orbits, table_for
 from rigidtori.cyclotomic import CyclotomicField
 from rigidtori.fixtures import (cyclic, eisenstein_action, gaussian_action,
                                 integral_model, quaternion_8,
@@ -351,3 +351,61 @@ def test_oracle_agreement_small_sample():
         d3 = brute_force_hom_dimension(rep, st, chi)
         assert r1.is_rigid == r2.is_rigid == (d3 == 0)
         assert r1.hom_dimension == d3
+
+
+def _gaussian_structure(second):
+    """The Gaussian action on Z^2 with U spanned by (1, second) over Q(i)."""
+    rep = gaussian_action()
+    K = CyclotomicField(4)
+    return rep, ExactHodgeStructure(rep, K, [[K.one(), K.one() * second]])
+
+
+def test_structure_rejects_u_not_g_stable():
+    # u = (1, 2i) spans with its conjugate, but rho(i) u is not a multiple
+    i = CyclotomicField(4).zeta()
+    rep, st = _gaussian_structure(i * 2)
+    with pytest.raises(InvalidRepresentation):
+        st.hodge_character()
+    with pytest.raises(InvalidRepresentation):
+        brute_force_hom_dimension(rep, st)
+    _, good = _gaussian_structure(-i)
+    with pytest.raises(InvalidRepresentation):
+        brute_force_hom_dimension(rep, st, good.hodge_character())
+
+
+def test_structure_rejects_u_that_does_not_span():
+    # a real u equals its conjugate, so U + conj(U) is a line
+    with pytest.raises(InvalidRepresentation, match="does not span"):
+        _gaussian_structure(1)
+
+
+def test_hodge_character_runs_one_elimination(monkeypatch):
+    # the basis inverse at construction is the only elimination: no solve
+    # per conjugacy class, and no rank pass before the inverse
+    i = CyclotomicField(4).zeta()
+    table_for(gaussian_action().group)
+    calls = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda a: calls.append(1) or rref(a))
+    _, st = _gaussian_structure(-i)
+    chi = st.hodge_character()
+    assert len(calls) == 1
+    assert chi.n == 1
+    assert rigidity_by_character(chi).is_rigid
+
+
+def test_hodge_character_is_the_trace_of_the_restricted_action():
+    from rigidtori.hodge import _coerce_to_subcyclotomic
+    rng = random.Random(13)
+    groups = small_groups()
+    for _ in range(6):
+        rep, st = random_hodge_fixture(rng, groups=groups)
+        chi = st.hodge_character()
+        for k, g in enumerate(chi.table.classes.representatives):
+            a, b = st.restricted_action(g)
+            tr = st.field.zero()
+            for t in range(st.n):
+                tr = tr + a[t][t]
+            assert _coerce_to_subcyclotomic(tr, chi.table.field) == \
+                chi.values[k]
+            assert [[x.conjugate() for x in row] for row in a] == b
