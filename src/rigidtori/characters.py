@@ -1,23 +1,37 @@
 """Exact character tables, central idempotents, and Galois-orbit data.
 
-The table is computed by Burnside's class-algebra method: the class-sum
-matrices M_i, (M_i)[j][k] = a_ijk, commute, and their simultaneous
-eigenvectors, normalized at the identity class, are the vectors of
-central-character values omega_k = |C_k| chi(g_k) / chi(1), which lie in
-Z[zeta_m] for m = exponent(G).
+The table is computed by the Dixon-Schneider method (Dixon, Numer. Math. 10,
+1967; Schneider, J. Symb. Comput. 9, 1990).  The class-sum matrices M_i,
+(M_i)[j][k] = a_ijk, commute, and their joint eigenvectors, normalized at
+the identity class, are the vectors of central-character values
+omega_k = |C_k| chi(g_k) / chi(1), which lie in Z[zeta_m], m = exponent(G).
 
-Exact values are recovered as Dixon does (Numer. Math. 10, 1967).  A seeded
-random combination of the class matrices gives numeric eigenvectors v with
-v_0 = 1.  From each, chi(1) = round(sqrt(|G| / sum_k |v_k|^2 / |C_k|)) and
-chi_k = v_k chi(1) / |C_k|.  On a class k of element order e, the power map
-gives the multiplicity of the eigenvalue zeta_e^j of rho(g_k) as
-n_j = (1/e) sum_t chi(g_k^t) zeta_e^(-jt), a non-negative integer; rounded,
-the n_j give omega_k = (|C_k| / chi(1)) sum_j n_j zeta_e^j exactly.  If a
-rounding is ambiguous, the next combination is tried; if every draw fails,
-an all-exact eigenspace refinement against candidate eigenvalues (sums of
-chi(1) many e-th roots of unity) takes over.  The draw uses the constant
-DEFAULT_SEED; the table does not depend on it, since rows come out in
-canonical order and are certified exactly.  Floating point only proposes.
+The eigenvectors are split over a prime field.  p is the smallest prime with
+p = 1 (mod m) and p > 2 sqrt(|G|).  Then p does not divide |G|, F_p holds the
+m-th roots of unity, so the class algebra over F_p is split semisimple and
+its d central characters stay distinct mod p; and chi(1) <= sqrt(|G|) < p/2.
+Fix z of order m in F_p, the image of zeta_m under a prime of Z[zeta_m]
+above p.  The identity-class vector e_0 equals sum_chi (chi(1)^2/|G|) w_chi
+(column orthogonality), with every coefficient nonzero mod p.  For a seeded
+random combination A of the M_i, the minimal polynomial mu of e_0 under A,
+read off its Krylov sequence, has one simple root lambda per eigenvalue
+of A, found by evaluating mu at every element of F_p; the component of e_0 in
+the lambda-eigenspace is q(A) e_0 with q = mu/(x - lambda).  Components are
+split again with fresh combinations until there are d of them, each a
+multiple of one w_chi mod p.  The seed is the constant DEFAULT_SEED; the
+table does not depend on it.
+
+The exact values follow with no tolerance.  Scaled to w_0 = 1, a component
+gives chi(1) as the unique integer in [1, sqrt(|G|)] whose square is
+|G| / sum_k w_k w_kbar / |C_k| mod p (two such integers would differ by, or
+sum to, a nonzero multiple of p).  On a class k of element order e, the
+eigenvalue zeta_e^j of rho(g_k) has multiplicity
+n_j = (1/e) sum_t chi(g_k^t) z^(-(m/e)jt) mod p, an integer in [0, chi(1)];
+as p > chi(1), the residue is n_j itself, and the n_j must sum to chi(1).
+They give chi(g_k^t) = sum_j n_j zeta_e^(jt) for every t, so one transform
+per class of largest order in its cyclic subgroup fills the whole vector:
+omega = (|C| / chi(1)) chi, built exactly.  A multiplicity outside
+[0, chi(1)] raises TableComputationError; there is no fallback.
 
 One exact certificate decides, for d vectors w with w_0 = 1.  A set S of
 classes is chosen so that the tuples (w_s), s in S, are pairwise distinct.
@@ -28,10 +42,16 @@ vectors with pairwise distinct joint eigenvalues are a basis, so every
 joint eigenspace of {M_s} is a line.  Each M_i commutes with every M_s, so
 it preserves these lines: M_i w = lambda w.  Since a_i0k = delta_ik (class
 0 is the identity), lambda = (M_i w)_0 = w_i.  So M_i w = w_i w for every
-i: the d vectors are the d central characters.  The degrees follow exactly
-from chi(1)^2 = |G| / sum_k |w_k|^2 / |C_k|, and their squares must sum to
-|G|.  `CharacterTable.verify` (row orthonormality) stays public as an
-independent check but is not part of the computation.
+i: the d vectors are the d central characters.  Their coordinates are
+integers (central characters are algebraic integers), so the products are
+taken in integers.  The degrees need no check of their own: each exact w
+reduces mod p to the component it was recovered from (the multiplicities
+invert the transform mod p), so when w = omega_psi, psi(1)^2 = chi(1)^2 mod
+p, and both lie in [1, sqrt(|G|)].  The degree squares must sum to |G|.  A
+failed certificate raises TableComputationError.  Rows come out in
+canonical order, so the table depends on neither p, z nor the draws.
+`CharacterTable.verify` (row orthonormality) stays public as an independent
+check but is not part of the computation.
 
 `table_for(group)` is the one table cache.  It keeps the last group's table
 only, compared by Cayley-table content, so every step of a request shares
@@ -47,15 +67,11 @@ sigma_a(chi)(g) = chi(g^a), by permuting columns.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from . import linalg
 from .cyclotomic import CyclotomicField, CyclotomicNumber, SubfieldSpec
 from .groups import ConjugacyClassData, FiniteGroup
 
@@ -72,54 +88,13 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 1729
-# largest distance of a rounded degree or multiplicity from its float value
-_ROUNDING_TOLERANCE = 1e-3
+# fresh random combinations tried before a component that will not split
+# is called a defect; each pair of characters collides with probability 1/p
+_SPLIT_ROUNDS = 64
 
 
 class TableComputationError(RuntimeError):
     """Internal failure of the eigenspace splitting; indicates a defect."""
-
-
-# -- candidate eigenvalues ------------------------------------------------
-
-
-def _permissible_degrees(order: int, class_count: int):
-    bound = order - class_count + 1
-    return [dd for dd in range(1, order + 1)
-            if order % dd == 0 and dd * dd <= bound]
-
-
-def _class_eigenvalue_candidates(field, class_size, elem_order, degrees):
-    """Exact candidates for |C| chi(g)/chi(1) with chi(g) a sum of chi(1)
-    many elem_order-th roots of unity."""
-    m = field.m
-    step = m // elem_order
-    out = {}
-    for deg in degrees:
-        for combo in itertools.combinations_with_replacement(range(elem_order), deg):
-            acc = {}
-            for k in combo:
-                acc[step * k] = acc.get(step * k, 0) + 1
-            val = field.from_exponent_dict(acc)
-            scaled_coeffs = []
-            ok = True
-            for c in val.coeffs:
-                num = c * class_size
-                if num.denominator != 1 or num.numerator % deg:
-                    ok = False
-                    break
-                scaled_coeffs.append(num / deg)
-            if not ok:
-                continue
-            cand = field.from_coeffs(scaled_coeffs)
-            out[cand.coeffs] = cand
-    return list(out.values())
-
-
-def _complex_value(x: CyclotomicNumber) -> complex:
-    m = x.field.m
-    return sum(float(c) * np.exp(2j * np.pi * i / m)
-               for i, c in enumerate(x.coeffs) if c)
 
 
 # -- the table -------------------------------------------------------------
@@ -232,17 +207,7 @@ def character_table(group: FiniteGroup) -> CharacterTable:
     classes = group.conjugacy_classes()
     d = classes.count
     field = CyclotomicField(group.exponent)
-    vectors = _dixon_vectors(classes, field)
-    if vectors is None:
-        degrees = _permissible_degrees(group.order, d)
-        per_class_candidates = [
-            _class_eigenvalue_candidates(
-                field, classes.sizes[k],
-                group.element_order[classes.representatives[k]], degrees)
-            for k in range(d)]
-        vectors = _exact_eigenspace_refinement(classes, field,
-                                               per_class_candidates)
-    rows, degs = _rows_from_eigenvectors(group, classes, field, vectors)
+    _, rows, degs = _dixon_schneider(classes, field)
     if sum(dd * dd for dd in degs) != group.order:
         raise TableComputationError("degree squares do not sum to |G|")
     order = sorted(range(d), key=lambda r: (degs[r], _row_key(rows[r])))
@@ -282,46 +247,13 @@ def _power_classes(classes: ConjugacyClassData):
     return out
 
 
-def _rows_from_eigenvectors(group, classes, field, vectors):
-    """Turn certified central-character vectors into character rows.
-
-    chi(1)^2 = |G| / sum_k w_k conj(w_k) / |C_k|.  Since conj(w_k) = w_kbar
-    (kbar the inverse class) and a certified w multiplies like the class
-    sums, w_k w_kbar = sum_l a_(k kbar l) w_l, the sum is the linear form
-    sum_l c_l w_l with c_l = sum_k a_(k kbar l) / |C_k|."""
-    d = classes.count
-    rows = []
-    degs = []
-    norm_form = [sum(Fraction(classes.coefficients[k][classes.inverse_class(k)][l],
-                              classes.sizes[k]) for k in range(d))
-                 for l in range(d)]
-    for w in vectors:
-        s = field.zero()
-        for wl, c in zip(w, norm_form):
-            if c:
-                s = s + wl * c
-        ratio = s.as_rational()
-        if ratio is None or ratio <= 0:
-            raise TableComputationError("non-rational norm for eigenvector")
-        deg_sq = Fraction(group.order) / ratio
-        if deg_sq.denominator != 1:
-            raise TableComputationError("chi(1)^2 not an integer")
-        deg = math.isqrt(deg_sq.numerator)
-        if deg * deg != deg_sq.numerator:
-            raise TableComputationError("chi(1)^2 not a perfect square")
-        rows.append([w[k] * Fraction(deg, classes.sizes[k]) for k in range(d)])
-        degs.append(deg)
-    return rows, degs
-
-
 def _separating_classes(vectors):
     """Classes S whose coordinates (w_s), s in S, tell the vectors apart,
     or None if no set does.  Greedy: each step adds the class that splits
     the vectors into the most groups, the first in class order on ties."""
     n = len(vectors)
-    values = {}   # value coefficients -> small id, so keys hash fast
-    ids = [[values.setdefault(x.coeffs, len(values)) for x in w]
-           for w in vectors]
+    values = {}   # value -> small id, so keys hash fast
+    ids = [[values.setdefault(x, len(values)) for x in w] for w in vectors]
     separating = []
     keys = [() for _ in vectors]
     while len(set(keys)) < n:
@@ -341,30 +273,53 @@ def _certify(classes: ConjugacyClassData, vectors) -> bool:
     With S from `_separating_classes`, checked exactly: w_0 = 1,
     sum_k a_sjk w_k = w_s w_j for s in S and every j, and M_i M_s = M_s M_i
     for every i and s in S.  The module docstring shows why this gives
-    M_i w = w_i w for every i."""
+    M_i w = w_i w for every i.  Central characters are algebraic integers,
+    so their power-basis coordinates are integers, and the products are
+    taken in integers: a vector with another coordinate is rejected."""
     d = classes.count
     if len(vectors) != d or any(w[0] != 1 for w in vectors):
         return False
-    separating = _separating_classes(vectors)
+    if any(c.denominator != 1 for w in vectors for x in w for c in x.coeffs):
+        return False
+    coords = [[tuple(c.numerator for c in x.coeffs) for x in w]
+              for w in vectors]
+    separating = _separating_classes(coords)
     if separating is None:
         return False
-    for s in separating:
-        for w in vectors:
-            ws = w[s]
+    modulus = vectors[0][0].field.modulus
+    for w in coords:
+        for s in separating:
+            times_ws = _multiplication_matrix(w[s], modulus)
             for j, row in enumerate(classes.coefficients[s]):
-                lhs = [0] * len(ws.coeffs)
+                lhs = [0] * len(w[s])
                 for k, a in enumerate(row):
                     if a:
-                        for i, c in enumerate(w[k].coeffs):
-                            if c:
-                                lhs[i] += a * c
-                if tuple(lhs) != (ws * w[j]).coeffs:
+                        for i, c in enumerate(w[k]):
+                            lhs[i] += a * c
+                rhs = [0] * len(lhs)
+                for c, image in zip(w[j], times_ws):
+                    if c:
+                        for i, x in enumerate(image):
+                            rhs[i] += c * x
+                if lhs != rhs:
                     return False
     sparse = [[{k: a for k, a in enumerate(row) if a} for row in mat]
               for mat in classes.coefficients]
     return all(_sparse_product(sparse[i], sparse[s]) ==
                _sparse_product(sparse[s], sparse[i])
                for s in separating for i in range(d))
+
+
+def _multiplication_matrix(x, modulus):
+    """Rows x z^i, i < deg, in the power basis modulo the monic integer
+    polynomial `modulus` (low degree first): the matrix of y -> x y."""
+    rows = [list(x)]
+    for _ in range(len(x) - 1):
+        top = rows[-1][-1]
+        shifted = [0] + rows[-1][:-1]
+        rows.append([a - top * b for a, b in zip(shifted, modulus)]
+                    if top else shifted)
+    return rows
 
 
 def _sparse_product(x, y):
@@ -379,133 +334,185 @@ def _sparse_product(x, y):
     return out
 
 
-def _dixon_vectors(classes: ConjugacyClassData, field):
-    """Fast path: numeric eigenvectors of a seeded random combination of the
-    class matrices, exact values recovered from rounded eigenvalue
-    multiplicities (Dixon), then the one exact certificate.  Returns None
-    when a rounding is ambiguous or the certificate fails for every draw,
-    deferring to the exact refinement."""
+def _dixon_schneider(classes: ConjugacyClassData, field):
+    """(vectors, rows, degrees) of the d irreducible characters: the
+    central characters split over F_p, their values recovered exactly from
+    eigenvalue multiplicities, and the vectors certified.  Raises
+    TableComputationError when a step or the certificate fails.  The
+    module docstring shows why the degrees need no check of their own."""
+    group = classes.group
     d = classes.count
+    m = field.m
+    p = _prime(group.order, m)
+    z = _root_of_unity(m, p)
+    zpow = [pow(z, t, p) for t in range(m)]
+    # z^t in the power basis, as (position, integer coefficient) pairs
+    power_basis = [[(i, int(c)) for i, c in enumerate(row) if c]
+                   for row in field.power_table[:m]]
     powers = _power_classes(classes)
-    # dft[e][j][t] = zeta_e^(-jt) / e, for the element orders e
-    dft = {}
-    for pw in powers:
-        e = len(pw)
-        if e not in dft:
-            dft[e] = np.exp(-2j * np.pi * np.outer(range(e), range(e)) / e) / e
-    mats = [np.array(classes.class_matrix(i), dtype=float) for i in range(d)]
-    rng = random.Random(DEFAULT_SEED)
-    for _attempt in range(8):
-        weights = [rng.randint(1, 2 ** 20) for _ in range(d)]
-        combo = sum(wt * m for wt, m in zip(weights, mats))
-        try:
-            _, vecs = np.linalg.eig(combo)
-        except np.linalg.LinAlgError:
-            continue
-        vectors = []
-        for idx in range(d):
-            w = _recover_vector(vecs[:, idx], classes, field, powers, dft)
-            if w is None:
-                break
-            vectors.append(w)
-        else:
-            # repeated vectors are rejected: no class separates them
-            if _certify(classes, vectors):
-                return vectors
-    return None
-
-
-def _recover_vector(v, classes, field, powers, dft):
-    """Exact central character w near the numeric eigenvector v, or None.
-
-    With v_0 = 1: chi(1) = sqrt(|G| / sum_k |v_k|^2/|C_k|) and chi_k =
-    v_k chi(1)/|C_k|.  On class k of element order e, the multiplicity of
-    the eigenvalue zeta_e^j is n_j = (1/e) sum_t chi(g_k^t) zeta_e^(-jt);
-    then w_k = (|C_k|/chi(1)) sum_j n_j zeta_e^j, built exactly."""
-    if abs(v[0]) < 1e-9:
-        return None
-    v = v / v[0]
-    sizes = np.array(classes.sizes, dtype=float)
-    deg_float = math.sqrt(
-        classes.group.order / float(np.sum(np.abs(v) ** 2 / sizes)))
-    deg = round(deg_float)
-    if deg < 1 or abs(deg - deg_float) > _ROUNDING_TOLERANCE:
-        return None
-    chi = v * deg / sizes
-    w = []
-    for k, pw in enumerate(powers):
-        e = len(pw)
-        mults = dft[e] @ chi[pw]   # n_j for j = 0, ..., e-1
-        rounded = np.rint(mults.real)
-        if (np.max(np.abs(mults - rounded)) > _ROUNDING_TOLERANCE
-                or rounded.min() < 0 or rounded.sum() != deg):
-            return None
-        step = field.m // e
-        w.append(field.from_exponent_dict(
-            {step * j: Fraction(int(n) * classes.sizes[k], deg)
-             for j, n in enumerate(rounded) if n}))
-    return w
-
-
-def _exact_eigenspace_refinement(classes, field, per_class_candidates):
-    """All-exact fallback: refine common eigenspaces one class matrix at a
-    time, testing every matching candidate eigenvalue by exact nullspace."""
-    d = classes.count
-    one = field.one()
-    zero = field.zero()
-    subspaces = [[[one if i == j else zero for j in range(d)] for i in range(d)]]
-    # one subspace = list of basis row vectors over the field
-    for i in range(1, d):
-        if all(len(s) == 1 for s in subspaces):
-            break
-        mat = classes.class_matrix(i)
-        mat_np = np.array(mat, dtype=float)
-        numeric = np.linalg.eigvals(mat_np)
-        usable = []
-        for cand in per_class_candidates[i]:
-            fv = _complex_value(cand)
-            if any(abs(fv - ev) < 1e-5 for ev in numeric):
-                usable.append(cand)
-        kernel_cache = {}
-        new_subspaces = []
-        for space in subspaces:
-            if len(space) == 1:
-                new_subspaces.append(space)
+    # a class of largest order in its cyclic subgroup first, so that its
+    # power classes are filled from its multiplicities
+    by_order = sorted(range(d), key=lambda k: -len(powers[k]))
+    inverse = [classes.inverse_class(k) for k in range(d)]
+    size_inv = [pow(size, -1, p) for size in classes.sizes]
+    bound = math.isqrt(group.order)
+    vectors, rows, degrees = [], [], []
+    for v in _split_mod_p(classes, p):
+        norm = sum(v[k] * v[inverse[k]] * size_inv[k] for k in range(d)) % p
+        if not norm:
+            raise TableComputationError("a component has norm 0 mod p")
+        deg_sq = group.order * pow(norm, -1, p) % p
+        deg = next((c for c in range(1, bound + 1) if c * c % p == deg_sq),
+                   None)
+        if deg is None:
+            raise TableComputationError("no degree squares to |G|/norm mod p")
+        chi = [x * deg * s % p for x, s in zip(v, size_inv)]
+        values = [None] * d   # integer power-basis coordinates of chi_k
+        for k in by_order:
+            if values[k] is not None:
                 continue
-            pieces = []
-            total = 0
-            for cand in usable:
-                key = cand.coeffs
-                if key not in kernel_cache:
-                    mk = [[field.from_rational(mat[r][c]) - (cand if r == c else zero)
-                           for c in range(d)] for r in range(d)]
-                    kernel_cache[key] = linalg.nullspace(mk)
-                eig = kernel_cache[key]
-                if not eig:
-                    continue
-                piece = linalg.intersect(space, eig)
-                if piece:
-                    pieces.append(piece)
-                    total += len(piece)
-                if total == len(space):
-                    break
-            if total != len(space):
-                raise TableComputationError(
-                    "eigenspace refinement failed to exhaust a subspace")
-            new_subspaces.extend(pieces)
-        subspaces = new_subspaces
-    if not all(len(s) == 1 for s in subspaces) or len(subspaces) != d:
-        raise TableComputationError("class matrices failed to separate")
-    vectors = []
-    for space in subspaces:
-        w = space[0]
-        if w[0].is_zero():
-            raise TableComputationError("eigenvector vanishes at the identity")
-        inv = w[0].inverse()
-        vectors.append([x * inv for x in w])
+            pw = powers[k]
+            e = len(pw)
+            mults = _multiplicities([chi[c] for c in pw], deg, zpow, p)
+            for t, c in enumerate(pw):
+                if values[c] is None:
+                    coords = [0] * field.degree
+                    for j, n in enumerate(mults):
+                        if n:
+                            for i, x in power_basis[m // e * (j * t % e)]:
+                                coords[i] += n * x
+                    values[c] = coords
+        rows.append([CyclotomicNumber(field, tuple(map(Fraction, coords)))
+                     for coords in values])
+        vectors.append([CyclotomicNumber(field, tuple(
+            Fraction(x * size, deg) for x in coords))
+            for coords, size in zip(values, classes.sizes)])
+        degrees.append(deg)
     if not _certify(classes, vectors):
-        raise TableComputationError("verification failed on exact path")
-    return vectors
+        raise TableComputationError("recovered vectors fail the certificate")
+    return vectors, rows, degrees
+
+
+def _multiplicities(chi_powers, deg, zpow, p):
+    """The multiplicities n_j = (1/e) sum_t chi(g^t) z_e^(-jt) mod p of the
+    eigenvalues zeta_e^j of rho(g), from chi(g^t) mod p for t < e, where
+    z_e = zpow[m/e] has order e.  Raises TableComputationError unless each
+    lies in [0, deg] and they sum to deg."""
+    e = len(chi_powers)
+    m = len(zpow)
+    step = m // e
+    inv_e = pow(e, -1, p)
+    mults = [sum(x * zpow[-step * j * t % m] for t, x in enumerate(chi_powers))
+             * inv_e % p for j in range(e)]
+    if max(mults) > deg or sum(mults) != deg:
+        raise TableComputationError(
+            f"eigenvalue multiplicities {mults} mod {p} are not a partition "
+            f"of the degree {deg}")
+    return mults
+
+
+def _prime(order: int, exponent: int) -> int:
+    """The smallest prime p = 1 (mod exponent) with p > 2 sqrt(order)."""
+    p = exponent + 1
+    while p * p <= 4 * order or not _is_prime(p):
+        p += exponent
+    return p
+
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+
+def _root_of_unity(m: int, p: int) -> int:
+    """An element of order m in F_p^*, for a prime p = 1 (mod m)."""
+    factors = [q for q in range(2, m + 1) if m % q == 0 and _is_prime(q)]
+    for x in range(2, p):
+        z = pow(x, (p - 1) // m, p)
+        if all(pow(z, m // q, p) != 1 for q in factors):
+            return z
+    raise TableComputationError(f"no element of order {m} mod {p}")
+
+
+def _split_mod_p(classes: ConjugacyClassData, p: int):
+    """The d central characters mod p, each scaled to w_0 = 1: the
+    eigencomponents of e_0 under seeded random combinations of the class
+    matrices, split again until there are d."""
+    d = classes.count
+    entries = [[(j, k, a) for j, row in enumerate(mat)
+                for k, a in enumerate(row) if a]
+               for mat in classes.coefficients]
+    rng = random.Random(DEFAULT_SEED)
+    components = [[1] + [0] * (d - 1)]
+    for _round in range(_SPLIT_ROUNDS):
+        if len(components) >= d:
+            break
+        combo = [[0] * d for _ in range(d)]
+        for mat in entries:
+            c = rng.randrange(p)
+            for j, k, a in mat:
+                combo[j][k] += c * a
+        combo = [[x % p for x in row] for row in combo]
+        components = [piece for v in components
+                      for piece in _eigencomponents(combo, v, p)]
+    if len(components) != d:
+        raise TableComputationError(
+            f"{len(components)} eigencomponents mod {p}, not {d}")
+    out = []
+    for v in components:
+        if not v[0]:
+            raise TableComputationError("a component vanishes at the identity")
+        inv = pow(v[0], -1, p)
+        out.append([x * inv % p for x in v])
+    return out
+
+
+def _eigencomponents(a, v, p: int):
+    """The nonzero components of v in the eigenspaces of a, mod p: q(a) v for
+    each root lambda of the minimal polynomial mu of v under a, with
+    q = mu / (x - lambda).  mu comes from the Krylov sequence v, av, ...;
+    its roots are found by trying every element of F_p."""
+    krylov = [v]
+    reduced = []   # (pivot, row, its combination of Krylov vectors)
+    while True:
+        vec = list(krylov[-1])
+        mu = [0] * (len(krylov) - 1) + [1]
+        for pivot, row, comb in reduced:
+            f = vec[pivot]
+            if f:
+                vec = [(x - f * y) % p for x, y in zip(vec, row)]
+                for s, c in enumerate(comb):
+                    mu[s] = (mu[s] - f * c) % p
+        pivot = next((i for i, x in enumerate(vec) if x), None)
+        if pivot is None:
+            break   # sum_s mu_s a^s v = 0, mu monic: the minimal polynomial
+        inv = pow(vec[pivot], -1, p)
+        reduced.append((pivot, [x * inv % p for x in vec],
+                        [c * inv % p for c in mu]))
+        last = krylov[-1]
+        krylov.append([sum(x * y for x, y in zip(row, last)) % p
+                       for row in a])
+    if len(mu) == 2:
+        return [v]
+    roots = [lam for lam in range(p) if not _evaluate(mu, lam, p)]
+    if len(roots) != len(mu) - 1:
+        raise TableComputationError(
+            "a minimal polynomial does not split into distinct roots mod p")
+    out = []
+    for lam in roots:
+        q, acc = [0] * (len(mu) - 1), 0
+        for s in range(len(mu) - 1, 0, -1):
+            acc = (acc * lam + mu[s]) % p
+            q[s - 1] = acc
+        out.append([sum(c * x[i] for c, x in zip(q, krylov)) % p
+                    for i in range(len(v))])
+    return out
+
+
+def _evaluate(poly, x: int, p: int) -> int:
+    acc = 0
+    for c in reversed(poly):
+        acc = (acc * x + c) % p
+    return acc
 
 
 # -- Galois orbits and the centre ------------------------------------------

@@ -12,8 +12,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import deform as deform_mod
 from . import polarize as polarize_mod
 from .characters import (DEFAULT_SEED, centre_decomposition, character_table,
@@ -400,6 +398,8 @@ def run_selftest(args):
         assert cert.verdict == "infeasible"
 
     def check_deform():
+        import numpy as np
+
         from .fixtures import trivial_action
         rng = np.random.default_rng(args.seed)
         rep = trivial_action(4)

@@ -15,9 +15,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from mpmath import iv
-from mpmath.libmp import to_rational
-
 from . import linalg
 
 __all__ = [
@@ -334,6 +331,7 @@ class CyclotomicNumber:
 
     def embed(self, a: int = 1, precision: int = PRECISION_START) -> "CertifiedComplex":
         """Certified enclosure of sigma_a(self) at the given bit precision."""
+        from mpmath import iv
         m = self.field.m
         if gcd(a % m if m > 1 else 1, m) != 1:
             raise ValueError(f"embedding index {a} not coprime to {m}")
@@ -484,6 +482,7 @@ class CertifiedComplex:
 
 def _iv_bounds(x):
     """Exact rational bounds of an mpmath interval (endpoints are dyadic)."""
+    from mpmath.libmp import to_rational
     lo, hi = x._mpi_
     return Fraction(*to_rational(lo)), Fraction(*to_rational(hi))
 

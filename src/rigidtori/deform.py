@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import linalg
 from .hodge import IntegralRepresentation
 
@@ -82,6 +80,7 @@ class InvariantTwoFormSpace:
         return out
 
     def combine_float(self, coords):
+        import numpy as np
         n2 = self.rank
         acc = np.zeros((n2, n2))
         for c, eta in zip(coords, self.basis):
@@ -167,17 +166,21 @@ class PeriodPoint:
     t: np.ndarray           # n x n complex, U_t = {u + t(u)}
 
     def basis_matrix(self) -> np.ndarray:
+        import numpy as np
         return self.base + np.conj(self.base) @ self.t
 
     def full_matrix(self) -> np.ndarray:
+        import numpy as np
         b = self.basis_matrix()
         return np.hstack([b, np.conj(b)])
 
     def condition_number(self) -> float:
+        import numpy as np
         return float(np.linalg.cond(self.full_matrix()))
 
 
 def base_point_from_j(j_matrix) -> PeriodPoint:
+    import numpy as np
     J = np.asarray(j_matrix, dtype=float)
     n2 = J.shape[0]
     vals, vecs = np.linalg.eig(J)
@@ -196,6 +199,7 @@ def invariant_kahler_class(rep: IntegralRepresentation, j_matrix,
     conj(u_i)^dual - conj swap), then G-averaged; returns (coords, report)
     where the report carries the projection residual and positivity margin.
     """
+    import numpy as np
     if space is None:
         space = invariant_two_forms(rep)
     point = base_point_from_j(j_matrix)
@@ -234,6 +238,7 @@ def invariant_kahler_class(rep: IntegralRepresentation, j_matrix,
 
 def positivity_margin(xi_matrix, point: PeriodPoint) -> float:
     """Minimum eigenvalue of the Hermitian form -i xi(v, conj(v)) on U_t."""
+    import numpy as np
     basis = point.basis_matrix()
     xi = np.asarray(xi_matrix, dtype=float)
     herm = -1j * (basis.T @ xi @ np.conj(basis))
@@ -244,6 +249,7 @@ def positivity_margin(xi_matrix, point: PeriodPoint) -> float:
 def zero_two_part(xi_matrix, point: PeriodPoint) -> np.ndarray:
     """Restriction of xi to conj(U_t) x conj(U_t): the obstruction to
     xi being of type (1,1) + (2,0) at t."""
+    import numpy as np
     cbar = np.conj(point.basis_matrix())
     xi = np.asarray(xi_matrix, dtype=float)
     return cbar.T @ xi @ cbar
@@ -255,6 +261,7 @@ def invariant_chart_basis(rep: IntegralRepresentation, point: PeriodPoint):
     T is invariant when conj(A_g) T = T A_g for the matrices A_g of rho(g)
     on the U_0 basis; computed from the fixed space of the averaging
     operator.  The dimension equals the equivariant hom dimension."""
+    import numpy as np
     n = point.base.shape[1]
     base = point.base
     full = point.full_matrix()
@@ -297,6 +304,7 @@ def newton_solve(xi_matrix, rep: IntegralRepresentation, point: PeriodPoint,
     NoConvergence when the target is unreachable (rigid directions) or the
     chart degenerates.
     """
+    import numpy as np
     if chart_basis is None:
         chart_basis = invariant_chart_basis(rep, point)
     n = point.base.shape[1]
@@ -416,6 +424,7 @@ def find_projective_neighbor(rep: IntegralRepresentation, j_matrix,
     Enumeration order is deterministic (increasing denominator bound), and
     the first success in that order is returned.
     """
+    import numpy as np
     space = invariant_two_forms(rep)
     if space.dimension == 0:
         raise BudgetExhausted("no invariant 2-forms at all")

@@ -50,23 +50,30 @@ class FiniteGroup:
         ident = tuple(range(npts))
         elements = [ident]
         index = {ident: 0}
-        frontier = [ident]
+        parent = [None]   # per element j = g . j', the pair (j', g)
+        frontier = [0]
         while frontier:
-            cur = frontier.pop()
-            for g in gens:
+            j = frontier.pop()
+            cur = elements[j]
+            for gi, g in enumerate(gens):
                 prod = tuple(g[cur[i]] for i in range(npts))
                 if prod not in index:
                     if len(elements) >= CLOSURE_CAP:
                         raise InvalidGroup("closure exceeds the element cap")
                     index[prod] = len(elements)
                     elements.append(prod)
-                    frontier.append(prod)
-        n = len(elements)
-        table = [[0] * n for _ in range(n)]
-        for i, p in enumerate(elements):
-            for j, q in enumerate(elements):
-                prod = tuple(p[q[k]] for k in range(npts))
-                table[i][j] = index[prod]
+                    parent.append((j, gi))
+                    frontier.append(index[prod])
+        # right multiplication by each generator, on element indices
+        right = [[index[tuple(p[g[k]] for k in range(npts))]
+                  for p in elements] for g in gens]
+        # column j = g . j' is column j' read through i -> i g, since
+        # i (g j') = (i g) j'; a parent is found before its children
+        columns = [list(range(len(elements)))]
+        for j_prev, gi in parent[1:]:
+            col = columns[j_prev]
+            columns.append([col[r] for r in right[gi]])
+        table = list(zip(*columns))
         # composition of permutations is associative and the closure holds
         # the identity and inverses, so the table needs no validation
         group = FiniteGroup(table, name=name, validate=False)
@@ -105,10 +112,7 @@ class FiniteGroup:
                 raise InvalidGroup(f"associativity fails at ({a},{b},{c})")
 
     def _inverses(self):
-        inv = [0] * self.order
-        for g in range(self.order):
-            inv[g] = next(h for h in range(self.order) if self.table[g][h] == 0)
-        return tuple(inv)
+        return tuple(row.index(0) for row in self.table)
 
     def _element_order(self, g: int) -> int:
         k, cur = 1, g

@@ -26,8 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from functools import cached_property
 
 from . import linalg
 from .characters import (CharacterTable, GaloisOrbitDecomposition,
@@ -189,6 +188,12 @@ class HodgeCharacter:
         v = self.values[0].as_rational()
         return int(v)
 
+    @cached_property
+    def multiplicities(self):
+        """Multiplicity of each table row in chi10, validated as non-negative
+        integers that add up to chi10(1); decomposed once per character."""
+        return _validated_multiplicities(self, self.table)
+
     def value_at_element(self, g: int) -> CyclotomicNumber:
         return self.values[self.table.classes.membership[g]]
 
@@ -211,6 +216,7 @@ def hodge_character_from_numeric(rep: IntegralRepresentation, j_matrix,
     chi10(g^j) = (tr rho(g^j) - i tr(rho(g^j) J)) / 2 over j; each
     multiplicity must sit within `tol` of a nonnegative integer.
     """
+    import numpy as np
     J = np.asarray(j_matrix, dtype=float)
     n2 = rep.rank
     if J.shape != (n2, n2):
@@ -318,7 +324,8 @@ def rigidity_by_character(chi10: HodgeCharacter,
                           table: CharacterTable | None = None) -> RigidityReport:
     """Hom dimension by Schur orthogonality; validates chi10 first."""
     table = table or chi10.table
-    mults = _validated_multiplicities(chi10, table)
+    mults = (chi10.multiplicities if table is chi10.table
+             else _validated_multiplicities(chi10, table))
     g_order = table.group.order
     acc = table.field.zero()
     for k, size in enumerate(table.classes.sizes):
@@ -415,6 +422,7 @@ class ExactHodgeStructure:
             raise InvalidRepresentation("U + conj(U) does not span") from None
         self._basis_matrix = mat  # columns: u_1..u_n, conj(u_1)..conj(u_n)
         self._basis_inverse = inv
+        self._generator_actions = None   # see generator_actions
 
     @property
     def n(self) -> int:
@@ -436,11 +444,19 @@ class ExactHodgeStructure:
         b = [[sol[n + i][n + j] for j in range(n)] for i in range(n)]
         return a, b
 
+    def generator_actions(self):
+        """restricted_action(g) for the generators g of the representation,
+        computed once per structure.  Computing them certifies that U and
+        conj(U) are G-stable."""
+        if self._generator_actions is None:
+            self._generator_actions = [self.restricted_action(g)
+                                       for g in self.rep.generator_indices()]
+        return self._generator_actions
+
     def hodge_character(self) -> HodgeCharacter:
         """chi10(g) = tr(rho(g) Pi), Pi the projector onto U along conj(U),
         after certifying on the generators that U and conj(U) are stable."""
-        for g in self.rep.generator_indices():
-            self.restricted_action(g)
+        self.generator_actions()
         table = table_for(self.rep.group)
         n = self.n
         proj = linalg.mat_mul([row[:n] for row in self._basis_matrix],
@@ -456,6 +472,7 @@ class ExactHodgeStructure:
 
     def j_matrix_float(self):
         """Float image of the exact multiplication-by-i operator."""
+        import numpy as np
         n2 = self.rep.rank
         cols = []
         for col in self._basis_matrix_columns_complex():
@@ -468,6 +485,7 @@ class ExactHodgeStructure:
         return J.real
 
     def _basis_matrix_columns_complex(self):
+        import numpy as np
         m = self.field.m
         out = []
         for j in range(2 * self.n):
@@ -527,8 +545,7 @@ def brute_force_hom_dimension(rep: IntegralRepresentation,
                 "supplied chi10 disagrees with the exact structure")
     n = structure.n
     K = structure.field
-    gens = rep.generator_indices()
-    restricted = [structure.restricted_action(g) for g in gens]
+    restricted = structure.generator_actions()
     # unknown F (n x n over K), equations A_g F - F B_g = 0 per generator
     zero = K.zero()
     rows = []
@@ -670,7 +687,7 @@ def enumerate_rigid_types(decomposition: GaloisOrbitDecomposition,
 def spec_from_character(chi10: HodgeCharacter) -> SymbolicHodgeSpec:
     """Hodge type through the centre, extracted from a Hodge character."""
     table = chi10.table
-    mults = _validated_multiplicities(chi10, table)
+    mults = chi10.multiplicities
     decomp = galois_orbits(table)
     summands = []
     for j, orbit in enumerate(decomp.orbits):

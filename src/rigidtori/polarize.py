@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-import numpy as np
-
 from . import linalg
 from .cyclotomic import CyclotomicNumber, SubfieldSpec
 from .hodge import (ExactHodgeStructure, IntegralRepresentation,
@@ -158,6 +156,7 @@ def _lp_witness(embeddings, certify, rounds, prec, max_denominator):
     `certify`; its first non-None result is returned.  The precision doubles
     each round; None after `rounds` rounds.  scipy is imported here only.
     """
+    import numpy as np
     from scipy.optimize import linprog
     for _round in range(rounds):
         w = np.array(embeddings(prec))
@@ -540,6 +539,7 @@ def _hermitian_nonpositive_witness(m, K, structure):
 
 
 def _verify_numeric(e_rows, j_matrix, relation_i_tol, min_eigenvalue_bound):
+    import numpy as np
     e_np = np.array([[float(x) for x in row] for row in e_rows])
     J = np.asarray(j_matrix, dtype=float)
     n2 = len(e_rows)

@@ -40,8 +40,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-import mpmath
-
 from . import linalg
 from .cyclotomic import _poly_xgcd_mod
 
@@ -262,6 +260,7 @@ class PolynomialField:
         to lie within 2^-prec_bits of its root (see the module docstring).
         The discs are certified at `cert` >= prec_bits bits, doubled while
         two centres are within 4 * 2^-cert of each other."""
+        import mpmath
         cert, guard = prec_bits, _GUARD_BITS
         for _attempt in range(16):
             bits = cert + guard
@@ -648,6 +647,7 @@ class _IsolatingRectangle:
     def centre(self):
         """The midpoint as an mpc, a starting point for the Newton polish
         (exact rationals, so huge coefficients cannot overflow a float)."""
+        import mpmath
         ax, bx, ay, by = self.bounds()
         re, im = (ax + bx) / 2, (ay + by) / 2
         return mpmath.mpc(mpmath.mpf(re.numerator) / re.denominator,
@@ -664,6 +664,7 @@ def _polish(coeffs, approx, bits):
     is below 2^-bits relative to its root.  Each step about doubles the
     correct bits, so the working precision climbs to `bits` by doubling.
     Certification happens afterwards; this only proposes."""
+    import mpmath
     high_first = list(reversed(coeffs))
     ladder = [bits]
     while ladder[-1] > 128:

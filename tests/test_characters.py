@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -5,18 +7,120 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rigidtori.characters import (centre_decomposition, character_table,
+from rigidtori import linalg
+from rigidtori.characters import (TableComputationError,
+                                  centre_decomposition, character_table,
                                   galois_orbits, table_for,
-                                  _certify, _dixon_vectors,
-                                  _exact_eigenspace_refinement,
-                                  _class_eigenvalue_candidates,
-                                  _permissible_degrees, _row_key,
-                                  _rows_from_eigenvectors,
-                                  _separating_classes)
+                                  _certify, _dixon_schneider, _is_prime,
+                                  _multiplicities, _prime, _root_of_unity,
+                                  _row_key, _separating_classes)
 from rigidtori.cyclotomic import CyclotomicField
 from rigidtori.fixtures import (abelian, cyclic, dicyclic, dihedral,
                                 group_by_name, quaternion_8, small_groups,
                                 symmetric_3, symmetric_4)
+
+
+# -- an all-exact oracle: eigenspace refinement against candidate values ----
+
+
+def _permissible_degrees(order, class_count):
+    bound = order - class_count + 1
+    return [dd for dd in range(1, order + 1)
+            if order % dd == 0 and dd * dd <= bound]
+
+
+def _class_eigenvalue_candidates(field, class_size, elem_order, degrees):
+    """Exact candidates for |C| chi(g)/chi(1) with chi(g) a sum of chi(1)
+    many elem_order-th roots of unity."""
+    step = field.m // elem_order
+    out = {}
+    for deg in degrees:
+        for combo in itertools.combinations_with_replacement(
+                range(elem_order), deg):
+            acc = {}
+            for k in combo:
+                acc[step * k] = acc.get(step * k, 0) + 1
+            val = field.from_exponent_dict(acc)
+            scaled = [c * class_size for c in val.coeffs]
+            if all(x.denominator == 1 and x.numerator % deg == 0
+                   for x in scaled):
+                cand = field.from_coeffs([x / deg for x in scaled])
+                out[cand.coeffs] = cand
+    return list(out.values())
+
+
+def _complex_value(x):
+    m = x.field.m
+    return sum(float(c) * np.exp(2j * np.pi * i / m)
+               for i, c in enumerate(x.coeffs) if c)
+
+
+def _exact_eigenspace_refinement(group):
+    """The central characters by refining common eigenspaces one class
+    matrix at a time, testing every candidate eigenvalue (floats only rule
+    candidates out) by an exact nullspace; independent of the modular
+    path."""
+    classes = group.conjugacy_classes()
+    field = CyclotomicField(group.exponent)
+    d = classes.count
+    degrees = _permissible_degrees(group.order, d)
+    one, zero = field.one(), field.zero()
+    subspaces = [[[one if i == j else zero for j in range(d)]
+                  for i in range(d)]]
+    for i in range(1, d):
+        if all(len(s) == 1 for s in subspaces):
+            break
+        mat = classes.class_matrix(i)
+        numeric = np.linalg.eigvals(np.array(mat, dtype=float))
+        usable = [cand for cand in _class_eigenvalue_candidates(
+                      field, classes.sizes[i],
+                      group.element_order[classes.representatives[i]],
+                      degrees)
+                  if any(abs(_complex_value(cand) - ev) < 1e-5
+                         for ev in numeric)]
+        kernels = {}
+        refined = []
+        for space in subspaces:
+            if len(space) == 1:
+                refined.append(space)
+                continue
+            pieces = []
+            for cand in usable:
+                if cand.coeffs not in kernels:
+                    kernels[cand.coeffs] = linalg.nullspace(
+                        [[field.from_rational(mat[r][c])
+                          - (cand if r == c else zero) for c in range(d)]
+                         for r in range(d)])
+                if kernels[cand.coeffs]:
+                    piece = linalg.intersect(space, kernels[cand.coeffs])
+                    if piece:
+                        pieces.append(piece)
+            assert sum(map(len, pieces)) == len(space)
+            refined.extend(pieces)
+        subspaces = refined
+    assert len(subspaces) == d and all(len(s) == 1 for s in subspaces)
+    vectors = []
+    for (w,) in subspaces:
+        inv = w[0].inverse()
+        vectors.append([x * inv for x in w])
+    assert _certify(classes, vectors)
+    return vectors
+
+
+def _rows_by_norm(group, vectors):
+    """(degrees, rows) from central characters by the exact norm formula
+    chi(1)^2 = |G| / sum_k w_k conj(w_k) / |C_k|."""
+    sizes = group.conjugacy_classes().sizes
+    degrees, rows = [], []
+    for w in vectors:
+        norm = sum(((x * x.conjugate()) * Fraction(1, size)
+                    for x, size in zip(w, sizes)), w[0].field.zero())
+        deg_sq = Fraction(group.order) / norm.as_rational()
+        deg = math.isqrt(deg_sq.numerator)
+        assert deg_sq == deg * deg
+        degrees.append(deg)
+        rows.append([x * Fraction(deg, size) for x, size in zip(w, sizes)])
+    return degrees, rows
 
 
 def test_trivial_group_table():
@@ -83,22 +187,14 @@ def test_degrees_from_permutation_and_cayley_match():
 def test_exact_refinement_agrees_with_fast_path():
     for g in small_groups() + [symmetric_4()]:
         classes = g.conjugacy_classes()
-        field = CyclotomicField(g.exponent)
-        degrees = _permissible_degrees(g.order, classes.count)
-        cands = []
-        for k in range(classes.count):
-            size = classes.sizes[k]
-            eorder = g.element_order[classes.representatives[k]]
-            cands.append(_class_eigenvalue_candidates(field, size, eorder, degrees))
-        vectors = _exact_eigenspace_refinement(classes, field, cands)
+        slow_keys = {_row_key(w) for w in _exact_eigenspace_refinement(g)}
         fast = character_table(g)
-        slow_keys = {tuple(tuple(x.coeffs) for x in w) for w in vectors}
         # the fast path's eigenvectors are the rows scaled back
         fast_keys = set()
         for r in range(fast.size):
             w = [fast.rows[r][k] * Fraction(classes.sizes[k], fast.degrees[r])
                  for k in range(classes.count)]
-            fast_keys.add(tuple(tuple(x.coeffs) for x in w))
+            fast_keys.add(_row_key(w))
         assert slow_keys == fast_keys
 
 
@@ -254,7 +350,7 @@ def _pool_group(name):
 def _dixon(group):
     classes = group.conjugacy_classes()
     field = CyclotomicField(group.exponent)
-    return classes, field, _dixon_vectors(classes, field)
+    return classes, field, _dixon_schneider(classes, field)[0]
 
 
 def test_certificate_accepts_the_central_characters():
@@ -299,37 +395,62 @@ def test_certificate_rejects_non_commuting_structure_constants():
     assert not _certify(fake, vectors)
 
 
-@pytest.mark.parametrize("name", ["S5", "A5", "Z21", "Z24", "F21",
-                                  "Z2xZ2xZ6"])
+POOL = ["S5", "A5", "Z21", "Z24", "F21", "Z2xZ2xZ6"]
+
+
+@pytest.mark.parametrize("name", POOL)
 def test_dixon_recovery_matches_exact_refinement(name):
     g = _pool_group(name)
     classes, field, fast = _dixon(g)
-    degrees = _permissible_degrees(g.order, classes.count)
-    cands = [_class_eigenvalue_candidates(
-        field, classes.sizes[k],
-        g.element_order[classes.representatives[k]], degrees)
-        for k in range(classes.count)]
-    slow = _exact_eigenspace_refinement(classes, field, cands)
-    assert fast is not None
+    slow = _exact_eigenspace_refinement(g)
     assert sorted(_row_key(w) for w in fast) == \
         sorted(_row_key(w) for w in slow)
-    fast_rows = _rows_from_eigenvectors(g, classes, field, fast)
-    slow_rows = _rows_from_eigenvectors(g, classes, field, slow)
-    assert sorted(zip(fast_rows[1], map(_row_key, fast_rows[0]))) == \
-        sorted(zip(slow_rows[1], map(_row_key, slow_rows[0])))
+    _, fast_rows, fast_degrees = _dixon_schneider(classes, field)
+    slow_degrees, slow_rows = _rows_by_norm(g, slow)
+    assert sorted(zip(fast_degrees, map(_row_key, fast_rows))) == \
+        sorted(zip(slow_degrees, map(_row_key, slow_rows)))
 
 
-def test_fallback_never_taken_on_fixture_groups(monkeypatch):
+@pytest.mark.parametrize("name", POOL)
+def test_prime_conditions_on_pool_groups(name):
+    g = _pool_group(name)
+    p = _prime(g.order, g.exponent)
+    assert _is_prime(p) and p % g.exponent == 1
+    assert p * p > 4 * g.order     # p > 2 sqrt(|G|), so chi(1) < p/2
+    assert g.order % p            # p does not divide |G|
+    # the smallest such prime
+    assert not any(_is_prime(q) and q * q > 4 * g.order
+                   for q in range(g.exponent + 1, p, g.exponent))
+    z = _root_of_unity(g.exponent, p)
+    assert sorted(pow(z, t, p) for t in range(g.exponent)) == \
+        sorted({pow(z, t, p) for t in range(g.exponent)})
+    assert pow(z, g.exponent, p) == 1
+
+
+def test_multiplicity_outside_degree_is_rejected():
+    # order 4 mod 5: z = 2; chi(g^t) of the faithful linear character of Z4
+    zpow = [pow(2, t, 5) for t in range(4)]
+    assert _multiplicities([1, 2, 4, 3], 1, zpow, 5) == [0, 1, 0, 0]
+    # not the values of a character of degree 1: n_0 = 6/4 = 4 mod 5
+    with pytest.raises(TableComputationError):
+        _multiplicities([1, 2, 0, 3], 1, zpow, 5)
+    # each residue in [0, 2], but they are (2, 2, 2, 1), which sum to 7
+    with pytest.raises(TableComputationError):
+        _multiplicities([2, 2, 1, 3], 2, zpow, 5)
+
+
+def test_corrupted_component_raises_without_fallback(monkeypatch):
     from rigidtori import characters
+    split = characters._split_mod_p
 
-    def refuse(*args):
-        raise AssertionError("exact refinement taken")
+    def corrupted(classes, p):
+        vectors = split(classes, p)
+        vectors[-1][-1] = (vectors[-1][-1] + 1) % p
+        return vectors
 
-    monkeypatch.setattr(characters, "_exact_eigenspace_refinement", refuse)
-    monkeypatch.setattr(characters, "_class_eigenvalue_candidates", refuse)
-    for g in small_groups() + [symmetric_4(), dihedral(8), dicyclic(4),
-                               abelian([2, 2, 2, 2])]:
-        assert sum(d * d for d in character_table(g).degrees) == g.order
+    monkeypatch.setattr(characters, "_split_mod_p", corrupted)
+    with pytest.raises(TableComputationError):
+        character_table(symmetric_4())
 
 
 def test_character_table_does_not_call_verify(monkeypatch):

@@ -292,9 +292,12 @@ def test_cayley_group_needs_generator_elements(tmp_path):
     assert report["result"]["hom_dimension"] == 1
 
 
-def test_import_leaves_sympy_and_scipy_unloaded():
-    # sympy and scipy cost most of a cold start; only the standalone-field
-    # and LP paths may load them
+HEAVY_MODULES = ("numpy", "mpmath", "sympy", "scipy")
+
+
+def _loaded_after(code):
+    """The heavy modules loaded once `code` has run in a fresh interpreter
+    that imports rigidtori from this checkout."""
     import os
     import subprocess
     import sys
@@ -305,11 +308,63 @@ def test_import_leaves_sympy_and_scipy_unloaded():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys, rigidtori.cli; "
-            "print(sorted({'sympy', 'scipy'} & set(sys.modules)))")
+    code += f"\nprint(sorted(set({HEAVY_MODULES!r}) & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_import_leaves_sympy_and_scipy_unloaded():
+    # numpy, mpmath, sympy and scipy cost most of a cold start; only the
+    # numeric J_matrix, deformation, LP and standalone-field paths load them
+    assert _loaded_after("import sys, rigidtori.cli") == "[]"
+
+
+def test_analyze_and_symbolic_rigidity_leave_heavy_modules_unloaded(
+        tmp_path):
+    group = write(tmp_path, "s4.json", {
+        "name": "S4", "permutation_generators": [[1, 2, 3, 0], [1, 0, 2, 3]]})
+    symbolic = write(tmp_path, "sym.json", SYMBOLIC_DOC)
+    code = ("import sys\n"
+            "from rigidtori.cli import main\n"
+            f"assert main(['analyze', '--input', {group!r}]) == 0\n"
+            f"assert main(['rigidity', '--input', {symbolic!r}]) == 0")
+    assert _loaded_after(code) == "[]"
+
+
+def test_numeric_rigidity_decomposes_chi10_once(tmp_path, monkeypatch):
+    from rigidtori.characters import CharacterTable
+    calls = []
+    decompose = CharacterTable.decompose
+
+    def counting(self, values):
+        calls.append(values)
+        return decompose(self, values)
+
+    monkeypatch.setattr(CharacterTable, "decompose", counting)
+    inp = write(tmp_path, "gauss.json", GAUSSIAN_DOC)
+    assert main(["rigidity", "--input", inp]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("doc", [GAUSSIAN_DOC, SYMBOLIC_DOC],
+                         ids=["J_matrix", "symbolic_spec"])
+def test_restricted_action_runs_once_per_generator(tmp_path, monkeypatch,
+                                                    doc):
+    from rigidtori.hodge import ExactHodgeStructure
+    calls = {}
+    restricted_action = ExactHodgeStructure.restricted_action
+
+    def counting(self, g):
+        calls.setdefault(self, []).append(g)
+        return restricted_action(self, g)
+
+    monkeypatch.setattr(ExactHodgeStructure, "restricted_action", counting)
+    inp = write(tmp_path, "rep.json", doc)
+    assert main(["rigidity", "--input", inp]) == 0
+    assert len(calls) == 1
+    for structure, gens in calls.items():
+        assert gens == structure.rep.generator_indices()
 
 
 def test_polarize_builds_a_symbolic_structure_once(tmp_path, monkeypatch):

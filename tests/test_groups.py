@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from rigidtori.fixtures import (abelian, cyclic, dicyclic, dihedral,
@@ -112,3 +114,16 @@ def test_from_permutations_does_not_revalidate(monkeypatch):
     assert s4.table == symmetric_4().table
     with pytest.raises(AssertionError):
         FiniteGroup(s4.table)
+
+
+@pytest.mark.parametrize("npts", [4, 5, 6])
+def test_permutation_tables_equal_tuple_composition(npts):
+    cycle = tuple(range(1, npts)) + (0,)
+    swap = (1, 0) + tuple(range(2, npts))
+    g = FiniteGroup.from_permutations([cycle, swap], name=f"S{npts}")
+    perms = g.permutations
+    assert len(perms) == math.factorial(npts)
+    index = {p: i for i, p in enumerate(perms)}
+    want = tuple(tuple(index[tuple(p[q[k]] for k in range(npts))]
+                       for q in perms) for p in perms)
+    assert g.table == want
