@@ -3,7 +3,9 @@ deform / selftest.
 
 Reads a JSON input document, writes a human-readable summary to stdout and,
 with --output, a machine-readable JSON report.  Exit status: 0 success,
-1 domain error (e.g. a non-rigid action passed to polarize), 2 input error.
+1 domain error (e.g. a non-rigid action passed to polarize), 2 input error,
+3 internal error (any other exception; its report is an error payload
+marked `"internal": true`).
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from . import deform as deform_mod
 from . import polarize as polarize_mod
@@ -49,7 +52,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--input", help="path to the JSON input document")
     parser.add_argument("--output", help="path for the machine-readable report")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--max-denominator", type=int, default=256)
+    parser.add_argument("--max-denominator", type=int, default=256,
+                        help="largest denominator of a deform candidate "
+                             "class (deform only)")
     parser.add_argument("--epsilon", type=float, default=1.0)
     parser.add_argument("--g-invariant", action="store_true")
     parser.add_argument("--tolerance-newton", type=float,
@@ -95,6 +100,13 @@ def main(argv=None) -> int:
                      "error": payload})
         print(f"domain error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # noqa: BLE001 - declared as an internal error
+        _emit(args, {"command": args.command, "seed": args.seed,
+                     "error": {"error": type(exc).__name__,
+                               "message": str(exc), "internal": True}})
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return 3
     _emit(args, report)
     if args.command == "selftest" and not report["result"]["ok"]:
         return 1
@@ -324,8 +336,7 @@ def _run_polarize_polynomial(doc, args):
     _check_keys(doc, {"polynomial", "designated_roots"}, set(),
                 "polynomial document")
     cert = polarize_mod.polarization_exists(
-        doc["polynomial"], doc["designated_roots"],
-        max_denominator=args.max_denominator)
+        doc["polynomial"], doc["designated_roots"])
     result = {
         "verdict": cert.verdict,
         "witness": list(cert.witness) if cert.witness else None,

@@ -22,6 +22,21 @@ class InvalidGroup(ValueError):
     """The supplied table or generators do not define a group."""
 
 
+def _permutation_order(perm) -> int:
+    """Order of a permutation: the lcm of its cycle lengths."""
+    seen = [False] * len(perm)
+    order = 1
+    for start in range(len(perm)):
+        length, i = 0, start
+        while not seen[i]:
+            seen[i] = True
+            i = perm[i]
+            length += 1
+        if length:
+            order = lcm(order, length)
+    return order
+
+
 class FiniteGroup:
     """Group on elements 0..n-1 with 0 the identity."""
 
@@ -47,6 +62,13 @@ class FiniteGroup:
         for g in gens:
             if len(g) != npts or sorted(g) != list(range(npts)):
                 raise InvalidGroup(f"not a permutation of {npts} points: {g}")
+            # a generator of order above the cap refuses before the closure:
+            # the group it generates has at least that many elements
+            order = _permutation_order(g)
+            if order > CLOSURE_CAP:
+                raise InvalidGroup(
+                    f"closure exceeds the element cap {CLOSURE_CAP}: a "
+                    f"generator has order {order}")
         ident = tuple(range(npts))
         elements = [ident]
         index = {ident: 0}

@@ -7,6 +7,16 @@ V^{1,0}, and take E(x, y) = Tr_{F/Q}(zeta * x * conj(y)) on each F-module
 copy.  Verification checks both bilinear relations, the Rosati property on
 the centre, and optionally exact G-invariance; the symbolic pathway is
 tolerance-free.
+
+zeta needs no search.  For a CM field with k conjugate pairs,
+x -> (Im sigma_a x)_a over the designated embeddings maps the imaginary
+elements F^- (conj x = -x) isomorphically onto R^k, so zeta solves one
+k x k system W q = (1, ..., 1), rounded and certified exactly.  A
+standalone field has F^- = K^- for its largest CM subfield K of degree 2k
+(a purely imaginary x generates a CM field, and a compositum of CM fields
+is CM), so its designated rows of W are pairwise equal, opposite or
+independent, k classes up to sign: a class mixing signs is an exact
+obstruction, else one row per class gives the square system.
 """
 
 from __future__ import annotations
@@ -108,25 +118,16 @@ def imaginary_subspace(field_spec: SubfieldSpec):
     return [field_spec.element(vec) for vec in kernel]
 
 
-def find_zeta(field_spec: SubfieldSpec, designated,
-              max_denominator: int = 2 ** 20) -> ImaginaryElement:
+def find_zeta(field_spec: SubfieldSpec, designated) -> ImaginaryElement:
     """An imaginary zeta with certified Im sigma_a(zeta) > 0 for a in the
-    designated set (one coset per conjugate pair).
-
-    A Chebyshev-centre LP over float embeddings proposes candidates, which
-    are rationalized with doubling denominator bounds and certified with the
-    exact sign machinery.  The feasible cone is open and nonempty for CM
-    fields, so this terminates.
+    designated set (one coset per conjugate pair): F is CM, so zeta solves
+    one k x k system W q = (1, ..., 1) (see the module docstring).
     """
     designated = sorted({field_spec._coset_rep(a) for a in designated})
     _validate_designated(field_spec, designated)
     basis = imaginary_subspace(field_spec)
     if not basis:
         raise NotCMField("imaginary subspace is zero")
-
-    def embeddings(prec):
-        return [[float(b.embed(a, prec).imag_mid) for b in basis]
-                for a in designated]
 
     def certify(coords):
         zeta = _combine(basis, coords)
@@ -136,48 +137,40 @@ def find_zeta(field_spec: SubfieldSpec, designated,
         return ImaginaryElement(field_spec=field_spec, element=zeta,
                                 sign_table=tuple(signs))
 
-    found = _lp_witness(embeddings, certify, rounds=12, prec=128,
-                        max_denominator=max_denominator)
-    if found is not None:
-        return found
-    raise NotCMField(
-        "no certified zeta found; the sign cone appears empty "
-        f"for designated cosets {designated}")
+    for prec in _PRECISIONS:
+        found = _square_solve_witness(
+            [[b.embed(a, prec).imag_mid for b in basis] for a in designated],
+            certify)
+        if found is not None:
+            return found
+    raise NotCMField(f"no certified zeta up to {_PRECISIONS[-1]} bits for "
+                     f"designated cosets {designated}")
 
 
-def _lp_witness(embeddings, certify, rounds, prec, max_denominator):
-    """The LP-rationalize-certify loop behind every zeta search.
+# Bit precisions of the imaginary parts W, doubled while W is too coarse.
+_PRECISIONS = (64, 128, 256, 512, 1024, 2048, 4096)
 
-    Per round, `embeddings(prec)` gives the float imaginary parts of the
-    basis elements at the designated embeddings (one row each).  A
-    Chebyshev-centre LP (maximize delta subject to w q >= delta,
-    -1 <= q <= 1) proposes coordinates q, which are rationalized with
-    doubling denominator bounds up to `max_denominator` and handed to
-    `certify`; its first non-None result is returned.  The precision doubles
-    each round; None after `rounds` rounds.  scipy is imported here only.
-    """
-    import numpy as np
-    from scipy.optimize import linprog
-    for _round in range(rounds):
-        w = np.array(embeddings(prec))
-        dim = w.shape[1]
-        c = np.zeros(dim + 1)
-        c[-1] = -1.0
-        a_ub = np.hstack([-w, np.ones((len(w), 1))])
-        res = linprog(c, A_ub=a_ub, b_ub=np.zeros(len(w)),
-                      bounds=[(-1, 1)] * dim + [(0, 1)], method="highs")
-        if res.status == 0 and -res.fun > 1e-12:
-            denom = 16
-            while denom <= max_denominator:
-                coords = [Fraction(x).limit_denominator(denom)
-                          for x in res.x[:dim]]
-                if any(coords):
-                    found = certify(coords)
-                    if found is not None:
-                        return found
-                denom *= 2
-        prec *= 2
-    return None
+
+def _square_solve_witness(rows, certify):
+    """The witness primitive behind every zeta search: `rows` approximates
+    the invertible k x k matrix W of imaginary parts (designated embeddings
+    by imaginary basis elements).  The solution of W q = (1, ..., 1), scaled
+    by s to max |q| = 1, is rounded to the denominators 1, 2, 4, ... for
+    `certify`, whose first non-None result is returned.  At D >= 4k max|W| s
+    rounding moves each designated imaginary part by at most 1/8 of it, so
+    only a too coarse W gives None."""
+    k = len(rows)
+    q = linalg.solve(rows, [Fraction(1)] * k)
+    if q is None:
+        return None
+    scale = max(abs(x) for x in q)
+    last = 4 * k * scale * max(abs(w) for row in rows for w in row)
+    denom = 1
+    while True:
+        found = certify([Fraction(round(x * denom / scale), denom) for x in q])
+        if found is not None or denom >= last:
+            return found
+        denom *= 2
 
 
 def _validate_designated(field_spec, designated):
@@ -666,15 +659,14 @@ class ExistenceCertificate:
         return self.verdict == "exists-with-witness"
 
 
-def polarization_exists(poly_coefficients, designated,
-                        max_denominator: int = 2 ** 16) -> ExistenceCertificate:
+def polarization_exists(poly_coefficients,
+                        designated) -> ExistenceCertificate:
     """Exact feasibility of the polarization sign cone for a standalone
-    totally imaginary field Q[t]/f.
-
-    Feasible: returns zeta purely imaginary under every embedding (exact)
-    with certified positive imaginary part at the designated roots.
-    Infeasible: returns an exact obstruction; when the purely-imaginary
-    subspace is zero, the obstruction is the full-rank linear system itself.
+    totally imaginary field Q[t]/f, by the k row classes of the module
+    docstring.  Feasible: zeta purely imaginary (exact) with certified
+    positive imaginary part at the designated roots.  Infeasible: a
+    designated pair (i, j) with Im sigma_i = -Im sigma_j on the imaginary
+    elements, or, when these are zero, the full-rank linear system itself.
     """
     F = PolynomialField(poly_coefficients)
     designated = sorted(set(designated))
@@ -690,13 +682,6 @@ def polarization_exists(poly_coefficients, designated,
                 "constraint_rank": F.degree,
                 "identity": "Im sigma_j(x) = 0 for all j forces x = 0",
             })
-    dim = len(basis)
-    if dim == 1:
-        return _decide_dim_one(F, basis[0], designated)
-
-    def embeddings(prec):
-        return [[float(F.evaluate_box(b, i, prec)[1]) for b in basis]
-                for i in designated]
 
     def certify(coords):
         zeta = [sum(Fraction(b[t]) * c0 for b, c0 in zip(basis, coords))
@@ -708,14 +693,53 @@ def polarization_exists(poly_coefficients, designated,
             verdict="exists-with-witness", witness=tuple(zeta),
             witness_signs=tuple(signs), obstruction=None)
 
-    found = _lp_witness(embeddings, certify, rounds=8, prec=64,
-                        max_denominator=max_denominator)
-    if found is not None:
-        return found
-    raise NotCMField(
-        "sign-cone feasibility undecided: the imaginary subspace has "
-        f"dimension {dim} >= 2 but the LP failed to certify a witness; "
-        "this configuration is outside the supported decision surface")
+    for prec in _PRECISIONS:
+        boxes = {i: [F.evaluate_box(b, i, prec)[1:] for b in basis]
+                 for i in designated}
+        classes = _row_classes(boxes, len(basis))
+        if classes is None:
+            continue
+        reps, (i, j) = classes
+        if j is not None:
+            return ExistenceCertificate(
+                verdict="infeasible", witness=None, witness_signs=None,
+                obstruction={
+                    "reason": "two designated roots have opposite imaginary "
+                              "parts on every purely imaginary element",
+                    "pair": (i, j),
+                    "imaginary_dimension": len(basis),
+                    "identity": f"Im sigma_{i}(x) = -Im sigma_{j}(x) for "
+                                "every purely imaginary x"})
+        found = _square_solve_witness(
+            [[im for im, _ in boxes[r]] for r in reps], certify)
+        if found is not None:
+            return found
+    raise NotCMField(f"no certified witness up to {_PRECISIONS[-1]} bits "
+                     f"for the designated roots {designated}")
+
+
+def _row_classes(boxes, k):
+    """(representatives, (r, i)): one designated root per class of equal or
+    opposite rows boxes[i] = [(Im sigma_i(b), radius)], and the first row i
+    opposite to its representative r (else (None, None)); None while too
+    wide.  True equal or opposite rows overlap, so representatives that
+    overlap no earlier one lie in distinct classes; with k of them each
+    class has one, and a row overlapping one of them in one sign is in it.
+    """
+    def hits(i, reps):
+        return [(r, s) for r in reps for s in (1, -1)
+                if all(abs(im - s * im_r) <= rad + rad_r for (im, rad), (
+                    im_r, rad_r) in zip(boxes[i], boxes[r]))]
+
+    reps = []
+    for i in boxes:
+        if not hits(i, reps):
+            reps.append(i)
+    found = {i: hits(i, reps) for i in boxes}
+    if len(reps) != k or any(len(h) != 1 for h in found.values()):
+        return None
+    return reps, next(((h[0][0], i) for i, h in found.items()
+                       if h[0][1] < 0), (None, None))
 
 
 def _validate_poly_designated(F: PolynomialField, designated):
@@ -737,30 +761,3 @@ def _certify_poly_signs(F, zeta, designated):
             return None
         signs.append(s)
     return signs
-
-
-def _decide_dim_one(F, gen, designated):
-    signs = [F.sign_imag(gen, i) for i in range(F.degree)]
-    plus_ok = all(signs[i] == 1 for i in designated)
-    minus_ok = all(signs[i] == -1 for i in designated)
-    if plus_ok or minus_ok:
-        zeta = [q if plus_ok else -q for q in gen]
-        certified = [s if plus_ok else -s for s in signs]
-        return ExistenceCertificate(
-            verdict="exists-with-witness",
-            witness=tuple(zeta),
-            witness_signs=tuple(certified),
-            obstruction=None)
-    bad = [(i, j) for i in designated for j in designated
-           if signs[i] != signs[j]]
-    return ExistenceCertificate(
-        verdict="infeasible", witness=None, witness_signs=None,
-        obstruction={
-            "reason": "one-dimensional imaginary subspace with mixed "
-                      "required signs",
-            "pair": bad[0] if bad else None,
-            "generator": tuple(gen),
-            "generator_signs": tuple(signs),
-            "identity": "every imaginary element is a rational multiple "
-                        "of the generator",
-        })

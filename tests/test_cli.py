@@ -316,7 +316,7 @@ def _loaded_after(code):
 
 def test_import_leaves_sympy_and_scipy_unloaded():
     # numpy, mpmath, sympy and scipy cost most of a cold start; only the
-    # numeric J_matrix, deformation, LP and standalone-field paths load them
+    # numeric J_matrix, deformation and standalone-field paths load them
     assert _loaded_after("import sys, rigidtori.cli") == "[]"
 
 
@@ -401,3 +401,35 @@ def test_polarize_symbolic_structure_error_wins_over_not_rigid(tmp_path):
     out = tmp_path / "err.json"
     assert main(["polarize", "--input", inp, "--output", str(out)]) == 1
     assert json.loads(out.read_text())["error"]["error"] == "HSViolation"
+
+
+def test_polarize_loads_neither_numpy_nor_scipy(tmp_path):
+    # the square-solve witness needs no LP: a symbolic document certifies
+    # in exact arithmetic and mpmath intervals, a standalone field adds sympy
+    symbolic = write(tmp_path, "sym.json", SYMBOLIC_DOC)
+    field = write(tmp_path, "field.json", {
+        "polynomial": [68, 0, 28, 0, 1], "designated_roots": [1, 2]})
+    run = "import sys\nfrom rigidtori.cli import main\n"
+    loaded = _loaded_after(
+        run + f"assert main(['polarize', '--input', {symbolic!r}]) == 0")
+    assert "numpy" not in loaded and "scipy" not in loaded
+    loaded = _loaded_after(
+        run + f"assert main(['polarize', '--input', {field!r}]) == 0")
+    assert "sympy" in loaded and "scipy" not in loaded
+
+
+def test_internal_error_exits_3_with_a_payload(tmp_path, monkeypatch,
+                                               capsys):
+    from rigidtori import cli
+
+    def broken(doc, args):
+        raise KeyError("missing")
+
+    monkeypatch.setattr(cli, "run_analyze", broken)
+    inp = write(tmp_path, "s3.json", {"builtin": "S3"})
+    out = tmp_path / "err.json"
+    assert main(["analyze", "--input", inp, "--output", str(out)]) == 3
+    error = json.loads(out.read_text())["error"]
+    assert error == {"error": "KeyError", "message": "'missing'",
+                     "internal": True}
+    assert "internal error: KeyError" in capsys.readouterr().err

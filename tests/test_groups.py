@@ -127,3 +127,12 @@ def test_permutation_tables_equal_tuple_composition(npts):
     want = tuple(tuple(index[tuple(p[q[k]] for k in range(npts))]
                        for q in perms) for p in perms)
     assert g.table == want
+
+
+def test_generator_order_above_cap_refuses_before_closure():
+    # cycles of 101 and 103 points each stay below the cap, but the
+    # generator's order lcm(101, 103) = 10403 exceeds it
+    perm = [(i + 1) % 101 for i in range(101)]
+    perm += [101 + (i + 1) % 103 for i in range(103)]
+    with pytest.raises(InvalidGroup, match="order 10403"):
+        FiniteGroup.from_permutations([perm])

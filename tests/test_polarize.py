@@ -402,3 +402,51 @@ def test_polarization_exists_rejects_bad_inputs():
         polarization_exists((-2, 0, 1), (0,))  # x^2 - 2
     with pytest.raises(ValueError):
         polarization_exists((1, 0, 1), (0, 1))  # both roots designated
+
+
+def _imaginary_rows_opposite(F, i, j):
+    """Im sigma_i(b) = -Im sigma_j(b) on every basis element, to 1e-12."""
+    for b in F.imaginary_subspace():
+        _, im_i, _ = F.evaluate_box(b, i)
+        _, im_j, _ = F.evaluate_box(b, j)
+        if abs(float(im_i + im_j)) > 1e-12 * (1 + abs(float(im_i))):
+            return False
+    return True
+
+
+def test_polarization_exists_i_plus_fourth_root_of_two():
+    # minpoly(i + 2^(1/4)): not CM, largest CM subfield Q(zeta_8), so the
+    # purely imaginary elements form a plane; every designation decides
+    from rigidtori.polyfields import PolynomialField
+    coeffs = (1, 0, 28, 0, 2, 0, 4, 0, 1)
+    F = PolynomialField(coeffs)
+    assert len(F.imaginary_subspace()) == 2
+    verdicts = []
+    for designated in itertools.product(*F.pairs):
+        cert = polarization_exists(coeffs, designated)
+        verdicts.append(cert.verdict)
+        if cert.exists:
+            assert F.element_is_purely_imaginary(cert.witness)
+            for i in range(F.degree):
+                assert cert.witness_signs[i] == (1 if i in designated else -1)
+        else:
+            i, j = cert.obstruction["pair"]
+            assert i in designated and j in designated
+            assert cert.obstruction["imaginary_dimension"] == 2
+            assert _imaginary_rows_opposite(F, i, j)
+    assert verdicts.count("exists-with-witness") == 4
+    assert verdicts.count("infeasible") == 12
+
+
+def test_polarization_exists_x6_plus_2_mixed_signs():
+    # one imaginary dimension (from Q(sqrt(-2))): the designation (0, 2, 4)
+    # asks for opposite signs at roots 0 and 4 of the same generator
+    from rigidtori.polyfields import PolynomialField
+    coeffs = (2, 0, 0, 0, 0, 0, 1)
+    cert = polarization_exists(coeffs, (0, 2, 4))
+    assert cert.verdict == "infeasible"
+    assert cert.obstruction["pair"] == (0, 4)
+    assert cert.obstruction["imaginary_dimension"] == 1
+    assert cert.obstruction["identity"] == (
+        "Im sigma_0(x) = -Im sigma_4(x) for every purely imaginary x")
+    assert _imaginary_rows_opposite(PolynomialField(coeffs), 0, 4)
