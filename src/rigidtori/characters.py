@@ -279,10 +279,9 @@ def _certify(classes: ConjugacyClassData, vectors) -> bool:
     d = classes.count
     if len(vectors) != d or any(w[0] != 1 for w in vectors):
         return False
-    if any(c.denominator != 1 for w in vectors for x in w for c in x.coeffs):
+    if any(x.den != 1 for w in vectors for x in w):
         return False
-    coords = [[tuple(c.numerator for c in x.coeffs) for x in w]
-              for w in vectors]
+    coords = [[x.num for x in w] for w in vectors]
     separating = _separating_classes(coords)
     if separating is None:
         return False
@@ -347,8 +346,7 @@ def _dixon_schneider(classes: ConjugacyClassData, field):
     z = _root_of_unity(m, p)
     zpow = [pow(z, t, p) for t in range(m)]
     # z^t in the power basis, as (position, integer coefficient) pairs
-    power_basis = [[(i, int(c)) for i, c in enumerate(row) if c]
-                   for row in field.power_table[:m]]
+    power_basis = field.power_table
     powers = _power_classes(classes)
     # a class of largest order in its cyclic subgroup first, so that its
     # power classes are filled from its multiplicities
@@ -382,11 +380,9 @@ def _dixon_schneider(classes: ConjugacyClassData, field):
                             for i, x in power_basis[m // e * (j * t % e)]:
                                 coords[i] += n * x
                     values[c] = coords
-        rows.append([CyclotomicNumber(field, tuple(map(Fraction, coords)))
-                     for coords in values])
-        vectors.append([CyclotomicNumber(field, tuple(
-            Fraction(x * size, deg) for x in coords))
-            for coords, size in zip(values, classes.sizes)])
+        rows.append([CyclotomicNumber(field, coords) for coords in values])
+        vectors.append([CyclotomicNumber(field, [x * size for x in coords], deg)
+                        for coords, size in zip(values, classes.sizes)])
         degrees.append(deg)
     if not _certify(classes, vectors):
         raise TableComputationError("recovered vectors fail the certificate")
@@ -565,7 +561,7 @@ def _galois_orbits(table):
     field = table.field
     d = table.size
     values = {}   # value coefficients -> small id, so row keys hash fast
-    keys = [tuple(values.setdefault(v.coeffs, len(values)) for v in row)
+    keys = [tuple(values.setdefault((v.num, v.den), len(values)) for v in row)
             for row in table.rows]
     key_to_row = {key: r for r, key in enumerate(keys)}
     powers = _power_classes(table.classes)

@@ -1,11 +1,16 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m) and certified embeddings.
 
-Elements are stored in the power basis 1, z, ..., z^(phi(m)-1) modulo the
-m-th cyclotomic polynomial, with arbitrary-precision rational coefficients.
-Embeddings sigma_a : z -> exp(2*pi*i*a/m) are evaluated with outward-rounded
-interval arithmetic, so every numeric enclosure is certified.  Sign queries
-are decided exactly: the zero case is settled by the Galois action (never by
-floats), nonzero cases by precision escalation.
+An element is stored in the power basis 1, z, ..., z^(phi(m)-1) modulo the
+m-th cyclotomic polynomial Phi_m as integer numerators over one common
+denominator: x = (num[0] + num[1] z + ... ) / den.  The form is canonical
+(den > 0 and gcd(den, *num) == 1; zero is all zeros over 1), so equality and
+hashing compare tuples of ints.  Phi_m is monic with integer coefficients,
+so the reduction of z^k is integral and a product is an integer convolution,
+one integral reduction and one gcd, with no rational arithmetic per
+coordinate.  Embeddings sigma_a : z -> exp(2*pi*i*a/m) are evaluated with
+outward-rounded interval arithmetic, so every numeric enclosure is
+certified.  Sign queries are decided exactly: the zero case is settled by
+the Galois action (never by floats), nonzero cases by precision escalation.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from . import linalg
 
@@ -74,71 +79,96 @@ class _Field:
         self.modulus = _cyclotomic_coeffs(m)
         self.degree = len(self.modulus) - 1
         assert self.degree == _euler_phi(m)
-        # power_table[k] = coefficients of z^k reduced mod Phi_m, 0 <= k < max(m, 2*deg)
+        # power_table[k]: z^k reduced mod Phi_m as sparse (position, integer
+        # coefficient) pairs, for 0 <= k < max(m, 2*deg)
         deg = self.degree
         table = []
-        cur = [Fraction(0)] * deg
-        cur[0] = Fraction(1)
-        span = max(m, 2 * deg)
-        for _ in range(span):
-            table.append(tuple(cur))
-            nxt = [Fraction(0)] * (deg + 1)
-            for i, c in enumerate(cur):
-                nxt[i + 1] = c
-            top = nxt[deg]
+        cur = [1] + [0] * (deg - 1)
+        for _ in range(max(m, 2 * deg)):
+            table.append(tuple((i, c) for i, c in enumerate(cur) if c))
+            top = cur[-1]
+            cur = [0] + cur[:-1]
             if top:
                 for i in range(deg):
-                    nxt[i] -= top * self.modulus[i]
-            cur = nxt[:deg]
+                    cur[i] -= top * self.modulus[i]
         self.power_table = table
         self.units = tuple(a for a in range(1, m + 1) if gcd(a, m) == 1)
+        self._zero = _new(self, (0,) * deg, 1)
 
     def __repr__(self):
         return f"CyclotomicField({self.m})"
 
     def zero(self) -> "CyclotomicNumber":
-        return CyclotomicNumber(self, (Fraction(0),) * self.degree)
+        return self._zero
 
     def one(self) -> "CyclotomicNumber":
         return self.from_rational(1)
 
     def zeta(self, power: int = 1) -> "CyclotomicNumber":
         """z^power as a field element."""
-        return CyclotomicNumber(self, self.power_table[power % self.m])
+        num = [0] * self.degree
+        for i, c in self.power_table[power % self.m]:
+            num[i] = c
+        return _new(self, tuple(num), 1)
 
     def from_rational(self, q) -> "CyclotomicNumber":
-        coeffs = [Fraction(0)] * self.degree
-        coeffs[0] = Fraction(q)
-        return CyclotomicNumber(self, tuple(coeffs))
+        if not isinstance(q, int):
+            q = Fraction(q)
+            return _new(self, (q.numerator,) + (0,) * (self.degree - 1),
+                        q.denominator)
+        return _new(self, (q,) + (0,) * (self.degree - 1), 1)
 
     def from_coeffs(self, coeffs) -> "CyclotomicNumber":
         """Element from power-basis coordinates (length <= phi(m))."""
         cs = [Fraction(c) for c in coeffs]
         if len(cs) > self.degree:
             raise ValueError("too many coefficients")
-        cs += [Fraction(0)] * (self.degree - len(cs))
-        return CyclotomicNumber(self, tuple(cs))
+        den = lcm(*(c.denominator for c in cs))
+        num = [c.numerator * (den // c.denominator) for c in cs]
+        # canonical: each prime power of den divides the denominator of a
+        # coordinate whose numerator it does not divide
+        return _new(self, tuple(num) + (0,) * (self.degree - len(num)), den)
 
     def from_exponent_dict(self, exps) -> "CyclotomicNumber":
         """Sum of q * z^k over an {exponent: rational} mapping."""
-        acc = [Fraction(0)] * self.degree
-        for k, q in exps.items():
-            q = Fraction(q)
-            for i, c in enumerate(self.power_table[k % self.m]):
-                if c:
-                    acc[i] += q * c
-        return CyclotomicNumber(self, tuple(acc))
+        qs = {k: Fraction(q) for k, q in exps.items()}
+        den = lcm(*(q.denominator for q in qs.values()))
+        acc = [0] * self.degree
+        for k, q in qs.items():
+            n = q.numerator * (den // q.denominator)
+            for i, c in self.power_table[k % self.m]:
+                acc[i] += n * c
+        return _reduced(self, acc, den)
 
 
 class CyclotomicNumber:
-    """Immutable element of Q(zeta_m) in canonical power-basis form."""
+    """Immutable element num/den of Q(zeta_m), see the module docstring.
 
-    __slots__ = ("field", "coeffs", "_hash")
+    `num` is a tuple of phi(m) ints and `den` a positive int, in canonical
+    form.  `coeffs`, the tuple of Fraction coordinates num[i]/den, is a
+    read-only view built on first use and cached: arithmetic never needs
+    it, and readers that want rationals get them unchanged.
+    """
 
-    def __init__(self, field: _Field, coeffs):
+    __slots__ = ("field", "num", "den", "_coeffs", "_hash")
+
+    def __init__(self, field: _Field, num, den: int = 1):
+        num = tuple(num)
+        if len(num) != field.degree:
+            raise ValueError(f"need {field.degree} numerators, got {len(num)}")
+        if den <= 0:
+            raise ValueError("denominator must be positive")
         self.field = field
-        self.coeffs = tuple(coeffs)
-        self._hash = None
+        self.num, self.den = _canonical(num, den)
+        self._coeffs = self._hash = None
+
+    @property
+    def coeffs(self) -> tuple:
+        """Power-basis coordinates as Fractions (a cached view)."""
+        if self._coeffs is None:
+            den = self.den
+            self._coeffs = tuple(Fraction(n, den) for n in self.num)
+        return self._coeffs
 
     # -- ring structure -------------------------------------------------
 
@@ -153,73 +183,78 @@ class CyclotomicNumber:
         return NotImplemented
 
     def __add__(self, other):
+        if isinstance(other, int):
+            num = self.num
+            return _new(self.field, (num[0] + other * self.den,) + num[1:],
+                        self.den)
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        return CyclotomicNumber(
-            self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
+    def _plus(self, other, sign: int) -> "CyclotomicNumber":
+        """self + sign * other, over the least common denominator."""
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return _reduced(self.field, [
+                a + sign * b for a, b in zip(self.num, other.num)], d1)
+        g = gcd(d1, d2)
+        s1, s2 = d2 // g, sign * (d1 // g)
+        return _reduced(self.field, [
+            a * s1 + b * s2 for a, b in zip(self.num, other.num)], d1 * s1)
+
     def __neg__(self):
-        return CyclotomicNumber(self.field, tuple(-a for a in self.coeffs))
+        return _new(self.field, tuple([-a for a in self.num]), self.den)
 
     def __sub__(self, other):
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        return CyclotomicNumber(
-            self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
         # O(phi(m)) scaling when an operand is rational; else O(phi(m)^2)
-        if isinstance(other, (int, Fraction)):
-            return CyclotomicNumber(
-                self.field, tuple(c * other for c in self.coeffs))
+        if isinstance(other, int):
+            return self._scale(other, 1)
+        if isinstance(other, Fraction):
+            return self._scale(other.numerator, other.denominator)
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self.num, other.num
         if not any(b[1:]):
-            return CyclotomicNumber(self.field, tuple(c * b[0] for c in a))
+            return self._scale(b[0], other.den)
         if not any(a[1:]):
-            return CyclotomicNumber(self.field, tuple(a[0] * c for c in b))
-        deg = self.field.degree
-        conv = [Fraction(0)] * (2 * deg - 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    conv[i + j] += ai * bj
-        acc = list(conv[:deg])
-        table = self.field.power_table
-        for k in range(deg, 2 * deg - 1):
-            ck = conv[k]
-            if ck:
-                for i, t in enumerate(table[k]):
-                    if t:
-                        acc[i] += ck * t
-        return CyclotomicNumber(self.field, tuple(acc))
+            return other._scale(a[0], self.den)
+        return _reduced(self.field, _product(self.field, a, b),
+                        self.den * other.den)
 
     __rmul__ = __mul__
 
+    def _scale(self, p: int, q: int) -> "CyclotomicNumber":
+        """self * p/q for coprime p, q with q > 0."""
+        if not p:
+            return self.field._zero
+        return _reduced(self.field, [n * p for n in self.num], self.den * q)
+
     def inverse(self) -> "CyclotomicNumber":
-        """Multiplicative inverse via extended Euclid against Phi_m."""
+        """Multiplicative inverse: x times P = prod_{a != 1} sigma_a(x) is
+        the norm N(x), a nonzero rational, so 1/x = P / N(x)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        # work with polynomials as coefficient lists over Fraction
-        mod = [Fraction(c) for c in self.field.modulus]
-        a = list(self.coeffs)
-        g, u = _poly_xgcd_mod(a, mod)
-        # g is a nonzero constant since Phi_m is irreducible
-        inv_c = Fraction(1) / g
-        inv = [c * inv_c for c in u]
-        inv += [Fraction(0)] * (self.field.degree - len(inv))
-        return CyclotomicNumber(self.field, tuple(inv[: self.field.degree]))
+        field = self.field
+        prod = field.one().num
+        for a in field.units[1:]:
+            prod = _product(field, prod, self.galois(a).num)
+        # with x = n/d: 1/x = d P(n) / N(n), N(n) in position 0
+        norm = _product(field, self.num, prod)[0]
+        scale = self.den if norm > 0 else -self.den
+        return _reduced(field, [c * scale for c in prod], abs(norm))
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -250,16 +285,18 @@ class CyclotomicNumber:
         a %= m
         if gcd(a, m) != 1:
             raise ValueError(f"embedding index {a} not coprime to {m}")
-        if not any(self.coeffs[1:]):
+        num = self.num
+        if not any(num[1:]):
             return self   # rational: fixed by every sigma_a
-        acc = [Fraction(0)] * self.field.degree
+        acc = [0] * self.field.degree
         table = self.field.power_table
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(num):
             if c:
-                for j, t in enumerate(table[(a * i) % m]):
-                    if t:
-                        acc[j] += c * t
-        return CyclotomicNumber(self.field, tuple(acc))
+                for j, t in table[(a * i) % m]:
+                    acc[j] += c * t
+        # sigma_a permutes Z[z], so the numerators keep their content and
+        # the form stays canonical
+        return _new(self.field, tuple(acc), self.den)
 
     def conjugate(self) -> "CyclotomicNumber":
         """Complex conjugation z -> z^(-1); an involutive field automorphism."""
@@ -278,15 +315,15 @@ class CyclotomicNumber:
     # -- predicates -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self):
         """The element as a Fraction if it lies in Q, else None."""
         if self.is_rational():
-            return self.coeffs[0]
+            return Fraction(self.num[0], self.den)
         return None
 
     def is_real(self) -> bool:
@@ -294,15 +331,21 @@ class CyclotomicNumber:
         return self == self.conjugate()
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.from_rational(other)
-        if not isinstance(other, CyclotomicNumber):
-            return NotImplemented
-        return self.field.m == other.field.m and self.coeffs == other.coeffs
+        if isinstance(other, CyclotomicNumber):
+            return (self.den == other.den and self.num == other.num
+                    and self.field.m == other.field.m)
+        if isinstance(other, int):
+            return (self.den == 1 and self.num[0] == other
+                    and not any(self.num[1:]))
+        if isinstance(other, Fraction):
+            return (self.den == other.denominator
+                    and self.num[0] == other.numerator
+                    and not any(self.num[1:]))
+        return NotImplemented
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.field.m, self.coeffs))
+            self._hash = hash((self.field.m, self.num, self.den))
         return self._hash
 
     def __repr__(self):
@@ -387,50 +430,47 @@ class CyclotomicNumber:
         raise AssertionError("precision cap hit on a provably nonzero value")
 
 
-def _poly_xgcd_mod(a, mod):
-    """Extended Euclid for a against the monic modulus; returns (g, u) with
-    u*a = g mod `mod` and g a constant (modulus irreducible)."""
+_alloc = object.__new__
 
-    def deg(p):
-        d = len(p) - 1
-        while d >= 0 and p[d] == 0:
-            d -= 1
-        return d
 
-    def divmod_poly(num, den):
-        num = list(num)
-        dd = deg(den)
-        lead = den[dd]
-        q = [Fraction(0)] * (max(deg(num) - dd, -1) + 1)
-        while deg(num) >= dd:
-            dn = deg(num)
-            f = num[dn] / lead
-            q[dn - dd] = f
-            for i in range(dd + 1):
-                num[dn - dd + i] -= f * den[i]
-        return q, num
+def _new(field: _Field, num: tuple, den: int) -> CyclotomicNumber:
+    """A CyclotomicNumber from numerators already in canonical form."""
+    x = _alloc(CyclotomicNumber)
+    x.field, x.num, x.den = field, num, den
+    x._coeffs = x._hash = None
+    return x
 
-    r0, r1 = list(mod), list(a)
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while deg(r1) > 0:
-        q, r = divmod_poly(r0, r1)
-        r0, r1 = r1, r
-        # s_new = s0 - q*s1
-        prod = [Fraction(0)] * (deg(q) + deg(s1) + 2 if deg(q) >= 0 and deg(s1) >= 0 else 1)
-        for i in range(deg(q) + 1):
-            if q[i]:
-                for j in range(deg(s1) + 1):
-                    if s1[j]:
-                        prod[i + j] += q[i] * s1[j]
-        new_s = [Fraction(0)] * max(len(s0), len(prod))
-        for i, c in enumerate(s0):
-            new_s[i] += c
-        for i, c in enumerate(prod):
-            new_s[i] -= c
-        s0, s1 = s1, new_s
-    if deg(r1) < 0:
-        raise ZeroDivisionError("element not invertible")
-    return r1[0], s1
+
+def _canonical(num, den: int) -> tuple:
+    """(num, den), for den > 0, divided through by gcd(den, *num)."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            return tuple([n // g for n in num]), den // g
+    return tuple(num), den
+
+
+def _reduced(field: _Field, num: list, den: int) -> CyclotomicNumber:
+    return _new(field, *_canonical(num, den))
+
+
+def _product(field: _Field, a, b) -> list:
+    """Numerators of a * b mod Phi_m: an integer convolution, then each
+    z^k with k >= phi(m) replaced by its integral reduction."""
+    deg = field.degree
+    conv = [0] * (2 * deg - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b, i):
+                conv[j] += ai * bj
+    acc = conv[:deg]
+    table = field.power_table
+    for k in range(deg, 2 * deg - 1):
+        ck = conv[k]
+        if ck:
+            for i, t in table[k]:
+                acc[i] += ck * t
+    return acc
 
 
 @dataclass(frozen=True)

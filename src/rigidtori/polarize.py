@@ -383,9 +383,15 @@ def _g_average(rep, e_mat):
     return linalg.mat_scale(acc, Fraction(1, rep.group.order))
 
 
-def _primitive_integral(e_mat):
+def _integral(e_mat):
+    """D * E for the least D > 0 that makes it an integer matrix."""
     den = lcm(*(x.denominator for row in e_mat for x in row))
-    ints = [[int(x * den) for x in row] for row in e_mat]
+    return [[x.numerator * (den // x.denominator) for x in row]
+            for row in e_mat]
+
+
+def _primitive_integral(e_mat):
+    ints = _integral(e_mat)
     num_gcd = gcd(*(x for row in ints for x in row))
     if num_gcd == 0:
         raise ValueError("zero form")
@@ -619,14 +625,18 @@ def _negative_witness(gram):
 
 def _verify_rosati(e_rows, rep: IntegralRepresentation):
     """E(z v, w) = E(v, conj(z) w) for the class sums z; conj sends a class
-    to the class of inverses.  Exact."""
+    to the class of inverses.  Exact, in integers: the identity is
+    homogeneous in E, so it holds for E exactly when it holds for D * E,
+    and fails at the same entries; a class sum is a sum of integer rho(g)."""
     classes = rep.group.conjugacy_classes()
-    mats = centre_action_matrices(rep)
+    mats = [[[int(x) for x in row] for row in t]
+            for t in centre_action_matrices(rep)]
+    e_int = _integral(e_rows)
     for idx in range(classes.count):
         t = mats[idx]
         t_conj = mats[classes.inverse_class(idx)]
-        left = linalg.mat_mul(linalg.transpose(t), e_rows)
-        right = linalg.mat_mul(e_rows, t_conj)
+        left = linalg.mat_mul(linalg.transpose(t), e_int)
+        right = linalg.mat_mul(e_int, t_conj)
         if left != right:
             witness = next((i, j) for i in range(len(left))
                            for j in range(len(left)) if left[i][j] != right[i][j])
@@ -636,10 +646,13 @@ def _verify_rosati(e_rows, rep: IntegralRepresentation):
 
 
 def _verify_g_invariance(e_rows, rep: IntegralRepresentation):
-    for g in range(rep.group.order):
-        rho = [[Fraction(x) for x in row] for row in rep.matrices[g]]
-        img = linalg.mat_mul(linalg.transpose(rho), linalg.mat_mul(e_rows, rho))
-        if img != e_rows:
+    """rho(g)^T E rho(g) = E on the generators, in integers on D * E.  The
+    g that fix E form a subgroup, so the generators' invariance is G's."""
+    e_int = _integral(e_rows)
+    for g in rep.generator_indices():
+        rho = rep.matrices[g]
+        img = linalg.mat_mul(linalg.transpose(rho), linalg.mat_mul(e_int, rho))
+        if img != e_int:
             return {"checked": True, "invariant": False, "witness": g}
     return {"checked": True, "invariant": True}
 

@@ -41,16 +41,19 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import linalg
-from .cyclotomic import _poly_xgcd_mod
 
 __all__ = [
     "PolynomialField",
     "ReduciblePolynomial",
     "RealEmbeddingPresent",
     "DEGREE_CAP",
+    "COEFFICIENT_BITS_CAP",
 ]
 
 DEGREE_CAP = 16
+# Widest admitted coefficient, in bits: sympy's root isolation grows with the
+# coefficients' size (x^2 + 3*10^k: 9 s at k = 160, 79 s at k = 400).
+COEFFICIENT_BITS_CAP = 128
 
 # Extra working bits for the Newton polish; doubled when a certificate fails.
 _GUARD_BITS = 32
@@ -110,6 +113,52 @@ def _p_rem(a, mod):
             a[off + i] -= f * mod[i]
         _p_trim(a)
     return a
+
+
+def _poly_xgcd_mod(a, mod):
+    """Extended Euclid for a against the monic modulus; returns (g, u) with
+    u*a = g mod `mod` and g a constant (modulus irreducible)."""
+
+    def deg(p):
+        d = len(p) - 1
+        while d >= 0 and p[d] == 0:
+            d -= 1
+        return d
+
+    def divmod_poly(num, den):
+        num = list(num)
+        dd = deg(den)
+        lead = den[dd]
+        q = [Fraction(0)] * (max(deg(num) - dd, -1) + 1)
+        while deg(num) >= dd:
+            dn = deg(num)
+            f = num[dn] / lead
+            q[dn - dd] = f
+            for i in range(dd + 1):
+                num[dn - dd + i] -= f * den[i]
+        return q, num
+
+    r0, r1 = list(mod), list(a)
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+    while deg(r1) > 0:
+        q, r = divmod_poly(r0, r1)
+        r0, r1 = r1, r
+        # s_new = s0 - q*s1
+        prod = [Fraction(0)] * (deg(q) + deg(s1) + 2 if deg(q) >= 0 and deg(s1) >= 0 else 1)
+        for i in range(deg(q) + 1):
+            if q[i]:
+                for j in range(deg(s1) + 1):
+                    if s1[j]:
+                        prod[i + j] += q[i] * s1[j]
+        new_s = [Fraction(0)] * max(len(s0), len(prod))
+        for i, c in enumerate(s0):
+            new_s[i] += c
+        for i, c in enumerate(prod):
+            new_s[i] -= c
+        s0, s1 = s1, new_s
+    if deg(r1) < 0:
+        raise ZeroDivisionError("element not invertible")
+    return r1[0], s1
 
 
 class QuotientField:
@@ -216,7 +265,6 @@ class PolynomialField:
     """Q[t]/f for a monic irreducible integer polynomial with no real roots."""
 
     def __init__(self, coefficients):
-        from sympy import Poly, factor_list, symbols
         coeffs = [int(c) for c in coefficients]
         if not coeffs or coeffs[-1] != 1:
             raise ReduciblePolynomial("polynomial must be monic with integer "
@@ -226,6 +274,10 @@ class PolynomialField:
         if self.degree < 1 or self.degree > DEGREE_CAP:
             raise ReduciblePolynomial(
                 f"degree must be between 1 and {DEGREE_CAP}")
+        if max(abs(c) for c in coeffs).bit_length() > COEFFICIENT_BITS_CAP:
+            raise ReduciblePolynomial(
+                f"coefficients must have at most {COEFFICIENT_BITS_CAP} bits")
+        from sympy import Poly, factor_list, symbols
         self._poly = Poly([c for c in reversed(coeffs)], symbols("t"))
         factors = factor_list(self._poly)[1]
         if len(factors) != 1 or factors[0][1] != 1:

@@ -433,3 +433,18 @@ def test_internal_error_exits_3_with_a_payload(tmp_path, monkeypatch,
     assert error == {"error": "KeyError", "message": "'missing'",
                      "internal": True}
     assert "internal error: KeyError" in capsys.readouterr().err
+
+
+def test_polarize_refuses_wide_coefficients_before_sympy(tmp_path):
+    # x^2 + 3*10^160 has a 532-bit coefficient, over the admission limit
+    field = write(tmp_path, "wide.json", {
+        "polynomial": [3 * 10 ** 160, 0, 1], "designated_roots": [0]})
+    out = tmp_path / "err.json"
+    loaded = _loaded_after(
+        "import sys\nfrom rigidtori.cli import main\n"
+        f"assert main(['polarize', '--input', {field!r}, "
+        f"'--output', {str(out)!r}]) == 1")
+    assert "sympy" not in loaded
+    error = json.loads(out.read_text())["error"]
+    assert error["error"] == "ReduciblePolynomial"
+    assert "at most 128 bits" in error["message"]

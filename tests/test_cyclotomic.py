@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rigidtori.cyclotomic import (ConductorMismatch, CyclotomicField,
                                   SubfieldSpec, _cyclotomic_coeffs)
@@ -248,3 +251,113 @@ def test_subfield_coordinates_reduce_the_basis_once(monkeypatch):
         # outside the subfield: x plus a non-fixed element
         assert S.coordinates(x + F.zeta()) is None
     assert len(calls) == 1
+
+
+# -- the integer representation against a Fraction reference ---------------
+
+CONDUCTORS = (1, 3, 4, 5, 8, 12, 15, 21, 24)
+
+
+def _ref_reduce(poly, m):
+    """Coefficients of poly mod Phi_m, by long division over Fraction."""
+    modulus = _cyclotomic_coeffs(m)
+    deg = len(modulus) - 1
+    poly = [Fraction(c) for c in poly] + [Fraction(0)] * deg
+    for k in range(len(poly) - 1, deg - 1, -1):
+        c = poly[k]
+        if c:
+            for i, b in enumerate(modulus):
+                poly[k - deg + i] -= c * b
+    return tuple(poly[:deg])
+
+
+def _ref_mul(a, b, m):
+    conv = [Fraction(0)] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += Fraction(x) * Fraction(y)
+    return _ref_reduce(conv, m)
+
+
+def _ref_galois(a, k, m):
+    poly = [Fraction(0)] * m
+    for i, c in enumerate(a):
+        poly[(k * i) % m] += c
+    return _ref_reduce(poly, m)
+
+
+def _assert_canonical(x):
+    assert all(type(n) is int for n in x.num) and type(x.den) is int
+    assert len(x.num) == x.field.degree
+    assert x.den > 0 and gcd(x.den, *x.num) == 1
+    assert x.coeffs == tuple(Fraction(n, x.den) for n in x.num)
+
+
+_small_fractions = st.fractions(min_value=-20, max_value=20,
+                                max_denominator=12)
+
+
+@given(data=st.data())
+def test_arithmetic_matches_a_fraction_reference(data):
+    m = data.draw(st.sampled_from(CONDUCTORS))
+    F = CyclotomicField(m)
+    coords = st.lists(_small_fractions, min_size=F.degree, max_size=F.degree)
+    a, b = data.draw(coords), data.draw(coords)
+    q = data.draw(_small_fractions)
+    k = data.draw(st.sampled_from(F.units))
+    x, y = F.from_coeffs(a), F.from_coeffs(b)
+    results = {
+        "sum": (x + y, tuple(s + t for s, t in zip(a, b))),
+        "difference": (x - y, tuple(s - t for s, t in zip(a, b))),
+        "negation": (-x, tuple(-s for s in a)),
+        "product": (x * y, _ref_mul(a, b, m)),
+        "square": (x * x, _ref_mul(a, a, m)),
+        "scaled": (x * q, tuple(s * q for s in a)),
+        "int scaled": (3 * x, tuple(3 * s for s in a)),
+        "int sum": (x + 2, (a[0] + 2,) + tuple(a[1:])),
+        "galois": (x.galois(k), _ref_galois(a, k, m)),
+    }
+    for name, (got, want) in results.items():
+        _assert_canonical(got)
+        assert got.coeffs == want, name
+        assert got == F.from_coeffs(want) and hash(got) == hash(
+            F.from_coeffs(want)), name
+    if not x.is_zero():
+        inv = x.inverse()
+        _assert_canonical(inv)
+        assert _ref_mul(inv.coeffs, a, m) == (1,) + (0,) * (F.degree - 1)
+    assert x.is_zero() == (not any(a))
+    assert x.is_rational() == (not any(a[1:]))
+    assert x.as_rational() == (a[0] if not any(a[1:]) else None)
+
+
+def test_zero_and_rationals_are_canonical():
+    F = CyclotomicField(12)
+    x = F.from_coeffs([Fraction(1, 2), Fraction(-1, 3), 0, 4])
+    for z in (F.zero(), x - x, x * 0, 0 * x, x * Fraction(0)):
+        assert z.num == (0,) * F.degree and z.den == 1
+    half = F.from_rational(Fraction(2, 4))
+    assert (half.num[0], half.den) == (1, 2)
+    assert half == Fraction(1, 2) and half != 1 and F.one() == 1
+    assert x.den == 6 and x.num == (3, -2, 0, 24)
+
+
+def test_product_of_irrational_elements_builds_no_fraction(monkeypatch):
+    F = CyclotomicField(15)
+    a = [Fraction(1, 2), 3, -1, Fraction(2, 3), 0, 0, 5, 1]
+    b = [7, Fraction(-5, 4), 0, 1, Fraction(1, 6), 2, 0, -3]
+    x, y = F.from_coeffs(a), F.from_coeffs(b)
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    products = [x * y, y * x, x * x, y * y]
+    monkeypatch.undo()
+    assert made == []
+    assert products[0] == products[1]
+    assert products[0].coeffs == _ref_mul(a, b, 15)
+    assert products[2].coeffs == _ref_mul(a, a, 15)

@@ -15,6 +15,7 @@ from rigidtori.polarize import (ExistenceCertificate, NotPositiveDefinite,
                                 assemble_polarization, find_zeta,
                                 imaginary_subspace, polarization_exists,
                                 trace_form, verify_polarization)
+from rigidtori.polarize import _verify_g_invariance, _verify_rosati
 from rigidtori.polyfields import RealEmbeddingPresent, ReduciblePolynomial
 from rigidtori import linalg
 
@@ -450,3 +451,49 @@ def test_polarization_exists_x6_plus_2_mixed_signs():
     assert cert.obstruction["identity"] == (
         "Im sigma_0(x) = -Im sigma_4(x) for every purely imaginary x")
     assert _imaginary_rows_opposite(PolynomialField(coeffs), 0, 4)
+
+
+def test_rosati_witness_on_a_rational_form():
+    # the check runs on D * E; it fails on the same class and entry as E
+    g = cyclic(4)
+    gen = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    gen_idx = next(x for x in range(4) if g.element_order[x] == 4)
+    rep = IntegralRepresentation.from_generators(g, [gen_idx], [gen])
+    h, t, f = Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)
+    e = [[0, t, h, 0], [-t, 0, 0, h], [-h, 0, 0, f], [0, -h, -f, 0]]
+    with pytest.raises(RosatiFails, match="class 1") as err:
+        _verify_rosati([[Fraction(x) for x in row] for row in e], rep)
+    assert err.value.witness == (0, 2)
+
+
+def _klein_four_action():
+    """Z2 x Z2 on Z^2: the first generator acts as -1, the second swaps
+    the basis vectors, so it sends the standard symplectic form to -E."""
+    from rigidtori.fixtures import abelian
+    g = abelian((2, 2))
+    gens = IntegralRepresentation(g, [[[1, 0], [0, 1]]] * 4).generator_indices()
+    return IntegralRepresentation.from_generators(
+        g, gens, [[[-1, 0], [0, -1]], [[0, 1], [1, 0]]]), gens
+
+
+def test_g_invariance_fails_on_the_second_generator():
+    rep, gens = _klein_four_action()
+    assert len(gens) == 2
+    e = [[Fraction(0), Fraction(1, 3)], [Fraction(-1, 3), Fraction(0)]]
+    assert _verify_g_invariance(e, rep) == {
+        "checked": True, "invariant": False, "witness": gens[1]}
+
+
+def test_g_invariance_checks_one_product_per_generator(monkeypatch):
+    rep = gaussian_action()
+    gens = rep.generator_indices()
+    assert len(gens) < rep.group.order
+    calls = []
+    mat_mul = linalg.mat_mul
+    monkeypatch.setattr(linalg, "mat_mul",
+                        lambda a, b: calls.append(1) or mat_mul(a, b))
+    e = [[Fraction(0), Fraction(1)], [Fraction(-1), Fraction(0)]]
+    assert _verify_g_invariance(e, rep) == {"checked": True,
+                                            "invariant": True}
+    # rho(g)^T (E rho(g)): two matrix products for each generator
+    assert len(calls) == 2 * len(gens)

@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from rigidtori.polyfields import (DEGREE_CAP, PolynomialField,
-                                  RealEmbeddingPresent, ReduciblePolynomial,
-                                  _charpoly)
+from rigidtori.polyfields import (COEFFICIENT_BITS_CAP, DEGREE_CAP,
+                                  PolynomialField, RealEmbeddingPresent,
+                                  ReduciblePolynomial, _charpoly)
 
 
 def test_charpoly_small():
@@ -21,6 +21,16 @@ def test_validation():
         PolynomialField((1,) * (DEGREE_CAP + 2))
     with pytest.raises(RealEmbeddingPresent):
         PolynomialField((-2, 0, 1))         # x^2 - 2 has real roots
+
+
+def test_coefficient_cap():
+    from rigidtori.polarize import polarization_exists
+    widest = 2 ** COEFFICIENT_BITS_CAP - 1
+    assert PolynomialField((widest, 0, 1)).degree == 2
+    for coeffs in ((widest + 1, 0, 1), (1, -widest - 1, 0, 1),
+                   (3 * 10 ** 160, 0, 1)):
+        with pytest.raises(ReduciblePolynomial, match="bits"):
+            polarization_exists(coeffs, [0])
 
 
 def test_conjugate_pairing_is_an_involution():
