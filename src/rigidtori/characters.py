@@ -539,12 +539,6 @@ class GaloisOrbitDecomposition:
     table: CharacterTable
     orbits: tuple
 
-    def orbit_of_row(self, row: int) -> int:
-        for i, orbit in enumerate(self.orbits):
-            if row in orbit.rows:
-                return i
-        raise KeyError(row)
-
 
 def galois_orbits(table: CharacterTable) -> GaloisOrbitDecomposition:
     """Orbits of the rows under sigma_a, with exact rational idempotents

@@ -57,12 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "class (deform only)")
     parser.add_argument("--epsilon", type=float, default=1.0)
     parser.add_argument("--g-invariant", action="store_true")
-    parser.add_argument("--tolerance-newton", type=float,
-                        default=deform_mod.NEWTON_TOL)
-    parser.add_argument("--tolerance-margin", type=float,
-                        default=deform_mod.POSITIVITY_MARGIN)
-    parser.add_argument("--tolerance-chart-condition", type=float,
-                        default=deform_mod.CHART_CONDITION_BOUND)
     return parser
 
 
@@ -357,9 +351,7 @@ def run_deform(doc, args):
         raise SchemaError("deform needs J_matrix or symbolic_spec")
     res = deform_mod.find_projective_neighbor(
         rep, j_matrix, max_denominator=args.max_denominator,
-        epsilon=args.epsilon, tol=args.tolerance_newton,
-        margin=args.tolerance_margin,
-        condition_bound=args.tolerance_chart_condition)
+        epsilon=args.epsilon)
     result = {
         "xi_coords": list(res.xi_coords),
         "denominator": res.denominator,

@@ -512,9 +512,6 @@ class CertifiedComplex:
         return (abs(Fraction(re) - self.real_mid) <= self.radius
                 and abs(Fraction(im) - self.imag_mid) <= self.radius)
 
-    def to_complex(self) -> complex:
-        return complex(self.real_mid) + 1j * complex(self.imag_mid)
-
     def __repr__(self):
         return (f"CertifiedComplex({float(self.real_mid):.12g} "
                 f"{float(self.imag_mid):+.12g}i, rad<={float(self.radius):.3g})")
@@ -605,9 +602,6 @@ class SubfieldSpec:
         """Representative of the coset (-a)H."""
         return min(self._norm(-a * h) for h in self.fixing_subgroup)
 
-    def is_real_embedding(self, a: int) -> bool:
-        return self.conjugate_coset(a) == self._coset_rep(a)
-
     def _coset_rep(self, a: int) -> int:
         return min(self._norm(a * h) for h in self.fixing_subgroup)
 
@@ -650,13 +644,6 @@ class SubfieldSpec:
         acc = self.field.zero()
         for q, b in zip(coords, self.basis):
             acc = acc + b * Fraction(q)
-        return acc
-
-    def rel_trace(self, x: CyclotomicNumber) -> CyclotomicNumber:
-        """Trace from Q(zeta_m) down to the subfield."""
-        acc = self.field.zero()
-        for a in self.fixing_subgroup:
-            acc = acc + x.galois(a)
         return acc
 
     def field_trace(self, x: CyclotomicNumber) -> Fraction:

@@ -294,15 +294,13 @@ def invariant_chart_basis(rep: IntegralRepresentation, point: PeriodPoint):
 
 
 def newton_solve(xi_matrix, rep: IntegralRepresentation, point: PeriodPoint,
-                 tol: float = NEWTON_TOL,
                  max_iter: int = NEWTON_MAX_ITER,
-                 chart_basis=None,
-                 condition_bound: float = CHART_CONDITION_BOUND):
-    """Drive the (0,2)-part of xi to zero over the invariant chart.
+                 chart_basis=None):
+    """Drive the (0,2)-part of xi below NEWTON_TOL over the invariant chart.
 
     Returns (PeriodPoint, info) with the residual history; raises
     NoConvergence when the target is unreachable (rigid directions) or the
-    chart degenerates.
+    chart's condition number passes CHART_CONDITION_BOUND.
     """
     import numpy as np
     if chart_basis is None:
@@ -329,9 +327,9 @@ def newton_solve(xi_matrix, rep: IntegralRepresentation, point: PeriodPoint,
         resid = float(np.linalg.norm(fvec)) if fvec.size else 0.0
         history.append(resid)
         point_t = PeriodPoint(base=base, t=np.conj(s_mat))
-        if point_t.condition_number() > condition_bound:
+        if point_t.condition_number() > CHART_CONDITION_BOUND:
             raise NoConvergence("chart conditioning bound exceeded")
-        if resid < tol:
+        if resid < NEWTON_TOL:
             info = {"iterations": iteration, "residual": resid,
                     "history": history, "chart_dimension": r}
             return point_t, info
@@ -413,13 +411,10 @@ def enumerate_rational_classes(omega_coords, max_denominator: int):
 
 def find_projective_neighbor(rep: IntegralRepresentation, j_matrix,
                              max_denominator: int = 256,
-                             epsilon: float = 1.0,
-                             tol: float = NEWTON_TOL,
-                             margin: float = POSITIVITY_MARGIN,
-                             condition_bound: float = CHART_CONDITION_BOUND,
-                             ) -> DeformationResult:
+                             epsilon: float = 1.0) -> DeformationResult:
     """First rational invariant class near the Kaehler class that lands on
-    the Hodge locus with positive margin within chart distance epsilon.
+    the Hodge locus (residual below NEWTON_TOL) with positivity margin above
+    POSITIVITY_MARGIN within chart distance epsilon.
 
     Enumeration order is deterministic (increasing denominator bound), and
     the first success in that order is returned.
@@ -439,9 +434,8 @@ def find_projective_neighbor(rep: IntegralRepresentation, j_matrix,
         xi_exact = space.combine(coords)
         xi_float = [[float(x) for x in row] for row in xi_exact]
         try:
-            point_t, info = newton_solve(xi_float, rep, point0, tol=tol,
-                                         chart_basis=chart,
-                                         condition_bound=condition_bound)
+            point_t, info = newton_solve(xi_float, rep, point0,
+                                         chart_basis=chart)
         except NoConvergence as exc:
             best = best or {"denominator": denominator, "failure": str(exc)}
             continue
@@ -449,7 +443,7 @@ def find_projective_neighbor(rep: IntegralRepresentation, j_matrix,
         pos = positivity_margin(xi_float, point_t)
         diag = {"denominator": denominator, "t_norm": t_norm,
                 "residual": info["residual"], "positivity_margin": pos}
-        if t_norm < epsilon and pos > margin:
+        if t_norm < epsilon and pos > POSITIVITY_MARGIN:
             return DeformationResult(
                 xi_coords=tuple(coords),
                 denominator=denominator,

@@ -16,6 +16,10 @@ from math import lcm
 __all__ = ["FiniteGroup", "ConjugacyClassData", "InvalidGroup", "CLOSURE_CAP"]
 
 CLOSURE_CAP = 10000
+# Work bound of the closure, counted as elements x points: each element is a
+# tuple of all points, so a cap on elements alone leaves the work unbounded
+# in the degree.  A group at the element cap may act on up to 100 points.
+CLOSURE_WORK_CAP = 100 * CLOSURE_CAP
 
 
 class InvalidGroup(ValueError):
@@ -82,6 +86,10 @@ class FiniteGroup:
                 if prod not in index:
                     if len(elements) >= CLOSURE_CAP:
                         raise InvalidGroup("closure exceeds the element cap")
+                    if (len(elements) + 1) * npts > CLOSURE_WORK_CAP:
+                        raise InvalidGroup(
+                            f"closure exceeds the work cap {CLOSURE_WORK_CAP} "
+                            f"(elements x points) on {npts} points")
                     index[prod] = len(elements)
                     elements.append(prod)
                     parent.append((j, gi))
@@ -236,9 +244,6 @@ class ConjugacyClassData:
     def inverse_class(self, i: int) -> int:
         g = self.representatives[i]
         return self.membership[self.group.inverse[g]]
-
-    def power_class(self, i: int, k: int) -> int:
-        return self.membership[self.group.power(self.representatives[i], k)]
 
     def verify_central(self) -> bool:
         """Spot-check that class sums commute with everything (on the class

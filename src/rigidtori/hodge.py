@@ -27,6 +27,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from . import linalg
 from .characters import (CharacterTable, GaloisOrbitDecomposition,
@@ -58,6 +59,12 @@ __all__ = [
 ]
 
 BRUTE_FORCE_RANK_CAP = 64
+
+# Rounding a numeric (rho, J) to an exact Hodge character: how far an
+# eigenvalue multiplicity may sit from an integer, and the relative defect
+# allowed in J^2 = -I and J rho(g) = rho(g) J.
+_MULTIPLICITY_TOL = 1e-6
+_COMMUTE_TOL = 1e-10
 
 
 class InvalidRepresentation(ValueError):
@@ -136,6 +143,23 @@ class IntegralRepresentation:
     def trace(self, g: int) -> int:
         return sum(self.matrices[g][i][i] for i in range(self.rank))
 
+    @cached_property
+    def _class_sums(self):
+        """Integer matrices S_k = sum of rho(g) over the k-th conjugacy
+        class, canonical class order; the centre's action and the isotypic
+        projectors are both rational combinations of them."""
+        n = self.rank
+        out = []
+        for cls in self.group.conjugacy_classes().classes:
+            acc = [[0] * n for _ in range(n)]
+            for g in cls:
+                for acc_row, row in zip(acc, self.matrices[g]):
+                    for j, x in enumerate(row):
+                        if x:
+                            acc_row[j] += x
+            out.append((cls, acc))
+        return out
+
     def generator_indices(self):
         """A small generating set: greedy closure over element indices."""
         g = self.group
@@ -206,26 +230,27 @@ class HodgeCharacter:
                     f"Hodge symmetry fails on class {k}")
 
 
-def hodge_character_from_numeric(rep: IntegralRepresentation, j_matrix,
-                                 tol: float = 1e-6,
-                                 commute_tol: float = 1e-10) -> HodgeCharacter:
+def hodge_character_from_numeric(rep: IntegralRepresentation,
+                                 j_matrix) -> HodgeCharacter:
     """Round the numeric trace data of (rho, J) to an exact HodgeCharacter.
 
     For g of order e, the multiplicity of the eigenvalue exp(2 pi i k/e) of
     rho(g) on V^{1,0} is the discrete Fourier transform of
     chi10(g^j) = (tr rho(g^j) - i tr(rho(g^j) J)) / 2 over j; each
-    multiplicity must sit within `tol` of a nonnegative integer.
+    multiplicity must sit within _MULTIPLICITY_TOL of a nonnegative integer,
+    and J must square to -I and commute with rho to within _COMMUTE_TOL
+    relative to its norm.
     """
     import numpy as np
     J = np.asarray(j_matrix, dtype=float)
     n2 = rep.rank
     if J.shape != (n2, n2):
         raise InvalidRepresentation("J matrix has wrong shape")
-    if np.linalg.norm(J @ J + np.eye(n2)) > commute_tol * max(1.0, np.linalg.norm(J) ** 2):
+    if np.linalg.norm(J @ J + np.eye(n2)) > _COMMUTE_TOL * max(1.0, np.linalg.norm(J) ** 2):
         raise RoundingFailure("J^2 + I exceeds tolerance")
     for g in range(rep.group.order):
         R = np.asarray(rep.matrices[g], dtype=float)
-        if np.linalg.norm(J @ R - R @ J) > commute_tol * max(1.0, np.linalg.norm(R)):
+        if np.linalg.norm(J @ R - R @ J) > _COMMUTE_TOL * max(1.0, np.linalg.norm(R)):
             raise RoundingFailure(f"J does not commute with rho({g})")
 
     table = table_for(rep.group)
@@ -245,7 +270,7 @@ def hodge_character_from_numeric(rep: IntegralRepresentation, j_matrix,
             mult = sum(chi_num[t] * np.exp(-2j * np.pi * j * t / e)
                        for t in range(e)) / e
             nearest = round(mult.real)
-            if abs(mult - nearest) > tol or nearest < 0:
+            if abs(mult - nearest) > _MULTIPLICITY_TOL or nearest < 0:
                 raise RoundingFailure(
                     f"eigenvalue multiplicity {mult} at class {k} "
                     "is not a nonnegative integer")
@@ -297,13 +322,6 @@ class SymbolicHodgeSpec:
                     raise HSViolation(
                         f"real embedding {a} needs tau = multiplicity/2")
 
-    def total_dim(self) -> int:
-        return sum(s.multiplicity * self.decomposition.orbits[s.orbit_index]
-                   .field_spec.degree for s in self.summands)
-
-    def active_summands(self):
-        return [s for s in self.summands if s.multiplicity > 0]
-
 
 # -- rigidity reports -------------------------------------------------------
 
@@ -313,11 +331,6 @@ class RigidityReport:
     hom_dimension: int | None    # None when only the centre verdict ran
     is_rigid: bool
     tau_rows: tuple              # (orbit, coset, tau, tau_conj, product)
-    methods: tuple               # (name, hom_dimension or None, is_rigid)
-    agree: bool
-
-    def method_names(self):
-        return tuple(name for name, _, _ in self.methods)
 
 
 def rigidity_by_character(chi10: HodgeCharacter,
@@ -340,8 +353,6 @@ def rigidity_by_character(chi10: HodgeCharacter,
         hom_dimension=dim,
         is_rigid=(dim == 0),
         tau_rows=tau_rows,
-        methods=(("character", dim, dim == 0),),
-        agree=True,
     )
 
 
@@ -393,8 +404,6 @@ def rigidity_by_centre(spec: SymbolicHodgeSpec) -> RigidityReport:
         hom_dimension=None,
         is_rigid=rigid,
         tau_rows=tuple(rows),
-        methods=(("centre", None, rigid),),
-        agree=True,
     )
 
 
@@ -572,18 +581,25 @@ def isotypic_split(rep: IntegralRepresentation,
 
     Returns a list of (projector matrix, image basis rows); the projectors
     satisfy P_j^2 = P_j, P_i P_j = 0 and sum to the identity, exactly.
+    An idempotent is a class function, so P_j = sum_k c_k S_k over the
+    integer class sums S_k; over the common denominator D of the c_k the
+    sum runs in integers and is divided by D once.
     """
     n2 = rep.rank
     out = []
     for orbit in decomposition.orbits:
-        p = [[Fraction(0)] * n2 for _ in range(n2)]
-        for g, c in enumerate(orbit.idempotent):
+        coeffs = [Fraction(orbit.idempotent[cls[0]])
+                  for cls, _ in rep._class_sums]
+        den = lcm(*(c.denominator for c in coeffs))
+        acc = [[0] * n2 for _ in range(n2)]
+        for c, (_, mat) in zip(coeffs, rep._class_sums):
             if c:
-                mat = rep.matrices[g]
-                for i in range(n2):
-                    for j in range(n2):
-                        if mat[i][j]:
-                            p[i][j] += c * mat[i][j]
+                w = c.numerator * (den // c.denominator)
+                for acc_row, row in zip(acc, mat):
+                    for j, x in enumerate(row):
+                        if x:
+                            acc_row[j] += w * x
+        p = [[Fraction(x, den) for x in row] for row in acc]
         image = linalg.row_space_basis([list(col) for col in zip(*p)])
         out.append((p, image))
     return out
@@ -614,19 +630,8 @@ def f_module_basis(summand_image, centre_matrices):
 
 def centre_action_matrices(rep: IntegralRepresentation):
     """Rational matrices of the class sums through rho, canonical order."""
-    classes = rep.group.conjugacy_classes()
-    n2 = rep.rank
-    out = []
-    for cls in classes.classes:
-        acc = [[Fraction(0)] * n2 for _ in range(n2)]
-        for g in cls:
-            mat = rep.matrices[g]
-            for i in range(n2):
-                for j in range(n2):
-                    if mat[i][j]:
-                        acc[i][j] += mat[i][j]
-        out.append(acc)
-    return out
+    return [[[Fraction(x) for x in row] for row in mat]
+            for _, mat in rep._class_sums]
 
 
 # -- enumeration of rigid types ---------------------------------------------

@@ -16,7 +16,6 @@ __all__ = [
     "mat_vec",
     "mat_add",
     "mat_scale",
-    "mat_sub",
     "identity",
     "zeros",
     "transpose",
@@ -90,10 +89,6 @@ def mat_vec(a, v):
 
 def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_scale(a, c):

@@ -4,9 +4,9 @@ The construction follows the CM trace form: on each active centre field F
 (necessarily CM when the action is rigid), pick an imaginary element zeta
 with certified-positive imaginary part at the embeddings designated
 V^{1,0}, and take E(x, y) = Tr_{F/Q}(zeta * x * conj(y)) on each F-module
-copy.  Verification checks both bilinear relations, the Rosati property on
-the centre, and optionally exact G-invariance; the symbolic pathway is
-tolerance-free.
+copy.  Verification is one exact certificate against an exact Hodge
+structure: both bilinear relations, the Rosati property on the centre, and
+optionally G-invariance, with no tolerance.
 
 zeta needs no search.  For a CM field with k conjugate pairs,
 x -> (Im sigma_a x)_a over the designated embeddings maps the imaginary
@@ -50,12 +50,7 @@ __all__ = [
     "assemble_polarization",
     "verify_polarization",
     "polarization_exists",
-    "RELATION_I_TOL",
-    "MIN_EIGENVALUE_BOUND",
 ]
-
-RELATION_I_TOL = 1e-8
-MIN_EIGENVALUE_BOUND = 1e-6
 
 
 class NotRigid(ValueError):
@@ -237,9 +232,6 @@ class PolarizationForm:
                                   # (orbit, copies, zeta coords, sign table)
     certificate: "PolarizationCertificate"
 
-    def as_fraction_rows(self):
-        return [list(row) for row in self.matrix]
-
 
 @dataclass(frozen=True)
 class PolarizationCertificate:
@@ -247,7 +239,7 @@ class PolarizationCertificate:
     relation_ii: dict
     rosati: dict
     g_invariant: dict
-    mode: str  # "symbolic" or "numeric"
+    mode: str  # always "symbolic": every certificate is exact
 
 
 def assemble_polarization(rep: IntegralRepresentation,
@@ -326,8 +318,7 @@ def assemble_polarization(rep: IntegralRepresentation,
     e_mat = _primitive_integral(e_mat)
     if structure is None:
         structure = exact_structure_from_spec(rep, spec)
-    cert = verify_polarization(e_mat, structure=structure, rep=rep,
-                               check_g_invariance=True)
+    cert = verify_polarization(e_mat, structure, check_g_invariance=True)
     return PolarizationForm(
         rank=n2,
         matrix=tuple(tuple(row) for row in e_mat),
@@ -401,19 +392,12 @@ def _primitive_integral(e_mat):
 # -- verification -------------------------------------------------------------
 
 
-def verify_polarization(e_mat, structure: ExactHodgeStructure | None = None,
-                        rep: IntegralRepresentation | None = None,
-                        j_matrix=None,
-                        relation_i_tol: float = RELATION_I_TOL,
-                        min_eigenvalue_bound: float = MIN_EIGENVALUE_BOUND,
+def verify_polarization(e_mat, structure: ExactHodgeStructure,
                         check_g_invariance: bool = False) -> PolarizationCertificate:
-    """Certify both bilinear relations and the Rosati property.
-
-    Symbolic pathway (exact structure): all checks exact, zero tolerance.
-    Numeric pathway (float J): relation I as a residual bound, relation II
-    as an exact rational lower bound on the minimum eigenvalue of the
-    rationalized Gram matrix.
-    """
+    """Certify both bilinear relations and the Rosati property of E against
+    an exact structure, in exact arithmetic with no tolerance: relation I as
+    E_C(U, U) = 0, relation II by the signs of exact Hermitian LDL pivots,
+    and the Rosati identity (and optionally G-invariance) in integers."""
     e_rows = [[Fraction(x) for x in row] for row in e_mat]
     n2 = len(e_rows)
     for i in range(n2):
@@ -421,22 +405,14 @@ def verify_polarization(e_mat, structure: ExactHodgeStructure | None = None,
             if e_rows[i][j] != -e_rows[j][i]:
                 raise RelationIFails("matrix is not alternating",
                                      witness=(i, j))
-    if structure is not None:
-        rel1, rel2 = _verify_symbolic(e_rows, structure)
-        mode = "symbolic"
-        rep = rep or structure.rep
-    elif rep is not None and j_matrix is not None:
-        rel1, rel2 = _verify_numeric(e_rows, j_matrix,
-                                     relation_i_tol, min_eigenvalue_bound)
-        mode = "numeric"
-    else:
-        raise ValueError("need an exact structure or a (rep, J) pair")
+    rel1, rel2 = _verify_symbolic(e_rows, structure)
+    rep = structure.rep
     rosati = _verify_rosati(e_rows, rep)
     ginv = _verify_g_invariance(e_rows, rep) if check_g_invariance else {
         "checked": False}
     return PolarizationCertificate(
         relation_i=rel1, relation_ii=rel2, rosati=rosati,
-        g_invariant=ginv, mode=mode)
+        g_invariant=ginv, mode="symbolic")
 
 
 def _verify_symbolic(e_rows, structure: ExactHodgeStructure):
@@ -534,92 +510,6 @@ def _hermitian_nonpositive_witness(m, K, structure):
             for r in range(n):
                 h[r][i] = h[r][i] - fbar * h[r][k]
             trans[i] = [x - f * y for x, y in zip(trans[i], trans[k])]
-    return None
-
-
-def _verify_numeric(e_rows, j_matrix, relation_i_tol, min_eigenvalue_bound):
-    import numpy as np
-    e_np = np.array([[float(x) for x in row] for row in e_rows])
-    J = np.asarray(j_matrix, dtype=float)
-    n2 = len(e_rows)
-    vals, vecs = np.linalg.eig(J)
-    u_cols = vecs[:, np.isclose(vals.imag, 1.0, atol=1e-6)]
-    res = np.max(np.abs(u_cols.T @ e_np @ u_cols)) if u_cols.size else 0.0
-    if res > relation_i_tol:
-        raise RelationIFails(f"relation I residual {res:.3e} exceeds "
-                             f"{relation_i_tol}", witness=res)
-    gram_float = e_np @ J
-    sym_defect = np.max(np.abs(gram_float - gram_float.T))
-    if sym_defect > relation_i_tol:
-        raise NotPositiveDefinite(
-            f"E(x, Jy) is not symmetric within tolerance ({sym_defect:.3e})",
-            witness=sym_defect)
-    gram = [[Fraction(gram_float[i][j]) for j in range(n2)] for i in range(n2)]
-    gram = [[(gram[i][j] + gram[j][i]) / 2 for j in range(n2)] for i in range(n2)]
-    bound = _exact_min_eigenvalue_bound(gram)
-    if bound <= Fraction(min_eigenvalue_bound).limit_denominator(10 ** 12):
-        witness = _negative_witness(gram)
-        raise NotPositiveDefinite(
-            f"minimum-eigenvalue bound {float(bound):.3e} below "
-            f"{min_eigenvalue_bound}", witness=witness)
-    return ({"mode": "numeric", "residual": res, "ok": True},
-            {"mode": "numeric", "min_eigenvalue_lower_bound": bound, "ok": True})
-
-
-def _exact_min_eigenvalue_bound(gram):
-    """Largest lambda from a halving search with gram - lambda I positive
-    definite, decided by exact rational LDL."""
-    n = len(gram)
-    if not _is_pd(gram):
-        return Fraction(0)
-    hi = Fraction(1)
-    while _is_pd(_shift(gram, hi)) and hi < 2 ** 40:
-        hi *= 2
-    lo = Fraction(0)
-    for _ in range(40):
-        midpoint = (lo + hi) / 2
-        if _is_pd(_shift(gram, midpoint)):
-            lo = midpoint
-        else:
-            hi = midpoint
-    return lo
-
-
-def _shift(gram, lam):
-    n = len(gram)
-    return [[gram[i][j] - (lam if i == j else 0) for j in range(n)]
-            for i in range(n)]
-
-
-def _is_pd(mat):
-    """Exact positive-definiteness by LDL^T pivots."""
-    n = len(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
-    for k in range(n):
-        if a[k][k] <= 0:
-            return False
-        piv = a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k] / piv
-            for j in range(k, n):
-                a[i][j] -= f * a[k][j]
-    return True
-
-
-def _negative_witness(gram):
-    """A vector with x^T gram x <= 0, from the failing LDL pivot."""
-    n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    trans = linalg.identity(n)
-    for k in range(n):
-        if a[k][k] <= 0:
-            return tuple(trans[k])
-        piv = a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k] / piv
-            for j in range(n):
-                a[i][j] -= f * a[k][j]
-                trans[i][j] -= f * trans[k][j]
     return None
 
 

@@ -1,8 +1,7 @@
 """Acceptance suite: one test per exit criterion, each printing a pass line.
 
 Everything exact is checked with zero tolerance; numeric legs use the
-tolerances fixed in the library defaults (Newton 1e-10, positivity margin
-1e-8, relation-I residual 1e-8, minimum eigenvalue 1e-6).
+library's fixed deform constants (Newton 1e-10, positivity margin 1e-8).
 """
 
 import itertools

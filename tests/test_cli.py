@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rigidtori.cli import main
+from rigidtori.cli import build_parser, main
 
 
 def write(tmp_path, name, doc):
@@ -210,11 +210,23 @@ def test_polarize_g_invariant_flag(tmp_path):
     assert "signs" in report["result"]
 
 
-def test_deform_tolerance_flags(tmp_path):
+def test_deform_budget_exhausted(tmp_path):
     inp = write(tmp_path, "gauss.json", GAUSSIAN_DOC)
-    # an impossible positivity margin makes the search fail with exit 1
-    assert main(["deform", "--input", inp, "--max-denominator", "4",
-                 "--tolerance-margin", "1e9"]) == 1
+    out = tmp_path / "def.json"
+    # the rigid Gaussian action only reaches t = 0, and 0 is not < epsilon 0
+    assert main(["deform", "--input", inp, "--output", str(out),
+                 "--max-denominator", "4", "--epsilon", "0"]) == 1
+    report = json.loads(out.read_text())
+    assert report["error"]["error"] == "BudgetExhausted"
+
+
+def test_parser_has_no_tolerance_options():
+    # the deform tolerances are the library constants the benchmark's
+    # checks also read, so no flag may change them
+    options = {s for action in build_parser()._actions
+               for s in action.option_strings}
+    assert options == {"-h", "--help", "--input", "--output", "--seed",
+                       "--max-denominator", "--epsilon", "--g-invariant"}
 
 
 def test_polarize_polynomial_document(tmp_path):

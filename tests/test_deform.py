@@ -323,8 +323,7 @@ def test_projective_neighbor_nonabelian_exact_invariance():
 
 def test_budget_exhausted():
     rep = gaussian_action()
-    # epsilon 0 cannot be met by any nonzero chart distance, but the rigid
-    # case returns t = 0; to force failure, demand an impossible margin
+    # the rigid action only reaches t = 0, and t_norm 0 is not < epsilon 0
     with pytest.raises(BudgetExhausted):
         find_projective_neighbor(rep, [[0.0, -1.0], [1.0, 0.0]],
-                                 max_denominator=4, margin=1e9)
+                                 max_denominator=4, epsilon=0.0)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -86,6 +87,18 @@ def test_permutation_closure_cap():
     big = list(range(1, CLOSURE_CAP + 2)) + [0]
     with pytest.raises(InvalidGroup):
         FiniteGroup.from_permutations([tuple(big)])
+
+
+def test_long_permutations_refuse_within_the_work_cap():
+    # a 5000-cycle and a transposition generate S_5000; every generator's
+    # order is below the element cap, so the closure itself must stop early
+    npts = 5000
+    cycle = tuple(range(1, npts)) + (0,)
+    swap = (1, 0) + tuple(range(2, npts))
+    start = time.perf_counter()
+    with pytest.raises(InvalidGroup, match="work cap"):
+        FiniteGroup.from_permutations([cycle, swap])
+    assert time.perf_counter() - start < 0.5
 
 
 def test_dicyclic_structure():

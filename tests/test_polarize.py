@@ -9,7 +9,9 @@ from rigidtori.cyclotomic import CyclotomicField, SubfieldSpec
 from rigidtori.fixtures import (NON_CM_QUARTIC, cyclic, eisenstein_action,
                                 gaussian_action, trivial_action)
 from rigidtori.hodge import (IntegralRepresentation, enumerate_rigid_types,
-                             exact_structure_from_spec, isotypic_split)
+                             exact_structure_from_spec,
+                             hodge_character_from_numeric, isotypic_split,
+                             spec_from_character)
 from rigidtori.polarize import (ExistenceCertificate, NotPositiveDefinite,
                                 NotRigid, RelationIFails, RosatiFails,
                                 assemble_polarization, find_zeta,
@@ -205,8 +207,13 @@ def test_scaling_preserves_verdicts():
     e = [list(r) for r in form.matrix]
     for q in (Fraction(3), Fraction(5, 7)):
         scaled = [[x * q for x in row] for row in e]
-        cert = verify_polarization(scaled, structure=st, rep=rep)
+        cert = verify_polarization(scaled, structure=st)
         assert cert.relation_i["ok"] and cert.relation_ii["ok"]
+
+
+def exact_structure_from_numeric(rep, j):
+    return exact_structure_from_spec(
+        rep, spec_from_character(hodge_character_from_numeric(rep, j)))
 
 
 def test_verify_rejects_sign_flip():
@@ -216,12 +223,10 @@ def test_verify_rejects_sign_flip():
     pieces = isotypic_split(rep, decomp)
     mults = [len(img) // o.field_spec.degree
              for (p, img), o in zip(pieces, decomp.orbits)]
-    from rigidtori.hodge import hodge_character_from_numeric, spec_from_character
-    chi = hodge_character_from_numeric(rep, [[0.0, -1.0], [1.0, 0.0]])
-    st = exact_structure_from_spec(rep, spec_from_character(chi))
+    st = exact_structure_from_numeric(rep, [[0.0, -1.0], [1.0, 0.0]])
     flipped = [[-x for x in row] for row in form.matrix]
     with pytest.raises(NotPositiveDefinite) as err:
-        verify_polarization(flipped, structure=st, rep=rep)
+        verify_polarization(flipped, structure=st)
     witness = err.value.witness
     assert witness is not None
     # the witness vector really has nonpositive Hermitian norm for -E
@@ -237,10 +242,10 @@ def test_verify_rejects_sign_flip():
 
 
 def test_verify_rejects_non_alternating():
-    rep = gaussian_action()
+    st = exact_structure_from_numeric(gaussian_action(),
+                                      [[0.0, -1.0], [1.0, 0.0]])
     with pytest.raises(RelationIFails):
-        verify_polarization([[1, 0], [0, 1]], rep=rep,
-                            j_matrix=[[0.0, -1.0], [1.0, 0.0]])
+        verify_polarization([[1, 0], [0, 1]], structure=st)
 
 
 def test_verify_rejects_rosati_violation():
@@ -251,17 +256,9 @@ def test_verify_rejects_rosati_violation():
     rep = IntegralRepresentation.from_generators(g, [gen_idx], [gen])
     e = [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
     j = [[0.0, -1.0, 0, 0], [1.0, 0.0, 0, 0], [0, 0, 0.0, -1.0], [0, 0, 1.0, 0.0]]
+    st = exact_structure_from_numeric(rep, j)
     with pytest.raises((RosatiFails, NotPositiveDefinite, RelationIFails)):
-        verify_polarization(e, rep=rep, j_matrix=j)
-
-
-def test_numeric_verification_pathway():
-    rep = gaussian_action()
-    cert = verify_polarization([[0, 1], [-1, 0]], rep=rep,
-                               j_matrix=[[0.0, -1.0], [1.0, 0.0]])
-    assert cert.mode == "numeric"
-    assert cert.relation_i["residual"] <= 1e-8
-    assert cert.relation_ii["min_eigenvalue_lower_bound"] > Fraction(1, 10 ** 6)
+        verify_polarization(e, structure=st)
 
 
 def test_basis_independence_of_assembly():
@@ -319,7 +316,7 @@ def test_basis_independence_of_assembly():
         e = la.mat_mul(la.transpose(w_inv),
                        la.mat_mul(_block_diag(blocks), w_inv))
         e = _primitive_integral(e)
-        cert = verify_polarization(e, structure=st, rep=rep)
+        cert = verify_polarization(e, structure=st)
         assert cert.relation_i["ok"] and cert.relation_ii["ok"]
         forms.append(tuple(tuple(row) for row in e))
     assert forms[0] != forms[1]  # the greedy order genuinely changed E
@@ -352,7 +349,7 @@ def test_symbolic_positivity_matches_float_eigenvalues():
         assert float(np.min(np.linalg.eigvalsh(herm))) > 1e-9
         with pytest.raises(NotPositiveDefinite):
             verify_polarization([[-x for x in row] for row in form.matrix],
-                                structure=st, rep=rep)
+                                structure=st)
         checked += 1
 
 
