@@ -1,16 +1,19 @@
 """Deforming an arbitrary torus action to a projective one.
 
-A generic complex torus is not projective, but rational classes near the
-Kaehler class land on the Hodge locus after a small chart move found by
-Newton iteration.  Rigid actions cannot move at all, and there the exact
-polarization machinery takes over.
+A generic complex torus is not projective.  Round its Kaehler class to a
+rational invariant class xi; with the exact invariant metric S, the polar
+factor J' of a = -S^-1 xi is a nearby complex structure that xi polarizes.
+Finer denominators give closer J'.  Rigid actions cannot move at all, and
+there the class is the exact polarization itself.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
 from rigidtori import (find_projective_neighbor, invariant_kahler_class,
-                       invariant_two_forms, newton_solve, zero_two_part)
-from rigidtori.deform import base_point_from_j
+                       invariant_metric, invariant_two_forms, newton_solve)
+from rigidtori.deform import BudgetExhausted
 from rigidtori.fixtures import gaussian_action, trivial_action
 
 
@@ -25,40 +28,44 @@ def random_torus(n2, seed):
             return (full @ d @ np.linalg.inv(full)).real
 
 
-def generic_torus():
+def the_ladder():
     print("=== a generic 2-dimensional complex torus ===")
     rep = trivial_action(4)
     j = random_torus(4, seed=2)
     space = invariant_two_forms(rep)
     print(f"invariant 2-form lattice has rank {space.dimension}")
-    coords, report = invariant_kahler_class(rep, j, space)
-    print("Kaehler class coordinates:", [round(float(c), 4) for c in coords])
-    print(f"positivity margin {report['positivity_margin']:.3f}")
+    s = np.array(invariant_metric(rep, j), dtype=float)
+    coords = invariant_kahler_class(space, s / np.abs(s).max(), j)
+    print("Kaehler class coordinates:", [round(c, 4) for c in coords])
 
-    for md in (16, 64, 256):
-        res = find_projective_neighbor(rep, j, max_denominator=md,
-                                       epsilon=10.0)
-        print(f"max denominator {md:4d}: rational class at denominator "
-              f"{res.denominator}, chart distance {res.t_norm:.3e}, "
-              f"(0,2)-residual {res.residual:.1e}, "
+    for md in (1, 4, 16, 64, 256):
+        try:
+            res = find_projective_neighbor(rep, j, max_denominator=md,
+                                           epsilon=10.0)
+        except BudgetExhausted as exc:
+            print(f"max denominator {md:4d}: {exc}")
+            continue
+        print(f"max denominator {md:4d}: class at denominator "
+              f"{res.denominator:3d}, chart distance {res.t_norm:.3e}, "
+              f"|J'^2 + 1| {res.residual:.1e}, "
               f"margin {res.positivity_margin:.3f}")
 
 
-def watch_newton():
-    print("\n=== watching the Newton iteration ===")
+def watch_polar_iteration():
+    print("\n=== watching the polar iteration Y <- (Y - Y^-1)/2 ===")
     rep = trivial_action(4)
     j = random_torus(4, seed=3)
     space = invariant_two_forms(rep)
-    coords, _ = invariant_kahler_class(rep, j, space)
-    from fractions import Fraction
+    s = np.array(invariant_metric(rep, j), dtype=float)
+    s /= np.abs(s).max()
+    coords = invariant_kahler_class(space, s, j)
     xi = space.combine([Fraction(c).limit_denominator(32) for c in coords])
-    xi_f = [[float(x) for x in row] for row in xi]
-    point = base_point_from_j(j)
-    print("starting (0,2)-norm:",
-          f"{np.linalg.norm(zero_two_part(xi_f, point)):.3e}")
-    solved, info = newton_solve(xi_f, rep, point)
-    print("residual history:", ["%.2e" % r for r in info["history"]])
-    print(f"converged at chart distance {np.linalg.norm(solved.t):.3e}")
+    a = -np.linalg.solve(s, np.array(xi, dtype=float))
+    _, info = newton_solve(a)
+    for k in range(info["iterations"] + 1):
+        y, step = newton_solve(a, max_iter=k)
+        print(f"step {k}: |Y^2 + 1| = {step['residual']:.2e}")
+    print(f"J' lies at {np.linalg.norm(y - j):.3e} from J")
 
 
 def rigid_case():
@@ -66,11 +73,12 @@ def rigid_case():
     rep = gaussian_action()
     res = find_projective_neighbor(rep, [[0.0, -1.0], [1.0, 0.0]],
                                    max_denominator=64)
-    print(f"chart dimension {res.chart_dimension}, t = {res.t_matrix}, "
-          f"class {res.xi_coords} at denominator {res.denominator}")
+    print(f"chart dimension {res.chart_dimension}, distance {res.t_norm}, "
+          f"class {res.xi_coords} at denominator {res.denominator}, "
+          f"certificate {res.certificate}")
 
 
 if __name__ == "__main__":
-    generic_torus()
-    watch_newton()
+    the_ladder()
+    watch_polar_iteration()
     rigid_case()

@@ -1,13 +1,13 @@
 """Exact decision of rigidity for finite group actions on complex tori,
 classification of the character fields, construction of rational
-polarizations for rigid actions, and numeric search for nearby projective
+polarizations for rigid actions, and nearby polarized (projective)
 deformations of arbitrary actions."""
 
 from .characters import (centre_decomposition, character_table, galois_orbits,
                          table_for)
 from .cyclotomic import CyclotomicField, CyclotomicNumber, SubfieldSpec
 from .deform import (find_projective_neighbor, invariant_kahler_class,
-                     invariant_two_forms, newton_solve, zero_two_part)
+                     invariant_metric, invariant_two_forms, newton_solve)
 from .groups import FiniteGroup
 from .hodge import (ExactHodgeStructure, HodgeCharacter,
                     IntegralRepresentation, SymbolicHodgeSpec,
@@ -53,7 +53,7 @@ __all__ = [
     "PolynomialField",
     "invariant_two_forms",
     "invariant_kahler_class",
-    "zero_two_part",
+    "invariant_metric",
     "newton_solve",
     "find_projective_neighbor",
     "__version__",

@@ -361,6 +361,7 @@ def run_deform(doc, args):
         "iterations": res.iterations,
         "chart_dimension": res.chart_dimension,
         "t_matrix": [list(row) for row in res.t_matrix],
+        "certificate": res.certificate,
     }
     return {"command": "deform", "seed": args.seed,
             "options": {"max_denominator": args.max_denominator,

@@ -442,11 +442,10 @@ def _verify_symbolic(e_rows, structure: ExactHodgeStructure):
     # the pivots are purely imaginary elements of K before the -i twist, so
     # each sign is decided by the certified machinery.
     m = [[None] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
+    for b in range(n):
+        ev = linalg.mat_vec(e_k, [x.conjugate() for x in u_cols[b]])
+        for a in range(n):
             acc = K.zero()
-            ebar = [x.conjugate() for x in u_cols[b]]
-            ev = linalg.mat_vec(e_k, ebar)
             for x, y in zip(u_cols[a], ev):
                 acc = acc + x * y
             m[a][b] = acc
