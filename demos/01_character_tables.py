@@ -5,7 +5,7 @@ field, Q(i)), the symmetric group S3 (everything rational), and the
 quaternion group Q8.
 """
 
-from rigidtori import character_table, centre_decomposition, galois_orbits
+from rigidtori import character_table, galois_orbits
 from rigidtori.fixtures import cyclic, quaternion_8, symmetric_3
 
 
@@ -30,10 +30,10 @@ def show(group):
         print(f"  rows {orbit.rows}: field of degree {fs.degree} "
               f"inside Q(zeta_{fs.field.m}), {orbit.tag}")
 
-    centre = centre_decomposition(table)
+    # the character fields of the orbits are the summands of the centre
     parts = " + ".join(
-        f"F_{s.orbit_index}(deg {s.field_spec.degree}, {s.tag})"
-        for s in centre)
+        f"F_{j}(deg {orbit.degree}, {orbit.tag})"
+        for j, orbit in enumerate(decomp.orbits))
     print("centre of the rational group algebra:", parts)
 
 

@@ -3,8 +3,7 @@ classification of the character fields, construction of rational
 polarizations for rigid actions, and nearby polarized (projective)
 deformations of arbitrary actions."""
 
-from .characters import (centre_decomposition, character_table, galois_orbits,
-                         table_for)
+from .characters import character_table, galois_orbits, table_for
 from .cyclotomic import CyclotomicField, CyclotomicNumber, SubfieldSpec
 from .deform import (find_projective_neighbor, invariant_kahler_class,
                      invariant_metric, invariant_two_forms, newton_solve)
@@ -30,7 +29,6 @@ __all__ = [
     "character_table",
     "table_for",
     "galois_orbits",
-    "centre_decomposition",
     "IntegralRepresentation",
     "HodgeCharacter",
     "SymbolicHodgeSpec",

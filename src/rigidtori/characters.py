@@ -59,10 +59,11 @@ one table.  One entry is enough: a request touches one group, and a stream
 that cycles through more groups than a small LRU holds gets no hits from it
 either.  A larger memo only costs memory: on the cold-groups stream (seed 1),
 where no table repeats, a 16-entry LRU raised the peak RSS from about 41 MB
-to 43.7 MB, and one entry to 41.3-41.4 MB.  `galois_orbits` and
-`centre_decomposition` are computed once per table object and then return
-that same result.  Galois images of rows are read through the power maps,
-sigma_a(chi)(g) = chi(g^a), by permuting columns.
+to 43.7 MB, and one entry to 41.3-41.4 MB.  `galois_orbits` is computed
+once per table object and then returns that same result; its orbits are
+also the field summands of the centre of Q[G].  Galois images of rows are
+read through the power maps, sigma_a(chi)(g) = chi(g^a), by permuting
+columns.
 """
 
 from __future__ import annotations
@@ -82,7 +83,6 @@ __all__ = [
     "character_table",
     "table_for",
     "galois_orbits",
-    "centre_decomposition",
     "TableComputationError",
     "DEFAULT_SEED",
 ]
@@ -111,7 +111,6 @@ class CharacterTable:
         self.rows = tuple(tuple(r) for r in rows)
         self.degrees = tuple(degrees)
         self._orbits = None   # galois_orbits(self), once computed
-        self._centre = None   # centre_decomposition(self), once computed
 
     @property
     def size(self) -> int:
@@ -511,13 +510,14 @@ def _evaluate(poly, x: int, p: int) -> int:
     return acc
 
 
-# -- Galois orbits and the centre ------------------------------------------
+# -- Galois orbits ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class GaloisOrbit:
     """A Galois orbit of irreducible characters with its rational idempotent,
-    character field, and totally-real / CM classification."""
+    character field, and totally-real / CM classification.  The character
+    fields of the orbits are the field summands of the centre of Q[G]."""
 
     rows: tuple                 # member row indices, orbit representative first
     coset_to_row: tuple         # pairs (coset representative a, row index)
@@ -614,46 +614,3 @@ def _orbit_idempotent(table: CharacterTable, member_rows):
                 f"orbit idempotent has irrational coefficient at element {elem}")
         out.append(q)
     return out
-
-
-@dataclass(frozen=True)
-class CentreSummand:
-    """One field summand F_j of Z(Q[G]) with the class-sum projection map."""
-
-    orbit_index: int
-    field_spec: SubfieldSpec
-    tag: str
-    class_components: tuple  # per class: coordinates of the F_j-component
-                             # of v_C in the subfield basis
-
-
-def centre_decomposition(table: CharacterTable):
-    """The splitting Z(Q[G]) = F_1 + ... + F_l, one CentreSummand per Galois
-    orbit.  For each summand, v_C maps to omega_C(chi) = |C| chi(g_C)/chi(1)
-    in F_j, expressed in the subfield basis.  Computed once per table;
-    later calls return the same tuple."""
-    if table._centre is None:
-        table._centre = _centre_decomposition(table)
-    return table._centre
-
-
-def _centre_decomposition(table):
-    out = []
-    for j, orbit in enumerate(galois_orbits(table).orbits):
-        rep = orbit.representative
-        deg = table.degrees[rep]
-        comps = []
-        for k in range(table.size):
-            omega = table.rows[rep][k] * Fraction(table.classes.sizes[k], deg)
-            coords = orbit.field_spec.coordinates(omega)
-            if coords is None:
-                raise TableComputationError(
-                    "central character leaves its own character field")
-            comps.append(tuple(coords))
-        out.append(CentreSummand(
-            orbit_index=j,
-            field_spec=orbit.field_spec,
-            tag=orbit.tag,
-            class_components=tuple(comps),
-        ))
-    return tuple(out)

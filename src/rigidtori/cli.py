@@ -17,8 +17,8 @@ import traceback
 
 from . import deform as deform_mod
 from . import polarize as polarize_mod
-from .characters import (DEFAULT_SEED, centre_decomposition, character_table,
-                         galois_orbits, table_for)
+from .characters import (DEFAULT_SEED, character_table, galois_orbits,
+                         table_for)
 from .fixtures import NON_CM_QUARTIC, group_by_name
 from .hodge import (HSViolation, InconsistentCharacter, InvalidRepresentation,
                     RoundingFailure, brute_force_hom_dimension,
@@ -28,7 +28,8 @@ from .hodge import (HSViolation, InconsistentCharacter, InvalidRepresentation,
 from .groups import InvalidGroup
 from .polyfields import RealEmbeddingPresent, ReduciblePolynomial
 from .schemas import (SchemaError, dump_report, load_group_doc,
-                      load_representation_doc, load_symbolic_spec, to_jsonable)
+                      load_polynomial_doc, load_representation_doc,
+                      load_symbolic_spec, to_jsonable)
 
 DOMAIN_ERRORS = (
     polarize_mod.NotRigid, polarize_mod.NonCMFieldActive,
@@ -162,7 +163,6 @@ def run_analyze(doc, args):
     group = load_group_doc(doc)
     table = table_for(group)
     decomp = galois_orbits(table)
-    centre = centre_decomposition(table)
     classes = table.classes
     rows = []
     for r in range(table.size):
@@ -194,10 +194,10 @@ def run_analyze(doc, args):
         },
         "character_table": rows,
         "galois_orbits": orbit_docs,
+        # the orbits' character fields are the summands of Z(Q[G])
         "centre_fields": [
-            {"orbit": s.orbit_index, "degree": s.field_spec.degree,
-             "classification": s.tag}
-            for s in centre],
+            {"orbit": j, "degree": orbit.degree, "classification": orbit.tag}
+            for j, orbit in enumerate(decomp.orbits)],
     }
     return {"command": "analyze", "seed": args.seed, "result": result}
 
@@ -326,11 +326,7 @@ def run_polarize(doc, args):
 
 
 def _run_polarize_polynomial(doc, args):
-    from .schemas import _check_keys
-    _check_keys(doc, {"polynomial", "designated_roots"}, set(),
-                "polynomial document")
-    cert = polarize_mod.polarization_exists(
-        doc["polynomial"], doc["designated_roots"])
+    cert = polarize_mod.polarization_exists(*load_polynomial_doc(doc))
     result = {
         "verdict": cert.verdict,
         "witness": list(cert.witness) if cert.witness else None,

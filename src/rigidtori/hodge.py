@@ -11,6 +11,13 @@ Exact splittings are carried as `ExactHodgeStructure` (a cyclotomic basis of
 U); numeric complex structures enter through `hodge_character_from_numeric`,
 which rounds eigenvalue multiplicities to exact cyclotomic integers.
 
+The centre of Q[G] acts through one representation, the integer class sums
+S_k of `IntegralRepresentation.class_sums`.  A one-sided Hodge type is
+realized as in Ekedahl's theorem: on each active CM centre field, U is the
+sum of the isotypic components e_chi (V (x) K) of the characters chi at the
+designated embeddings, and e_chi = (chi(1)/|G|) sum_k conj(chi(g_k)) S_k
+(Serre, Linear Representations of Finite Groups, 2.6).
+
 An exact structure costs one elimination: its basis matrix P = [U | conj(U)]
 is inverted once, at construction, which is also the proof that U + conj(U)
 spans.  The action of rho(g) in that basis is P^-1 rho(g) P, a product.
@@ -144,10 +151,11 @@ class IntegralRepresentation:
         return sum(self.matrices[g][i][i] for i in range(self.rank))
 
     @cached_property
-    def _class_sums(self):
+    def class_sums(self):
         """Integer matrices S_k = sum of rho(g) over the k-th conjugacy
-        class, canonical class order; the centre's action and the isotypic
-        projectors are both rational combinations of them."""
+        class, canonical class order.  The centre of Q[G] acts through
+        them: every isotypic projector and every character idempotent is a
+        combination of them."""
         n = self.rank
         out = []
         for cls in self.group.conjugacy_classes().classes:
@@ -157,7 +165,7 @@ class IntegralRepresentation:
                     for j, x in enumerate(row):
                         if x:
                             acc_row[j] += x
-            out.append((cls, acc))
+            out.append(acc)
         return out
 
     def generator_indices(self):
@@ -586,13 +594,13 @@ def isotypic_split(rep: IntegralRepresentation,
     sum runs in integers and is divided by D once.
     """
     n2 = rep.rank
+    representatives = decomposition.table.classes.representatives
     out = []
     for orbit in decomposition.orbits:
-        coeffs = [Fraction(orbit.idempotent[cls[0]])
-                  for cls, _ in rep._class_sums]
+        coeffs = [Fraction(orbit.idempotent[g]) for g in representatives]
         den = lcm(*(c.denominator for c in coeffs))
         acc = [[0] * n2 for _ in range(n2)]
-        for c, (_, mat) in zip(coeffs, rep._class_sums):
+        for c, mat in zip(coeffs, rep.class_sums):
             if c:
                 w = c.numerator * (den // c.denominator)
                 for acc_row, row in zip(acc, mat):
@@ -607,7 +615,8 @@ def isotypic_split(rep: IntegralRepresentation,
 
 def f_module_basis(summand_image, centre_matrices):
     """Vectors v_1..v_n whose F-orbits (under the centre action restricted
-    to the summand) form a Q-basis of the summand; greedy construction."""
+    to the summand, given by matrices such as `class_sums`) form a Q-basis
+    of the summand; greedy construction."""
     if not summand_image:
         return [], []
     spanned = []
@@ -626,12 +635,6 @@ def f_module_basis(summand_image, centre_matrices):
     if len(spanned) != len(summand_image):
         raise InvalidRepresentation("greedy F-module basis failed to span")
     return gens, orbits
-
-
-def centre_action_matrices(rep: IntegralRepresentation):
-    """Rational matrices of the class sums through rho, canonical order."""
-    return [[[Fraction(x) for x in row] for row in mat]
-            for _, mat in rep._class_sums]
 
 
 # -- enumeration of rigid types ---------------------------------------------
@@ -728,10 +731,13 @@ def exact_structure_from_spec(rep: IntegralRepresentation,
                               spec: SymbolicHodgeSpec) -> ExactHodgeStructure:
     """Build an exact U-basis realizing a one-sided (tau in {0, n_j}) spec.
 
-    Character spaces are cut out of each isotypic piece with Lagrange
-    projectors built from a primitive centre element; for real character
-    fields with even multiplicity the duplicated copies are paired by the
-    graph construction v -> (v, mu v) with mu a fixed non-real cyclotomic.
+    On a CM summand, U is the sum of the isotypic components e_chi (V (x) K)
+    of the characters chi = sigma_a(chi_j) at the designated cosets a: each
+    F-module generator v of the summand gives one column e_chi v per
+    designated a, with e_chi read through the integer class sums (see
+    `_character_component`).  For real character fields with even
+    multiplicity the duplicated copies are paired by the graph construction
+    v -> (v, mu v) with mu a fixed non-real cyclotomic.
     """
     spec.validate_hs()
     table = spec.decomposition.table
@@ -741,7 +747,6 @@ def exact_structure_from_spec(rep: IntegralRepresentation,
     if mu == mu.conjugate():
         raise AssertionError("mu must be non-real")
     pieces = isotypic_split(rep, spec.decomposition)
-    centre_mats = centre_action_matrices(rep)
     u_cols = []
     for s, (proj, image) in zip(spec.summands, pieces):
         if s.multiplicity == 0:
@@ -760,14 +765,13 @@ def exact_structure_from_spec(rep: IntegralRepresentation,
             if sorted(tau.values()) != sorted(
                     [s.multiplicity] * len(sides) + [0] * len(sides)):
                 raise HSViolation("CM tau values must be one-sided")
-            gens, _ = f_module_basis(image, centre_mats)
-            theta, theta_mat = _primitive_centre_element(
-                table, spec.decomposition, s.orbit_index, centre_mats, K)
+            gens, _ = f_module_basis(image, rep.class_sums)
+            coset_to_row = dict(orbit.coset_to_row)
             for v in gens:
-                vk = [K.from_rational(x) for x in v]
+                images = [linalg.mat_vec(mat, v) for mat in rep.class_sums]
                 for a in sides:
-                    u_cols.append(_lagrange_project(
-                        theta_mat, theta, fs, a, vk, K))
+                    u_cols.append(_character_component(
+                        table, coset_to_row[a], images))
         else:
             # totally real field: tau = n/2 on each embedding; pair copies.
             # Only rational scalar pieces are realizable here: for a real
@@ -786,7 +790,7 @@ def exact_structure_from_spec(rep: IntegralRepresentation,
                 raise HSViolation(
                     "real summand with odd multiplicity cannot carry "
                     "a Hodge structure")
-            gens, orbits = f_module_basis(image, centre_mats)
+            gens, orbits = f_module_basis(image, rep.class_sums)
             for i in range(0, n_j, 2):
                 for w1, w2 in zip(orbits[i], orbits[i + 1]):
                     col = [K.from_rational(x) + mu * Fraction(y)
@@ -796,61 +800,18 @@ def exact_structure_from_spec(rep: IntegralRepresentation,
     return structure
 
 
-def _primitive_centre_element(table, decomposition, orbit_index, centre_mats, K):
-    """A centre combination whose F_j-image separates the embeddings,
-    with its rational action matrix; deterministic search."""
-    orbit = decomposition.orbits[orbit_index]
-    fs = orbit.field_spec
-    rep_row = orbit.representative
-    d = table.size
-    deg = table.degrees[rep_row]
-    for attempt in range(1, 200):
-        weights = [pow(attempt, k, 10 ** 6) % 7 - 3 for k in range(d)]
-        theta = table.field.zero()
-        for k in range(d):
-            if weights[k]:
-                omega = table.rows[rep_row][k] * Fraction(
-                    table.classes.sizes[k] * weights[k], deg)
-                theta = theta + omega
-        images = [theta.galois(a) for a in fs.coset_reps()]
-        if len({tuple(x.coeffs) for x in images}) == len(images):
-            n2 = len(centre_mats[0])
-            acc = [[Fraction(0)] * n2 for _ in range(n2)]
-            for k in range(d):
-                if weights[k]:
-                    for i in range(n2):
-                        for j in range(n2):
-                            acc[i][j] += weights[k] * centre_mats[k][i][j]
-            return theta, acc
-    raise AssertionError("failed to find a primitive centre element")
-
-
-def _lagrange_project(theta_mat, theta, field_spec, coset, vector, K):
-    """Project a vector onto the sigma_coset eigenline of its F-orbit."""
-    m_big = K.m
-    m_small = theta.field.m
-    ratio = m_big // m_small
-
-    def lift(x):
-        return K.from_exponent_dict(
-            {ratio * t: c for t, c in enumerate(x.coeffs) if c})
-
-    target = lift(theta.galois(coset))
-    out = list(vector)
-    n2 = len(vector)
-    for a in field_spec.coset_reps():
-        if a == coset:
-            continue
-        other = lift(theta.galois(a))
-        denom = (target - other).inverse()
-        nxt = [K.zero()] * n2
-        for i in range(n2):
-            acc = K.zero()
-            for j in range(n2):
-                if theta_mat[i][j]:
-                    acc = acc + out[j] * theta_mat[i][j]
-            nxt[i] = (acc - other * out[i]) * denom
-        out = nxt
-    if all(x.is_zero() for x in out):
-        raise AssertionError("Lagrange projection collapsed to zero")
-    return out
+def _character_component(table: CharacterTable, row: int, images):
+    """e_chi v for the character chi in `row`, from the images S_k v of v
+    under the class sums: e_chi = (chi(1)/|G|) sum_k conj(chi(g_k)) S_k, the
+    class-sum form of CharacterTable.central_idempotent.  A CM character
+    field needs m > 2, so the column lies in Q(zeta_m), the structure's K."""
+    scale = Fraction(table.degrees[row], table.group.order)
+    coeffs = [x.conjugate() * scale for x in table.rows[row]]
+    column = []
+    for i in range(len(images[0])):
+        acc = table.field.zero()
+        for c, image in zip(coeffs, images):
+            if image[i]:
+                acc = acc + c * image[i]
+        column.append(acc)
+    return column

@@ -26,12 +26,14 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import linalg
+from .characters import TableComputationError
 from .cyclotomic import CyclotomicNumber, SubfieldSpec
 from .hodge import (ExactHodgeStructure, IntegralRepresentation,
-                    SymbolicHodgeSpec, centre_action_matrices,
-                    exact_structure_from_spec, f_module_basis, isotypic_split,
-                    rigidity_by_centre, spec_from_character)
+                    SymbolicHodgeSpec, exact_structure_from_spec,
+                    f_module_basis, isotypic_split, rigidity_by_centre,
+                    spec_from_character)
 from .polyfields import PolynomialField, RealEmbeddingPresent
+from .schemas import SchemaError
 
 __all__ = [
     "ImaginaryElement",
@@ -275,7 +277,6 @@ def assemble_polarization(rep: IntegralRepresentation,
             raise NonCMFieldActive(
                 f"active summand {s.orbit_index} is not CM")
     pieces = isotypic_split(rep, decomp)
-    centre_mats = centre_action_matrices(rep)
     n2 = rep.rank
     columns = []          # 2n column vectors over Q
     blocks = []           # per copy: exact block matrix
@@ -291,14 +292,12 @@ def assemble_polarization(rep: IntegralRepresentation,
         tau = s.tau_dict()
         designated = [a for a in fspec.coset_reps() if tau[a] > 0]
         zeta = find_zeta(fspec, designated)
-        gens, _ = f_module_basis(image, centre_mats)
-        basis_mats = _subfield_action_matrices(rep, decomp, s.orbit_index,
-                                               centre_mats)
+        gens, _ = f_module_basis(image, rep.class_sums)
+        basis_mats = _subfield_action_matrices(rep, decomp.table, orbit)
         block = trace_form(fspec, zeta, list(fspec.basis))
         for v in gens:
             for mat in basis_mats:
-                columns.append(linalg.mat_vec(
-                    [[Fraction(x) for x in row] for row in mat], list(map(Fraction, v))))
+                columns.append(linalg.mat_vec(mat, v))
             blocks.append(block)
         provenance.append((s.orbit_index, len(gens),
                            tuple(fspec.coordinates(zeta.element)),
@@ -326,19 +325,29 @@ def assemble_polarization(rep: IntegralRepresentation,
         certificate=cert)
 
 
-def _subfield_action_matrices(rep, decomp, orbit_index, centre_mats):
-    """Rational action matrices of the subfield basis elements of F_j."""
-    from .characters import centre_decomposition
-    summands = centre_decomposition(decomp.table)
-    summand = summands[orbit_index]
-    k = summand.field_spec.degree
-    d = decomp.table.size
-    # solve for class combinations mapping to each basis vector
-    comp = [[summand.class_components[c][t] for c in range(d)] for t in range(k)]
+def _subfield_action_matrices(rep, table, orbit):
+    """Rational action matrices of the subfield basis elements of F_j.
+
+    The class sum S_k acts on the orbit's isotypic piece as the central
+    character omega_k(chi) = |C_k| chi(g_k) / chi(1) of the orbit's
+    representative chi, an element of F_j; the class combination whose
+    omega-image is the t-th basis element acts as that element."""
+    spec = orbit.field_spec
+    row = orbit.representative
+    components = []   # per class: coordinates of omega_k(chi) in F_j
+    for k, size in enumerate(table.classes.sizes):
+        omega = table.rows[row][k] * Fraction(size, table.degrees[row])
+        coords = spec.coordinates(omega)
+        if coords is None:
+            raise TableComputationError(
+                "central character leaves its own character field")
+        components.append(coords)
+    comp = [list(col) for col in zip(*components)]
     mats = []
-    n2 = len(centre_mats[0])
-    for t in range(k):
-        target = [Fraction(1) if s == t else Fraction(0) for s in range(k)]
+    n2 = rep.rank
+    for t in range(spec.degree):
+        target = [Fraction(1) if s == t else Fraction(0)
+                  for s in range(spec.degree)]
         combo = linalg.solve(comp, target)
         if combo is None:
             raise NonCMFieldActive("centre does not surject onto its summand")
@@ -347,7 +356,7 @@ def _subfield_action_matrices(rep, decomp, orbit_index, centre_mats):
             if q:
                 for i in range(n2):
                     for jj in range(n2):
-                        acc[i][jj] += q * centre_mats[c][i][jj]
+                        acc[i][jj] += q * rep.class_sums[c][i][jj]
         mats.append(acc)
     return mats
 
@@ -518,8 +527,7 @@ def _verify_rosati(e_rows, rep: IntegralRepresentation):
     homogeneous in E, so it holds for E exactly when it holds for D * E,
     and fails at the same entries; a class sum is a sum of integer rho(g)."""
     classes = rep.group.conjugacy_classes()
-    mats = [[[int(x) for x in row] for row in t]
-            for t in centre_action_matrices(rep)]
+    mats = rep.class_sums
     e_int = _integral(e_rows)
     for idx in range(classes.count):
         t = mats[idx]
@@ -645,14 +653,16 @@ def _row_classes(boxes, k):
 
 
 def _validate_poly_designated(F: PolynomialField, designated):
+    """One root per conjugate pair; a designation that is not one is an
+    error in the input, raised as SchemaError."""
     chosen = set(designated)
     for i, ibar in F.pairs:
         if len(chosen & {i, ibar}) != 1:
-            raise ValueError(
+            raise SchemaError(
                 "designated set must pick exactly one root from each "
                 f"conjugate pair; offending pair ({i},{ibar})")
     if len(chosen) != len(F.pairs):
-        raise ValueError("designated set has extraneous roots")
+        raise SchemaError("designated set has extraneous roots")
 
 
 def _certify_poly_signs(F, zeta, designated):

@@ -10,6 +10,7 @@ the pipeline itself.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .cyclotomic import CyclotomicNumber
@@ -21,6 +22,7 @@ __all__ = [
     "SchemaError",
     "load_group_doc",
     "load_representation_doc",
+    "load_polynomial_doc",
     "to_jsonable",
     "dump_report",
 ]
@@ -116,10 +118,46 @@ def load_representation_doc(doc):
     if "J_matrix" in doc:
         j_matrix = doc["J_matrix"]
         if (not isinstance(j_matrix, list) or len(j_matrix) != rank
-                or any(len(r) != rank for r in j_matrix)):
+                or any(not isinstance(r, list) or len(r) != rank
+                       for r in j_matrix)):
             raise SchemaError("J_matrix must be a rank x rank array")
+        if not all(_is_finite_number(x) for r in j_matrix for x in r):
+            raise SchemaError("J_matrix entries must be finite numbers")
     spec_doc = doc.get("symbolic_spec")
     return rep, j_matrix, spec_doc
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_finite_number(x) -> bool:
+    if not (_is_int(x) or isinstance(x, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:   # an int beyond the float range
+        return False
+
+
+def load_polynomial_doc(doc):
+    """Standalone-field document: returns (coefficients, designated roots).
+
+    {'polynomial': integer coefficients, low degree first,
+    'designated_roots': root indices}.  Whether the designation picks one
+    root per conjugate pair is checked against the field's roots, by
+    `polarize.polarization_exists`."""
+    _check_keys(doc, {"polynomial", "designated_roots"}, set(),
+                "polynomial document")
+    poly = doc["polynomial"]
+    designated = doc["designated_roots"]
+    if not isinstance(poly, list) or not all(_is_int(c) for c in poly):
+        raise SchemaError("polynomial must be a list of integer coefficients")
+    if not isinstance(designated, list) or \
+            not all(_is_int(i) for i in designated):
+        raise SchemaError("designated_roots must be a list of integer root "
+                          "indices")
+    return poly, designated
 
 
 def _permutation_generator_indices(group, doc):

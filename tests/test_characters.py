@@ -8,8 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rigidtori import linalg
-from rigidtori.characters import (TableComputationError,
-                                  centre_decomposition, character_table,
+from rigidtori.characters import (TableComputationError, character_table,
                                   galois_orbits, table_for,
                                   _certify, _dixon_schneider, _is_prime,
                                   _multiplicities, _prime, _root_of_unity,
@@ -294,29 +293,49 @@ def test_cm_tag_iff_nonreal_value():
                     assert spec.conjugate_coset(a) != a
 
 
-def test_centre_decomposition_z4():
-    table = character_table(cyclic(4))
-    centre = centre_decomposition(table)
-    degrees = sorted(s.field_spec.degree for s in centre)
-    assert degrees == [1, 1, 2]
-    assert sorted(s.tag for s in centre) == ["CM", "TotallyReal", "TotallyReal"]
-    # projection data: the class component map is a ring map on class sums
-    assert sum(s.field_spec.degree for s in centre) == table.size
+def test_centre_fields_z4():
+    # the orbits' character fields are the field summands of Z(Q[G])
+    orbits = galois_orbits(character_table(cyclic(4))).orbits
+    assert sorted(o.degree for o in orbits) == [1, 1, 2]
+    assert sorted(o.tag for o in orbits) == ["CM", "TotallyReal",
+                                             "TotallyReal"]
+    # dim Z(Q[G]) = sum of the field degrees = number of classes
+    assert sum(o.degree for o in orbits) == 4
 
 
-def test_centre_decomposition_trivial():
-    table = character_table(cyclic(1))
-    centre = centre_decomposition(table)
-    assert len(centre) == 1
-    assert centre[0].field_spec.degree == 1
-
+def test_centre_fields_trivial():
+    orbits = galois_orbits(character_table(cyclic(1))).orbits
+    assert len(orbits) == 1
+    assert orbits[0].degree == 1
 
 
 def test_orbits_and_centre_computed_once_per_table():
+    # the centre's field summands are the orbits, so one computation
     table = character_table(cyclic(6))
     assert galois_orbits(table) is galois_orbits(table)
-    assert centre_decomposition(table) is centre_decomposition(table)
     assert galois_orbits(table).table is table
+
+
+CENTRE_GROUPS = [g.name for g in small_groups()] + ["S4", "A5", "S5", "F21",
+                                                    "Z24"]
+
+
+@pytest.mark.parametrize("name", CENTRE_GROUPS)
+def test_central_characters_lie_in_their_character_fields(name):
+    # omega_k(chi) = |C_k| chi(g_k) / chi(1) has coordinates in the field of
+    # chi's orbit that rebuild it exactly: polarize reads the centre's
+    # action on a summand through these coordinates
+    group = (_pool_group(name) if name in ("A5", "S5", "F21", "Z24")
+             else group_by_name(name))
+    table = character_table(group)
+    for orbit in galois_orbits(table).orbits:
+        spec = orbit.field_spec
+        for r in orbit.rows:
+            for k, size in enumerate(table.classes.sizes):
+                omega = table.rows[r][k] * Fraction(size, table.degrees[r])
+                coords = spec.coordinates(omega)
+                assert coords is not None, (r, k)
+                assert spec.element(coords) == omega, (r, k)
 
 
 def test_table_for_compares_cayley_tables_by_content():

@@ -460,3 +460,69 @@ def test_polarize_refuses_wide_coefficients_before_sympy(tmp_path):
     error = json.loads(out.read_text())["error"]
     assert error["error"] == "ReduciblePolynomial"
     assert "at most 128 bits" in error["message"]
+
+
+def test_analyze_solves_no_subfield_coordinates(monkeypatch):
+    # the centre fields of an analyze report are read off the Galois
+    # orbits; no class component is computed for them
+    from argparse import Namespace
+
+    from rigidtori import characters, cli
+    from rigidtori.cyclotomic import SubfieldSpec
+
+    calls = []
+    coordinates = SubfieldSpec.coordinates
+
+    def counted(self, x):
+        calls.append(x)
+        return coordinates(self, x)
+
+    monkeypatch.setattr(characters, "_LAST_TABLE", None)  # a fresh table
+    monkeypatch.setattr(SubfieldSpec, "coordinates", counted)
+    report = cli.run_analyze({"builtin": "S4"}, Namespace(seed=1))
+    assert calls == []
+    orbits = report["result"]["galois_orbits"]
+    assert report["result"]["centre_fields"] == [
+        {"orbit": j, "degree": o["field"]["degree"],
+         "classification": o["classification"]}
+        for j, o in enumerate(orbits)]
+
+
+Z4_J_DOC = {
+    "group": {"name": "Z4", "permutation_generators": [[1, 2, 3, 0]]},
+    "rank": 2,
+    "generator_matrices": [[[0, -1], [1, 0]]],
+}
+
+
+@pytest.mark.parametrize("j_matrix", [
+    [[0.0, "x"], [1.0, 0.0]],
+    [[0.0, float("nan")], [1.0, 0.0]],
+    [[0.0, float("inf")], [1.0, 0.0]],
+    [[0.0, -1.0], 5],
+    [[0.0, True], [1.0, 0.0]],
+    [[0, -10 ** 400], [1, 0]],
+], ids=["string", "nan", "inf", "int-row", "bool", "huge-int"])
+@pytest.mark.parametrize("command", ["rigidity", "deform", "polarize"])
+def test_j_matrix_entries_are_validated(tmp_path, command, j_matrix):
+    inp = write(tmp_path, "j.json", dict(Z4_J_DOC, J_matrix=j_matrix))
+    assert main([command, "--input", inp]) == 2
+
+
+@pytest.mark.parametrize("doc", [
+    {"polynomial": [1.5, 0, 1], "designated_roots": [0]},
+    {"polynomial": ["a", 0, 1], "designated_roots": [0]},
+    {"polynomial": [True, 0, 1], "designated_roots": [0]},
+    {"polynomial": 1, "designated_roots": [0]},
+    {"polynomial": [1, 0, 1], "designated_roots": 0},
+    {"polynomial": [1, 0, 1], "designated_roots": [5]},
+    {"polynomial": [1, 0, 1], "designated_roots": ["0"]},
+    {"polynomial": [1, 0, 1], "designated_roots": [True]},
+    {"polynomial": [1, 0, 1], "designated_roots": [0, 1]},
+    {"polynomial": [1, 0, 1], "designated_roots": []},
+], ids=["float-coefficient", "string-coefficient", "bool-coefficient",
+        "scalar-polynomial", "scalar-roots", "root-out-of-range",
+        "string-root", "bool-root", "both-roots-of-a-pair", "no-root"])
+def test_polynomial_documents_are_validated(tmp_path, doc):
+    inp = write(tmp_path, "field.json", doc)
+    assert main(["polarize", "--input", inp]) == 2

@@ -14,7 +14,7 @@ from rigidtori.hodge import (BRUTE_FORCE_RANK_CAP, ExactHodgeStructure,
                              HSViolation, InconsistentCharacter,
                              IntegralRepresentation, InvalidRepresentation,
                              RoundingFailure, SummandType, SymbolicHodgeSpec,
-                             brute_force_hom_dimension, centre_action_matrices,
+                             brute_force_hom_dimension,
                              enumerate_rigid_types, exact_structure_from_spec,
                              f_module_basis, hodge_character_from_numeric,
                              isotypic_split, rigidity_by_centre,
@@ -215,7 +215,7 @@ def test_f_module_basis_dimensions():
     table = character_table(rep.group)
     decomp = galois_orbits(table)
     pieces = isotypic_split(rep, decomp)
-    centre_mats = centre_action_matrices(rep)
+    centre_mats = rep.class_sums
     cm_index = next(j for j, o in enumerate(decomp.orbits) if o.tag == "CM")
     gens, orbits = f_module_basis(pieces[cm_index][1], centre_mats)
     assert len(gens) == 1
@@ -224,11 +224,55 @@ def test_f_module_basis_dimensions():
     from rigidtori.fixtures import _double_rep
     rep2 = _double_rep(rep)
     pieces2 = isotypic_split(rep2, decomp)
-    centre2 = centre_action_matrices(rep2)
+    centre2 = rep2.class_sums
     gens2, orbits2 = f_module_basis(pieces2[cm_index][1], centre2)
     assert len(gens2) == 2
     combined = [v for orb in orbits2 for v in orb]
     assert linalg.rank(combined) == 4
+
+
+def _catalogue_prefix(count):
+    # the first `count` groups' entries of the benchmark's action catalogue:
+    # two draws per group of small_groups(), from one seeded stream
+    rng = random.Random("actions/catalogue")
+    for g in small_groups()[:count]:
+        for _ in range(2):
+            yield random_hodge_fixture(rng, groups=[g])[0]
+
+
+def test_cm_columns_are_character_eigenvectors():
+    # each column u built for a designated coset a of a CM orbit spans the
+    # isotypic component of chi' = sigma_a(chi): exactly,
+    # S_k u = omega_k(chi') u for every class sum S_k, with
+    # omega_k(chi') = |C_k| chi'(g_k) / chi'(1); and each side gets
+    # tau(a) columns
+    checked = 0
+    for rep in _catalogue_prefix(14):
+        table = table_for(rep.group)
+        decomp = galois_orbits(table)
+        pieces = isotypic_split(rep, decomp)
+        mults = [len(img) // o.field_spec.degree
+                 for (p, img), o in zip(pieces, decomp.orbits)]
+        omegas = [[table.rows[r][k] * Fraction(size, table.degrees[r])
+                   for k, size in enumerate(table.classes.sizes)]
+                  for r in range(table.size)]
+        for spec in enumerate_rigid_types(decomp, mults):
+            sides = {}   # row of chi' -> tau at its coset
+            for s in spec.summands:
+                for a, row in decomp.orbits[s.orbit_index].coset_to_row:
+                    if s.multiplicity and s.tau_dict()[a] == s.multiplicity:
+                        sides[row] = s.multiplicity
+            found = dict.fromkeys(sides, 0)
+            for u in exact_structure_from_spec(rep, spec).u_columns:
+                images = [linalg.mat_vec(mat, u) for mat in rep.class_sums]
+                rows = [r for r in sides
+                        if all(image == [omegas[r][k] * x for x in u]
+                               for k, image in enumerate(images))]
+                assert len(rows) == 1
+                found[rows[0]] += 1
+            assert found == sides
+            checked += 1
+    assert checked >= 10, checked
 
 
 def test_enumerate_rigid_types_counts():

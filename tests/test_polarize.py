@@ -265,7 +265,7 @@ def test_basis_independence_of_assembly():
     # a different greedy order for the F-module basis produces a different
     # lattice form that still passes the full certificate
     from rigidtori.fixtures import gaussian_action as _ga
-    from rigidtori.hodge import centre_action_matrices, f_module_basis
+    from rigidtori.hodge import f_module_basis
     from rigidtori.polarize import _subfield_action_matrices, find_zeta, \
         _block_diag, _primitive_integral
     from rigidtori import linalg as la
@@ -287,7 +287,7 @@ def test_basis_independence_of_assembly():
              for (p, img), o in zip(pieces, decomp.orbits)]
     spec = enumerate_rigid_types(decomp, mults)[0]
     st = exact_structure_from_spec(rep, spec)
-    centre_mats = centre_action_matrices(rep)
+    centre_mats = rep.class_sums
     active = next(i for i, s in enumerate(spec.summands)
                   if s.multiplicity > 0)
     s = spec.summands[active]
@@ -296,7 +296,7 @@ def test_basis_independence_of_assembly():
     tau = s.tau_dict()
     designated = [a for a in orbit.field_spec.coset_reps() if tau[a] > 0]
     zeta = find_zeta(orbit.field_spec, designated)
-    basis_mats = _subfield_action_matrices(rep, decomp, active, centre_mats)
+    basis_mats = _subfield_action_matrices(rep, table, orbit)
     block = trace_form(orbit.field_spec, zeta, list(orbit.field_spec.basis))
     mixed = [[a + 2 * b for a, b in zip(image[0], image[2])],
              image[1], image[2], image[3]]
