@@ -421,12 +421,20 @@ def rigidity_by_centre(spec: SymbolicHodgeSpec) -> RigidityReport:
 class ExactHodgeStructure:
     """An exact basis of U = V^{1,0} inside V (x) K, K a cyclotomic field
     containing Q(zeta_exponent).  The authoritative object for the
-    brute-force pathway; conj(U) is computed coefficientwise."""
+    brute-force pathway; conj(U) is computed coefficientwise.
 
-    def __init__(self, rep: IntegralRepresentation, field, u_columns):
+    `frame` is the F-module frame U was built from, one entry
+    (orbit index, copies) per active CM summand of the realized spec: for
+    each F-module generator v of the summand, the list of its class-sum
+    images S_k v (k in canonical class order, S_0 v = v).  Empty for a
+    structure not built by `exact_structure_from_spec`."""
+
+    def __init__(self, rep: IntegralRepresentation, field, u_columns,
+                 frame=()):
         self.rep = rep
         self.field = field
         self.u_columns = [list(col) for col in u_columns]
+        self.frame = tuple(frame)
         n2 = rep.rank
         if len(self.u_columns) * 2 != n2:
             raise InvalidRepresentation("U must have half the rank")
@@ -734,20 +742,20 @@ def exact_structure_from_spec(rep: IntegralRepresentation,
     On a CM summand, U is the sum of the isotypic components e_chi (V (x) K)
     of the characters chi = sigma_a(chi_j) at the designated cosets a: each
     F-module generator v of the summand gives one column e_chi v per
-    designated a, with e_chi read through the integer class sums (see
-    `_character_component`).  For real character fields with even
-    multiplicity the duplicated copies are paired by the graph construction
-    v -> (v, mu v) with mu a fixed non-real cyclotomic.
+    designated a, with e_chi read through the class-sum images S_k v (see
+    `_character_component`); those images are kept as the structure's
+    `frame`.  For real character fields with even multiplicity the
+    duplicated copies are paired by the graph construction v -> (v, mu v)
+    with mu a fixed non-real cyclotomic.
     """
     spec.validate_hs()
     table = spec.decomposition.table
     m = table.field.m
     K = CyclotomicField(m if m > 2 else 4)
-    mu = K.zeta()  # non-real by the choice of K
-    if mu == mu.conjugate():
-        raise AssertionError("mu must be non-real")
+    mu = K.zeta()  # non-real: K = Q(zeta_m) with m > 2
     pieces = isotypic_split(rep, spec.decomposition)
     u_cols = []
+    frame = []
     for s, (proj, image) in zip(spec.summands, pieces):
         if s.multiplicity == 0:
             if image:
@@ -767,11 +775,14 @@ def exact_structure_from_spec(rep: IntegralRepresentation,
                 raise HSViolation("CM tau values must be one-sided")
             gens, _ = f_module_basis(image, rep.class_sums)
             coset_to_row = dict(orbit.coset_to_row)
+            copies = []
             for v in gens:
                 images = [linalg.mat_vec(mat, v) for mat in rep.class_sums]
+                copies.append(images)
                 for a in sides:
                     u_cols.append(_character_component(
                         table, coset_to_row[a], images))
+            frame.append((s.orbit_index, tuple(copies)))
         else:
             # totally real field: tau = n/2 on each embedding; pair copies.
             # Only rational scalar pieces are realizable here: for a real
@@ -796,8 +807,7 @@ def exact_structure_from_spec(rep: IntegralRepresentation,
                     col = [K.from_rational(x) + mu * Fraction(y)
                            for x, y in zip(w1, w2)]
                     u_cols.append(col)
-    structure = ExactHodgeStructure(rep, K, u_cols)
-    return structure
+    return ExactHodgeStructure(rep, K, u_cols, frame)
 
 
 def _character_component(table: CharacterTable, row: int, images):

@@ -4,9 +4,15 @@ The construction follows the CM trace form: on each active centre field F
 (necessarily CM when the action is rigid), pick an imaginary element zeta
 with certified-positive imaginary part at the embeddings designated
 V^{1,0}, and take E(x, y) = Tr_{F/Q}(zeta * x * conj(y)) on each F-module
-copy.  Verification is one exact certificate against an exact Hodge
-structure: both bilinear relations, the Rosati property on the centre, and
-optionally G-invariance, with no tolerance.
+copy.  The copies F v are those of the exact structure's frame, which
+holds each generator's class-sum images S_k v.  S_k acts on the summand
+as the central character omega_k = |C_k| chi(g_k) / chi(1) in F, so the
+S_k v at pivot classes whose omega_k are a Q-basis of F (chosen once per
+summand) are a Q-basis of every copy, and the copy's block is the trace
+form of those omega_k; E does not depend on the basis.  Verification is
+one exact certificate against the exact Hodge structure: both bilinear
+relations, the Rosati property on the centre, and optionally G-invariance,
+with no tolerance.
 
 zeta needs no search.  For a CM field with k conjugate pairs,
 x -> (Im sigma_a x)_a over the designated embeddings maps the imaginary
@@ -26,11 +32,10 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import linalg
-from .characters import TableComputationError
 from .cyclotomic import CyclotomicNumber, SubfieldSpec
 from .hodge import (ExactHodgeStructure, IntegralRepresentation,
                     SymbolicHodgeSpec, exact_structure_from_spec,
-                    f_module_basis, isotypic_split, rigidity_by_centre,
+                    hodge_character_from_numeric, rigidity_by_centre,
                     spec_from_character)
 from .polyfields import PolynomialField, RealEmbeddingPresent
 from .schemas import SchemaError
@@ -246,26 +251,22 @@ class PolarizationCertificate:
 
 def assemble_polarization(rep: IntegralRepresentation,
                           spec: SymbolicHodgeSpec | None = None,
-                          chi10=None,
                           j_matrix=None,
                           g_invariant: bool = False,
                           structure: ExactHodgeStructure | None = None,
                           ) -> PolarizationForm:
     """Block trace-form polarization for a rigid action.
 
-    Input is a symbolic Hodge type, a Hodge character, or a numeric (rho, J)
-    pair (converted via the character bridge).  The exact structure the
-    form is certified against is built from the spec unless `structure`,
-    already built from that same spec, is given.  Raises NotRigid when the
-    action is not rigid.
+    Input is a symbolic Hodge type or a numeric (rho, J) pair (converted
+    via the character bridge).  The exact structure the form is built on
+    and certified against is built from the spec unless `structure`,
+    already built from that same spec, is given; its F-module frame gives
+    the copies F v.  Raises NotRigid when the action is not rigid.
     """
     if spec is None:
-        if chi10 is None:
-            if j_matrix is None:
-                raise ValueError("need a symbolic spec, a chi10, or a J matrix")
-            from .hodge import hodge_character_from_numeric
-            chi10 = hodge_character_from_numeric(rep, j_matrix)
-        spec = spec_from_character(chi10)
+        if j_matrix is None:
+            raise ValueError("need a symbolic spec or a J matrix")
+        spec = spec_from_character(hodge_character_from_numeric(rep, j_matrix))
     centre_report = rigidity_by_centre(spec)
     if not centre_report.is_rigid:
         raise NotRigid(
@@ -276,89 +277,51 @@ def assemble_polarization(rep: IntegralRepresentation,
         if s.multiplicity > 0 and decomp.orbits[s.orbit_index].tag != "CM":
             raise NonCMFieldActive(
                 f"active summand {s.orbit_index} is not CM")
-    pieces = isotypic_split(rep, decomp)
-    n2 = rep.rank
+    if structure is None:
+        structure = exact_structure_from_spec(rep, spec)
     columns = []          # 2n column vectors over Q
     blocks = []           # per copy: exact block matrix
     provenance = []
-    for s, (proj, image) in zip(spec.summands, pieces):
-        if s.multiplicity == 0:
-            if image:
-                raise NonCMFieldActive(
-                    "isotypic piece nonzero for a zero-multiplicity summand")
-            continue
-        orbit = decomp.orbits[s.orbit_index]
+    for orbit_index, copies in structure.frame:
+        orbit = decomp.orbits[orbit_index]
         fspec = orbit.field_spec
-        tau = s.tau_dict()
-        designated = [a for a in fspec.coset_reps() if tau[a] > 0]
-        zeta = find_zeta(fspec, designated)
-        gens, _ = f_module_basis(image, rep.class_sums)
-        basis_mats = _subfield_action_matrices(rep, decomp.table, orbit)
-        block = trace_form(fspec, zeta, list(fspec.basis))
-        for v in gens:
-            for mat in basis_mats:
-                columns.append(linalg.mat_vec(mat, v))
+        tau = spec.summands[orbit_index].tau_dict()
+        zeta = find_zeta(fspec, [a for a in fspec.coset_reps() if tau[a] > 0])
+        pivots, omegas = _pivot_classes(decomp.table, orbit.representative,
+                                        copies[0])
+        block = trace_form(fspec, zeta, omegas)
+        for images in copies:
+            columns += [images[k] for k in pivots]
             blocks.append(block)
-        provenance.append((s.orbit_index, len(gens),
+        provenance.append((orbit_index, len(copies),
                            tuple(fspec.coordinates(zeta.element)),
                            zeta.sign_table))
-    w = [[columns[j][i] for j in range(len(columns))] for i in range(n2)]
-    if len(columns) != n2:
-        raise NonCMFieldActive("assembled basis does not span the lattice")
-    try:
-        w_inv = linalg.inverse(w)
-    except ValueError:
-        raise NonCMFieldActive(
-            "assembled basis does not span the lattice") from None
-    big = _block_diag(blocks)
-    e_mat = linalg.mat_mul(linalg.transpose(w_inv), linalg.mat_mul(big, w_inv))
+    w_inv = linalg.inverse(linalg.transpose(columns))
+    e_mat = linalg.mat_mul(linalg.transpose(w_inv),
+                           linalg.mat_mul(_block_diag(blocks), w_inv))
     if g_invariant:
         e_mat = _g_average(rep, e_mat)
     e_mat = _primitive_integral(e_mat)
-    if structure is None:
-        structure = exact_structure_from_spec(rep, spec)
     cert = verify_polarization(e_mat, structure, check_g_invariance=True)
     return PolarizationForm(
-        rank=n2,
+        rank=rep.rank,
         matrix=tuple(tuple(row) for row in e_mat),
         provenance=tuple(provenance),
         certificate=cert)
 
 
-def _subfield_action_matrices(rep, table, orbit):
-    """Rational action matrices of the subfield basis elements of F_j.
-
-    The class sum S_k acts on the orbit's isotypic piece as the central
-    character omega_k(chi) = |C_k| chi(g_k) / chi(1) of the orbit's
-    representative chi, an element of F_j; the class combination whose
-    omega-image is the t-th basis element acts as that element."""
-    spec = orbit.field_spec
-    row = orbit.representative
-    components = []   # per class: coordinates of omega_k(chi) in F_j
-    for k, size in enumerate(table.classes.sizes):
-        omega = table.rows[row][k] * Fraction(size, table.degrees[row])
-        coords = spec.coordinates(omega)
-        if coords is None:
-            raise TableComputationError(
-                "central character leaves its own character field")
-        components.append(coords)
-    comp = [list(col) for col in zip(*components)]
-    mats = []
-    n2 = rep.rank
-    for t in range(spec.degree):
-        target = [Fraction(1) if s == t else Fraction(0)
-                  for s in range(spec.degree)]
-        combo = linalg.solve(comp, target)
-        if combo is None:
-            raise NonCMFieldActive("centre does not surject onto its summand")
-        acc = [[Fraction(0)] * n2 for _ in range(n2)]
-        for c, q in enumerate(combo):
-            if q:
-                for i in range(n2):
-                    for jj in range(n2):
-                        acc[i][jj] += q * rep.class_sums[c][i][jj]
-        mats.append(acc)
-    return mats
+def _pivot_classes(table, row, images):
+    """(pivots, omegas): the first classes k, in class order, whose images
+    S_k v of one F-module generator v are Q-independent, and the central
+    characters omega_k = |C_k| chi(g_k) / chi(1) of the orbit's
+    representative chi there.  S_k acts on the summand as omega_k, so the
+    omegas are a Q-basis of F and the S_k v a Q-basis of F v, for every
+    generator v of the summand."""
+    _, pivots = linalg.rref(linalg.transpose(images))
+    omegas = [table.rows[row][k] * Fraction(table.classes.sizes[k],
+                                            table.degrees[row])
+              for k in pivots]
+    return pivots, omegas
 
 
 def _block_diag(blocks):

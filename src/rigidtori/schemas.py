@@ -89,6 +89,10 @@ def load_representation_doc(doc):
     rank = doc["rank"]
     if not isinstance(rank, int) or rank <= 0 or rank % 2:
         raise SchemaError("rank must be a positive even integer")
+    for key in ("element_matrices", "generator_matrices"):
+        if key in doc and not _is_int_matrices(doc[key]):
+            raise SchemaError(f"{key} must be a list of matrices of "
+                              "integers")
     try:
         if "element_matrices" in doc:
             if "generator_matrices" in doc:
@@ -129,6 +133,20 @@ def load_representation_doc(doc):
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_count(x) -> bool:
+    return _is_int(x) and x >= 0
+
+
+def _is_int_matrices(mats) -> bool:
+    """A list of lists of rows of JSON integers; shapes are checked by
+    IntegralRepresentation."""
+    return isinstance(mats, list) and all(
+        isinstance(m, list) and all(
+            isinstance(row, list) and all(_is_int(x) for x in row)
+            for row in m)
+        for m in mats)
 
 
 def _is_finite_number(x) -> bool:
@@ -172,22 +190,35 @@ def _permutation_generator_indices(group, doc):
 
 def load_symbolic_spec(spec_doc, decomposition) -> SymbolicHodgeSpec:
     """{'multiplicities': [...], 'tau': {orbit: {coset: value}}} against a
-    computed Galois-orbit decomposition."""
+    computed Galois-orbit decomposition.  Multiplicities and tau values are
+    non-negative JSON integers; tau is keyed by orbit indices of the
+    decomposition."""
     _check_keys(spec_doc, {"multiplicities", "tau"}, set(), "symbolic_spec")
     mults = spec_doc["multiplicities"]
     orbits = decomposition.orbits
-    if len(mults) != len(orbits):
+    if not isinstance(mults, list) or len(mults) != len(orbits):
         raise SchemaError(
             f"need {len(orbits)} multiplicities, one per centre summand")
+    if not all(_is_count(x) for x in mults):
+        raise SchemaError("multiplicities must be non-negative integers")
     tau_doc = spec_doc["tau"]
+    if not isinstance(tau_doc, dict):
+        raise SchemaError("tau must be an object keyed by orbit index")
+    unknown = set(tau_doc) - {str(j) for j in range(len(orbits))}
+    if unknown:
+        raise SchemaError(f"tau has unknown orbits {sorted(unknown)}")
     summands = []
     for j, orbit in enumerate(orbits):
         reps = orbit.field_spec.coset_reps()
         given = tau_doc.get(str(j), {})
+        if not isinstance(given, dict) or \
+                not all(_is_count(x) for x in given.values()):
+            raise SchemaError(f"tau for orbit {j} must be an object of "
+                              "non-negative integers")
         tau = []
         for a in reps:
             if str(a) in given:
-                tau.append((a, int(given[str(a)])))
+                tau.append((a, given[str(a)]))
             elif mults[j] == 0:
                 tau.append((a, 0))
             else:
@@ -197,7 +228,7 @@ def load_symbolic_spec(spec_doc, decomposition) -> SymbolicHodgeSpec:
         if extra:
             raise SchemaError(f"tau has unknown cosets {sorted(extra)} "
                               f"for orbit {j}")
-        summands.append(SummandType(orbit_index=j, multiplicity=int(mults[j]),
+        summands.append(SummandType(orbit_index=j, multiplicity=mults[j],
                                     tau=tuple(tau)))
     return SymbolicHodgeSpec(decomposition=decomposition,
                              summands=tuple(summands))

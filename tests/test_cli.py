@@ -380,19 +380,32 @@ def test_restricted_action_runs_once_per_generator(tmp_path, monkeypatch,
 
 
 def test_polarize_builds_a_symbolic_structure_once(tmp_path, monkeypatch):
+    # one structure and one F-module frame per request: the isotypic split
+    # and the F-module basis of the one active summand are computed once,
+    # on a symbolic document and on a J_matrix one
     from rigidtori import cli, hodge, polarize
-    calls = []
-    build = hodge.exact_structure_from_spec
+    calls = {}
 
-    def counting(rep, spec):
-        calls.append(spec)
-        return build(rep, spec)
+    def counting(name):
+        fn = getattr(hodge, name)
 
-    for module in (cli, hodge, polarize):
-        monkeypatch.setattr(module, "exact_structure_from_spec", counting)
-    inp = write(tmp_path, "sym.json", SYMBOLIC_DOC)
-    assert main(["polarize", "--input", inp]) == 0
-    assert len(calls) == 1
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        return counted
+
+    for name in ("exact_structure_from_spec", "isotypic_split",
+                 "f_module_basis"):
+        wrapper = counting(name)
+        for module in (cli, hodge, polarize):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    for doc in (SYMBOLIC_DOC, GAUSSIAN_DOC):
+        calls.clear()
+        inp = write(tmp_path, "doc.json", doc)
+        assert main(["polarize", "--input", inp]) == 0
+        assert calls == {"exact_structure_from_spec": 1, "isotypic_split": 1,
+                         "f_module_basis": 1}
 
 
 def test_polarize_symbolic_structure_error_wins_over_not_rigid(tmp_path):
@@ -526,3 +539,38 @@ def test_j_matrix_entries_are_validated(tmp_path, command, j_matrix):
 def test_polynomial_documents_are_validated(tmp_path, doc):
     inp = write(tmp_path, "field.json", doc)
     assert main(["polarize", "--input", inp]) == 2
+
+
+def _with_spec(**spec):
+    return dict(SYMBOLIC_DOC, symbolic_spec=dict(SYMBOLIC_DOC["symbolic_spec"],
+                                                 **spec))
+
+
+@pytest.mark.parametrize("doc", [
+    _with_spec(tau={"0": {"1": 1.5, "3": 0}}),
+    _with_spec(tau={"0": {"1": "1", "3": 0}}),
+    _with_spec(tau={"0": {"1": True, "3": 0}}),
+    _with_spec(tau={"0": {"1": 2, "3": -1}}),
+    _with_spec(tau={"0": {"1": 1, "3": 0}, "7": {}}),
+    _with_spec(tau=[{"1": 1, "3": 0}]),
+    _with_spec(tau={"0": "13"}),
+    _with_spec(multiplicities=[1.7, 0, 0]),
+    _with_spec(multiplicities=[True, 0, 0]),
+    _with_spec(multiplicities=[-1, 0, 0]),
+    _with_spec(multiplicities=1),
+    dict(SYMBOLIC_DOC, generator_matrices=[[[0, -1.0], [1, 0]]]),
+    dict(SYMBOLIC_DOC, generator_matrices=[[[0, -1], [True, 0]]]),
+    {"group": {"name": "Z1", "cayley_table": [[0]]}, "rank": 2,
+     "element_matrices": [[[1.7, 0], [0, 1]]],
+     "J_matrix": [[0.0, -1.0], [1.0, 0.0]]},
+], ids=["float-tau", "string-tau", "bool-tau", "negative-tau",
+        "unknown-orbit", "list-tau", "string-orbit-tau", "float-multiplicity",
+        "bool-multiplicity", "negative-multiplicity", "scalar-multiplicities",
+        "float-generator-entry", "bool-generator-entry",
+        "float-element-entry"])
+@pytest.mark.parametrize("command", ["rigidity", "polarize"])
+def test_representation_documents_are_validated(tmp_path, capsys, command,
+                                                doc):
+    inp = write(tmp_path, "doc.json", doc)
+    assert main([command, "--input", inp]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")

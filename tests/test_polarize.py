@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -262,15 +264,12 @@ def test_verify_rejects_rosati_violation():
 
 
 def test_basis_independence_of_assembly():
-    # a different greedy order for the F-module basis produces a different
-    # lattice form that still passes the full certificate
-    from rigidtori.fixtures import gaussian_action as _ga
-    from rigidtori.hodge import f_module_basis
-    from rigidtori.polarize import _subfield_action_matrices, find_zeta, \
-        _block_diag, _primitive_integral
-    from rigidtori import linalg as la
+    # a different greedy order for the F-module basis gives a different
+    # frame, hence a different lattice form, that still passes the full
+    # certificate against the same structure
+    from rigidtori.hodge import ExactHodgeStructure, f_module_basis
 
-    rep0 = _ga()
+    rep0 = gaussian_action()
     mats = []
     for m in rep0.matrices:
         big = [[0] * 4 for _ in range(4)]
@@ -280,45 +279,28 @@ def test_basis_independence_of_assembly():
                 big[2 + i][2 + j] = m[i][j]
         mats.append(big)
     rep = IntegralRepresentation(rep0.group, mats)
-    table = character_table(rep.group)
-    decomp = galois_orbits(table)
+    decomp = galois_orbits(character_table(rep.group))
     pieces = isotypic_split(rep, decomp)
     mults = [len(img) // o.field_spec.degree
              for (p, img), o in zip(pieces, decomp.orbits)]
     spec = enumerate_rigid_types(decomp, mults)[0]
     st = exact_structure_from_spec(rep, spec)
-    centre_mats = rep.class_sums
-    active = next(i for i, s in enumerate(spec.summands)
-                  if s.multiplicity > 0)
-    s = spec.summands[active]
-    orbit = decomp.orbits[active]
+    (active, _), = st.frame
     image = pieces[active][1]
-    tau = s.tau_dict()
-    designated = [a for a in orbit.field_spec.coset_reps() if tau[a] > 0]
-    zeta = find_zeta(orbit.field_spec, designated)
-    basis_mats = _subfield_action_matrices(rep, table, orbit)
-    block = trace_form(orbit.field_spec, zeta, list(orbit.field_spec.basis))
     mixed = [[a + 2 * b for a, b in zip(image[0], image[2])],
              image[1], image[2], image[3]]
     forms = []
     for ordering in (list(image), mixed):
-        gens, _ = f_module_basis(ordering, centre_mats)
-        columns = []
-        blocks = []
-        for v in gens:
-            for mat in basis_mats:
-                columns.append(la.mat_vec(
-                    [[Fraction(x) for x in row] for row in mat],
-                    list(map(Fraction, v))))
-            blocks.append(block)
-        w = [[columns[j][i] for j in range(4)] for i in range(4)]
-        w_inv = la.inverse(w)
-        e = la.mat_mul(la.transpose(w_inv),
-                       la.mat_mul(_block_diag(blocks), w_inv))
-        e = _primitive_integral(e)
-        cert = verify_polarization(e, structure=st)
+        gens, _ = f_module_basis(ordering, rep.class_sums)
+        copies = tuple([linalg.mat_vec(mat, v) for mat in rep.class_sums]
+                       for v in gens)
+        framed = ExactHodgeStructure(rep, st.field, st.u_columns,
+                                     frame=[(active, copies)])
+        form = assemble_polarization(rep, spec=spec, structure=framed)
+        cert = verify_polarization(form.matrix, structure=st)
         assert cert.relation_i["ok"] and cert.relation_ii["ok"]
-        forms.append(tuple(tuple(row) for row in e))
+        forms.append(form.matrix)
+    assert forms[0] == assemble_polarization(rep, spec=spec).matrix
     assert forms[0] != forms[1]  # the greedy order genuinely changed E
 
 
@@ -494,3 +476,26 @@ def test_g_invariance_checks_one_product_per_generator(monkeypatch):
                                             "invariant": True}
     # rho(g)^T (E rho(g)): two matrix products for each generator
     assert len(calls) == 2 * len(gens)
+
+
+# sha256 of the polarization matrices of the first 20 rigid draws of
+# random_hodge_fixture(random.Random(7)), entries as str(Fraction) in JSON
+PINNED_RIGID_FORMS = (
+    "409edc96b3caab566a8b9df0f4f5f9ea0f1c7e39e6abdb5135afa81bcd289128")
+
+
+def test_polarization_matrices_are_pinned():
+    from rigidtori.fixtures import random_hodge_fixture, small_groups
+    from rigidtori.hodge import rigidity_by_character
+    rng = random.Random(7)
+    groups = small_groups()
+    matrices = []
+    while len(matrices) < 20:
+        rep, st = random_hodge_fixture(rng, groups=groups)
+        chi = st.hodge_character()
+        if not rigidity_by_character(chi, chi.table).is_rigid:
+            continue
+        form = assemble_polarization(rep, spec=spec_from_character(chi))
+        matrices.append([[str(x) for x in row] for row in form.matrix])
+    digest = hashlib.sha256(json.dumps(matrices).encode()).hexdigest()
+    assert digest == PINNED_RIGID_FORMS
