@@ -32,9 +32,9 @@ from .schemas import (SchemaError, dump_report, load_group_doc,
                       load_symbolic_spec, to_jsonable)
 
 DOMAIN_ERRORS = (
-    polarize_mod.NotRigid, polarize_mod.NonCMFieldActive,
-    polarize_mod.NotCMField, polarize_mod.RelationIFails,
-    polarize_mod.NotPositiveDefinite, polarize_mod.RosatiFails,
+    polarize_mod.NotRigid, polarize_mod.NotCMField,
+    polarize_mod.RelationIFails, polarize_mod.NotPositiveDefinite,
+    polarize_mod.RosatiFails,
     deform_mod.NoConvergence, deform_mod.BudgetExhausted,
     HSViolation, InconsistentCharacter, RoundingFailure,
     InvalidRepresentation, InvalidGroup,

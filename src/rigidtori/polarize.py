@@ -37,7 +37,8 @@ from .hodge import (ExactHodgeStructure, IntegralRepresentation,
                     SymbolicHodgeSpec, exact_structure_from_spec,
                     hodge_character_from_numeric, rigidity_by_centre,
                     spec_from_character)
-from .polyfields import PolynomialField, RealEmbeddingPresent
+from .polyfields import (PRECISION_BITS_CAP, PolynomialField,
+                         RealEmbeddingPresent)
 from .schemas import SchemaError
 
 __all__ = [
@@ -46,7 +47,6 @@ __all__ = [
     "PolarizationCertificate",
     "ExistenceCertificate",
     "NotRigid",
-    "NonCMFieldActive",
     "NotCMField",
     "RelationIFails",
     "NotPositiveDefinite",
@@ -61,10 +61,6 @@ __all__ = [
 
 
 class NotRigid(ValueError):
-    pass
-
-
-class NonCMFieldActive(ValueError):
     pass
 
 
@@ -150,7 +146,8 @@ def find_zeta(field_spec: SubfieldSpec, designated) -> ImaginaryElement:
 
 
 # Bit precisions of the imaginary parts W, doubled while W is too coarse.
-_PRECISIONS = (64, 128, 256, 512, 1024, 2048, 4096)
+_PRECISIONS = tuple(64 << k for k in range(
+    (PRECISION_BITS_CAP // 64).bit_length()))
 
 
 def _square_solve_witness(rows, certify):
@@ -273,10 +270,6 @@ def assemble_polarization(rep: IntegralRepresentation,
             "action is not rigid; violating embeddings: "
             f"{[row for row in centre_report.tau_rows if row[4] != 0]}")
     decomp = spec.decomposition
-    for s in spec.summands:
-        if s.multiplicity > 0 and decomp.orbits[s.orbit_index].tag != "CM":
-            raise NonCMFieldActive(
-                f"active summand {s.orbit_index} is not CM")
     if structure is None:
         structure = exact_structure_from_spec(rep, spec)
     columns = []          # 2n column vectors over Q
@@ -632,7 +625,7 @@ def _certify_poly_signs(F, zeta, designated):
     signs = []
     for i in range(F.degree):
         s = F.sign_imag(zeta, i)
-        if i in designated and s != 1:
+        if s is None or i in designated and s != 1:
             return None
         signs.append(s)
     return signs

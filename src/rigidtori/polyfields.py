@@ -20,15 +20,23 @@ precision c >= prec: n^2 |f(z)|^2 <= 4^-c |f'(z)|^2, so the disc has
 radius at most 2^-c, and the n centres are more than 4 * 2^-c apart,
 so the discs are disjoint and each holds exactly one root.  c starts at
 prec and doubles while two centres are too close; the returned radius
-stays 2^-prec, so boxes of roots closer than that may overlap.  Root
-indices follow sympy's `all_roots` order, which the conjugate pairing,
-designated roots and callers rely on.  That order is certified, not
-matched: every root lies in the union of the discs, so when sympy's
-isolating rectangle for index k meets exactly one box (the box of
-half-width 2^-c around a centre contains its disc), the root with index
-k is the one in that disc.  A rectangle that meets two boxes is refined
-by sympy's bisection until it meets one.  Certified centres are cached
-per precision on the field.
+stays 2^-prec, so boxes of roots closer than that may overlap.
+
+Root indices follow sympy's `all_roots` order, which the conjugate
+pairing, designated roots and callers rely on.  The roots are isolated
+once, as `all_roots` does before its pass that refines all rectangles
+until they are pairwise disjoint: that pass only shrinks rectangles in
+place, so the isolation already lists them in `all_roots` order (upper
+half-plane rectangles by lower-left corner, each preceded by its
+conjugate), and skipping it saves a real-root isolation on the edges of
+every bisection.  The order is certified, not matched: every root lies
+in the union of the discs, so when the isolating rectangle for index k
+meets exactly one box (the box of half-width 2^-c around a centre
+contains its disc), the root with index k is the one in that disc.
+Rectangles hold distinct roots, so a disc pinned this way is struck
+from the other rectangles; only a rectangle that still meets two boxes
+is refined, by sympy's bisection.  Certified centres are cached per
+precision on the field.
 
 sympy is imported only inside the methods that use it (factoring, root
 isolation, resultants, Sturm counts), so importing this module stays cheap.
@@ -38,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from . import linalg
 
@@ -48,12 +56,20 @@ __all__ = [
     "RealEmbeddingPresent",
     "DEGREE_CAP",
     "COEFFICIENT_BITS_CAP",
+    "PRECISION_BITS_CAP",
 ]
 
 DEGREE_CAP = 16
-# Widest admitted coefficient, in bits: sympy's root isolation grows with the
-# coefficients' size (x^2 + 3*10^k: 9 s at k = 160, 79 s at k = 400).
+# Widest admitted coefficient, in bits.  Set when fields ran sympy's
+# disjoint-refinement pass, whose cost grew with the coefficients
+# (x^2 + 3*10^160: 5.5 s on a 2-core host).  One isolation builds that field
+# in 0.07 s there, x^2 + 3*10^400 in 0.26 s and x^2 + 3*10^1000 in 1.8 s;
+# the cap stays as the admission limit.
 COEFFICIENT_BITS_CAP = 128
+# Highest precision, in bits, of every certified evaluation: signs, the
+# conjugate pairing, theta's factor and the witness search in `polarize`
+# (at 65536 bits the root boxes alone take seconds).
+PRECISION_BITS_CAP = 4096
 
 # Extra working bits for the Newton polish; doubled when a certificate fails.
 _GUARD_BITS = 32
@@ -277,18 +293,27 @@ class PolynomialField:
         if max(abs(c) for c in coeffs).bit_length() > COEFFICIENT_BITS_CAP:
             raise ReduciblePolynomial(
                 f"coefficients must have at most {COEFFICIENT_BITS_CAP} bits")
-        from sympy import Poly, factor_list, symbols
+        from sympy import Poly, symbols
+        from sympy.polys.polyroots import preprocess_roots
+        from sympy.polys.rootisolation import dup_isolate_complex_roots_sqf
         self._poly = Poly([c for c in reversed(coeffs)], symbols("t"))
-        factors = factor_list(self._poly)[1]
+        # what `all_roots` runs before its disjoint-refinement pass: f is
+        # rescaled to g(y) = f(c y)/c^n, and g's one factor is isolated
+        scale, scaled = preprocess_roots(self._poly)
+        factors = scaled.factor_list()[1]
         if len(factors) != 1 or factors[0][1] != 1:
             raise ReduciblePolynomial("polynomial is reducible over Q")
-        roots = self._poly.all_roots(radicals=False)
-        n_real = sum(1 for r in roots if r.is_real)
+        n_real = self._poly.count_roots()
         if n_real:
             raise RealEmbeddingPresent(
                 f"polynomial has {n_real} real roots; field is not totally "
                 "imaginary")
-        self._rectangles = [_IsolatingRectangle(r) for r in roots]
+        g = factors[0][0]
+        scale = Fraction(int(scale.p), int(scale.q))
+        self._rectangles = [
+            _IsolatingRectangle(scale, interval)
+            for interval in dup_isolate_complex_roots_sqf(
+                g.rep.to_list(), g.rep.dom, blackbox=True)]
         self._approx = [rect.centre() for rect in self._rectangles]
         self._centres = {}
         self.pairs = self._pair_roots()
@@ -340,27 +365,40 @@ class PolynomialField:
         """order[k] = the centre whose disc holds sympy's root k, for
         disjoint certified discs of radius 2^-cert_bits.  The discs hold
         every root, so a rectangle meeting only one centre's box pins its
-        root to that disc; rectangles meeting two boxes are refined."""
+        root to that disc, and distinct rectangles hold distinct roots, so
+        a pinned disc is struck from every other rectangle.  Only a
+        rectangle that still meets two boxes is refined."""
         eps = Fraction(1, 2 ** cert_bits)
-        order = []
-        for rect in self._rectangles:
-            while True:
-                hits = [j for j, (re, im) in enumerate(centres)
-                        if rect.meets(re - eps, re + eps, im - eps, im + eps)]
-                if len(hits) == 1:
-                    break
-                if not hits:
-                    raise ArithmeticError("an isolating rectangle meets no "
-                                          "certified root disc")
-                rect.refine()
-            order.append(hits[0])
-        return order
+        boxes = [(re - eps, re + eps, im - eps, im + eps)
+                 for re, im in centres]
+        hits = [[j for j, box in enumerate(boxes) if rect.meets(*box)]
+                for rect in self._rectangles]
+        while True:
+            struck = True
+            while struck:
+                struck = False
+                for k, own in enumerate(hits):
+                    if len(own) != 1:
+                        continue
+                    for other in hits[:k] + hits[k + 1:]:
+                        if own[0] in other:
+                            other.remove(own[0])
+                            struck = True
+            if not all(hits):
+                raise ArithmeticError("an isolating rectangle meets no "
+                                      "certified root disc")
+            k = next((k for k, h in enumerate(hits) if len(h) > 1), None)
+            if k is None:
+                return [own for own, in hits]
+            rect = self._rectangles[k]
+            rect.refine()
+            hits[k] = [j for j in hits[k] if rect.meets(*boxes[j])]
 
     def _pair_roots(self):
         """Certified pairing of complex-conjugate roots by box separation."""
         n = self.degree
         prec = 32
-        while prec <= 4096:
+        while prec <= PRECISION_BITS_CAP:
             boxes = [self.root_box(i, prec) for i in range(n)]
             # boxes must be pairwise separated from each other's conjugates
             assign = {}
@@ -426,41 +464,49 @@ class PolynomialField:
         radius = max(rh - mid_re, ih - mid_im)
         return mid_re, mid_im, radius
 
-    def sign_imag(self, coeffs, root_index: int) -> int:
+    def sign_imag(self, coeffs, root_index: int) -> int | None:
         """Exact sign of Im(x(alpha_i)) for x in the imaginary subspace:
-        nonzero elements there have nonzero imaginary part everywhere."""
+        nonzero elements there have nonzero imaginary part everywhere.
+        None when the sign is still undecided at PRECISION_BITS_CAP bits."""
         if all(Fraction(q) == 0 for q in coeffs):
             return 0
         prec = 64
-        while prec <= 65536:
+        while prec <= PRECISION_BITS_CAP:
             _, im, rad = self.evaluate_box(coeffs, root_index, prec)
             if im - rad > 0:
                 return 1
             if im + rad < 0:
                 return -1
             prec *= 2
-        raise AssertionError("sign certification stalled; element may not be "
-                             "purely imaginary")
+        return None
 
     # -- the purely-imaginary subspace --------------------------------------
 
     def pair_data(self):
-        from sympy import Poly, factor_list, resultant, symbols
+        from sympy import Poly, factor_list, symbols
         if self._pair_data is not None:
             return self._pair_data
         t, u = self._poly.gen, symbols("u")
-        sum_res = Poly(
-            resultant(self._poly.as_expr().subs(t, u - t),
-                      self._poly.as_expr(), t), u)
+        # Res_t(f(u - t), f(t)), f(u - t) by an integer Taylor shift
+        shifted = {}
+        for k, a in enumerate(self.coeffs):
+            for j in range(k + 1):
+                key = (j, k - j)
+                shifted[key] = shifted.get(key, 0) + (-1) ** j * comb(k, j) * a
+        sum_res = Poly.from_dict(shifted, t, u).resultant(
+            Poly.from_dict({(k, 0): a for k, a in enumerate(self.coeffs)},
+                           t, u))
         factors = [Poly(fac, u) for fac, _ in factor_list(sum_res)[1]]
         data = []
+        p_moduli = {}      # pairs with the same theta share their p modulus
         for (i, ibar) in self.pairs:
-            g = self._identify_factor(factors, i, ibar)
-            p_mod = self._p_modulus(g)
+            g = tuple(self._identify_factor(factors, i, ibar))
+            if g not in p_moduli:
+                p_moduli[g] = tuple(tuple(c.coefficient_vector())
+                                    for c in self._p_modulus(g))
             data.append(ConjugatePairData(
-                root_indices=(i, ibar),
-                theta_minpoly=tuple(g),
-                p_modulus=tuple(tuple(c.coefficient_vector()) for c in p_mod)))
+                root_indices=(i, ibar), theta_minpoly=g,
+                p_modulus=p_moduli[g]))
         self._pair_data = tuple(data)
         return self._pair_data
 
@@ -471,7 +517,7 @@ class PolynomialField:
     def _identify_factor(self, factors, i, ibar):
         """The irreducible factor vanishing at theta = 2 Re(alpha_i)."""
         prec = 64
-        while prec <= 4096:
+        while prec <= PRECISION_BITS_CAP:
             mid, rad = self._theta_box(i, ibar, prec)
             alive = []
             for fac in factors:
@@ -673,15 +719,13 @@ def _charpoly(mat):
 
 
 class _IsolatingRectangle:
-    """sympy's isolating rectangle for one indexed root.  sympy returns the
-    root as c * CRootOf(g, k) with c > 0 when it rescales f first (x^2 + 4
-    is 4 (y^2 + 1) at x = 2y), so the rectangle of CRootOf(g, k) is scaled
-    by c."""
+    """sympy's isolating rectangle for one indexed root of f.  sympy
+    isolates the roots of g(y) = f(c y)/c^n for a scale c > 0 (x^2 + 4 is
+    4 (y^2 + 1) at x = 2y), so the rectangle of g's root is scaled by c."""
 
-    def __init__(self, root):
-        scale, inner = root.as_coeff_Mul()
-        self._scale = Fraction(int(scale.p), int(scale.q))
-        self._interval = inner._get_interval()
+    def __init__(self, scale, interval):
+        self._scale = scale
+        self._interval = interval
 
     def bounds(self):
         """(x_lo, x_hi, y_lo, y_hi) of the closed rectangle."""

@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 
 from rigidtori.polyfields import (COEFFICIENT_BITS_CAP, DEGREE_CAP,
-                                  PolynomialField, RealEmbeddingPresent,
-                                  ReduciblePolynomial, _charpoly)
+                                  PRECISION_BITS_CAP, PolynomialField,
+                                  RealEmbeddingPresent, ReduciblePolynomial,
+                                  _charpoly)
 
 
 def test_charpoly_small():
@@ -133,6 +134,26 @@ def test_square_d_quadratics_decide():
             assert cert.witness_signs[designated[0]] == 1
 
 
+def _mpf_fraction(x):
+    from mpmath.libmp import to_rational
+    return Fraction(*to_rational(x._mpf_))
+
+
+# A fixed sample of each benchmark family: Phi_m, x^6 + c, x^2 + d (squares
+# included, which sympy rescales), x^4 + a x^2 + b and x^4 + x + c.
+FAMILY_SAMPLE = {
+    "Phi_m": ((1, 1, 1), (1, 0, 1), (1, 1, 1, 1, 1), (1, 0, 0, 0, 1),
+              (1, -1, 1, -1, 1), (1, 0, -1, 0, 1), (1, 1, 1, 1, 1, 1, 1),
+              (1, 0, 0, 1, 0, 0, 1), (1, -1, 1, -1, 1, -1, 1),
+              (1, 0, 0, -1, 0, 0, 1)),
+    "x^6+c": tuple((c, 0, 0, 0, 0, 0, 1) for c in (2, 5, 78, 143, 399)),
+    "x^2+d": tuple((d, 0, 1) for d in (2, 4, 7, 9, 49, 598)),
+    "x^4+ax^2+b": ((5, 0, 5, 0, 1), (1, 0, 3, 0, 1), (7, 0, 6, 0, 1),
+                   (71, 0, 39, 0, 1), (2, 0, 17, 0, 1)),
+    "x^4+x+c": tuple((c, 1, 0, 0, 1) for c in (1, 2, 37, 250, 380)),
+}
+
+
 def test_root_boxes_agree_with_sympy_bisection():
     # one polynomial per benchmark family: Phi_7, x^6 + c, x^2 + d,
     # x^4 + a x^2 + b, x^4 + x + c; the reference is sympy's exact
@@ -149,6 +170,135 @@ def test_root_boxes_agree_with_sympy_bisection():
             assert rad == eps
             assert abs(re - ref_re) <= 2 * eps, (coeffs, i)
             assert abs(im - ref_im) <= 2 * eps, (coeffs, i)
+
+
+def test_root_box_order_matches_all_roots_across_families():
+    # the order oracle is sympy's all_roots: its rectangles, pairwise
+    # disjoint after its refinement pass, cover the roots, so a certified
+    # box that meets only rectangle k holds sympy's root k; the accuracy
+    # reference is mpmath's polyroots at 60 digits, whose root in
+    # rectangle k must lie within 2 * rad of box k
+    import mpmath
+    eps = Fraction(1, 2 ** 64)
+    for family, sample in FAMILY_SAMPLE.items():
+        for coeffs in sample:
+            F = PolynomialField(coeffs)
+            rectangles = []
+            for root in F._poly.all_roots(radicals=False):
+                # x^2 + d, d a square, comes out as c * CRootOf(x^2 + 1)
+                scale, inner = root.as_coeff_Mul()
+                iv = inner._get_interval()
+                rectangles.append([
+                    Fraction(int(scale.p), int(scale.q))
+                    * Fraction(int(q.numerator), int(q.denominator))
+                    for q in (iv.ax, iv.bx, iv.ay, iv.by)])
+            with mpmath.workdps(60):
+                refs = [(_mpf_fraction(z.real), _mpf_fraction(z.imag))
+                        for z in mpmath.polyroots(list(reversed(coeffs)),
+                                                  maxsteps=200,
+                                                  extraprec=200)]
+            # below 2^-64, above mpmath's error at 60 digits
+            slack = Fraction(1, 2 ** 120)
+            nearest = []
+            for k, (ax, bx, ay, by) in enumerate(rectangles):
+                re, im, rad = F.root_box(k, 64)
+                assert rad == eps
+                met = [j for j, (lx, hx, ly, hy) in enumerate(rectangles)
+                       if re - rad <= hx and lx <= re + rad
+                       and im - rad <= hy and ly <= im + rad]
+                assert met == [k], (family, coeffs, k)
+                x, y = min(refs, key=lambda z: abs(z[0] - re) + abs(z[1] - im))
+                nearest.append((x, y))
+                assert ax - slack <= x <= bx + slack, (family, coeffs, k)
+                assert ay - slack <= y <= by + slack, (family, coeffs, k)
+                assert abs(re - x) <= 2 * rad, (family, coeffs, k)
+                assert abs(im - y) <= 2 * rad, (family, coeffs, k)
+            assert len(set(nearest)) == F.degree, (family, coeffs)
+
+
+def test_fields_never_run_the_disjoint_refinement(monkeypatch):
+    # all_roots makes every rectangle pairwise disjoint before it returns;
+    # the field takes the order from the isolation alone
+    from sympy.polys.rootoftools import ComplexRootOf
+
+    def refuse(cls, complexes):
+        raise AssertionError("disjoint-refinement pass ran")
+
+    monkeypatch.setattr(ComplexRootOf, "_refine_complexes",
+                        classmethod(refuse))
+    for sample in FAMILY_SAMPLE.values():
+        for coeffs in sample[:2]:
+            F = PolynomialField(coeffs)
+            assert len(F.pairs) == F.degree // 2
+            F.root_box(0, 64)
+
+
+def test_elimination_resolves_without_bisection(monkeypatch):
+    # every rectangle of Phi_9 and x^6 + 78 is pinned to its disc by
+    # meeting one box or by striking the discs the others own
+    from rigidtori import polyfields
+    calls, refine = [], polyfields._IsolatingRectangle.refine
+
+    def counted(self):
+        calls.append(self)
+        refine(self)
+
+    monkeypatch.setattr(polyfields._IsolatingRectangle, "refine", counted)
+    for coeffs in ((1, 0, 0, 1, 0, 0, 1), (78, 0, 0, 0, 0, 0, 1)):
+        F = PolynomialField(coeffs)
+        for prec in (32, 64, 128):
+            F.root_box(0, prec)
+    assert calls == []
+
+
+def test_one_p_modulus_per_theta_polynomial(monkeypatch):
+    # conjugate pairs often share theta's minimal polynomial (all three of
+    # Q(zeta7)); x^6 + 2 has theta = 0 on one pair and +-2^(1/6) sqrt(3)
+    # on the other two
+    calls = []
+    p_modulus = PolynomialField._p_modulus
+
+    def counted(self, g):
+        calls.append(tuple(g))
+        return p_modulus(self, g)
+
+    monkeypatch.setattr(PolynomialField, "_p_modulus", counted)
+    for coeffs, n_thetas in (((1, 1, 1, 1, 1, 1, 1), 1), ((5, 0, 5, 0, 1), 1),
+                             ((1, 1, 0, 0, 1), 1), ((2, 0, 0, 0, 0, 0, 1), 2)):
+        calls.clear()
+        data = PolynomialField(coeffs).pair_data()
+        assert sorted(calls) == sorted({pd.theta_minpoly for pd in data})
+        assert len(calls) == n_thetas, coeffs
+
+
+def test_undecided_sign_gives_no_witness(monkeypatch):
+    # a sign still undecided at PRECISION_BITS_CAP bits is no certificate, and
+    # polarization_exists ends in its declared NotCMField
+    from rigidtori.polarize import NotCMField, polarization_exists
+    evaluate = PolynomialField.evaluate_box
+    sign_imag = PolynomialField.sign_imag
+    inside_sign, tried = [], []
+
+    def straddling(self, coeffs, root_index, prec_bits=64):
+        if not inside_sign:
+            return evaluate(self, coeffs, root_index, prec_bits)
+        tried.append(prec_bits)
+        return Fraction(0), Fraction(0), Fraction(1)
+
+    def tracked(self, coeffs, root_index):
+        inside_sign.append(root_index)
+        try:
+            return sign_imag(self, coeffs, root_index)
+        finally:
+            inside_sign.pop()
+
+    monkeypatch.setattr(PolynomialField, "evaluate_box", straddling)
+    monkeypatch.setattr(PolynomialField, "sign_imag", tracked)
+    F = PolynomialField((1, 1, 1, 1, 1))
+    assert F.sign_imag(F.imaginary_subspace()[0], 0) is None
+    assert max(tried) == PRECISION_BITS_CAP
+    with pytest.raises(NotCMField):
+        polarization_exists((1, 1, 1, 1, 1), [0, 2])
 
 
 def test_roots_closer_than_the_requested_radius():
