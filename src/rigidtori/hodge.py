@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import mul
 
 from . import linalg
 from .characters import (CharacterTable, GaloisOrbitDecomposition,
@@ -197,11 +198,14 @@ class IntegralRepresentation:
 
 
 def _int_mat_mul(a, b):
-    n = len(a)
+    """a b for integer matrices given as rows: each row of a against each
+    column of b.  A ragged input raises the IndexError that indexing its
+    entries one by one raises."""
     m = len(b[0])
-    k = len(b)
-    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)]
-            for i in range(n)]
+    cols = list(zip(*b))
+    if a and (len(cols) != m or m and any(len(row) < len(b) for row in a)):
+        raise IndexError("list index out of range")
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 # -- Hodge characters -------------------------------------------------------
@@ -624,25 +628,29 @@ def isotypic_split(rep: IntegralRepresentation,
 def f_module_basis(summand_image, centre_matrices):
     """Vectors v_1..v_n whose F-orbits (under the centre action restricted
     to the summand, given by matrices such as `class_sums`) form a Q-basis
-    of the summand; greedy construction."""
+    of the summand; greedy construction.
+
+    Returns (images, orbits): the images [S v_i for S in centre_matrices]
+    of each v_i, and a basis of each orbit's span.  With `class_sums`, whose
+    first class is the identity's, images[i][0] is v_i."""
     if not summand_image:
         return [], []
     spanned = []
-    gens = []
+    images = []
     orbits = []
     for cand in summand_image:
         if linalg.in_span(spanned, cand):
             continue
         orbit_vectors = [linalg.mat_vec(mat, cand) for mat in centre_matrices]
         orbit = linalg.row_space_basis(orbit_vectors)
-        gens.append(list(cand))
+        images.append(orbit_vectors)
         orbits.append(orbit)
         spanned = linalg.row_space_basis(spanned + orbit)
         if len(spanned) == len(summand_image):
             break
     if len(spanned) != len(summand_image):
         raise InvalidRepresentation("greedy F-module basis failed to span")
-    return gens, orbits
+    return images, orbits
 
 
 # -- enumeration of rigid types ---------------------------------------------
@@ -773,12 +781,9 @@ def exact_structure_from_spec(rep: IntegralRepresentation,
             if sorted(tau.values()) != sorted(
                     [s.multiplicity] * len(sides) + [0] * len(sides)):
                 raise HSViolation("CM tau values must be one-sided")
-            gens, _ = f_module_basis(image, rep.class_sums)
+            copies, _ = f_module_basis(image, rep.class_sums)
             coset_to_row = dict(orbit.coset_to_row)
-            copies = []
-            for v in gens:
-                images = [linalg.mat_vec(mat, v) for mat in rep.class_sums]
-                copies.append(images)
+            for images in copies:
                 for a in sides:
                     u_cols.append(_character_component(
                         table, coset_to_row[a], images))
@@ -801,7 +806,7 @@ def exact_structure_from_spec(rep: IntegralRepresentation,
                 raise HSViolation(
                     "real summand with odd multiplicity cannot carry "
                     "a Hodge structure")
-            gens, orbits = f_module_basis(image, rep.class_sums)
+            _, orbits = f_module_basis(image, rep.class_sums)
             for i in range(0, n_j, 2):
                 for w1, w2 in zip(orbits[i], orbits[i + 1]):
                     col = [K.from_rational(x) + mu * Fraction(y)

@@ -235,17 +235,39 @@ def load_symbolic_spec(spec_doc, decomposition) -> SymbolicHodgeSpec:
 
 
 # -- serialization ------------------------------------------------------------
+#
+# dump_report writes the text of json.dumps(to_jsonable(report),
+# sort_keys=True, indent=2) in one walk of the report: json's pure-Python
+# encoder, which it falls back to whenever `indent` is set, would walk the
+# converted copy a second time and encode each repeated table value anew.
+# The JSON form of exact numbers is defined once, in _fraction_json and
+# _cyclotomic_json, for both.
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _fraction_json(p: int, q: int) -> str:
+    """The rational p/q (q > 0) as "p/q" in lowest terms."""
+    g = math.gcd(p, q)
+    return f"{p // g}/{q // g}"
+
+
+def _cyclotomic_json(z: CyclotomicNumber) -> dict:
+    """Conductor, power-basis coordinates as "p/q" strings (read off the
+    integer num/den) and the display string of a cyclotomic value."""
+    den = z.den
+    return {
+        "conductor": z.field.m,
+        "coeffs": [_fraction_json(n, den) for n in z.num],
+        "display": z.as_string(),
+    }
 
 
 def to_jsonable(value):
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return _fraction_json(value.numerator, value.denominator)
     if isinstance(value, CyclotomicNumber):
-        return {
-            "conductor": value.field.m,
-            "coeffs": [to_jsonable(c) for c in value.coeffs],
-            "display": value.as_string(),
-        }
+        return _cyclotomic_json(value)
     if isinstance(value, dict):
         return {str(k): to_jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -258,4 +280,101 @@ def to_jsonable(value):
 
 
 def dump_report(report: dict) -> str:
-    return json.dumps(to_jsonable(report), sort_keys=True, indent=2) + "\n"
+    """Indent-2, sorted-key JSON text of `report`, ending in a newline:
+    json.dumps(to_jsonable(report), sort_keys=True, indent=2) + "\n",
+    written in one walk.  Each distinct cyclotomic value is rendered once
+    per call and indent level."""
+    out = []
+    _write(report, "\n", out, {})
+    out.append("\n")
+    return "".join(out)
+
+
+def _float_json(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _write(value, nl, out, memo):
+    """Append the JSON text of `value` to `out`; `nl` is the newline and
+    indent of the line `value` starts on.  Plain JSON types take the first
+    branches; anything else follows to_jsonable's order of cases.  `memo`
+    maps (conductor, num, den, indent) to a cyclotomic value's text."""
+    kind = type(value)
+    if kind is str:
+        out.append(_encode_str(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is list or kind is tuple:
+        _write_array(value, nl, out, memo)
+    elif kind is dict:
+        _write_object(value, nl, out, memo)
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif kind is float:
+        out.append(_float_json(value))
+    elif isinstance(value, CyclotomicNumber):
+        key = (value.field.m, value.num, value.den, len(nl))
+        text = memo.get(key)
+        if text is None:
+            part = []
+            _write_object(_cyclotomic_json(value), nl, part, memo)
+            text = memo[key] = "".join(part)
+        out.append(text)
+    elif isinstance(value, Fraction):
+        out.append(_encode_str(
+            _fraction_json(value.numerator, value.denominator)))
+    elif isinstance(value, dict):
+        _write_object(value, nl, out, memo)
+    elif isinstance(value, (list, tuple)):
+        _write_array(value, nl, out, memo)
+    elif isinstance(value, float):
+        out.append(_float_json(float(value)))
+    elif hasattr(value, "item") and not isinstance(value, (str, bytes)):
+        _write(value.item(), nl, out, memo)
+    elif isinstance(value, str):
+        out.append(_encode_str(value))
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {kind.__name__} "
+                        "is not JSON serializable")
+
+
+def _write_array(items, nl, out, memo):
+    if not items:
+        out.append("[]")
+        return
+    inner = nl + "  "
+    sep = "[" + inner
+    for item in items:
+        out.append(sep)
+        _write(item, inner, out, memo)
+        sep = "," + inner
+    out.append(nl + "]")
+
+
+def _write_object(obj, nl, out, memo):
+    if not obj:
+        out.append("{}")
+        return
+    if not all(type(k) is str for k in obj):
+        obj = {str(k): v for k, v in obj.items()}
+    inner = nl + "  "
+    sep = "{" + inner
+    for key in sorted(obj):
+        out.append(sep)
+        out.append(_encode_str(key))
+        out.append(": ")
+        _write(obj[key], inner, out, memo)
+        sep = "," + inner
+    out.append(nl + "}")

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from rigidtori.characters import character_table, galois_orbits, table_for
 from rigidtori.cyclotomic import CyclotomicField
@@ -13,7 +15,7 @@ from rigidtori.fixtures import (cyclic, eisenstein_action, gaussian_action,
 from rigidtori.hodge import (BRUTE_FORCE_RANK_CAP, ExactHodgeStructure,
                              HSViolation, InconsistentCharacter,
                              IntegralRepresentation, InvalidRepresentation,
-                             RoundingFailure, SummandType, SymbolicHodgeSpec,
+                             RoundingFailure, _int_mat_mul, SummandType, SymbolicHodgeSpec,
                              brute_force_hom_dimension,
                              enumerate_rigid_types, exact_structure_from_spec,
                              f_module_basis, hodge_character_from_numeric,
@@ -62,6 +64,34 @@ def test_generator_expansion_matches_elements():
     gen = next(x for x in range(4) if g.element_order[x] == 4
                and rep.matrices[x] == tuple(map(tuple, j)))
     assert rep.matrices[0] == ((1, 0), (0, 1))
+
+
+def _indexed_product(a, b):
+    # the product entry by entry, indexing each factor as it goes
+    n, m, k = len(a), len(b[0]), len(b)
+    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)]
+            for i in range(n)]
+
+
+_rows = st.lists(st.lists(st.integers(-9, 9), max_size=4), max_size=4)
+
+
+@given(_rows, _rows)
+@example([[1, 2]], [[1, 2], [3]])   # a short row of b
+@example([[1]], [[1], [2]])         # a row of a shorter than b is tall
+@example([[1]], [[], []])           # no columns: nothing is indexed
+@example([], [[1], []])             # no rows
+@example([[1]], [])                 # no b[0]
+def test_int_mat_mul_matches_indexed_product(a, b):
+    # ragged and empty shapes included: the same product, or the same error
+    try:
+        expected = _indexed_product(a, b)
+    except IndexError as exc:
+        with pytest.raises(IndexError) as raised:
+            _int_mat_mul(a, b)
+        assert str(raised.value) == str(exc)
+    else:
+        assert _int_mat_mul(a, b) == expected
 
 
 def test_hodge_character_trivial_group():
@@ -217,18 +247,51 @@ def test_f_module_basis_dimensions():
     pieces = isotypic_split(rep, decomp)
     centre_mats = rep.class_sums
     cm_index = next(j for j, o in enumerate(decomp.orbits) if o.tag == "CM")
-    gens, orbits = f_module_basis(pieces[cm_index][1], centre_mats)
-    assert len(gens) == 1
+    images, orbits = f_module_basis(pieces[cm_index][1], centre_mats)
+    assert len(images) == 1
+    gen = images[0][0]
+    assert gen in pieces[cm_index][1]
+    assert images == [[linalg.mat_vec(mat, gen) for mat in centre_mats]]
     assert len(orbits[0]) == 2
     # doubled copy: two generators with independent orbits
     from rigidtori.fixtures import _double_rep
     rep2 = _double_rep(rep)
     pieces2 = isotypic_split(rep2, decomp)
     centre2 = rep2.class_sums
-    gens2, orbits2 = f_module_basis(pieces2[cm_index][1], centre2)
-    assert len(gens2) == 2
+    images2, orbits2 = f_module_basis(pieces2[cm_index][1], centre2)
+    assert len(images2) == 2
     combined = [v for orb in orbits2 for v in orb]
     assert linalg.rank(combined) == 4
+
+
+def test_exact_structure_maps_each_generator_once(monkeypatch):
+    # rank 8: two copies of Z[zeta5].  The class-sum images S_k v that
+    # f_module_basis takes of each F-module generator v are the frame's
+    # copies; building the structure takes them once, one mat_vec per
+    # (generator, class sum)
+    reg5 = regular_representation(cyclic(5))
+    decomp = galois_orbits(character_table(cyclic(5)))
+    cm = next(j for j, o in enumerate(decomp.orbits) if o.tag == "CM")
+    model, _ = integral_model(reg5, isotypic_split(reg5, decomp)[cm][1])
+    from rigidtori.fixtures import _double_rep
+    rep = _double_rep(model)
+    assert rep.rank == 8
+    mults = [len(img) // o.field_spec.degree
+             for (p, img), o in zip(isotypic_split(rep, decomp),
+                                    decomp.orbits)]
+    spec = enumerate_rigid_types(decomp, mults)[0]
+    calls = []
+    mat_vec = linalg.mat_vec
+
+    def counted(a, v):
+        calls.append(1)
+        return mat_vec(a, v)
+
+    monkeypatch.setattr(linalg, "mat_vec", counted)
+    st = exact_structure_from_spec(rep, spec)
+    (_, copies), = st.frame
+    assert len(copies) == 2
+    assert len(calls) == len(copies) * len(rep.class_sums) == 10
 
 
 def _catalogue_prefix(count):
