@@ -5,6 +5,8 @@ The table is computed by the Dixon-Schneider method (Dixon, Numer. Math. 10,
 (M_i)[j][k] = a_ijk, commute, and their joint eigenvectors, normalized at
 the identity class, are the vectors of central-character values
 omega_k = |C_k| chi(g_k) / chi(1), which lie in Z[zeta_m], m = exponent(G).
+Each M_i is read one matrix at a time as the sparse rows the class data
+stores, coefficients[i][j] = {k: a_ijk}; no d x d x d object is built.
 
 The eigenvectors are split over a prime field.  p is the smallest prime with
 p = 1 (mod m) and p > 2 sqrt(|G|).  Then p does not divide |G|, F_p holds the
@@ -44,12 +46,15 @@ it preserves these lines: M_i w = lambda w.  Since a_i0k = delta_ik (class
 0 is the identity), lambda = (M_i w)_0 = w_i.  So M_i w = w_i w for every
 i: the d vectors are the d central characters.  Their coordinates are
 integers (central characters are algebraic integers), so the products are
-taken in integers.  The degrees need no check of their own: each exact w
-reduces mod p to the component it was recovered from (the multiplicities
-invert the transform mod p), so when w = omega_psi, psi(1)^2 = chi(1)^2 mod
-p, and both lie in [1, sqrt(|G|)].  The degree squares must sum to |G|.  A
-failed certificate raises TableComputationError.  Rows come out in
-canonical order, so the table depends on neither p, z nor the draws.
+taken in integers, M_i M_s too, over the sparse rows.  The degrees need no
+check of their own: each exact w reduces mod p to the component it was
+recovered from (the multiplicities invert the transform mod p), so when
+w = omega_psi, psi(1)^2 = chi(1)^2 mod p, and both lie in [1, sqrt(|G|)].
+The degree squares must sum to |G|.  A failed certificate raises
+TableComputationError.  Rows come out in canonical order, so the table
+depends on neither p, z nor the draws; they are sorted on their integer
+power-basis numerators (character values are algebraic integers, so every
+denominator is 1).
 `CharacterTable.verify` (row orthonormality) stays public as an independent
 check but is not part of the computation.
 
@@ -63,7 +68,11 @@ to 43.7 MB, and one entry to 41.3-41.4 MB.  `galois_orbits` is computed
 once per table object and then returns that same result; its orbits are
 also the field summands of the centre of Q[G].  Galois images of rows are
 read through the power maps, sigma_a(chi)(g) = chi(g^a), by permuting
-columns.
+columns; the power maps on classes come with the class data.  An orbit's
+idempotent is summed in integers, chi(1) times the numerators over the
+orbit, and divided by |G| once per class.  The character field's Q-basis
+is built only when it is read: `analyze` reports the conductor, the fixing
+subgroup and the degree, and builds none.
 """
 
 from __future__ import annotations
@@ -230,20 +239,9 @@ def table_for(group: FiniteGroup) -> CharacterTable:
 
 
 def _row_key(row):
-    return tuple(tuple(c.coeffs) for c in row)
-
-
-def _power_classes(classes: ConjugacyClassData):
-    """Per class k, the classes of g_k^t for 0 <= t < ord(g_k)."""
-    table = classes.group.table
-    out = []
-    for g in classes.representatives:
-        powers, cur = [0], g
-        while cur != 0:
-            powers.append(classes.membership[cur])
-            cur = table[cur][g]
-        out.append(powers)
-    return out
+    """Sort key of a row of cyclotomic values: the (numerators, denominator)
+    pairs, which order rows of integral values as their coordinates do."""
+    return tuple((c.num, c.den) for c in row)
 
 
 def _separating_classes(vectors):
@@ -290,10 +288,9 @@ def _certify(classes: ConjugacyClassData, vectors) -> bool:
             times_ws = _multiplication_matrix(w[s], modulus)
             for j, row in enumerate(classes.coefficients[s]):
                 lhs = [0] * len(w[s])
-                for k, a in enumerate(row):
-                    if a:
-                        for i, c in enumerate(w[k]):
-                            lhs[i] += a * c
+                for k, a in row.items():
+                    for i, c in enumerate(w[k]):
+                        lhs[i] += a * c
                 rhs = [0] * len(lhs)
                 for c, image in zip(w[j], times_ws):
                     if c:
@@ -301,10 +298,9 @@ def _certify(classes: ConjugacyClassData, vectors) -> bool:
                             rhs[i] += c * x
                 if lhs != rhs:
                     return False
-    sparse = [[{k: a for k, a in enumerate(row) if a} for row in mat]
-              for mat in classes.coefficients]
-    return all(_sparse_product(sparse[i], sparse[s]) ==
-               _sparse_product(sparse[s], sparse[i])
+    mats = classes.coefficients
+    return all(_sparse_product(mats[i], mats[s]) ==
+               _sparse_product(mats[s], mats[i])
                for s in separating for i in range(d))
 
 
@@ -346,7 +342,7 @@ def _dixon_schneider(classes: ConjugacyClassData, field):
     zpow = [pow(z, t, p) for t in range(m)]
     # z^t in the power basis, as (position, integer coefficient) pairs
     power_basis = field.power_table
-    powers = _power_classes(classes)
+    powers = classes.power_classes
     # a class of largest order in its cyclic subgroup first, so that its
     # power classes are filled from its multiplicities
     by_order = sorted(range(d), key=lambda k: -len(powers[k]))
@@ -433,19 +429,17 @@ def _split_mod_p(classes: ConjugacyClassData, p: int):
     eigencomponents of e_0 under seeded random combinations of the class
     matrices, split again until there are d."""
     d = classes.count
-    entries = [[(j, k, a) for j, row in enumerate(mat)
-                for k, a in enumerate(row) if a]
-               for mat in classes.coefficients]
     rng = random.Random(DEFAULT_SEED)
     components = [[1] + [0] * (d - 1)]
     for _round in range(_SPLIT_ROUNDS):
         if len(components) >= d:
             break
         combo = [[0] * d for _ in range(d)]
-        for mat in entries:
+        for mat in classes.coefficients:
             c = rng.randrange(p)
-            for j, k, a in mat:
-                combo[j][k] += c * a
+            for combo_row, row in zip(combo, mat):
+                for k, a in row.items():
+                    combo_row[k] += c * a
         combo = [[x % p for x in row] for row in combo]
         components = [piece for v in components
                       for piece in _eigencomponents(combo, v, p)]
@@ -558,7 +552,7 @@ def _galois_orbits(table):
     keys = [tuple(values.setdefault((v.num, v.den), len(values)) for v in row)
             for row in table.rows]
     key_to_row = {key: r for r, key in enumerate(keys)}
-    powers = _power_classes(table.classes)
+    powers = table.classes.power_classes
     power_map = {a: [pw[a % len(pw)] for pw in powers] for a in field.units}
 
     def image(r, a):
@@ -597,15 +591,21 @@ def _galois_orbits(table):
 
 
 def _orbit_idempotent(table: CharacterTable, member_rows):
-    """e_K(chi) = sum over the orbit of e_chi; coefficients must be rational."""
-    # the coefficient of g is (chi(1)/|G|) sum_chi chi(g^-1): one per class
+    """e_K(chi) = sum over the orbit of e_chi; coefficients must be rational.
+
+    The coefficient of g is (1/|G|) sum_chi chi(1) chi(g^-1), one per class.
+    Character values are algebraic integers (denominator 1), so the sum is
+    taken over their integer numerators; it is rational exactly when every
+    coordinate but the first vanishes."""
     g = table.group
     per_class = []
     for k in range(table.size):
-        acc = table.field.zero()
+        acc = [0] * table.field.degree
         for row in member_rows:
-            acc = acc + table.rows[row][k] * Fraction(table.degrees[row], g.order)
-        per_class.append(acc.as_rational())
+            deg = table.degrees[row]
+            for i, x in enumerate(table.rows[row][k].num):
+                acc[i] += deg * x
+        per_class.append(None if any(acc[1:]) else Fraction(acc[0], g.order))
     out = []
     for elem in range(g.order):
         q = per_class[table.classes.membership[g.inverse[elem]]]

@@ -528,7 +528,9 @@ class SubfieldSpec:
     """A subfield of Q(zeta_m) described by its fixing subgroup H <= (Z/m)^*.
 
     Carries an exact Q-basis of the fixed field; embeddings are indexed by
-    cosets aH, with sigma_(-a)H the complex conjugate of sigma_aH.
+    cosets aH, with sigma_(-a)H the complex conjugate of sigma_aH.  A basis
+    given to the constructor is checked there; otherwise the orbit-sum basis
+    is built, and checked, the first time `basis` is read.
     """
 
     def __init__(self, field: _Field, fixing_subgroup, basis=None):
@@ -545,14 +547,25 @@ class SubfieldSpec:
                     raise ValueError("fixing subgroup not closed under multiplication")
         self.fixing_subgroup = tuple(H)
         self.degree = len(field.units) // len(H)
-        self.basis = tuple(basis) if basis is not None else self._orbit_sum_basis()
+        self._basis = None if basis is None else self._checked(basis)
         self._reduced = None   # (pivot positions, inverse), see coordinates
-        if len(self.basis) != self.degree:
+
+    @property
+    def basis(self) -> tuple:
+        """Exact Q-basis of the fixed field (built on first read)."""
+        if self._basis is None:
+            self._basis = self._checked(self._orbit_sum_basis())
+        return self._basis
+
+    def _checked(self, basis) -> tuple:
+        basis = tuple(basis)
+        if len(basis) != self.degree:
             raise ValueError("basis length must equal phi(m)/|H|")
-        for b in self.basis:
+        for b in basis:
             for a in self.fixing_subgroup:
                 if b.galois(a) != b:
                     raise ValueError("basis element not fixed by the subgroup")
+        return basis
 
     def _orbit_sum_basis(self):
         """Q-basis from H-orbit sums of the powers of zeta."""
@@ -566,9 +579,10 @@ class SubfieldSpec:
             seen |= orbit
             sums.append(self.field.from_exponent_dict({e: 1 for e in orbit}))
         # the first maximal independent subset: the sums independent of the
-        # ones before them are the pivot columns of the matrix of all sums
+        # ones before them are the pivot columns of the matrix of all sums,
+        # whose entries are the sums' integer numerators
         _, pivots = linalg.rref(
-            [[Fraction(s.coeffs[i]) for s in sums]
+            [[Fraction(s.num[i]) for s in sums]
              for i in range(self.field.degree)])
         basis = [sums[c] for c in pivots]
         if len(basis) != self.degree:

@@ -3,13 +3,23 @@
 Groups are accepted either as an explicit multiplication table (0-indexed,
 element 0 the identity) or as a list of permutation generators, which are
 expanded by orbit closure.  Class data includes the structure constants of
-the class algebra, the input for the character-table computation.
+the class algebra, the input for the character-table computation, and the
+power maps on classes.
+
+The structure constants a_ijk = #{(x, y) in C_i x C_j : xy = g_k} are
+counted at the class representatives g_k only: for each k, every x in G
+gives the one pair (x, x^-1 g_k), in classes (i, j) read off the membership
+table.  That is |G| steps per class, |G| d in all for d classes, and at most
+|G| d nonzero constants.  They are stored as sparse rows,
+coefficients[i][j] = {k: a_ijk}, row j of the class matrix M_i, which is
+the form the character code reads.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from math import lcm
 
@@ -199,56 +209,54 @@ class FiniteGroup:
         d = len(classes)
         reps = tuple(cls[0] for cls in classes)
         sizes = tuple(len(cls) for cls in classes)
-        # structure constants a[i][j][k]: #{(x,y) in C_i x C_j : xy = rep_k}
-        coeffs = [[[0] * d for _ in range(d)] for _ in range(d)]
-        rep_of = {rep: k for k, rep in enumerate(reps)}
-        for i, ci in enumerate(classes):
-            for x in ci:
-                row = self.table[x]
-                for j, cj in enumerate(classes):
-                    for y in cj:
-                        k = rep_of.get(row[y])
-                        if k is not None:
-                            coeffs[i][j][k] += 1
+        # a_ijk: u = x^-1 runs over G, with x in C_i and y = u g_k in C_j;
+        # k ascends, so each row lists its classes in order
+        inverse_class = [membership[x] for x in self.inverse]
+        coeffs = [[{} for _ in range(d)] for _ in range(d)]
+        for k, rep in enumerate(reps):
+            pairs = Counter(zip(inverse_class,
+                                [membership[row[rep]] for row in self.table]))
+            for (i, j), a in pairs.items():
+                coeffs[i][j][k] = a
+        # per class k, the classes of g_k^t for 0 <= t < ord(g_k)
+        powers = []
+        for g in reps:
+            pw, cur = [0], g
+            while cur != 0:
+                pw.append(membership[cur])
+                cur = self.table[cur][g]
+            powers.append(tuple(pw))
         return ConjugacyClassData(
             group=self,
             classes=tuple(classes),
             membership=tuple(membership),
             sizes=sizes,
             representatives=reps,
-            coefficients=tuple(tuple(tuple(r) for r in m) for m in coeffs),
+            coefficients=tuple(tuple(m) for m in coeffs),
+            power_classes=tuple(powers),
         )
 
 
 @dataclass(frozen=True)
 class ConjugacyClassData:
-    """Classes in canonical order with class-algebra structure constants."""
+    """Classes in canonical order with class-algebra structure constants.
+
+    coefficients[i][j] is the sparse row {k: a_ijk} (nonzero entries only)
+    of the class matrix M_i, (M_i)[j][k] = a_ijk; power_classes[k] lists
+    the classes of g_k^t for 0 <= t < ord(g_k)."""
 
     group: FiniteGroup
     classes: tuple
     membership: tuple
     sizes: tuple
     representatives: tuple
-    coefficients: tuple  # a[i][j][k]
+    coefficients: tuple
+    power_classes: tuple
 
     @property
     def count(self) -> int:
         return len(self.classes)
 
-    def class_matrix(self, i: int):
-        """Integer matrix M_i with (M_i)[j][k] = a_{i j k}, so that central
-        character vectors w = (omega_k) satisfy M_i w = omega_i w."""
-        d = self.count
-        return [[self.coefficients[i][j][k] for k in range(d)] for j in range(d)]
-
     def inverse_class(self, i: int) -> int:
         g = self.representatives[i]
         return self.membership[self.group.inverse[g]]
-
-    def verify_central(self) -> bool:
-        """Spot-check that class sums commute with everything (on the class
-        algebra: a_{ijk} = a_{jik} would be commutativity of the algebra)."""
-        d = self.count
-        return all(
-            self.coefficients[i][j][k] == self.coefficients[j][i][k]
-            for i in range(d) for j in range(d) for k in range(d))

@@ -1,0 +1,34 @@
+"""Class-algebra readings for the tests, built from the sparse rows
+`ConjugacyClassData.coefficients[i][j] = {k: a_ijk}`."""
+
+
+def class_matrix(classes, i: int):
+    """Integer matrix M_i with (M_i)[j][k] = a_ijk, so that central
+    character vectors w = (omega_k) satisfy M_i w = omega_i w."""
+    d = classes.count
+    return [[row.get(k, 0) for k in range(d)]
+            for row in classes.coefficients[i]]
+
+
+def verify_central(classes) -> bool:
+    """a_ijk = a_jik for all i, j, k: the class algebra is commutative.  The
+    rows hold nonzero constants only, so equal rows are equal dicts."""
+    rows = classes.coefficients
+    d = classes.count
+    return all(rows[i][j] == rows[j][i] for i in range(d) for j in range(d))
+
+
+def brute_force_structure_constants(classes):
+    """Dense a[i][j][k] = #{(x, y) in C_i x C_j : xy = g_k}, by walking all
+    |G|^2 pairs."""
+    group = classes.group
+    d = classes.count
+    rep_of = {rep: k for k, rep in enumerate(classes.representatives)}
+    a = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for x in range(group.order):
+        i = classes.membership[x]
+        for y in range(group.order):
+            k = rep_of.get(group.table[x][y])
+            if k is not None:
+                a[i][classes.membership[y]][k] += 1
+    return a

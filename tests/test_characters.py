@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from class_algebra import class_matrix
 from rigidtori import linalg
 from rigidtori.characters import (TableComputationError, character_table,
                                   galois_orbits, table_for,
@@ -69,7 +70,7 @@ def _exact_eigenspace_refinement(group):
     for i in range(1, d):
         if all(len(s) == 1 for s in subspaces):
             break
-        mat = classes.class_matrix(i)
+        mat = class_matrix(classes, i)
         numeric = np.linalg.eigvals(np.array(mat, dtype=float))
         usable = [cand for cand in _class_eigenvalue_candidates(
                       field, classes.sizes[i],
@@ -403,13 +404,17 @@ def test_certificate_rejects_non_commuting_structure_constants():
     separating = _separating_classes(vectors)
     assert _certify(classes, vectors)
     i = next(i for i in range(1, classes.count) if i not in separating)
-    broken = [list(map(list, m)) for m in classes.coefficients]
-    broken[i][0][0] += 1
-    mats = np.array(broken)
+    # one corrupted constant, a_i00, in the sparse row 0 of M_i
+    broken = [list(map(dict, m)) for m in classes.coefficients]
+    broken[i][0][0] = broken[i][0].get(0, 0) + 1
+    fake = dataclasses.replace(
+        classes, coefficients=tuple(tuple(m) for m in broken))
+    mats = np.array([class_matrix(fake, t) for t in range(fake.count)])
+    genuine = np.array([class_matrix(classes, t)
+                        for t in range(classes.count)])
+    assert np.argwhere(mats != genuine).tolist() == [[i, 0, 0]]
     assert any(not np.array_equal(mats[i] @ mats[s], mats[s] @ mats[i])
                for s in separating)
-    fake = dataclasses.replace(
-        classes, coefficients=tuple(tuple(map(tuple, m)) for m in broken))
     # the eigenvector equations on S only read M_s, s in S: they still hold
     assert not _certify(fake, vectors)
 
@@ -502,5 +507,5 @@ def test_relabelled_cayley_tables_give_identical_rows(data):
     cols = [got.classes.membership[perm[r]]
             for r in want.classes.representatives]
     assert sorted(got.degrees) == sorted(want.degrees)
-    assert sorted(tuple(row[c].coeffs for c in cols) for row in got.rows) == \
+    assert sorted(_row_key([row[c] for c in cols]) for row in got.rows) == \
         sorted(_row_key(row) for row in want.rows)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from rigidtori.cli import build_parser, main
+from rigidtori.fixtures import small_groups
 
 
 def write(tmp_path, name, doc):
@@ -499,6 +500,52 @@ def test_analyze_solves_no_subfield_coordinates(monkeypatch):
         {"orbit": j, "degree": o["field"]["degree"],
          "classification": o["classification"]}
         for j, o in enumerate(orbits)]
+
+
+BUNDLED_NAMES = [g.name for g in small_groups()] + ["S4"]
+
+
+def _fresh_analyze_report(monkeypatch, name):
+    from argparse import Namespace
+
+    from rigidtori import characters, cli
+    from rigidtori.schemas import dump_report
+
+    monkeypatch.setattr(characters, "_LAST_TABLE", None)  # a fresh table
+    return dump_report(cli.run_analyze({"builtin": name}, Namespace(seed=1)))
+
+
+def test_analyze_builds_no_subfield_basis(monkeypatch):
+    # an analyze report names each character field by its conductor, fixing
+    # subgroup and degree; the field's Q-basis is never read
+    from rigidtori.cyclotomic import SubfieldSpec
+
+    def refuse(self):
+        raise AssertionError("a subfield basis was built")
+
+    for name in ("Z5", "Q8", "Dic3", "S4"):
+        want = _fresh_analyze_report(monkeypatch, name)
+        with monkeypatch.context() as patched:
+            patched.setattr(SubfieldSpec, "_orbit_sum_basis", refuse)
+            assert _fresh_analyze_report(patched, name) == want
+
+
+def test_analyze_runs_without_cyclotomic_products_or_elimination(monkeypatch):
+    # tables, Galois orbits, idempotents and the report are computed on
+    # integers: no cyclotomic product and no rational elimination
+    from rigidtori import linalg
+    from rigidtori.cyclotomic import CyclotomicNumber
+
+    def refuse(*args):
+        raise AssertionError("cyclotomic product or rref on the analyze path")
+
+    monkeypatch.setattr(CyclotomicNumber, "__mul__", refuse)
+    monkeypatch.setattr(CyclotomicNumber, "__rmul__", refuse)
+    monkeypatch.setattr(linalg, "rref", refuse)
+    for name in BUNDLED_NAMES:
+        report = json.loads(_fresh_analyze_report(monkeypatch, name))
+        assert report["result"]["classes"]["count"] == \
+            len(report["result"]["character_table"])
 
 
 Z4_J_DOC = {

@@ -199,6 +199,34 @@ def test_subfield_basis_length_validation():
         SubfieldSpec(F, [1, 3], basis=[F.one()])
 
 
+def test_explicit_basis_is_checked_at_construction():
+    F = CyclotomicField(8)
+    z = F.zeta()
+    # Q(zeta_8)^{1,3} = Q(sqrt(-2)), with basis 1, z + z^3
+    good = SubfieldSpec(F, [1, 3], basis=[F.one(), z + z ** 3])
+    assert good.basis == (F.one(), z + z ** 3)
+    with pytest.raises(ValueError, match="length"):
+        SubfieldSpec(F, [1, 3], basis=[F.one(), z + z ** 3, F.one()])
+    with pytest.raises(ValueError, match="not fixed"):
+        SubfieldSpec(F, [1, 3], basis=[F.one(), z])
+
+
+def test_orbit_sum_basis_is_built_on_first_read(monkeypatch):
+    F = CyclotomicField(15)
+    built = []
+    orbit_sums = SubfieldSpec._orbit_sum_basis
+    monkeypatch.setattr(SubfieldSpec, "_orbit_sum_basis",
+                        lambda self: built.append(1) or orbit_sums(self))
+    S = SubfieldSpec(F, [1, 4])
+    assert built == [] and S.degree == 4 and S.is_cm()
+    assert S.basis is S.basis
+    assert built == [1] and len(S.basis) == 4
+    assert all(b.galois(4) == b for b in S.basis)
+    # an explicit basis is never replaced by the orbit sums
+    assert SubfieldSpec(F, [1, 4], basis=S.basis).basis == S.basis
+    assert built == [1]
+
+
 def test_field_trace_of_subfield():
     F = CyclotomicField(4)
     S = SubfieldSpec(F, [1])

@@ -2,7 +2,10 @@ import math
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from class_algebra import brute_force_structure_constants, verify_central
 from rigidtori.fixtures import (abelian, cyclic, dicyclic, dihedral,
                                 quaternion_8, small_groups, symmetric_3,
                                 symmetric_4)
@@ -51,7 +54,42 @@ def test_class_sizes_divide_group_order():
 
 def test_class_algebra_is_commutative():
     for g in (symmetric_3(), quaternion_8(), dihedral(5), symmetric_4()):
-        assert g.conjugacy_classes().verify_central()
+        assert verify_central(g.conjugacy_classes())
+
+
+BUNDLED = small_groups() + [symmetric_4()]
+
+
+@given(data=st.data())
+def test_sparse_structure_constants_match_the_pair_count(data):
+    # the constants counted at class representatives, |G| d steps, against
+    # all |G|^2 pairs, on a randomly relabelled Cayley table
+    g = data.draw(st.sampled_from(BUNDLED))
+    perm = [0] + data.draw(st.permutations(range(1, g.order)))
+    table = [[0] * g.order for _ in range(g.order)]
+    for x in range(g.order):
+        for y in range(g.order):
+            table[perm[x]][perm[y]] = perm[g.table[x][y]]
+    classes = FiniteGroup(table, name="relabelled").conjugacy_classes()
+    d = classes.count
+    want = brute_force_structure_constants(classes)
+    assert [[{k: a for k, a in enumerate(row) if a} for row in m]
+            for m in want] == [list(m) for m in classes.coefficients]
+    # the rows hold nonzero constants only, each row's classes ascending
+    for m in classes.coefficients:
+        assert len(m) == d
+        for row in m:
+            assert all(row.values()) and list(row) == sorted(row)
+
+
+def test_power_classes_follow_the_powers_of_each_representative():
+    for g in (symmetric_4(), dicyclic(3), abelian([2, 4])):
+        classes = g.conjugacy_classes()
+        for rep, powers in zip(classes.representatives,
+                               classes.power_classes):
+            assert len(powers) == g.element_order[rep]
+            assert list(powers) == [classes.membership[g.power(rep, t)]
+                                    for t in range(len(powers))]
 
 
 def test_exponent_divides_order():
