@@ -26,7 +26,8 @@ from .hodge import (HSViolation, InconsistentCharacter, InvalidRepresentation,
                     isotypic_split, rigidity_by_centre, rigidity_by_character,
                     spec_from_character, enumerate_rigid_types)
 from .groups import InvalidGroup
-from .polyfields import RealEmbeddingPresent, ReduciblePolynomial
+from .polyfields import (PrecisionCapReached, RealEmbeddingPresent,
+                         ReduciblePolynomial)
 from .schemas import (SchemaError, dump_report, load_group_doc,
                       load_polynomial_doc, load_representation_doc,
                       load_symbolic_spec, to_jsonable)
@@ -38,7 +39,7 @@ DOMAIN_ERRORS = (
     deform_mod.NoConvergence, deform_mod.BudgetExhausted,
     HSViolation, InconsistentCharacter, RoundingFailure,
     InvalidRepresentation, InvalidGroup,
-    RealEmbeddingPresent, ReduciblePolynomial,
+    RealEmbeddingPresent, ReduciblePolynomial, PrecisionCapReached,
 )
 
 

@@ -21,6 +21,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from . import linalg
+from .polyfields import PRECISION_BITS_CAP, PrecisionCapReached
 
 __all__ = [
     "CyclotomicField",
@@ -29,11 +30,9 @@ __all__ = [
     "SubfieldSpec",
     "ConductorMismatch",
     "PRECISION_START",
-    "PRECISION_CAP",
 ]
 
 PRECISION_START = 64
-PRECISION_CAP = 16384
 
 
 class ConductorMismatch(ValueError):
@@ -402,32 +401,34 @@ class CyclotomicNumber:
     def sign_imag(self, a: int = 1) -> int:
         """Exact sign (-1, 0, +1) of Im(sigma_a(self)).
 
-        Zero is decided exactly first; nonzero signs by interval escalation,
-        which terminates because the value is then provably nonzero.
+        Zero is decided exactly first; nonzero signs by interval escalation
+        up to PRECISION_BITS_CAP bits, past which PrecisionCapReached.
         """
         if self.imag_is_zero(a):
             return 0
         prec = PRECISION_START
-        while prec <= PRECISION_CAP:
+        while prec <= PRECISION_BITS_CAP:
             box = self.embed(a, prec)
             s = box.imag_sign()
             if s != 0:
                 return s
             prec *= 2
-        raise AssertionError("precision cap hit on a provably nonzero value")
+        raise PrecisionCapReached(
+            f"sign of a nonzero value undecided at {PRECISION_BITS_CAP} bits")
 
     def sign_real(self, a: int = 1) -> int:
         """Exact sign of Re(sigma_a(self)), same strategy as sign_imag."""
         if self.galois(a) == -self.galois(-a):
             return 0
         prec = PRECISION_START
-        while prec <= PRECISION_CAP:
+        while prec <= PRECISION_BITS_CAP:
             box = self.embed(a, prec)
             s = box.real_sign()
             if s != 0:
                 return s
             prec *= 2
-        raise AssertionError("precision cap hit on a provably nonzero value")
+        raise PrecisionCapReached(
+            f"sign of a nonzero value undecided at {PRECISION_BITS_CAP} bits")
 
 
 _alloc = object.__new__

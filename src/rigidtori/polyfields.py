@@ -10,6 +10,15 @@ s_j = theta s_(j-1) - p s_(j-2), so the condition "sum x_j s_j = 0" becomes
 deg(theta) exact rational linear equations on x.  No splitting fields, no
 numerics in the kernel computation.
 
+The tower has one arithmetic: a dense-polynomial kernel (add, multiply,
+divide with remainder, monic gcd) over any field whose elements support
++ - * and Fraction(1) / x, and one residue class for a polynomial reduced
+modulo an irreducible modulus, inverted by extended Euclid on the same
+kernel.  Residues mod g are Q(theta); residues mod G whose coefficients
+are residues mod g are Q(theta)[p]/G.  Every value the tower keeps (a
+monic gcd, an inverse in a field, a reduced remainder) is unique, so it
+does not depend on the order of the arithmetic.
+
 Root enclosures come from the inclusion-disc bound (Henrici, Applied and
 Computational Complex Analysis I, 6.4): for any z, the disc of radius
 n |f(z)/f'(z)| around z holds a root of f.  All n roots start from the
@@ -57,6 +66,7 @@ __all__ = [
     "DEGREE_CAP",
     "COEFFICIENT_BITS_CAP",
     "PRECISION_BITS_CAP",
+    "PrecisionCapReached",
 ]
 
 DEGREE_CAP = 16
@@ -66,10 +76,15 @@ DEGREE_CAP = 16
 # in 0.07 s there, x^2 + 3*10^400 in 0.26 s and x^2 + 3*10^1000 in 1.8 s;
 # the cap stays as the admission limit.
 COEFFICIENT_BITS_CAP = 128
-# Highest precision, in bits, of every certified evaluation: signs, the
-# conjugate pairing, theta's factor and the witness search in `polarize`
-# (at 65536 bits the root boxes alone take seconds).
+# Highest precision, in bits, of every certified evaluation: signs here and
+# in `cyclotomic`, the conjugate pairing, theta's factor and the witness
+# search in `polarize` (at 65536 bits the root boxes alone take seconds).
 PRECISION_BITS_CAP = 4096
+
+
+class PrecisionCapReached(ArithmeticError):
+    """A certified evaluation still undecided at PRECISION_BITS_CAP bits."""
+
 
 # Extra working bits for the Newton polish; doubled when a certificate fails.
 _GUARD_BITS = 32
@@ -83,185 +98,122 @@ class RealEmbeddingPresent(ValueError):
     pass
 
 
-# -- arithmetic in Q[u]/g ----------------------------------------------------
+# -- dense polynomials and residues ------------------------------------------
+#
+# A polynomial is a list of coefficients, low degree first, with no zero on
+# top; the coefficients are Fractions or `_Residue`s, and the int 0 is the
+# zero at every level.  Division goes through Fraction(1) / lead, never
+# 1 / lead, which for an int lead would give a float.
 
 
-def _p_trim(a):
-    while a and a[-1] == 0:
+def _trim(a):
+    while a and not a[-1]:
         a.pop()
     return a
 
 
-def _p_add(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return _p_trim(out)
+def _add(a, b, c=1):
+    """a + c b."""
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, x in enumerate(b):
+        out[i] = out[i] + c * x
+    return _trim(out)
 
 
-def _p_scale(a, c):
-    return _p_trim([x * c for x in a])
-
-
-def _p_mul(a, b):
+def _mul(a, b):
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 if y:
-                    out[i + j] += x * y
-    return _p_trim(out)
+                    out[i + j] = out[i + j] + x * y
+    return _trim(out)
 
 
-def _p_rem(a, mod):
-    a = list(a)
-    dm = len(mod) - 1
-    lead = mod[-1]
-    while len(a) - 1 >= dm and a:
-        f = a[-1] / lead
-        off = len(a) - 1 - dm
-        for i in range(dm + 1):
-            a[off + i] -= f * mod[i]
-        _p_trim(a)
-    return a
+def _divmod(a, b):
+    """(q, r) with a = q b + r and deg r < deg b, for a nonzero b."""
+    r = _trim(list(a))
+    q = [0] * max(len(r) - len(b) + 1, 0)
+    if q:
+        inv = Fraction(1) / b[-1]
+    while len(r) >= len(b):
+        off = len(r) - len(b)
+        f = q[off] = r.pop() * inv
+        for i, y in enumerate(b[:-1]):
+            r[off + i] = r[off + i] - f * y
+        _trim(r)
+    return q, r
 
 
-def _poly_xgcd_mod(a, mod):
-    """Extended Euclid for a against the monic modulus; returns (g, u) with
-    u*a = g mod `mod` and g a constant (modulus irreducible)."""
-
-    def deg(p):
-        d = len(p) - 1
-        while d >= 0 and p[d] == 0:
-            d -= 1
-        return d
-
-    def divmod_poly(num, den):
-        num = list(num)
-        dd = deg(den)
-        lead = den[dd]
-        q = [Fraction(0)] * (max(deg(num) - dd, -1) + 1)
-        while deg(num) >= dd:
-            dn = deg(num)
-            f = num[dn] / lead
-            q[dn - dd] = f
-            for i in range(dd + 1):
-                num[dn - dd + i] -= f * den[i]
-        return q, num
-
-    r0, r1 = list(mod), list(a)
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while deg(r1) > 0:
-        q, r = divmod_poly(r0, r1)
-        r0, r1 = r1, r
-        # s_new = s0 - q*s1
-        prod = [Fraction(0)] * (deg(q) + deg(s1) + 2 if deg(q) >= 0 and deg(s1) >= 0 else 1)
-        for i in range(deg(q) + 1):
-            if q[i]:
-                for j in range(deg(s1) + 1):
-                    if s1[j]:
-                        prod[i + j] += q[i] * s1[j]
-        new_s = [Fraction(0)] * max(len(s0), len(prod))
-        for i, c in enumerate(s0):
-            new_s[i] += c
-        for i, c in enumerate(prod):
-            new_s[i] -= c
-        s0, s1 = s1, new_s
-    if deg(r1) < 0:
-        raise ZeroDivisionError("element not invertible")
-    return r1[0], s1
+def _gcd(a, b):
+    """The monic gcd of a and b (empty when both are zero)."""
+    a, b = _trim(list(a)), _trim(list(b))
+    while b:
+        a, b = b, _divmod(a, b)[1]
+    if not a:
+        return a
+    inv = Fraction(1) / a[-1]
+    return [x * inv for x in a]
 
 
-class QuotientField:
-    """Q[u]/g for a monic irreducible g, coefficients as Fraction lists."""
-
-    def __init__(self, modulus):
-        self.modulus = [Fraction(c) for c in modulus]
-        if self.modulus[-1] != 1:
-            raise ValueError("modulus must be monic")
-        self.degree = len(self.modulus) - 1
-
-    def elem(self, coeffs):
-        return QElem(self, _p_rem([Fraction(c) for c in coeffs], self.modulus))
-
-    def zero(self):
-        return QElem(self, [])
-
-    def one(self):
-        return self.elem([1])
-
-    def gen(self):
-        return self.elem([0, 1])
+def _coeffs(x):
+    """The coefficient list of a residue, or of a scalar as a constant."""
+    return x.coeffs if isinstance(x, _Residue) else _trim([x])
 
 
-@dataclass(frozen=True)
-class QElem:
-    field: QuotientField
-    coeffs: list
+def _vector(x, n):
+    """The n coordinates of x, padded with zeros."""
+    c = _coeffs(x)
+    return c + [0] * (n - len(c))
+
+
+class _Residue:
+    """A polynomial reduced modulo `modulus`: an element of Q[u]/g, or of
+    (Q[u]/g)[p]/G when the coefficients are themselves residues mod g.
+    Ints, Fractions and residues of the same modulus mix in + - *."""
+
+    __slots__ = ("modulus", "coeffs")
+
+    def __init__(self, modulus, coeffs):
+        self.modulus = modulus
+        self.coeffs = _divmod(coeffs, modulus)[1]
 
     def __add__(self, other):
-        return QElem(self.field, _p_add(self.coeffs, other.coeffs))
+        return _Residue(self.modulus, _add(self.coeffs, _coeffs(other)))
+
+    __radd__ = __add__
 
     def __sub__(self, other):
-        return QElem(self.field, _p_add(self.coeffs, _p_scale(other.coeffs, -1)))
+        return _Residue(self.modulus, _add(self.coeffs, _coeffs(other), -1))
+
+    def __rsub__(self, other):
+        return _Residue(self.modulus, _add(_coeffs(other), self.coeffs, -1))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QElem(self.field, _p_scale(self.coeffs, Fraction(other)))
-        return QElem(self.field,
-                     _p_rem(_p_mul(self.coeffs, other.coeffs), self.field.modulus))
+        return _Residue(self.modulus, _mul(self.coeffs, _coeffs(other)))
 
     __rmul__ = __mul__
 
-    def is_zero(self):
-        return not self.coeffs
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def __bool__(self):
+        return bool(self.coeffs)
 
     def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError
-        g, uco = _poly_xgcd_mod(
-            list(self.coeffs) + [Fraction(0)] * (self.field.degree - len(self.coeffs)),
-            self.field.modulus)
-        inv = _p_scale(list(uco), Fraction(1) / g)
-        return QElem(self.field, _p_rem(inv, self.field.modulus))
-
-    def coefficient_vector(self):
-        out = list(self.coeffs) + [Fraction(0)] * (self.field.degree - len(self.coeffs))
-        return out
-
-
-def _qpoly_gcd(a, b):
-    """Monic gcd of polynomials over a QuotientField (coefficient lists of
-    QElem, low degree first)."""
-
-    def trim(p):
-        while p and p[-1].is_zero():
-            p.pop()
-        return p
-
-    a, b = trim(list(a)), trim(list(b))
-    while b:
-        # a mod b
-        inv_lead = b[-1].inverse()
-        r = list(a)
-        while len(r) >= len(b):
-            f = r[-1] * inv_lead
-            off = len(r) - len(b)
-            for i in range(len(b)):
-                r[off + i] = r[off + i] - f * b[i]
-            trim(r)
-            if not r:
-                break
-        a, b = b, r
-    if a:
-        inv = a[-1].inverse()
-        a = [x * inv for x in a]
-    return a
+        """By extended Euclid against the modulus, which is irreducible."""
+        r0, r1 = self.modulus, self.coeffs
+        s0, s1 = [], [1]
+        while len(r1) > 1:
+            q, r = _divmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, _add(s0, _mul(q, s1), -1)
+        if not r1:
+            raise ZeroDivisionError("residue is not invertible")
+        inv = Fraction(1) / r1[0]
+        return _Residue(self.modulus, [x * inv for x in s1])
 
 
 # -- the field ---------------------------------------------------------------
@@ -424,7 +376,9 @@ class PolynomialField:
                         seen |= {i, assign[i]}
                 return tuple(pairs)
             prec *= 2
-        raise AssertionError("failed to certify the conjugate pairing")
+        raise PrecisionCapReached(
+            f"could not certify the conjugate pairing at "
+            f"{PRECISION_BITS_CAP} bits")
 
     def conjugate_index(self, i: int) -> int:
         for a, b in self.pairs:
@@ -440,26 +394,8 @@ class PolynomialField:
         """Certified (re, im, radius) enclosure of x(alpha_i) for rational x,
         by interval Horner with exact rational interval endpoints."""
         re_c, im_c, rad = self.root_box(root_index, prec_bits)
-        re_lo, re_hi = re_c - rad, re_c + rad
-        im_lo, im_hi = im_c - rad, im_c + rad
-        # rational interval arithmetic, boxes as (lo, hi) per component
-        acc = (Fraction(0), Fraction(0), Fraction(0), Fraction(0))
-
-        def interval_mul(a_lo, a_hi, b_lo, b_hi):
-            vals = (a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi)
-            return min(vals), max(vals)
-
-        for c in reversed([Fraction(q) for q in coeffs]):
-            # acc = acc * alpha + c
-            rl, rh, il, ih = acc
-            p1l, p1h = interval_mul(rl, rh, re_lo, re_hi)
-            p2l, p2h = interval_mul(il, ih, im_lo, im_hi)
-            new_rl, new_rh = p1l - p2h, p1h - p2l
-            p3l, p3h = interval_mul(rl, rh, im_lo, im_hi)
-            p4l, p4h = interval_mul(il, ih, re_lo, re_hi)
-            new_il, new_ih = p3l + p4l, p3h + p4h
-            acc = (new_rl + c, new_rh + c, new_il, new_ih)
-        rl, rh, il, ih = acc
+        rl, rh, il, ih = _box_horner(coeffs, re_c - rad, re_c + rad,
+                                     im_c - rad, im_c + rad)
         mid_re, mid_im = (rl + rh) / 2, (il + ih) / 2
         radius = max(rh - mid_re, ih - mid_im)
         return mid_re, mid_im, radius
@@ -502,8 +438,9 @@ class PolynomialField:
         for (i, ibar) in self.pairs:
             g = tuple(self._identify_factor(factors, i, ibar))
             if g not in p_moduli:
-                p_moduli[g] = tuple(tuple(c.coefficient_vector())
-                                    for c in self._p_modulus(g))
+                p_moduli[g] = tuple(
+                    tuple(Fraction(x) for x in _vector(c, len(g) - 1))
+                    for c in self._p_modulus(g))
             data.append(ConjugatePairData(
                 root_indices=(i, ibar), theta_minpoly=g,
                 p_modulus=p_moduli[g]))
@@ -522,55 +459,32 @@ class PolynomialField:
             alive = []
             for fac in factors:
                 coeffs = [Fraction(c.p, c.q) for c in reversed(fac.all_coeffs())]
-                lo, hi = _real_interval_eval(coeffs, mid - rad, mid + rad)
+                lo, hi, _, _ = _box_horner(coeffs, mid - rad, mid + rad, 0, 0)
                 if lo <= 0 <= hi:
-                    alive.append(fac)
+                    alive.append(coeffs)
             if len(alive) == 1:
-                fac = alive[0]
-                return [Fraction(c.p, c.q) for c in reversed(fac.all_coeffs())]
+                return alive[0]
             prec *= 2
-        raise AssertionError("could not isolate the minimal polynomial of theta")
+        raise PrecisionCapReached(
+            f"could not isolate the minimal polynomial of theta at "
+            f"{PRECISION_BITS_CAP} bits")
 
     def _p_modulus(self, g):
         """A monic polynomial over Q(theta) with p = alpha * conj(alpha)
-        among its roots: the gcd of the remainder coefficients of
-        f mod (t^2 - theta t + p).  Degree one generically; higher when
-        distinct conjugate pairs share theta (e.g. even polynomials, where
-        both pairs have theta = 0)."""
-        qf = QuotientField(g)
-        # remainder coefficients: divide f by t^2 - theta t + p symbolically.
-        # Track r(t) = r1 * t + r0 with coefficients in Q(theta)[p].
-        # Do the division with p symbolic: coefficients are polynomials in p
-        # over Q(theta); represent as lists of QElem (low p-degree first).
-        n = self.degree
-        # current polynomial in t: coefficients c[k] in (Q(theta))[p]
-        c = [[qf.elem([q])] for q in self.coeffs]  # c[k] = list of QElem
-        theta = qf.gen()
-
-        def padd(a, b):
-            out = [qf.zero()] * max(len(a), len(b))
-            for idx, x in enumerate(a):
-                out[idx] = out[idx] + x
-            for idx, x in enumerate(b):
-                out[idx] = out[idx] + x
-            return out
-
-        def pscale_qelem(a, s):
-            return [x * s for x in a]
-
-        def pshift(a):  # multiply by p
-            return [qf.zero()] + list(a)
-
-        for k in range(n, 1, -1):
-            lead = c[k]
-            if not lead:
-                continue
-            # subtract lead * t^(k-2) * (t^2 - theta t + p)
-            c[k] = []
-            c[k - 1] = padd(c[k - 1], pscale_qelem(lead, theta))
-            c[k - 2] = padd(c[k - 2], pscale_qelem(pshift(lead), Fraction(-1)))
-        b0, b1 = c[0], c[1]
-        gcd = _qpoly_gcd(b1, b0) if any(not x.is_zero() for x in b1) else _monic(b0)
+        among its roots: the gcd of the remainder coefficients b1, b0 of
+        f mod (t^2 - theta t + p), as polynomials in p.  Degree one
+        generically; higher when distinct conjugate pairs share theta
+        (e.g. even polynomials, where both pairs have theta = 0).  When
+        b1 = 0 the gcd is the monic b0."""
+        theta = _Residue(g, [0, 1])
+        # c[k], the coefficient of t^k, as a polynomial in p over Q(theta);
+        # t^k = t^(k-2) (theta t - p) from the top down
+        c = [[_Residue(g, [a])] for a in self.coeffs]
+        for k in range(self.degree, 1, -1):
+            lead = c.pop()
+            c[k - 1] = _add(c[k - 1], lead, theta)
+            c[k - 2] = _add(c[k - 2], [0] + lead, -1)
+        gcd = _gcd(c[1], c[0])
         if len(gcd) < 2:
             raise AssertionError("remainder gcd degenerated; no p value")
         return gcd
@@ -593,40 +507,19 @@ class PolynomialField:
             if key in seen_moduli:
                 continue
             seen_moduli.add(key)
-            qf = QuotientField(list(pd.theta_minpoly))
-            theta = qf.gen()
-            p_mod = [qf.elem(list(c)) for c in pd.p_modulus]
-            p_deg = len(p_mod) - 1
-
-            def p_reduce(vec):
-                # vec: list of QElem, coefficients of powers of p
-                out = list(vec)
-                while len(out) > p_deg:
-                    lead = out.pop()
-                    if lead.is_zero():
-                        continue
-                    off = len(out) - p_deg
-                    for t in range(p_deg):
-                        out[off + t] = out[off + t] - lead * p_mod[t]
-                return out + [qf.zero()] * (p_deg - len(out))
-
-            def theta_mul(vec):
-                return [theta * x for x in vec]
-
-            def p_mul(vec):
-                return p_reduce([qf.zero()] + list(vec))
-
-            s = [p_reduce([qf.elem([2])]), p_reduce([theta])]
+            g = pd.theta_minpoly
+            modulus = [_Residue(g, c) for c in pd.p_modulus]
+            theta = _Residue(modulus, [_Residue(g, [0, 1])])
+            p = _Residue(modulus, [0, 1])
+            s = [_Residue(modulus, [2]), theta]
             while len(s) < n:
-                prev, prev2 = s[-1], s[-2]
-                term = [a - b for a, b in zip(theta_mul(prev), p_mul(prev2))]
-                s.append(p_reduce(term))
+                s.append(theta * s[-1] - p * s[-2])
             # each (p-power, theta-power) coordinate gives one rational row
-            for p_pos in range(p_deg):
-                for coeff_pos in range(qf.degree):
-                    row = [s[j][p_pos].coefficient_vector()[coeff_pos]
-                           for j in range(n)]
-                    rows.append(row)
+            grids = [[_vector(x, len(g) - 1)
+                      for x in _vector(s_j, len(modulus) - 1)] for s_j in s]
+            rows.extend([Fraction(grid[i][k]) for grid in grids]
+                        for i in range(len(modulus) - 1)
+                        for k in range(len(g) - 1))
         basis = linalg.nullspace(rows) if rows else []
         cleaned = []
         for vec in linalg.row_space_basis(basis) if basis else []:
@@ -665,34 +558,32 @@ class PolynomialField:
 
     def _multiplication_charpoly(self, coeffs):
         n = self.degree
-        mod = [Fraction(c) for c in self.coeffs]
-        cols = []
-        for j in range(n):
-            vec = [Fraction(0)] * j + [Fraction(q) for q in coeffs]
-            vec = _p_rem(vec, mod)
-            vec += [Fraction(0)] * (n - len(vec))
-            cols.append(vec)
-        mat = [[cols[j][i] for j in range(n)] for i in range(n)]
+        cols = [_vector(_Residue(self.coeffs, [0] * j + list(coeffs)), n)
+                for j in range(n)]
+        mat = [[Fraction(cols[j][i]) for j in range(n)] for i in range(n)]
         return _charpoly(mat)
 
 
-def _monic(poly_list):
-    trimmed = list(poly_list)
-    while trimmed and trimmed[-1].is_zero():
-        trimmed.pop()
-    if not trimmed:
-        return []
-    inv = trimmed[-1].inverse()
-    return [x * inv for x in trimmed]
+def _box_horner(coeffs, re_lo, re_hi, im_lo, im_hi):
+    """Exact rational interval Horner of a rational polynomial on the box
+    [re_lo, re_hi] + i [im_lo, im_hi]: (lo, hi) bounds of the real part of
+    its values there, then of the imaginary part.  With im_lo = im_hi = 0
+    the imaginary bounds stay 0 and the real ones are those of real
+    interval Horner on [re_lo, re_hi]."""
 
+    def interval_mul(a_lo, a_hi, b_lo, b_hi):
+        vals = (a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi)
+        return min(vals), max(vals)
 
-def _real_interval_eval(coeffs, lo, hi):
-    """Exact rational interval evaluation of a real polynomial on [lo, hi]."""
-    acc_lo, acc_hi = Fraction(0), Fraction(0)
-    for c in reversed(coeffs):
-        vals = (acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi)
-        acc_lo, acc_hi = min(vals) + c, max(vals) + c
-    return acc_lo, acc_hi
+    rl = rh = il = ih = Fraction(0)
+    for c in reversed([Fraction(q) for q in coeffs]):
+        # acc = acc * z + c
+        p1l, p1h = interval_mul(rl, rh, re_lo, re_hi)
+        p2l, p2h = interval_mul(il, ih, im_lo, im_hi)
+        p3l, p3h = interval_mul(rl, rh, im_lo, im_hi)
+        p4l, p4h = interval_mul(il, ih, re_lo, re_hi)
+        rl, rh, il, ih = p1l - p2h + c, p1h - p2l + c, p3l + p4l, p3h + p4h
+    return rl, rh, il, ih
 
 
 def _charpoly(mat):

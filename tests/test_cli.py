@@ -621,3 +621,30 @@ def test_representation_documents_are_validated(tmp_path, capsys, command,
     inp = write(tmp_path, "doc.json", doc)
     assert main([command, "--input", inp]) == 2
     assert capsys.readouterr().err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("module, cap, doc, site", [
+    # CyclotomicNumber.sign_imag (from 64 bits): the zeta of a rigid action
+    ("cyclotomic", 32, GAUSSIAN_DOC, "sign of a nonzero value"),
+    # PolynomialField._pair_roots, which starts at 32 bits
+    ("polyfields", 16, {"polynomial": [1, 0, 1], "designated_roots": [0]},
+     "conjugate pairing"),
+    # PolynomialField._identify_factor, which starts at 64 bits
+    ("polyfields", 32, {"polynomial": [1, 1, 1, 1, 1],
+                        "designated_roots": [0, 2]},
+     "minimal polynomial of theta"),
+])
+def test_precision_cap_is_a_domain_error(tmp_path, monkeypatch, module, cap,
+                                         doc, site):
+    # a certified evaluation still undecided at the cap ends in the declared
+    # PrecisionCapReached (exit 1), not in an internal error (exit 3)
+    import importlib
+    monkeypatch.setattr(importlib.import_module(f"rigidtori.{module}"),
+                        "PRECISION_BITS_CAP", cap)
+    inp = write(tmp_path, "doc.json", doc)
+    out = tmp_path / "err.json"
+    assert main(["polarize", "--input", inp, "--output", str(out)]) == 1
+    error = json.loads(out.read_text())["error"]
+    assert error["error"] == "PrecisionCapReached"
+    assert site in error["message"]
+    assert "internal" not in error

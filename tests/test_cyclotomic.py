@@ -148,6 +148,22 @@ def test_sign_imag_antisymmetric_in_embedding():
             assert x.sign_imag(a) == -x.sign_imag(-a)
 
 
+def test_signs_past_the_precision_cap_are_a_domain_error(monkeypatch):
+    # the ladder starts at PRECISION_START = 64 bits, so a cap below it
+    # leaves every nonzero sign undecided; no CLI request asks for a real
+    # sign, so the declared error is checked here and in DOMAIN_ERRORS
+    from rigidtori import cyclotomic
+    from rigidtori.cli import DOMAIN_ERRORS
+    from rigidtori.polyfields import PrecisionCapReached
+    z = CyclotomicField(8).zeta()
+    assert (z.sign_real(1), z.sign_imag(1)) == (1, 1)
+    monkeypatch.setattr(cyclotomic, "PRECISION_BITS_CAP", 32)
+    for sign in (z.sign_real, z.sign_imag):
+        with pytest.raises(PrecisionCapReached):
+            sign(1)
+    assert PrecisionCapReached in DOMAIN_ERRORS
+
+
 def test_exact_zero_test_never_uses_floats():
     # totally real elements have imaginary part exactly zero everywhere
     F = CyclotomicField(5)
