@@ -7,32 +7,28 @@ denominator: x = (num[0] + num[1] z + ... ) / den.  The form is canonical
 hashing compare tuples of ints.  Phi_m is monic with integer coefficients,
 so the reduction of z^k is integral and a product is an integer convolution,
 one integral reduction and one gcd, with no rational arithmetic per
-coordinate.  Embeddings sigma_a : z -> exp(2*pi*i*a/m) are evaluated with
-outward-rounded interval arithmetic, so every numeric enclosure is
+coordinate.  An embedding sigma_a : z -> exp(2*pi*i*a/m) evaluates x's
+power-basis polynomial by `polyfields`' exact box Horner on the rectangle of
+one outward-rounded mpmath cos/sin pair around z^a, so every enclosure is
 certified.  Sign queries are decided exactly: the zero case is settled by
-the Galois action (never by floats), nonzero cases by precision escalation.
+the Galois action (never by floats), nonzero cases on the one precision ladder.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
 from . import linalg
-from .polyfields import PRECISION_BITS_CAP, PrecisionCapReached
+from .polyfields import _cap_reached, _certified_sign, _enclosure
 
 __all__ = [
     "CyclotomicField",
     "CyclotomicNumber",
-    "CertifiedComplex",
     "SubfieldSpec",
     "ConductorMismatch",
-    "PRECISION_START",
 ]
-
-PRECISION_START = 64
 
 
 class ConductorMismatch(ValueError):
@@ -371,28 +367,14 @@ class CyclotomicNumber:
 
     # -- certified numerics ----------------------------------------------
 
-    def embed(self, a: int = 1, precision: int = PRECISION_START) -> "CertifiedComplex":
-        """Certified enclosure of sigma_a(self) at the given bit precision."""
-        from mpmath import iv
+    def embed(self, a: int = 1, precision: int = 64) -> tuple:
+        """Certified (re, im, radius) enclosure of sigma_a(self) at the given
+        bit precision: sigma_a(self) lies within `radius` of (re, im) in
+        each coordinate."""
         m = self.field.m
         if gcd(a % m if m > 1 else 1, m) != 1:
             raise ValueError(f"embedding index {a} not coprime to {m}")
-        old = iv.prec
-        try:
-            iv.prec = precision
-            two_pi = 2 * iv.pi
-            re = iv.mpf(0)
-            im = iv.mpf(0)
-            for i, c in enumerate(self.coeffs):
-                if not c:
-                    continue
-                coeff = iv.mpf(c.numerator) / iv.mpf(c.denominator)
-                angle = two_pi * iv.mpf((a * i) % m) / iv.mpf(m)
-                re += coeff * iv.cos(angle)
-                im += coeff * iv.sin(angle)
-            return CertifiedComplex.from_intervals(re, im)
-        finally:
-            iv.prec = old
+        return _enclosure(self.coeffs, *_zeta_box(m, a % m, precision))
 
     def imag_is_zero(self, a: int = 1) -> bool:
         """Exact test of Im(sigma_a(self)) == 0 via the Galois action."""
@@ -401,34 +383,29 @@ class CyclotomicNumber:
     def sign_imag(self, a: int = 1) -> int:
         """Exact sign (-1, 0, +1) of Im(sigma_a(self)).
 
-        Zero is decided exactly first; nonzero signs by interval escalation
-        up to PRECISION_BITS_CAP bits, past which PrecisionCapReached.
+        Zero is decided exactly first; nonzero signs on the precision
+        ladder, past whose cap PrecisionCapReached.
         """
         if self.imag_is_zero(a):
             return 0
-        prec = PRECISION_START
-        while prec <= PRECISION_BITS_CAP:
-            box = self.embed(a, prec)
-            s = box.imag_sign()
-            if s != 0:
-                return s
-            prec *= 2
-        raise PrecisionCapReached(
-            f"sign of a nonzero value undecided at {PRECISION_BITS_CAP} bits")
+        return self._nonzero_sign(a, 1)
 
     def sign_real(self, a: int = 1) -> int:
         """Exact sign of Re(sigma_a(self)), same strategy as sign_imag."""
         if self.galois(a) == -self.galois(-a):
             return 0
-        prec = PRECISION_START
-        while prec <= PRECISION_BITS_CAP:
+        return self._nonzero_sign(a, 0)
+
+    def _nonzero_sign(self, a: int, part: int) -> int:
+        """Sign of the nonzero real (part 0) or imaginary (part 1) part of
+        sigma_a(self)."""
+        def enclose(prec):
             box = self.embed(a, prec)
-            s = box.real_sign()
-            if s != 0:
-                return s
-            prec *= 2
-        raise PrecisionCapReached(
-            f"sign of a nonzero value undecided at {PRECISION_BITS_CAP} bits")
+            return box[part], box[2]
+        sign = _certified_sign(enclose)
+        if sign is None:
+            raise _cap_reached("sign of a nonzero value undecided")
+        return sign
 
 
 _alloc = object.__new__
@@ -474,48 +451,17 @@ def _product(field: _Field, a, b) -> list:
     return acc
 
 
-@dataclass(frozen=True)
-class CertifiedComplex:
-    """Complex enclosure: exact dyadic-rational midpoints and radius.
-
-    The true value lies within `radius` of (real_mid + i*imag_mid) in each
-    coordinate; endpoints come from outward-rounded interval arithmetic.
-    """
-
-    real_mid: Fraction
-    imag_mid: Fraction
-    radius: Fraction
-
-    @staticmethod
-    def from_intervals(re, im) -> "CertifiedComplex":
-        rlo, rhi = _iv_bounds(re)
-        ilo, ihi = _iv_bounds(im)
-        rm = (rlo + rhi) / 2
-        im_ = (ilo + ihi) / 2
-        rad = max(rhi - rm, rm - rlo, ihi - im_, im_ - ilo)
-        return CertifiedComplex(rm, im_, rad)
-
-    def real_sign(self) -> int:
-        if self.real_mid - self.radius > 0:
-            return 1
-        if self.real_mid + self.radius < 0:
-            return -1
-        return 0
-
-    def imag_sign(self) -> int:
-        if self.imag_mid - self.radius > 0:
-            return 1
-        if self.imag_mid + self.radius < 0:
-            return -1
-        return 0
-
-    def contains(self, re, im) -> bool:
-        return (abs(Fraction(re) - self.real_mid) <= self.radius
-                and abs(Fraction(im) - self.imag_mid) <= self.radius)
-
-    def __repr__(self):
-        return (f"CertifiedComplex({float(self.real_mid):.12g} "
-                f"{float(self.imag_mid):+.12g}i, rad<={float(self.radius):.3g})")
+def _zeta_box(m: int, k: int, precision: int) -> tuple:
+    """The exact rectangle (re_lo, re_hi, im_lo, im_hi) around
+    exp(2*pi*i*k/m) of one mpmath interval cos/sin pair at `precision`."""
+    from mpmath import iv
+    old = iv.prec
+    try:
+        iv.prec = precision
+        angle = 2 * iv.pi * iv.mpf(k) / iv.mpf(m)
+        return _iv_bounds(iv.cos(angle)) + _iv_bounds(iv.sin(angle))
+    finally:
+        iv.prec = old
 
 
 def _iv_bounds(x):

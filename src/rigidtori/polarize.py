@@ -38,7 +38,7 @@ from .hodge import (ExactHodgeStructure, IntegralRepresentation,
                     hodge_character_from_numeric, rigidity_by_centre,
                     spec_from_character)
 from .polyfields import (PRECISION_BITS_CAP, PolynomialField,
-                         RealEmbeddingPresent)
+                         RealEmbeddingPresent, _precisions)
 from .schemas import SchemaError
 
 __all__ = [
@@ -135,19 +135,15 @@ def find_zeta(field_spec: SubfieldSpec, designated) -> ImaginaryElement:
         return ImaginaryElement(field_spec=field_spec, element=zeta,
                                 sign_table=tuple(signs))
 
-    for prec in _PRECISIONS:
+    # W at a doubled precision while it is too coarse for the certificate
+    for prec in _precisions():
         found = _square_solve_witness(
-            [[b.embed(a, prec).imag_mid for b in basis] for a in designated],
+            [[b.embed(a, prec)[1] for b in basis] for a in designated],
             certify)
         if found is not None:
             return found
-    raise NotCMField(f"no certified zeta up to {_PRECISIONS[-1]} bits for "
-                     f"designated cosets {designated}")
-
-
-# Bit precisions of the imaginary parts W, doubled while W is too coarse.
-_PRECISIONS = tuple(64 << k for k in range(
-    (PRECISION_BITS_CAP // 64).bit_length()))
+    raise NotCMField(f"no certified zeta up to {PRECISION_BITS_CAP} bits "
+                     f"for designated cosets {designated}")
 
 
 def _square_solve_witness(rows, certify):
@@ -559,7 +555,7 @@ def polarization_exists(poly_coefficients,
             verdict="exists-with-witness", witness=tuple(zeta),
             witness_signs=tuple(signs), obstruction=None)
 
-    for prec in _PRECISIONS:
+    for prec in _precisions():
         boxes = {i: [F.evaluate_box(b, i, prec)[1:] for b in basis]
                  for i in designated}
         classes = _row_classes(boxes, len(basis))
@@ -580,7 +576,7 @@ def polarization_exists(poly_coefficients,
             [[im for im, _ in boxes[r]] for r in reps], certify)
         if found is not None:
             return found
-    raise NotCMField(f"no certified witness up to {_PRECISIONS[-1]} bits "
+    raise NotCMField(f"no certified witness up to {PRECISION_BITS_CAP} bits "
                      f"for the designated roots {designated}")
 
 

@@ -47,6 +47,12 @@ from the other rectangles; only a rectangle that still meets two boxes
 is refined, by sympy's bisection.  Certified centres are cached per
 precision on the field.
 
+Every certified evaluation, here and in `cyclotomic`, is one exact
+rational box Horner (`_enclosure`) on a rectangle around a root: a root
+box here, the rectangle of one mpmath cos/sin pair around zeta_m^a there.
+Its precisions climb one ladder (`_precisions`) to PRECISION_BITS_CAP
+bits, and its signs are read by one rule (`_certified_sign`).
+
 sympy is imported only inside the methods that use it (factoring, root
 isolation, resultants, Sturm counts), so importing this module stays cheap.
 """
@@ -65,6 +71,7 @@ __all__ = [
     "RealEmbeddingPresent",
     "DEGREE_CAP",
     "COEFFICIENT_BITS_CAP",
+    "THETA_DEGREE_CAP",
     "PRECISION_BITS_CAP",
     "PrecisionCapReached",
 ]
@@ -76,14 +83,45 @@ DEGREE_CAP = 16
 # in 0.07 s there, x^2 + 3*10^400 in 0.26 s and x^2 + 3*10^1000 in 1.8 s;
 # the cap stays as the admission limit.
 COEFFICIENT_BITS_CAP = 128
-# Highest precision, in bits, of every certified evaluation: signs here and
-# in `cyclotomic`, the conjugate pairing, theta's factor and the witness
-# search in `polarize` (at 65536 bits the root boxes alone take seconds).
+# Highest admitted degree of theta's minimal polynomial g, C(8, 2): every
+# field of degree <= 8 passes.  The tower over Q[u]/g costs far more than
+# linearly in deg g (2-core host: x^8 + x + 3, deg g = 28, 0.16 s of
+# pair_data; x^10 + x + 3, deg g = 45, 15 s; x^16 + x + 3, deg g = 120,
+# unbounded), so larger g are refused before the tower is built.
+THETA_DEGREE_CAP = comb(8, 2)
+# Highest precision, in bits, of every certified evaluation, the top of the
+# one ladder `_precisions` (at 65536 bits the root boxes alone take seconds).
 PRECISION_BITS_CAP = 4096
 
 
 class PrecisionCapReached(ArithmeticError):
     """A certified evaluation still undecided at PRECISION_BITS_CAP bits."""
+
+
+def _cap_reached(what):
+    return PrecisionCapReached(f"{what} at {PRECISION_BITS_CAP} bits")
+
+
+def _precisions(start=64):
+    """The one precision ladder: start, 2 start, 4 start, ... up to
+    PRECISION_BITS_CAP bits."""
+    prec = start
+    while prec <= PRECISION_BITS_CAP:
+        yield prec
+        prec *= 2
+
+
+def _certified_sign(enclose):
+    """The sign, 1 or -1, of a nonzero real number whose enclosure
+    enclose(prec) = (midpoint, radius) is taken up the ladder until it
+    excludes 0; None when it still contains 0 at the cap."""
+    for prec in _precisions():
+        mid, rad = enclose(prec)
+        if mid - rad > 0:
+            return 1
+        if mid + rad < 0:
+            return -1
+    return None
 
 
 # Extra working bits for the Newton polish; doubled when a certificate fails.
@@ -349,8 +387,7 @@ class PolynomialField:
     def _pair_roots(self):
         """Certified pairing of complex-conjugate roots by box separation."""
         n = self.degree
-        prec = 32
-        while prec <= PRECISION_BITS_CAP:
+        for prec in _precisions(32):
             boxes = [self.root_box(i, prec) for i in range(n)]
             # boxes must be pairwise separated from each other's conjugates
             assign = {}
@@ -375,10 +412,7 @@ class PolynomialField:
                         pairs.append((i, assign[i]))
                         seen |= {i, assign[i]}
                 return tuple(pairs)
-            prec *= 2
-        raise PrecisionCapReached(
-            f"could not certify the conjugate pairing at "
-            f"{PRECISION_BITS_CAP} bits")
+        raise _cap_reached("could not certify the conjugate pairing")
 
     def conjugate_index(self, i: int) -> int:
         for a, b in self.pairs:
@@ -394,11 +428,8 @@ class PolynomialField:
         """Certified (re, im, radius) enclosure of x(alpha_i) for rational x,
         by interval Horner with exact rational interval endpoints."""
         re_c, im_c, rad = self.root_box(root_index, prec_bits)
-        rl, rh, il, ih = _box_horner(coeffs, re_c - rad, re_c + rad,
-                                     im_c - rad, im_c + rad)
-        mid_re, mid_im = (rl + rh) / 2, (il + ih) / 2
-        radius = max(rh - mid_re, ih - mid_im)
-        return mid_re, mid_im, radius
+        return _enclosure(coeffs, re_c - rad, re_c + rad,
+                          im_c - rad, im_c + rad)
 
     def sign_imag(self, coeffs, root_index: int) -> int | None:
         """Exact sign of Im(x(alpha_i)) for x in the imaginary subspace:
@@ -406,15 +437,8 @@ class PolynomialField:
         None when the sign is still undecided at PRECISION_BITS_CAP bits."""
         if all(Fraction(q) == 0 for q in coeffs):
             return 0
-        prec = 64
-        while prec <= PRECISION_BITS_CAP:
-            _, im, rad = self.evaluate_box(coeffs, root_index, prec)
-            if im - rad > 0:
-                return 1
-            if im + rad < 0:
-                return -1
-            prec *= 2
-        return None
+        return _certified_sign(
+            lambda prec: self.evaluate_box(coeffs, root_index, prec)[1:])
 
     # -- the purely-imaginary subspace --------------------------------------
 
@@ -437,6 +461,10 @@ class PolynomialField:
         p_moduli = {}      # pairs with the same theta share their p modulus
         for (i, ibar) in self.pairs:
             g = tuple(self._identify_factor(factors, i, ibar))
+            if len(g) - 1 > THETA_DEGREE_CAP:
+                raise ReduciblePolynomial(
+                    f"theta = alpha + conj(alpha) has degree {len(g) - 1}; "
+                    f"at most {THETA_DEGREE_CAP} is admitted")
             if g not in p_moduli:
                 p_moduli[g] = tuple(
                     tuple(Fraction(x) for x in _vector(c, len(g) - 1))
@@ -453,8 +481,7 @@ class PolynomialField:
 
     def _identify_factor(self, factors, i, ibar):
         """The irreducible factor vanishing at theta = 2 Re(alpha_i)."""
-        prec = 64
-        while prec <= PRECISION_BITS_CAP:
+        for prec in _precisions():
             mid, rad = self._theta_box(i, ibar, prec)
             alive = []
             for fac in factors:
@@ -464,10 +491,7 @@ class PolynomialField:
                     alive.append(coeffs)
             if len(alive) == 1:
                 return alive[0]
-            prec *= 2
-        raise PrecisionCapReached(
-            f"could not isolate the minimal polynomial of theta at "
-            f"{PRECISION_BITS_CAP} bits")
+        raise _cap_reached("could not isolate the minimal polynomial of theta")
 
     def _p_modulus(self, g):
         """A monic polynomial over Q(theta) with p = alpha * conj(alpha)
@@ -562,6 +586,15 @@ class PolynomialField:
                 for j in range(n)]
         mat = [[Fraction(cols[j][i]) for j in range(n)] for i in range(n)]
         return _charpoly(mat)
+
+
+def _enclosure(coeffs, re_lo, re_hi, im_lo, im_hi):
+    """Certified (re, im, radius) enclosure of a rational polynomial's
+    values on the box: the midpoints of `_box_horner`'s bounds, and one
+    radius that covers both parts."""
+    rl, rh, il, ih = _box_horner(coeffs, re_lo, re_hi, im_lo, im_hi)
+    mid_re, mid_im = (rl + rh) / 2, (il + ih) / 2
+    return mid_re, mid_im, max(rh - mid_re, ih - mid_im)
 
 
 def _box_horner(coeffs, re_lo, re_hi, im_lo, im_hi):

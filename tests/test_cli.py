@@ -431,14 +431,17 @@ def test_polarize_symbolic_structure_error_wins_over_not_rigid(tmp_path):
 
 def test_polarize_loads_neither_numpy_nor_scipy(tmp_path):
     # the square-solve witness needs no LP: a symbolic document certifies
-    # in exact arithmetic and mpmath intervals, a standalone field adds sympy
+    # in exact arithmetic and mpmath intervals (its embeddings go through
+    # polyfields' box Horner, which leaves sympy unloaded), a standalone
+    # field adds sympy
     symbolic = write(tmp_path, "sym.json", SYMBOLIC_DOC)
     field = write(tmp_path, "field.json", {
         "polynomial": [68, 0, 28, 0, 1], "designated_roots": [1, 2]})
     run = "import sys\nfrom rigidtori.cli import main\n"
     loaded = _loaded_after(
         run + f"assert main(['polarize', '--input', {symbolic!r}]) == 0")
-    assert "numpy" not in loaded and "scipy" not in loaded
+    assert ("numpy" not in loaded and "scipy" not in loaded
+            and "sympy" not in loaded)
     loaded = _loaded_after(
         run + f"assert main(['polarize', '--input', {field!r}]) == 0")
     assert "sympy" in loaded and "scipy" not in loaded
@@ -625,6 +628,7 @@ def test_representation_documents_are_validated(tmp_path, capsys, command,
 
 @pytest.mark.parametrize("module, cap, doc, site", [
     # CyclotomicNumber.sign_imag (from 64 bits): the zeta of a rigid action
+    # (W, the proposal for zeta, is taken at `cap` bits; see below)
     ("cyclotomic", 32, GAUSSIAN_DOC, "sign of a nonzero value"),
     # PolynomialField._pair_roots, which starts at 32 bits
     ("polyfields", 16, {"polynomial": [1, 0, 1], "designated_roots": [0]},
@@ -636,11 +640,16 @@ def test_representation_documents_are_validated(tmp_path, capsys, command,
 ])
 def test_precision_cap_is_a_domain_error(tmp_path, monkeypatch, module, cap,
                                          doc, site):
-    # a certified evaluation still undecided at the cap ends in the declared
-    # PrecisionCapReached (exit 1), not in an internal error (exit 3)
-    import importlib
-    monkeypatch.setattr(importlib.import_module(f"rigidtori.{module}"),
-                        "PRECISION_BITS_CAP", cap)
+    # a certified evaluation in `module` still undecided at the cap ends in
+    # the declared PrecisionCapReached (exit 1), not in an internal error
+    # (exit 3).  Every ladder climbs to the one cap in polyfields, and below
+    # 64 bits find_zeta's ladder for W would end before zeta's signs are
+    # asked, so for the cyclotomic row W starts at the cap instead.
+    from rigidtori import polarize, polyfields
+    monkeypatch.setattr(polyfields, "PRECISION_BITS_CAP", cap)
+    if module == "cyclotomic":
+        monkeypatch.setattr(polarize, "_precisions",
+                            lambda start=64: polyfields._precisions(cap))
     inp = write(tmp_path, "doc.json", doc)
     out = tmp_path / "err.json"
     assert main(["polarize", "--input", inp, "--output", str(out)]) == 1

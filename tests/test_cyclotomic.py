@@ -69,33 +69,39 @@ def test_conjugation_is_involutive_automorphism():
         assert (x + y).conjugate() == x.conjugate() + y.conjugate()
 
 
+def contains(box, x, y):
+    """Whether the (re, im, radius) enclosure holds the point x + iy."""
+    re, im, radius = box
+    return abs(re - x) <= radius and abs(im - y) <= radius
+
+
 def test_embed_zeta4_encloses_i():
     z = CyclotomicField(4).zeta()
     box = z.embed(1, 64)
-    assert box.contains(0, 1)
-    assert box.radius <= Fraction(1, 2 ** 58)
+    assert contains(box, 0, 1)
+    assert box[2] <= Fraction(1, 2 ** 58)
 
 
 def test_embed_one_is_one():
     F = CyclotomicField(7)
     for a in F.units:
         box = F.one().embed(a, 64)
-        assert box.contains(1, 0)
-        assert box.radius <= Fraction(1, 2 ** 58)
+        assert contains(box, 1, 0)
+        assert box[2] <= Fraction(1, 2 ** 58)
 
 
 def test_embed_zeta3_second_embedding():
     # sigma_2(zeta_3) = -1/2 - (sqrt(3)/2) i
     z = CyclotomicField(3).zeta()
-    box = z.embed(2, 128)
-    assert abs(box.real_mid + Fraction(1, 2)) <= box.radius
+    re, im, radius = z.embed(2, 128)
+    assert abs(re + Fraction(1, 2)) <= radius
     sqrt3_over_2 = Fraction(8660254037844386467637231707529362, 10 ** 34)
-    assert abs(box.imag_mid + sqrt3_over_2) <= box.radius + Fraction(1, 10 ** 30)
+    assert abs(im + sqrt3_over_2) <= radius + Fraction(1, 10 ** 30)
 
 
 def test_radius_shrinks_with_precision():
     z = CyclotomicField(7).zeta()
-    radii = [z.embed(3, p).radius for p in (64, 128, 256)]
+    radii = [z.embed(3, p)[2] for p in (64, 128, 256)]
     assert radii[0] > radii[1] > radii[2]
 
 
@@ -104,13 +110,13 @@ def test_enclosures_nested_across_precision():
     F = CyclotomicField(9)
     for _ in range(5):
         x = random_element(F, rng)
-        lo = x.embed(2, 64)
-        hi = x.embed(2, 256)
+        lo_re, lo_im, lo_rad = x.embed(2, 64)
+        hi_re, hi_im, hi_rad = x.embed(2, 256)
         # both contain the true value, and the tight box sits inside the
         # loose one up to its own (much smaller) radius
-        assert abs(hi.real_mid - lo.real_mid) <= lo.radius + hi.radius
-        assert abs(hi.imag_mid - lo.imag_mid) <= lo.radius + hi.radius
-        assert hi.radius < lo.radius
+        assert abs(hi_re - lo_re) <= lo_rad + hi_rad
+        assert abs(hi_im - lo_im) <= lo_rad + hi_rad
+        assert hi_rad < lo_rad
 
 
 def test_embedding_is_multiplicative_within_radius():
@@ -119,15 +125,52 @@ def test_embedding_is_multiplicative_within_radius():
     for _ in range(5):
         x = random_element(F, rng, span=3)
         y = random_element(F, rng, span=3)
-        bx = x.embed(2, 128)
-        by = y.embed(2, 128)
-        bxy = (x * y).embed(2, 128)
-        prod_re = bx.real_mid * by.real_mid - bx.imag_mid * by.imag_mid
-        prod_im = bx.real_mid * by.imag_mid + bx.imag_mid * by.real_mid
-        # the true product is in bxy and within the inflated product box
-        slack = (bx.radius + by.radius + bx.radius * by.radius) * 8
-        assert abs(bxy.real_mid - prod_re) <= bxy.radius + slack
-        assert abs(bxy.imag_mid - prod_im) <= bxy.radius + slack
+        x_re, x_im, x_rad = x.embed(2, 128)
+        y_re, y_im, y_rad = y.embed(2, 128)
+        xy_re, xy_im, xy_rad = (x * y).embed(2, 128)
+        prod_re = x_re * y_re - x_im * y_im
+        prod_im = x_re * y_im + x_im * y_re
+        # the true product is in the box of x * y and within the inflated
+        # product box
+        slack = (x_rad + y_rad + x_rad * y_rad) * 8
+        assert abs(xy_re - prod_re) <= xy_rad + slack
+        assert abs(xy_im - prod_im) <= xy_rad + slack
+
+
+def overlap(box, other):
+    """Whether two (re, im, radius) enclosures meet."""
+    re, im, radius = box
+    re2, im2, radius2 = other
+    return (abs(re - re2) <= radius + radius2
+            and abs(im - im2) <= radius + radius2)
+
+
+@pytest.mark.parametrize("m", [5, 7, 8, 12])
+def test_embeddings_agree_with_the_standalone_field_of_phi_m(m):
+    # zeta_m^a is a root of Phi_m, so sigma_a is evaluation at one root of
+    # the standalone field Q[t]/Phi_m: the root box meeting sigma_a(zeta)
+    # is unique (and lies at exp(2 pi i a/m)), and both evaluators enclose
+    # and sign x there alike
+    import cmath
+
+    from rigidtori.polyfields import PolynomialField
+    F = CyclotomicField(m)
+    P = PolynomialField(_cyclotomic_coeffs(m))
+    rng = random.Random(m)
+    for a in F.units:
+        zeta = F.zeta().embed(a, 128)
+        roots = [i for i in range(P.degree)
+                 if overlap(P.root_box(i, 128), zeta)]
+        assert len(roots) == 1, (m, a, roots)
+        i, = roots
+        re, im, _ = P.root_box(i, 128)
+        assert abs(complex(re, im) - cmath.exp(2j * cmath.pi * a / m)) < 1e-12
+        for _ in range(4):
+            x = random_element(F, rng)
+            assert overlap(x.embed(a, 128), P.evaluate_box(x.coeffs, i, 128))
+            sign = x.sign_imag(a)
+            assert sign != 0
+            assert P.sign_imag(x.coeffs, i) == sign
 
 
 def test_certified_sign_imag_examples():
@@ -149,15 +192,15 @@ def test_sign_imag_antisymmetric_in_embedding():
 
 
 def test_signs_past_the_precision_cap_are_a_domain_error(monkeypatch):
-    # the ladder starts at PRECISION_START = 64 bits, so a cap below it
-    # leaves every nonzero sign undecided; no CLI request asks for a real
-    # sign, so the declared error is checked here and in DOMAIN_ERRORS
-    from rigidtori import cyclotomic
+    # the one precision ladder starts at 64 bits, so a cap below it leaves
+    # every nonzero sign undecided; no CLI request asks for a real sign, so
+    # the declared error is checked here and in DOMAIN_ERRORS
+    from rigidtori import polyfields
     from rigidtori.cli import DOMAIN_ERRORS
     from rigidtori.polyfields import PrecisionCapReached
     z = CyclotomicField(8).zeta()
     assert (z.sign_real(1), z.sign_imag(1)) == (1, 1)
-    monkeypatch.setattr(cyclotomic, "PRECISION_BITS_CAP", 32)
+    monkeypatch.setattr(polyfields, "PRECISION_BITS_CAP", 32)
     for sign in (z.sign_real, z.sign_imag):
         with pytest.raises(PrecisionCapReached):
             sign(1)
@@ -183,9 +226,9 @@ def test_trace_matches_certified_embedding_sum():
         total_re = Fraction(0)
         total_rad = Fraction(0)
         for a in F.units:
-            box = x.embed(a, 128)
-            total_re += box.real_mid
-            total_rad += box.radius
+            re, _, radius = x.embed(a, 128)
+            total_re += re
+            total_rad += radius
         assert abs(total_re - exact) <= total_rad
 
 

@@ -5,10 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rigidtori.polyfields import (COEFFICIENT_BITS_CAP, DEGREE_CAP,
-                                  PRECISION_BITS_CAP, PolynomialField,
-                                  RealEmbeddingPresent, ReduciblePolynomial,
-                                  _add, _charpoly, _divmod, _gcd, _mul,
-                                  _Residue)
+                                  PRECISION_BITS_CAP, THETA_DEGREE_CAP,
+                                  PolynomialField, RealEmbeddingPresent,
+                                  ReduciblePolynomial, _add, _charpoly,
+                                  _divmod, _gcd, _mul, _Residue)
 
 
 def test_charpoly_small():
@@ -470,3 +470,34 @@ def test_accepted_fields_have_oracle_checked_imaginary_bases(drawn):
     except DOMAIN_ERRORS:
         return
     assert cert.verdict in ("exists-with-witness", "infeasible")
+
+
+def test_theta_past_its_degree_cap_is_refused_before_the_tower(
+        tmp_path, monkeypatch):
+    # x^10 + x + 3 has theta of degree 45 > THETA_DEGREE_CAP = 28, whose
+    # tower took 15 s: the polarize request ends in the declared
+    # ReduciblePolynomial (exit 1) before _p_modulus would run
+    import json
+
+    from rigidtori.cli import main
+
+    def tower(self, g):
+        raise AssertionError("_p_modulus ran on a refused theta")
+
+    monkeypatch.setattr(PolynomialField, "_p_modulus", tower)
+    inp = tmp_path / "field.json"
+    inp.write_text(json.dumps({"polynomial": [3, 1] + [0] * 8 + [1],
+                               "designated_roots": [0, 2, 4, 6, 8]}))
+    out = tmp_path / "err.json"
+    assert main(["polarize", "--input", str(inp), "--output", str(out)]) == 1
+    error = json.loads(out.read_text())["error"]
+    assert error["error"] == "ReduciblePolynomial"
+    assert "degree 45" in error["message"]
+    assert THETA_DEGREE_CAP == 28
+
+
+def test_theta_within_its_degree_cap_is_admitted():
+    # x^10 + 2 has degree 10 > 8, but its theta polynomials have degrees 20
+    # and 1, so its tower is built
+    F = PolynomialField([2] + [0] * 9 + [1])
+    assert {len(pd.theta_minpoly) - 1 for pd in F.pair_data()} == {1, 20}
