@@ -60,7 +60,8 @@ check but is not part of the computation.
 
 `table_for(group)` is the one table cache.  It keeps the last group's table
 only, compared by Cayley-table content, so every step of a request shares
-one table.  One entry is enough: a request touches one group, and a stream
+one table; `cli`'s one-entry memo of the last representation document
+holds results computed from that table, never a table of its own.  One entry is enough: a request touches one group, and a stream
 that cycles through more groups than a small LRU holds gets no hits from it
 either.  A larger memo only costs memory: on the cold-groups stream (seed 1),
 where no table repeats, a 16-entry LRU raised the peak RSS from about 41 MB

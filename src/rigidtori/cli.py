@@ -6,11 +6,26 @@ with --output, a machine-readable JSON report.  Exit status: 0 success,
 1 domain error (e.g. a non-rigid action passed to polarize), 2 input error,
 3 internal error (any other exception; its report is an error payload
 marked `"internal": true`).
+
+One action request runs `run_rigidity`, then `run_polarize` or `run_deform`,
+on the same document, so each fact of a representation document is computed
+once per document: a private one-entry memo keeps the last document's
+resolution (`_Resolution`): the loaded representation, its Hodge data
+(table, spec, chi10, exact structure) once computed, and the exact
+structure `run_rigidity` builds for a rigid J_matrix document, which
+`run_polarize` hands to the assembly.  Only results computed without error
+are kept, so every error is raised again, in the same order.  The key is
+the document's repr, a snapshot of its content taken at each call: it tells
+-0.0 from 0.0, 1.0 from 1 and a tuple from a list, and a document mutated
+after a call no longer matches it.  One entry, as in `characters.table_for`:
+a request touches one document, and the memo holds that document's
+representation and structure until the next one arrives.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import sys
 import traceback
@@ -203,27 +218,79 @@ def run_analyze(doc, args):
     return {"command": "analyze", "seed": args.seed, "result": result}
 
 
-def _spec_and_structure(rep, j_matrix, spec_doc):
-    """Resolve the Hodge data pathways of a representation document.
+class _Resolution:
+    """What one representation document resolves to, each fact computed at
+    most once: `load_representation_doc`'s (rep, j_matrix, spec_doc), then
+    `_spec_and_structure`'s (table, spec, chi10, structure) as `hodge`, then
+    the exact structure `run_rigidity` builds for a rigid J_matrix document
+    as `rigid_structure`.  j_matrix and spec_doc are the memo's own copies,
+    so a caller that mutates its document cannot change them."""
+
+    __slots__ = ("rep", "j_matrix", "spec_doc", "hodge", "rigid_structure")
+
+    def __init__(self, rep, j_matrix, spec_doc):
+        self.rep = rep
+        self.j_matrix = (None if j_matrix is None
+                         else [list(row) for row in j_matrix])
+        self.spec_doc = copy.deepcopy(spec_doc)
+        self.hodge = None
+        self.rigid_structure = None
+
+
+_LAST_RESOLUTION = None  # (snapshot, _Resolution) of the last document
+
+
+def _snapshot(doc):
+    """The memo key of a document: its repr, which tells -0.0 from 0.0, 1.0
+    from 1, True from 1, a tuple from a list and an int key from a string
+    key; None (never cached) when repr refuses, as for an int of more
+    digits than the interpreter's limit or a document nested too deep."""
+    try:
+        return repr(doc)
+    except (ValueError, RecursionError):
+        return None
+
+
+def _resolve(doc) -> _Resolution:
+    """load_representation_doc(doc), memoized for the last document; only a
+    document that loaded without error is kept."""
+    global _LAST_RESOLUTION
+    key = _snapshot(doc)
+    if (key is not None and _LAST_RESOLUTION is not None
+            and _LAST_RESOLUTION[0] == key):
+        return _LAST_RESOLUTION[1]
+    resolution = _Resolution(*load_representation_doc(doc))
+    if key is not None:
+        _LAST_RESOLUTION = (key, resolution)
+    return resolution
+
+
+def _spec_and_structure(res: _Resolution):
+    """Resolve the Hodge data pathways of a representation document, once.
 
     Returns (table, spec, chi10, structure): a symbolic_spec document gives
     an exact structure and no chi10, a J_matrix document the numeric chi10
     and no structure."""
-    table = table_for(rep.group)
-    if spec_doc is not None:
-        spec = load_symbolic_spec(spec_doc, galois_orbits(table))
-        return table, spec, None, exact_structure_from_spec(rep, spec)
-    if j_matrix is not None:
-        chi10 = hodge_character_from_numeric(rep, j_matrix)
-        return table, spec_from_character(chi10), chi10, None
-    raise SchemaError("representation document needs J_matrix or "
-                      "symbolic_spec for this command")
+    if res.hodge is None:
+        rep = res.rep
+        table = table_for(rep.group)
+        if res.spec_doc is not None:
+            spec = load_symbolic_spec(res.spec_doc, galois_orbits(table))
+            res.hodge = (table, spec, None,
+                         exact_structure_from_spec(rep, spec))
+        elif res.j_matrix is not None:
+            chi10 = hodge_character_from_numeric(rep, res.j_matrix)
+            res.hodge = (table, spec_from_character(chi10), chi10, None)
+        else:
+            raise SchemaError("representation document needs J_matrix or "
+                              "symbolic_spec for this command")
+    return res.hodge
 
 
 def run_rigidity(doc, args):
-    rep, j_matrix, spec_doc = load_representation_doc(doc)
-    table, spec, numeric_chi10, structure = _spec_and_structure(
-        rep, j_matrix, spec_doc)
+    res = _resolve(doc)
+    rep = res.rep
+    table, spec, numeric_chi10, structure = _spec_and_structure(res)
     chi10 = (structure.hodge_character() if numeric_chi10 is None
              else numeric_chi10)
     char_report = rigidity_by_character(chi10, table)
@@ -235,7 +302,9 @@ def run_rigidity(doc, args):
          "is_rigid": centre_report.is_rigid},
     ]
     if structure is None and char_report.is_rigid:
-        structure = exact_structure_from_spec(rep, spec)
+        if res.rigid_structure is None:
+            res.rigid_structure = exact_structure_from_spec(rep, spec)
+        structure = res.rigid_structure
     if structure is not None:
         # a numeric chi10 is cross-checked against the structure's own
         bf = brute_force_hom_dimension(rep, structure, numeric_chi10)
@@ -264,7 +333,7 @@ def run_rigidity(doc, args):
 
 
 def run_enumerate(doc, args):
-    rep, j_matrix, spec_doc = load_representation_doc(doc)
+    rep = _resolve(doc).rep
     decomp = galois_orbits(table_for(rep.group))
     pieces = isotypic_split(rep, decomp)
     mults = [len(img) // orbit.field_spec.degree
@@ -296,12 +365,14 @@ def run_enumerate(doc, args):
 def run_polarize(doc, args):
     if isinstance(doc, dict) and "polynomial" in doc:
         return _run_polarize_polynomial(doc, args)
-    rep, j_matrix, spec_doc = load_representation_doc(doc)
+    res = _resolve(doc)
     # a symbolic_spec document's structure is built before the rigidity
-    # checks, so its domain errors win over NotRigid; it is built only here
-    _, spec, _, structure = _spec_and_structure(rep, j_matrix, spec_doc)
+    # checks, so its domain errors win over NotRigid; a J_matrix document's
+    # is the one run_rigidity built, if it ran, else assembly builds it
+    _, spec, _, structure = _spec_and_structure(res)
     form = polarize_mod.assemble_polarization(
-        rep, spec=spec, g_invariant=args.g_invariant, structure=structure)
+        res.rep, spec=spec, g_invariant=args.g_invariant,
+        structure=res.rigid_structure if structure is None else structure)
     cert = form.certificate
     result = {
         "rank": form.rank,
@@ -338,16 +409,15 @@ def _run_polarize_polynomial(doc, args):
 
 
 def run_deform(doc, args):
-    rep, j_matrix, spec_doc = load_representation_doc(doc)
-    if j_matrix is None and spec_doc is not None:
-        decomp = galois_orbits(table_for(rep.group))
-        spec = load_symbolic_spec(spec_doc, decomp)
-        structure = exact_structure_from_spec(rep, spec)
+    resolved = _resolve(doc)
+    j_matrix = resolved.j_matrix
+    if j_matrix is None and resolved.spec_doc is not None:
+        structure = _spec_and_structure(resolved)[3]
         j_matrix = structure.j_matrix_float().tolist()
     if j_matrix is None:
         raise SchemaError("deform needs J_matrix or symbolic_spec")
     res = deform_mod.find_projective_neighbor(
-        rep, j_matrix, max_denominator=args.max_denominator,
+        resolved.rep, j_matrix, max_denominator=args.max_denominator,
         epsilon=args.epsilon)
     result = {
         "xi_coords": list(res.xi_coords),

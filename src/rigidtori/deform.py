@@ -271,7 +271,11 @@ def find_projective_neighbor(rep: IntegralRepresentation, j_matrix,
     if s_pivots < rep.rank:
         raise NoConvergence("the averaged J-metric is not positive definite")
     j = np.asarray(j_matrix, dtype=float)
-    s = np.array(metric, dtype=float)
+    try:
+        s = np.array(metric, dtype=float)
+    except OverflowError:
+        raise NoConvergence("the averaged J-metric overflows a float") \
+            from None
     s /= np.abs(s).max()
     ladder = _ladder(invariant_kahler_class(space, s, j), max_denominator)
     basis = np.array(space.basis, dtype=object)

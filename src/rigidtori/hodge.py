@@ -252,18 +252,37 @@ def hodge_character_from_numeric(rep: IntegralRepresentation,
     multiplicity must sit within _MULTIPLICITY_TOL of a nonnegative integer,
     and J must square to -I and commute with rho to within _COMMUTE_TOL
     relative to its norm.
+
+    rho(G) is read once, as one (|G|, 2n, 2n) float stack: the commutation
+    with J is one batched norm, every tr(rho(h) J) comes from one einsum, and
+    each class's multiplicities are one FFT over the powers of its
+    representative.  A rho beyond the float range raises RoundingFailure.
     """
     import numpy as np
     J = np.asarray(j_matrix, dtype=float)
     n2 = rep.rank
     if J.shape != (n2, n2):
         raise InvalidRepresentation("J matrix has wrong shape")
-    if np.linalg.norm(J @ J + np.eye(n2)) > _COMMUTE_TOL * max(1.0, np.linalg.norm(J) ** 2):
-        raise RoundingFailure("J^2 + I exceeds tolerance")
-    for g in range(rep.group.order):
-        R = np.asarray(rep.matrices[g], dtype=float)
-        if np.linalg.norm(J @ R - R @ J) > _COMMUTE_TOL * max(1.0, np.linalg.norm(R)):
-            raise RoundingFailure(f"J does not commute with rho({g})")
+    try:
+        rho = np.array(rep.matrices, dtype=float)
+    except OverflowError:
+        raise RoundingFailure("rho has entries beyond the float range") \
+            from None
+    # entries near the float range overflow to inf and nan here, silently:
+    # the checks then pass vacuously, but the multiplicities come out
+    # non-finite, a RoundingFailure below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.linalg.norm(J @ J + np.eye(n2)) > _COMMUTE_TOL * max(
+                1.0, np.linalg.norm(J) ** 2):
+            raise RoundingFailure("J^2 + I exceeds tolerance")
+        defect = np.linalg.norm(J @ rho - rho @ J, axis=(1, 2))
+        bound = _COMMUTE_TOL * np.maximum(1.0,
+                                          np.linalg.norm(rho, axis=(1, 2)))
+        chi_num = (np.trace(rho, axis1=1, axis2=2)
+                   - 1j * np.einsum("gij,ji->g", rho, J)) / 2.0
+    failing = np.flatnonzero(defect > bound)
+    if failing.size:
+        raise RoundingFailure(f"J does not commute with rho({failing[0]})")
 
     table = table_for(rep.group)
     field = table.field
@@ -271,16 +290,15 @@ def hodge_character_from_numeric(rep: IntegralRepresentation,
     values = []
     for k, g in enumerate(table.classes.representatives):
         e = rep.group.element_order[g]
-        chi_num = []
-        h = 0
-        for _ in range(e):
-            R = np.asarray(rep.matrices[h], dtype=float)
-            chi_num.append((np.trace(R) - 1j * np.trace(R @ J)) / 2.0)
-            h = rep.group.table[h][g]
+        powers = [0]
+        for _ in range(e - 1):
+            powers.append(rep.group.table[powers[-1]][g])
+        mults = np.fft.fft(chi_num[powers]) / e
+        if not np.isfinite(mults).all():
+            raise RoundingFailure(
+                f"eigenvalue multiplicities at class {k} are not finite")
         exps = {}
-        for j in range(e):
-            mult = sum(chi_num[t] * np.exp(-2j * np.pi * j * t / e)
-                       for t in range(e)) / e
+        for j, mult in enumerate(mults.tolist()):
             nearest = round(mult.real)
             if abs(mult - nearest) > _MULTIPLICITY_TOL or nearest < 0:
                 raise RoundingFailure(

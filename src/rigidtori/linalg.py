@@ -26,7 +26,6 @@ __all__ = [
     "solve_many",
     "inverse",
     "row_space_basis",
-    "intersect",
     "in_span",
     "hnf_with_transform",
     "integer_kernel",
@@ -199,26 +198,6 @@ def in_span(rows, vec) -> bool:
     if not rows:
         return all(_is_zero(x) for x in vec)
     return rank(rows) == rank(rows + [list(vec)])
-
-
-def intersect(basis_a, basis_b):
-    """Basis of the intersection of two row-vector spans."""
-    if not basis_a or not basis_b:
-        return []
-    # x in span(A) and span(B): write x = sum a_i A_i = sum b_j B_j.
-    # Solve [A^T | -B^T] kernel and map back through A.
-    at = transpose(basis_a)
-    bt = transpose(basis_b)
-    sys = [at[i] + [-x for x in bt[i]] for i in range(len(at))]
-    combos = nullspace(sys)
-    vecs = []
-    ka = len(basis_a)
-    for combo in combos:
-        vec = [_zero_of(basis_a[0][0]) for _ in basis_a[0]]
-        for coef, row in zip(combo[:ka], basis_a):
-            vec = [v + coef * x for v, x in zip(vec, row)]
-        vecs.append(vec)
-    return row_space_basis(vecs) if vecs else []
 
 
 # -- integer lattice tools ----------------------------------------------

@@ -37,8 +37,8 @@ from .hodge import (ExactHodgeStructure, IntegralRepresentation,
                     SymbolicHodgeSpec, exact_structure_from_spec,
                     hodge_character_from_numeric, rigidity_by_centre,
                     spec_from_character)
-from .polyfields import (PRECISION_BITS_CAP, PolynomialField,
-                         RealEmbeddingPresent, _precisions)
+from .polyfields import (PolynomialField, RealEmbeddingPresent, _cap_reached,
+                         _precisions)
 from .schemas import SchemaError
 
 __all__ = [
@@ -142,8 +142,7 @@ def find_zeta(field_spec: SubfieldSpec, designated) -> ImaginaryElement:
             certify)
         if found is not None:
             return found
-    raise NotCMField(f"no certified zeta up to {PRECISION_BITS_CAP} bits "
-                     f"for designated cosets {designated}")
+    raise _cap_reached(f"no certified zeta for designated cosets {designated}")
 
 
 def _square_solve_witness(rows, certify):
@@ -576,8 +575,8 @@ def polarization_exists(poly_coefficients,
             [[im for im, _ in boxes[r]] for r in reps], certify)
         if found is not None:
             return found
-    raise NotCMField(f"no certified witness up to {PRECISION_BITS_CAP} bits "
-                     f"for the designated roots {designated}")
+    raise _cap_reached(
+        f"no certified witness for the designated roots {designated}")
 
 
 def _row_classes(boxes, k):

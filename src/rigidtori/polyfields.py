@@ -50,6 +50,10 @@ precision on the field.
 Every certified evaluation, here and in `cyclotomic`, is one exact
 rational box Horner (`_enclosure`) on a rectangle around a root: a root
 box here, the rectangle of one mpmath cos/sin pair around zeta_m^a there.
+The Horner runs in integers, on the coefficients times their common
+denominator and the box ends times theirs, and divides its four bounds
+once at the end; positive scaling commutes with min and max, so they are
+the same rationals as those of a Horner in Fractions.
 Its precisions climb one ladder (`_precisions`) to PRECISION_BITS_CAP
 bits, and its signs are read by one rule (`_certified_sign`).
 
@@ -602,21 +606,38 @@ def _box_horner(coeffs, re_lo, re_hi, im_lo, im_hi):
     [re_lo, re_hi] + i [im_lo, im_hi]: (lo, hi) bounds of the real part of
     its values there, then of the imaginary part.  With im_lo = im_hi = 0
     the imaginary bounds stay 0 and the real ones are those of real
-    interval Horner on [re_lo, re_hi]."""
+    interval Horner on [re_lo, re_hi].
+
+    It runs in integers: the coefficients are scaled by their common
+    denominator C and the box ends by theirs, D, so after j steps the
+    accumulator is the true one times C D^(j-1), and the bounds are divided
+    once at the end.  Positive scaling commutes with min and max, so they
+    are the same rationals as those of the Horner in Fractions."""
+    coeffs = [Fraction(q) for q in coeffs]
+    if not coeffs:
+        return (Fraction(0),) * 4
+    box = [Fraction(x) for x in (re_lo, re_hi, im_lo, im_hi)]
+    c_den = lcm(*(c.denominator for c in coeffs))
+    d = lcm(*(x.denominator for x in box))
+    xl, xh, yl, yh = (x.numerator * (d // x.denominator) for x in box)
 
     def interval_mul(a_lo, a_hi, b_lo, b_hi):
         vals = (a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi)
         return min(vals), max(vals)
 
-    rl = rh = il = ih = Fraction(0)
-    for c in reversed([Fraction(q) for q in coeffs]):
-        # acc = acc * z + c
-        p1l, p1h = interval_mul(rl, rh, re_lo, re_hi)
-        p2l, p2h = interval_mul(il, ih, im_lo, im_hi)
-        p3l, p3h = interval_mul(rl, rh, im_lo, im_hi)
-        p4l, p4h = interval_mul(il, ih, re_lo, re_hi)
+    rl = rh = il = ih = 0
+    scale = 1          # D^(j-1) at step j
+    for c in reversed(coeffs):
+        # acc = acc * z + c, times C D^(j-1)
+        c = c.numerator * (c_den // c.denominator) * scale
+        p1l, p1h = interval_mul(rl, rh, xl, xh)
+        p2l, p2h = interval_mul(il, ih, yl, yh)
+        p3l, p3h = interval_mul(rl, rh, yl, yh)
+        p4l, p4h = interval_mul(il, ih, xl, xh)
         rl, rh, il, ih = p1l - p2h + c, p1h - p2l + c, p3l + p4l, p3h + p4h
-    return rl, rh, il, ih
+        scale *= d
+    den = c_den * scale // d
+    return tuple(Fraction(x, den) for x in (rl, rh, il, ih))
 
 
 def _charpoly(mat):

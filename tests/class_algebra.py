@@ -1,5 +1,8 @@
 """Class-algebra readings for the tests, built from the sparse rows
-`ConjugacyClassData.coefficients[i][j] = {k: a_ijk}`."""
+`ConjugacyClassData.coefficients[i][j] = {k: a_ijk}`, and the subspace
+intersection the eigenspace-refinement oracle splits with."""
+
+from rigidtori import linalg
 
 
 def class_matrix(classes, i: int):
@@ -32,3 +35,23 @@ def brute_force_structure_constants(classes):
             if k is not None:
                 a[i][classes.membership[y]][k] += 1
     return a
+
+
+def intersect(basis_a, basis_b):
+    """Basis of the intersection of two row-vector spans."""
+    if not basis_a or not basis_b:
+        return []
+    # x in span(A) and span(B): write x = sum a_i A_i = sum b_j B_j.
+    # Solve [A^T | -B^T] kernel and map back through A.
+    at = linalg.transpose(basis_a)
+    bt = linalg.transpose(basis_b)
+    sys = [at[i] + [-x for x in bt[i]] for i in range(len(at))]
+    combos = linalg.nullspace(sys)
+    vecs = []
+    ka = len(basis_a)
+    for combo in combos:
+        vec = [x * 0 for x in basis_a[0]]
+        for coef, row in zip(combo[:ka], basis_a):
+            vec = [v + coef * x for v, x in zip(vec, row)]
+        vecs.append(vec)
+    return linalg.row_space_basis(vecs) if vecs else []

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from class_algebra import class_matrix
+from class_algebra import class_matrix, intersect
 from rigidtori import linalg
 from rigidtori.characters import (TableComputationError, character_table,
                                   galois_orbits, table_for,
@@ -92,7 +92,7 @@ def _exact_eigenspace_refinement(group):
                           - (cand if r == c else zero) for c in range(d)]
                          for r in range(d)])
                 if kernels[cand.coeffs]:
-                    piece = linalg.intersect(space, kernels[cand.coeffs])
+                    piece = intersect(space, kernels[cand.coeffs])
                     if piece:
                         pieces.append(piece)
             assert sum(map(len, pieces)) == len(space)

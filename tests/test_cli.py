@@ -372,6 +372,8 @@ def test_restricted_action_runs_once_per_generator(tmp_path, monkeypatch,
         calls.setdefault(self, []).append(g)
         return restricted_action(self, g)
 
+    from rigidtori import cli
+    monkeypatch.setattr(cli, "_LAST_RESOLUTION", None)  # a fresh document
     monkeypatch.setattr(ExactHodgeStructure, "restricted_action", counting)
     inp = write(tmp_path, "rep.json", doc)
     assert main(["rigidity", "--input", inp]) == 0
@@ -403,6 +405,7 @@ def test_polarize_builds_a_symbolic_structure_once(tmp_path, monkeypatch):
                 monkeypatch.setattr(module, name, wrapper)
     for doc in (SYMBOLIC_DOC, GAUSSIAN_DOC):
         calls.clear()
+        monkeypatch.setattr(cli, "_LAST_RESOLUTION", None)  # a fresh document
         inp = write(tmp_path, "doc.json", doc)
         assert main(["polarize", "--input", inp]) == 0
         assert calls == {"exact_structure_from_spec": 1, "isotypic_split": 1,
@@ -657,3 +660,166 @@ def test_precision_cap_is_a_domain_error(tmp_path, monkeypatch, module, cap,
     assert error["error"] == "PrecisionCapReached"
     assert site in error["message"]
     assert "internal" not in error
+
+
+# -- one resolution per document ---------------------------------------------
+
+# Z2 acting by -1: every complex structure is invariant, so it is not rigid
+NON_RIGID_DOC = {
+    "group": {"name": "Z2", "permutation_generators": [[1, 0]]},
+    "rank": 2,
+    "generator_matrices": [[[-1, 0], [0, -1]]],
+    "J_matrix": [[0.0, -1.0], [1.0, 0.0]],
+}
+
+
+def _args(*argv):
+    return build_parser().parse_args(list(argv))
+
+
+def _fresh(doc):
+    return json.loads(json.dumps(doc))
+
+
+@pytest.mark.parametrize("doc", [GAUSSIAN_DOC, SYMBOLIC_DOC],
+                         ids=["J_matrix", "symbolic_spec"])
+def test_rigidity_then_polarize_build_one_exact_structure(monkeypatch, doc):
+    # one action request, served as the runners serve it: polarize reuses
+    # the exact structure that rigidity built
+    from rigidtori import cli, hodge, polarize
+    monkeypatch.setattr(cli, "_LAST_RESOLUTION", None)
+    built = []
+    build = hodge.exact_structure_from_spec
+
+    def counting(*args):
+        built.append(args)
+        return build(*args)
+
+    for module in (cli, polarize):
+        monkeypatch.setattr(module, "exact_structure_from_spec", counting)
+    doc = _fresh(doc)
+    assert cli.run_rigidity(doc, _args("rigidity"))["result"]["is_rigid"]
+    cli.run_polarize(doc, _args("polarize"))
+    assert len(built) == 1
+
+
+def _count_representations(monkeypatch):
+    from rigidtori.hodge import IntegralRepresentation
+    built = []
+    init = IntegralRepresentation.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(IntegralRepresentation, "__init__", counting)
+    return built
+
+
+def test_rigidity_then_deform_build_one_representation(monkeypatch):
+    from rigidtori import cli
+    monkeypatch.setattr(cli, "_LAST_RESOLUTION", None)
+    built = _count_representations(monkeypatch)
+    doc = _fresh(NON_RIGID_DOC)
+    assert not cli.run_rigidity(doc, _args("rigidity"))["result"]["is_rigid"]
+    cli.run_deform(doc, _args("deform", "--epsilon", "10"))
+    assert len(built) == 1
+
+
+def test_resolution_memo_misses_on_other_content(monkeypatch):
+    # the memo compares documents by a snapshot of their content: -0.0 is
+    # not 0.0, 1 is not 1.0, and a document mutated after a call misses
+    from rigidtori import cli
+    from rigidtori.schemas import SchemaError
+    monkeypatch.setattr(cli, "_LAST_RESOLUTION", None)
+    built = _count_representations(monkeypatch)
+    args = _args("rigidity")
+    doc = _fresh(GAUSSIAN_DOC)
+    first = cli.run_rigidity(doc, args)
+    assert cli.run_rigidity(_fresh(GAUSSIAN_DOC), args) == first
+    assert len(built) == 1
+    negative_zero = _fresh(GAUSSIAN_DOC)
+    negative_zero["J_matrix"][0][0] = -0.0
+    assert cli.run_rigidity(negative_zero, args) == first
+    assert len(built) == 2
+    integral = _fresh(GAUSSIAN_DOC)
+    integral["J_matrix"] = [[0, -1], [1, 0]]
+    assert cli.run_rigidity(integral, args) == first
+    assert len(built) == 3
+    float_entry = _fresh(GAUSSIAN_DOC)
+    float_entry["generator_matrices"][0][1][0] = 1.0
+    with pytest.raises(SchemaError):
+        cli.run_rigidity(float_entry, args)
+    # J -> -J in place: the conjugate complex structure
+    doc["J_matrix"][0][1], doc["J_matrix"][1][0] = 1.0, -1.0
+    mutated = cli.run_rigidity(doc, args)
+    assert len(built) == 4
+    assert mutated != first
+    monkeypatch.setattr(cli, "_LAST_RESOLUTION", None)
+    assert cli.run_rigidity(_fresh(doc), args) == mutated
+
+
+@pytest.mark.parametrize("key", ["J_matrix", "symbolic_spec"])
+def test_resolution_memo_keeps_its_own_inputs(monkeypatch, key):
+    # a caller that mutates its document after a call cannot change what
+    # the memo answers for a document equal to the one it was given
+    from rigidtori import cli
+    monkeypatch.setattr(cli, "_LAST_RESOLUTION", None)
+    doc = _fresh(GAUSSIAN_DOC if key == "J_matrix" else SYMBOLIC_DOC)
+    original = _fresh(doc)
+    cli.run_enumerate(doc, _args("enumerate-rigid"))
+    if key == "J_matrix":
+        doc["J_matrix"][0][1], doc["J_matrix"][1][0] = 1.0, -1.0
+    else:
+        doc["symbolic_spec"]["tau"]["0"].update({"1": 0, "3": 1})
+    served = cli.run_rigidity(_fresh(original), _args("rigidity"))
+    monkeypatch.setattr(cli, "_LAST_RESOLUTION", None)
+    assert served == cli.run_rigidity(original, _args("rigidity"))
+
+
+# rho(g) conjugated by [[1, 10^200], [0, 1]]: entries near 10^400, beyond
+# the float range, with the Gaussian J
+_BIG = 10 ** 200
+OVERFLOWING_DOC = {
+    "group": {"name": "Z4", "permutation_generators": [[1, 2, 3, 0]]},
+    "rank": 2,
+    "generator_matrices": [[[_BIG, -1 - _BIG * _BIG], [1, -_BIG]]],
+    "J_matrix": [[0, -1], [1, 0]],
+}
+
+
+@pytest.mark.parametrize("command, error", [
+    ("rigidity", "RoundingFailure"), ("polarize", "RoundingFailure"),
+    ("deform", "NoConvergence")])
+def test_rho_beyond_the_float_range_is_a_domain_error(tmp_path, command,
+                                                      error):
+    inp = write(tmp_path, "big.json", OVERFLOWING_DOC)
+    out = tmp_path / "err.json"
+    assert main([command, "--input", inp, "--output", str(out)]) == 1
+    payload = json.loads(out.read_text())["error"]
+    assert payload["error"] == error
+    assert "internal" not in payload
+
+
+@pytest.mark.parametrize("doc, cap, site", [
+    (GAUSSIAN_DOC, 32, "no certified zeta"),
+    ({"polynomial": [1, 0, 1], "designated_roots": [0]}, 4096,
+     "no certified witness")])
+def test_precision_event_is_not_a_field_property(tmp_path, monkeypatch, doc,
+                                                  cap, site):
+    # the zeta and witness searches end in PrecisionCapReached at the cap of
+    # polyfields, read when they end: the field is known to be CM by then,
+    # and NotCMField stays for a zero imaginary subspace.  At a 32-bit cap
+    # the searches' ladder is empty; for the field it is emptied alone, so
+    # that its root boxes and theta's factor are still certified.
+    from rigidtori import polarize, polyfields
+    if cap == 32:
+        monkeypatch.setattr(polyfields, "PRECISION_BITS_CAP", cap)
+    else:
+        monkeypatch.setattr(polarize, "_precisions", lambda start=64: iter(()))
+    inp = write(tmp_path, "doc.json", doc)
+    out = tmp_path / "err.json"
+    assert main(["polarize", "--input", inp, "--output", str(out)]) == 1
+    error = json.loads(out.read_text())["error"]
+    assert error["error"] == "PrecisionCapReached"
+    assert site in error["message"] and f"at {cap} bits" in error["message"]

@@ -437,6 +437,101 @@ def test_exact_structure_matches_numeric_character():
         assert tuple(chi_num.values) == tuple(chi_exact.values)
 
 
+def _chi10_per_element(rep, j_matrix):
+    """The per-element hodge_character_from_numeric that the float-stack
+    one replaced, kept as its oracle: each rho(g) converted and checked on
+    its own, each multiplicity summed term by term."""
+    from rigidtori.hodge import (HodgeCharacter, _COMMUTE_TOL,
+                                 _MULTIPLICITY_TOL)
+    J = np.asarray(j_matrix, dtype=float)
+    n2 = rep.rank
+    if J.shape != (n2, n2):
+        raise InvalidRepresentation("J matrix has wrong shape")
+    if np.linalg.norm(J @ J + np.eye(n2)) > _COMMUTE_TOL * max(
+            1.0, np.linalg.norm(J) ** 2):
+        raise RoundingFailure("J^2 + I exceeds tolerance")
+    for g in range(rep.group.order):
+        R = np.asarray(rep.matrices[g], dtype=float)
+        if np.linalg.norm(J @ R - R @ J) > _COMMUTE_TOL * max(
+                1.0, np.linalg.norm(R)):
+            raise RoundingFailure(f"J does not commute with rho({g})")
+    table = table_for(rep.group)
+    m = table.field.m
+    values = []
+    for k, g in enumerate(table.classes.representatives):
+        e = rep.group.element_order[g]
+        chi_num = []
+        h = 0
+        for _ in range(e):
+            R = np.asarray(rep.matrices[h], dtype=float)
+            chi_num.append((np.trace(R) - 1j * np.trace(R @ J)) / 2.0)
+            h = rep.group.table[h][g]
+        exps = {}
+        for j in range(e):
+            mult = sum(chi_num[t] * np.exp(-2j * np.pi * j * t / e)
+                       for t in range(e)) / e
+            nearest = round(mult.real)
+            if abs(mult - nearest) > _MULTIPLICITY_TOL or nearest < 0:
+                raise RoundingFailure(
+                    f"eigenvalue multiplicity {mult} at class {k} "
+                    "is not a nonnegative integer")
+            if nearest:
+                exps[(m // e) * j] = nearest
+        values.append(table.field.from_exponent_dict(exps))
+    chi = HodgeCharacter(table=table, values=tuple(values))
+    chi.check_hodge_symmetry(rep)
+    return chi
+
+
+def _chi10_outcome(fn, rep, j_matrix):
+    """The values, or the error class and its message without the float
+    value of a multiplicity (the two kernels round it differently)."""
+    import re
+    try:
+        return tuple(fn(rep, j_matrix).values)
+    except (RoundingFailure, InconsistentCharacter) as exc:
+        return type(exc), re.sub(r"multiplicity \S+ at", "multiplicity at",
+                                 str(exc))
+
+
+@given(seed=st.integers(0, 10**6),
+       kind=st.sampled_from(["exact", "added", "conjugated"]),
+       size=st.sampled_from([1e-15, 1e-12, 1e-10, 1e-8, 1e-5, 1e-2]))
+def test_float_stack_chi10_matches_the_per_element_loop(seed, kind, size):
+    # the same exact values, or the same error class naming the same first
+    # element or class, on exact J and on J perturbed around and past the
+    # tolerances: J + size N breaks J^2 = -I, P J P^-1 with P = I + size N
+    # keeps it and breaks the commutation
+    rng = random.Random(seed)
+    rep, structure = random_hodge_fixture(rng, max_rank=6)
+    j = structure.j_matrix_float()
+    noise = np.random.default_rng(seed).standard_normal(j.shape)
+    if kind == "added":
+        j = j + size * noise
+    elif kind == "conjugated":
+        p = np.eye(len(j)) + size * noise
+        j = p @ j @ np.linalg.inv(p)
+    assert _chi10_outcome(hodge_character_from_numeric, rep, j) == \
+        _chi10_outcome(_chi10_per_element, rep, j)
+
+
+@pytest.mark.parametrize("power, j_matrix, message", [
+    (200, [[0, -1], [1, 0]], "float range"),
+    (100, [[1e200, -1e200], [1e200, -1e200]], "not finite")],
+    ids=["rho-overflows", "products-overflow"])
+def test_chi10_beyond_the_float_range_is_a_rounding_failure(power, j_matrix,
+                                                            message):
+    # rho(g) conjugated by [[1, b], [0, 1]], b = 10^power, has entries near
+    # b^2: at 10^400 rho has no float form; at 10^200 it has, but the
+    # products with J overflow, both checks on J pass vacuously on inf and
+    # nan, and the multiplicities come out nan
+    big = 10**power
+    gen = [[big, -1 - big * big], [1, -big]]
+    rep = IntegralRepresentation.from_generators(cyclic(4), [1], [gen])
+    with pytest.raises(RoundingFailure, match=message):
+        hodge_character_from_numeric(rep, j_matrix)
+
+
 def test_spec_from_character_roundtrip():
     rep = gaussian_action()
     chi = hodge_character_from_numeric(rep, [[0.0, -1.0], [1.0, 0.0]])

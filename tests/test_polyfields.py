@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from rigidtori.polyfields import (COEFFICIENT_BITS_CAP, DEGREE_CAP,
                                   PRECISION_BITS_CAP, THETA_DEGREE_CAP,
                                   PolynomialField, RealEmbeddingPresent,
-                                  ReduciblePolynomial, _add, _charpoly,
-                                  _divmod, _gcd, _mul, _Residue)
+                                  ReduciblePolynomial, _add, _box_horner,
+                                  _charpoly, _divmod, _gcd, _mul, _Residue)
 
 
 def test_charpoly_small():
@@ -276,8 +276,9 @@ def test_one_p_modulus_per_theta_polynomial(monkeypatch):
 
 def test_undecided_sign_gives_no_witness(monkeypatch):
     # a sign still undecided at PRECISION_BITS_CAP bits is no certificate, and
-    # polarization_exists ends in its declared NotCMField
-    from rigidtori.polarize import NotCMField, polarization_exists
+    # polarization_exists ends in its declared PrecisionCapReached
+    from rigidtori.polarize import polarization_exists
+    from rigidtori.polyfields import PrecisionCapReached
     evaluate = PolynomialField.evaluate_box
     sign_imag = PolynomialField.sign_imag
     inside_sign, tried = [], []
@@ -300,7 +301,7 @@ def test_undecided_sign_gives_no_witness(monkeypatch):
     F = PolynomialField((1, 1, 1, 1, 1))
     assert F.sign_imag(F.imaginary_subspace()[0], 0) is None
     assert max(tried) == PRECISION_BITS_CAP
-    with pytest.raises(NotCMField):
+    with pytest.raises(PrecisionCapReached):
         polarization_exists((1, 1, 1, 1, 1), [0, 2])
 
 
@@ -501,3 +502,39 @@ def test_theta_within_its_degree_cap_is_admitted():
     # and 1, so its tower is built
     F = PolynomialField([2] + [0] * 9 + [1])
     assert {len(pd.theta_minpoly) - 1 for pd in F.pair_data()} == {1, 20}
+
+
+def _box_horner_in_fractions(coeffs, re_lo, re_hi, im_lo, im_hi):
+    """The Fraction box Horner that the integer one replaced, kept as its
+    oracle."""
+
+    def interval_mul(a_lo, a_hi, b_lo, b_hi):
+        vals = (a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi)
+        return min(vals), max(vals)
+
+    rl = rh = il = ih = Fraction(0)
+    for c in reversed([Fraction(q) for q in coeffs]):
+        p1l, p1h = interval_mul(rl, rh, re_lo, re_hi)
+        p2l, p2h = interval_mul(il, ih, im_lo, im_hi)
+        p3l, p3h = interval_mul(rl, rh, im_lo, im_hi)
+        p4l, p4h = interval_mul(il, ih, re_lo, re_hi)
+        rl, rh, il, ih = p1l - p2h + c, p1h - p2l + c, p3l + p4l, p3h + p4h
+    return rl, rh, il, ih
+
+
+_rationals = st.fractions(max_denominator=10**6).filter(
+    lambda q: abs(q) < 10**6)
+
+
+@given(coeffs=st.lists(_rationals, max_size=12),
+       centre=st.tuples(_rationals, _rationals),
+       bits=st.integers(0, 300), real=st.booleans())
+def test_integer_box_horner_matches_fractions(coeffs, centre, bits, real):
+    # the same rational bounds on boxes of dyadic or arbitrary rational ends,
+    # with a zero imaginary interval (the real Horner) or not
+    rad = Fraction(1, 2**bits)
+    box = (centre[0] - rad, centre[0] + rad) + (
+        (0, 0) if real else (centre[1] - rad, centre[1] + rad))
+    got = _box_horner(coeffs, *box)
+    assert got == _box_horner_in_fractions(coeffs, *box)
+    assert all(type(x) is Fraction for x in got)
