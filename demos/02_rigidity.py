@@ -25,6 +25,8 @@ def gaussian():
     print(f"character formula: hom dimension {by_char.hom_dimension} "
           f"-> rigid = {by_char.is_rigid}")
 
+    # the centre criterion reads the tau table from the Hodge type; the
+    # character formula above only counts
     spec = spec_from_character(chi10)
     by_centre = rigidity_by_centre(spec)
     print(f"centre criterion (tau products all zero): "
@@ -33,8 +35,9 @@ def gaussian():
         print(f"  orbit {orbit}, embedding {coset}: "
               f"tau = {tau}, conj tau = {tau_bar}, product = {prod}")
 
+    # the structure carries its representation; chi10 is cross-checked
     structure = exact_structure_from_spec(rep, spec)
-    dim = brute_force_hom_dimension(rep, structure, chi10)
+    dim = brute_force_hom_dimension(structure, chi10)
     print(f"brute-force intertwiner solve: dimension {dim}")
 
 

@@ -10,11 +10,14 @@ marked `"internal": true`).
 One action request runs `run_rigidity`, then `run_polarize` or `run_deform`,
 on the same document, so each fact of a representation document is computed
 once per document: a private one-entry memo keeps the last document's
-resolution (`_Resolution`): the loaded representation, its Hodge data
-(table, spec, chi10, exact structure) once computed, and the exact
-structure `run_rigidity` builds for a rigid J_matrix document, which
-`run_polarize` hands to the assembly.  Only results computed without error
-are kept, so every error is raised again, in the same order.  The key is
+resolution (`_Resolution`).  Its fields are the loaded representation `rep`
+with the document's `j_matrix` and `spec_doc`; the Hodge type `spec`, one
+per document, which every rigidity pathway and the polarization read; the
+numeric Hodge character `chi10` of a J_matrix document; and the one exact
+`structure`, built with the spec for a symbolic_spec document and by
+`run_rigidity` for a rigid J_matrix document, which `run_polarize` hands to
+the assembly and `run_deform` reads J from.  Only results computed without
+error are kept, so every error is raised again, in the same order.  The key is
 the document's repr, a snapshot of its content taken at each call: it tells
 -0.0 from 0.0, 1.0 from 1 and a tuple from a list, and a document mutated
 after a call no longer matches it.  One entry, as in `characters.table_for`:
@@ -221,20 +224,19 @@ def run_analyze(doc, args):
 class _Resolution:
     """What one representation document resolves to, each fact computed at
     most once: `load_representation_doc`'s (rep, j_matrix, spec_doc), then
-    `_spec_and_structure`'s (table, spec, chi10, structure) as `hodge`, then
-    the exact structure `run_rigidity` builds for a rigid J_matrix document
-    as `rigid_structure`.  j_matrix and spec_doc are the memo's own copies,
-    so a caller that mutates its document cannot change them."""
+    `_hodge`'s spec with chi10 (J_matrix) or structure (symbolic_spec), and
+    for a rigid J_matrix document the structure `run_rigidity` builds.
+    j_matrix and spec_doc are the memo's own copies, so a caller that
+    mutates its document cannot change them."""
 
-    __slots__ = ("rep", "j_matrix", "spec_doc", "hodge", "rigid_structure")
+    __slots__ = ("rep", "j_matrix", "spec_doc", "spec", "chi10", "structure")
 
     def __init__(self, rep, j_matrix, spec_doc):
         self.rep = rep
         self.j_matrix = (None if j_matrix is None
                          else [list(row) for row in j_matrix])
         self.spec_doc = copy.deepcopy(spec_doc)
-        self.hodge = None
-        self.rigid_structure = None
+        self.spec = self.chi10 = self.structure = None
 
 
 _LAST_RESOLUTION = None  # (snapshot, _Resolution) of the last document
@@ -265,49 +267,43 @@ def _resolve(doc) -> _Resolution:
     return resolution
 
 
-def _spec_and_structure(res: _Resolution):
-    """Resolve the Hodge data pathways of a representation document, once.
-
-    Returns (table, spec, chi10, structure): a symbolic_spec document gives
-    an exact structure and no chi10, a J_matrix document the numeric chi10
-    and no structure."""
-    if res.hodge is None:
+def _hodge(res: _Resolution) -> _Resolution:
+    """Resolve the Hodge type of a representation document, once: a
+    symbolic_spec document gives res.spec and its exact res.structure, a
+    J_matrix document res.spec and its numeric res.chi10."""
+    if res.spec is None:
         rep = res.rep
-        table = table_for(rep.group)
         if res.spec_doc is not None:
-            spec = load_symbolic_spec(res.spec_doc, galois_orbits(table))
-            res.hodge = (table, spec, None,
-                         exact_structure_from_spec(rep, spec))
+            spec = load_symbolic_spec(res.spec_doc,
+                                      galois_orbits(table_for(rep.group)))
+            res.structure = exact_structure_from_spec(rep, spec)
+            res.spec = spec
         elif res.j_matrix is not None:
             chi10 = hodge_character_from_numeric(rep, res.j_matrix)
-            res.hodge = (table, spec_from_character(chi10), chi10, None)
+            res.spec, res.chi10 = spec_from_character(chi10), chi10
         else:
             raise SchemaError("representation document needs J_matrix or "
                               "symbolic_spec for this command")
-    return res.hodge
+    return res
 
 
 def run_rigidity(doc, args):
-    res = _resolve(doc)
-    rep = res.rep
-    table, spec, numeric_chi10, structure = _spec_and_structure(res)
-    chi10 = (structure.hodge_character() if numeric_chi10 is None
-             else numeric_chi10)
-    char_report = rigidity_by_character(chi10, table)
-    centre_report = rigidity_by_centre(spec)
+    res = _hodge(_resolve(doc))
+    chi10 = (res.structure.hodge_character() if res.chi10 is None
+             else res.chi10)
+    char_report = rigidity_by_character(chi10)
+    centre_report = rigidity_by_centre(res.spec)
     methods = [
         {"method": "character", "hom_dimension": char_report.hom_dimension,
          "is_rigid": char_report.is_rigid},
         {"method": "centre", "hom_dimension": None,
          "is_rigid": centre_report.is_rigid},
     ]
-    if structure is None and char_report.is_rigid:
-        if res.rigid_structure is None:
-            res.rigid_structure = exact_structure_from_spec(rep, spec)
-        structure = res.rigid_structure
-    if structure is not None:
+    if res.structure is None and char_report.is_rigid:
+        res.structure = exact_structure_from_spec(res.rep, res.spec)
+    if res.structure is not None:
         # a numeric chi10 is cross-checked against the structure's own
-        bf = brute_force_hom_dimension(rep, structure, numeric_chi10)
+        bf = brute_force_hom_dimension(res.structure, res.chi10)
         methods.append({"method": "brute_force", "hom_dimension": bf,
                         "is_rigid": bf == 0})
     else:
@@ -325,7 +321,7 @@ def run_rigidity(doc, args):
         "tau_table": [
             {"orbit": row[0], "embedding_coset": row[1], "tau": row[2],
              "tau_conjugate": row[3], "product": row[4]}
-            for row in char_report.tau_rows],
+            for row in centre_report.tau_rows],
         "methods": methods,
         "agreement": len(verdicts) == 1 and len(dims) <= 1,
     }
@@ -365,14 +361,13 @@ def run_enumerate(doc, args):
 def run_polarize(doc, args):
     if isinstance(doc, dict) and "polynomial" in doc:
         return _run_polarize_polynomial(doc, args)
-    res = _resolve(doc)
     # a symbolic_spec document's structure is built before the rigidity
     # checks, so its domain errors win over NotRigid; a J_matrix document's
     # is the one run_rigidity built, if it ran, else assembly builds it
-    _, spec, _, structure = _spec_and_structure(res)
+    res = _hodge(_resolve(doc))
     form = polarize_mod.assemble_polarization(
-        res.rep, spec=spec, g_invariant=args.g_invariant,
-        structure=res.rigid_structure if structure is None else structure)
+        res.rep, spec=res.spec, g_invariant=args.g_invariant,
+        structure=res.structure)
     cert = form.certificate
     result = {
         "rank": form.rank,
@@ -412,8 +407,7 @@ def run_deform(doc, args):
     resolved = _resolve(doc)
     j_matrix = resolved.j_matrix
     if j_matrix is None and resolved.spec_doc is not None:
-        structure = _spec_and_structure(resolved)[3]
-        j_matrix = structure.j_matrix_float().tolist()
+        j_matrix = _hodge(resolved).structure.j_matrix_float().tolist()
     if j_matrix is None:
         raise SchemaError("deform needs J_matrix or symbolic_spec")
     res = deform_mod.find_projective_neighbor(

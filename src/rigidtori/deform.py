@@ -131,7 +131,10 @@ def invariant_metric(rep: IntegralRepresentation, j_matrix):
     symmetric and G-invariant."""
     import numpy as np
     j = np.asarray(j_matrix, dtype=float)
-    m = sum(p.T @ p for p in (np.eye(len(j)), j, j @ j, j @ j @ j))
+    # a J near the float range overflows to inf and nan here, silently: a
+    # non-finite metric is a NoConvergence below
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = sum(p.T @ p for p in (np.eye(len(j)), j, j @ j, j @ j @ j))
     if not np.isfinite(m).all():
         raise NoConvergence("the J-metric overflows a float")
     ratios = [[x.as_integer_ratio() for x in row] for row in (m + m.T).tolist()]

@@ -3,9 +3,14 @@
 Three independent rigidity pathways are provided and cross-checked:
 
 * the character formula dim Hom_G(V^{0,1}, V^{1,0}) = (1/|G|) sum chi10(g)^2,
-* the centre criterion tau(j) * tau(conj j) = 0 on character spaces,
+  which counts and gives no tau table,
+* the centre criterion tau(j) * tau(conj j) = 0 on character spaces, whose
+  tau rows, read from the Hodge type, are the one tau table,
 * a brute-force intertwiner solve over an explicit exact splitting
   V (x) K = U + conj(U).
+
+A Hodge type (`SymbolicHodgeSpec`) is valid by construction: building one
+checks Hodge symmetry, so no pathway checks it again.
 
 Exact splittings are carried as `ExactHodgeStructure` (a cyclotomic basis of
 U); numeric complex structures enter through `hodge_character_from_numeric`,
@@ -145,9 +150,6 @@ class IntegralRepresentation:
         # a homomorphism gives rho(g)^ord(g) = rho(e) = I, so every rho(g)
         # is unimodular (determinant +-1) without computing it
 
-    def matrix(self, g: int):
-        return self.matrices[g]
-
     def trace(self, g: int) -> int:
         return sum(self.matrices[g][i][i] for i in range(self.rank))
 
@@ -219,19 +221,24 @@ class HodgeCharacter:
     table: CharacterTable
     values: tuple  # CyclotomicNumber per class
 
-    @property
-    def n(self) -> int:
-        v = self.values[0].as_rational()
-        return int(v)
-
     @cached_property
     def multiplicities(self):
         """Multiplicity of each table row in chi10, validated as non-negative
         integers that add up to chi10(1); decomposed once per character."""
-        return _validated_multiplicities(self, self.table)
-
-    def value_at_element(self, g: int) -> CyclotomicNumber:
-        return self.values[self.table.classes.membership[g]]
+        table = self.table
+        mults = []
+        for r, ip in enumerate(table.decompose(self.values)):
+            q = ip.as_rational()
+            if q is None or q.denominator != 1 or q < 0:
+                raise InconsistentCharacter(
+                    f"multiplicity of row {r} is {ip}, not a nonnegative "
+                    "integer")
+            mults.append(int(q))
+        total = sum(m * table.degrees[r] for r, m in enumerate(mults))
+        if Fraction(total) != self.values[0].as_rational():
+            raise InconsistentCharacter(
+                "chi10(1) does not match its decomposition")
+        return mults
 
     def check_hodge_symmetry(self, rep: IntegralRepresentation):
         """chi10(g) + conj(chi10(g)) must equal tr rho(g), exactly."""
@@ -329,10 +336,14 @@ class SummandType:
 
 @dataclass(frozen=True)
 class SymbolicHodgeSpec:
-    """Hodge type of an action through the centre decomposition."""
+    """Hodge type of an action through the centre decomposition, valid by
+    construction: building one checks Hodge symmetry."""
 
     decomposition: GaloisOrbitDecomposition
     summands: tuple  # SummandType, one per orbit
+
+    def __post_init__(self):
+        self.validate_hs()
 
     def validate_hs(self):
         """Hodge symmetry (HS); raises HSViolation."""
@@ -358,17 +369,16 @@ class SymbolicHodgeSpec:
 
 @dataclass(frozen=True)
 class RigidityReport:
-    hom_dimension: int | None    # None when only the centre verdict ran
+    hom_dimension: int | None    # None from the centre pathway
     is_rigid: bool
-    tau_rows: tuple              # (orbit, coset, tau, tau_conj, product)
+    tau_rows: tuple | None       # (orbit, coset, tau, tau_conj, product);
+                                 # None from the character pathway
 
 
-def rigidity_by_character(chi10: HodgeCharacter,
-                          table: CharacterTable | None = None) -> RigidityReport:
+def rigidity_by_character(chi10: HodgeCharacter) -> RigidityReport:
     """Hom dimension by Schur orthogonality; validates chi10 first."""
-    table = table or chi10.table
-    mults = (chi10.multiplicities if table is chi10.table
-             else _validated_multiplicities(chi10, table))
+    chi10.multiplicities  # raises InconsistentCharacter before the sum
+    table = chi10.table
     g_order = table.group.order
     acc = table.field.zero()
     for k, size in enumerate(table.classes.sizes):
@@ -378,46 +388,13 @@ def rigidity_by_character(chi10: HodgeCharacter,
     if dim is None or dim.denominator != 1 or dim < 0:
         raise InconsistentCharacter(f"hom dimension came out as {acc}")
     dim = int(dim)
-    tau_rows = _tau_rows_from_mults(table, mults)
-    return RigidityReport(
-        hom_dimension=dim,
-        is_rigid=(dim == 0),
-        tau_rows=tau_rows,
-    )
-
-
-def _validated_multiplicities(chi10: HodgeCharacter, table: CharacterTable):
-    mults = []
-    for r, ip in enumerate(table.decompose(chi10.values)):
-        q = ip.as_rational()
-        if q is None or q.denominator != 1 or q < 0:
-            raise InconsistentCharacter(
-                f"multiplicity of row {r} is {ip}, not a nonnegative integer")
-        mults.append(int(q))
-    total = sum(m * table.degrees[r] for r, m in enumerate(mults))
-    if Fraction(total) != chi10.values[0].as_rational():
-        raise InconsistentCharacter("chi10(1) does not match its decomposition")
-    return mults
-
-
-def _tau_rows_from_mults(table: CharacterTable, mults):
-    decomp = galois_orbits(table)
-    rows = []
-    for j, orbit in enumerate(decomp.orbits):
-        coset_to_row = dict(orbit.coset_to_row)
-        spec = orbit.field_spec
-        for a in spec.coset_reps():
-            r = coset_to_row[a]
-            rbar = coset_to_row[spec.conjugate_coset(a)]
-            tau = table.degrees[r] * mults[r]
-            tau_bar = table.degrees[rbar] * mults[rbar]
-            rows.append((j, a, tau, tau_bar, tau * tau_bar))
-    return tuple(rows)
+    return RigidityReport(hom_dimension=dim, is_rigid=(dim == 0),
+                          tau_rows=None)
 
 
 def rigidity_by_centre(spec: SymbolicHodgeSpec) -> RigidityReport:
-    """(R): tau(j) * tau(conj j) = 0 at every active embedding."""
-    spec.validate_hs()
+    """(R): tau(j) * tau(conj j) = 0 at every active embedding; the tau rows
+    are the type's own, one per embedding coset of each centre field."""
     rows = []
     rigid = True
     for s in spec.summands:
@@ -518,17 +495,28 @@ class ExactHodgeStructure:
         return HodgeCharacter(table=table, values=tuple(values))
 
     def j_matrix_float(self):
-        """Float image of the exact multiplication-by-i operator."""
+        """Float image P D P^-1 of the exact multiplication-by-i operator,
+        P the basis matrix in floats.  A P beyond the float range, singular
+        in floats, or too ill-conditioned for J to come out real raises
+        RoundingFailure."""
         import numpy as np
-        n2 = self.rep.rank
-        cols = []
-        for col in self._basis_matrix_columns_complex():
-            cols.append(col)
-        P = np.array(cols, dtype=complex).T
-        D = np.diag([1j] * self.n + [-1j] * self.n)
-        J = P @ D @ np.linalg.inv(P)
-        if np.max(np.abs(J.imag)) > 1e-8:
-            raise AssertionError("J failed to come out real")
+        # entries near the float range overflow to inf and nan here,
+        # silently: a non-finite J is a RoundingFailure below
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                P = np.array(self._basis_matrix_columns_complex(),
+                             dtype=complex).T
+            except OverflowError:
+                raise RoundingFailure(
+                    "the basis has entries beyond the float range") from None
+            D = np.diag([1j] * self.n + [-1j] * self.n)
+            try:
+                J = P @ D @ np.linalg.inv(P)
+            except np.linalg.LinAlgError:
+                raise RoundingFailure(
+                    "the basis matrix is singular in floats") from None
+        if not (np.isfinite(J).all() and np.max(np.abs(J.imag)) <= 1e-8):
+            raise RoundingFailure("J failed to come out real")
         return J.real
 
     def _basis_matrix_columns_complex(self):
@@ -573,8 +561,7 @@ def _coerce_to_subcyclotomic(x: CyclotomicNumber, small) -> CyclotomicNumber:
     return small.from_coeffs(coords)
 
 
-def brute_force_hom_dimension(rep: IntegralRepresentation,
-                              structure: ExactHodgeStructure,
+def brute_force_hom_dimension(structure: ExactHodgeStructure,
                               chi10: HodgeCharacter | None = None) -> int:
     """Exact dimension of {phi : conj(U) -> U, phi rho(g) = rho(g) phi}.
 
@@ -582,9 +569,10 @@ def brute_force_hom_dimension(rep: IntegralRepresentation,
     structure; independent of the character formula.  If chi10 is supplied,
     the structure's own character is cross-checked against it first.
     """
-    if rep.rank > BRUTE_FORCE_RANK_CAP:
+    rank = structure.rep.rank
+    if rank > BRUTE_FORCE_RANK_CAP:
         raise InvalidRepresentation(
-            f"rank {rep.rank} exceeds the brute-force cap {BRUTE_FORCE_RANK_CAP}")
+            f"rank {rank} exceeds the brute-force cap {BRUTE_FORCE_RANK_CAP}")
     if chi10 is not None:
         own = structure.hodge_character()
         if tuple(own.values) != tuple(chi10.values):
@@ -720,9 +708,8 @@ def enumerate_rigid_types(decomposition: GaloisOrbitDecomposition,
             SummandType(orbit_index=j, multiplicity=multiplicities[j],
                         tau=combo[j])
             for j in range(len(orbits)))
-        spec = SymbolicHodgeSpec(decomposition=decomposition, summands=summands)
-        spec.validate_hs()
-        specs.append(spec)
+        specs.append(SymbolicHodgeSpec(decomposition=decomposition,
+                                       summands=summands))
     return specs
 
 
@@ -753,9 +740,7 @@ def spec_from_character(chi10: HodgeCharacter) -> SymbolicHodgeSpec:
             orbit_index=j,
             multiplicity=total if total is not None else 0,
             tau=tuple(sorted(tau.items()))))
-    out = SymbolicHodgeSpec(decomposition=decomp, summands=tuple(summands))
-    out.validate_hs()
-    return out
+    return SymbolicHodgeSpec(decomposition=decomp, summands=tuple(summands))
 
 
 # -- realizing symbolic specs exactly ----------------------------------------
@@ -774,7 +759,6 @@ def exact_structure_from_spec(rep: IntegralRepresentation,
     duplicated copies are paired by the graph construction v -> (v, mu v)
     with mu a fixed non-real cyclotomic.
     """
-    spec.validate_hs()
     table = spec.decomposition.table
     m = table.field.m
     K = CyclotomicField(m if m > 2 else 4)

@@ -290,7 +290,7 @@ def assemble_polarization(rep: IntegralRepresentation,
     if g_invariant:
         e_mat = _g_average(rep, e_mat)
     e_mat = _primitive_integral(e_mat)
-    cert = verify_polarization(e_mat, structure, check_g_invariance=True)
+    cert = verify_polarization(e_mat, structure)
     return PolarizationForm(
         rank=rep.rank,
         matrix=tuple(tuple(row) for row in e_mat),
@@ -352,12 +352,12 @@ def _primitive_integral(e_mat):
 # -- verification -------------------------------------------------------------
 
 
-def verify_polarization(e_mat, structure: ExactHodgeStructure,
-                        check_g_invariance: bool = False) -> PolarizationCertificate:
+def verify_polarization(
+        e_mat, structure: ExactHodgeStructure) -> PolarizationCertificate:
     """Certify both bilinear relations and the Rosati property of E against
     an exact structure, in exact arithmetic with no tolerance: relation I as
     E_C(U, U) = 0, relation II by the signs of exact Hermitian LDL pivots,
-    and the Rosati identity (and optionally G-invariance) in integers."""
+    and the Rosati identity and G-invariance in integers."""
     e_rows = [[Fraction(x) for x in row] for row in e_mat]
     n2 = len(e_rows)
     for i in range(n2):
@@ -368,11 +368,9 @@ def verify_polarization(e_mat, structure: ExactHodgeStructure,
     rel1, rel2 = _verify_symbolic(e_rows, structure)
     rep = structure.rep
     rosati = _verify_rosati(e_rows, rep)
-    ginv = _verify_g_invariance(e_rows, rep) if check_g_invariance else {
-        "checked": False}
     return PolarizationCertificate(
         relation_i=rel1, relation_ii=rel2, rosati=rosati,
-        g_invariant=ginv, mode="symbolic")
+        g_invariant=_verify_g_invariance(e_rows, rep), mode="symbolic")
 
 
 def _verify_symbolic(e_rows, structure: ExactHodgeStructure):

@@ -114,9 +114,9 @@ def test_criterion_3_centre_reduction_oracle():
         rep, structure = random_hodge_fixture(rng, groups=groups)
         assert rep.rank <= 8
         chi10 = structure.hodge_character()
-        by_char = rigidity_by_character(chi10, chi10.table)
+        by_char = rigidity_by_character(chi10)
         by_centre = rigidity_by_centre(spec_from_character(chi10))
-        by_brute = brute_force_hom_dimension(rep, structure, chi10)
+        by_brute = brute_force_hom_dimension(structure, chi10)
         assert by_char.is_rigid == by_centre.is_rigid == (by_brute == 0)
         assert by_char.hom_dimension == by_brute
         rigid_seen += by_char.is_rigid
@@ -217,7 +217,7 @@ def test_criterion_5_polarizations_for_rigid_actions(suite_orbits):
         attempts += 1
         rep, structure = random_hodge_fixture(rng, groups=groups)
         chi10 = structure.hodge_character()
-        report = rigidity_by_character(chi10, chi10.table)
+        report = rigidity_by_character(chi10)
         if not report.is_rigid:
             continue
         f = assemble_polarization(rep, spec=spec_from_character(chi10))

@@ -703,6 +703,26 @@ def test_rigidity_then_polarize_build_one_exact_structure(monkeypatch, doc):
     assert len(built) == 1
 
 
+def test_rigidity_then_polarize_validate_the_spec_once(monkeypatch):
+    # a spec is valid by construction: loading the symbolic_spec document
+    # checks Hodge symmetry, and no pathway checks it again
+    from rigidtori import cli
+    from rigidtori.hodge import SymbolicHodgeSpec
+    monkeypatch.setattr(cli, "_LAST_RESOLUTION", None)
+    validated = []
+    validate = SymbolicHodgeSpec.validate_hs
+
+    def counting(self):
+        validated.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(SymbolicHodgeSpec, "validate_hs", counting)
+    doc = _fresh(SYMBOLIC_DOC)
+    assert cli.run_rigidity(doc, _args("rigidity"))["result"]["is_rigid"]
+    cli.run_polarize(doc, _args("polarize"))
+    assert len(validated) == 1
+
+
 def _count_representations(monkeypatch):
     from rigidtori.hodge import IntegralRepresentation
     built = []
@@ -798,6 +818,33 @@ def test_rho_beyond_the_float_range_is_a_domain_error(tmp_path, command,
     assert main([command, "--input", inp, "--output", str(out)]) == 1
     payload = json.loads(out.read_text())["error"]
     assert payload["error"] == error
+    assert "internal" not in payload
+
+
+def _conjugated_symbolic_doc(c):
+    """SYMBOLIC_DOC with its generator conjugated by [[1, c], [0, 1]]: the
+    same rigid Gaussian type, on a lattice basis with entries near c^2."""
+    doc = _fresh(SYMBOLIC_DOC)
+    doc["generator_matrices"] = [[[c, -1 - c * c], [1, -c]]]
+    return doc
+
+
+@pytest.mark.parametrize("c, site", [
+    (1000, "come out real"), (10**150, "singular in floats"),
+    (10**400, "beyond the float range")],
+    ids=["ill-conditioned", "singular", "beyond-float-range"])
+def test_deform_symbolic_j_out_of_float_reach_is_a_domain_error(tmp_path, c,
+                                                                site):
+    # rigidity answers exactly; the float J that deform starts from cannot
+    # be formed, which is the declared RoundingFailure (exit 1)
+    inp = write(tmp_path, "conj.json", _conjugated_symbolic_doc(c))
+    out = tmp_path / "out.json"
+    assert main(["rigidity", "--input", inp, "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["result"]["is_rigid"]
+    assert main(["deform", "--input", inp, "--output", str(out)]) == 1
+    payload = json.loads(out.read_text())["error"]
+    assert payload["error"] == "RoundingFailure"
+    assert site in payload["message"]
     assert "internal" not in payload
 
 

@@ -51,7 +51,7 @@ def nonrigid_fixtures(seed, count, pool=None):
     while len(out) < count:
         rep, st_ = random_hodge_fixture(rng, groups=pool or small_groups())
         chi = st_.hodge_character()
-        if rigidity_by_character(chi, chi.table).hom_dimension:
+        if rigidity_by_character(chi).hom_dimension:
             out.append((rep, st_.j_matrix_float()))
     return out
 
@@ -122,7 +122,7 @@ def test_chart_dimension_matches_hom_dimension():
     for _ in range(4):
         rep, st_ = random_hodge_fixture(rng, groups=groups)
         chi = st_.hodge_character()
-        hom = rigidity_by_character(chi, chi.table).hom_dimension
+        hom = rigidity_by_character(chi).hom_dimension
         res = find_projective_neighbor(rep, st_.j_matrix_float(),
                                        max_denominator=256, epsilon=10.0)
         assert res.chart_dimension == hom

@@ -80,9 +80,9 @@ def test_sl23_full_pipeline():
     assert len(specs) == 2  # one CM field of degree 2
     st = exact_structure_from_spec(model, specs[0])
     chi = st.hodge_character()
-    report = rigidity_by_character(chi, table)
+    report = rigidity_by_character(chi)
     assert report.is_rigid
-    assert brute_force_hom_dimension(model, st, chi) == 0
+    assert brute_force_hom_dimension(st, chi) == 0
     form = assemble_polarization(model, spec=specs[0])
     cert = form.certificate
     assert cert.relation_i["ok"] and cert.relation_ii["ok"]
@@ -141,7 +141,7 @@ def test_f21_degree_three_cm_orbit_polarization():
     spec = enumerate_rigid_types(decomp, mults)[0]
     st = exact_structure_from_spec(model, spec)
     chi = st.hodge_character()
-    assert rigidity_by_character(chi, table).is_rigid
+    assert rigidity_by_character(chi).is_rigid
     form = assemble_polarization(model, spec=spec)
     cert = form.certificate
     assert cert.relation_i["ok"] and cert.relation_ii["ok"]

@@ -317,7 +317,7 @@ def test_symbolic_positivity_matches_float_eigenvalues():
     while checked < 4:
         rep, st = random_hodge_fixture(rng, groups=groups)
         chi = st.hodge_character()
-        if not rigidity_by_character(chi, chi.table).is_rigid:
+        if not rigidity_by_character(chi).is_rigid:
             continue
         form = assemble_polarization(rep, spec=spec_from_character(chi))
         e_np = np.array([[float(x) for x in row] for row in form.matrix])
@@ -493,7 +493,7 @@ def test_polarization_matrices_are_pinned():
     while len(matrices) < 20:
         rep, st = random_hodge_fixture(rng, groups=groups)
         chi = st.hodge_character()
-        if not rigidity_by_character(chi, chi.table).is_rigid:
+        if not rigidity_by_character(chi).is_rigid:
             continue
         form = assemble_polarization(rep, spec=spec_from_character(chi))
         matrices.append([[str(x) for x in row] for row in form.matrix])
@@ -528,7 +528,7 @@ def _verdicts(rep, structure):
                                  rigidity_by_centre, rigidity_by_character)
     chi = structure.hodge_character()
     spec = spec_from_character(chi)
-    by_character = rigidity_by_character(chi, chi.table)
+    by_character = rigidity_by_character(chi)
     try:
         assemble_polarization(rep, spec=spec)
         polarized = "certified"
@@ -536,7 +536,7 @@ def _verdicts(rep, structure):
         polarized = type(exc).__name__
     return (by_character.is_rigid, by_character.hom_dimension,
             rigidity_by_centre(spec).is_rigid,
-            brute_force_hom_dimension(rep, structure), polarized)
+            brute_force_hom_dimension(structure), polarized)
 
 
 @given(st.data())
@@ -554,7 +554,7 @@ def test_verdicts_do_not_depend_on_the_lattice_basis(data):
     while True:
         rep, structure = random_hodge_fixture(rng, groups=groups, max_rank=4)
         chi = structure.hodge_character()
-        if not want_rigid or rigidity_by_character(chi, chi.table).is_rigid:
+        if not want_rigid or rigidity_by_character(chi).is_rigid:
             break
     n = rep.rank
     perm = data.draw(st.permutations(range(n)))
