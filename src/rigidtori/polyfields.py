@@ -21,9 +21,9 @@ does not depend on the order of the arithmetic.
 
 Root enclosures come from the inclusion-disc bound (Henrici, Applied and
 Computational Complex Analysis I, 6.4): for any z, the disc of radius
-n |f(z)/f'(z)| around z holds a root of f.  All n roots start from the
-centres of sympy's isolating rectangles and are polished per precision by
-Newton steps with Aberth's deflation in mpmath.  Each centre
+n |f(z)/f'(z)| around z holds a root of f.  All n roots start on a circle,
+as Aberth's method usually does, and are polished per precision by Newton
+steps with Aberth's deflation in mpmath.  Each centre
 z = (a + bi)/2^e is certified exactly in integer arithmetic at a
 precision c >= prec: n^2 |f(z)|^2 <= 4^-c |f'(z)|^2, so the disc has
 radius at most 2^-c, and the n centres are more than 4 * 2^-c apart,
@@ -31,21 +31,15 @@ so the discs are disjoint and each holds exactly one root.  c starts at
 prec and doubles while two centres are too close; the returned radius
 stays 2^-prec, so boxes of roots closer than that may overlap.
 
-Root indices follow sympy's `all_roots` order, which the conjugate
-pairing, designated roots and callers rely on.  The roots are isolated
-once, as `all_roots` does before its pass that refines all rectangles
-until they are pairwise disjoint: that pass only shrinks rectangles in
-place, so the isolation already lists them in `all_roots` order (upper
-half-plane rectangles by lower-left corner, each preceded by its
-conjugate), and skipping it saves a real-root isolation on the edges of
-every bisection.  The order is certified, not matched: every root lies
-in the union of the discs, so when the isolating rectangle for index k
-meets exactly one box (the box of half-width 2^-c around a centre
-contains its disc), the root with index k is the one in that disc.
-Rectangles hold distinct roots, so a disc pinned this way is struck
-from the other rectangles; only a rectangle that still meets two boxes
-is refined, by sympy's bisection.  Certified centres are cached per
-precision on the field.
+Root indices follow the order of sympy's `all_roots`, which the conjugate
+pairing, designated roots and callers rely on: upper half-plane roots by
+the lower-left corners of the rectangles sympy's bisection isolates them
+in, each preceded by its conjugate.  `intpoly.root_order` derives it once,
+from the first certified discs, by simulating that bisection with exact
+decisions.  The discs of every later precision are pinned to those of the
+previous one: a disc meets only the disc of its own root among certified
+discs at least as large.  Certified centres are cached per precision on
+the field.
 
 Every certified evaluation, here and in `cyclotomic`, is one exact
 rational box Horner (`_enclosure`) on a rectangle around a root: a root
@@ -57,8 +51,10 @@ the same rationals as those of a Horner in Fractions.
 Its precisions climb one ladder (`_precisions`) to PRECISION_BITS_CAP
 bits, and its signs are read by one rule (`_certified_sign`).
 
-sympy is imported only inside the methods that use it (factoring, root
-isolation, resultants, Sturm counts), so importing this module stays cheap.
+Irreducibility over Q (Zassenhaus), the real-root count (Sturm), the root
+order and theta's minimal polynomial (a factor of prod_{i<j} (u - a_i - a_j))
+are exact integer computations in `intpoly`, which the first field imports,
+so importing this module stays cheap.  No computer-algebra system is used.
 """
 
 from __future__ import annotations
@@ -81,11 +77,8 @@ __all__ = [
 ]
 
 DEGREE_CAP = 16
-# Widest admitted coefficient, in bits.  Set when fields ran sympy's
-# disjoint-refinement pass, whose cost grew with the coefficients
-# (x^2 + 3*10^160: 5.5 s on a 2-core host).  One isolation builds that field
-# in 0.07 s there, x^2 + 3*10^400 in 0.26 s and x^2 + 3*10^1000 in 1.8 s;
-# the cap stays as the admission limit.
+# Widest admitted coefficient, in bits: the admission limit on coefficient
+# size (x^2 + 3*10^160 once took 5.5 s on a 2-core host).
 COEFFICIENT_BITS_CAP = 128
 # Highest admitted degree of theta's minimal polynomial g, C(8, 2): every
 # field of degree <= 8 passes.  The tower over Q[u]/g costs far more than
@@ -179,7 +172,8 @@ def _divmod(a, b):
     r = _trim(list(a))
     q = [0] * max(len(r) - len(b) + 1, 0)
     if q:
-        inv = Fraction(1) / b[-1]
+        # a monic divisor keeps integer coefficients ints, not Fractions
+        inv = 1 if b[-1] == 1 else Fraction(1) / b[-1]
     while len(r) >= len(b):
         off = len(r) - len(b)
         f = q[off] = r.pop() * inv
@@ -287,29 +281,17 @@ class PolynomialField:
         if max(abs(c) for c in coeffs).bit_length() > COEFFICIENT_BITS_CAP:
             raise ReduciblePolynomial(
                 f"coefficients must have at most {COEFFICIENT_BITS_CAP} bits")
-        from sympy import Poly, symbols
-        from sympy.polys.polyroots import preprocess_roots
-        from sympy.polys.rootisolation import dup_isolate_complex_roots_sqf
-        self._poly = Poly([c for c in reversed(coeffs)], symbols("t"))
-        # what `all_roots` runs before its disjoint-refinement pass: f is
-        # rescaled to g(y) = f(c y)/c^n, and g's one factor is isolated
-        scale, scaled = preprocess_roots(self._poly)
-        factors = scaled.factor_list()[1]
-        if len(factors) != 1 or factors[0][1] != 1:
+        from . import intpoly
+        if not intpoly.is_irreducible(coeffs):
             raise ReduciblePolynomial("polynomial is reducible over Q")
-        n_real = self._poly.count_roots()
+        n_real = intpoly.real_root_count(coeffs)
         if n_real:
             raise RealEmbeddingPresent(
                 f"polynomial has {n_real} real roots; field is not totally "
                 "imaginary")
-        g = factors[0][0]
-        scale = Fraction(int(scale.p), int(scale.q))
-        self._rectangles = [
-            _IsolatingRectangle(scale, interval)
-            for interval in dup_isolate_complex_roots_sqf(
-                g.rep.to_list(), g.rep.dom, blackbox=True)]
-        self._approx = [rect.centre() for rect in self._rectangles]
+        self._approx = _circle(coeffs)
         self._centres = {}
+        self._reference = None     # the last certified centres and radius
         self.pairs = self._pair_roots()
         self._pair_data = None
         self._im_basis = None
@@ -327,13 +309,30 @@ class PolynomialField:
         return re, im, Fraction(1, 2 ** prec_bits)
 
     def _certified_centres(self, prec_bits):
-        """Centres (re, im) of all roots in sympy's order, each certified
-        to lie within 2^-prec_bits of its root (see the module docstring).
-        The discs are certified at `cert` >= prec_bits bits, doubled while
-        two centres are within 4 * 2^-cert of each other."""
+        """Centres (re, im) of all roots in root order, each certified to
+        lie within 2^-prec_bits of its root (see the module docstring)."""
+        centres, eps = self._certified_discs(prec_bits)
+        if self._reference is None:
+            from . import intpoly
+            order = intpoly.root_order(self.coeffs, centres, eps,
+                                       self._refined)
+        else:
+            order = _match(*self._reference, centres, eps)
+        self._approx = [self._approx[j] for j in order]
+        ordered = tuple(centres[j] for j in order)
+        self._reference = (ordered, eps)
+        return ordered
+
+    def _certified_discs(self, prec_bits):
+        """Centres (re, im) of disjoint discs of radius eps = 2^-cert, each
+        certified to hold one root, indexed like self._approx, and eps.
+        cert starts at prec_bits and doubles while two centres are within
+        4 * 2^-cert of each other; the guard bits of the polish double while
+        a disc fails its certificate.  Neither climbs past
+        PRECISION_BITS_CAP."""
         import mpmath
         cert, guard = prec_bits, _GUARD_BITS
-        for _attempt in range(16):
+        while max(cert, guard) <= PRECISION_BITS_CAP:
             bits = cert + guard
             self._approx = _polish(self.coeffs, self._approx, bits)
             # centres on the grid 2^-bits (ldexp and int are exact)
@@ -347,46 +346,21 @@ class PolynomialField:
                 cert *= 2
                 continue
             scale = 2 ** bits
-            centres = [(Fraction(a, scale), Fraction(b, scale))
-                       for a, b in points]
-            order = self._certified_order(centres, cert)
-            self._approx = [self._approx[j] for j in order]
-            return tuple(centres[j] for j in order)
-        raise ArithmeticError(
-            f"could not certify the roots of {self.coeffs} at {prec_bits} bits")
+            return ([(Fraction(a, scale), Fraction(b, scale))
+                     for a, b in points], Fraction(1, 2 ** cert))
+        raise _cap_reached(f"could not certify the roots of {self.coeffs}")
 
-    def _certified_order(self, centres, cert_bits):
-        """order[k] = the centre whose disc holds sympy's root k, for
-        disjoint certified discs of radius 2^-cert_bits.  The discs hold
-        every root, so a rectangle meeting only one centre's box pins its
-        root to that disc, and distinct rectangles hold distinct roots, so
-        a pinned disc is struck from every other rectangle.  Only a
-        rectangle that still meets two boxes is refined."""
-        eps = Fraction(1, 2 ** cert_bits)
-        boxes = [(re - eps, re + eps, im - eps, im + eps)
-                 for re, im in centres]
-        hits = [[j for j, box in enumerate(boxes) if rect.meets(*box)]
-                for rect in self._rectangles]
-        while True:
-            struck = True
-            while struck:
-                struck = False
-                for k, own in enumerate(hits):
-                    if len(own) != 1:
-                        continue
-                    for other in hits[:k] + hits[k + 1:]:
-                        if own[0] in other:
-                            other.remove(own[0])
-                            struck = True
-            if not all(hits):
-                raise ArithmeticError("an isolating rectangle meets no "
-                                      "certified root disc")
-            k = next((k for k, h in enumerate(hits) if len(h) > 1), None)
-            if k is None:
-                return [own for own, in hits]
-            rect = self._rectangles[k]
-            rect.refine()
-            hits[k] = [j for j in hits[k] if rect.meets(*boxes[j])]
+    def _refined(self, centres, eps):
+        """Discs certified at twice the bits of eps, indexed like
+        `centres`."""
+        cert = 2 * (eps.denominator.bit_length() - 1)
+        if cert > PRECISION_BITS_CAP:
+            raise _cap_reached("could not place a root against a bisection "
+                               "line")
+        finer, finer_eps = self._certified_discs(cert)
+        order = _match(centres, eps, finer, finer_eps)
+        self._approx = [self._approx[j] for j in order]
+        return [finer[j] for j in order], finer_eps
 
     def _pair_roots(self):
         """Certified pairing of complex-conjugate roots by box separation."""
@@ -447,28 +421,28 @@ class PolynomialField:
     # -- the purely-imaginary subspace --------------------------------------
 
     def pair_data(self):
-        from sympy import Poly, factor_list, symbols
         if self._pair_data is not None:
             return self._pair_data
-        t, u = self._poly.gen, symbols("u")
-        # Res_t(f(u - t), f(t)), f(u - t) by an integer Taylor shift
-        shifted = {}
-        for k, a in enumerate(self.coeffs):
-            for j in range(k + 1):
-                key = (j, k - j)
-                shifted[key] = shifted.get(key, 0) + (-1) ** j * comb(k, j) * a
-        sum_res = Poly.from_dict(shifted, t, u).resultant(
-            Poly.from_dict({(k, 0): a for k, a in enumerate(self.coeffs)},
-                           t, u))
-        factors = [Poly(fac, u) for fac, _ in factor_list(sum_res)[1]]
+        from . import intpoly
+        # theta = alpha + conj(alpha) is a root of one irreducible factor of
+        # prod_{i<j} (u - a_i - a_j); factors beyond the cap stay unsplit
+        sums = intpoly.squarefree_part(intpoly.pair_sum_polynomial(
+            list(self.coeffs)))
+        factors, rest, rest_degrees = intpoly.factors_up_to(
+            sums, THETA_DEGREE_CAP)
+        if len(rest) > 1:
+            factors.append(rest)
         data = []
         p_moduli = {}      # pairs with the same theta share their p modulus
         for (i, ibar) in self.pairs:
-            g = tuple(self._identify_factor(factors, i, ibar))
-            if len(g) - 1 > THETA_DEGREE_CAP:
+            g = self._identify_factor(factors, i, ibar)
+            if g is rest:
+                degree = (rest_degrees[0] if len(rest_degrees) == 1
+                          else f"at least {rest_degrees[0]}")
                 raise ReduciblePolynomial(
-                    f"theta = alpha + conj(alpha) has degree {len(g) - 1}; "
+                    f"theta = alpha + conj(alpha) has degree {degree}; "
                     f"at most {THETA_DEGREE_CAP} is admitted")
+            g = tuple(Fraction(c) for c in g)
             if g not in p_moduli:
                 p_moduli[g] = tuple(
                     tuple(Fraction(x) for x in _vector(c, len(g) - 1))
@@ -484,12 +458,12 @@ class PolynomialField:
         return 2 * re, 2 * rad  # theta = alpha + conj(alpha) = 2 Re alpha
 
     def _identify_factor(self, factors, i, ibar):
-        """The irreducible factor vanishing at theta = 2 Re(alpha_i)."""
+        """The factor vanishing at theta = 2 Re(alpha_i), among coprime
+        integer polynomials whose product vanishes there."""
         for prec in _precisions():
             mid, rad = self._theta_box(i, ibar, prec)
             alive = []
-            for fac in factors:
-                coeffs = [Fraction(c.p, c.q) for c in reversed(fac.all_coeffs())]
+            for coeffs in factors:
                 lo, hi, _, _ = _box_horner(coeffs, mid - rad, mid + rad, 0, 0)
                 if lo <= 0 <= hi:
                     alive.append(coeffs)
@@ -575,14 +549,13 @@ class PolynomialField:
             # i^k cycle 1, i, -1, -i; drop the overall i-multiple for odd case
             sign = (1, 1, -1, -1)[k % 4]
             sub.append(c * sign)
-        from sympy import Poly, Rational
-        t = self._poly.gen
-        poly = Poly([Rational(q.numerator, q.denominator)
-                     for q in reversed(sub)], t)
-        if poly.degree() <= 0:
+        from . import intpoly
+        poly = _trim(sub)
+        if len(poly) <= 1:
             return True
-        square_free = poly.div(poly.gcd(poly.diff(t)))[0]
-        return square_free.count_roots() == square_free.degree()
+        square_free = _divmod(poly, _gcd(
+            poly, _trim([k * c for k, c in enumerate(poly)][1:])))[0]
+        return intpoly.real_root_count(square_free) == len(square_free) - 1
 
     def _multiplication_charpoly(self, coeffs):
         n = self.degree
@@ -663,40 +636,39 @@ def _charpoly(mat):
 # -- certified roots ----------------------------------------------------------
 
 
-class _IsolatingRectangle:
-    """sympy's isolating rectangle for one indexed root of f.  sympy
-    isolates the roots of g(y) = f(c y)/c^n for a scale c > 0 (x^2 + 4 is
-    4 (y^2 + 1) at x = 2y), so the rectangle of g's root is scaled by c."""
+def _circle(coeffs):
+    """Aberth's usual start: n points on a circle about the origin whose
+    radius max |c_k|^(1/(n-k)) is within a factor 2 n of the largest root.
+    No point is real and no two are conjugate: for a real polynomial the
+    iteration would keep such points real or conjugate."""
+    import mpmath
+    n = len(coeffs) - 1
+    radius = max(abs(c) ** (1 / (n - k))
+                 for k, c in enumerate(coeffs[:-1]) if c)
+    return [mpmath.mpc(mpmath.mpf(radius) * mpmath.expjpi(2 * k / n + 0.13))
+            for k in range(n)]
 
-    def __init__(self, scale, interval):
-        self._scale = scale
-        self._interval = interval
 
-    def bounds(self):
-        """(x_lo, x_hi, y_lo, y_hi) of the closed rectangle."""
-        iv = self._interval
-        return tuple(
-            self._scale * Fraction(int(q.numerator), int(q.denominator))
-            for q in (iv.ax, iv.bx, iv.ay, iv.by))
+def _match(old, old_eps, new, new_eps):
+    """order[k] = the index in `new` of the disc holding the root of disc k
+    in `old`, for two families of certified discs of radii old_eps and
+    new_eps, each disc holding one root and the centres of each family more
+    than 4 times its radius apart.  A disc meets the disc of its own root in
+    the other family, and no second disc there when that family's radius is
+    not smaller: two met discs would have centres within 4 times it."""
+    reach = (old_eps + new_eps) ** 2
 
-    def meets(self, x_lo, x_hi, y_lo, y_hi):
-        """Whether the closed box [x_lo, x_hi] x [y_lo, y_hi] meets the
-        closed rectangle."""
-        ax, bx, ay, by = self.bounds()
-        return x_lo <= bx and ax <= x_hi and y_lo <= by and ay <= y_hi
+    def met(centre, family):
+        k, = [k for k, (re, im) in enumerate(family)
+              if (re - centre[0]) ** 2 + (im - centre[1]) ** 2 <= reach]
+        return k
 
-    def centre(self):
-        """The midpoint as an mpc, a starting point for the Newton polish
-        (exact rationals, so huge coefficients cannot overflow a float)."""
-        import mpmath
-        ax, bx, ay, by = self.bounds()
-        re, im = (ax + bx) / 2, (ay + by) / 2
-        return mpmath.mpc(mpmath.mpf(re.numerator) / re.denominator,
-                          mpmath.mpf(im.numerator) / im.denominator)
-
-    def refine(self):
-        """One bisection step; the rectangle still isolates its root."""
-        self._interval = self._interval.refine()
+    if new_eps > old_eps:
+        return [met(centre, new) for centre in old]
+    order = [None] * len(old)
+    for j, centre in enumerate(new):
+        order[met(centre, old)] = j
+    return order
 
 
 def _polish(coeffs, approx, bits):

@@ -435,8 +435,9 @@ def test_polarize_symbolic_structure_error_wins_over_not_rigid(tmp_path):
 def test_polarize_loads_neither_numpy_nor_scipy(tmp_path):
     # the square-solve witness needs no LP: a symbolic document certifies
     # in exact arithmetic and mpmath intervals (its embeddings go through
-    # polyfields' box Horner, which leaves sympy unloaded), a standalone
-    # field adds sympy
+    # polyfields' box Horner), and a standalone field adds no computer
+    # algebra system: its factoring, Sturm counts and root order are exact
+    # integer code
     symbolic = write(tmp_path, "sym.json", SYMBOLIC_DOC)
     field = write(tmp_path, "field.json", {
         "polynomial": [68, 0, 28, 0, 1], "designated_roots": [1, 2]})
@@ -447,7 +448,72 @@ def test_polarize_loads_neither_numpy_nor_scipy(tmp_path):
             and "sympy" not in loaded)
     loaded = _loaded_after(
         run + f"assert main(['polarize', '--input', {field!r}]) == 0")
-    assert "sympy" in loaded and "scipy" not in loaded
+    assert "sympy" not in loaded and "scipy" not in loaded
+
+
+# One polarize document of each standalone-field family of the benchmark:
+# Phi_m, x^6 + c, x^2 + d, x^4 + a x^2 + b and x^4 + x + c, one designated
+# root per conjugate pair (pairs are (2k, 2k + 1)).
+FIELD_FAMILY_DOCS = [
+    {"polynomial": [1, 1, 1, 1, 1, 1, 1], "designated_roots": [0, 3, 4]},
+    {"polynomial": [143, 0, 0, 0, 0, 0, 1], "designated_roots": [1, 2, 5]},
+    {"polynomial": [598, 0, 1], "designated_roots": [1]},
+    {"polynomial": [5, 0, 5, 0, 1], "designated_roots": [0, 3]},
+    {"polynomial": [37, 1, 0, 0, 1], "designated_roots": [1, 2]},
+]
+
+
+def test_field_families_leave_sympy_unloaded(tmp_path):
+    # serving every benchmark field family in one process loads no sympy
+    paths = [write(tmp_path, f"field{k}.json", doc)
+             for k, doc in enumerate(FIELD_FAMILY_DOCS)]
+    code = "import sys\nfrom rigidtori.cli import main\n" + "".join(
+        f"assert main(['polarize', '--input', {path!r}]) == 0\n"
+        for path in paths)
+    assert "sympy" not in _loaded_after(code)
+
+
+def test_polarize_refuses_a_wide_theta_within_seconds(tmp_path,
+                                                      monkeypatch):
+    # x^16 + 2^127 - 1 spent 89 s isolating its roots before its theta,
+    # of degree 64 > THETA_DEGREE_CAP, was refused: the degree patterns of
+    # theta's candidates now refuse it before the tower is built
+    import time
+
+    from rigidtori.polyfields import PolynomialField
+
+    def tower(self, g):
+        raise AssertionError("_p_modulus ran on a refused theta")
+
+    monkeypatch.setattr(PolynomialField, "_p_modulus", tower)
+    inp = write(tmp_path, "wide.json", {
+        "polynomial": [2 ** 127 - 1] + [0] * 15 + [1],
+        "designated_roots": list(range(0, 16, 2))})
+    out = tmp_path / "err.json"
+    start = time.perf_counter()
+    assert main(["polarize", "--input", inp, "--output", str(out)]) == 1
+    assert time.perf_counter() - start < 30
+    error = json.loads(out.read_text())["error"]
+    assert error["error"] == "ReduciblePolynomial"
+    assert "theta" in error["message"]
+
+
+def test_uncertified_roots_are_a_domain_error(tmp_path, monkeypatch):
+    # a root certificate still failing when its guard bits reach the cap
+    # (here: Newton steps that leave each root a quarter off) ends in the
+    # declared PrecisionCapReached (exit 1), not in an internal error
+    # (exit 3)
+    from rigidtori import polyfields
+
+    monkeypatch.setattr(polyfields, "_polish",
+                        lambda coeffs, approx, bits: [z + 0.25 for z in approx])
+    inp = write(tmp_path, "field.json", {"polynomial": [1, 0, 1],
+                                         "designated_roots": [0]})
+    out = tmp_path / "err.json"
+    assert main(["polarize", "--input", inp, "--output", str(out)]) == 1
+    error = json.loads(out.read_text())["error"]
+    assert error["error"] == "PrecisionCapReached"
+    assert "internal" not in error
 
 
 def test_internal_error_exits_3_with_a_payload(tmp_path, monkeypatch,

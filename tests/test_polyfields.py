@@ -157,6 +157,11 @@ FAMILY_SAMPLE = {
 }
 
 
+def _sympy_poly(coeffs):
+    from sympy import Poly, symbols
+    return Poly(list(reversed(coeffs)), symbols("t"))
+
+
 def test_root_boxes_agree_with_sympy_bisection():
     # one polynomial per benchmark family: Phi_7, x^6 + c, x^2 + d,
     # x^4 + a x^2 + b, x^4 + x + c; the reference is sympy's exact
@@ -165,7 +170,8 @@ def test_root_boxes_agree_with_sympy_bisection():
     for coeffs in ((1, 1, 1, 1, 1, 1, 1), (2, 0, 0, 0, 0, 0, 1), (7, 0, 1),
                    (5, 0, 5, 0, 1), (1, 1, 0, 0, 1)):
         F = PolynomialField(coeffs)
-        for i, root in enumerate(F._poly.all_roots(radicals=False)):
+        for i, root in enumerate(
+                _sympy_poly(coeffs).all_roots(radicals=False)):
             ref = root.eval_rational(dx=eps, dy=eps)
             ref_re, ref_im = (Fraction(int(q.p), int(q.q))
                               for q in ref.as_real_imag())
@@ -187,7 +193,7 @@ def test_root_box_order_matches_all_roots_across_families():
         for coeffs in sample:
             F = PolynomialField(coeffs)
             rectangles = []
-            for root in F._poly.all_roots(radicals=False):
+            for root in _sympy_poly(coeffs).all_roots(radicals=False):
                 # x^2 + d, d a square, comes out as c * CRootOf(x^2 + 1)
                 scale, inner = root.as_coeff_Mul()
                 iv = inner._get_interval()
@@ -221,7 +227,7 @@ def test_root_box_order_matches_all_roots_across_families():
 
 def test_fields_never_run_the_disjoint_refinement(monkeypatch):
     # all_roots makes every rectangle pairwise disjoint before it returns;
-    # the field takes the order from the isolation alone
+    # the field derives the same order without calling sympy at all
     from sympy.polys.rootoftools import ComplexRootOf
 
     def refuse(cls, complexes):
@@ -236,17 +242,17 @@ def test_fields_never_run_the_disjoint_refinement(monkeypatch):
             F.root_box(0, 64)
 
 
-def test_elimination_resolves_without_bisection(monkeypatch):
-    # every rectangle of Phi_9 and x^6 + 78 is pinned to its disc by
-    # meeting one box or by striking the discs the others own
-    from rigidtori import polyfields
-    calls, refine = [], polyfields._IsolatingRectangle.refine
+def test_root_order_needs_no_refinement_off_the_lines(monkeypatch):
+    # every root of Phi_9 and x^6 + 78 is placed against every bisection
+    # line by its first certified disc: the roots of x^6 + 78 on Re z = 0
+    # by the exact on-line test, the others by discs missing the line
+    calls, refined = [], PolynomialField._refined
 
-    def counted(self):
-        calls.append(self)
-        refine(self)
+    def counted(self, centres, eps):
+        calls.append(eps)
+        return refined(self, centres, eps)
 
-    monkeypatch.setattr(polyfields._IsolatingRectangle, "refine", counted)
+    monkeypatch.setattr(PolynomialField, "_refined", counted)
     for coeffs in ((1, 0, 0, 1, 0, 0, 1), (78, 0, 0, 0, 0, 0, 1)):
         F = PolynomialField(coeffs)
         for prec in (32, 64, 128):
@@ -338,19 +344,26 @@ def test_roots_closer_than_the_requested_radius():
                                                        True]
 
 
-def test_certified_order_refines_a_rectangle_meeting_two_boxes():
-    # x^2 + 1, with a decoy centre inside the isolating rectangle of i:
-    # that rectangle meets two boxes until bisection shrinks it towards i
-    F = PolynomialField((1, 0, 1))
-    rect = F._rectangles[1]
-    x_lo, x_hi, y_lo, y_hi = rect.bounds()
-    decoy = ((x_lo + x_hi) / 2, (y_lo + y_hi) / 2)
-    assert decoy != (0, 1)
-    before = rect.bounds()
-    order = F._certified_order([(Fraction(0), Fraction(-1)),
-                                (Fraction(0), Fraction(1)), decoy], 16)
-    assert order == [0, 1]
-    assert rect.bounds() != before
+def test_root_order_refines_a_disc_meeting_a_line():
+    # x^2 - 2x + 17 has the roots 1 +- 4i, and sympy's first bisection line
+    # is Re z = 0.  Discs of radius 1/2 about 1/2 +- 4i hold the roots and
+    # touch the line; the exact test finds no root on it, so the discs are
+    # refined once, and the upper root comes second
+    from rigidtori.intpoly import root_order
+    coeffs = (17, -2, 1)
+    coarse = [(Fraction(1, 2), Fraction(-4)), (Fraction(1, 2), Fraction(4))]
+    exact = [(Fraction(1), Fraction(-4)), (Fraction(1), Fraction(4))]
+    calls = []
+
+    def refine(centres, eps):
+        calls.append((list(centres), eps))
+        return exact, Fraction(1, 64)
+
+    assert root_order(coeffs, coarse, Fraction(1, 2), refine) == [0, 1]
+    assert calls == [(coarse, Fraction(1, 2))]
+    # with the upper root listed first, the order follows the roots
+    assert root_order(coeffs, exact[::-1], Fraction(1, 64), refine) == [1, 0]
+    assert len(calls) == 1
 
 
 # -- the polynomial kernel ----------------------------------------------------
