@@ -193,22 +193,6 @@ class CharacterTable:
             coeffs.append(self.rows[row][k] * scale)
         return coeffs
 
-    def algebra_product(self, a_coeffs, b_coeffs):
-        """Convolution product in the group algebra (coefficient lists)."""
-        g = self.group
-        zero = self.field.zero()
-        out = [zero for _ in range(g.order)]
-        for x in range(g.order):
-            ax = a_coeffs[x]
-            if ax.is_zero():
-                continue
-            row = g.table[x]
-            for y in range(g.order):
-                by = b_coeffs[y]
-                if not by.is_zero():
-                    out[row[y]] = out[row[y]] + ax * by
-        return out
-
 
 def character_table(group: FiniteGroup) -> CharacterTable:
     """Exact character table; canonical row order (degree, then lexicographic

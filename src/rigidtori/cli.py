@@ -7,6 +7,9 @@ with --output, a machine-readable JSON report.  Exit status: 0 success,
 3 internal error (any other exception; its report is an error payload
 marked `"internal": true`).
 
+`polarize` takes no option of its own: every polarization it certifies is
+G-invariant (`polarize.assemble_polarization`).
+
 One action request runs `run_rigidity`, then `run_polarize` or `run_deform`,
 on the same document, so each fact of a representation document is computed
 once per document: a private one-entry memo keeps the last document's
@@ -76,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="largest denominator of a deform candidate "
                              "class (deform only)")
     parser.add_argument("--epsilon", type=float, default=1.0)
-    parser.add_argument("--g-invariant", action="store_true")
     return parser
 
 
@@ -366,8 +368,7 @@ def run_polarize(doc, args):
     # is the one run_rigidity built, if it ran, else assembly builds it
     res = _hodge(_resolve(doc))
     form = polarize_mod.assemble_polarization(
-        res.rep, spec=res.spec, g_invariant=args.g_invariant,
-        structure=res.structure)
+        res.rep, spec=res.spec, structure=res.structure)
     cert = form.certificate
     result = {
         "rank": form.rank,
@@ -387,9 +388,7 @@ def run_polarize(doc, args):
             "mode": cert.mode,
         },
     }
-    return {"command": "polarize", "seed": args.seed,
-            "options": {"g_invariant": bool(args.g_invariant)},
-            "result": result}
+    return {"command": "polarize", "seed": args.seed, "result": result}
 
 
 def _run_polarize_polynomial(doc, args):

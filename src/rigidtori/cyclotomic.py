@@ -113,17 +113,6 @@ class _Field:
                         q.denominator)
         return _new(self, (q,) + (0,) * (self.degree - 1), 1)
 
-    def from_coeffs(self, coeffs) -> "CyclotomicNumber":
-        """Element from power-basis coordinates (length <= phi(m))."""
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) > self.degree:
-            raise ValueError("too many coefficients")
-        den = lcm(*(c.denominator for c in cs))
-        num = [c.numerator * (den // c.denominator) for c in cs]
-        # canonical: each prime power of den divides the denominator of a
-        # coordinate whose numerator it does not divide
-        return _new(self, tuple(num) + (0,) * (self.degree - len(num)), den)
-
     def from_exponent_dict(self, exps) -> "CyclotomicNumber":
         """Sum of q * z^k over an {exponent: rational} mapping."""
         qs = {k: Fraction(q) for k, q in exps.items()}
@@ -320,10 +309,6 @@ class CyclotomicNumber:
         if self.is_rational():
             return Fraction(self.num[0], self.den)
         return None
-
-    def is_real(self) -> bool:
-        """True iff fixed by conjugation (totally real element)."""
-        return self == self.conjugate()
 
     def __eq__(self, other):
         if isinstance(other, CyclotomicNumber):
@@ -568,13 +553,6 @@ class SubfieldSpec:
 
     def is_totally_real(self) -> bool:
         return self._norm(-1) in self.fixing_subgroup
-
-    def is_cm(self) -> bool:
-        """CM iff conjugation moves the field pointwise, i.e. -1 not in H.
-
-        For character fields this dichotomy (totally real or CM) is exact.
-        """
-        return not self.is_totally_real()
 
     def contains(self, x: CyclotomicNumber) -> bool:
         return all(x.galois(a) == x for a in self.fixing_subgroup)

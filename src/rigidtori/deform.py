@@ -214,9 +214,6 @@ class DeformationResult:
     chart_dimension: int        # dim Hom_G(V^{0,1}, V^{1,0})
     certificate: dict           # exact rank of xi, positive LDL pivots of S
 
-    def xi_is_exact(self) -> bool:
-        return all(isinstance(c, Fraction) for c in self.xi_coords)
-
 
 def _ladder(omega_coords, max_denominator: int):
     """(denominator, class) for denominators 1, 2, 4, ..., max_denominator:

@@ -4,7 +4,8 @@ Groups are accepted either as an explicit multiplication table (0-indexed,
 element 0 the identity) or as a list of permutation generators, which are
 expanded by orbit closure.  Class data includes the structure constants of
 the class algebra, the input for the character-table computation, and the
-power maps on classes.
+power maps on classes.  A group computes its class data and its generating
+set (`generators`) once, on first use, and keeps them.
 
 The structure constants a_ijk = #{(x, y) in C_i x C_j : xy = g_k} are
 counted at the class representatives g_k only: for each k, every x in G
@@ -21,6 +22,7 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 
 __all__ = ["FiniteGroup", "ConjugacyClassData", "InvalidGroup", "CLOSURE_CAP"]
@@ -55,9 +57,11 @@ class FiniteGroup:
     """Group on elements 0..n-1 with 0 the identity."""
 
     def __init__(self, table, name: str = "G", validate: bool = True):
-        self.table = tuple(tuple(int(x) for x in row) for row in table)
+        # entries are ints already: documents are checked by the schema
+        self.table = tuple(tuple(row) for row in table)
         self.order = len(self.table)
         self.name = name
+        self._classes = None   # see conjugacy_classes
         if validate:
             self._validate()
         self.inverse = self._inverses()
@@ -177,9 +181,31 @@ class FiniteGroup:
         """h g h^-1."""
         return self.table[self.table[h][g]][self.inverse[h]]
 
-    def is_abelian(self) -> bool:
-        return all(self.table[a][b] == self.table[b][a]
-                   for a in range(self.order) for b in range(self.order))
+    @cached_property
+    def generators(self) -> tuple:
+        """A small generating set, computed once: the greedy choice of each
+        element, in index order, that the subgroup generated by the ones
+        chosen before it does not contain.  Each new subgroup is the closure
+        of the old one under right multiplication by the chosen elements, so
+        a choice costs at most |G| #gens products."""
+        gens = []
+        closed = {0}
+        for x in range(1, self.order):
+            if x in closed:
+                continue
+            gens.append(x)
+            frontier = list(closed)
+            while frontier:
+                a = frontier.pop()
+                row = self.table[a]
+                for s in gens:
+                    c = row[s]
+                    if c not in closed:
+                        closed.add(c)
+                        frontier.append(c)
+            if len(closed) == self.order:
+                break
+        return tuple(gens) or (0,)
 
     def __len__(self):
         return self.order
@@ -190,6 +216,12 @@ class FiniteGroup:
     # -- conjugacy classes ----------------------------------------------
 
     def conjugacy_classes(self) -> "ConjugacyClassData":
+        """The class data, computed on the first call and kept."""
+        if self._classes is None:
+            self._classes = self._class_data()
+        return self._classes
+
+    def _class_data(self) -> "ConjugacyClassData":
         n = self.order
         seen = [False] * n
         classes = []

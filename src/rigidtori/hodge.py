@@ -172,27 +172,9 @@ class IntegralRepresentation:
         return out
 
     def generator_indices(self):
-        """A small generating set: greedy closure over element indices."""
-        g = self.group
-        gens = []
-        closed = {0}
-        for x in range(1, g.order):
-            if x in closed:
-                continue
-            gens.append(x)
-            frontier = list(closed | {x})
-            new = set(frontier)
-            while frontier:
-                a = frontier.pop()
-                for b in list(new):
-                    for c in (g.table[a][b], g.table[b][a]):
-                        if c not in new:
-                            new.add(c)
-                            frontier.append(c)
-            closed = new
-            if len(closed) == g.order:
-                break
-        return gens or [0]
+        """The group's generating set (`FiniteGroup.generators`), as a
+        list."""
+        return list(self.group.generators)
 
     def __repr__(self):
         return (f"IntegralRepresentation({self.group.name}, "
@@ -544,21 +526,15 @@ def _dot_int(ints, vec):
 
 
 def _coerce_to_subcyclotomic(x: CyclotomicNumber, small) -> CyclotomicNumber:
-    """Rewrite x in a cyclotomic subfield Q(zeta_m') of Q(zeta_M), m' | M."""
+    """x rewritten in the character table's field `small`.  A structure's
+    field is the table's own, except for exponent <= 2, where the table is
+    over Q and the structure over Q(i): there x must be rational."""
     if x.field.m == small.m:
         return x
-    big = x.field
-    ratio = big.m // small.m
-    if small.m * ratio != big.m:
-        raise ValueError("not a subfield")
-    powers = [big.zeta(ratio * t) if t else big.one()
-              for t in range(small.degree)]
-    coords = linalg.solve(
-        [[Fraction(p.coeffs[i]) for p in powers] for i in range(big.degree)],
-        [Fraction(c) for c in x.coeffs])
-    if coords is None:
+    q = x.as_rational()
+    if q is None:
         raise ValueError("value leaves the smaller cyclotomic field")
-    return small.from_coeffs(coords)
+    return small.from_rational(q)
 
 
 def brute_force_hom_dimension(structure: ExactHodgeStructure,

@@ -11,8 +11,9 @@ S_k v at pivot classes whose omega_k are a Q-basis of F (chosen once per
 summand) are a Q-basis of every copy, and the copy's block is the trace
 form of those omega_k; E does not depend on the basis.  Verification is
 one exact certificate against the exact Hodge structure: both bilinear
-relations, the Rosati property on the centre, and optionally G-invariance,
-with no tolerance.
+relations, the Rosati property on the centre, and G-invariance, with no
+tolerance.  Every returned form is G-invariant: a trace form that is not
+is replaced by its G-average.
 
 zeta needs no search.  For a CM field with k conjugate pairs,
 x -> (Im sigma_a x)_a over the designated embeddings maps the imaginary
@@ -244,7 +245,6 @@ class PolarizationCertificate:
 def assemble_polarization(rep: IntegralRepresentation,
                           spec: SymbolicHodgeSpec | None = None,
                           j_matrix=None,
-                          g_invariant: bool = False,
                           structure: ExactHodgeStructure | None = None,
                           ) -> PolarizationForm:
     """Block trace-form polarization for a rigid action.
@@ -253,7 +253,11 @@ def assemble_polarization(rep: IntegralRepresentation,
     via the character bridge).  The exact structure the form is built on
     and certified against is built from the spec unless `structure`,
     already built from that same spec, is given; its F-module frame gives
-    the copies F v.  Raises NotRigid when the action is not rigid.
+    the copies F v.  The form is G-invariant: when the trace form is not
+    (an active character of degree > 1 can make it so), it is replaced by
+    its G-average, which is again a polarization (each rho(g)^T E rho(g)
+    is one, rho(g) commuting with J), and certified again.  Raises
+    NotRigid when the action is not rigid.
     """
     if spec is None:
         if j_matrix is None:
@@ -287,10 +291,11 @@ def assemble_polarization(rep: IntegralRepresentation,
     w_inv = linalg.inverse(linalg.transpose(columns))
     e_mat = linalg.mat_mul(linalg.transpose(w_inv),
                            linalg.mat_mul(_block_diag(blocks), w_inv))
-    if g_invariant:
-        e_mat = _g_average(rep, e_mat)
     e_mat = _primitive_integral(e_mat)
     cert = verify_polarization(e_mat, structure)
+    if not cert.g_invariant["invariant"]:
+        e_mat = _primitive_integral(_g_average(rep, e_mat))
+        cert = verify_polarization(e_mat, structure)
     return PolarizationForm(
         rank=rep.rank,
         matrix=tuple(tuple(row) for row in e_mat),
@@ -325,13 +330,14 @@ def _block_diag(blocks):
 
 
 def _g_average(rep, e_mat):
-    n2 = rep.rank
-    acc = [[Fraction(0)] * n2 for _ in range(n2)]
-    for g in range(rep.group.order):
-        rho = [[Fraction(x) for x in row] for row in rep.matrices[g]]
-        term = linalg.mat_mul(linalg.transpose(rho), linalg.mat_mul(e_mat, rho))
+    """|G| times the G-average of E, sum of rho(g)^T E rho(g), in integers
+    on D * E; `_primitive_integral` takes both scales off again."""
+    e_int = _integral(e_mat)
+    acc = [[0] * rep.rank for _ in range(rep.rank)]
+    for rho in rep.matrices:
+        term = linalg.mat_mul(linalg.transpose(rho), linalg.mat_mul(e_int, rho))
         acc = linalg.mat_add(acc, term)
-    return linalg.mat_scale(acc, Fraction(1, rep.group.order))
+    return acc
 
 
 def _integral(e_mat):
@@ -368,9 +374,9 @@ def verify_polarization(
     rel1, rel2 = _verify_symbolic(e_rows, structure)
     rep = structure.rep
     rosati = _verify_rosati(e_rows, rep)
-    return PolarizationCertificate(
-        relation_i=rel1, relation_ii=rel2, rosati=rosati,
-        g_invariant=_verify_g_invariance(e_rows, rep), mode="symbolic")
+    return PolarizationCertificate(rel1, rel2, rosati,
+                                   _verify_g_invariance(e_rows, rep),
+                                   mode="symbolic")
 
 
 def _verify_symbolic(e_rows, structure: ExactHodgeStructure):

@@ -392,14 +392,6 @@ class PolynomialField:
                 return tuple(pairs)
         raise _cap_reached("could not certify the conjugate pairing")
 
-    def conjugate_index(self, i: int) -> int:
-        for a, b in self.pairs:
-            if i == a:
-                return b
-            if i == b:
-                return a
-        raise IndexError(i)
-
     # -- evaluation --------------------------------------------------------
 
     def evaluate_box(self, coeffs, root_index: int, prec_bits: int = 64):

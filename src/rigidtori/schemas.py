@@ -60,6 +60,8 @@ def load_group_doc(doc) -> FiniteGroup:
         raise SchemaError(
             "group document needs exactly one of cayley_table / "
             "permutation_generators")
+    if has_table and not _is_int_rows(doc["cayley_table"]):
+        raise SchemaError("cayley_table must be a list of rows of integers")
     try:
         if has_table:
             return FiniteGroup(doc["cayley_table"], name=str(doc["name"]))
@@ -139,14 +141,15 @@ def _is_count(x) -> bool:
     return _is_int(x) and x >= 0
 
 
+def _is_int_rows(rows) -> bool:
+    """A list of rows of JSON integers; shapes are checked by the consumer
+    (FiniteGroup, IntegralRepresentation)."""
+    return isinstance(rows, list) and all(
+        isinstance(row, list) and all(map(_is_int, row)) for row in rows)
+
+
 def _is_int_matrices(mats) -> bool:
-    """A list of lists of rows of JSON integers; shapes are checked by
-    IntegralRepresentation."""
-    return isinstance(mats, list) and all(
-        isinstance(m, list) and all(
-            isinstance(row, list) and all(_is_int(x) for x in row)
-            for row in m)
-        for m in mats)
+    return isinstance(mats, list) and all(map(_is_int_rows, mats))
 
 
 def _is_finite_number(x) -> bool:

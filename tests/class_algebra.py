@@ -37,6 +37,21 @@ def brute_force_structure_constants(classes):
     return a
 
 
+def algebra_product(table, a_coeffs, b_coeffs):
+    """Convolution product in the group algebra of table.group, on lists
+    of one cyclotomic coefficient per group element."""
+    g = table.group
+    out = [table.field.zero() for _ in range(g.order)]
+    for x in range(g.order):
+        if a_coeffs[x].is_zero():
+            continue
+        row = g.table[x]
+        for y in range(g.order):
+            if not b_coeffs[y].is_zero():
+                out[row[y]] = out[row[y]] + a_coeffs[x] * b_coeffs[y]
+    return out
+
+
 def intersect(basis_a, basis_b):
     """Basis of the intersection of two row-vector spans."""
     if not basis_a or not basis_b:

@@ -199,13 +199,12 @@ def test_enumerate_totally_real_module_is_empty(tmp_path):
     assert report["result"]["expected_count"] == 0
 
 
-def test_polarize_g_invariant_flag(tmp_path):
+def test_polarize_report_is_invariant_and_has_no_options(tmp_path):
     inp = write(tmp_path, "gauss.json", GAUSSIAN_DOC)
     out = tmp_path / "inv.json"
-    assert main(["polarize", "--input", inp, "--output", str(out),
-                 "--g-invariant"]) == 0
+    assert main(["polarize", "--input", inp, "--output", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert report["options"]["g_invariant"] is True
+    assert "options" not in report
     cert = report["result"]["certificate"]
     assert cert["g_invariant"]["invariant"] is True
     assert "signs" in report["result"]
@@ -227,7 +226,7 @@ def test_parser_has_no_tolerance_options():
     options = {s for action in build_parser()._actions
                for s in action.option_strings}
     assert options == {"-h", "--help", "--input", "--output", "--seed",
-                       "--max-denominator", "--epsilon", "--g-invariant"}
+                       "--max-denominator", "--epsilon"}
 
 
 def test_polarize_polynomial_document(tmp_path):
@@ -410,6 +409,53 @@ def test_polarize_builds_a_symbolic_structure_once(tmp_path, monkeypatch):
         assert main(["polarize", "--input", inp]) == 0
         assert calls == {"exact_structure_from_spec": 1, "isotypic_split": 1,
                          "f_module_basis": 1}
+
+
+# Z4 wr S2 on E_i^2 (order 32): i on the first coordinate, and the swap
+E_I_SQUARED_DOC = {
+    "group": {"name": "Z4wrS2", "permutation_generators": [
+        [1, 2, 3, 0, 4, 5, 6, 7], [4, 5, 6, 7, 0, 1, 2, 3]]},
+    "rank": 4,
+    "generator_matrices": [
+        [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]],
+    "J_matrix": [[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+                 [0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0]],
+}
+
+
+def test_rigidity_and_polarize_compute_group_facts_once(tmp_path,
+                                                        monkeypatch):
+    # one rigidity + polarize request on one document: one class
+    # computation and one generating set for its group
+    from functools import cached_property
+
+    from rigidtori import cli
+    from rigidtori.groups import FiniteGroup
+    calls = {"classes": 0, "generators": 0}
+    class_data = FiniteGroup._class_data
+    generators = FiniteGroup.__dict__["generators"].func
+
+    def counted_classes(self):
+        calls["classes"] += 1
+        return class_data(self)
+
+    def counted_generators(self):
+        calls["generators"] += 1
+        return generators(self)
+
+    prop = cached_property(counted_generators)
+    prop.__set_name__(FiniteGroup, "generators")
+    monkeypatch.setattr(FiniteGroup, "_class_data", counted_classes)
+    monkeypatch.setattr(FiniteGroup, "generators", prop)
+    monkeypatch.setattr(cli, "_LAST_RESOLUTION", None)  # a fresh document
+    inp = write(tmp_path, "eii.json", E_I_SQUARED_DOC)
+    out = tmp_path / "pol.json"
+    assert main(["rigidity", "--input", inp]) == 0
+    assert main(["polarize", "--input", inp, "--output", str(out)]) == 0
+    assert calls == {"classes": 1, "generators": 1}
+    cert = json.loads(out.read_text())["result"]["certificate"]
+    assert cert["g_invariant"]["invariant"] is True
 
 
 def test_polarize_symbolic_structure_error_wins_over_not_rigid(tmp_path):

@@ -1,8 +1,13 @@
 """Every exported name resolves: a deleted function cannot leave a stale
-export behind, which would break `from rigidtori import *`."""
+export behind, which would break `from rigidtori import *`.  And every
+definition in the package serves: its name is used somewhere in the
+package, the demos or the benchmark, not only by the tests."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
+import re
 
 import pytest
 
@@ -18,3 +23,25 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    sources = [path.read_text() for folder in ("src", "demos", "perfbench")
+               for path in sorted((ROOT / folder).rglob("*.py"))]
+    unused = []
+    for path in sorted((ROOT / "src" / "rigidtori").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            # the definition itself is the one occurrence allowed
+            if sum(len(word.findall(text)) for text in sources) <= 1:
+                unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []

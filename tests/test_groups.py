@@ -10,6 +10,44 @@ from rigidtori.fixtures import (abelian, cyclic, dicyclic, dihedral,
                                 quaternion_8, small_groups, symmetric_3,
                                 symmetric_4)
 from rigidtori.groups import CLOSURE_CAP, FiniteGroup, InvalidGroup
+from rigidtori.hodge import IntegralRepresentation
+
+
+def quadratic_generators(g):
+    """The greedy generating set by the all-pairs closure: each chosen
+    element's subgroup is closed under every product of two of its
+    elements, in both orders."""
+    gens = []
+    closed = {0}
+    for x in range(1, g.order):
+        if x in closed:
+            continue
+        gens.append(x)
+        frontier = list(closed | {x})
+        new = set(frontier)
+        while frontier:
+            a = frontier.pop()
+            for b in list(new):
+                for c in (g.table[a][b], g.table[b][a]):
+                    if c not in new:
+                        new.add(c)
+                        frontier.append(c)
+        closed = new
+        if len(closed) == g.order:
+            break
+    return gens or [0]
+
+
+def wreath(k, n):
+    """Z_k wr S_n on k n points (coordinate c, residue r at c k + r):
+    zeta_k on the first coordinate, the transposition of the first two
+    coordinates and the n-cycle of coordinates."""
+    def perm(f):
+        return [f(c, r)[0] * k + f(c, r)[1] for c in range(n) for r in range(k)]
+    gens = [perm(lambda c, r: (c, (r + (c == 0)) % k)),
+            perm(lambda c, r: ({0: 1, 1: 0}.get(c, c), r)),
+            perm(lambda c, r: ((c + 1) % n, r))]
+    return FiniteGroup.from_permutations(gens, name=f"Z{k}wrS{n}")
 
 
 def test_small_groups_census():
@@ -187,3 +225,18 @@ def test_generator_order_above_cap_refuses_before_closure():
     perm += [101 + (i + 1) % 103 for i in range(103)]
     with pytest.raises(InvalidGroup, match="order 10403"):
         FiniteGroup.from_permutations([perm])
+
+
+@pytest.mark.parametrize(
+    "group", small_groups() + [symmetric_4(), wreath(4, 3), wreath(6, 3)],
+    ids=lambda g: g.name)
+def test_generating_set_matches_the_quadratic_closure(group):
+    rep = IntegralRepresentation(group, [[[1, 0], [0, 1]]] * group.order)
+    assert rep.generator_indices() == quadratic_generators(group)
+
+
+def test_group_facts_are_computed_once_per_group():
+    g = wreath(4, 2)
+    assert g.conjugacy_classes() is g.conjugacy_classes()
+    assert g.generators is g.generators
+    assert g.order == 32 and len(g.generators) == 2

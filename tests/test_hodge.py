@@ -655,6 +655,22 @@ def test_hodge_character_runs_one_elimination(monkeypatch):
     assert rigidity_by_character(chi).is_rigid
 
 
+def test_rational_table_reads_traces_without_a_solve(monkeypatch):
+    # exponent <= 2: the table is over Q and the structure over Q(i), so
+    # each trace is read as a rational, with no elimination
+    from rigidtori.hodge import _coerce_to_subcyclotomic
+    rep, st = random_hodge_fixture(random.Random(3), groups=[cyclic(2)])
+    assert st.field.m == 4
+    table_for(rep.group)
+    monkeypatch.setattr(linalg, "solve", None)
+    chi = st.hodge_character()
+    assert all(v.field is chi.table.field for v in chi.values)
+    i = st.field.zeta()
+    with pytest.raises(ValueError, match="leaves"):
+        _coerce_to_subcyclotomic(i, chi.table.field)
+    assert _coerce_to_subcyclotomic(i * i, chi.table.field) == -1
+
+
 def test_hodge_character_is_the_trace_of_the_restricted_action():
     from rigidtori.hodge import _coerce_to_subcyclotomic
     rng = random.Random(13)

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from rigidtori.characters import character_table, galois_orbits
 from rigidtori.cyclotomic import CyclotomicField, SubfieldSpec
 from rigidtori.fixtures import (NON_CM_QUARTIC, cyclic, eisenstein_action,
-                                gaussian_action, trivial_action)
+                                gaussian_action, random_hodge_fixture,
+                                trivial_action)
+from rigidtori.groups import FiniteGroup
 from rigidtori.hodge import (IntegralRepresentation, enumerate_rigid_types,
                              exact_structure_from_spec,
                              hodge_character_from_numeric, isotypic_split,
-                             spec_from_character)
+                             rigidity_by_centre, spec_from_character)
 from rigidtori.polarize import (ExistenceCertificate, NotPositiveDefinite,
                                 NotRigid, RelationIFails, RosatiFails,
                                 assemble_polarization, find_zeta,
@@ -190,7 +192,7 @@ def test_g_averaged_form_is_invariant_and_verifies():
     mults = [len(img) // o.field_spec.degree
              for (p, img), o in zip(pieces, decomp.orbits)]
     spec = enumerate_rigid_types(decomp, mults)[0]
-    form = assemble_polarization(rep, spec=spec, g_invariant=True)
+    form = assemble_polarization(rep, spec=spec)
     assert form.certificate.g_invariant["invariant"]
     e = [list(r) for r in form.matrix]
     for m in rep.matrices:
@@ -443,6 +445,39 @@ def test_rosati_witness_on_a_rational_form():
     with pytest.raises(RosatiFails, match="class 1") as err:
         _verify_rosati([[Fraction(x) for x in row] for row in e], rep)
     assert err.value.witness == (0, 2)
+
+
+def pauli_group():
+    """<X, Z, iI> (order 16) on the 8 vectors i^k e_j, point 2k + j."""
+    def point(k, j):
+        return 2 * (k % 4) + j
+    points = [(k, j) for k in range(4) for j in range(2)]
+    x = [point(k, 1 - j) for k, j in points]
+    z = [point(k + 2 * j, j) for k, j in points]
+    i = [point(k + 1, j) for k, j in points]
+    return FiniteGroup.from_permutations([x, z, i], name="Pauli")
+
+
+def test_pauli_rigid_actions_get_invariant_polarizations():
+    # the Pauli group has characters of degree 2 whose trace form is not
+    # G-invariant; the default assembly averages it, so both rigid rank-8
+    # draws are certified G-invariant
+    group = pauli_group()
+    rng = random.Random(5)
+    rigid = []
+    while len(rigid) < 2:
+        rep, structure = random_hodge_fixture(rng, groups=[group],
+                                              max_rank=12)
+        spec = spec_from_character(structure.hodge_character())
+        if rigidity_by_centre(spec).is_rigid:
+            rigid.append((rep, spec))
+    for rep, spec in rigid:
+        assert rep.rank == 8
+        form = assemble_polarization(rep, spec=spec)
+        cert = verify_polarization(form.matrix,
+                                   exact_structure_from_spec(rep, spec))
+        assert cert.g_invariant["invariant"] is True
+        assert form.certificate.g_invariant["invariant"] is True
 
 
 def _klein_four_action():

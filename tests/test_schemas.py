@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from rigidtori import cli, schemas
 from rigidtori.cli import main
 from rigidtori.cyclotomic import CyclotomicField, CyclotomicNumber
-from rigidtori.schemas import (SchemaError, dump_report,
+from rigidtori.schemas import (SchemaError, dump_report, load_group_doc,
                                load_representation_doc, to_jsonable)
 
 
@@ -129,7 +129,7 @@ COMMANDS = [
     ("rigidity", GAUSSIAN_DOC, [], 0),
     ("rigidity", SYMBOLIC_DOC, [], 0),
     ("enumerate-rigid", GAUSSIAN_DOC, [], 0),
-    ("polarize", SYMBOLIC_DOC, ["--g-invariant"], 0),
+    ("polarize", SYMBOLIC_DOC, [], 0),
     ("polarize", {"polynomial": [1, 1, 0, 0, 1], "designated_roots": [0, 2]},
      [], 0),
     ("deform", GAUSSIAN_DOC, ["--max-denominator", "64"], 0),
@@ -211,3 +211,15 @@ def test_ragged_generator_matrix_is_a_schema_error():
         load_representation_doc(doc)
     assert str(raised.value) == \
         "invalid representation: list index out of range"
+
+
+@pytest.mark.parametrize("table", [[[0, 1], [1, 0.6]], [[0, "1"], [True, 0]]],
+                         ids=["float", "string-and-bool"])
+def test_cayley_table_entries_must_be_json_integers(tmp_path, table):
+    # a float, a string or a bool entry is refused, never truncated to Z2
+    doc = {"name": "Z2", "cayley_table": table}
+    with pytest.raises(SchemaError, match="cayley_table"):
+        load_group_doc(doc)
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", "--input", str(path)]) == 2
