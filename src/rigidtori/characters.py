@@ -14,14 +14,20 @@ m-th roots of unity, so the class algebra over F_p is split semisimple and
 its d central characters stay distinct mod p; and chi(1) <= sqrt(|G|) < p/2.
 Fix z of order m in F_p, the image of zeta_m under a prime of Z[zeta_m]
 above p.  The identity-class vector e_0 equals sum_chi (chi(1)^2/|G|) w_chi
-(column orthogonality), with every coefficient nonzero mod p.  For a seeded
-random combination A of the M_i, the minimal polynomial mu of e_0 under A,
-read off its Krylov sequence, has one simple root lambda per eigenvalue
-of A, found by evaluating mu at every element of F_p; the component of e_0 in
-the lambda-eigenspace is q(A) e_0 with q = mu/(x - lambda).  Components are
-split again with fresh combinations until there are d of them, each a
-multiple of one w_chi mod p.  The seed is the constant DEFAULT_SEED; the
-table does not depend on it.
+(column orthogonality), with every coefficient nonzero mod p.  Mod p, each
+M_k is diagonal on the w_chi, with eigenvalues their coordinates w_chi(k).
+So the minimal polynomial mu of a vector v under M_k, read off its Krylov
+sequence, has one simple root lambda per eigenvalue that v meets, found by
+evaluating mu at every element of F_p; the component of v in the
+lambda-eigenspace is q(M_k) v with q = mu/(x - lambda).  e_0 is split by
+one class matrix, each component by the next, and so on (Schneider 1990):
+a component is then the sum of the c_chi w_chi whose eigenvalues agree on
+every class used so far.  The d vectors w_chi are distinct mod p, so a
+sweep over all classes leaves d components, each a multiple of one w_chi;
+the sweep stops as soon as there are d.  Classes are taken by descending
+element order, one class per set of power classes first: Galois-conjugate
+classes have the same power classes and tell the same characters apart.
+Nothing is drawn at random, and the components do not depend on the order.
 
 The exact values follow with no tolerance.  Scaled to w_0 = 1, a component
 gives chi(1) as the unique integer in [1, sqrt(|G|)] whose square is
@@ -52,7 +58,7 @@ recovered from (the multiplicities invert the transform mod p), so when
 w = omega_psi, psi(1)^2 = chi(1)^2 mod p, and both lie in [1, sqrt(|G|)].
 The degree squares must sum to |G|.  A failed certificate raises
 TableComputationError.  Rows come out in canonical order, so the table
-depends on neither p, z nor the draws; they are sorted on their integer
+depends on neither p nor z; they are sorted on their integer
 power-basis numerators (character values are algebraic integers, so every
 denominator is 1).
 `CharacterTable.verify` (row orthonormality) stays public as an independent
@@ -61,9 +67,10 @@ check but is not part of the computation.
 `table_for(group)` is the one table cache.  It keeps the last group's table
 only, compared by Cayley-table content, so every step of a request shares
 one table; `cli`'s one-entry memo of the last representation document
-holds results computed from that table, never a table of its own.  One entry is enough: a request touches one group, and a stream
-that cycles through more groups than a small LRU holds gets no hits from it
-either.  A larger memo only costs memory: on the cold-groups stream (seed 1),
+holds results computed from that table, never a table of its own.  One
+entry is enough: a request touches one group, and a stream that cycles
+through more groups than a small LRU holds gets no hits from it either.
+A larger memo only costs memory: on the cold-groups stream (seed 1),
 where no table repeats, a 16-entry LRU raised the peak RSS from about 41 MB
 to 43.7 MB, and one entry to 41.3-41.4 MB.  `galois_orbits` is computed
 once per table object and then returns that same result; its orbits are
@@ -79,7 +86,6 @@ subgroup and the degree, and builds none.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -94,13 +100,7 @@ __all__ = [
     "table_for",
     "galois_orbits",
     "TableComputationError",
-    "DEFAULT_SEED",
 ]
-
-DEFAULT_SEED = 1729
-# fresh random combinations tried before a component that will not split
-# is called a defect; each pair of characters collides with probability 1/p
-_SPLIT_ROUNDS = 64
 
 
 class TableComputationError(RuntimeError):
@@ -410,27 +410,22 @@ def _root_of_unity(m: int, p: int) -> int:
 
 
 def _split_mod_p(classes: ConjugacyClassData, p: int):
-    """The d central characters mod p, each scaled to w_0 = 1: the
-    eigencomponents of e_0 under seeded random combinations of the class
-    matrices, split again until there are d."""
+    """The d central characters mod p, each scaled to w_0 = 1: e_0 split
+    into eigencomponents by one class matrix at a time until there are d,
+    which a sweep over every class reaches (see the module docstring)."""
     d = classes.count
-    rng = random.Random(DEFAULT_SEED)
+    powers = classes.power_classes
+    by_order = sorted(range(1, d), key=lambda k: -len(powers[k]))
+    first = {}   # set of power classes -> its first class in by_order
+    for k in by_order:
+        first.setdefault(frozenset(powers[k]), k)
     components = [[1] + [0] * (d - 1)]
-    for _round in range(_SPLIT_ROUNDS):
-        if len(components) >= d:
+    for k in sorted(by_order,
+                    key=lambda k: first[frozenset(powers[k])] != k):
+        if len(components) == d:
             break
-        combo = [[0] * d for _ in range(d)]
-        for mat in classes.coefficients:
-            c = rng.randrange(p)
-            for combo_row, row in zip(combo, mat):
-                for k, a in row.items():
-                    combo_row[k] += c * a
-        combo = [[x % p for x in row] for row in combo]
-        components = [piece for v in components
-                      for piece in _eigencomponents(combo, v, p)]
-    if len(components) != d:
-        raise TableComputationError(
-            f"{len(components)} eigencomponents mod {p}, not {d}")
+        components = [piece for v in components for piece in
+                      _eigencomponents(classes.coefficients[k], v, p)]
     out = []
     for v in components:
         if not v[0]:
@@ -440,11 +435,12 @@ def _split_mod_p(classes: ConjugacyClassData, p: int):
     return out
 
 
-def _eigencomponents(a, v, p: int):
-    """The nonzero components of v in the eigenspaces of a, mod p: q(a) v for
-    each root lambda of the minimal polynomial mu of v under a, with
-    q = mu / (x - lambda).  mu comes from the Krylov sequence v, av, ...;
-    its roots are found by trying every element of F_p."""
+def _eigencomponents(mat, v, p: int):
+    """The nonzero components of v in the eigenspaces of the class matrix
+    `mat` (sparse rows {k: a}), mod p: q(mat) v for each root lambda of the
+    minimal polynomial mu of v under mat, with q = mu / (x - lambda).  mu
+    comes from the Krylov sequence v, mat v, ...; its roots are found by
+    trying every element of F_p."""
     krylov = [v]
     reduced = []   # (pivot, row, its combination of Krylov vectors)
     while True:
@@ -458,13 +454,13 @@ def _eigencomponents(a, v, p: int):
                     mu[s] = (mu[s] - f * c) % p
         pivot = next((i for i, x in enumerate(vec) if x), None)
         if pivot is None:
-            break   # sum_s mu_s a^s v = 0, mu monic: the minimal polynomial
+            break   # sum_s mu_s mat^s v = 0, mu monic: the minimal polynomial
         inv = pow(vec[pivot], -1, p)
         reduced.append((pivot, [x * inv % p for x in vec],
                         [c * inv % p for c in mu]))
         last = krylov[-1]
-        krylov.append([sum(x * y for x, y in zip(row, last)) % p
-                       for row in a])
+        krylov.append([sum(a * last[k] for k, a in row.items()) % p
+                       for row in mat])
     if len(mu) == 2:
         return [v]
     roots = [lam for lam in range(p) if not _evaluate(mu, lam, p)]

@@ -38,8 +38,7 @@ import traceback
 
 from . import deform as deform_mod
 from . import polarize as polarize_mod
-from .characters import (DEFAULT_SEED, character_table, galois_orbits,
-                         table_for)
+from .characters import character_table, galois_orbits, table_for
 from .fixtures import NON_CM_QUARTIC, group_by_name
 from .hodge import (HSViolation, InconsistentCharacter, InvalidRepresentation,
                     RoundingFailure, brute_force_hom_dimension,
@@ -74,7 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
         "selftest"])
     parser.add_argument("--input", help="path to the JSON input document")
     parser.add_argument("--output", help="path for the machine-readable report")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--max-denominator", type=int, default=256,
                         help="largest denominator of a deform candidate "
                              "class (deform only)")
@@ -87,7 +85,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "selftest":
-            report = run_selftest(args)
+            report = run_selftest()
         else:
             if not args.input:
                 parser.error("--input is required for this command")
@@ -112,14 +110,13 @@ def main(argv=None) -> int:
         best = getattr(exc, "best", None)
         if best is not None:
             payload["diagnostics"] = best
-        _emit(args, {"command": args.command, "seed": args.seed,
-                     "error": payload})
+        _emit(args, {"command": args.command, "error": payload})
         print(f"domain error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - declared as an internal error
-        _emit(args, {"command": args.command, "seed": args.seed,
-                     "error": {"error": type(exc).__name__,
-                               "message": str(exc), "internal": True}})
+        _emit(args, {"command": args.command, "error": {
+            "error": type(exc).__name__, "message": str(exc),
+            "internal": True}})
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc(file=sys.stderr)
         return 3
@@ -220,7 +217,7 @@ def run_analyze(doc, args):
             {"orbit": j, "degree": orbit.degree, "classification": orbit.tag}
             for j, orbit in enumerate(decomp.orbits)],
     }
-    return {"command": "analyze", "seed": args.seed, "result": result}
+    return {"command": "analyze", "result": result}
 
 
 class _Resolution:
@@ -327,7 +324,7 @@ def run_rigidity(doc, args):
         "methods": methods,
         "agreement": len(verdicts) == 1 and len(dims) <= 1,
     }
-    return {"command": "rigidity", "seed": args.seed, "result": result}
+    return {"command": "rigidity", "result": result}
 
 
 def run_enumerate(doc, args):
@@ -357,12 +354,12 @@ def run_enumerate(doc, args):
                 for s in sp.summands if s.multiplicity > 0]}
             for sp in specs],
     }
-    return {"command": "enumerate-rigid", "seed": args.seed, "result": result}
+    return {"command": "enumerate-rigid", "result": result}
 
 
 def run_polarize(doc, args):
     if isinstance(doc, dict) and "polynomial" in doc:
-        return _run_polarize_polynomial(doc, args)
+        return _run_polarize_polynomial(doc)
     # a symbolic_spec document's structure is built before the rigidity
     # checks, so its domain errors win over NotRigid; a J_matrix document's
     # is the one run_rigidity built, if it ran, else assembly builds it
@@ -388,10 +385,10 @@ def run_polarize(doc, args):
             "mode": cert.mode,
         },
     }
-    return {"command": "polarize", "seed": args.seed, "result": result}
+    return {"command": "polarize", "result": result}
 
 
-def _run_polarize_polynomial(doc, args):
+def _run_polarize_polynomial(doc):
     cert = polarize_mod.polarization_exists(*load_polynomial_doc(doc))
     result = {
         "verdict": cert.verdict,
@@ -399,7 +396,7 @@ def _run_polarize_polynomial(doc, args):
         "signs": list(cert.witness_signs) if cert.witness_signs else None,
         "obstruction": cert.obstruction,
     }
-    return {"command": "polarize", "seed": args.seed, "result": result}
+    return {"command": "polarize", "result": result}
 
 
 def run_deform(doc, args):
@@ -423,13 +420,13 @@ def run_deform(doc, args):
         "t_matrix": [list(row) for row in res.t_matrix],
         "certificate": res.certificate,
     }
-    return {"command": "deform", "seed": args.seed,
+    return {"command": "deform",
             "options": {"max_denominator": args.max_denominator,
                         "epsilon": args.epsilon},
             "result": result}
 
 
-def run_selftest(args):
+def run_selftest():
     """Quick bundled checks: orthogonality on three groups, the Gaussian
     polarization golden value, the non-CM quartic, one deformation run."""
     checks = []
@@ -465,7 +462,7 @@ def run_selftest(args):
         import numpy as np
 
         from .fixtures import trivial_action
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(1729)
         rep = trivial_action(4)
         while True:
             a = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
@@ -482,8 +479,7 @@ def run_selftest(args):
     record("non_cm_quartic", check_quartic)
     record("projective_deformation", check_deform)
     ok = all(c["ok"] for c in checks)
-    return {"command": "selftest", "seed": args.seed,
-            "result": {"ok": ok, "checks": checks}}
+    return {"command": "selftest", "result": {"ok": ok, "checks": checks}}
 
 
 if __name__ == "__main__":

@@ -14,12 +14,18 @@ table.  That is |G| steps per class, |G| d in all for d classes, and at most
 |G| d nonzero constants.  They are stored as sparse rows,
 coefficients[i][j] = {k: a_ijk}, row j of the class matrix M_i, which is
 the form the character code reads.
+
+A Cayley table is validated completely: rows and columns permute 0..n-1,
+0 is the identity, and associativity holds by Light's test (Clifford and
+Preston, The Algebraic Theory of Semigroups I, 1.2), (x b) y = x (b y) for
+every b in `generators` and all x, y: n^2 #gens lookups.  The b that pass
+are closed under the product, and the greedy closure reaches every element
+as a product of generators through the table itself, so every triple
+associates.  A closure of permutations is associative and is not checked.
 """
 
 from __future__ import annotations
 
-import itertools
-import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -142,18 +148,14 @@ class FiniteGroup:
         if any(self.table[0][j] != j for j in range(n)) or any(
                 self.table[i][0] != i for i in range(n)):
             raise InvalidGroup("element 0 is not the identity")
-        for i in range(n):
-            if all(self.table[i][j] != 0 for j in range(n)):
-                raise InvalidGroup(f"element {i} has no inverse")
-        if n <= 64:
-            triples = itertools.product(range(n), repeat=3)
-        else:
-            rng = random.Random(0xA550C1)
-            triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                       for _ in range(20000))
-        for a, b, c in triples:
-            if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
-                raise InvalidGroup(f"associativity fails at ({a},{b},{c})")
+        # Light's test; see the module docstring
+        table = self.table
+        for b in self.generators:
+            row_b = table[b]
+            for x, row_x in enumerate(table):
+                if table[row_x[b]] != tuple([row_x[c] for c in row_b]):
+                    raise InvalidGroup(f"associativity fails: (x b) y != "
+                                       f"x (b y) at x={x}, b={b}, some y")
 
     def _inverses(self):
         return tuple(row.index(0) for row in self.table)

@@ -110,8 +110,8 @@ class IntegralRepresentation:
             self._validate()
 
     @staticmethod
-    def from_generators(group: FiniteGroup, generator_indices, generator_matrices,
-                        validate: bool = True) -> "IntegralRepresentation":
+    def from_generators(group: FiniteGroup, generator_indices,
+                        generator_matrices) -> "IntegralRepresentation":
         """Expand matrices given on generators by multiplicative closure."""
         n = len(generator_matrices[0]) if generator_matrices else 0
         ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -128,7 +128,7 @@ class IntegralRepresentation:
         if len(mats) != group.order:
             raise InvalidRepresentation("generators do not generate the group")
         return IntegralRepresentation(
-            group, [mats[g] for g in range(group.order)], validate=validate)
+            group, [mats[g] for g in range(group.order)])
 
     def _validate(self):
         g = self.group

@@ -386,10 +386,8 @@ def test_criterion_8_cli_determinism(tmp_path):
     for cmd, inp in runs:
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"
-        assert cli_main([cmd, "--input", inp, "--output", str(out1),
-                         "--seed", "1729"]) == 0
-        assert cli_main([cmd, "--input", inp, "--output", str(out2),
-                         "--seed", "1729"]) == 0
+        assert cli_main([cmd, "--input", inp, "--output", str(out1)]) == 0
+        assert cli_main([cmd, "--input", inp, "--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes(), cmd
     elapsed = time.time() - start
     print(f"\nPASS criterion 8: byte-identical reports for {len(runs)} "

@@ -225,7 +225,7 @@ def test_parser_has_no_tolerance_options():
     # checks also read, so no flag may change them
     options = {s for action in build_parser()._actions
                for s in action.option_strings}
-    assert options == {"-h", "--help", "--input", "--output", "--seed",
+    assert options == {"-h", "--help", "--input", "--output",
                        "--max-denominator", "--epsilon"}
 
 
@@ -257,10 +257,8 @@ def test_determinism_byte_identical(tmp_path):
     for cmd in ("analyze", "rigidity", "polarize", "deform"):
         doc = inp if cmd != "analyze" else write(
             tmp_path, "grp.json", {"builtin": "Q8"})
-        assert main([cmd, "--input", doc, "--output", str(out1),
-                     "--seed", "7"]) == 0
-        assert main([cmd, "--input", doc, "--output", str(out2),
-                     "--seed", "7"]) == 0
+        assert main([cmd, "--input", doc, "--output", str(out1)]) == 0
+        assert main([cmd, "--input", doc, "--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes(), cmd
 
 
@@ -611,7 +609,7 @@ def test_analyze_solves_no_subfield_coordinates(monkeypatch):
 
     monkeypatch.setattr(characters, "_LAST_TABLE", None)  # a fresh table
     monkeypatch.setattr(SubfieldSpec, "coordinates", counted)
-    report = cli.run_analyze({"builtin": "S4"}, Namespace(seed=1))
+    report = cli.run_analyze({"builtin": "S4"}, Namespace())
     assert calls == []
     orbits = report["result"]["galois_orbits"]
     assert report["result"]["centre_fields"] == [
@@ -630,7 +628,7 @@ def _fresh_analyze_report(monkeypatch, name):
     from rigidtori.schemas import dump_report
 
     monkeypatch.setattr(characters, "_LAST_TABLE", None)  # a fresh table
-    return dump_report(cli.run_analyze({"builtin": name}, Namespace(seed=1)))
+    return dump_report(cli.run_analyze({"builtin": name}, Namespace()))
 
 
 def test_analyze_builds_no_subfield_basis(monkeypatch):

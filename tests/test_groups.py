@@ -1,3 +1,5 @@
+import itertools
+import json
 import math
 import time
 
@@ -6,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from class_algebra import brute_force_structure_constants, verify_central
+from rigidtori.cli import main
 from rigidtori.fixtures import (abelian, cyclic, dicyclic, dihedral,
                                 quaternion_8, small_groups, symmetric_3,
                                 symmetric_4)
@@ -240,3 +243,76 @@ def test_group_facts_are_computed_once_per_group():
     assert g.conjugacy_classes() is g.conjugacy_classes()
     assert g.generators is g.generators
     assert g.order == 32 and len(g.generators) == 2
+
+
+def exhaustively_associative(table):
+    """The n^3 oracle: every triple associates."""
+    n = len(table)
+    return all(table[table[a][b]][c] == table[a][table[b][c]]
+               for a in range(n) for b in range(n) for c in range(n))
+
+
+def accepted(table):
+    try:
+        FiniteGroup(table)
+    except InvalidGroup:
+        return False
+    return True
+
+
+def intercalates(table):
+    """The 2 x 2 Latin subsquares (rows, columns) away from the identity's
+    row and column."""
+    pairs = list(itertools.combinations(range(1, len(table)), 2))
+    return [((r1, r2), (c1, c2)) for r1, r2 in pairs for c1, c2 in pairs
+            if table[r1][c1] == table[r2][c2]
+            and table[r1][c2] == table[r2][c1]]
+
+
+def swap_intercalate(table, rows, cols):
+    """The Latin square with the intercalate at rows x cols swapped: the
+    identity's row and column are untouched, so it still has an
+    identity."""
+    out = [list(row) for row in table]
+    for r in rows:
+        out[r][cols[0]], out[r][cols[1]] = out[r][cols[1]], out[r][cols[0]]
+    return out
+
+
+def twisted_z500():
+    """The Z500 table with the intercalate at rows 1, 251 and columns 2,
+    252 swapped: a loop with identity that is not associative, but whose
+    failing triples are too rare for sampling to find."""
+    table = [[(i + j) % 500 for j in range(500)] for i in range(500)]
+    return swap_intercalate(table, (1, 251), (2, 252))
+
+
+def test_twisted_z500_is_refused(tmp_path):
+    table = twisted_z500()
+    with pytest.raises(InvalidGroup):
+        FiniteGroup(table)
+    path = tmp_path / "twisted.json"
+    path.write_text(json.dumps({"name": "twisted Z500",
+                                "cayley_table": table}))
+    assert main(["analyze", "--input", str(path)]) == 2
+
+
+@pytest.mark.parametrize("group", small_groups() + [symmetric_4()],
+                         ids=lambda g: g.name)
+def test_light_agrees_with_the_exhaustive_check_on_groups(group):
+    assert accepted(group.table) == exhaustively_associative(group.table)
+    assert accepted(group.table)
+
+
+@given(st.data())
+def test_light_agrees_with_the_exhaustive_check_on_latin_squares(data):
+    base = data.draw(st.sampled_from(
+        [g for g in small_groups() if g.order <= 8]), label="group")
+    table = base.table
+    for _ in range(data.draw(st.integers(1, 3), label="swaps")):
+        candidates = intercalates(table)
+        if not candidates:
+            break
+        table = swap_intercalate(table, *data.draw(
+            st.sampled_from(candidates), label="intercalate"))
+    assert accepted(table) == exhaustively_associative(table)

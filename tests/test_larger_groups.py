@@ -6,7 +6,8 @@ import itertools
 
 import pytest
 
-from rigidtori.characters import character_table, galois_orbits
+from rigidtori.characters import (_prime, _split_mod_p, character_table,
+                                  galois_orbits)
 from rigidtori.fixtures import (abelian, cyclic, dicyclic, dihedral,
                                 integral_model, regular_representation)
 from rigidtori.groups import FiniteGroup
@@ -173,3 +174,15 @@ def test_nonscalar_real_summand_rejected():
     spec = SymbolicHodgeSpec(decomposition=decomp, summands=tuple(summands))
     with pytest.raises(InvalidRepresentation):
         exact_structure_from_spec(doubled, spec)
+
+
+@pytest.mark.parametrize(
+    "group", [abelian([2] * 6), abelian([4, 4, 4]), dihedral(50)],
+    ids=["Z2^6", "Z4^3", "D50"])
+def test_class_by_class_splitting_beyond_the_fixtures(group):
+    classes = group.conjugacy_classes()
+    p = _prime(group.order, group.exponent)
+    assert len(_split_mod_p(classes, p)) == classes.count
+    table = character_table(group)
+    table.verify()
+    table.verify_columns()
