@@ -1,31 +1,22 @@
 """Batch front end: analyze / rigidity / enumerate-rigid / polarize /
 deform / selftest.
 
-Reads a JSON input document, writes a human-readable summary to stdout and,
-with --output, a machine-readable JSON report.  Exit status: 0 success,
-1 domain error (e.g. a non-rigid action passed to polarize), 2 input error,
-3 internal error (any other exception; its report is an error payload
-marked `"internal": true`).
+Reads a JSON input document and prints a human-readable summary of its
+report to stdout, read off the report itself: each exact value as its
+display string.  The machine-readable JSON report text is built only with
+--output, which writes it.  Exit status: 0 success, 1 domain error (e.g. a
+non-rigid action passed to polarize), 2 input error, 3 internal error (any
+other exception; its report is an error payload marked `"internal": true`).
 
 `polarize` takes no option of its own: every polarization it certifies is
 G-invariant (`polarize.assemble_polarization`).
 
 One action request runs `run_rigidity`, then `run_polarize` or `run_deform`,
 on the same document, so each fact of a representation document is computed
-once per document: a private one-entry memo keeps the last document's
-resolution (`_Resolution`).  Its fields are the loaded representation `rep`
-with the document's `j_matrix` and `spec_doc`; the Hodge type `spec`, one
-per document, which every rigidity pathway and the polarization read; the
-numeric Hodge character `chi10` of a J_matrix document; and the one exact
-`structure`, built with the spec for a symbolic_spec document and by
-`run_rigidity` for a rigid J_matrix document, which `run_polarize` hands to
-the assembly and `run_deform` reads J from.  Only results computed without
-error are kept, so every error is raised again, in the same order.  The key is
-the document's repr, a snapshot of its content taken at each call: it tells
--0.0 from 0.0, 1.0 from 1 and a tuple from a list, and a document mutated
-after a call no longer matches it.  One entry, as in `characters.table_for`:
-a request touches one document, and the memo holds that document's
-representation and structure until the next one arrives.
+once per document: a private one-entry memo keyed by the document's repr
+(`_snapshot`) keeps the last document's resolution (`_Resolution`: its
+representation, Hodge type and exact structure).  Only results computed
+without error are kept, so every error is raised again, in the same order.
 """
 
 from __future__ import annotations
@@ -35,10 +26,12 @@ import copy
 import json
 import sys
 import traceback
+from fractions import Fraction
 
 from . import deform as deform_mod
 from . import polarize as polarize_mod
 from .characters import character_table, galois_orbits, table_for
+from .cyclotomic import CyclotomicNumber
 from .fixtures import NON_CM_QUARTIC, group_by_name
 from .hodge import (HSViolation, InconsistentCharacter, InvalidRepresentation,
                     RoundingFailure, brute_force_hom_dimension,
@@ -48,9 +41,9 @@ from .hodge import (HSViolation, InconsistentCharacter, InvalidRepresentation,
 from .groups import InvalidGroup
 from .polyfields import (PrecisionCapReached, RealEmbeddingPresent,
                          ReduciblePolynomial)
-from .schemas import (SchemaError, dump_report, load_group_doc,
-                      load_polynomial_doc, load_representation_doc,
-                      load_symbolic_spec, to_jsonable)
+from .schemas import (SchemaError, _fraction_json, dump_report,
+                      load_group_doc, load_polynomial_doc,
+                      load_representation_doc, load_symbolic_spec)
 
 DOMAIN_ERRORS = (
     polarize_mod.NotRigid, polarize_mod.NotCMField,
@@ -127,17 +120,21 @@ def main(argv=None) -> int:
 
 
 def _emit(args, report):
-    text = dump_report(report)
     if args.output:
+        text = dump_report(report)
         with open(args.output, "w") as fh:
-            fh.write(text)
-    render_human(to_jsonable(report))
+            # in 1 MB slices: one write of a long text encodes a copy of it
+            for start in range(0, len(text), 1 << 20):
+                fh.write(text[start:start + (1 << 20)])
+    render_human(report)
 
 
 def render_human(report):
+    """Print the summary of a report, walking the report itself; each
+    distinct cyclotomic value is rendered once per call."""
     result = report.get("result", report.get("error", {}))
     print(f"== {report.get('command', '?')} ==")
-    _render(result, indent=0)
+    _render(result, 0, {})
 
 
 def _is_scalar(x):
@@ -145,32 +142,42 @@ def _is_scalar(x):
         isinstance(x, dict) and "display" in x)
 
 
-def _render(node, indent):
+def _render(node, indent, memo):
     pad = "  " * indent
     if isinstance(node, dict) and "display" not in node:
-        for key in sorted(node):
+        for key in sorted(node, key=str):
             value = node[key]
             if _is_scalar(value) or not value:
-                print(f"{pad}{key}: {_scalar(value)}")
+                print(f"{pad}{key}: {_scalar(value, memo)}")
             else:
                 print(f"{pad}{key}:")
-                _render(value, indent + 1)
+                _render(value, indent + 1, memo)
     elif isinstance(node, (list, tuple)):
         if all(_is_scalar(x) for x in node):
-            print(f"{pad}[{', '.join(_scalar(x) for x in node)}]")
+            print(f"{pad}[{', '.join(_scalar(x, memo) for x in node)}]")
         else:
             for x in node:
-                _render(x, indent)
+                _render(x, indent, memo)
     else:
-        print(f"{pad}{_scalar(node)}")
+        print(f"{pad}{_scalar(node, memo)}")
 
 
-def _scalar(x):
-    from fractions import Fraction
+def _scalar(x, memo):
+    """A leaf's text as its JSON form prints: a cyclotomic value's
+    `as_string` (kept in `memo`), a rational's "p/q", a display entry."""
+    if isinstance(x, CyclotomicNumber):
+        key = (x.field.m, x.num, x.den)
+        if key not in memo:
+            memo[key] = x.as_string()
+        return memo[key]
     if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
+        return _fraction_json(x.numerator, x.denominator)
     if isinstance(x, dict) and "display" in x:
-        return x["display"]
+        x = x["display"]
+    if isinstance(x, tuple):
+        x = list(x)
+    elif hasattr(x, "item") and not isinstance(x, (str, bytes)):
+        x = x.item()
     return str(x)
 
 
@@ -182,24 +189,18 @@ def run_analyze(doc, args):
     table = table_for(group)
     decomp = galois_orbits(table)
     classes = table.classes
-    rows = []
-    for r in range(table.size):
-        rows.append({
-            "degree": table.degrees[r],
-            "values": [v for v in table.rows[r]],
-        })
-    orbit_docs = []
-    for j, orbit in enumerate(decomp.orbits):
-        orbit_docs.append({
-            "rows": list(orbit.rows),
-            "field": {
-                "conductor": orbit.field_spec.field.m,
-                "fixing_subgroup": list(orbit.field_spec.fixing_subgroup),
-                "degree": orbit.field_spec.degree,
-            },
-            "classification": orbit.tag,
-            "idempotent": list(orbit.idempotent),
-        })
+    rows = [{"degree": degree, "values": list(values)}
+            for degree, values in zip(table.degrees, table.rows)]
+    orbit_docs = [{
+        "rows": list(orbit.rows),
+        "field": {
+            "conductor": orbit.field_spec.field.m,
+            "fixing_subgroup": list(orbit.field_spec.fixing_subgroup),
+            "degree": orbit.field_spec.degree,
+        },
+        "classification": orbit.tag,
+        "idempotent": list(orbit.idempotent),
+    } for orbit in decomp.orbits]
     result = {
         "group": {"name": group.name, "order": group.order,
                   "exponent": group.exponent},
@@ -334,15 +335,9 @@ def run_enumerate(doc, args):
     mults = [len(img) // orbit.field_spec.degree
              for (p, img), orbit in zip(pieces, decomp.orbits)]
     specs = enumerate_rigid_types(decomp, mults)
-    expected = 1
-    blocked = False
-    for j, orbit in enumerate(decomp.orbits):
-        if mults[j] > 0:
-            if orbit.tag == "TotallyReal":
-                blocked = True
-            else:
-                expected *= 2 ** (orbit.field_spec.degree // 2)
-    expected = 0 if blocked else expected
+    active = [orbit for orbit, m in zip(decomp.orbits, mults) if m > 0]
+    expected = (0 if any(orbit.tag == "TotallyReal" for orbit in active) else
+                2 ** sum(orbit.field_spec.degree // 2 for orbit in active))
     result = {
         "multiplicities": mults,
         "count": len(specs),

@@ -154,6 +154,11 @@ class IntegralRepresentation:
         return sum(self.matrices[g][i][i] for i in range(self.rank))
 
     @cached_property
+    def classes(self):
+        """The memoized table's classes: one computation per Cayley table."""
+        return table_for(self.group).classes
+
+    @cached_property
     def class_sums(self):
         """Integer matrices S_k = sum of rho(g) over the k-th conjugacy
         class, canonical class order.  The centre of Q[G] acts through
@@ -161,7 +166,7 @@ class IntegralRepresentation:
         combination of them."""
         n = self.rank
         out = []
-        for cls in self.group.conjugacy_classes().classes:
+        for cls in self.classes.classes:
             acc = [[0] * n for _ in range(n)]
             for g in cls:
                 for acc_row, row in zip(acc, self.matrices[g]):

@@ -481,7 +481,7 @@ def _verify_rosati(e_rows, rep: IntegralRepresentation):
     to the class of inverses.  Exact, in integers: the identity is
     homogeneous in E, so it holds for E exactly when it holds for D * E,
     and fails at the same entries; a class sum is a sum of integer rho(g)."""
-    classes = rep.group.conjugacy_classes()
+    classes = rep.classes
     mats = rep.class_sums
     e_int = _integral(e_rows)
     for idx in range(classes.count):

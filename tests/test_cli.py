@@ -618,6 +618,36 @@ def test_analyze_solves_no_subfield_coordinates(monkeypatch):
         for j, o in enumerate(orbits)]
 
 
+@pytest.mark.parametrize("output, per_value", [(False, 1), (True, 2)],
+                         ids=["stdout", "output"])
+def test_analyze_renders_each_table_value_once(tmp_path, monkeypatch, output,
+                                               per_value):
+    # the table of Z2 x Z4 repeats each of its values 1, -1, i, -i; the
+    # summary renders each distinct value once, the --output text once more
+    from collections import Counter
+
+    from rigidtori import characters
+    from rigidtori.cyclotomic import CyclotomicNumber
+
+    doc = {"name": "Z2xZ4",
+           "permutation_generators": [[1, 0, 2, 3, 4, 5], [0, 1, 3, 4, 5, 2]]}
+    calls = Counter()
+    as_string = CyclotomicNumber.as_string
+
+    def counted(self):
+        calls[self.field.m, self.num, self.den] += 1
+        return as_string(self)
+
+    monkeypatch.setattr(characters, "_LAST_TABLE", None)  # a fresh table
+    monkeypatch.setattr(CyclotomicNumber, "as_string", counted)
+    argv = ["analyze", "--input", write(tmp_path, "z2z4.json", doc)]
+    if output:
+        argv += ["--output", str(tmp_path / "report.json")]
+    assert main(argv) == 0
+    assert len(calls) == 4
+    assert max(calls.values()) == per_value
+
+
 BUNDLED_NAMES = [g.name for g in small_groups()] + ["S4"]
 
 

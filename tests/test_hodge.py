@@ -686,3 +686,28 @@ def test_hodge_character_is_the_trace_of_the_restricted_action():
             assert _coerce_to_subcyclotomic(tr, chi.table.field) == \
                 chi.values[k]
             assert [[x.conjugate() for x in row] for row in a] == b
+
+
+def test_equal_tables_compute_their_classes_once(monkeypatch):
+    # two groups with one Cayley table share the memoized table, and the
+    # class sums read its classes instead of computing them again
+    from rigidtori import characters
+    from rigidtori.groups import FiniteGroup
+
+    calls = []
+    class_data = FiniteGroup._class_data
+
+    def counted(self):
+        calls.append(self)
+        return class_data(self)
+
+    monkeypatch.setattr(characters, "_LAST_TABLE", None)  # a fresh table
+    monkeypatch.setattr(FiniteGroup, "_class_data", counted)
+    reps = [regular_representation(cyclic(6)) for _ in range(2)]
+    assert reps[0].group is not reps[1].group
+    assert reps[0].group.table == reps[1].group.table
+    for rep in reps:
+        table_for(rep.group)
+        rep.class_sums
+    assert len(calls) == 1
+    assert reps[0].class_sums == reps[1].class_sums

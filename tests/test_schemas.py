@@ -150,15 +150,96 @@ def test_writer_matches_json_on_cli_reports(tmp_path, monkeypatch, command,
         return dump_report(report)
 
     monkeypatch.setattr(cli, "dump_report", recording)
+    # the report text is built only for --output
+    argv = cli_argv(tmp_path, command, doc, extra) + [
+        "--output", str(tmp_path / "report.json")]
+    assert main(argv) == status
+    report, = reports
+    assert ("error" in report) == bool(status)
+    assert dump_report(report) == oracle(report)
+
+
+def cli_argv(tmp_path, command, doc, extra):
     argv = [command] + extra
     if doc is not None:
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
         argv += ["--input", str(path)]
+    return argv
+
+
+# sha256 of the stdout summary of each COMMANDS row, in order
+SUMMARY_DIGESTS = [
+    "a801528bb9a3406b0a291b6cbd06cb0fccd26e03bd48dfeb4245c5baae004a4e",
+    "086d6709464415350fe877365553d3ac3db2b36b1299111a2f938c518a575be9",
+    "a713dd9aa65dd661e6af5431683f697fde63bf8993cda20b01903a30065454e3",
+    "e2c7b7fe2a1b638b5d6a116ecbd2b16e034917dafda2ff06af03c969077182f7",
+    "6d0e51c763d8530fc8841049dd6498b88332160359eb2a6f2cf2d894ddaea99d",
+    "fcaa37293e5f512fb19cb008d1f5256ce4a846a3243aab26d6fb2d2f1c6edb85",
+    "197e585bc5f70ef64ae03e4540dc44c36d158cd1461305da39719d03712a2ad5",
+    "8a98a3333719b38b83acc6e857f967d8780d20f06f3b748d2ce12ae9454832de",
+    "285f22d8397ae5d7dc7f05a59f1bd98eec0bed47c6ba189777072ab69c27fbe0",
+    "eb33cd4138c35d83a748613b0a57c61560e81bef7e97158c63e42e348d28f3e6",
+]
+
+
+@pytest.mark.parametrize("output", [False, True], ids=["stdout", "output"])
+@pytest.mark.parametrize("command, doc, extra, status, digest",
+                         [c + (d,) for c, d in zip(COMMANDS, SUMMARY_DIGESTS)],
+                         ids=[f"{c[0]}-{i}" for i, c in enumerate(COMMANDS)])
+def test_cli_summary_is_pinned(tmp_path, capsys, command, doc, extra, status,
+                               digest, output):
+    # the summary is the same text with or without --output
+    argv = cli_argv(tmp_path, command, doc, extra)
+    if output:
+        argv += ["--output", str(tmp_path / "report.json")]
     assert main(argv) == status
-    report, = reports
-    assert ("error" in report) == bool(status)
-    assert dump_report(report) == oracle(report)
+    summary = capsys.readouterr().out
+    assert hashlib.sha256(summary.encode()).hexdigest() == digest
+
+
+def test_summary_prints_leaves_as_their_json_form(capsys):
+    # a tuple display entry (a NotPositiveDefinite witness) prints as the
+    # list it is in the JSON report; so do empty tuples, and rationals,
+    # numpy scalars and int keys print as their JSON values
+    gaussian = CyclotomicField(4)
+    zeta = CyclotomicField(8).zeta()
+    report = {"command": "polarize", "error": {
+        "error": "NotPositiveDefinite",
+        "message": "the Hermitian form is not positive definite",
+        "witness": {"conductor": 4,
+                    "vector": (("1/1", "0/1"), ("0/1", "-1/1")),
+                    "display": (gaussian.one().as_string(),
+                                (-gaussian.zeta()).as_string())},
+        "diagnostics": {
+            "values": (zeta, zeta * zeta, zeta, Fraction(-3, 6), Fraction(4)),
+            "numpy": [np.int64(-7), np.float64(0.1), np.bool_(True)],
+            "keys": {10: "ten", 3: "three", -1: "minus"},
+            "empty": ((), {}, []),
+            "nested": [{"a": None}, (2, 3.5)],
+        }}}
+    cli._emit(cli.build_parser().parse_args(["polarize"]), report)
+    assert capsys.readouterr().out == """\
+== polarize ==
+diagnostics:
+  empty:
+    []
+    []
+  keys:
+    -1: minus
+    10: ten
+    3: three
+  nested:
+    a: None
+    [2, 3.5]
+  numpy:
+    [-7, 0.1, True]
+  values:
+    [z, z^2, z, -1/2, 4/1]
+error: NotPositiveDefinite
+message: the Hermitian form is not positive definite
+witness: ['1', '-z']
+"""
 
 
 S5 = {"name": "S5", "permutation_generators": [[1, 2, 3, 4, 0],
