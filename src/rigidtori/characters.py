@@ -64,15 +64,23 @@ denominator is 1).
 `CharacterTable.verify` (row orthonormality) stays public as an independent
 check but is not part of the computation.
 
-`table_for(group)` is the one table cache.  It keeps the last group's table
-only, compared by Cayley-table content, so every step of a request shares
+`table_for(group)` is the one table cache, keyed by Cayley-table content.
+It always keeps the last group's table, so every step of a request shares
 one table; `cli`'s one-entry memo of the last representation document
-holds results computed from that table, never a table of its own.  One
-entry is enough: a request touches one group, and a stream that cycles
-through more groups than a small LRU holds gets no hits from it either.
-A larger memo only costs memory: on the cold-groups stream (seed 1),
-where no table repeats, a 16-entry LRU raised the peak RSS from about 41 MB
-to 43.7 MB, and one entry to 41.3-41.4 MB.  `galois_orbits` is computed
+holds results computed from that table, never a table of its own.  Across
+requests it keeps a table only once the table is computed a second time in
+the process: a set of hash(Cayley table) fingerprints records what has been
+computed (a collision only admits a table early; lookups still compare the
+full content).  What it keeps is capped at 16 384 cyclotomic coordinates,
+d^2 phi(exp G) per table, least recently used evicted first; one deck of
+the benchmark's actions stream needs 9 691.  Admission on reuse keeps the
+tables that repeat and no others.  On the benchmark's actions stream
+(seed 1), where each of 28 groups comes three times, 84 table computations
+become 56.  On its cold-groups stream, where 4 of 94 tables come twice and
+none three times, admitting every table on first sight instead raised the
+serving process's peak RSS from 21.5 to 25.2 MB and lowered its throughput
+from 246 to 235 requests/s (10 alternating pairs on a shared 2-core
+host).  `galois_orbits` is computed
 once per table object and then returns that same result; its orbits are
 also the field summands of the centre of Q[G].  Galois images of rows are
 read through the power maps, sigma_a(chi)(g) = chi(g^a), by permuting
@@ -121,6 +129,7 @@ class CharacterTable:
         self.rows = tuple(tuple(r) for r in rows)
         self.degrees = tuple(degrees)
         self._orbits = None   # galois_orbits(self), once computed
+        self._embedding = None   # see rounded_decomposition
 
     @property
     def size(self) -> int:
@@ -148,6 +157,30 @@ class CharacterTable:
                 acc = acc + values[k] * self.rows[r][k].conjugate() * size
             mults.append(acc * Fraction(1, self.group.order))
         return mults
+
+    def rounded_decomposition(self, values):
+        """The inner products of a class function with the rows, in floats
+        and rounded to integers, or None where they are not finite.  A
+        proposal only: the caller checks it exactly.  The complex
+        embedding of the rows, zeta_m -> exp(2 pi i/m), is computed once
+        per table."""
+        if self._embedding is None:
+            import cmath
+            m = self.field.m
+            zetas = [cmath.exp(2j * cmath.pi * i / m)
+                     for i in range(self.field.degree)]
+            self._embedding = (zetas, [
+                [sum(c * z for c, z in zip(x.num, zetas) if c) for x in row]
+                for row in self.rows])
+        zetas, rows = self._embedding
+        sizes = self.classes.sizes
+        try:
+            weighted = [size * sum(c * z for c, z in zip(x.num, zetas) if c)
+                        / x.den for x, size in zip(values, sizes)]
+            return [round((sum(w * v.conjugate() for w, v in zip(weighted, row))
+                           / self.group.order).real) for row in rows]
+        except (OverflowError, ValueError):
+            return None
 
     def verify(self):
         """Exact row orthonormality and the degree sum; raises on failure."""
@@ -209,18 +242,38 @@ def character_table(group: FiniteGroup) -> CharacterTable:
                           [degs[r] for r in order])
 
 
-_LAST_TABLE = None  # (Cayley table, its CharacterTable) of the last group
+_LAST = None        # (Cayley table, its CharacterTable) of the last group
+_KEPT = {}          # Cayley table -> CharacterTable, least recently used first
+_COMPUTED = set()   # hash(Cayley table) of every table computed so far
+_KEPT_BUDGET = 16384   # cyclotomic coordinates kept, d^2 phi(exp G) a table
 
 
 def table_for(group: FiniteGroup) -> CharacterTable:
-    """character_table(group), memoized for the last group asked.
+    """character_table(group), memoized by Cayley-table content (see the
+    module docstring): another FiniteGroup with the same table, under
+    another name, gets the same table object."""
+    global _LAST
+    key = group.table
+    if _LAST is not None and _LAST[0] == key:
+        return _LAST[1]
+    fingerprint = hash(key)
+    if fingerprint in _COMPUTED:
+        table = _KEPT.pop(key, None) or character_table(group)
+        _KEPT[key] = table   # (re)inserted as the most recently used
+        spent = sum(_cost(t) for t in _KEPT.values())
+        for old in list(_KEPT):
+            if spent <= _KEPT_BUDGET:
+                break
+            spent -= _cost(_KEPT.pop(old))
+    else:
+        table = character_table(group)
+        _COMPUTED.add(fingerprint)
+    _LAST = (key, table)
+    return table
 
-    The memo compares Cayley tables by content, so another FiniteGroup
-    with the same table (under another name) gets the same table object."""
-    global _LAST_TABLE
-    if _LAST_TABLE is None or _LAST_TABLE[0] != group.table:
-        _LAST_TABLE = (group.table, character_table(group))
-    return _LAST_TABLE[1]
+
+def _cost(table: CharacterTable) -> int:
+    return table.size ** 2 * table.field.degree
 
 
 def _row_key(row):

@@ -112,7 +112,14 @@ class IntegralRepresentation:
     @staticmethod
     def from_generators(group: FiniteGroup, generator_indices,
                         generator_matrices) -> "IntegralRepresentation":
-        """Expand matrices given on generators by multiplicative closure."""
+        """Expand matrices given on generators by multiplicative closure.
+
+        Every edge x -> xs of the Cayley graph on the given generators s is
+        one product rho(x) M_s: the |G| - 1 edges of the closure's spanning
+        tree define rho, and each other edge is checked against it as the
+        closure meets it.  With
+        rho(e) = I, rho(x) rho(s) = rho(xs) on every edge gives
+        rho(a) rho(b) = rho(ab) for all b, by induction on a word for b."""
         n = len(generator_matrices[0]) if generator_matrices else 0
         ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         mats = {0: ident}
@@ -122,13 +129,20 @@ class IntegralRepresentation:
             x = frontier.pop()
             for g_idx, g_mat in gen:
                 y = group.table[x][g_idx]
+                product = _int_mat_mul(mats[x], g_mat)
                 if y not in mats:
-                    mats[y] = _int_mat_mul(mats[x], g_mat)
+                    mats[y] = product
                     frontier.append(y)
+                elif product != mats[y]:
+                    raise InvalidRepresentation(
+                        f"not a homomorphism at pair ({x},{g_idx})")
         if len(mats) != group.order:
             raise InvalidRepresentation("generators do not generate the group")
+        if any(len(m) != n or any(len(row) != n for row in m)
+               for m in mats.values()):
+            raise InvalidRepresentation("ragged matrix")
         return IntegralRepresentation(
-            group, [mats[g] for g in range(group.order)])
+            group, [mats[g] for g in range(group.order)], validate=False)
 
     def _validate(self):
         g = self.group
@@ -211,8 +225,19 @@ class HodgeCharacter:
     @cached_property
     def multiplicities(self):
         """Multiplicity of each table row in chi10, validated as non-negative
-        integers that add up to chi10(1); decomposed once per character."""
+        integers that add up to chi10(1); decomposed once per character.
+
+        Floats propose: the inner products rounded to integers.  Exact
+        integers accept: m is taken only when every m_r >= 0 and
+        sum_r m_r chi_r = chi10 in integer power-basis numerators at every
+        class.  The rows are independent, so an accepted m is the
+        decomposition itself.  A rejected proposal leaves the decision, and
+        the wording of an InconsistentCharacter, to the exact inner
+        products."""
         table = self.table
+        mults = table.rounded_decomposition(self.values)
+        if mults is not None and _decomposes_as(table, mults, self.values):
+            return mults
         mults = []
         for r, ip in enumerate(table.decompose(self.values)):
             q = ip.as_rational()
@@ -234,6 +259,25 @@ class HodgeCharacter:
             if total.as_rational() != Fraction(rep.trace(g)):
                 raise InconsistentCharacter(
                     f"Hodge symmetry fails on class {k}")
+
+
+def _decomposes_as(table: CharacterTable, mults, values) -> bool:
+    """Whether values = sum_r m_r chi_r with every m_r >= 0, compared in
+    the integer power-basis numerators of each class value (character
+    values are algebraic integers: a value with a denominator fails)."""
+    if any(m < 0 for m in mults):
+        return False
+    for k, x in enumerate(values):
+        if x.den != 1:
+            return False
+        acc = [0] * table.field.degree
+        for row, m in zip(table.rows, mults):
+            if m:
+                for i, c in enumerate(row[k].num):
+                    acc[i] += m * c
+        if tuple(acc) != x.num:
+            return False
+    return True
 
 
 def hodge_character_from_numeric(rep: IntegralRepresentation,

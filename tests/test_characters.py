@@ -345,10 +345,30 @@ def test_table_for_compares_cayley_tables_by_content():
     g = symmetric_3()
     table = table_for(g)
     assert table_for(FiniteGroup(g.table, name="other")) is table
-    # one entry only: another group replaces it
-    assert table_for(cyclic(3)) is not table
-    assert table_for(g) is not table
-    assert table_for(g).rows == table.rows
+    # asked for once: dropped when another group is asked for
+    table_for(cyclic(3))
+    again = table_for(g)
+    assert again is not table
+    assert again.rows == table.rows
+    # computed twice: kept while other groups are asked for
+    for other in (cyclic(3), cyclic(4), quaternion_8(), cyclic(3)):
+        table_for(other)
+    assert table_for(FiniteGroup(g.table, name="other")) is again
+
+
+def test_table_for_evicts_the_least_recently_used_table(monkeypatch):
+    from rigidtori import characters
+    a, b, c = symmetric_3(), cyclic(3), cyclic(2)
+    for group in (a, b, a, b):   # a and b computed twice: both kept
+        table_for(group)
+    kept = {name: table_for(group) for name, group in (("b", b), ("a", a))}
+    # room for a and b only; a was used last, so b goes first
+    monkeypatch.setattr(characters, "_KEPT_BUDGET", sum(
+        t.size ** 2 * t.field.degree for t in kept.values()))
+    for group in (c, a, c):      # c computed twice: kept, over the budget
+        table_for(group)
+    assert table_for(a) is kept["a"]
+    assert table_for(b) is not kept["b"]
 
 
 # -- Dixon recovery and the separating-set certificate ----------------------

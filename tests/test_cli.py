@@ -131,8 +131,6 @@ def test_rigidity_symbolic_spec_input(tmp_path):
                          ids=["J_matrix", "symbolic_spec"])
 def test_rigidity_then_polarize_build_one_table(tmp_path, monkeypatch, doc):
     from rigidtori import characters
-    from rigidtori.fixtures import cyclic
-    characters.table_for(cyclic(1))  # the memo now holds another group
     built = []
     init = characters.CharacterTable.__init__
 
@@ -343,18 +341,53 @@ def test_analyze_and_symbolic_rigidity_leave_heavy_modules_unloaded(
 
 
 def test_numeric_rigidity_decomposes_chi10_once(tmp_path, monkeypatch):
+    # one proposal per request, accepted exactly: the exact inner
+    # products never run
     from rigidtori.characters import CharacterTable
     calls = []
-    decompose = CharacterTable.decompose
+    propose = CharacterTable.rounded_decomposition
 
     def counting(self, values):
         calls.append(values)
-        return decompose(self, values)
+        return propose(self, values)
 
-    monkeypatch.setattr(CharacterTable, "decompose", counting)
+    def refuse(self, values):
+        raise AssertionError("exact decomposition of an accepted proposal")
+
+    monkeypatch.setattr(CharacterTable, "rounded_decomposition", counting)
+    monkeypatch.setattr(CharacterTable, "decompose", refuse)
     inp = write(tmp_path, "gauss.json", GAUSSIAN_DOC)
     assert main(["rigidity", "--input", inp]) == 0
     assert len(calls) == 1
+
+
+_R3 = 3 ** 0.5
+EISENSTEIN_DOC = {
+    "group": {"name": "Z3", "permutation_generators": [[1, 2, 0]]},
+    "rank": 2,
+    "generator_matrices": [[[0, -1], [1, -1]]],
+    "J_matrix": [[1 / _R3, -_R3 / 2 - 1 / (2 * _R3)], [2 / _R3, -1 / _R3]],
+}
+
+
+def test_rigidity_keeps_a_table_computed_twice(tmp_path, monkeypatch):
+    # Z3, Z4, Z3, Z4, Z3, Z4: each table is computed on its first two
+    # requests, and kept from the second on
+    from rigidtori import characters
+    built = []
+    init = characters.CharacterTable.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(characters.CharacterTable, "__init__", counting_init)
+    docs = [write(tmp_path, "z3.json", EISENSTEIN_DOC),
+            write(tmp_path, "z4.json", GAUSSIAN_DOC)]
+    for _ in range(3):
+        for inp in docs:
+            assert main(["rigidity", "--input", inp]) == 0
+    assert len(built) == 4
 
 
 @pytest.mark.parametrize("doc", [GAUSSIAN_DOC, SYMBOLIC_DOC],
@@ -597,7 +630,7 @@ def test_analyze_solves_no_subfield_coordinates(monkeypatch):
     # orbits; no class component is computed for them
     from argparse import Namespace
 
-    from rigidtori import characters, cli
+    from rigidtori import cli
     from rigidtori.cyclotomic import SubfieldSpec
 
     calls = []
@@ -607,7 +640,6 @@ def test_analyze_solves_no_subfield_coordinates(monkeypatch):
         calls.append(x)
         return coordinates(self, x)
 
-    monkeypatch.setattr(characters, "_LAST_TABLE", None)  # a fresh table
     monkeypatch.setattr(SubfieldSpec, "coordinates", counted)
     report = cli.run_analyze({"builtin": "S4"}, Namespace())
     assert calls == []
@@ -626,7 +658,6 @@ def test_analyze_renders_each_table_value_once(tmp_path, monkeypatch, output,
     # summary renders each distinct value once, the --output text once more
     from collections import Counter
 
-    from rigidtori import characters
     from rigidtori.cyclotomic import CyclotomicNumber
 
     doc = {"name": "Z2xZ4",
@@ -638,7 +669,6 @@ def test_analyze_renders_each_table_value_once(tmp_path, monkeypatch, output,
         calls[self.field.m, self.num, self.den] += 1
         return as_string(self)
 
-    monkeypatch.setattr(characters, "_LAST_TABLE", None)  # a fresh table
     monkeypatch.setattr(CyclotomicNumber, "as_string", counted)
     argv = ["analyze", "--input", write(tmp_path, "z2z4.json", doc)]
     if output:
@@ -651,17 +681,17 @@ def test_analyze_renders_each_table_value_once(tmp_path, monkeypatch, output,
 BUNDLED_NAMES = [g.name for g in small_groups()] + ["S4"]
 
 
-def _fresh_analyze_report(monkeypatch, name):
+def _fresh_analyze_report(forget_tables, name):
     from argparse import Namespace
 
-    from rigidtori import characters, cli
+    from rigidtori import cli
     from rigidtori.schemas import dump_report
 
-    monkeypatch.setattr(characters, "_LAST_TABLE", None)  # a fresh table
+    forget_tables()  # a fresh table
     return dump_report(cli.run_analyze({"builtin": name}, Namespace()))
 
 
-def test_analyze_builds_no_subfield_basis(monkeypatch):
+def test_analyze_builds_no_subfield_basis(monkeypatch, fresh_tables):
     # an analyze report names each character field by its conductor, fixing
     # subgroup and degree; the field's Q-basis is never read
     from rigidtori.cyclotomic import SubfieldSpec
@@ -670,13 +700,14 @@ def test_analyze_builds_no_subfield_basis(monkeypatch):
         raise AssertionError("a subfield basis was built")
 
     for name in ("Z5", "Q8", "Dic3", "S4"):
-        want = _fresh_analyze_report(monkeypatch, name)
+        want = _fresh_analyze_report(fresh_tables, name)
         with monkeypatch.context() as patched:
             patched.setattr(SubfieldSpec, "_orbit_sum_basis", refuse)
-            assert _fresh_analyze_report(patched, name) == want
+            assert _fresh_analyze_report(fresh_tables, name) == want
 
 
-def test_analyze_runs_without_cyclotomic_products_or_elimination(monkeypatch):
+def test_analyze_runs_without_cyclotomic_products_or_elimination(
+        monkeypatch, fresh_tables):
     # tables, Galois orbits, idempotents and the report are computed on
     # integers: no cyclotomic product and no rational elimination
     from rigidtori import linalg
@@ -689,7 +720,7 @@ def test_analyze_runs_without_cyclotomic_products_or_elimination(monkeypatch):
     monkeypatch.setattr(CyclotomicNumber, "__rmul__", refuse)
     monkeypatch.setattr(linalg, "rref", refuse)
     for name in BUNDLED_NAMES:
-        report = json.loads(_fresh_analyze_report(monkeypatch, name))
+        report = json.loads(_fresh_analyze_report(fresh_tables, name))
         assert report["result"]["classes"]["count"] == \
             len(report["result"]["character_table"])
 

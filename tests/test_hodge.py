@@ -94,6 +94,80 @@ def test_int_mat_mul_matches_indexed_product(a, b):
         assert _int_mat_mul(a, b) == expected
 
 
+def test_generator_closure_makes_one_product_per_edge(monkeypatch):
+    # |G| - 1 products along the closure's spanning tree define rho, and
+    # each other edge x -> xs of the Cayley graph on the given generators,
+    # here with a redundant identity generator, is checked by one product
+    from rigidtori import hodge
+    group = symmetric_3()
+    reference = regular_representation(group)
+    gens = list(group.generators) + [0]
+    calls = []
+    monkeypatch.setattr(hodge, "_int_mat_mul",
+                        lambda a, b: calls.append(1) or _int_mat_mul(a, b))
+    rep = IntegralRepresentation.from_generators(
+        group, gens, [reference.matrices[g] for g in gens])
+    assert len(calls) == group.order * len(gens)
+    assert rep.matrices == reference.matrices
+
+
+def test_closure_refuses_an_inconsistency_off_the_spanning_tree():
+    # M = [[1, 1], [0, 1]] has infinite order: the tree sets rho(g^k) = M^k
+    # for k < 4, and only the edge g^3 -> e off the tree sees M^4 != I
+    group = cyclic(4)
+    assert group.element_order[1] == 4
+    with pytest.raises(InvalidRepresentation, match="not a homomorphism"):
+        IntegralRepresentation.from_generators(group, [1], [[[1, 1], [0, 1]]])
+
+
+_NONTRIVIAL_GROUPS = [g for g in small_groups() if g.order > 1]
+
+
+def _combination(table, mults):
+    return tuple(sum((table.rows[r][k] * m for r, m in enumerate(mults) if m),
+                     table.field.zero()) for k in range(table.size))
+
+
+@given(st.data())
+def test_proposed_multiplicities_are_the_exact_decomposition(data):
+    from rigidtori.hodge import HodgeCharacter
+    table = table_for(data.draw(st.sampled_from(_NONTRIVIAL_GROUPS)))
+    mults = data.draw(st.lists(st.integers(0, 3), min_size=table.size,
+                               max_size=table.size))
+    values = _combination(table, mults)
+    assert table.rounded_decomposition(values) == mults
+    assert [ip.as_rational() for ip in table.decompose(values)] == mults
+    assert HodgeCharacter(table=table, values=values).multiplicities == mults
+
+
+@given(st.data())
+def test_a_rejected_proposal_raises_the_exact_message(data):
+    # half a row, or one class value off by 1, is no character: the
+    # proposal is rejected, and the exact path words the refusal
+    from rigidtori.characters import CharacterTable
+    from rigidtori.hodge import HodgeCharacter
+    table = table_for(data.draw(st.sampled_from(_NONTRIVIAL_GROUPS)))
+    mults = data.draw(st.lists(st.integers(0, 3), min_size=table.size,
+                               max_size=table.size))
+    values = list(_combination(table, mults))
+    if data.draw(st.booleans(), label="half a row"):
+        r = data.draw(st.integers(0, table.size - 1), label="row")
+        values = [x + table.rows[r][k] * Fraction(1, 2)
+                  for k, x in enumerate(values)]
+    else:
+        k = data.draw(st.integers(0, table.size - 1), label="class")
+        values[k] = values[k] + 1
+    values = tuple(values)
+    with pytest.raises(InconsistentCharacter) as proposed:
+        HodgeCharacter(table=table, values=values).multiplicities
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(CharacterTable, "rounded_decomposition",
+                        lambda self, values: None)
+        with pytest.raises(InconsistentCharacter) as exact:
+            HodgeCharacter(table=table, values=values).multiplicities
+    assert str(proposed.value) == str(exact.value)
+
+
 def test_hodge_character_trivial_group():
     rep = trivial_action(4)
     chi = hodge_character_from_numeric(
@@ -691,7 +765,6 @@ def test_hodge_character_is_the_trace_of_the_restricted_action():
 def test_equal_tables_compute_their_classes_once(monkeypatch):
     # two groups with one Cayley table share the memoized table, and the
     # class sums read its classes instead of computing them again
-    from rigidtori import characters
     from rigidtori.groups import FiniteGroup
 
     calls = []
@@ -701,7 +774,6 @@ def test_equal_tables_compute_their_classes_once(monkeypatch):
         calls.append(self)
         return class_data(self)
 
-    monkeypatch.setattr(characters, "_LAST_TABLE", None)  # a fresh table
     monkeypatch.setattr(FiniteGroup, "_class_data", counted)
     reps = [regular_representation(cyclic(6)) for _ in range(2)]
     assert reps[0].group is not reps[1].group
