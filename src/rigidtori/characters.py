@@ -39,7 +39,9 @@ as p > chi(1), the residue is n_j itself, and the n_j must sum to chi(1).
 They give chi(g_k^t) = sum_j n_j zeta_e^(jt) for every t, so one transform
 per class of largest order in its cyclic subgroup fills the whole vector:
 omega = (|C| / chi(1)) chi, built exactly.  A multiplicity outside
-[0, chi(1)] raises TableComputationError; there is no fallback.
+[0, chi(1)] raises TableComputationError; there is no fallback.  The rows
+of each transform, z^(-(m/e)jt)/e mod p, are built once per element order
+e and table.
 
 One exact certificate decides, for d vectors w with w_0 = 1.  A set S of
 classes is chosen so that the tuples (w_s), s in S, are pairwise distinct.
@@ -52,15 +54,41 @@ it preserves these lines: M_i w = lambda w.  Since a_i0k = delta_ik (class
 0 is the identity), lambda = (M_i w)_0 = w_i.  So M_i w = w_i w for every
 i: the d vectors are the d central characters.  Their coordinates are
 integers (central characters are algebraic integers), so the products are
-taken in integers, M_i M_s too, over the sparse rows.  The degrees need no
-check of their own: each exact w reduces mod p to the component it was
-recovered from (the multiplicities invert the transform mod p), so when
-w = omega_psi, psi(1)^2 = chi(1)^2 mod p, and both lie in [1, sqrt(|G|)].
-The degree squares must sum to |G|.  A failed certificate raises
-TableComputationError.  Rows come out in canonical order, so the table
-depends on neither p nor z; they are sorted on their integer
-power-basis numerators (character values are algebraic integers, so every
-denominator is 1).
+taken in integers, M_i M_s too, over the sparse rows.
+
+Both checks compare packed integers (Kronecker substitution; Harvey,
+J. Symb. Comput. 44, 2009).  Integer vectors with entries at most X in
+absolute value, packed as sum_i c_i 2^(b i) with 2^b > 2X (`_slot_width`),
+are equal exactly when their packings are: a nonzero difference has a
+lowest nonzero slot, below 2^b in absolute value.  For the eigen
+equations, each w_k is replaced by the integer w_k(2^K), its coordinates
+packed at width K, and the sides are compared modulo n = Phi_m(2^K):
+z -> 2^K is a ring map Z[z] -> Z/n, so an equation that holds holds mod
+n, and each equation costs one integer product and one reduction per w.
+Conversely, every coordinate of either side is at most
+X = max(R, N B) N in absolute value, where N is the largest sum of
+|coordinates| of one w_k, R the largest row sum sum_k |a_sjk| of an M_s,
+s in S, and B the largest |coordinate| of z^e, e < 2 phi - 1, reduced
+mod Phi_m (so w_s w_j has coordinates at most N^2 B).  With H the
+largest |coefficient| of Phi_m and 2^K > 2X + H (`_evaluation_width`), a
+nonzero difference D of the two sides has D(2^K) != 0 (its coordinates
+are at most 2X < 2^K) and |D(2^K)| <= 2X (2^(K phi) - 1) / (2^K - 1) < n
+(as n >= 2^(K phi) - H (2^(K phi) - 1) / (2^K - 1)), so D(2^K) is not
+0 mod n.  For the commutation, every entry of M_i M_s and M_s M_i is at
+most R'^2 in absolute value, R' the largest row sum of any M_i, and row j
+of M_i M_s, for every s in S side by side, is one packed integer at width
+b with 2^b > 2 R'^2; so is row j of M_s M_i.  The rows are formed from the
+sparse rows of M_i, one multiply-add per nonzero constant, and no
+product matrix is built.
+
+The degrees need no check of their own: each exact w reduces mod p to the
+component it was recovered from (the multiplicities invert the transform
+mod p), so when w = omega_psi, psi(1)^2 = chi(1)^2 mod p, and both lie in
+[1, sqrt(|G|)].  The degree squares must sum to |G|.  A failed
+certificate raises TableComputationError.  Rows come out in canonical
+order, so the table depends on neither p nor z; they are sorted on their
+integer power-basis numerators (character values are algebraic integers,
+so every denominator is 1).
 `CharacterTable.verify` (row orthonormality) stays public as an independent
 check but is not part of the computation.
 
@@ -96,8 +124,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul, sub
 
-from .cyclotomic import CyclotomicField, CyclotomicNumber, SubfieldSpec
+from .cyclotomic import (CyclotomicField, CyclotomicNumber, SubfieldSpec,
+                         _new, _reduced)
 from .groups import ConjugacyClassData, FiniteGroup
 
 __all__ = [
@@ -287,18 +317,21 @@ def _separating_classes(vectors):
     or None if no set does.  Greedy: each step adds the class that splits
     the vectors into the most groups, the first in class order on ties."""
     n = len(vectors)
-    values = {}   # value -> small id, so keys hash fast
-    ids = [[values.setdefault(x, len(values)) for x in w] for w in vectors]
+    values = {}   # value -> small id
+    columns = list(zip(*[[values.setdefault(x, len(values)) for x in w]
+                         for w in vectors]))
+    base = len(values)
     separating = []
-    keys = [() for _ in vectors]
-    while len(set(keys)) < n:
-        splits = [len({key + (v[s],) for key, v in zip(keys, ids)})
-                  for s in range(len(ids[0]))]
-        best = max(range(len(splits)), key=lambda s: (splits[s], -s))
-        if splits[best] == len(set(keys)):
+    keys = [0] * n   # the ids of (w_s), s in S, as digits in base len(values)
+    groups = 1
+    while groups < n:
+        splits = [len(set(map(add, keys, column))) for column in columns]
+        best = splits.index(max(splits))
+        if splits[best] == groups:
             return None
         separating.append(best)
-        keys = [key + (v[best],) for key, v in zip(keys, ids)]
+        keys = [(key + v) * base for key, v in zip(keys, columns[best])]
+        groups = splits[best]
     return separating
 
 
@@ -310,60 +343,88 @@ def _certify(classes: ConjugacyClassData, vectors) -> bool:
     for every i and s in S.  The module docstring shows why this gives
     M_i w = w_i w for every i.  Central characters are algebraic integers,
     so their power-basis coordinates are integers, and the products are
-    taken in integers: a vector with another coordinate is rejected."""
+    taken in integers: a vector with another coordinate is rejected.
+    Both sides are compared as packed integers, at widths the module
+    docstring shows to decide each equation exactly."""
     d = classes.count
     if len(vectors) != d or any(w[0] != 1 for w in vectors):
         return False
     if any(x.den != 1 for w in vectors for x in w):
         return False
+    field = vectors[0][0].field
+    phi = field.degree
+    mats = classes.coefficients
     coords = [[x.num for x in w] for w in vectors]
     separating = _separating_classes(coords)
     if separating is None:
         return False
-    modulus = vectors[0][0].field.modulus
-    for w in coords:
-        for s in separating:
-            times_ws = _multiplication_matrix(w[s], modulus)
-            for j, row in enumerate(classes.coefficients[s]):
-                lhs = [0] * len(w[s])
-                for k, a in row.items():
-                    for i, c in enumerate(w[k]):
-                        lhs[i] += a * c
-                rhs = [0] * len(lhs)
-                for c, image in zip(w[j], times_ws):
-                    if c:
-                        for i, x in enumerate(image):
-                            rhs[i] += c * x
-                if lhs != rhs:
-                    return False
-    mats = classes.coefficients
-    return all(_sparse_product(mats[i], mats[s]) ==
-               _sparse_product(mats[s], mats[i])
-               for s in separating for i in range(d))
+    # each w_k becomes the integer w_k(2^K), and each eigen equation is
+    # compared modulo n = Phi_m(2^K), for every w at once
+    norm = max(sum(map(abs, x)) for w in coords for x in w)
+    bits = _evaluation_width(field, norm, max(
+        (sum(map(abs, row.values())) for s in separating for row in mats[s]),
+        default=0))
+    at = [1 << bits * i for i in range(phi + 1)]
+    n = sum(map(mul, field.modulus, at))
+    by_class = list(zip(*[[sum(map(mul, x, at)) for x in w] for w in coords]))
+    for s in separating:
+        for j, row in enumerate(mats[s]):
+            lhs = [0] * d
+            for k, a in row.items():
+                lhs = list(map(add, lhs, map(a.__mul__, by_class[k])))
+            if any(map(n.__rmod__, map(sub, lhs, map(
+                    mul, by_class[s], by_class[j])))):
+                return False
+    # the commutation, for each i and each row j: row j of M_i M_s and of
+    # M_s M_i for every s in S side by side, slot (s, k) at width (d s + k)
+    row_sum = max(sum(map(abs, row.values())) for m in mats for row in m)
+    width = _slot_width(row_sum * row_sum)
+    span = width * d
+    shift = [width * k for k in range(d)]
+    side = [0] * d                     # row l of every M_s, s in S
+    stacked = [[] for _ in range(d)]   # (l, a_sjl, slot of s) per row j
+    for t, s in enumerate(separating):
+        for j, row in enumerate(mats[s]):
+            for k, a in row.items():
+                side[j] += a << span * t + shift[k]
+                stacked[j].append((k, a, span * t))
+    # rows are short, so plain loops beat a comprehension per row
+    for m in mats:
+        rows, lhs, rhs = [], [], []
+        for row in m:
+            packed = total = 0
+            for l, a in row.items():
+                packed += a << shift[l]
+                total += a * side[l]
+            rows.append(packed)
+            lhs.append(total)
+        for column in stacked:
+            total = 0
+            for l, a, offset in column:
+                total += a * rows[l] << offset
+            rhs.append(total)
+        if lhs != rhs:
+            return False
+    return True
 
 
-def _multiplication_matrix(x, modulus):
-    """Rows x z^i, i < deg, in the power basis modulo the monic integer
-    polynomial `modulus` (low degree first): the matrix of y -> x y."""
-    rows = [list(x)]
-    for _ in range(len(x) - 1):
-        top = rows[-1][-1]
-        shifted = [0] + rows[-1][:-1]
-        rows.append([a - top * b for a, b in zip(shifted, modulus)]
-                    if top else shifted)
-    return rows
+def _evaluation_width(field, norm: int, row_sum: int) -> int:
+    """K with 2^K > 2X + H for the eigen equations, where X bounds every
+    coordinate of either side and H every coefficient of Phi_m (see the
+    module docstring): `norm` bounds the sum of |coordinates| of each
+    w_k, and `row_sum` the row sums of the M_s, s in S."""
+    reduced = max(abs(c) for power in field.power_table[:2 * field.degree - 1]
+                  for _, c in power)
+    bound = max(row_sum, norm * reduced) * norm
+    return _slot_width(bound + (max(map(abs, field.modulus)) + 1) // 2)
 
 
-def _sparse_product(x, y):
-    """Exact product of integer matrices given as rows {column: entry}."""
-    out = []
-    for row in x:
-        acc = {}
-        for j, a in row.items():
-            for k, b in y[j].items():
-                acc[k] = acc.get(k, 0) + a * b
-        out.append({k: c for k, c in acc.items() if c})
-    return out
+def _slot_width(bound: int) -> int:
+    """Slot width b for packing integer vectors whose entries, on both
+    sides of an equation, are at most `bound` in absolute value: each
+    difference of entries is then below 2^b in absolute value, so equal
+    packed sums mean equal vectors."""
+    return bound.bit_length() + 1
 
 
 def _dixon_schneider(classes: ConjugacyClassData, field):
@@ -387,6 +448,7 @@ def _dixon_schneider(classes: ConjugacyClassData, field):
     inverse = [classes.inverse_class(k) for k in range(d)]
     size_inv = [pow(size, -1, p) for size in classes.sizes]
     bound = math.isqrt(group.order)
+    transforms = {}   # element order e -> its multiplicity transform
     vectors, rows, degrees = [], [], []
     for v in _split_mod_p(classes, p):
         norm = sum(v[k] * v[inverse[k]] * size_inv[k] for k in range(d)) % p
@@ -404,17 +466,22 @@ def _dixon_schneider(classes: ConjugacyClassData, field):
                 continue
             pw = powers[k]
             e = len(pw)
-            mults = _multiplicities([chi[c] for c in pw], deg, zpow, p)
+            if e not in transforms:
+                transforms[e] = _multiplicity_transform(e, zpow, p)
+            mults = _multiplicities([chi[c] for c in pw], deg,
+                                    transforms[e], p)
+            # zeta_e^j = z^(m/e j), with its multiplicity, for n_j > 0
+            support = [(m // e * j, n) for j, n in enumerate(mults) if n]
             for t, c in enumerate(pw):
                 if values[c] is None:
                     coords = [0] * field.degree
-                    for j, n in enumerate(mults):
-                        if n:
-                            for i, x in power_basis[m // e * (j * t % e)]:
-                                coords[i] += n * x
+                    for power, n in support:
+                        for i, x in power_basis[power * t % m]:
+                            coords[i] += n * x
                     values[c] = coords
-        rows.append([CyclotomicNumber(field, coords) for coords in values])
-        vectors.append([CyclotomicNumber(field, [x * size for x in coords], deg)
+        # values are integral, so each row is canonical over 1
+        rows.append([_new(field, tuple(coords), 1) for coords in values])
+        vectors.append([_reduced(field, [x * size for x in coords], deg)
                         for coords, size in zip(values, classes.sizes)])
         degrees.append(deg)
     if not _certify(classes, vectors):
@@ -422,17 +489,24 @@ def _dixon_schneider(classes: ConjugacyClassData, field):
     return vectors, rows, degrees
 
 
-def _multiplicities(chi_powers, deg, zpow, p):
-    """The multiplicities n_j = (1/e) sum_t chi(g^t) z_e^(-jt) mod p of the
-    eigenvalues zeta_e^j of rho(g), from chi(g^t) mod p for t < e, where
-    z_e = zpow[m/e] has order e.  Raises TableComputationError unless each
-    lies in [0, deg] and they sum to deg."""
-    e = len(chi_powers)
+def _multiplicity_transform(e: int, zpow, p: int):
+    """Rows j < e of the inverse transform of length e mod p, scaled by
+    1/e: row j holds z_e^(-jt) / e for t < e, where z_e = zpow[m/e] has
+    order e."""
     m = len(zpow)
     step = m // e
     inv_e = pow(e, -1, p)
-    mults = [sum(x * zpow[-step * j * t % m] for t, x in enumerate(chi_powers))
-             * inv_e % p for j in range(e)]
+    return [[zpow[-step * j * t % m] * inv_e % p for t in range(e)]
+            for j in range(e)]
+
+
+def _multiplicities(chi_powers, deg, transform, p):
+    """The multiplicities n_j = (1/e) sum_t chi(g^t) z_e^(-jt) mod p of the
+    eigenvalues zeta_e^j of rho(g), from chi(g^t) mod p for t < e and the
+    rows of `_multiplicity_transform(e, ...)`.  Raises
+    TableComputationError unless each lies in [0, deg] and they sum to
+    deg."""
+    mults = [sum(map(mul, row, chi_powers)) % p for row in transform]
     if max(mults) > deg or sum(mults) != deg:
         raise TableComputationError(
             f"eigenvalue multiplicities {mults} mod {p} are not a partition "
@@ -493,41 +567,49 @@ def _eigencomponents(mat, v, p: int):
     `mat` (sparse rows {k: a}), mod p: q(mat) v for each root lambda of the
     minimal polynomial mu of v under mat, with q = mu / (x - lambda).  mu
     comes from the Krylov sequence v, mat v, ...; its roots are found by
-    trying every element of F_p."""
+    trying every element of F_p, and q(mat) v is summed over the
+    coordinates of the Krylov vectors, one reduction per coordinate."""
     krylov = [v]
     reduced = []   # (pivot, row, its combination of Krylov vectors)
     while True:
-        vec = list(krylov[-1])
+        vec = krylov[-1]
         mu = [0] * (len(krylov) - 1) + [1]
+        # each row vanishes mod p at the pivots before its own, so residues
+        # may wait until the pivot is read
         for pivot, row, comb in reduced:
-            f = vec[pivot]
+            f = vec[pivot] % p
             if f:
-                vec = [(x - f * y) % p for x, y in zip(vec, row)]
-                for s, c in enumerate(comb):
-                    mu[s] = (mu[s] - f * c) % p
+                vec = [x - f * y for x, y in zip(vec, row)]
+                mu = [a - f * c for a, c in zip(mu, comb)] + mu[len(comb):]
+        vec = [x % p for x in vec]
         pivot = next((i for i, x in enumerate(vec) if x), None)
         if pivot is None:
             break   # sum_s mu_s mat^s v = 0, mu monic: the minimal polynomial
         inv = pow(vec[pivot], -1, p)
         reduced.append((pivot, [x * inv % p for x in vec],
                         [c * inv % p for c in mu]))
-        last = krylov[-1]
-        krylov.append([sum(a * last[k] for k, a in row.items()) % p
-                       for row in mat])
+        last, image = krylov[-1], []
+        for row in mat:   # rows are short: a plain loop is fastest
+            total = 0
+            for k, a in row.items():
+                total += a * last[k]
+            image.append(total % p)
+        krylov.append(image)
+    mu = [c % p for c in mu]
     if len(mu) == 2:
         return [v]
     roots = [lam for lam in range(p) if not _evaluate(mu, lam, p)]
     if len(roots) != len(mu) - 1:
         raise TableComputationError(
             "a minimal polynomial does not split into distinct roots mod p")
+    columns = list(zip(*krylov))   # coordinate i of v, mat v, ...
     out = []
     for lam in roots:
         q, acc = [0] * (len(mu) - 1), 0
         for s in range(len(mu) - 1, 0, -1):
             acc = (acc * lam + mu[s]) % p
             q[s - 1] = acc
-        out.append([sum(c * x[i] for c, x in zip(q, krylov)) % p
-                    for i in range(len(v))])
+        out.append([sum(map(mul, q, col)) % p for col in columns])
     return out
 
 

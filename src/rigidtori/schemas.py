@@ -60,13 +60,18 @@ def load_group_doc(doc) -> FiniteGroup:
         raise SchemaError(
             "group document needs exactly one of cayley_table / "
             "permutation_generators")
+    if not isinstance(doc["name"], str):
+        raise SchemaError("name must be a string")
     if has_table and not _is_int_rows(doc["cayley_table"]):
         raise SchemaError("cayley_table must be a list of rows of integers")
+    if has_perms and not _is_int_rows(doc["permutation_generators"]):
+        raise SchemaError("permutation_generators must be a list of lists "
+                          "of integers")
     try:
         if has_table:
-            return FiniteGroup(doc["cayley_table"], name=str(doc["name"]))
+            return FiniteGroup(doc["cayley_table"], name=doc["name"])
         return FiniteGroup.from_permutations(
-            doc["permutation_generators"], name=str(doc["name"]))
+            doc["permutation_generators"], name=doc["name"])
     except (ValueError, TypeError, IndexError) as exc:
         raise SchemaError(f"invalid group: {exc}") from exc
 
@@ -95,6 +100,10 @@ def load_representation_doc(doc):
         if key in doc and not _is_int_matrices(doc[key]):
             raise SchemaError(f"{key} must be a list of matrices of "
                               "integers")
+    if "generator_elements" in doc and not (
+            isinstance(doc["generator_elements"], list)
+            and all(map(_is_int, doc["generator_elements"]))):
+        raise SchemaError("generator_elements must be a list of integers")
     try:
         if "element_matrices" in doc:
             if "generator_matrices" in doc:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from class_algebra import algebra_product, class_matrix, intersect
@@ -12,8 +12,10 @@ from rigidtori import linalg
 from rigidtori.characters import (TableComputationError, character_table,
                                   galois_orbits, table_for,
                                   _certify, _dixon_schneider, _is_prime,
-                                  _multiplicities, _prime, _root_of_unity,
-                                  _row_key, _separating_classes)
+                                  _evaluation_width, _multiplicities,
+                                  _multiplicity_transform, _prime,
+                                  _root_of_unity, _row_key,
+                                  _separating_classes, _slot_width)
 from rigidtori.cyclotomic import CyclotomicField
 from rigidtori.fixtures import (abelian, cyclic, dicyclic, dihedral,
                                 group_by_name, quaternion_8, small_groups,
@@ -440,6 +442,96 @@ def test_certificate_rejects_non_commuting_structure_constants():
     assert not _certify(fake, vectors)
 
 
+def _evaluation_width_of(classes, vectors):
+    """The width K that `_certify` evaluates the vectors at."""
+    coords = [[x.num for x in w] for w in vectors]
+    norm = max(sum(map(abs, x)) for w in coords for x in w)
+    row_sum = max(sum(map(abs, row.values()))
+                  for s in _separating_classes(coords)
+                  for row in classes.coefficients[s])
+    return _evaluation_width(vectors[0][0].field, norm, row_sum)
+
+
+@pytest.mark.parametrize("group", [symmetric_4(), cyclic(5), cyclic(12)],
+                         ids=["S4", "Z5", "Z12"])
+def test_certificate_rejects_coordinates_moved_across_the_slot_width(group):
+    classes, field, vectors = _dixon(group)
+    width = _evaluation_width_of(classes, vectors)
+    assert _certify(classes, vectors)
+    for j in range(width - 3, width + 4):
+        for sign in (1, -1):
+            for r in (0, len(vectors) - 2, len(vectors) - 1):
+                for k in range(1, classes.count):
+                    for i in range(field.degree):
+                        bad = [list(w) for w in vectors]
+                        bad[r][k] = bad[r][k] + sign * 2 ** j * field.zeta(i)
+                        assert not _certify(classes, bad), (j, sign, r, k, i)
+
+
+def test_certificate_rejects_a_structure_constant_raised_across_the_width():
+    import dataclasses
+    classes, _, vectors = _dixon(cyclic(6))
+    width = _slot_width(max(sum(row.values()) for m in classes.coefficients
+                            for row in m) ** 2)
+    for shift in (width - 1, width, width + 1):
+        for i in range(1, classes.count):
+            for j in range(classes.count):
+                for k in range(classes.count):
+                    broken = [list(map(dict, m)) for m in classes.coefficients]
+                    broken[i][j][k] = broken[i][j].get(k, 0) + 2 ** shift
+                    fake = dataclasses.replace(
+                        classes, coefficients=tuple(map(tuple, broken)))
+                    assert not _certify(fake, vectors), (shift, i, j, k)
+
+
+def test_certificate_accepts_empty_and_one_class_separating_sets():
+    for group, separating in ((cyclic(1), []), (cyclic(2), [1])):
+        classes, _, vectors = _dixon(group)
+        assert _separating_classes(vectors) == separating
+        assert _certify(classes, vectors)
+
+
+def _packed(vector, width):
+    return sum(c << width * i for i, c in enumerate(vector))
+
+
+def test_slot_width_separates_vectors_at_the_bound():
+    # entries in [-X, X]: differences reach 2X, which must stay below 2^b
+    for bound in range(1, 7):
+        width = _slot_width(bound)
+        entries = range(-bound, bound + 1)
+        seen = {}
+        for vector in itertools.product(entries, repeat=3):
+            assert seen.setdefault(_packed(vector, width), vector) == vector
+    # the pair that collides one bit below the width
+    for bound in list(range(1, 300)) + [2 ** 40 - 1, 2 ** 40, 3 ** 30]:
+        width = _slot_width(bound)
+        near = (bound - 2 ** (width - 1), 1)
+        assert max(map(abs, near)) <= bound
+        assert _packed(near, width - 1) == _packed((bound, 0), width - 1)
+        assert _packed(near, width) != _packed((bound, 0), width)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 8, 12])
+def test_evaluation_width_decides_equality_modulo_phi_at_two_to_the_width(m):
+    # every nonzero difference D of two sides bounded by X has
+    # D(2^K) != 0 mod Phi_m(2^K)
+    field = CyclotomicField(m)
+    for norm, row_sum in ((1, 1), (1, 2), (2, 1), (3, 2)):
+        width = _evaluation_width(field, norm, row_sum)
+        phi = field.degree
+        modulus = sum(c << width * i for i, c in enumerate(field.modulus))
+        reduced = max(abs(c) for power in field.power_table[:2 * phi - 1]
+                      for _, c in power)
+        bound = max(row_sum, norm * reduced) * norm
+        step = max(1, 2 * bound // 3)
+        entries = sorted({-2 * bound, -1, 0, 1, 2 * bound,
+                          *range(-2 * bound, 2 * bound + 1, step)})
+        for diff in itertools.product(entries, repeat=phi):
+            if any(diff):
+                assert _packed(diff, width) % modulus, (m, diff)
+
+
 POOL = ["S5", "A5", "Z21", "Z24", "F21", "Z2xZ2xZ6"]
 
 
@@ -474,14 +566,14 @@ def test_prime_conditions_on_pool_groups(name):
 
 def test_multiplicity_outside_degree_is_rejected():
     # order 4 mod 5: z = 2; chi(g^t) of the faithful linear character of Z4
-    zpow = [pow(2, t, 5) for t in range(4)]
-    assert _multiplicities([1, 2, 4, 3], 1, zpow, 5) == [0, 1, 0, 0]
+    transform = _multiplicity_transform(4, [pow(2, t, 5) for t in range(4)], 5)
+    assert _multiplicities([1, 2, 4, 3], 1, transform, 5) == [0, 1, 0, 0]
     # not the values of a character of degree 1: n_0 = 6/4 = 4 mod 5
     with pytest.raises(TableComputationError):
-        _multiplicities([1, 2, 0, 3], 1, zpow, 5)
+        _multiplicities([1, 2, 0, 3], 1, transform, 5)
     # each residue in [0, 2], but they are (2, 2, 2, 1), which sum to 7
     with pytest.raises(TableComputationError):
-        _multiplicities([2, 2, 1, 3], 2, zpow, 5)
+        _multiplicities([2, 2, 1, 3], 2, transform, 5)
 
 
 def test_corrupted_component_raises_without_fallback(monkeypatch):
@@ -514,19 +606,44 @@ BUNDLED = small_groups() + [symmetric_4()]
 
 @given(data=st.data())
 def test_relabelled_cayley_tables_give_identical_rows(data):
-    from rigidtori.groups import FiniteGroup
     g = data.draw(st.sampled_from(BUNDLED))
-    perm = [0] + data.draw(st.permutations(range(1, g.order)))
+    _assert_relabelling_keeps_the_table(
+        g, [0] + data.draw(st.permutations(range(1, g.order))))
+
+
+def _assert_relabelling_keeps_the_table(g, perm):
+    """The table of g's Cayley table with element x renamed perm[x] has the
+    same degrees and, column by column, the same rows."""
+    from rigidtori.groups import FiniteGroup
     table = [[0] * g.order for _ in range(g.order)]
     for x in range(g.order):
         for y in range(g.order):
             table[perm[x]][perm[y]] = perm[g.table[x][y]]
-    h = FiniteGroup(table, name="relabelled")
     want = character_table(g)
-    got = character_table(h)
-    # column k of `want` is the class of perm[g_k] in h
+    got = character_table(FiniteGroup(table, name="relabelled"))
+    # column k of `want` is the class of perm[g_k] in the relabelled group
     cols = [got.classes.membership[perm[r]]
             for r in want.classes.representatives]
-    assert sorted(got.degrees) == sorted(want.degrees)
+    assert got.degrees == want.degrees
     assert sorted(_row_key([row[c] for c in cols]) for row in got.rows) == \
         sorted(_row_key(row) for row in want.rows)
+
+
+@st.composite
+def abelian_or_dihedral(draw):
+    """Z_a x Z_b x Z_c with abc <= 48, or D_n with n <= 12."""
+    if draw(st.booleans()):
+        return dihedral(draw(st.integers(3, 12)))
+    a = draw(st.integers(1, 48))
+    b = draw(st.integers(1, 48 // a))
+    return abelian([a, b, draw(st.integers(1, 48 // (a * b)))])
+
+
+@settings(max_examples=12)
+@given(group=abelian_or_dihedral(), data=st.data())
+def test_tables_verify_and_ignore_the_labelling(group, data):
+    table = character_table(group)
+    table.verify()
+    table.verify_columns()
+    _assert_relabelling_keeps_the_table(
+        group, [0] + data.draw(st.permutations(range(1, group.order))))

@@ -304,3 +304,43 @@ def test_cayley_table_entries_must_be_json_integers(tmp_path, table):
     path = tmp_path / "z2.json"
     path.write_text(json.dumps(doc))
     assert main(["analyze", "--input", str(path)]) == 2
+
+
+def _refused(tmp_path, command, doc, field):
+    """The document is a SchemaError naming `field`, and exit 2 in the CLI."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--input", str(path)]) == 2
+    load = load_group_doc if command == "analyze" else load_representation_doc
+    with pytest.raises(SchemaError, match=field):
+        load(doc)
+
+
+@pytest.mark.parametrize("gens", [[[False, True]], [[1.0, 0]], [["1", "0"]],
+                                  [[1, 0], 7], "01"],
+                         ids=["bool", "float", "string", "not-a-list",
+                              "string-generators"])
+def test_permutation_generators_must_be_json_integers(tmp_path, gens):
+    # [[false, true]] was analysed as the transposition (0 1), and
+    # [[1.0, 0]] ended in "list indices must be integers or slices"
+    _refused(tmp_path, "analyze",
+             {"name": "Z2", "permutation_generators": gens},
+             "permutation_generators")
+
+
+@pytest.mark.parametrize("elements", [[True], [1.0], ["1"], 1],
+                         ids=["bool", "float", "string", "not-a-list"])
+def test_generator_elements_must_be_json_integers(tmp_path, elements):
+    # "generator_elements": [true] named element 1
+    doc = {"group": {"name": "Z2", "cayley_table": [[0, 1], [1, 0]]},
+           "rank": 2, "generator_elements": elements,
+           "generator_matrices": [[[-1, 0], [0, -1]]]}
+    _refused(tmp_path, "rigidity", doc, "generator_elements")
+
+
+@pytest.mark.parametrize("name", [None, 5, ["Z2"]],
+                         ids=["null", "number", "list"])
+def test_group_name_must_be_a_string(tmp_path, name):
+    # a null or numeric name was printed as "None" or "5"
+    _refused(tmp_path, "analyze",
+             {"name": name, "cayley_table": [[0, 1], [1, 0]]}, "name")
