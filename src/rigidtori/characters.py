@@ -127,7 +127,7 @@ from fractions import Fraction
 from operator import add, mul, sub
 
 from .cyclotomic import (CyclotomicField, CyclotomicNumber, SubfieldSpec,
-                         _new, _reduced)
+                         _new)
 from .groups import ConjugacyClassData, FiniteGroup
 
 __all__ = [
@@ -263,7 +263,7 @@ def character_table(group: FiniteGroup) -> CharacterTable:
     classes = group.conjugacy_classes()
     d = classes.count
     field = CyclotomicField(group.exponent)
-    _, rows, degs = _dixon_schneider(classes, field)
+    rows, degs = _dixon_schneider(classes, field)
     if sum(dd * dd for dd in degs) != group.order:
         raise TableComputationError("degree squares do not sum to |G|")
     order = sorted(range(d), key=lambda r: (degs[r], _row_key(rows[r])))
@@ -335,26 +335,22 @@ def _separating_classes(vectors):
     return separating
 
 
-def _certify(classes: ConjugacyClassData, vectors) -> bool:
-    """Exact check that `vectors` are the d central characters.
+def _certify(classes: ConjugacyClassData, field, coords) -> bool:
+    """Exact check that d vectors w, given by the integer power-basis
+    coordinates (a tuple per w_k), are the d central characters.
 
     With S from `_separating_classes`, checked exactly: w_0 = 1,
     sum_k a_sjk w_k = w_s w_j for s in S and every j, and M_i M_s = M_s M_i
     for every i and s in S.  The module docstring shows why this gives
-    M_i w = w_i w for every i.  Central characters are algebraic integers,
-    so their power-basis coordinates are integers, and the products are
-    taken in integers: a vector with another coordinate is rejected.
-    Both sides are compared as packed integers, at widths the module
-    docstring shows to decide each equation exactly."""
+    M_i w = w_i w for every i.  Both sides are compared as packed integers,
+    at widths the module docstring shows to decide each equation
+    exactly."""
     d = classes.count
-    if len(vectors) != d or any(w[0] != 1 for w in vectors):
-        return False
-    if any(x.den != 1 for w in vectors for x in w):
-        return False
-    field = vectors[0][0].field
     phi = field.degree
+    one = (1,) + (0,) * (phi - 1)
+    if len(coords) != d or any(w[0] != one for w in coords):
+        return False
     mats = classes.coefficients
-    coords = [[x.num for x in w] for w in vectors]
     separating = _separating_classes(coords)
     if separating is None:
         return False
@@ -428,9 +424,9 @@ def _slot_width(bound: int) -> int:
 
 
 def _dixon_schneider(classes: ConjugacyClassData, field):
-    """(vectors, rows, degrees) of the d irreducible characters: the
-    central characters split over F_p, their values recovered exactly from
-    eigenvalue multiplicities, and the vectors certified.  Raises
+    """(rows, degrees) of the d irreducible characters: the central
+    characters split over F_p, their values recovered exactly from
+    eigenvalue multiplicities, and the central characters certified.  Raises
     TableComputationError when a step or the certificate fails.  The
     module docstring shows why the degrees need no check of their own."""
     group = classes.group
@@ -450,6 +446,7 @@ def _dixon_schneider(classes: ConjugacyClassData, field):
     bound = math.isqrt(group.order)
     transforms = {}   # element order e -> its multiplicity transform
     vectors, rows, degrees = [], [], []
+    shared = {}   # one tuple per distinct w_k: values repeat across rows
     for v in _split_mod_p(classes, p):
         norm = sum(v[k] * v[inverse[k]] * size_inv[k] for k in range(d)) % p
         if not norm:
@@ -481,12 +478,17 @@ def _dixon_schneider(classes: ConjugacyClassData, field):
                     values[c] = coords
         # values are integral, so each row is canonical over 1
         rows.append([_new(field, tuple(coords), 1) for coords in values])
-        vectors.append([_reduced(field, [x * size for x in coords], deg)
-                        for coords, size in zip(values, classes.sizes)])
+        # w_k = |C_k| chi(g_k) / chi(1) is integral for a central character
+        scaled = [[x * size for x in coords]
+                  for coords, size in zip(values, classes.sizes)]
+        if any(x % deg for coords in scaled for x in coords):
+            raise TableComputationError("a central character is not integral")
+        vectors.append([shared.setdefault(w, w) for w in (
+            tuple(x // deg for x in coords) for coords in scaled)])
         degrees.append(deg)
-    if not _certify(classes, vectors):
+    if not _certify(classes, field, vectors):
         raise TableComputationError("recovered vectors fail the certificate")
-    return vectors, rows, degrees
+    return rows, degrees
 
 
 def _multiplicity_transform(e: int, zpow, p: int):

@@ -1,5 +1,5 @@
 """Batch front end: analyze / rigidity / enumerate-rigid / polarize /
-deform / selftest.
+deform.
 
 Reads a JSON input document and prints a human-readable summary of its
 report to stdout, read off the report itself: each exact value as its
@@ -30,9 +30,8 @@ from fractions import Fraction
 
 from . import deform as deform_mod
 from . import polarize as polarize_mod
-from .characters import character_table, galois_orbits, table_for
+from .characters import galois_orbits, table_for
 from .cyclotomic import CyclotomicNumber
-from .fixtures import NON_CM_QUARTIC, group_by_name
 from .hodge import (HSViolation, InconsistentCharacter, InvalidRepresentation,
                     RoundingFailure, brute_force_hom_dimension,
                     exact_structure_from_spec, hodge_character_from_numeric,
@@ -62,8 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Rigidity, polarizations, and projective deformations "
                     "of finite group actions on complex tori.")
     parser.add_argument("command", choices=[
-        "analyze", "rigidity", "enumerate-rigid", "polarize", "deform",
-        "selftest"])
+        "analyze", "rigidity", "enumerate-rigid", "polarize", "deform"])
     parser.add_argument("--input", help="path to the JSON input document")
     parser.add_argument("--output", help="path for the machine-readable report")
     parser.add_argument("--max-denominator", type=int, default=256,
@@ -76,22 +74,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if not args.input:
+        parser.error("--input is required")
     try:
-        if args.command == "selftest":
-            report = run_selftest()
-        else:
-            if not args.input:
-                parser.error("--input is required for this command")
-            with open(args.input) as fh:
-                doc = json.load(fh)
-            runner = {
-                "analyze": run_analyze,
-                "rigidity": run_rigidity,
-                "enumerate-rigid": run_enumerate,
-                "polarize": run_polarize,
-                "deform": run_deform,
-            }[args.command]
-            report = runner(doc, args)
+        with open(args.input) as fh:
+            doc = json.load(fh)
+        runner = {
+            "analyze": run_analyze,
+            "rigidity": run_rigidity,
+            "enumerate-rigid": run_enumerate,
+            "polarize": run_polarize,
+            "deform": run_deform,
+        }[args.command]
+        report = runner(doc, args)
     except (SchemaError, json.JSONDecodeError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -114,8 +109,6 @@ def main(argv=None) -> int:
         traceback.print_exc(file=sys.stderr)
         return 3
     _emit(args, report)
-    if args.command == "selftest" and not report["result"]["ok"]:
-        return 1
     return 0
 
 
@@ -419,62 +412,6 @@ def run_deform(doc, args):
             "options": {"max_denominator": args.max_denominator,
                         "epsilon": args.epsilon},
             "result": result}
-
-
-def run_selftest():
-    """Quick bundled checks: orthogonality on three groups, the Gaussian
-    polarization golden value, the non-CM quartic, one deformation run."""
-    checks = []
-
-    def record(name, fn):
-        try:
-            fn()
-            checks.append({"check": name, "ok": True})
-        except Exception as exc:  # noqa: BLE001 - report everything
-            checks.append({"check": name, "ok": False,
-                           "error": f"{type(exc).__name__}: {exc}"})
-
-    def check_tables():
-        for name in ("S3", "Q8", "Z12"):
-            table = character_table(group_by_name(name))
-            table.verify()
-            table.verify_columns()
-
-    def check_gaussian():
-        from .fixtures import gaussian_action
-        rep = gaussian_action()
-        form = polarize_mod.assemble_polarization(
-            rep, j_matrix=[[0, -1], [1, 0]])
-        expected = ((0, 1), (-1, 0))
-        got = tuple(tuple(int(x) for x in row) for row in form.matrix)
-        assert got == expected, f"Gaussian form {got} != {expected}"
-
-    def check_quartic():
-        cert = polarize_mod.polarization_exists(NON_CM_QUARTIC, (0, 2))
-        assert cert.verdict == "infeasible"
-
-    def check_deform():
-        import numpy as np
-
-        from .fixtures import trivial_action
-        rng = np.random.default_rng(1729)
-        rep = trivial_action(4)
-        while True:
-            a = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-            full = np.hstack([a, np.conj(a)])
-            if np.linalg.cond(full) < 50:
-                break
-        j = (full @ np.diag([1j, 1j, -1j, -1j]) @ np.linalg.inv(full)).real
-        res = deform_mod.find_projective_neighbor(rep, j, max_denominator=64,
-                                                  epsilon=10.0)
-        assert res.residual < deform_mod.NEWTON_TOL
-
-    record("character_tables", check_tables)
-    record("gaussian_polarization", check_gaussian)
-    record("non_cm_quartic", check_quartic)
-    record("projective_deformation", check_deform)
-    ok = all(c["ok"] for c in checks)
-    return {"command": "selftest", "result": {"ok": ok, "checks": checks}}
 
 
 if __name__ == "__main__":

@@ -217,10 +217,12 @@ class DeformationResult:
 
 def _ladder(omega_coords, max_denominator: int):
     """(denominator, class) for denominators 1, 2, 4, ..., max_denominator:
-    the coordinates rounded to each, at the first denominator giving them."""
+    the coordinates rounded to each, at the first denominator giving them.
+    A bound below 1 admits no denominator."""
     out = {}
-    for d in [1 << k for k in range(max_denominator.bit_length())] + [
-            max_denominator] * (max_denominator > 0):
+    bound = max(max_denominator, 0)
+    for d in [1 << k for k in range(bound.bit_length())] + [bound] * (
+            bound > 0):
         out.setdefault(tuple(Fraction(round(c * d), d) for c in omega_coords),
                        d)
     return [(d, coords) for coords, d in out.items()]

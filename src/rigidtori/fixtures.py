@@ -202,7 +202,7 @@ def regular_representation(group: FiniteGroup) -> IntegralRepresentation:
         for h in range(n):
             m[group.table[g][h]][h] = 1
         mats.append(m)
-    return IntegralRepresentation(group, mats, validate=False)
+    return IntegralRepresentation(group, mats)
 
 
 def integral_model(rep: IntegralRepresentation, subspace_rows):
@@ -221,7 +221,7 @@ def integral_model(rep: IntegralRepresentation, subspace_rows):
         if any(x.denominator != 1 for row in sol for x in row):
             raise ValueError("lattice is not stable under the action")
         mats.append([[int(x) for x in row] for row in sol])
-    model = IntegralRepresentation(rep.group, mats, validate=False)
+    model = IntegralRepresentation(rep.group, mats)
     return model, basis
 
 
@@ -324,7 +324,7 @@ def _double_rep(rep: IntegralRepresentation) -> IntegralRepresentation:
                 big[i][j] = m[i][j]
                 big[n + i][n + j] = m[i][j]
         mats.append(big)
-    return IntegralRepresentation(rep.group, mats, validate=False)
+    return IntegralRepresentation(rep.group, mats)
 
 
 def _direct_sum_structures(built):
@@ -347,7 +347,7 @@ def _direct_sum_structures(built):
                     big[off + i][off + j] = m[i][j]
             off += rep.rank
         mats.append(big)
-    rep_sum = IntegralRepresentation(group, mats, validate=False)
+    rep_sum = IntegralRepresentation(group, mats)
     u_cols = []
     off = 0
     for rep, st in built:
@@ -381,7 +381,7 @@ def _random_unimodular_conjugate(rep, structure, rng):
             linalg.mat_mul([[Fraction(x) for x in row] for row in m], t_inv))
         assert all(x.denominator == 1 for row in prod for x in row)
         mats.append([[int(x) for x in row] for row in prod])
-    new_rep = IntegralRepresentation(rep.group, mats, validate=False)
+    new_rep = IntegralRepresentation(rep.group, mats)
     field = structure.field
     t_k = [[field.from_rational(x) for x in row] for row in t]
     new_cols = [linalg.mat_vec(t_k, col) for col in structure.u_columns]

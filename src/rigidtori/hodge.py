@@ -99,15 +99,11 @@ class RoundingFailure(ValueError):
 class IntegralRepresentation:
     """An exact integer representation of a finite group of rank 2n."""
 
-    def __init__(self, group: FiniteGroup, matrices, validate: bool = True):
+    def __init__(self, group: FiniteGroup, matrices):
         self.group = group
         self.matrices = tuple(
             tuple(tuple(int(x) for x in row) for row in m) for m in matrices)
-        if len(self.matrices) != group.order:
-            raise InvalidRepresentation("need one matrix per group element")
         self.rank = len(self.matrices[0])
-        if validate:
-            self._validate()
 
     @staticmethod
     def from_generators(group: FiniteGroup, generator_indices,
@@ -142,27 +138,28 @@ class IntegralRepresentation:
                for m in mats.values()):
             raise InvalidRepresentation("ragged matrix")
         return IntegralRepresentation(
-            group, [mats[g] for g in range(group.order)], validate=False)
+            group, [mats[g] for g in range(group.order)])
 
-    def _validate(self):
-        g = self.group
-        n = self.rank
-        for m in self.matrices:
-            if len(m) != n or any(len(row) != n for row in m):
-                raise InvalidRepresentation("ragged matrix")
-        # rho(e) = I and rho(a) rho(s) = rho(as) for the generators s give
-        # rho(a) rho(b) = rho(ab) for all b, by induction on a word for b
-        if self.matrices[0] != tuple(tuple(int(i == j) for j in range(n))
-                                     for i in range(n)):
-            raise InvalidRepresentation("rho(identity) is not the identity")
-        for b in self.generator_indices():
-            for a in range(g.order):
-                if _int_mat_mul(self.matrices[a], self.matrices[b]) != \
-                        [list(r) for r in self.matrices[g.table[a][b]]]:
-                    raise InvalidRepresentation(
-                        f"not a homomorphism at pair ({a},{b})")
-        # a homomorphism gives rho(g)^ord(g) = rho(e) = I, so every rho(g)
-        # is unimodular (determinant +-1) without computing it
+    @staticmethod
+    def from_elements(group: FiniteGroup,
+                      matrices) -> "IntegralRepresentation":
+        """One square matrix per element, required to equal the expansion
+        of the generators' matrices (`from_generators`), which checks the
+        homomorphism; the trivial group's generator is its identity."""
+        if len(matrices) != group.order:
+            raise InvalidRepresentation("need one matrix per group element")
+        n = len(matrices[0])
+        if any(len(m) != n or any(len(row) != n for row in m)
+               for m in matrices):
+            raise InvalidRepresentation("ragged matrix")
+        gens = group.generators
+        rep = IntegralRepresentation.from_generators(
+            group, gens, [matrices[g] for g in gens])
+        if rep.matrices != tuple(tuple(map(tuple, m)) for m in matrices):
+            raise InvalidRepresentation(
+                "the element matrices are not the expansion of the "
+                "generators' matrices")
+        return rep
 
     def trace(self, g: int) -> int:
         return sum(self.matrices[g][i][i] for i in range(self.rank))

@@ -15,7 +15,6 @@ __all__ = [
     "mat_mul",
     "mat_vec",
     "mat_add",
-    "mat_scale",
     "identity",
     "zeros",
     "transpose",
@@ -88,10 +87,6 @@ def mat_vec(a, v):
 
 def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, c):
-    return [[x * c for x in row] for row in a]
 
 
 def rref(a):

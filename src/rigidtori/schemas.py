@@ -109,7 +109,8 @@ def load_representation_doc(doc):
             if "generator_matrices" in doc:
                 raise SchemaError("give element_matrices or "
                                   "generator_matrices, not both")
-            rep = IntegralRepresentation(group, doc["element_matrices"])
+            rep = IntegralRepresentation.from_elements(
+                group, doc["element_matrices"])
         elif "generator_matrices" in doc:
             gen_elems = doc.get("generator_elements")
             if gen_elems is None:

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from class_algebra import algebra_product, class_matrix, intersect
-from rigidtori import linalg
+from rigidtori import characters, linalg
 from rigidtori.characters import (TableComputationError, character_table,
                                   galois_orbits, table_for,
-                                  _certify, _dixon_schneider, _is_prime,
+                                  _dixon_schneider, _is_prime,
                                   _evaluation_width, _multiplicities,
                                   _multiplicity_transform, _prime,
                                   _root_of_unity, _row_key,
@@ -391,9 +391,22 @@ def _pool_group(name):
 
 
 def _dixon(group):
+    """(classes, field, central characters w = |C_k| chi(g_k) / chi(1)) of
+    the rows and degrees `_dixon_schneider` certified."""
     classes = group.conjugacy_classes()
     field = CyclotomicField(group.exponent)
-    return classes, field, _dixon_schneider(classes, field)[0]
+    rows, degrees = _dixon_schneider(classes, field)
+    return classes, field, [
+        [x * Fraction(size, deg) for x, size in zip(row, classes.sizes)]
+        for row, deg in zip(rows, degrees)]
+
+
+def _certify(classes, vectors):
+    """`characters._certify` on cyclotomic vectors, which it takes as their
+    integer power-basis coordinates; every vector here is integral."""
+    assert all(x.den == 1 for w in vectors for x in w)
+    return characters._certify(classes, vectors[0][0].field,
+                               [[x.num for x in w] for w in vectors])
 
 
 def test_certificate_accepts_the_central_characters():
@@ -542,7 +555,7 @@ def test_dixon_recovery_matches_exact_refinement(name):
     slow = _exact_eigenspace_refinement(g)
     assert sorted(_row_key(w) for w in fast) == \
         sorted(_row_key(w) for w in slow)
-    _, fast_rows, fast_degrees = _dixon_schneider(classes, field)
+    fast_rows, fast_degrees = _dixon_schneider(classes, field)
     slow_degrees, slow_rows = _rows_by_norm(g, slow)
     assert sorted(zip(fast_degrees, map(_row_key, fast_rows))) == \
         sorted(zip(slow_degrees, map(_row_key, slow_rows)))
@@ -588,6 +601,21 @@ def test_corrupted_component_raises_without_fallback(monkeypatch):
     monkeypatch.setattr(characters, "_split_mod_p", corrupted)
     with pytest.raises(TableComputationError):
         character_table(symmetric_4())
+
+
+def test_a_non_integral_central_character_is_refused(monkeypatch):
+    # on S3's transpositions (|C| = 3, e = 2) the degree-2 character read
+    # as multiplicities (1, 0) has chi = 1, so w = 3/2 is not integral
+    multiplicities = characters._multiplicities
+
+    def corrupted(values, deg, transform, p):
+        if deg == 2 and len(values) == 2:
+            return [1, 0]
+        return multiplicities(values, deg, transform, p)
+
+    monkeypatch.setattr(characters, "_multiplicities", corrupted)
+    with pytest.raises(TableComputationError, match="not integral"):
+        character_table(symmetric_3())
 
 
 def test_character_table_does_not_call_verify(monkeypatch):

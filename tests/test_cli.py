@@ -218,6 +218,30 @@ def test_deform_budget_exhausted(tmp_path):
     assert report["error"]["error"] == "BudgetExhausted"
 
 
+@pytest.mark.parametrize("bound", ["0", "-1", "-5"])
+def test_deform_bound_below_one_admits_no_denominator(tmp_path, bound):
+    inp = write(tmp_path, "gauss.json", GAUSSIAN_DOC)
+    out = tmp_path / "def.json"
+    assert main(["deform", "--input", inp, "--output", str(out),
+                 "--max-denominator", bound]) == 1
+    report = json.loads(out.read_text())
+    assert report["error"]["error"] == "BudgetExhausted"
+
+
+@pytest.mark.parametrize("table, matrices", [
+    ([[0]], [[[-1, 0], [0, -1]]]),
+    ([[0, 1], [1, 0]], [[[-1, 0], [0, -1]], [[-1, 0], [0, -1]]]),
+], ids=["Z1", "Z2"])
+def test_element_matrices_with_a_wrong_identity_exit_2(tmp_path, table,
+                                                       matrices):
+    # rho(g)^2 = I holds, but rho(e) is not the identity
+    doc = {"group": {"name": "G", "cayley_table": table}, "rank": 2,
+           "element_matrices": matrices,
+           "J_matrix": [[0.0, -1.0], [1.0, 0.0]]}
+    inp = write(tmp_path, "wrong_identity.json", doc)
+    assert main(["rigidity", "--input", inp]) == 2
+
+
 def test_parser_has_no_tolerance_options():
     # the deform tolerances are the library constants the benchmark's
     # checks also read, so no flag may change them
@@ -258,14 +282,6 @@ def test_determinism_byte_identical(tmp_path):
         assert main([cmd, "--input", doc, "--output", str(out1)]) == 0
         assert main([cmd, "--input", doc, "--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes(), cmd
-
-
-def test_selftest(tmp_path):
-    out = tmp_path / "self.json"
-    assert main(["selftest", "--output", str(out)]) == 0
-    report = json.loads(out.read_text())
-    assert report["result"]["ok"] is True
-    assert len(report["result"]["checks"]) == 4
 
 
 def test_missing_input_file(tmp_path):

@@ -39,9 +39,21 @@ def full_hodge_spec(rep, tau_builder):
 def test_representation_validation():
     g = cyclic(2)
     with pytest.raises(InvalidRepresentation):
-        IntegralRepresentation(g, [[[1, 0], [0, 1]], [[1, 1], [0, 1]]])
+        IntegralRepresentation.from_elements(
+            g, [[[1, 0], [0, 1]], [[1, 1], [0, 1]]])
     with pytest.raises(InvalidRepresentation):
-        IntegralRepresentation(g, [[[1, 0], [0, 1]], [[2, 0], [0, 1]]])
+        IntegralRepresentation.from_elements(
+            g, [[[1, 0], [0, 1]], [[2, 0], [0, 1]]])
+    for ragged in ([[[1, 0], [0, 1]], [[-1, 0], [0]]],
+                   [[[1, 0], [0]], [[-1, 0], [0, -1]]],
+                   [[[1, 0], [0, 1]], [[-1, 0], [0, -1], [0, 0]]]):
+        with pytest.raises(InvalidRepresentation, match="ragged"):
+            IntegralRepresentation.from_elements(g, ragged)
+    with pytest.raises(InvalidRepresentation, match="one matrix per"):
+        IntegralRepresentation.from_elements(g, [[[1, 0], [0, 1]]])
+    good = [[[1, 0], [0, 1]], [[-1, 0], [0, -1]]]
+    assert IntegralRepresentation.from_elements(g, good).matrices == \
+        tuple(tuple(map(tuple, m)) for m in good)
 
 
 def test_validation_catches_a_corrupted_non_generator():
@@ -51,10 +63,12 @@ def test_validation_catches_a_corrupted_non_generator():
     matrices = list(rep.matrices)
     matrices[x] = matrices[y]
     with pytest.raises(InvalidRepresentation):
-        IntegralRepresentation(rep.group, matrices)
+        IntegralRepresentation.from_elements(rep.group, matrices)
     with pytest.raises(InvalidRepresentation):
-        IntegralRepresentation(rep.group,
-                               [rep.matrices[1]] + list(rep.matrices[1:]))
+        IntegralRepresentation.from_elements(
+            rep.group, [rep.matrices[1]] + list(rep.matrices[1:]))
+    assert IntegralRepresentation.from_elements(
+        rep.group, rep.matrices).matrices == rep.matrices
 
 
 def test_generator_expansion_matches_elements():
@@ -532,7 +546,7 @@ def test_brute_force_rank_cap():
     g = cyclic(1)
     n = BRUTE_FORCE_RANK_CAP + 2
     ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    rep = IntegralRepresentation(g, [ident], validate=False)
+    rep = IntegralRepresentation(g, [ident])
     K = CyclotomicField(4)
     z = K.zeta()
     cols = []

@@ -547,7 +547,7 @@ def _change_basis(rep, structure, t):
         conj = linalg.mat_mul(t_q, linalg.mat_mul(
             [[Fraction(x) for x in row] for row in m], t_inv))
         mats.append([[int(x) for x in row] for row in conj])
-    new_rep = IntegralRepresentation(rep.group, mats, validate=False)
+    new_rep = IntegralRepresentation(rep.group, mats)
     field = structure.field
     t_k = [[field.from_rational(x) for x in row] for row in t]
     cols = [linalg.mat_vec(t_k, col) for col in structure.u_columns]

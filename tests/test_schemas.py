@@ -116,6 +116,15 @@ SYMBOLIC_DOC = {
     },
 }
 
+# GAUSSIAN_DOC with one matrix per element, in the group's element order
+GAUSSIAN_ELEMENTS_DOC = {
+    "group": GAUSSIAN_DOC["group"],
+    "rank": 2,
+    "element_matrices": [[[1, 0], [0, 1]], [[0, -1], [1, 0]],
+                         [[-1, 0], [0, -1]], [[0, 1], [-1, 0]]],
+    "J_matrix": GAUSSIAN_DOC["J_matrix"],
+}
+
 TRIVIAL_DOC = {
     "group": {"name": "Z1", "cayley_table": [[0]]},
     "rank": 2,
@@ -133,7 +142,7 @@ COMMANDS = [
     ("polarize", {"polynomial": [1, 1, 0, 0, 1], "designated_roots": [0, 2]},
      [], 0),
     ("deform", GAUSSIAN_DOC, ["--max-denominator", "64"], 0),
-    ("selftest", None, [], 0),
+    ("rigidity", GAUSSIAN_ELEMENTS_DOC, [], 0),
     ("polarize", TRIVIAL_DOC, [], 1),
     ("deform", GAUSSIAN_DOC, ["--max-denominator", "4", "--epsilon", "0"], 1),
 ]
@@ -160,15 +169,13 @@ def test_writer_matches_json_on_cli_reports(tmp_path, monkeypatch, command,
 
 
 def cli_argv(tmp_path, command, doc, extra):
-    argv = [command] + extra
-    if doc is not None:
-        path = tmp_path / "doc.json"
-        path.write_text(json.dumps(doc))
-        argv += ["--input", str(path)]
-    return argv
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return [command] + extra + ["--input", str(path)]
 
 
-# sha256 of the stdout summary of each COMMANDS row, in order
+# sha256 of the stdout summary of each COMMANDS row, in order; the
+# Gaussian action gives one rigidity summary however its matrices are given
 SUMMARY_DIGESTS = [
     "a801528bb9a3406b0a291b6cbd06cb0fccd26e03bd48dfeb4245c5baae004a4e",
     "086d6709464415350fe877365553d3ac3db2b36b1299111a2f938c518a575be9",
@@ -177,7 +184,7 @@ SUMMARY_DIGESTS = [
     "6d0e51c763d8530fc8841049dd6498b88332160359eb2a6f2cf2d894ddaea99d",
     "fcaa37293e5f512fb19cb008d1f5256ce4a846a3243aab26d6fb2d2f1c6edb85",
     "197e585bc5f70ef64ae03e4540dc44c36d158cd1461305da39719d03712a2ad5",
-    "8a98a3333719b38b83acc6e857f967d8780d20f06f3b748d2ce12ae9454832de",
+    "086d6709464415350fe877365553d3ac3db2b36b1299111a2f938c518a575be9",
     "285f22d8397ae5d7dc7f05a59f1bd98eec0bed47c6ba189777072ab69c27fbe0",
     "eb33cd4138c35d83a748613b0a57c61560e81bef7e97158c63e42e348d28f3e6",
 ]
