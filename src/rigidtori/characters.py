@@ -165,9 +165,6 @@ class CharacterTable:
     def size(self) -> int:
         return len(self.rows)
 
-    def value(self, row: int, element: int) -> CyclotomicNumber:
-        return self.rows[row][self.classes.membership[element]]
-
     def inner_product(self, row_a, row_b) -> CyclotomicNumber:
         """(1/|G|) sum_g chi_a(g) conj(chi_b(g)), exact."""
         acc = self.field.zero()
@@ -446,7 +443,7 @@ def _dixon_schneider(classes: ConjugacyClassData, field):
     bound = math.isqrt(group.order)
     transforms = {}   # element order e -> its multiplicity transform
     vectors, rows, degrees = [], [], []
-    shared = {}   # one tuple per distinct w_k: values repeat across rows
+    shared = {}   # one tuple per distinct value: values repeat across rows
     for v in _split_mod_p(classes, p):
         norm = sum(v[k] * v[inverse[k]] * size_inv[k] for k in range(d)) % p
         if not norm:
@@ -477,7 +474,8 @@ def _dixon_schneider(classes: ConjugacyClassData, field):
                             coords[i] += n * x
                     values[c] = coords
         # values are integral, so each row is canonical over 1
-        rows.append([_new(field, tuple(coords), 1) for coords in values])
+        rows.append([_new(field, shared.setdefault(t, t), 1)
+                     for t in map(tuple, values)])
         # w_k = |C_k| chi(g_k) / chi(1) is integral for a central character
         scaled = [[x * size for x in coords]
                   for coords, size in zip(values, classes.sizes)]

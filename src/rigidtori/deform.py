@@ -223,8 +223,9 @@ def _ladder(omega_coords, max_denominator: int):
     bound = max(max_denominator, 0)
     for d in [1 << k for k in range(bound.bit_length())] + [bound] * (
             bound > 0):
-        out.setdefault(tuple(Fraction(round(c * d), d) for c in omega_coords),
-                       d)
+        # Fraction(c) * d is exact: a float times a huge d overflows
+        out.setdefault(tuple(Fraction(round(Fraction(c) * d), d)
+                             for c in omega_coords), d)
     return [(d, coords) for coords, d in out.items()]
 
 

@@ -169,16 +169,6 @@ class FiniteGroup:
 
     # -- basics -------------------------------------------------------------
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def power(self, g: int, k: int) -> int:
-        k %= self.element_order[g]
-        cur = 0
-        for _ in range(k):
-            cur = self.table[cur][g]
-        return cur
-
     def conjugate(self, g: int, h: int) -> int:
         """h g h^-1."""
         return self.table[self.table[h][g]][self.inverse[h]]

@@ -12,8 +12,15 @@ summand) are a Q-basis of every copy, and the copy's block is the trace
 form of those omega_k; E does not depend on the basis.  Verification is
 one exact certificate against the exact Hodge structure: both bilinear
 relations, the Rosati property on the centre, and G-invariance, with no
-tolerance.  Every returned form is G-invariant: a trace form that is not
-is replaced by its G-average.
+tolerance.  Every returned form is G-invariant, and only the returned
+form is certified.  A trace form needs no check of its own when every
+active character is linear: g then acts on each copy as a root of unity u
+in F, and Tr(zeta u x conj(u y)) = Tr(zeta x conj(y)).  Otherwise the
+integer check on the generators runs first, and a form it finds not
+invariant is replaced by its G-average.  Each fact is proved once: the
+certificate checks E^T = -E first, which gives relation I at b < a from
+b > a and the Gram matrix's lower triangle from its upper one; a trace
+form, alternating as conj(zeta) = -zeta, is computed at s < t.
 
 zeta needs no search.  For a CM field with k conjugate pairs,
 x -> (Im sigma_a x)_a over the designated embeddings maps the imaginary
@@ -209,15 +216,16 @@ def _certify_signs(field_spec, zeta, designated):
 
 def trace_form(field_spec: SubfieldSpec, zeta: ImaginaryElement, basis):
     """Exact matrix of (x, y) -> Tr_{F/Q}(zeta x conj(y)) in the given
-    Q-basis of one F-module copy."""
+    Q-basis of one F-module copy, by its entries s < t: it is alternating."""
     z = zeta.element if isinstance(zeta, ImaginaryElement) else zeta
     if z.conjugate() != -z:
         raise ValueError("zeta is not imaginary")
     k = len(basis)
     out = [[Fraction(0)] * k for _ in range(k)]
     for s in range(k):
-        for t in range(k):
+        for t in range(s + 1, k):
             out[s][t] = field_spec.field_trace(z * basis[s] * basis[t].conjugate())
+            out[t][s] = -out[s][t]
     return out
 
 
@@ -256,8 +264,8 @@ def assemble_polarization(rep: IntegralRepresentation,
     the copies F v.  The form is G-invariant: when the trace form is not
     (an active character of degree > 1 can make it so), it is replaced by
     its G-average, which is again a polarization (each rho(g)^T E rho(g)
-    is one, rho(g) commuting with J), and certified again.  Raises
-    NotRigid when the action is not rigid.
+    is one, rho(g) commuting with J), and only the form returned is
+    certified.  Raises NotRigid when the action is not rigid.
     """
     if spec is None:
         if j_matrix is None:
@@ -274,8 +282,10 @@ def assemble_polarization(rep: IntegralRepresentation,
     columns = []          # 2n column vectors over Q
     blocks = []           # per copy: exact block matrix
     provenance = []
+    linear = True         # every active character of degree 1
     for orbit_index, copies in structure.frame:
         orbit = decomp.orbits[orbit_index]
+        linear = linear and decomp.table.degrees[orbit.representative] == 1
         fspec = orbit.field_spec
         tau = spec.summands[orbit_index].tau_dict()
         zeta = find_zeta(fspec, [a for a in fspec.coset_reps() if tau[a] > 0])
@@ -292,10 +302,9 @@ def assemble_polarization(rep: IntegralRepresentation,
     e_mat = linalg.mat_mul(linalg.transpose(w_inv),
                            linalg.mat_mul(_block_diag(blocks), w_inv))
     e_mat = _primitive_integral(e_mat)
-    cert = verify_polarization(e_mat, structure)
-    if not cert.g_invariant["invariant"]:
+    if not (linear or _verify_g_invariance(e_mat, rep)["invariant"]):
         e_mat = _primitive_integral(_g_average(rep, e_mat))
-        cert = verify_polarization(e_mat, structure)
+    cert = verify_polarization(e_mat, structure)
     return PolarizationForm(
         rank=rep.rank,
         matrix=tuple(tuple(row) for row in e_mat),
@@ -361,9 +370,10 @@ def _primitive_integral(e_mat):
 def verify_polarization(
         e_mat, structure: ExactHodgeStructure) -> PolarizationCertificate:
     """Certify both bilinear relations and the Rosati property of E against
-    an exact structure, in exact arithmetic with no tolerance: relation I as
-    E_C(U, U) = 0, relation II by the signs of exact Hermitian LDL pivots,
-    and the Rosati identity and G-invariance in integers."""
+    an exact structure, in exact arithmetic with no tolerance: E alternating
+    first, then relation I as E_C(U, U) = 0, relation II by the signs of
+    exact Hermitian LDL pivots, and the Rosati identity and G-invariance in
+    integers."""
     e_rows = [[Fraction(x) for x in row] for row in e_mat]
     n2 = len(e_rows)
     for i in range(n2):
@@ -382,13 +392,12 @@ def verify_polarization(
 def _verify_symbolic(e_rows, structure: ExactHodgeStructure):
     K = structure.field
     n = structure.n
-    n2 = structure.rep.rank
     e_k = [[K.from_rational(x) for x in row] for row in e_rows]
     u_cols = structure.u_columns
-    # relation I: E_C(U, U) = 0 exactly
+    # relation I: E_C(U, U) = 0 exactly, for b > a as E is alternating
     for a in range(n):
         ea = linalg.mat_vec(e_k, u_cols[a])
-        for b in range(n):
+        for b in range(a + 1, n):
             acc = K.zero()
             for x, y in zip(u_cols[b], ea):
                 acc = acc + x * y
@@ -404,20 +413,17 @@ def _verify_symbolic(e_rows, structure: ExactHodgeStructure):
                     })
     # relation II: exact LDL pivots of the Hermitian form -i E_C(u, conj u);
     # the pivots are purely imaginary elements of K before the -i twist, so
-    # each sign is decided by the certified machinery.
+    # each sign is decided by the certified machinery.  E is alternating
+    # and real, so conj(m[a][b]) = -m[b][a].
     m = [[None] * n for _ in range(n)]
     for b in range(n):
         ev = linalg.mat_vec(e_k, [x.conjugate() for x in u_cols[b]])
-        for a in range(n):
+        for a in range(b + 1):
             acc = K.zero()
             for x, y in zip(u_cols[a], ev):
                 acc = acc + x * y
             m[a][b] = acc
-    for a in range(n):
-        for b in range(n):
-            if m[a][b].conjugate() != -m[b][a]:
-                raise NotPositiveDefinite(
-                    "Hermitian Gram matrix is not Hermitian", witness=(a, b))
+        m[b][:b] = [-m[a][b].conjugate() for a in range(b)]
     witness = _hermitian_nonpositive_witness(m, K, structure)
     if witness is not None:
         raise NotPositiveDefinite(
@@ -428,13 +434,8 @@ def _verify_symbolic(e_rows, structure: ExactHodgeStructure):
 
 
 def _rotated_positive_sign(d: CyclotomicNumber) -> int:
-    """Exact sign of the real number -i*d (d purely imaginary or zero)."""
-    if d.is_zero():
-        return 0
-    if d.conjugate() != -d:
-        raise NotPositiveDefinite(
-            "Hermitian pivot is not purely imaginary", witness=d.as_string())
-    return d.sign_imag()
+    """Exact sign of the real number -i*d, for a pivot d (see the caller)."""
+    return 0 if d.is_zero() else d.sign_imag()
 
 
 def _hermitian_nonpositive_witness(m, K, structure):
@@ -442,9 +443,9 @@ def _hermitian_nonpositive_witness(m, K, structure):
     definite; otherwise a concrete nonpositive vector in V (x) K.
 
     Runs the Hermitian LDL elimination exactly; the pivots of -iM are real
-    cyclotomics whose signs are certified.  At the first nonpositive pivot
-    the accumulated row transform gives the witness combination of the
-    V^{1,0} basis columns."""
+    cyclotomics whose signs are certified (a congruence keeps M
+    anti-Hermitian).  At the first nonpositive pivot the accumulated row
+    transform gives the witness combination of the V^{1,0} basis columns."""
     n = len(m)
     h = [[m[a][b] for b in range(n)] for a in range(n)]  # -i deferred
     trans = [[K.one() if i == j else K.zero() for j in range(n)]

@@ -1,6 +1,6 @@
 """Standalone number fields Q[t]/f for the polarization-existence decision.
 
-Only what that decision needs: certified root enclosures, the pairing of
+Only what that decision needs: certified root enclosures, ordered to pair
 complex-conjugate roots, and the exact rational subspace of elements that
 are purely imaginary under every embedding.  The latter is computed per
 conjugate pair through the real subfield Q(theta), theta = alpha + conj(alpha):
@@ -39,7 +39,10 @@ from the first certified discs, by simulating that bisection with exact
 decisions.  The discs of every later precision are pinned to those of the
 previous one: a disc meets only the disc of its own root among certified
 discs at least as large.  Certified centres are cached per precision on
-the field.
+the field.  The conjugate pairs are (0, 1), (2, 3), ... with no
+certificate of their own: root_order puts before root k the one centre
+within 2 eps of conj(c_k), the conjugate root's, as the others are more
+than 4 eps from that one.
 
 Every certified evaluation, here and in `cyclotomic`, is one exact
 rational box Horner (`_enclosure`) on a rectangle around a root: a root
@@ -292,7 +295,8 @@ class PolynomialField:
         self._approx = _circle(coeffs)
         self._centres = {}
         self._reference = None     # the last certified centres and radius
-        self.pairs = self._pair_roots()
+        # the root order puts each root right after its conjugate
+        self.pairs = tuple((i, i + 1) for i in range(0, self.degree, 2))
         self._pair_data = None
         self._im_basis = None
 
@@ -362,36 +366,6 @@ class PolynomialField:
         self._approx = [self._approx[j] for j in order]
         return [finer[j] for j in order], finer_eps
 
-    def _pair_roots(self):
-        """Certified pairing of complex-conjugate roots by box separation."""
-        n = self.degree
-        for prec in _precisions(32):
-            boxes = [self.root_box(i, prec) for i in range(n)]
-            # boxes must be pairwise separated from each other's conjugates
-            assign = {}
-            ok = True
-            for i in range(n):
-                re_i, im_i, r_i = boxes[i]
-                matches = [
-                    j for j in range(n)
-                    if abs(boxes[j][0] - re_i) <= boxes[j][2] + r_i
-                    and abs(boxes[j][1] + im_i) <= boxes[j][2] + r_i
-                ]
-                if len(matches) != 1:
-                    ok = False
-                    break
-                assign[i] = matches[0]
-            if ok and all(assign[assign[i]] == i and assign[i] != i
-                          for i in range(n)):
-                pairs = []
-                seen = set()
-                for i in range(n):
-                    if i not in seen:
-                        pairs.append((i, assign[i]))
-                        seen |= {i, assign[i]}
-                return tuple(pairs)
-        raise _cap_reached("could not certify the conjugate pairing")
-
     # -- evaluation --------------------------------------------------------
 
     def evaluate_box(self, coeffs, root_index: int, prec_bits: int = 64):
@@ -427,7 +401,7 @@ class PolynomialField:
         data = []
         p_moduli = {}      # pairs with the same theta share their p modulus
         for (i, ibar) in self.pairs:
-            g = self._identify_factor(factors, i, ibar)
+            g = self._identify_factor(factors, i)
             if g is rest:
                 degree = (rest_degrees[0] if len(rest_degrees) == 1
                           else f"at least {rest_degrees[0]}")
@@ -445,15 +419,12 @@ class PolynomialField:
         self._pair_data = tuple(data)
         return self._pair_data
 
-    def _theta_box(self, i, ibar, prec):
-        re, _, rad = self.root_box(i, prec)
-        return 2 * re, 2 * rad  # theta = alpha + conj(alpha) = 2 Re alpha
-
-    def _identify_factor(self, factors, i, ibar):
+    def _identify_factor(self, factors, i):
         """The factor vanishing at theta = 2 Re(alpha_i), among coprime
         integer polynomials whose product vanishes there."""
         for prec in _precisions():
-            mid, rad = self._theta_box(i, ibar, prec)
+            re, _, rad = self.root_box(i, prec)
+            mid, rad = 2 * re, 2 * rad
             alive = []
             for coeffs in factors:
                 lo, hi, _, _ = _box_horner(coeffs, mid - rad, mid + rad, 0, 0)

@@ -228,6 +228,15 @@ def test_deform_bound_below_one_admits_no_denominator(tmp_path, bound):
     assert report["error"]["error"] == "BudgetExhausted"
 
 
+def test_deform_bound_past_float_range_is_answered(tmp_path):
+    # 10^400 * a float coordinate overflows a float; the rounding is exact
+    inp = write(tmp_path, "gauss.json", GAUSSIAN_DOC)
+    out = tmp_path / "def.json"
+    assert main(["deform", "--input", inp, "--output", str(out),
+                 "--max-denominator", str(10 ** 400)]) == 0
+    assert json.loads(out.read_text())["result"]["denominator"] == 1
+
+
 @pytest.mark.parametrize("table, matrices", [
     ([[0]], [[[-1, 0], [0, -1]]]),
     ([[0, 1], [1, 0]], [[[-1, 0], [0, -1]], [[-1, 0], [0, -1]]]),
@@ -820,9 +829,10 @@ def test_representation_documents_are_validated(tmp_path, capsys, command,
     # CyclotomicNumber.sign_imag (from 64 bits): the zeta of a rigid action
     # (W, the proposal for zeta, is taken at `cap` bits; see below)
     ("cyclotomic", 32, GAUSSIAN_DOC, "sign of a nonzero value"),
-    # PolynomialField._pair_roots, which starts at 32 bits
-    ("polyfields", 16, {"polynomial": [1, 0, 1], "designated_roots": [0]},
-     "conjugate pairing"),
+    # PolynomialField._certified_discs, whose polish's guard bits start
+    # above the cap (see below), so the first root box is out of reach
+    ("polyfields", 64, {"polynomial": [1, 0, 1], "designated_roots": [0]},
+     "could not certify the roots"),
     # PolynomialField._identify_factor, which starts at 64 bits
     ("polyfields", 32, {"polynomial": [1, 1, 1, 1, 1],
                         "designated_roots": [0, 2]},
@@ -840,6 +850,8 @@ def test_precision_cap_is_a_domain_error(tmp_path, monkeypatch, module, cap,
     if module == "cyclotomic":
         monkeypatch.setattr(polarize, "_precisions",
                             lambda start=64: polyfields._precisions(cap))
+    if site == "could not certify the roots":
+        monkeypatch.setattr(polyfields, "_GUARD_BITS", 2 * cap)
     inp = write(tmp_path, "doc.json", doc)
     out = tmp_path / "err.json"
     assert main(["polarize", "--input", inp, "--output", str(out)]) == 1

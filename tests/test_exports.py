@@ -59,3 +59,40 @@ def test_every_definition_has_a_caller_outside_the_tests():
             if sum(len(word.findall(text)) for text in sources) <= 1:
                 unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def _hook_names():
+    """The method names that perfbench/tracing.py wraps by name: those of
+    its METHODS table and the keys of COUNTED."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    tables = {node.targets[0].id: node.value for node in tree.body
+              if isinstance(node, ast.Assign)
+              and isinstance(node.targets[0], ast.Name)}
+    names = set(ast.literal_eval(tables["COUNTED"]))
+    for classes in ast.literal_eval(tables["METHODS"]).values():
+        for methods in classes.values():
+            names.update(methods)
+    return names
+
+
+def test_every_method_has_an_attribute_use_outside_the_tests():
+    # a method is called as an attribute, so a word anywhere (a local name,
+    # a comment, another definition) does not count as a use of it
+    used = _hook_names() | {
+        node.attr for folder in ("src", "demos", "perfbench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)}
+    unused = []
+    for path in sorted((ROOT / "src" / "rigidtori").glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (node.name.startswith("__")
+                                 and node.name.endswith("__"))
+                        and node.name not in used):
+                    unused.append(f"{path.name}:{node.lineno} "
+                                  f"{cls.name}.{node.name}")
+    assert unused == []

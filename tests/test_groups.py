@@ -129,8 +129,16 @@ def test_power_classes_follow_the_powers_of_each_representative():
         for rep, powers in zip(classes.representatives,
                                classes.power_classes):
             assert len(powers) == g.element_order[rep]
-            assert list(powers) == [classes.membership[g.power(rep, t)]
+            assert list(powers) == [classes.membership[_power(g, rep, t)]
                                     for t in range(len(powers))]
+
+
+def _power(g, x, k):
+    """x^k, by k products in the Cayley table."""
+    cur = 0
+    for _ in range(k):
+        cur = g.table[cur][x]
+    return cur
 
 
 def test_exponent_divides_order():
@@ -192,8 +200,8 @@ def test_dicyclic_structure():
 def test_power_and_inverse():
     g = dihedral(7)
     for x in range(g.order):
-        assert g.mul(x, g.inverse[x]) == 0
-        assert g.power(x, g.element_order[x]) == 0
+        assert g.table[x][g.inverse[x]] == 0
+        assert _power(g, x, g.element_order[x]) == 0
 
 
 def test_from_permutations_does_not_revalidate(monkeypatch):

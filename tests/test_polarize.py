@@ -458,26 +458,62 @@ def pauli_group():
     return FiniteGroup.from_permutations([x, z, i], name="Pauli")
 
 
-def test_pauli_rigid_actions_get_invariant_polarizations():
-    # the Pauli group has characters of degree 2 whose trace form is not
-    # G-invariant; the default assembly averages it, so both rigid rank-8
-    # draws are certified G-invariant
+def _rigid_pauli_actions(count):
+    """The first `count` rigid draws of random_hodge_fixture on the Pauli
+    group from a fixed seed, as (rep, spec)."""
     group = pauli_group()
     rng = random.Random(5)
     rigid = []
-    while len(rigid) < 2:
+    while len(rigid) < count:
         rep, structure = random_hodge_fixture(rng, groups=[group],
                                               max_rank=12)
         spec = spec_from_character(structure.hodge_character())
         if rigidity_by_centre(spec).is_rigid:
             rigid.append((rep, spec))
-    for rep, spec in rigid:
+    return rigid
+
+
+def test_pauli_rigid_actions_get_invariant_polarizations():
+    # the Pauli group has characters of degree 2 whose trace form is not
+    # G-invariant; the default assembly averages it, so both rigid rank-8
+    # draws are certified G-invariant
+    for rep, spec in _rigid_pauli_actions(2):
         assert rep.rank == 8
         form = assemble_polarization(rep, spec=spec)
         cert = verify_polarization(form.matrix,
                                    exact_structure_from_spec(rep, spec))
         assert cert.g_invariant["invariant"] is True
         assert form.certificate.g_invariant["invariant"] is True
+
+
+def _record_certificate_steps(monkeypatch):
+    from rigidtori import polarize
+    calls = []
+    for name in ("_verify_g_invariance", "_g_average", "verify_polarization"):
+        monkeypatch.setattr(polarize, name, lambda *args, fn=getattr(
+            polarize, name), name=name: calls.append(name) or fn(*args))
+    return calls
+
+
+def test_a_non_invariant_trace_form_is_certified_once(monkeypatch):
+    # a character of degree 2 is active: the generators' integer check
+    # finds the trace form not invariant, and only its G-average is
+    # certified
+    calls = _record_certificate_steps(monkeypatch)
+    (rep, spec), = _rigid_pauli_actions(1)
+    form = assemble_polarization(rep, spec=spec)
+    assert calls == ["_verify_g_invariance", "_g_average",
+                     "verify_polarization", "_verify_g_invariance"]
+    assert form.certificate.g_invariant["invariant"] is True
+
+
+def test_a_linear_trace_form_is_checked_once(monkeypatch):
+    # every active character is linear, so the trace form is invariant and
+    # its one invariance check is the certificate's
+    calls = _record_certificate_steps(monkeypatch)
+    form = assemble_polarization(gaussian_action(), j_matrix=[[0, -1], [1, 0]])
+    assert calls == ["verify_polarization", "_verify_g_invariance"]
+    assert form.certificate.g_invariant["invariant"] is True
 
 
 def _klein_four_action():

@@ -52,6 +52,27 @@ def test_conjugate_pairing_is_an_involution():
         assert abs(boxes[i][1] + boxes[ibar][1]) <= 2 * boxes[i][2]
 
 
+def test_pairs_follow_the_root_order_with_no_certificate(monkeypatch):
+    # root_order puts each root right after its conjugate, so building a
+    # field certifies no root, and its pairs are the consecutive indices
+    fields = {(1, 0, 1): ((0, 1),), (5, 0, 5, 0, 1): ((0, 1), (2, 3)),
+              (1, 1, 1, 1, 1, 1, 1): ((0, 1), (2, 3), (4, 5)),
+              (3, 0, 0, 0, 0, 0, 1): ((0, 1), (2, 3), (4, 5))}
+
+    def refuse(self, prec_bits):
+        raise AssertionError("a root was certified while building a field")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(PolynomialField, "_certified_discs", refuse)
+        built = {coeffs: PolynomialField(coeffs) for coeffs in fields}
+    for coeffs, F in built.items():
+        assert F.pairs == fields[coeffs]
+        for i, ibar in F.pairs:
+            re, im, rad = F.root_box(i, 64)
+            re_bar, im_bar, _ = F.root_box(ibar, 64)
+            assert abs(re - re_bar) <= 2 * rad and abs(im + im_bar) <= 2 * rad
+
+
 def test_imaginary_dimensions():
     cases = {
         (1, 0, 1): 1,          # Q(i)
