@@ -78,7 +78,11 @@ def main(argv=None) -> int:
         parser.error("--input is required")
     try:
         with open(args.input) as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except RecursionError as exc:
+                raise SchemaError("input nests deeper than the JSON decoder "
+                                  "allows") from exc
         runner = {
             "analyze": run_analyze,
             "rigidity": run_rigidity,

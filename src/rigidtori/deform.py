@@ -139,10 +139,8 @@ def invariant_metric(rep: IntegralRepresentation, j_matrix):
         raise NoConvergence("the J-metric overflows a float")
     ratios = [[x.as_integer_ratio() for x in row] for row in (m + m.T).tolist()]
     den = max(d for row in ratios for _, d in row)
-    scaled = np.array([[p * (den // d) for p, d in row] for row in ratios],
-                      dtype=object)
-    total = sum(r.T @ scaled @ r for r in np.array(rep.matrices, dtype=object))
-    return [[int(x) for x in row] for row in total]
+    return rep.congruence_sum([[p * (den // d) for p, d in row]
+                               for row in ratios])
 
 
 def _ldl_positive_pivots(s) -> int:
@@ -266,6 +264,12 @@ def find_projective_neighbor(rep: IntegralRepresentation, j_matrix,
     POSITIVITY_MARGIN; the first rung wins a tie.  A smaller bound's ladder
     is a prefix, so the distance never grows with max_denominator."""
     import numpy as np
+    j = np.asarray(j_matrix, dtype=float)
+    # the chart needs J^2 = -I; vacuous where |J|^2 overflows, as S does
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.linalg.norm(j @ j + np.eye(len(j))) > NEWTON_TOL * max(
+                1.0, np.linalg.norm(j) ** 2):
+            raise NoConvergence("J does not square to -I")
     space = invariant_two_forms(rep)
     if space.dimension == 0:
         raise BudgetExhausted("no invariant 2-forms at all")
@@ -273,7 +277,6 @@ def find_projective_neighbor(rep: IntegralRepresentation, j_matrix,
     s_pivots = _ldl_positive_pivots(metric)
     if s_pivots < rep.rank:
         raise NoConvergence("the averaged J-metric is not positive definite")
-    j = np.asarray(j_matrix, dtype=float)
     try:
         s = np.array(metric, dtype=float)
     except OverflowError:

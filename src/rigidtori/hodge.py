@@ -187,6 +187,15 @@ class IntegralRepresentation:
             out.append(acc)
         return out
 
+    def congruence_sum(self, x):
+        """sum_g rho(g)^T x rho(g) for an integer matrix x, as integer rows:
+        |G| times the G-average of x, a G-invariant form.  Two exact
+        object-dtype products per element."""
+        import numpy as np
+        x = np.array(x, dtype=object)
+        total = sum(r.T @ x @ r for r in np.array(self.matrices, dtype=object))
+        return [[int(v) for v in row] for row in total]
+
     def generator_indices(self):
         """The group's generating set (`FiniteGroup.generators`), as a
         list."""

@@ -14,7 +14,6 @@ from math import lcm
 __all__ = [
     "mat_mul",
     "mat_vec",
-    "mat_add",
     "identity",
     "zeros",
     "transpose",
@@ -83,10 +82,6 @@ def mat_vec(a, v):
             acc = term if acc is None else acc + term
         out.append(acc)
     return out
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def rref(a):

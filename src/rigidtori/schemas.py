@@ -44,12 +44,18 @@ def _check_keys(doc, required, optional, what):
         raise SchemaError(f"{what} has unknown fields {sorted(unknown)}")
 
 
+def _builtin_name(doc):
+    if not isinstance(doc["builtin"], str):
+        raise SchemaError("builtin must be a string")
+    return doc["builtin"]
+
+
 def load_group_doc(doc) -> FiniteGroup:
     """Group from {'builtin': name} or {'name', 'cayley_table' |
     'permutation_generators'}."""
     if isinstance(doc, dict) and set(doc) == {"builtin"}:
         try:
-            return group_by_name(doc["builtin"])
+            return group_by_name(_builtin_name(doc))
         except KeyError as exc:
             raise SchemaError(str(exc)) from exc
     _check_keys(doc, {"name"}, {"cayley_table", "permutation_generators"},
@@ -84,7 +90,7 @@ def load_representation_doc(doc):
     J_matrix or a symbolic_spec."""
     if isinstance(doc, dict) and set(doc) == {"builtin"}:
         try:
-            rep = builtin_representation(doc["builtin"])
+            rep = builtin_representation(_builtin_name(doc))
         except KeyError as exc:
             raise SchemaError(str(exc)) from exc
         return rep, None, None

@@ -283,6 +283,16 @@ def test_overflowing_j_is_a_declared_error():
                                  [[0.0, -1e200], [1e-200, 0.0]])
 
 
+@pytest.mark.parametrize("j", [[[0.0, 0.0], [1.0, 0.0]],
+                               [[0.0, 1.0], [1.0, 0.0]]],
+                         ids=["nilpotent", "real-eigenvalues"])
+def test_a_j_that_does_not_square_to_minus_one_is_a_declared_error(j):
+    # the chart is read off J's +i-eigenspace; a nilpotent J ended in
+    # numpy's LinAlgError (exit 3)
+    with pytest.raises(NoConvergence, match="square to -I"):
+        find_projective_neighbor(gaussian_action(), j)
+
+
 def test_budget_exhausted():
     rep = gaussian_action()
     # the rigid action only reaches t = 0, and t_norm 0 is not < epsilon 0

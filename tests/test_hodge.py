@@ -362,7 +362,8 @@ def test_isotypic_projectors_properties():
         for idx, (p, image) in enumerate(pieces):
             assert linalg.mat_mul(p, p) == p
             assert len(image) == linalg.rank(p)
-            total = linalg.mat_add(total, p)
+            total = [[x + y for x, y in zip(ra, rb)]
+                     for ra, rb in zip(total, p)]
             for p2, _ in pieces[idx + 1:]:
                 prod = linalg.mat_mul(p, p2)
                 assert all(all(x == 0 for x in row) for row in prod)

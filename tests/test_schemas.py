@@ -1,5 +1,6 @@
 """The report writer, schemas.dump_report, against json's own encoder;
-and the loader's error for a ragged matrix."""
+the loader's errors for malformed documents; and the CLI on mutated
+documents."""
 
 import hashlib
 import json
@@ -9,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidtori import cli, schemas
@@ -181,7 +182,7 @@ SUMMARY_DIGESTS = [
     "086d6709464415350fe877365553d3ac3db2b36b1299111a2f938c518a575be9",
     "a713dd9aa65dd661e6af5431683f697fde63bf8993cda20b01903a30065454e3",
     "e2c7b7fe2a1b638b5d6a116ecbd2b16e034917dafda2ff06af03c969077182f7",
-    "6d0e51c763d8530fc8841049dd6498b88332160359eb2a6f2cf2d894ddaea99d",
+    "6824be5ed0f0bd7fbd392a77ccadce8f6a95484ab534bc3ea54be6f92e1e36b1",
     "fcaa37293e5f512fb19cb008d1f5256ce4a846a3243aab26d6fb2d2f1c6edb85",
     "197e585bc5f70ef64ae03e4540dc44c36d158cd1461305da39719d03712a2ad5",
     "086d6709464415350fe877365553d3ac3db2b36b1299111a2f938c518a575be9",
@@ -351,3 +352,55 @@ def test_group_name_must_be_a_string(tmp_path, name):
     # a null or numeric name was printed as "None" or "5"
     _refused(tmp_path, "analyze",
              {"name": name, "cayley_table": [[0, 1], [1, 0]]}, "name")
+
+
+@pytest.mark.parametrize("command", ["analyze", "rigidity"])
+@pytest.mark.parametrize("builtin", [["S3"], {"name": "S3"}, 3, None],
+                         ids=["list", "object", "number", "null"])
+def test_builtin_must_be_a_string(tmp_path, command, builtin):
+    # a list or an object ended in "unhashable type" and exit 3, for
+    # group and action documents alike
+    _refused(tmp_path, command, {"builtin": builtin}, "builtin")
+
+
+def _node_paths(doc, path=()):
+    """The path of every JSON node of doc, the root's first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _node_paths(value, path + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    copy = dict(doc) if isinstance(doc, dict) else list(doc)
+    copy[path[0]] = _replaced(doc[path[0]], path[1:], value)
+    return copy
+
+
+# replacements of one JSON node, as JSON text: a value of each JSON type,
+# empty containers, a huge and a negative integer, the non-finite floats
+# Python's json accepts, and arrays nested within and beyond the depth its
+# decoder allows
+NODE_TEXTS = [json.dumps(value) for value in (
+    None, True, 0, 0.5, "x", [0], {"x": 0}, [], {}, 10 ** 400, -1)] + [
+    "NaN", "Infinity", "-Infinity"] + [
+    "[" * depth + "]" * depth for depth in (64, 100_000)]
+MARKER = "\0node"
+
+
+@settings(max_examples=1000)
+@given(st.data())
+def test_a_mutated_document_ends_in_an_answer_or_a_declared_error(
+        tmp_path_factory, data):
+    # one node of a valid document replaced: the CLI answers, or exits
+    # with a domain error (1) or an input error (2), never an internal one
+    command, doc, extra, _ = data.draw(st.sampled_from(COMMANDS))
+    path = data.draw(st.sampled_from(list(_node_paths(doc))))
+    text = json.dumps(_replaced(doc, path, MARKER)).replace(
+        json.dumps(MARKER), data.draw(st.sampled_from(NODE_TEXTS)))
+    inp = tmp_path_factory.getbasetemp() / "mutated.json"
+    inp.write_text(text)
+    assert main([command, *extra, "--input", str(inp)]) in (0, 1, 2)
