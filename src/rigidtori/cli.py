@@ -4,9 +4,15 @@ deform.
 Reads a JSON input document and prints a human-readable summary of its
 report to stdout, read off the report itself: each exact value as its
 display string.  The machine-readable JSON report text is built only with
---output, which writes it.  Exit status: 0 success, 1 domain error (e.g. a
-non-rigid action passed to polarize), 2 input error, 3 internal error (any
-other exception; its report is an error payload marked `"internal": true`).
+--output, which writes it.  Exit status: 0 success, 1 domain error (a
+`rigidtori.errors.DomainError`, e.g. a non-rigid action passed to polarize),
+2 input error, 3 internal error (any other exception; its report is an
+error payload marked `"internal": true`).
+
+Each command imports the layers it runs when it runs: `import rigidtori.cli`
+loads neither the Hodge, polarization and deformation layers nor the
+standalone-field and fixture modules, so an `analyze` process compiles none
+of them.
 
 `polarize` takes no option of its own: every polarization it certifies is
 G-invariant (`polarize.assemble_polarization`).
@@ -25,34 +31,17 @@ import argparse
 import copy
 import json
 import sys
-import traceback
 from fractions import Fraction
 
-from . import deform as deform_mod
-from . import polarize as polarize_mod
 from .characters import galois_orbits, table_for
 from .cyclotomic import CyclotomicNumber
-from .hodge import (HSViolation, InconsistentCharacter, InvalidRepresentation,
-                    RoundingFailure, brute_force_hom_dimension,
-                    exact_structure_from_spec, hodge_character_from_numeric,
-                    isotypic_split, rigidity_by_centre, rigidity_by_character,
-                    spec_from_character, enumerate_rigid_types)
-from .groups import InvalidGroup
-from .polyfields import (PrecisionCapReached, RealEmbeddingPresent,
-                         ReduciblePolynomial)
+from .errors import DomainError
 from .schemas import (SchemaError, _fraction_json, dump_report,
                       load_group_doc, load_polynomial_doc,
                       load_representation_doc, load_symbolic_spec)
 
-DOMAIN_ERRORS = (
-    polarize_mod.NotRigid, polarize_mod.NotCMField,
-    polarize_mod.RelationIFails, polarize_mod.NotPositiveDefinite,
-    polarize_mod.RosatiFails,
-    deform_mod.NoConvergence, deform_mod.BudgetExhausted,
-    HSViolation, InconsistentCharacter, RoundingFailure,
-    InvalidRepresentation, InvalidGroup,
-    RealEmbeddingPresent, ReduciblePolynomial, PrecisionCapReached,
-)
+# caught without importing the modules that define the declared errors
+DOMAIN_ERRORS = (DomainError,)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,6 +99,7 @@ def main(argv=None) -> int:
             "error": type(exc).__name__, "message": str(exc),
             "internal": True}})
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        import traceback
         traceback.print_exc(file=sys.stderr)
         return 3
     _emit(args, report)
@@ -268,6 +258,8 @@ def _hodge(res: _Resolution) -> _Resolution:
     """Resolve the Hodge type of a representation document, once: a
     symbolic_spec document gives res.spec and its exact res.structure, a
     J_matrix document res.spec and its numeric res.chi10."""
+    from .hodge import (exact_structure_from_spec,
+                        hodge_character_from_numeric, spec_from_character)
     if res.spec is None:
         rep = res.rep
         if res.spec_doc is not None:
@@ -285,6 +277,8 @@ def _hodge(res: _Resolution) -> _Resolution:
 
 
 def run_rigidity(doc, args):
+    from .hodge import (brute_force_hom_dimension, exact_structure_from_spec,
+                        rigidity_by_centre, rigidity_by_character)
     res = _hodge(_resolve(doc))
     chi10 = (res.structure.hodge_character() if res.chi10 is None
              else res.chi10)
@@ -326,6 +320,7 @@ def run_rigidity(doc, args):
 
 
 def run_enumerate(doc, args):
+    from .hodge import enumerate_rigid_types, isotypic_split
     rep = _resolve(doc).rep
     decomp = galois_orbits(table_for(rep.group))
     pieces = isotypic_split(rep, decomp)
@@ -350,13 +345,14 @@ def run_enumerate(doc, args):
 
 
 def run_polarize(doc, args):
+    from .polarize import assemble_polarization
     if isinstance(doc, dict) and "polynomial" in doc:
         return _run_polarize_polynomial(doc)
     # a symbolic_spec document's structure is built before the rigidity
     # checks, so its domain errors win over NotRigid; a J_matrix document's
     # is the one run_rigidity built, if it ran, else assembly builds it
     res = _hodge(_resolve(doc))
-    form = polarize_mod.assemble_polarization(
+    form = assemble_polarization(
         res.rep, spec=res.spec, structure=res.structure)
     cert = form.certificate
     result = {
@@ -381,7 +377,8 @@ def run_polarize(doc, args):
 
 
 def _run_polarize_polynomial(doc):
-    cert = polarize_mod.polarization_exists(*load_polynomial_doc(doc))
+    from .polarize import polarization_exists
+    cert = polarization_exists(*load_polynomial_doc(doc))
     result = {
         "verdict": cert.verdict,
         "witness": list(cert.witness) if cert.witness else None,
@@ -392,13 +389,14 @@ def _run_polarize_polynomial(doc):
 
 
 def run_deform(doc, args):
+    from .deform import find_projective_neighbor
     resolved = _resolve(doc)
     j_matrix = resolved.j_matrix
     if j_matrix is None and resolved.spec_doc is not None:
         j_matrix = _hodge(resolved).structure.j_matrix_float().tolist()
     if j_matrix is None:
         raise SchemaError("deform needs J_matrix or symbolic_spec")
-    res = deform_mod.find_projective_neighbor(
+    res = find_projective_neighbor(
         resolved.rep, j_matrix, max_denominator=args.max_denominator,
         epsilon=args.epsilon)
     result = {

@@ -21,7 +21,6 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from . import linalg
-from .polyfields import _cap_reached, _certified_sign, _enclosure
 
 __all__ = [
     "CyclotomicField",
@@ -346,6 +345,7 @@ class CyclotomicNumber:
         """Certified (re, im, radius) enclosure of sigma_a(self) at the given
         bit precision: sigma_a(self) lies within `radius` of (re, im) in
         each coordinate."""
+        from .polyfields import _enclosure
         m = self.field.m
         if gcd(a % m if m > 1 else 1, m) != 1:
             raise ValueError(f"embedding index {a} not coprime to {m}")
@@ -374,6 +374,8 @@ class CyclotomicNumber:
     def _nonzero_sign(self, a: int, part: int) -> int:
         """Sign of the nonzero real (part 0) or imaginary (part 1) part of
         sigma_a(self)."""
+        from .polyfields import _cap_reached, _certified_sign
+
         def enclose(prec):
             box = self.embed(a, prec)
             return box[part], box[2]

@@ -19,7 +19,8 @@ from fractions import Fraction
 from math import gcd
 
 from . import linalg
-from .hodge import IntegralRepresentation
+from .errors import DomainError
+from .hodge import IntegralRepresentation, _check_commutes
 
 __all__ = [
     "InvariantTwoFormSpace",
@@ -41,11 +42,11 @@ NEWTON_MAX_ITER = 50
 _PRIME = 2**31 - 1   # products of two residues fit in int64
 
 
-class NoConvergence(RuntimeError):
+class NoConvergence(DomainError, RuntimeError):
     pass
 
 
-class BudgetExhausted(RuntimeError):
+class BudgetExhausted(DomainError, RuntimeError):
     def __init__(self, message, best=None):
         super().__init__(message)
         self.best = best
@@ -262,7 +263,9 @@ def find_projective_neighbor(rep: IntegralRepresentation, j_matrix,
     of the denominator ladder up to max_denominator, with distance below
     epsilon, residual below NEWTON_TOL and positivity margin above
     POSITIVITY_MARGIN; the first rung wins a tie.  A smaller bound's ladder
-    is a prefix, so the distance never grows with max_denominator."""
+    is a prefix, so the distance never grows with max_denominator.  J must
+    commute with rho on the generators as `hodge_character_from_numeric`
+    requires (RoundingFailure)."""
     import numpy as np
     j = np.asarray(j_matrix, dtype=float)
     # the chart needs J^2 = -I; vacuous where |J|^2 overflows, as S does
@@ -282,6 +285,11 @@ def find_projective_neighbor(rep: IntegralRepresentation, j_matrix,
     except OverflowError:
         raise NoConvergence("the averaged J-metric overflows a float") \
             from None
+    # a neighbor in the chart of G-invariant structures needs a G-invariant
+    # J; rho(G) fits floats once S does (S >= rho(g)^T rho(g))
+    gens = rep.generator_indices()
+    _check_commutes(j, np.array([rep.matrices[g] for g in gens], dtype=float),
+                    gens)
     s /= np.abs(s).max()
     ladder = _ladder(invariant_kahler_class(space, s, j), max_denominator)
     basis = np.array(space.basis, dtype=object)

@@ -31,6 +31,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
 
+from .errors import DomainError
+
 __all__ = ["FiniteGroup", "ConjugacyClassData", "InvalidGroup", "CLOSURE_CAP"]
 
 CLOSURE_CAP = 10000
@@ -40,7 +42,7 @@ CLOSURE_CAP = 10000
 CLOSURE_WORK_CAP = 100 * CLOSURE_CAP
 
 
-class InvalidGroup(ValueError):
+class InvalidGroup(DomainError, ValueError):
     """The supplied table or generators do not define a group."""
 
 

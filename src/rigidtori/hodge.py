@@ -46,6 +46,7 @@ from . import linalg
 from .characters import (CharacterTable, GaloisOrbitDecomposition,
                          galois_orbits, table_for)
 from .cyclotomic import CyclotomicField, CyclotomicNumber
+from .errors import DomainError
 from .groups import FiniteGroup
 
 __all__ = [
@@ -80,19 +81,19 @@ _MULTIPLICITY_TOL = 1e-6
 _COMMUTE_TOL = 1e-10
 
 
-class InvalidRepresentation(ValueError):
+class InvalidRepresentation(DomainError, ValueError):
     pass
 
 
-class InconsistentCharacter(ValueError):
+class InconsistentCharacter(DomainError, ValueError):
     """chi10 fails to decompose with nonnegative integer multiplicities."""
 
 
-class HSViolation(ValueError):
+class HSViolation(DomainError, ValueError):
     """A symbolic Hodge type violates Hodge symmetry."""
 
 
-class RoundingFailure(ValueError):
+class RoundingFailure(DomainError, ValueError):
     """Numeric data too far from an exact cyclotomic integer."""
 
 
@@ -286,6 +287,22 @@ def _decomposes_as(table: CharacterTable, mults, values) -> bool:
     return True
 
 
+def _check_commutes(J, rho, elements) -> None:
+    """Raise RoundingFailure unless the float matrix J commutes with each
+    matrix rho[k] of a float stack, the image of elements[k], to within
+    _COMMUTE_TOL relative to max(1, |rho[k]|) (Frobenius norms).  Products
+    near the float range overflow to inf and nan here and pass vacuously."""
+    import numpy as np
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = np.linalg.norm(J @ rho - rho @ J, axis=(1, 2))
+        bound = _COMMUTE_TOL * np.maximum(1.0,
+                                          np.linalg.norm(rho, axis=(1, 2)))
+    failing = np.flatnonzero(defect > bound)
+    if failing.size:
+        raise RoundingFailure(
+            f"J does not commute with rho({elements[failing[0]]})")
+
+
 def hodge_character_from_numeric(rep: IntegralRepresentation,
                                  j_matrix) -> HodgeCharacter:
     """Round the numeric trace data of (rho, J) to an exact HodgeCharacter.
@@ -319,14 +336,9 @@ def hodge_character_from_numeric(rep: IntegralRepresentation,
         if np.linalg.norm(J @ J + np.eye(n2)) > _COMMUTE_TOL * max(
                 1.0, np.linalg.norm(J) ** 2):
             raise RoundingFailure("J^2 + I exceeds tolerance")
-        defect = np.linalg.norm(J @ rho - rho @ J, axis=(1, 2))
-        bound = _COMMUTE_TOL * np.maximum(1.0,
-                                          np.linalg.norm(rho, axis=(1, 2)))
         chi_num = (np.trace(rho, axis1=1, axis2=2)
                    - 1j * np.einsum("gij,ji->g", rho, J)) / 2.0
-    failing = np.flatnonzero(defect > bound)
-    if failing.size:
-        raise RoundingFailure(f"J does not commute with rho({failing[0]})")
+    _check_commutes(J, rho, range(len(rho)))
 
     table = table_for(rep.group)
     field = table.field

@@ -45,6 +45,7 @@ from math import gcd, lcm
 
 from . import linalg
 from .cyclotomic import CyclotomicNumber, SubfieldSpec
+from .errors import DomainError
 from .hodge import (ExactHodgeStructure, IntegralRepresentation,
                     SymbolicHodgeSpec, exact_structure_from_spec,
                     hodge_character_from_numeric, rigidity_by_centre,
@@ -72,11 +73,11 @@ __all__ = [
 ]
 
 
-class NotRigid(ValueError):
+class NotRigid(DomainError, ValueError):
     pass
 
 
-class NotCMField(ValueError):
+class NotCMField(DomainError, ValueError):
     pass
 
 
@@ -86,15 +87,15 @@ class _RelationError(ValueError):
         self.witness = witness
 
 
-class RelationIFails(_RelationError):
+class RelationIFails(DomainError, _RelationError):
     pass
 
 
-class NotPositiveDefinite(_RelationError):
+class NotPositiveDefinite(DomainError, _RelationError):
     pass
 
 
-class RosatiFails(_RelationError):
+class RosatiFails(DomainError, _RelationError):
     pass
 
 

@@ -67,6 +67,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 
 from . import linalg
+from .errors import DomainError
 
 __all__ = [
     "PolynomialField",
@@ -94,7 +95,7 @@ THETA_DEGREE_CAP = comb(8, 2)
 PRECISION_BITS_CAP = 4096
 
 
-class PrecisionCapReached(ArithmeticError):
+class PrecisionCapReached(DomainError, ArithmeticError):
     """A certified evaluation still undecided at PRECISION_BITS_CAP bits."""
 
 
@@ -128,11 +129,11 @@ def _certified_sign(enclose):
 _GUARD_BITS = 32
 
 
-class ReduciblePolynomial(ValueError):
+class ReduciblePolynomial(DomainError, ValueError):
     pass
 
 
-class RealEmbeddingPresent(ValueError):
+class RealEmbeddingPresent(DomainError, ValueError):
     pass
 
 

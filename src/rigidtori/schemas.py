@@ -14,9 +14,7 @@ import math
 from fractions import Fraction
 
 from .cyclotomic import CyclotomicNumber
-from .fixtures import builtin_representation, group_by_name
 from .groups import FiniteGroup
-from .hodge import IntegralRepresentation, SummandType, SymbolicHodgeSpec
 
 __all__ = [
     "SchemaError",
@@ -54,6 +52,7 @@ def load_group_doc(doc) -> FiniteGroup:
     """Group from {'builtin': name} or {'name', 'cayley_table' |
     'permutation_generators'}."""
     if isinstance(doc, dict) and set(doc) == {"builtin"}:
+        from .fixtures import group_by_name
         try:
             return group_by_name(_builtin_name(doc))
         except KeyError as exc:
@@ -88,7 +87,9 @@ def load_representation_doc(doc):
     Accepts {'builtin': name} or a full document with the group, integer
     matrices (per element or per generator), and optionally a float
     J_matrix or a symbolic_spec."""
+    from .hodge import IntegralRepresentation
     if isinstance(doc, dict) and set(doc) == {"builtin"}:
+        from .fixtures import builtin_representation
         try:
             rep = builtin_representation(_builtin_name(doc))
         except KeyError as exc:
@@ -212,6 +213,7 @@ def load_symbolic_spec(spec_doc, decomposition) -> SymbolicHodgeSpec:
     computed Galois-orbit decomposition.  Multiplicities and tau values are
     non-negative JSON integers; tau is keyed by orbit indices of the
     decomposition."""
+    from .hodge import SummandType, SymbolicHodgeSpec
     _check_keys(spec_doc, {"multiplicities", "tau"}, set(), "symbolic_spec")
     mults = spec_doc["multiplicities"]
     orbits = decomposition.orbits

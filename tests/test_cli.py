@@ -326,11 +326,14 @@ def test_cayley_group_needs_generator_elements(tmp_path):
 
 
 HEAVY_MODULES = ("numpy", "mpmath", "sympy", "scipy")
+# The package's modules that no `analyze` request runs
+DEFERRED_MODULES = tuple(f"rigidtori.{name}" for name in (
+    "hodge", "polarize", "deform", "polyfields", "intpoly", "fixtures"))
 
 
-def _loaded_after(code):
-    """The heavy modules loaded once `code` has run in a fresh interpreter
-    that imports rigidtori from this checkout."""
+def _loaded_after(code, modules=HEAVY_MODULES):
+    """Those of `modules` (the heavy ones by default) loaded once `code` has
+    run in a fresh interpreter that imports rigidtori from this checkout."""
     import os
     import subprocess
     import sys
@@ -341,7 +344,7 @@ def _loaded_after(code):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    code += f"\nprint(sorted(set({HEAVY_MODULES!r}) & set(sys.modules)))"
+    code += f"\nprint(sorted(set({modules!r}) & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     return out.stdout.strip().splitlines()[-1]
@@ -363,6 +366,62 @@ def test_analyze_and_symbolic_rigidity_leave_heavy_modules_unloaded(
             f"assert main(['analyze', '--input', {group!r}]) == 0\n"
             f"assert main(['rigidity', '--input', {symbolic!r}]) == 0")
     assert _loaded_after(code) == "[]"
+
+
+def test_import_loads_only_the_serving_core():
+    # each command imports the layers it runs: a cold start compiles the
+    # table pipeline and the schemas, nothing else of the package
+    import pkgutil
+
+    import rigidtori
+    package = ("rigidtori",) + tuple(
+        f"rigidtori.{info.name}"
+        for info in pkgutil.iter_modules(rigidtori.__path__))
+    assert _loaded_after("import sys, rigidtori.cli", package) == str([
+        f"rigidtori{suffix}" for suffix in (
+            "", ".characters", ".cli", ".cyclotomic", ".errors", ".groups",
+            ".linalg", ".schemas")])
+
+
+def test_analyze_leaves_the_other_layers_unloaded(tmp_path):
+    group = write(tmp_path, "s4.json", {
+        "name": "S4", "permutation_generators": [[1, 2, 3, 0], [1, 0, 2, 3]]})
+    code = ("import sys\n"
+            "from rigidtori.cli import main\n"
+            f"assert main(['analyze', '--input', {group!r}]) == 0")
+    assert _loaded_after(code, DEFERRED_MODULES) == "[]"
+
+
+def test_declared_errors_subclass_domain_error():
+    # the front end catches DomainError alone; each declared error keeps
+    # the base it had, and the input and internal errors are not domain
+    # errors
+    from rigidtori import cli, deform, groups, hodge, polarize, polyfields
+    from rigidtori.characters import TableComputationError
+    from rigidtori.cyclotomic import ConductorMismatch
+    from rigidtori.errors import DomainError
+    from rigidtori.schemas import SchemaError
+    declared = {
+        polarize.NotRigid: ValueError, polarize.NotCMField: ValueError,
+        polarize.RelationIFails: polarize._RelationError,
+        polarize.NotPositiveDefinite: polarize._RelationError,
+        polarize.RosatiFails: polarize._RelationError,
+        deform.NoConvergence: RuntimeError,
+        deform.BudgetExhausted: RuntimeError,
+        hodge.HSViolation: ValueError, hodge.InconsistentCharacter: ValueError,
+        hodge.RoundingFailure: ValueError,
+        hodge.InvalidRepresentation: ValueError,
+        groups.InvalidGroup: ValueError,
+        polyfields.RealEmbeddingPresent: ValueError,
+        polyfields.ReduciblePolynomial: ValueError,
+        polyfields.PrecisionCapReached: ArithmeticError,
+    }
+    assert cli.DOMAIN_ERRORS == (DomainError,)
+    for cls, base in declared.items():
+        assert issubclass(cls, DomainError) and issubclass(cls, base), cls
+        assert cls.__bases__[0] is DomainError, cls
+    for cls in (SchemaError, TableComputationError, ConductorMismatch):
+        assert not issubclass(cls, DomainError), cls
 
 
 def test_numeric_rigidity_decomposes_chi10_once(tmp_path, monkeypatch):
@@ -894,7 +953,7 @@ def test_rigidity_then_polarize_build_one_exact_structure(monkeypatch, doc):
         built.append(args)
         return build(*args)
 
-    for module in (cli, polarize):
+    for module in (hodge, polarize):
         monkeypatch.setattr(module, "exact_structure_from_spec", counting)
     doc = _fresh(doc)
     assert cli.run_rigidity(doc, _args("rigidity"))["result"]["is_rigid"]

@@ -293,6 +293,15 @@ def test_a_j_that_does_not_square_to_minus_one_is_a_declared_error(j):
         find_projective_neighbor(gaussian_action(), j)
 
 
+def test_a_j_that_does_not_commute_with_rho_is_a_declared_error():
+    # J^2 = -I, but J is not Z4-invariant: the chart and its dimension are
+    # those of invariant structures, and a t_norm 0.333 was returned
+    from rigidtori.hodge import RoundingFailure
+    with pytest.raises(RoundingFailure, match="does not commute"):
+        find_projective_neighbor(gaussian_action(), [[0.0, -2.0], [0.5, 0.0]],
+                                 epsilon=10.0)
+
+
 def test_budget_exhausted():
     rep = gaussian_action()
     # the rigid action only reaches t = 0, and t_norm 0 is not < epsilon 0

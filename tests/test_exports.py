@@ -25,6 +25,18 @@ def test_every_exported_name_resolves(name):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
+def test_package_exports_are_their_home_modules_objects():
+    # the package resolves each name on first access from the module that
+    # defines it, and `import *` binds every one
+    namespace = {}
+    exec("from rigidtori import *", namespace)
+    for name in rigidtori.__all__:
+        value = getattr(rigidtori, name)
+        assert namespace[name] is value, name
+        if name != "__version__":
+            home = importlib.import_module(value.__module__)
+            assert getattr(home, name) is value, name
+
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 

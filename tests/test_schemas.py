@@ -404,3 +404,36 @@ def test_a_mutated_document_ends_in_an_answer_or_a_declared_error(
     inp = tmp_path_factory.getbasetemp() / "mutated.json"
     inp.write_text(text)
     assert main([command, *extra, "--input", str(inp)]) in (0, 1, 2)
+
+
+@st.composite
+def polynomial_docs(draw):
+    """A monic integer polynomial of degree at most 6 with coefficients in
+    [-30, 30], low degree first: any, or q(x^2) with q(0) > 0 and no
+    negative coefficient, which has no real root.  Its designated roots are
+    one of each pair (2k, 2k + 1), or any indices from -1 to the degree."""
+    degree = draw(st.integers(0, 6))
+    if degree % 2 == 0 and draw(st.booleans()):
+        q = [draw(st.integers(1, 30))] + draw(st.lists(
+            st.integers(0, 30), min_size=degree // 2 - 1,
+            max_size=degree // 2 - 1)) if degree else []
+        low = [c for x in q for c in (x, 0)]
+    else:
+        low = draw(st.lists(st.integers(-30, 30), min_size=degree,
+                            max_size=degree))
+    if draw(st.booleans()):
+        roots = [2 * k + draw(st.integers(0, 1)) for k in range(degree // 2)]
+    else:
+        roots = draw(st.lists(st.integers(-1, degree), max_size=degree))
+    return {"polynomial": low + [1], "designated_roots": roots}
+
+
+@settings(max_examples=300)
+@given(polynomial_docs())
+def test_a_polynomial_document_ends_in_an_answer_or_a_declared_error(
+        tmp_path_factory, doc):
+    # reducible, totally real, mixed and CM fields, with designations valid
+    # and not: polarize answers or exits 1 or 2, never 3
+    inp = tmp_path_factory.getbasetemp() / "polynomial.json"
+    inp.write_text(json.dumps(doc))
+    assert main(["polarize", "--input", str(inp)]) in (0, 1, 2)
