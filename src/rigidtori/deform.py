@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import linalg
 from .errors import DomainError
@@ -83,26 +83,25 @@ def invariant_two_forms(rep: IntegralRepresentation) -> InvariantTwoFormSpace:
     """Basis of {eta alternating : rho(g)^T eta rho(g) = eta} over Q.
 
     The Reynolds operator R = sum_g Lambda^2 rho(g) on the coordinates
-    eta_ij (i < j) is an integer matrix whose image is the invariant space,
-    of dimension tr(R) / |G|.  Its pivot columns modulo a prime are
-    independent over Q (a rational relation would reduce to one mod p);
-    each is divided by its content.
+    eta_ij (i < j) is the antisymmetrized i < j block of the representation's
+    K = sum_g rho(g) (x) rho(g) (`square_sum`): an integer matrix whose image
+    is the invariant space, of dimension tr(R) / |G|.  Its pivot columns
+    modulo a prime are independent over Q (a rational relation would reduce
+    to one mod p); each is divided by its content.
     """
     import numpy as np
     n2 = rep.rank
-    rho = np.array(rep.matrices, dtype=object)
     iu, ju = np.triu_indices(n2, 1)
     # column (k, l) is the average of e_k ^ e_l: rho_k (x) rho_l - rho_l (x) rho_k
-    outer = np.einsum("gki,glj->klij", rho, rho)
+    outer = rep.square_sum.transpose(0, 2, 1, 3)
     reynolds = (outer - outer.transpose(1, 0, 2, 3))[iu, ju][:, iu, ju].T
-    dim = int(np.trace(reynolds)) // rep.group.order
+    dim = sum(reynolds.diagonal().tolist()) // rep.group.order
     pivots = _pivot_columns_mod_p(reynolds)
     if len(pivots) < dim:  # p divides a minor of R: eliminate over Q
-        pivots = linalg.rref([[Fraction(int(x)) for x in row]
-                              for row in reynolds])[1]
+        pivots = linalg.rref([[Fraction(x) for x in row]
+                              for row in reynolds.tolist()])[1]
     basis = []
-    for c in pivots:
-        col = [int(x) for x in reynolds[:, c]]
+    for col in reynolds[:, pivots].T.tolist():
         content = gcd(*col)
         eta = [[0] * n2 for _ in range(n2)]
         for i, j, x in zip(iu, ju, col):
@@ -215,17 +214,22 @@ class DeformationResult:
 
 
 def _ladder(omega_coords, max_denominator: int):
-    """(denominator, class) for denominators 1, 2, 4, ..., max_denominator:
-    the coordinates rounded to each, at the first denominator giving them.
-    A bound below 1 admits no denominator."""
-    out = {}
+    """(denominator, numerators) for denominators 1, 2, 4, ...,
+    max_denominator: the coordinates rounded to each (half to even, as
+    round(Fraction(c) * d)), at the first denominator giving that class.  A
+    bound below 1 admits no denominator."""
+    ratios = [c.as_integer_ratio() for c in omega_coords]
     bound = max(max_denominator, 0)
-    for d in [1 << k for k in range(bound.bit_length())] + [bound] * (
-            bound > 0):
-        # Fraction(c) * d is exact: a float times a huge d overflows
-        out.setdefault(tuple(Fraction(round(Fraction(c) * d), d)
-                             for c in omega_coords), d)
-    return [(d, coords) for coords, d in out.items()]
+    rungs = [1 << k for k in range(bound.bit_length())] + [bound] * (bound > 0)
+    top = lcm(*rungs)
+    out = {}
+    for d in rungs:
+        nums = []
+        for p, q in ratios:  # p * d / q exactly: a float times d overflows
+            n, r = divmod(p * d, q)
+            nums.append(n + (2 * r > q or 2 * r == q and n % 2))
+        out.setdefault(tuple(n * (top // d) for n in nums), (d, tuple(nums)))
+    return list(out.values())
 
 
 def _chart(j, j_prime):
@@ -248,12 +252,16 @@ def _chart(j, j_prime):
 
 def _hom_dimension(rep: IntegralRepresentation, j) -> int:
     """(1/|G|) sum_g chi10(g)^2 with chi10(g) = (tr rho(g) - i tr rho(g) J)/2:
-    the complex dimension of the invariant directions of deformation."""
+    the complex dimension of the invariant directions of deformation.  The
+    sum is real (chi10(g^-1) is the conjugate of chi10(g)), and with
+    K = `square_sum` it is (sum K[k,k,l,l] - sum K[k,i,l,j] J_ik J_jl) / 4."""
     import numpy as np
-    rho = np.array(rep.matrices, dtype=float)
-    chi = (np.trace(rho, axis1=1, axis2=2)
-           - 1j * np.einsum("gij,ji->g", rho, j)) / 2
-    return int(round(float(np.sum(chi ** 2).real) / rep.group.order))
+    n = rep.rank
+    k = rep.square_sum.reshape(n * n, n * n)
+    traces = sum(k[::n + 1, ::n + 1].ravel().tolist())
+    v = np.asarray(j, dtype=float).T.reshape(n * n)
+    twisted = float(v @ k.astype(float) @ v)
+    return int(round((traces - twisted) / 4 / rep.group.order))
 
 
 def find_projective_neighbor(rep: IntegralRepresentation, j_matrix,
@@ -292,16 +300,24 @@ def find_projective_neighbor(rep: IntegralRepresentation, j_matrix,
                     gens)
     s /= np.abs(s).max()
     ladder = _ladder(invariant_kahler_class(space, s, j), max_denominator)
-    basis = np.array(space.basis, dtype=object)
-    # D * xi is an integer matrix; full rank mod p proves xi invertible
-    xi = [np.tensordot(np.array([int(c * d) for c in coords], dtype=object),
-                       basis, 1) for d, coords in ladder]
+    # D * xi for every rung at once, an integer matrix whose full rank mod p
+    # proves xi invertible: in int64 only below 2^53, where the float images
+    # of D * xi and of D are exact, so that xi's floats are those of Python's
+    # correctly rounded division
+    n2, dim = rep.rank, space.dimension
+    peak = max((abs(c) for _, nums in ladder for c in nums), default=0) * max(
+        max(map(abs, row)) for eta in space.basis for row in eta)
+    dtype = np.int64 if dim * peak < 2**53 else object
+    xi = (np.array([nums for _, nums in ladder], dtype=dtype).reshape(-1, dim)
+          @ np.array(space.basis, dtype=dtype).reshape(dim, n2 * n2)
+          ).reshape(-1, n2, n2)
     keep = [k for k, x in enumerate(xi)
-            if len(_pivot_columns_mod_p(x)) == rep.rank]
+            if len(_pivot_columns_mod_p(x)) == n2]
     if not keep:
         raise BudgetExhausted(
             f"no invertible class within denominator {max_denominator}")
-    xi = np.array([xi[k] / ladder[k][0] for k in keep], dtype=float)
+    denominators = np.array([ladder[k][0] for k in keep], dtype=dtype)
+    xi = np.array(xi[keep] / denominators[:, None, None], dtype=float)
     j_prime, info = newton_solve(-np.linalg.solve(s, xi))
     t, t_norm = _chart(j, j_prime)
     form = xi @ j_prime
@@ -316,8 +332,9 @@ def find_projective_neighbor(rep: IntegralRepresentation, j_matrix,
         raise BudgetExhausted(
             f"no projective neighbor within denominator {max_denominator}",
             best=diag)
+    d, nums = ladder[keep[k]]
     return DeformationResult(
-        xi_coords=ladder[keep[k]][1],
+        xi_coords=tuple(Fraction(c, d) for c in nums),
         t_matrix=tuple(tuple((float(z.real), float(z.imag)) for z in row)
                        for row in t[k]),
         iterations=info["iterations"],

@@ -14,7 +14,6 @@ from math import lcm
 
 from . import linalg
 from .groups import FiniteGroup
-from .hodge import IntegralRepresentation
 
 __all__ = [
     "cyclic",
@@ -156,6 +155,7 @@ def group_by_name(name: str) -> FiniteGroup:
 
 def gaussian_action() -> IntegralRepresentation:
     """Z4 acting on the Gaussian lattice Z[i] by multiplication by i."""
+    from .hodge import IntegralRepresentation
     g = cyclic(4)
     return IntegralRepresentation.from_generators(
         g, [_generator_index(g)], [[[0, -1], [1, 0]]])
@@ -163,6 +163,7 @@ def gaussian_action() -> IntegralRepresentation:
 
 def eisenstein_action() -> IntegralRepresentation:
     """Z3 acting on the Eisenstein lattice Z[zeta_3]."""
+    from .hodge import IntegralRepresentation
     g = cyclic(3)
     return IntegralRepresentation.from_generators(
         g, [_generator_index(g)], [[[0, -1], [1, -1]]])
@@ -176,6 +177,7 @@ def _generator_index(g: FiniteGroup) -> int:
 
 
 def trivial_action(rank: int) -> IntegralRepresentation:
+    from .hodge import IntegralRepresentation
     g = cyclic(1)
     ident = [[1 if i == j else 0 for j in range(rank)] for i in range(rank)]
     return IntegralRepresentation(g, [ident])
@@ -195,6 +197,7 @@ def builtin_representation(name: str) -> IntegralRepresentation:
 
 def regular_representation(group: FiniteGroup) -> IntegralRepresentation:
     """Permutation matrices of left multiplication on Z[G]."""
+    from .hodge import IntegralRepresentation
     n = group.order
     mats = []
     for g in range(n):
@@ -208,6 +211,7 @@ def regular_representation(group: FiniteGroup) -> IntegralRepresentation:
 def integral_model(rep: IntegralRepresentation, subspace_rows):
     """Restrict rep to an invariant rational subspace, in a saturated
     integer lattice basis; returns (model, basis_columns)."""
+    from .hodge import IntegralRepresentation
     lattice = linalg.saturate_lattice(subspace_rows)
     basis = [[Fraction(lattice[j][i]) for j in range(len(lattice))]
              for i in range(rep.rank)]  # columns
@@ -315,6 +319,7 @@ def _build_block(reg, decomp, pieces, kind, orbit_index, rng):
 
 
 def _double_rep(rep: IntegralRepresentation) -> IntegralRepresentation:
+    from .hodge import IntegralRepresentation
     n = rep.rank
     mats = []
     for m in rep.matrices:
@@ -329,7 +334,7 @@ def _double_rep(rep: IntegralRepresentation) -> IntegralRepresentation:
 
 def _direct_sum_structures(built):
     from .cyclotomic import CyclotomicField
-    from .hodge import ExactHodgeStructure
+    from .hodge import ExactHodgeStructure, IntegralRepresentation
     group = built[0][0].group
     total = sum(rep.rank for rep, _ in built)
     big_m = 1
@@ -363,7 +368,7 @@ def _direct_sum_structures(built):
 
 
 def _random_unimodular_conjugate(rep, structure, rng):
-    from .hodge import ExactHodgeStructure
+    from .hodge import ExactHodgeStructure, IntegralRepresentation
     n = rep.rank
     t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for _ in range(2 * n):

@@ -188,14 +188,36 @@ class IntegralRepresentation:
             out.append(acc)
         return out
 
+    @cached_property
+    def square_sum(self):
+        """K[k, i, l, j] = sum_g rho(g)_ki rho(g)_lj, an n x n x n x n integer
+        array: the one G-sum that every G-average of a bilinear form reads
+        (the Reynolds operator of V (x) V).  It is the single product F^T F
+        of the |G| x n^2 stack F of the matrices, in int64 where
+        2 |G| max|rho|^2 < 2^62 (every entry, partial sum and difference of
+        two entries is then below 2^62; numpy's integer products wrap
+        silently, so the bound is proven before the product), else in
+        Python integers (object dtype)."""
+        import numpy as np
+        n, order = self.rank, self.group.order
+        peak = max(max(map(abs, row)) for m in self.matrices for row in m)
+        f = np.array(self.matrices, dtype=_exact_dtype(
+            2 * order * peak * peak)).reshape(order, n * n)
+        return (f.T @ f).reshape(n, n, n, n)
+
     def congruence_sum(self, x):
         """sum_g rho(g)^T x rho(g) for an integer matrix x, as integer rows:
-        |G| times the G-average of x, a G-invariant form.  Two exact
-        object-dtype products per element."""
+        |G| times the G-average of x, a G-invariant form.  One contraction
+        sum_kl x_kl K[k, :, l, :] of K = `square_sum`, in int64 where the
+        bound n^2 max|K| max|x| proves it exact, else in Python integers."""
         import numpy as np
-        x = np.array(x, dtype=object)
-        total = sum(r.T @ x @ r for r in np.array(self.matrices, dtype=object))
-        return [[int(v) for v in row] for row in total]
+        n = self.rank
+        k = self.square_sum.transpose(0, 2, 1, 3).reshape(n * n, n * n)
+        # at least 1: K itself must fit the dtype, even for x = 0
+        peak = max(1, *(max(map(abs, row)) for row in x))
+        dtype = _exact_dtype(n * n * int(abs(k).max()) * peak)
+        return (np.array(x, dtype=dtype).reshape(n * n) @ k.astype(dtype)
+                ).reshape(n, n).tolist()
 
     def generator_indices(self):
         """The group's generating set (`FiniteGroup.generators`), as a
@@ -205,6 +227,14 @@ class IntegralRepresentation:
     def __repr__(self):
         return (f"IntegralRepresentation({self.group.name}, "
                 f"rank={self.rank})")
+
+
+def _exact_dtype(bound):
+    """numpy's int64 for integer arithmetic whose every value is proven
+    below `bound` < 2^62 in absolute value, else object (Python integers):
+    int64 arithmetic wraps silently past 2^63."""
+    import numpy as np
+    return np.int64 if bound < 2**62 else object
 
 
 def _int_mat_mul(a, b):

@@ -386,10 +386,15 @@ def test_import_loads_only_the_serving_core():
 def test_analyze_leaves_the_other_layers_unloaded(tmp_path):
     group = write(tmp_path, "s4.json", {
         "name": "S4", "permutation_generators": [[1, 2, 3, 0], [1, 0, 2, 3]]})
-    code = ("import sys\n"
-            "from rigidtori.cli import main\n"
-            f"assert main(['analyze', '--input', {group!r}]) == 0")
-    assert _loaded_after(code, DEFERRED_MODULES) == "[]"
+    builtin = write(tmp_path, "s3.json", {"builtin": "S3"})
+    run = ("import sys\n"
+           "from rigidtori.cli import main\n"
+           "assert main(['analyze', '--input', {!r}]) == 0")
+    assert _loaded_after(run.format(group), DEFERRED_MODULES) == "[]"
+    # a builtin group is looked up in the fixtures, which then build no
+    # representation
+    assert _loaded_after(run.format(builtin), DEFERRED_MODULES) == str(
+        ["rigidtori.fixtures"])
 
 
 def test_declared_errors_subclass_domain_error():

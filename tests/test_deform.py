@@ -1,10 +1,11 @@
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rigidtori import deform, linalg
@@ -207,11 +208,50 @@ def test_enumeration_is_deterministic_and_nested():
     assert c16 == c64[: len(c16)]
     denoms = [d for d, _ in c64]
     assert denoms == sorted(denoms) and denoms[0] == 1
-    assert all(abs(float(q) - c) <= 0.5 / d
-               for d, cls in c64 for q, c in zip(cls, coords))
-    # one class per rung, each rung's coordinates over that rung
-    assert len({cls for _, cls in c64}) == len(c64)
-    assert all(q.denominator <= d for d, cls in c64 for q in cls)
+    assert all(abs(q / d - c) <= 0.5 / d
+               for d, nums in c64 for q, c in zip(nums, coords))
+    # one class per rung, each rung's numerators over that rung
+    assert len({tuple(Fraction(q, d) for q in nums)
+                for d, nums in c64}) == len(c64)
+    assert all(isinstance(q, int) for _, nums in c64 for q in nums)
+
+
+def reference_ladder(omega_coords, max_denominator):
+    """The ladder in Fractions: round(Fraction(c) * d) at every rung d, each
+    class at the first rung giving it."""
+    out = {}
+    bound = max(max_denominator, 0)
+    for d in [1 << k for k in range(bound.bit_length())] + [bound] * (
+            bound > 0):
+        out.setdefault(tuple(Fraction(round(Fraction(c) * d), d)
+                             for c in omega_coords), d)
+    return [(d, coords) for coords, d in out.items()]
+
+
+# exact ties (k + 1/2) / 2^e, which round half to even at the rung 2^e
+TIES = st.builds(lambda k, e, sign: sign * (k + 0.5) / 2**e,
+                 st.integers(0, 2**20), st.integers(0, 12),
+                 st.sampled_from([-1, 1]))
+COORDINATES = st.one_of(st.floats(-1.0, 1.0), TIES,
+                        st.floats(-1e-307, 1e-307), st.sampled_from(
+                            [5e-324, -5e-324, 2.2250738585072014e-308, 0.0,
+                             -0.0, 1.0, -1.0]))
+
+
+@settings(max_examples=300)
+@given(coords=st.lists(COORDINATES, min_size=1, max_size=6),
+       max_denominator=st.one_of(st.integers(-3, 4096),
+                                 st.sampled_from([2**60 + 3, 3 << 200])))
+@example(coords=[0.5, -0.5, 1.5, -2.5], max_denominator=1)
+@example(coords=[1.0, -0.7, 5e-324], max_denominator=10**400)
+@example(coords=[0.375, -0.125, 5e-324], max_denominator=256)
+def test_ladder_rounds_as_fractions_at_every_rung(coords, max_denominator):
+    ladder = _ladder(coords, max_denominator)
+    assert [(d, tuple(Fraction(q, d) for q in nums))
+            for d, nums in ladder] == reference_ladder(coords,
+                                                       max_denominator)
+    assert all(list(nums) == [round(Fraction(c) * d) for c in coords]
+               for d, nums in ladder)
 
 
 def test_find_projective_neighbor_monotone():
@@ -421,3 +461,139 @@ def test_signed_permutations_end_in_a_result_or_budget(
     except BudgetExhausted:
         return
     assert res.t_norm < epsilon and res.residual < NEWTON_TOL
+
+
+# -- one G-sum: K = sum_g rho(g) (x) rho(g) against the per-element sums ------
+
+
+def reference_square_sum(rep):
+    """K[k, i, l, j] = sum_g rho(g)_ki rho(g)_lj, one object einsum over the
+    elements."""
+    rho = np.array(rep.matrices, dtype=object)
+    return np.einsum("gki,glj->kilj", rho, rho)
+
+
+def reference_two_forms(rep):
+    """The invariant two-forms from the per-element Reynolds operator
+    sum_g Lambda^2 rho(g), an object einsum over the elements, with the
+    same pivots and content reduction."""
+    n2 = rep.rank
+    rho = np.array(rep.matrices, dtype=object)
+    iu, ju = np.triu_indices(n2, 1)
+    outer = np.einsum("gki,glj->klij", rho, rho)
+    reynolds = (outer - outer.transpose(1, 0, 2, 3))[iu, ju][:, iu, ju].T
+    dim = int(np.trace(reynolds)) // rep.group.order
+    pivots = deform._pivot_columns_mod_p(reynolds)
+    if len(pivots) < dim:
+        pivots = linalg.rref([[Fraction(int(x)) for x in row]
+                              for row in reynolds])[1]
+    basis = []
+    for c in pivots:
+        col = [int(x) for x in reynolds[:, c]]
+        content = gcd(*col)
+        eta = [[0] * n2 for _ in range(n2)]
+        for i, j, x in zip(iu, ju, col):
+            eta[i][j], eta[j][i] = x // content, -x // content
+        basis.append(tuple(tuple(r) for r in eta))
+    return tuple(basis)
+
+
+def reference_congruence_sum(rep, x):
+    """sum_g rho(g)^T x rho(g): two object products per element."""
+    x = np.array(x, dtype=object)
+    total = sum(r.T @ x @ r for r in np.array(rep.matrices, dtype=object))
+    return [[int(v) for v in row] for row in total]
+
+
+def reference_hom_dimension(rep, j):
+    """(1/|G|) sum_g chi10(g)^2 from the float stack of rho(G)."""
+    rho = np.array(rep.matrices, dtype=float)
+    chi = (np.trace(rho, axis1=1, axis2=2)
+           - 1j * np.einsum("gij,ji->g", rho, j)) / 2
+    return int(round(float(np.sum(chi ** 2).real) / rep.group.order))
+
+
+def wreath_action(k, n):
+    """Z_k wr S_n (`test_groups.wreath`) on Z[zeta_k]^n, k = 4 or 6: the
+    point c k + r is zeta_k^r in coordinate c, so an element moving (c, 0)
+    to (c', a) maps coordinate c to c' times zeta_k^a.  With J the
+    multiplication by i on every coordinate."""
+    from test_groups import wreath
+    group = wreath(k, n)
+    zeta = np.array({4: [[0, -1], [1, 0]], 6: [[0, -1], [1, 1]]}[k])
+    powers = [np.linalg.matrix_power(zeta, a) for a in range(k)]
+    mats = []
+    for perm in group.permutations:
+        m = np.zeros((2 * n, 2 * n), dtype=int)
+        for c in range(n):
+            image, a = divmod(perm[c * k], k)
+            m[2 * image:2 * image + 2, 2 * c:2 * c + 2] = powers[a]
+        mats.append(m.tolist())
+    i_block = zeta if k == 4 else (2 * zeta - np.eye(2)) / np.sqrt(3)
+    return (IntegralRepresentation.from_elements(group, mats),
+            np.kron(np.eye(n), i_block))
+
+
+def conjugated_gaussian(c):
+    """Z4 on Z[i] conjugated by [[1, c], [0, 1]]: rho(g) = T^-1 g T has the
+    entry c^2 + 1."""
+    t, t_inv = np.array([[1, c], [0, 1]], dtype=object), np.array(
+        [[1, -c], [0, 1]], dtype=object)
+    return IntegralRepresentation(gaussian_action().group, [
+        (t_inv @ np.array(m, dtype=object) @ t).tolist()
+        for m in gaussian_action().matrices])
+
+
+@pytest.fixture(scope="module")
+def catalogue_actions():
+    """The benchmark catalogue: two seeded actions of rank <= 8 for each of
+    the 28 groups of order < 16, with their complex structures."""
+    rng = random.Random("actions/catalogue")
+    return [(rep, structure.j_matrix_float())
+            for group in small_groups() for rep, structure in (
+                random_hodge_fixture(rng, groups=[group]) for _ in range(2))]
+
+
+def _congruence_probes(n2, rng):
+    small = [[rng.randint(-9, 9) for _ in range(n2)] for _ in range(n2)]
+    # past 2^62: the contraction runs on Python integers
+    huge = [[rng.randint(-2**70, 2**70) for _ in range(n2)]
+            for _ in range(n2)]
+    return small, huge
+
+
+def _assert_g_sums_match(rep, rng):
+    assert rep.square_sum.tolist() == reference_square_sum(rep).tolist()
+    assert invariant_two_forms(rep).basis == reference_two_forms(rep)
+    for x in _congruence_probes(rep.rank, rng):
+        assert rep.congruence_sum(x) == reference_congruence_sum(rep, x)
+
+
+def test_g_sums_match_the_per_element_sums_on_the_catalogue(
+        catalogue_actions):
+    assert len(catalogue_actions) == 56
+    assert max(rep.rank for rep, _ in catalogue_actions) <= 8
+    rng = random.Random(41)
+    for rep, j in catalogue_actions:
+        assert rep.square_sum.dtype == np.int64
+        _assert_g_sums_match(rep, rng)
+        assert deform._hom_dimension(rep, j) == \
+            reference_hom_dimension(rep, j)
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_g_sums_match_the_per_element_sums_on_wreath_products(k):
+    rep, j = wreath_action(k, 3)
+    assert rep.group.order == {4: 384, 6: 1296}[k]
+    _assert_g_sums_match(rep, random.Random(k))
+    assert deform._hom_dimension(rep, j) == reference_hom_dimension(rep, j)
+
+
+def test_g_sums_past_the_int64_bound_use_python_integers():
+    # 2 |G| max|rho|^2 = 2^3 (2^80 + 1)^2 is past 2^62: K, the Reynolds
+    # operator and every contraction are exact Python integers; a float
+    # chart dimension means nothing at this size and is not compared
+    rep = conjugated_gaussian(2**40)
+    assert rep.square_sum.dtype == object
+    _assert_g_sums_match(rep, random.Random(43))
+    assert invariant_two_forms(rep).dimension == 1
