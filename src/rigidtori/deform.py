@@ -20,7 +20,7 @@ from math import gcd, lcm
 
 from . import linalg
 from .errors import DomainError
-from .hodge import IntegralRepresentation, _check_commutes
+from .hodge import IntegralRepresentation, _check_commutes, _float_stack
 
 __all__ = [
     "InvariantTwoFormSpace",
@@ -87,7 +87,8 @@ def invariant_two_forms(rep: IntegralRepresentation) -> InvariantTwoFormSpace:
     K = sum_g rho(g) (x) rho(g) (`square_sum`): an integer matrix whose image
     is the invariant space, of dimension tr(R) / |G|.  Its pivot columns
     modulo a prime are independent over Q (a rational relation would reduce
-    to one mod p); each is divided by its content.
+    to one mod p), and there are at most dim of them, so the elimination
+    stops at dim; each is divided by its content.
     """
     import numpy as np
     n2 = rep.rank
@@ -96,7 +97,7 @@ def invariant_two_forms(rep: IntegralRepresentation) -> InvariantTwoFormSpace:
     outer = rep.square_sum.transpose(0, 2, 1, 3)
     reynolds = (outer - outer.transpose(1, 0, 2, 3))[iu, ju][:, iu, ju].T
     dim = sum(reynolds.diagonal().tolist()) // rep.group.order
-    pivots = _pivot_columns_mod_p(reynolds)
+    pivots = _pivot_columns_mod_p(reynolds[None], dim)[0]
     if len(pivots) < dim:  # p divides a minor of R: eliminate over Q
         pivots = linalg.rref([[Fraction(x) for x in row]
                               for row in reynolds.tolist()])[1]
@@ -104,24 +105,50 @@ def invariant_two_forms(rep: IntegralRepresentation) -> InvariantTwoFormSpace:
     for col in reynolds[:, pivots].T.tolist():
         content = gcd(*col)
         eta = [[0] * n2 for _ in range(n2)]
-        for i, j, x in zip(iu, ju, col):
+        for i, j, x in zip(iu.tolist(), ju.tolist(), col):
             eta[i][j], eta[j][i] = x // content, -x // content
         basis.append(tuple(tuple(r) for r in eta))
     return InvariantTwoFormSpace(rank=n2, basis=tuple(basis))
 
 
-def _pivot_columns_mod_p(mat):
-    """Pivot columns of an integer matrix's row echelon form mod _PRIME."""
+def _pivot_columns_mod_p(stack, limit):
+    """The pivot columns of the row echelon form mod _PRIME of each matrix
+    of an integer stack (shape (k, m, w)), as one list per matrix.  `limit`
+    bounds every matrix's rank mod p (its rank over Q does): the
+    elimination stops once each matrix has that many pivots.
+
+    One inverse-free elimination of the whole stack by cross-multiplication
+    mod p: column by column, each matrix with a nonzero entry there takes
+    such a row r' as its pivot row and replaces every row r by
+    (a_r'c r - a_rc r') mod p.  That keeps each row up to a unit multiple
+    and consumes r' (it becomes zero, and so does column c), so a column
+    is a pivot column exactly when it is nonzero once the columns before it
+    are eliminated; working mod p, no division is needed at all.  Residues are below p < 2^31, so both products are
+    below 2^62 and int64 never wraps."""
     import numpy as np
-    a = np.array(mat % _PRIME, dtype=np.int64)
-    pivots = []
-    for c in range(a.shape[1]):
-        rows = np.flatnonzero(a[:, c])
-        if rows.size:  # eliminate column c with its first row, consuming it
-            row = a[rows[0]] * pow(int(a[rows[0], c]), -1, _PRIME) % _PRIME
-            a = (a - np.outer(a[:, c], row)) % _PRIME
-            pivots.append(c)
-    return pivots
+    p = _PRIME
+    # column-major: cols[k, j] is column j of matrix k
+    cols = np.array(np.swapaxes(np.asarray(stack) % p, 1, 2), dtype=np.int64)
+    every = np.arange(len(cols))
+    found = [0] * len(cols)
+    steps = []
+    for c in range(cols.shape[1]):
+        column = cols[:, c]
+        if not column.any():
+            continue
+        row = column.argmax(axis=1)  # a nonzero entry, where there is one
+        pivot = column[every, row]
+        rest = cols[:, c + 1:]
+        prow = rest[every, :, row]
+        rest *= np.maximum(pivot, 1)[:, None, None]
+        rest -= prow[:, :, None] * column[:, None, :]
+        rest %= p
+        live = pivot.astype(bool).tolist()
+        steps.append((c, live))
+        found = [f + x for f, x in zip(found, live)]
+        if min(found) >= limit:
+            break
+    return [[c for c, live in steps if live[k]] for k in every.tolist()]
 
 
 def invariant_metric(rep: IntegralRepresentation, j_matrix):
@@ -296,14 +323,13 @@ def find_projective_neighbor(rep: IntegralRepresentation, j_matrix,
     # a neighbor in the chart of G-invariant structures needs a G-invariant
     # J; rho(G) fits floats once S does (S >= rho(g)^T rho(g))
     gens = rep.generator_indices()
-    _check_commutes(j, np.array([rep.matrices[g] for g in gens], dtype=float),
-                    gens)
+    _check_commutes(j, _float_stack(rep, gens), gens)
     s /= np.abs(s).max()
     ladder = _ladder(invariant_kahler_class(space, s, j), max_denominator)
-    # D * xi for every rung at once, an integer matrix whose full rank mod p
-    # proves xi invertible: in int64 only below 2^53, where the float images
-    # of D * xi and of D are exact, so that xi's floats are those of Python's
-    # correctly rounded division
+    # D * xi for every rung at once, an integer stack whose full rank mod p,
+    # all rungs in one elimination, proves xi invertible: in int64 only
+    # below 2^53, where the float images of D * xi and of D are exact, so
+    # that xi's floats are those of Python's correctly rounded division
     n2, dim = rep.rank, space.dimension
     peak = max((abs(c) for _, nums in ladder for c in nums), default=0) * max(
         max(map(abs, row)) for eta in space.basis for row in eta)
@@ -311,8 +337,8 @@ def find_projective_neighbor(rep: IntegralRepresentation, j_matrix,
     xi = (np.array([nums for _, nums in ladder], dtype=dtype).reshape(-1, dim)
           @ np.array(space.basis, dtype=dtype).reshape(dim, n2 * n2)
           ).reshape(-1, n2, n2)
-    keep = [k for k, x in enumerate(xi)
-            if len(_pivot_columns_mod_p(x)) == n2]
+    keep = [k for k, pivots in enumerate(_pivot_columns_mod_p(xi, n2))
+            if len(pivots) == n2]
     if not keep:
         raise BudgetExhausted(
             f"no invertible class within denominator {max_denominator}")

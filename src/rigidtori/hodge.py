@@ -41,6 +41,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from operator import mul
+from struct import Struct
 
 from . import linalg
 from .characters import (CharacterTable, GaloisOrbitDecomposition,
@@ -116,12 +117,17 @@ class IntegralRepresentation:
         tree define rho, and each other edge is checked against it as the
         closure meets it.  With
         rho(e) = I, rho(x) rho(s) = rho(xs) on every edge gives
-        rho(a) rho(b) = rho(ab) for all b, by induction on a word for b."""
+        rho(a) rho(b) = rho(ab) for all b, by induction on a word for b.
+
+        Each generator is read once (`_RightFactor`), as Python integers,
+        so the products are the representation's matrices as they are
+        stored."""
         n = len(generator_matrices[0]) if generator_matrices else 0
-        ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         mats = {0: ident}
         frontier = [0]
-        gen = list(zip(generator_indices, generator_matrices))
+        gen = [(g_idx, _RightFactor(g_mat))
+               for g_idx, g_mat in zip(generator_indices, generator_matrices)]
         while frontier:
             x = frontier.pop()
             for g_idx, g_mat in gen:
@@ -138,8 +144,16 @@ class IntegralRepresentation:
         if any(len(m) != n or any(len(row) != n for row in m)
                for m in mats.values()):
             raise InvalidRepresentation("ragged matrix")
-        return IntegralRepresentation(
-            group, [mats[g] for g in range(group.order)])
+        return IntegralRepresentation._of_int_tuples(
+            group, tuple(mats[g] for g in range(group.order)))
+
+    @classmethod
+    def _of_int_tuples(cls, group: FiniteGroup, matrices):
+        """The representation on `matrices`, taken as they are: a tuple of
+        matrices, each a tuple of row tuples of Python integers."""
+        rep = cls.__new__(cls)
+        rep.group, rep.matrices, rep.rank = group, matrices, len(matrices[0])
+        return rep
 
     @staticmethod
     def from_elements(group: FiniteGroup,
@@ -193,31 +207,51 @@ class IntegralRepresentation:
         """K[k, i, l, j] = sum_g rho(g)_ki rho(g)_lj, an n x n x n x n integer
         array: the one G-sum that every G-average of a bilinear form reads
         (the Reynolds operator of V (x) V).  It is the single product F^T F
-        of the |G| x n^2 stack F of the matrices, in int64 where
-        2 |G| max|rho|^2 < 2^62 (every entry, partial sum and difference of
-        two entries is then below 2^62; numpy's integer products wrap
-        silently, so the bound is proven before the product), else in
-        Python integers (object dtype)."""
+        of the |G| x n^2 stack F of the matrices.  Where
+        |G| max|rho|^2 < 2^53, every product and partial sum is an integer
+        below 2^53, exact in float64 under any summation order or fused
+        multiply-add: the product is BLAS's, cast to int64.  Beyond, it is
+        int64 where 2 |G| max|rho|^2 < 2^62 (every entry, partial sum and
+        difference of two entries is then below 2^62; numpy's integer
+        products wrap silently, so the bound is proven before the product),
+        else Python integers (object dtype)."""
         import numpy as np
         n, order = self.rank, self.group.order
         peak = max(max(map(abs, row)) for m in self.matrices for row in m)
-        f = np.array(self.matrices, dtype=_exact_dtype(
-            2 * order * peak * peak)).reshape(order, n * n)
-        return (f.T @ f).reshape(n, n, n, n)
+        bound = order * peak * peak
+        dtype = float if bound < 2**53 else _exact_dtype(2 * bound)
+        f = np.array(self.matrices, dtype=dtype).reshape(order, n * n)
+        k = f.T @ f
+        return (k.astype(np.int64) if dtype is float else k).reshape(
+            n, n, n, n)
 
     def congruence_sum(self, x):
         """sum_g rho(g)^T x rho(g) for an integer matrix x, as integer rows:
         |G| times the G-average of x, a G-invariant form.  One contraction
-        sum_kl x_kl K[k, :, l, :] of K = `square_sum`, in int64 where the
-        bound n^2 max|K| max|x| proves it exact, else in Python integers."""
+        sum_kl x_kl K[k, :, l, :] of K = `square_sum`.  x is split into
+        base-2^b limbs, x = sum_t x_t 2^(bt) with 0 <= x_t < 2^b but for the
+        top limb, which carries the sign and has |x_t| <= 2^b, for the
+        largest b with n^2 max|K| 2^b < 2^62: the contraction of every limb
+        is then exact in int64, all limbs in one product, and the limbs'
+        results are recombined in Python integers.  One limb holds the
+        whole of a small x.  A K too large for one bit per limb is
+        contracted in Python integers."""
         import numpy as np
         n = self.rank
         k = self.square_sum.transpose(0, 2, 1, 3).reshape(n * n, n * n)
-        # at least 1: K itself must fit the dtype, even for x = 0
-        peak = max(1, *(max(map(abs, row)) for row in x))
-        dtype = _exact_dtype(n * n * int(abs(k).max()) * peak)
-        return (np.array(x, dtype=dtype).reshape(n * n) @ k.astype(dtype)
-                ).reshape(n, n).tolist()
+        flat = [v for row in x for v in row]
+        bits = 62 - (n * n * int(abs(k).max())).bit_length()
+        if bits < 1:
+            return (np.array(flat, dtype=object) @ k.astype(object)
+                    ).reshape(n, n).tolist()
+        mask = (1 << bits) - 1
+        *low, top = range(0, max(1, max(map(abs, flat)).bit_length()), bits)
+        limbs = np.array([[v >> shift & mask for v in flat] for shift in low]
+                         + [[v >> top for v in flat]], dtype=np.int64) @ k
+        out = limbs[-1].tolist()
+        for limb in limbs[-2::-1].tolist():
+            out = [(v << bits) + w for v, w in zip(out, limb)]
+        return [out[i:i + n] for i in range(0, n * n, n)]
 
     def generator_indices(self):
         """The group's generating set (`FiniteGroup.generators`), as a
@@ -237,15 +271,50 @@ def _exact_dtype(bound):
     return np.int64 if bound < 2**62 else object
 
 
+class _RightFactor:
+    """A matrix b read once for the products a b of `from_generators`: its
+    columns, as tuples of Python integers, and its rows packed 64 bits per
+    entry into one integer each (row t is sum_j b_tj 2^(64 j)), so that row
+    i of a b is the single integer sum_t a_it row_t, whose 64-bit slots
+    are the entries wherever each is proven below 2^63.  An empty or
+    ragged b raises the IndexError that indexing its entries one by one
+    raises."""
+
+    __slots__ = ("cols", "rows", "bound", "offset", "unpack")
+
+    def __init__(self, b):
+        m = len(b[0])
+        self.cols = tuple(tuple(map(int, col)) for col in zip(*b))
+        if len(self.cols) != m:
+            raise IndexError("list index out of range")
+        self.rows = [sum(x << (64 * j) for j, x in enumerate(row))
+                     for row in zip(*self.cols)]
+        # |(a b)_ij| <= (rows of b) max|a| max|b|
+        self.bound = len(b) * max(
+            (abs(x) for col in self.cols for x in col), default=0)
+        self.offset = sum(1 << (64 * j + 63) for j in range(m))
+        self.unpack = Struct(f"<{m}q").unpack
+
+
 def _int_mat_mul(a, b):
-    """a b for integer matrices given as rows: each row of a against each
-    column of b.  A ragged input raises the IndexError that indexing its
-    entries one by one raises."""
-    m = len(b[0])
-    cols = list(zip(*b))
-    if a and (len(cols) != m or m and any(len(row) < len(b) for row in a)):
+    """a b for integer matrices, a given as rows and b as its
+    `_RightFactor`, as a tuple of row tuples of Python integers.  Where
+    (rows of b) max|a| max|b| < 2^63, every entry fits its signed 64-bit
+    slot: each row is one sum of packed rows, its slots read back at once
+    (2^63 is added to every slot so that no slot borrows, then flipped
+    back).  Beyond, each row of a meets each column of b.  A row of a
+    shorter than b is tall raises the IndexError that indexing its entries
+    one by one raises."""
+    cols = b.cols
+    if cols and any(len(row) < len(cols[0]) for row in a):
         raise IndexError("list index out of range")
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+    peak = max((max(map(abs, row), default=0) for row in a), default=0)
+    if peak * b.bound < 2**63:
+        size, offset = 8 * len(cols), b.offset
+        return tuple([b.unpack(((sum(map(mul, row, b.rows)) + offset)
+                                ^ offset).to_bytes(size, "little"))
+                      for row in a])
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 # -- Hodge characters -------------------------------------------------------
@@ -333,6 +402,17 @@ def _check_commutes(J, rho, elements) -> None:
             f"J does not commute with rho({elements[failing[0]]})")
 
 
+def _float_stack(rep: IntegralRepresentation, elements):
+    """The (len(elements), 2n, 2n) float stack of rho on `elements`; a rho
+    beyond the float range raises RoundingFailure."""
+    import numpy as np
+    try:
+        return np.array([rep.matrices[g] for g in elements], dtype=float)
+    except OverflowError:
+        raise RoundingFailure("rho has entries beyond the float range") \
+            from None
+
+
 def hodge_character_from_numeric(rep: IntegralRepresentation,
                                  j_matrix) -> HodgeCharacter:
     """Round the numeric trace data of (rho, J) to an exact HodgeCharacter.
@@ -344,21 +424,20 @@ def hodge_character_from_numeric(rep: IntegralRepresentation,
     and J must square to -I and commute with rho to within _COMMUTE_TOL
     relative to its norm.
 
-    rho(G) is read once, as one (|G|, 2n, 2n) float stack: the commutation
-    with J is one batched norm, every tr(rho(h) J) comes from one einsum, and
-    each class's multiplicities are one FFT over the powers of its
-    representative.  A rho beyond the float range raises RoundingFailure.
+    rho is read only where it is needed, as float stacks: commutation with
+    J on the generators (a matrix commuting with the generators commutes
+    with every word in them), one batched norm; the traces on the powers of
+    the class representatives, one einsum; and the multiplicities of all
+    classes of one element order, one FFT.  A rho beyond the float range
+    raises RoundingFailure.
     """
     import numpy as np
     J = np.asarray(j_matrix, dtype=float)
     n2 = rep.rank
     if J.shape != (n2, n2):
         raise InvalidRepresentation("J matrix has wrong shape")
-    try:
-        rho = np.array(rep.matrices, dtype=float)
-    except OverflowError:
-        raise RoundingFailure("rho has entries beyond the float range") \
-            from None
+    gens = rep.generator_indices()
+    rho = _float_stack(rep, gens)
     # entries near the float range overflow to inf and nan here, silently:
     # the checks then pass vacuously, but the multiplicities come out
     # non-finite, a RoundingFailure below
@@ -366,20 +445,34 @@ def hodge_character_from_numeric(rep: IntegralRepresentation,
         if np.linalg.norm(J @ J + np.eye(n2)) > _COMMUTE_TOL * max(
                 1.0, np.linalg.norm(J) ** 2):
             raise RoundingFailure("J^2 + I exceeds tolerance")
-        chi_num = (np.trace(rho, axis1=1, axis2=2)
-                   - 1j * np.einsum("gij,ji->g", rho, J)) / 2.0
-    _check_commutes(J, rho, range(len(rho)))
+    _check_commutes(J, rho, gens)
 
     table = table_for(rep.group)
+    powers = []  # g^0, ..., g^(e-1) for each class representative g
+    for g in table.classes.representatives:
+        row = [0]
+        for _ in range(rep.group.element_order[g] - 1):
+            row.append(rep.group.table[row[-1]][g])
+        powers.append(row)
+    elements = sorted(set().union(*powers))
+    rho = _float_stack(rep, elements)
+    with np.errstate(over="ignore", invalid="ignore"):
+        chi_num = (np.trace(rho, axis1=1, axis2=2)
+                   - 1j * np.einsum("gij,ji->g", rho, J)) / 2.0
+    position = {h: i for i, h in enumerate(elements)}
+    by_order = {}
+    for k, row in enumerate(powers):
+        by_order.setdefault(len(row), []).append(k)
+    transforms = [None] * len(powers)
+    for e, classes in by_order.items():
+        rows = [[position[h] for h in powers[k]] for k in classes]
+        for k, mults in zip(classes, np.fft.fft(chi_num[rows]) / e):
+            transforms[k] = mults
     field = table.field
     m = field.m
     values = []
-    for k, g in enumerate(table.classes.representatives):
-        e = rep.group.element_order[g]
-        powers = [0]
-        for _ in range(e - 1):
-            powers.append(rep.group.table[powers[-1]][g])
-        mults = np.fft.fft(chi_num[powers]) / e
+    for k, mults in enumerate(transforms):
+        e = len(mults)
         if not np.isfinite(mults).all():
             raise RoundingFailure(
                 f"eigenvalue multiplicities at class {k} are not finite")

@@ -366,6 +366,10 @@ def test_analyze_and_symbolic_rigidity_leave_heavy_modules_unloaded(
             f"assert main(['analyze', '--input', {group!r}]) == 0\n"
             f"assert main(['rigidity', '--input', {symbolic!r}]) == 0")
     assert _loaded_after(code) == "[]"
+    # symbolic polarize expands the same generators by the same closure,
+    # which loads no numpy; only its interval signs load mpmath
+    code += f"\nassert main(['polarize', '--input', {symbolic!r}]) == 0"
+    assert _loaded_after(code) == "['mpmath']"
 
 
 def test_import_loads_only_the_serving_core():
@@ -987,15 +991,24 @@ def test_rigidity_then_polarize_validate_the_spec_once(monkeypatch):
 
 
 def _count_representations(monkeypatch):
+    """Every IntegralRepresentation built, by its constructor or by the
+    closure of `from_generators`, which stores its products as they are."""
     from rigidtori.hodge import IntegralRepresentation
     built = []
     init = IntegralRepresentation.__init__
+    of_int_tuples = IntegralRepresentation._of_int_tuples
 
     def counting(self, *args, **kwargs):
         built.append(self)
         init(self, *args, **kwargs)
 
+    def counting_closure(cls, *args):
+        built.append(of_int_tuples(*args))
+        return built[-1]
+
     monkeypatch.setattr(IntegralRepresentation, "__init__", counting)
+    monkeypatch.setattr(IntegralRepresentation, "_of_int_tuples",
+                        classmethod(counting_closure))
     return built
 
 

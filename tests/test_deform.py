@@ -473,6 +473,20 @@ def reference_square_sum(rep):
     return np.einsum("gki,glj->kilj", rho, rho)
 
 
+def reference_pivot_columns_mod_p(mat, prime=deform._PRIME):
+    """Pivot columns of one integer matrix's row echelon form mod the
+    prime, each pivot row scaled by its inverse."""
+    a = np.array(np.asarray(mat) % prime, dtype=np.int64)
+    pivots = []
+    for c in range(a.shape[1]):
+        rows = np.flatnonzero(a[:, c])
+        if rows.size:  # eliminate column c with its first row, consuming it
+            row = a[rows[0]] * pow(int(a[rows[0], c]), -1, prime) % prime
+            a = (a - np.outer(a[:, c], row)) % prime
+            pivots.append(c)
+    return pivots
+
+
 def reference_two_forms(rep):
     """The invariant two-forms from the per-element Reynolds operator
     sum_g Lambda^2 rho(g), an object einsum over the elements, with the
@@ -483,7 +497,7 @@ def reference_two_forms(rep):
     outer = np.einsum("gki,glj->klij", rho, rho)
     reynolds = (outer - outer.transpose(1, 0, 2, 3))[iu, ju][:, iu, ju].T
     dim = int(np.trace(reynolds)) // rep.group.order
-    pivots = deform._pivot_columns_mod_p(reynolds)
+    pivots = reference_pivot_columns_mod_p(reynolds)
     if len(pivots) < dim:
         pivots = linalg.rref([[Fraction(int(x)) for x in row]
                               for row in reynolds])[1]
@@ -597,3 +611,97 @@ def test_g_sums_past_the_int64_bound_use_python_integers():
     assert rep.square_sum.dtype == object
     _assert_g_sums_match(rep, random.Random(43))
     assert invariant_two_forms(rep).dimension == 1
+
+
+# -- the exact kernels against their references -------------------------------
+
+
+P = deform._PRIME
+# residues of every kind: small, negative, at and past the prime, and past
+# int64 (the stack is then object dtype)
+ENTRIES = st.one_of(st.integers(-3, 3), st.sampled_from(
+    [P - 1, P, P + 1, 2 * P, -P, -P - 1, 2**62, -2**63]),
+                    st.integers(-2**70, 2**70))
+
+
+@settings(max_examples=300)
+@given(data=st.data(), count=st.integers(0, 4), height=st.integers(1, 5),
+       width=st.integers(1, 6))
+def test_stacked_certificate_matches_the_per_matrix_elimination(
+        data, count, height, width):
+    # one elimination of the whole stack gives each matrix's pivot columns;
+    # it stops at `limit`, any bound on the ranks over Q, down to the
+    # largest rank itself.  A member whose last row is its first plus p
+    # times another is singular mod p
+    mats = []
+    for _ in range(count):
+        mat = data.draw(st.lists(st.lists(ENTRIES, min_size=width,
+                                          max_size=width),
+                                 min_size=height, max_size=height))
+        if height > 1 and data.draw(st.booleans()):
+            mat[-1] = [x + P * y for x, y in zip(mat[0], mat[1])]
+        mats.append(mat)
+    rank = max((linalg.rank(m) for m in mats), default=0)
+    limit = data.draw(st.integers(rank, height + 1))
+    stack = np.array(mats, dtype=object).reshape(count, height, width)
+    if all(-2**63 <= x < 2**63 for x in stack.ravel().tolist()):
+        stack = stack.astype(np.int64)
+    assert deform._pivot_columns_mod_p(stack, limit) == [
+        reference_pivot_columns_mod_p(np.array(m, dtype=object))
+        for m in mats]
+
+
+def tight_stack(peak):
+    """Four 1 x 1 matrices peak, peak - 1, peak - 1, peak - 1 (peak odd):
+    no homomorphism, but K is a sum over any stack, and here K =
+    4 peak^2 - 6 peak + 3 is odd and within 6 peak of its bound
+    |G| max|rho|^2 = 4 peak^2."""
+    return IntegralRepresentation(gaussian_action().group,
+                                  [[[peak]]] + [[[peak - 1]]] * 3)
+
+
+@pytest.mark.parametrize("make, arg, below", [
+    (conjugated_gaussian, 6888, True), (conjugated_gaussian, 6889, False),
+    (tight_stack, 47453131, True), (tight_stack, 47453135, False)],
+    ids=["gaussian-below-2^53", "gaussian-above-2^53", "tight-below-2^53",
+         "tight-above-2^53"])
+def test_square_sum_is_exact_on_both_sides_of_the_float_bound(make, arg,
+                                                              below):
+    # |G| max|rho|^2 just below 2^53, where K is a float64 product, and just
+    # above, where it is int64.  The Gaussian family's K is half its bound;
+    # the tight stack's odd K passes 2^53 just above, where a float product
+    # would round it
+    rep = make(arg)
+    peak = max(abs(x) for m in rep.matrices for row in m for x in row)
+    assert (rep.group.order * peak**2 < 2**53) == below
+    assert rep.square_sum.dtype == np.int64
+    assert rep.square_sum.tolist() == reference_square_sum(rep).tolist()
+
+
+def test_limb_contraction_where_its_bound_is_tight():
+    # the all-ones 3 x 3 matrix of the trivial group: every entry of K is 1,
+    # so a contraction reaches n^2 max|K| |x| = 9 |x|, past 2^63 for the
+    # entries below taken in one limb; in b-bit limbs every one is exact
+    rep = IntegralRepresentation(trivial_action(2).group, [[[1] * 3] * 3])
+    for value in (2**60 - 1, -2**60, 2**62 + 3, -2**70 - 1):
+        x = [[value] * 3 for _ in range(3)]
+        assert rep.congruence_sum(x) == reference_congruence_sum(rep, x)
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_limb_contraction_past_the_int64_bound(k):
+    # K in int64 and x past 2^62: x splits into b-bit limbs, b the largest
+    # with n^2 max|K| 2^b < 2^62; entries at the limb boundaries and across
+    # several limbs, of both signs
+    rep, _ = wreath_action(k, 3)
+    n2 = rep.rank
+    assert rep.square_sum.dtype == np.int64
+    b = 62 - (n2 * n2 * int(abs(rep.square_sum).max())).bit_length()
+    edges = [2**b - 1, 2**b, 2**b + 1, 2**(2 * b), 2**62 + 1, 2**63,
+             2**64 - 1, 3**60]
+    rng = random.Random(k)
+    for _ in range(3):
+        x = [[rng.choice([-1, 1]) * rng.choice(
+            edges + [rng.randint(0, 2**100)]) for _ in range(n2)]
+             for _ in range(n2)]
+        assert rep.congruence_sum(x) == reference_congruence_sum(rep, x)

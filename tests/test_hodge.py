@@ -15,7 +15,8 @@ from rigidtori.fixtures import (cyclic, eisenstein_action, gaussian_action,
 from rigidtori.hodge import (BRUTE_FORCE_RANK_CAP, ExactHodgeStructure,
                              HSViolation, InconsistentCharacter,
                              IntegralRepresentation, InvalidRepresentation,
-                             RoundingFailure, _int_mat_mul, SummandType, SymbolicHodgeSpec,
+                             RoundingFailure, SummandType, SymbolicHodgeSpec,
+                             _RightFactor, _int_mat_mul,
                              brute_force_hom_dimension,
                              enumerate_rigid_types, exact_structure_from_spec,
                              f_module_basis, hodge_character_from_numeric,
@@ -87,7 +88,10 @@ def _indexed_product(a, b):
             for i in range(n)]
 
 
-_rows = st.lists(st.lists(st.integers(-9, 9), max_size=4), max_size=4)
+# entries past 2^63 too: their products leave the packed 64-bit slots
+_rows = st.lists(st.lists(st.one_of(st.integers(-9, 9),
+                                    st.integers(-2**70, 2**70)),
+                          max_size=4), max_size=4)
 
 
 @given(_rows, _rows)
@@ -96,16 +100,25 @@ _rows = st.lists(st.lists(st.integers(-9, 9), max_size=4), max_size=4)
 @example([[1]], [[], []])           # no columns: nothing is indexed
 @example([], [[1], []])             # no rows
 @example([[1]], [])                 # no b[0]
+@example([[2**62, -2**62]], [[1, -1], [1, 1]])  # bound 2^63: not packed
+@example([[2**63 - 1], [1 - 2**63]], [[1, -1, 0]])  # the slots' extremes
+@example([[-2**63]], [[-1]])        # 2^63, one past the slots
 def test_int_mat_mul_matches_indexed_product(a, b):
     # ragged and empty shapes included: the same product, or the same error
     try:
         expected = _indexed_product(a, b)
     except IndexError as exc:
         with pytest.raises(IndexError) as raised:
-            _int_mat_mul(a, b)
+            _int_mat_mul(a, _RightFactor(b))
         assert str(raised.value) == str(exc)
+        return
+    if not a and any(len(row) < len(b[0]) for row in b):
+        # b is read first, so a ragged b is refused even against an a with
+        # no rows, which the indexed product never reads b for
+        with pytest.raises(IndexError, match="list index out of range"):
+            _RightFactor(b)
     else:
-        assert _int_mat_mul(a, b) == expected
+        assert _int_mat_mul(a, _RightFactor(b)) == tuple(map(tuple, expected))
 
 
 def test_generator_closure_makes_one_product_per_edge(monkeypatch):
@@ -588,8 +601,9 @@ def test_exact_structure_matches_numeric_character():
 
 def _chi10_per_element(rep, j_matrix):
     """The per-element hodge_character_from_numeric that the float-stack
-    one replaced, kept as its oracle: each rho(g) converted and checked on
-    its own, each multiplicity summed term by term."""
+    one replaced, kept as its oracle: each generator's rho(g) converted and
+    checked for commutation on its own, each multiplicity summed term by
+    term."""
     from rigidtori.hodge import (HodgeCharacter, _COMMUTE_TOL,
                                  _MULTIPLICITY_TOL)
     J = np.asarray(j_matrix, dtype=float)
@@ -599,7 +613,7 @@ def _chi10_per_element(rep, j_matrix):
     if np.linalg.norm(J @ J + np.eye(n2)) > _COMMUTE_TOL * max(
             1.0, np.linalg.norm(J) ** 2):
         raise RoundingFailure("J^2 + I exceeds tolerance")
-    for g in range(rep.group.order):
+    for g in rep.generator_indices():
         R = np.asarray(rep.matrices[g], dtype=float)
         if np.linalg.norm(J @ R - R @ J) > _COMMUTE_TOL * max(
                 1.0, np.linalg.norm(R)):
@@ -648,7 +662,7 @@ def _chi10_outcome(fn, rep, j_matrix):
        size=st.sampled_from([1e-15, 1e-12, 1e-10, 1e-8, 1e-5, 1e-2]))
 def test_float_stack_chi10_matches_the_per_element_loop(seed, kind, size):
     # the same exact values, or the same error class naming the same first
-    # element or class, on exact J and on J perturbed around and past the
+    # generator or class, on exact J and on J perturbed around and past the
     # tolerances: J + size N breaks J^2 = -I, P J P^-1 with P = I + size N
     # keeps it and breaks the commutation
     rng = random.Random(seed)
