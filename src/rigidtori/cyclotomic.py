@@ -20,8 +20,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from . import linalg
-
 __all__ = [
     "CyclotomicField",
     "CyclotomicNumber",
@@ -410,17 +408,24 @@ def _reduced(field: _Field, num: list, den: int) -> CyclotomicNumber:
 
 
 def _product(field: _Field, a, b) -> list:
-    """Numerators of a * b mod Phi_m: an integer convolution, then each
-    z^k with k >= phi(m) replaced by its integral reduction."""
-    deg = field.degree
-    conv = [0] * (2 * deg - 1)
+    """Numerators of a * b mod Phi_m: an integer convolution, then
+    `_reduce`d."""
+    conv = [0] * (2 * field.degree - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b, i):
                 conv[j] += ai * bj
+    return _reduce(field, conv)
+
+
+def _reduce(field: _Field, conv) -> list:
+    """The numerators mod Phi_m of the integer polynomial `conv` of degree
+    below 2 phi(m) - 1: each z^k with k >= phi(m) replaced by its integral
+    reduction."""
+    deg = field.degree
     acc = conv[:deg]
     table = field.power_table
-    for k in range(deg, 2 * deg - 1):
+    for k in range(deg, len(conv)):
         ck = conv[k]
         if ck:
             for i, t in table[k]:
@@ -428,9 +433,12 @@ def _product(field: _Field, a, b) -> list:
     return acc
 
 
+@lru_cache(maxsize=1024)
 def _zeta_box(m: int, k: int, precision: int) -> tuple:
     """The exact rectangle (re_lo, re_hi, im_lo, im_hi) around
-    exp(2*pi*i*k/m) of one mpmath interval cos/sin pair at `precision`."""
+    exp(2*pi*i*k/m) of one mpmath interval cos/sin pair at `precision`,
+    kept per (m, k, precision): the same rectangle serves every element of
+    Q(zeta_m) that is embedded at sigma_k."""
     from mpmath import iv
     old = iv.prec
     try:
@@ -504,9 +512,9 @@ class SubfieldSpec:
         # the first maximal independent subset: the sums independent of the
         # ones before them are the pivot columns of the matrix of all sums,
         # whose entries are the sums' integer numerators
+        from . import linalg
         _, pivots = linalg.rref(
-            [[Fraction(s.num[i]) for s in sums]
-             for i in range(self.field.degree)])
+            [[s.num[i] for s in sums] for i in range(self.field.degree)])
         return [sums[c] for c in pivots]
 
     # -- embeddings -------------------------------------------------------
@@ -552,6 +560,7 @@ class SubfieldSpec:
         invertible, the coordinates are one product with the inverse, and
         x lies in the subfield iff they reproduce all of x."""
         if self._reduced is None:
+            from . import linalg
             _, pivots = linalg.rref([list(b.coeffs) for b in self.basis])
             inverse = linalg.inverse(
                 [[b.coeffs[p] for b in self.basis] for p in pivots])

@@ -15,6 +15,7 @@ and the residual |J'^2 + 1| are floats.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -90,17 +91,15 @@ def invariant_two_forms(rep: IntegralRepresentation) -> InvariantTwoFormSpace:
     to one mod p), and there are at most dim of them, so the elimination
     stops at dim; each is divided by its content.
     """
-    import numpy as np
     n2 = rep.rank
-    iu, ju = np.triu_indices(n2, 1)
+    iu, ju = _upper_pairs(n2)
     # column (k, l) is the average of e_k ^ e_l: rho_k (x) rho_l - rho_l (x) rho_k
     outer = rep.square_sum.transpose(0, 2, 1, 3)
     reynolds = (outer - outer.transpose(1, 0, 2, 3))[iu, ju][:, iu, ju].T
     dim = sum(reynolds.diagonal().tolist()) // rep.group.order
     pivots = _pivot_columns_mod_p(reynolds[None], dim)[0]
     if len(pivots) < dim:  # p divides a minor of R: eliminate over Q
-        pivots = linalg.rref([[Fraction(x) for x in row]
-                              for row in reynolds.tolist()])[1]
+        pivots = linalg.rref(reynolds.tolist())[1]
     basis = []
     for col in reynolds[:, pivots].T.tolist():
         content = gcd(*col)
@@ -187,13 +186,25 @@ def _ldl_positive_pivots(s) -> int:
     return n
 
 
+@lru_cache(maxsize=64)
+def _upper_pairs(n2: int):
+    """np.triu_indices(n2, 1), the coordinates i < j of an alternating
+    form, built once per rank and read-only: the invariant forms and the
+    Kaehler class of a request index the same pairs."""
+    import numpy as np
+    pairs = np.triu_indices(n2, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
 def invariant_kahler_class(space: InvariantTwoFormSpace, metric, j_matrix):
     """Float coordinates of the Kaehler class J^T S (S a float matrix) in the
     invariant basis, least squares on its alternating part, scaled to
     max |coordinate| = 1."""
     import numpy as np
     omega = np.asarray(j_matrix, dtype=float).T @ metric
-    iu = np.triu_indices(space.rank, 1)
+    iu = _upper_pairs(space.rank)
     cols = np.array(space.basis, dtype=float)[:, iu[0], iu[1]].T
     coords, *_ = np.linalg.lstsq(cols, (omega - omega.T)[iu] / 2, rcond=None)
     peak = float(np.max(np.abs(coords), initial=0.0))

@@ -12,7 +12,6 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from . import linalg
 from .groups import FiniteGroup
 
 __all__ = [
@@ -211,6 +210,7 @@ def regular_representation(group: FiniteGroup) -> IntegralRepresentation:
 def integral_model(rep: IntegralRepresentation, subspace_rows):
     """Restrict rep to an invariant rational subspace, in a saturated
     integer lattice basis; returns (model, basis_columns)."""
+    from . import linalg
     from .hodge import IntegralRepresentation
     lattice = linalg.saturate_lattice(subspace_rows)
     basis = [[Fraction(lattice[j][i]) for j in range(len(lattice))]
@@ -368,6 +368,7 @@ def _direct_sum_structures(built):
 
 
 def _random_unimodular_conjugate(rep, structure, rng):
+    from . import linalg
     from .hodge import ExactHodgeStructure, IntegralRepresentation
     n = rep.rank
     t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]

@@ -23,14 +23,21 @@ sum of the isotypic components e_chi (V (x) K) of the characters chi at the
 designated embeddings, and e_chi = (chi(1)/|G|) sum_k conj(chi(g_k)) S_k
 (Serre, Linear Representations of Finite Groups, 2.6).
 
-An exact structure costs one elimination: its basis matrix P = [U | conj(U)]
-is inverted once, at construction, which is also the proof that U + conj(U)
-spans.  The action of rho(g) in that basis is P^-1 rho(g) P, a product.
-G-stability of U is certified on a generating set only (a subspace stable
-under the generators is stable under every word in them), after which each
-Hodge-character value is a trace tr(rho(g) Pi) through the projector
-Pi = P[:, :n] P^-1[:n, :] onto U along conj(U): integer times cyclotomic
-products, with no elimination per conjugacy class.
+An exact structure costs one elimination, at construction, for half of a
+basis inverse.  Its basis matrix P = [U | conj(U)] has conj(P) = P S, S the
+swap of the two halves, so P^-1 = [X; conj(X)]: only the top half X is
+solved for, from X P = [I | 0], and a solution is the proof that
+U + conj(U) spans, as then [X; conj(X)] P = I.  rho(g) acts on U by
+A_g = X rho(g) U and on conj(U) by conj(A_g), and U is stable iff
+X rho(g) conj(U) = 0.  G-stability of U is certified on a generating set
+only (a subspace stable under the generators is stable under every word in
+them), after which each Hodge-character value is a trace tr(rho(g) Pi)
+through the projector Pi = U X onto U along conj(U), with no elimination
+per conjugacy class.  These products run in integers: a matrix over K is
+the power-basis numerators of its entries over one denominator, each entry
+packed into one integer (`_pack`), so that a product over K is one product
+of integer matrices, whose entries are unreduced convolutions, reduced mod
+Phi_m and canonicalized once per entry.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ from struct import Struct
 from . import linalg
 from .characters import (CharacterTable, GaloisOrbitDecomposition,
                          galois_orbits, table_for)
-from .cyclotomic import CyclotomicField, CyclotomicNumber
+from .cyclotomic import CyclotomicField, CyclotomicNumber, _reduce
 from .errors import DomainError
 from .groups import FiniteGroup
 
@@ -596,8 +603,9 @@ class ExactHodgeStructure:
 
     `frame` is the F-module frame U was built from, one entry
     (orbit index, copies) per active CM summand of the realized spec: for
-    each F-module generator v of the summand, the list of its class-sum
-    images S_k v (k in canonical class order, S_0 v = v).  Empty for a
+    each F-module generator v of the summand, its class-sum images over
+    one denominator as `f_module_basis` gives them, (d, [S_k w]) with
+    w = d v (k in canonical class order, S_0 w = w).  Empty for a
     structure not built by `exact_structure_from_spec`."""
 
     def __init__(self, rep: IntegralRepresentation, field, u_columns,
@@ -606,18 +614,21 @@ class ExactHodgeStructure:
         self.field = field
         self.u_columns = [list(col) for col in u_columns]
         self.frame = tuple(frame)
-        n2 = rep.rank
-        if len(self.u_columns) * 2 != n2:
+        n, n2 = len(self.u_columns), rep.rank
+        if n * 2 != n2:
             raise InvalidRepresentation("U must have half the rank")
-        full = [list(col) for col in self.u_columns]
-        full += [[c.conjugate() for c in col] for col in self.u_columns]
-        mat = [[full[j][i] for j in range(n2)] for i in range(n2)]
-        try:
-            inv = linalg.inverse(mat)
-        except ValueError:
-            raise InvalidRepresentation("U + conj(U) does not span") from None
-        self._basis_matrix = mat  # columns: u_1..u_n, conj(u_1)..conj(u_n)
-        self._basis_inverse = inv
+        full = self.u_columns + [[c.conjugate() for c in col]
+                                 for col in self.u_columns]
+        # X P = [I | 0], solved as P^T X^T = [I; 0]; see the module docstring
+        one, zero = field.one(), field.zero()
+        top = linalg.solve_many(full, [[one if i == j else zero
+                                        for j in range(n)]
+                                       for i in range(n2)])
+        if top is None:
+            raise InvalidRepresentation("U + conj(U) does not span")
+        self._basis_matrix = [list(row) for row in zip(*full)]
+        self._basis = _numerators(self._basis_matrix)
+        self._top_inverse = _numerators(list(zip(*top)))
         self._generator_actions = None   # see generator_actions
 
     @property
@@ -626,19 +637,23 @@ class ExactHodgeStructure:
 
     def restricted_action(self, g: int):
         """(A_g, B_g): matrices of rho(g) on U and on conj(U); errors if the
-        subspaces are not invariant."""
-        n = self.n
+        subspaces are not invariant.  X rho(g) P, one packed product, is
+        [A_g | X rho(g) conj(U)]: U is stable iff its right half is zero,
+        and then conj(U) is too, with B_g = conj(A_g)."""
+        n, field = self.n, self.field
         rho = self.rep.matrices[g]
-        cols = list(zip(*self._basis_matrix))
-        images = [[_dot_int(row, col) for col in cols] for row in rho]
-        sol = linalg.mat_mul(self._basis_inverse, images)
-        for i in range(n):
-            for j in range(n):
-                if not (sol[n + i][j].is_zero() and sol[i][n + j].is_zero()):
-                    raise InvalidRepresentation("rho(g) mixes U and conj(U)")
-        a = [[sol[i][j] for j in range(n)] for i in range(n)]
-        b = [[sol[n + i][n + j] for j in range(n)] for i in range(n)]
-        return a, b
+        (x, x_den), (p, p_den) = self._top_inverse, self._basis
+        bits = _slot_bits(len(rho) ** 2 * field.degree * _peak(x)
+                          * max(map(abs, itertools.chain(*rho))) * _peak(p))
+        read = _unpacker(field, bits)
+        a = []
+        x_rho = linalg.mat_mul(_pack(x, bits), rho)
+        for row in linalg.mat_mul(x_rho, _pack(p, bits)):
+            if any(any(read(v)) for v in row[n:]):
+                raise InvalidRepresentation("rho(g) mixes U and conj(U)")
+            a.append([CyclotomicNumber(field, read(v), x_den * p_den)
+                      for v in row[:n]])
+        return a, [[v.conjugate() for v in row] for row in a]
 
     def generator_actions(self):
         """restricted_action(g) for the generators g of the representation,
@@ -650,21 +665,50 @@ class ExactHodgeStructure:
         return self._generator_actions
 
     def hodge_character(self) -> HodgeCharacter:
-        """chi10(g) = tr(rho(g) Pi), Pi the projector onto U along conj(U),
-        after certifying on the generators that U and conj(U) are stable."""
+        """chi10(g) = tr(rho(g) Pi), Pi = U X the projector onto U along
+        conj(U), after certifying on the generators that U and conj(U) are
+        stable.  Pi is one packed product; each trace is an integer
+        combination of its packed entries."""
         self.generator_actions()
         table = table_for(self.rep.group)
-        n = self.n
-        proj = linalg.mat_mul([row[:n] for row in self._basis_matrix],
-                              self._basis_inverse[:n])
-        proj_cols = list(zip(*proj))
+        n, field = self.n, self.field
+        (x, x_den), (p, p_den) = self._top_inverse, self._basis
+        u = [row[:n] for row in p]
+        bits = _slot_bits(n * field.degree * _peak(u) * _peak(x))
+        read = _unpacker(field, bits)
+        proj = [[read(v) for v in row]
+                for row in linalg.mat_mul(_pack(u, bits), _pack(x, bits))]
+        mats = [self.rep.matrices[g] for g in table.classes.representatives]
+        bits = _slot_bits(len(proj) ** 2 * _peak(proj) * max(
+            abs(v) for m in mats for row in m for v in row))
+        read = _unpacker(field, bits)
+        proj_cols = _pack(list(zip(*proj)), bits)   # column i: Pi_ji over j
         values = []
-        for g in table.classes.representatives:
-            tr = self.field.zero()
-            for row, col in zip(self.rep.matrices[g], proj_cols):
-                tr = tr + _dot_int(row, col)
+        for rho in mats:
+            packed = sum(sum(map(mul, row, col))
+                         for row, col in zip(rho, proj_cols))
+            tr = CyclotomicNumber(field, read(packed), x_den * p_den)
             values.append(_coerce_to_subcyclotomic(tr, table.field))
         return HodgeCharacter(table=table, values=tuple(values))
+
+    def pairing(self, form):
+        """U^T F P for a rational 2n x 2n matrix F, as the n x 2n matrix
+        over K of the values F(u_a, p_b) of F on the columns u_a of U
+        against the columns p_b of P = [U | conj(U)]: one packed product,
+        F cleared to integers over its one denominator."""
+        n, field = self.n, self.field
+        p, p_den = self._basis
+        den = lcm(*(x.denominator for row in form for x in row))
+        f = [[x.numerator * (den // x.denominator) for x in row]
+             for row in form]
+        bits = _slot_bits(len(p) ** 2 * field.degree * _peak(p) ** 2
+                          * max(map(abs, itertools.chain(*f))))
+        read = _unpacker(field, bits)
+        packed = _pack(p, bits)
+        u_t = list(zip(*packed))[:n]
+        return [[CyclotomicNumber(field, read(v), den * p_den * p_den)
+                 for v in row]
+                for row in linalg.mat_mul(linalg.mat_mul(u_t, f), packed)]
 
     def j_matrix_float(self):
         """Float image P D P^-1 of the exact multiplication-by-i operator,
@@ -705,14 +749,50 @@ class ExactHodgeStructure:
         return out
 
 
-def _dot_int(ints, vec):
-    """sum ints[t] * vec[t] for an integer row and a cyclotomic vector,
-    skipping the zero integers."""
-    acc = vec[0].field.zero()
-    for x, v in zip(ints, vec):
-        if x:
-            acc = acc + v * x
-    return acc
+def _numerators(matrix):
+    """(rows of numerator tuples, D) for a matrix over a cyclotomic field:
+    the power-basis numerators of its entries over their one common
+    denominator D."""
+    den = lcm(*(x.den for row in matrix for x in row))
+    return [[tuple(c * (den // x.den) for c in x.num) for x in row]
+            for row in matrix], den
+
+
+def _peak(rows) -> int:
+    """The largest |c| over the numerator tuples of a matrix."""
+    return max((abs(c) for row in rows for x in row for c in x), default=0)
+
+
+def _slot_bits(bound: int) -> int:
+    """Bits per slot for packed coefficients at most `bound` in absolute
+    value: one more than `bound` needs, for the sign."""
+    return bound.bit_length() + 1
+
+
+def _pack(rows, bits):
+    """A matrix of numerator tuples c as the integers sum_s c_s 2^(bits s):
+    its power-basis coordinate planes, packed.  Packing is additive and a
+    product of packed tuples is their packed convolution, so a matrix
+    product over Z of packed matrices is the packed matrix of unreduced
+    convolution sums."""
+    return [[sum(c << bits * s for s, c in enumerate(x)) for x in row]
+            for row in rows]
+
+
+def _unpacker(field, bits):
+    """The reader of packed polynomials of degree below 2 phi(m) - 1 whose
+    coefficients are below 2^(bits - 1) in absolute value: their
+    numerators mod Phi_m.  2^(bits - 1) is added to every slot, so that no
+    slot borrows, and taken off again."""
+    half = 1 << (bits - 1)
+    mask = (1 << bits) - 1
+    shifts = range(0, bits * (2 * field.degree - 1), bits)
+    offset = sum(half << s for s in shifts)
+
+    def read(value):
+        value += offset
+        return _reduce(field, [(value >> s & mask) - half for s in shifts])
+    return read
 
 
 def _coerce_to_subcyclotomic(x: CyclotomicNumber, small) -> CyclotomicNumber:
@@ -775,7 +855,8 @@ def isotypic_split(rep: IntegralRepresentation,
     satisfy P_j^2 = P_j, P_i P_j = 0 and sum to the identity, exactly.
     An idempotent is a class function, so P_j = sum_k c_k S_k over the
     integer class sums S_k; over the common denominator D of the c_k the
-    sum runs in integers and is divided by D once.
+    sum runs in integers and is divided by D once.  The image basis is the
+    RREF of the columns of D P_j, which is that of P_j's columns.
     """
     n2 = rep.rank
     representatives = decomposition.table.classes.representatives
@@ -792,19 +873,20 @@ def isotypic_split(rep: IntegralRepresentation,
                         if x:
                             acc_row[j] += w * x
         p = [[Fraction(x, den) for x in row] for row in acc]
-        image = linalg.row_space_basis([list(col) for col in zip(*p)])
-        out.append((p, image))
+        out.append((p, linalg.row_space_basis(list(zip(*acc)))))
     return out
 
 
 def f_module_basis(summand_image, centre_matrices):
     """Vectors v_1..v_n whose F-orbits (under the centre action restricted
-    to the summand, given by matrices such as `class_sums`) form a Q-basis
-    of the summand; greedy construction.
+    to the summand, given by integer matrices such as `class_sums`) form a
+    Q-basis of the summand; greedy construction.
 
-    Returns (images, orbits): the images [S v_i for S in centre_matrices]
-    of each v_i, and a basis of each orbit's span.  With `class_sums`, whose
-    first class is the identity's, images[i][0] is v_i."""
+    Returns (images, orbits): the images of each v_i over one denominator,
+    (d, [S w for S in centre_matrices]) with w = d v_i for the lcm d of
+    v_i's denominators, in integers; and a basis of each orbit's span.
+    With `class_sums`, whose first class is the identity's, images[i][1][0]
+    is w."""
     if not summand_image:
         return [], []
     spanned = []
@@ -813,9 +895,11 @@ def f_module_basis(summand_image, centre_matrices):
     for cand in summand_image:
         if linalg.in_span(spanned, cand):
             continue
-        orbit_vectors = [linalg.mat_vec(mat, cand) for mat in centre_matrices]
+        den = lcm(*(x.denominator for x in cand))
+        w = [x.numerator * (den // x.denominator) for x in cand]
+        orbit_vectors = [linalg.mat_vec(mat, w) for mat in centre_matrices]
         orbit = linalg.row_space_basis(orbit_vectors)
-        images.append(orbit_vectors)
+        images.append((den, orbit_vectors))
         orbits.append(orbit)
         spanned = linalg.row_space_basis(spanned + orbit)
         if len(spanned) == len(summand_image):
@@ -984,17 +1068,25 @@ def exact_structure_from_spec(rep: IntegralRepresentation,
 
 
 def _character_component(table: CharacterTable, row: int, images):
-    """e_chi v for the character chi in `row`, from the images S_k v of v
-    under the class sums: e_chi = (chi(1)/|G|) sum_k conj(chi(g_k)) S_k, the
-    class-sum form of CharacterTable.central_idempotent.  A CM character
-    field needs m > 2, so the column lies in Q(zeta_m), the structure's K."""
-    scale = Fraction(table.degrees[row], table.group.order)
-    coeffs = [x.conjugate() * scale for x in table.rows[row]]
+    """e_chi v for the character chi in `row`, from the images (d, S_k w)
+    of w = d v under the class sums: e_chi = (chi(1)/|G|) sum_k
+    conj(chi(g_k)) S_k, the class-sum form of
+    CharacterTable.central_idempotent, summed in integer numerators over
+    one denominator per column.  A CM character field needs m > 2, so the
+    column lies in Q(zeta_m), the structure's K."""
+    field = table.field
+    den, vectors = images
+    coeffs = [x.conjugate() for x in table.rows[row]]
+    common = lcm(*(c.den for c in coeffs))
+    nums = [[v * (common // c.den) for v in c.num] for c in coeffs]
+    scale = table.degrees[row]
+    den *= common * table.group.order
     column = []
-    for i in range(len(images[0])):
-        acc = table.field.zero()
-        for c, image in zip(coeffs, images):
-            if image[i]:
-                acc = acc + c * image[i]
-        column.append(acc)
+    for entries in zip(*vectors):
+        acc = [0] * field.degree
+        for c, x in zip(nums, entries):
+            if x:
+                for s, v in enumerate(c):
+                    acc[s] += x * v
+        column.append(CyclotomicNumber(field, [scale * v for v in acc], den))
     return column

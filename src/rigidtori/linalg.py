@@ -1,15 +1,21 @@
 """Exact dense linear algebra over Q and over cyclotomic fields.
 
-Matrices are lists of lists of Fraction or CyclotomicNumber.  Everything is
-ordinary Gaussian elimination with exact division; sizes here are small
-(ranks up to a few dozen), so no fraction-free tricks are needed.  Also
-provides integer-lattice routines (Hermite form, saturated integer kernels).
+Matrices are lists of lists of int, Fraction or CyclotomicNumber.  A matrix
+of ints and Fractions is eliminated over Z: each row is cleared to integers
+(which leaves its row space alone) and reduced by fraction-free
+Gauss-Jordan (Bareiss, Math. Comp. 22, 1968), whose every entry is a minor
+of the cleared matrix, so each step divides exactly and no entry outgrows
+the Hadamard bound; the one RREF is read off at the end, as Fractions.
+Cyclotomic matrices take Gauss-Jordan with exact division in the field.
+Also provides integer-lattice routines (Hermite form, saturated integer
+kernels).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 __all__ = [
     "mat_mul",
@@ -58,37 +64,22 @@ def transpose(a):
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        ai = a[i]
-        for j in range(m):
-            acc = None
-            for t in range(k):
-                term = ai[t] * b[t][j]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(row)
-    return out
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def mat_vec(a, v):
-    out = []
-    for row in a:
-        acc = None
-        for x, y in zip(row, v):
-            term = x * y
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def rref(a):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
+    """Reduced row echelon form; returns (rows, pivot_columns).  The rows of
+    a matrix of ints and Fractions are Fractions."""
     rows = [list(r) for r in a]
     if not rows:
         return rows, []
+    if all(isinstance(x, (int, Fraction)) for row in rows for x in row):
+        return _rational_rref(rows)
     ncols = len(rows[0])
     pivots = []
     r = 0
@@ -97,7 +88,7 @@ def rref(a):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c] ** -1 if hasattr(rows[r][c], "__pow__") else 1 / rows[r][c]
+        inv = Fraction(1) / rows[r][c]
         rows[r] = [x * inv for x in rows[r]]
         for i in range(len(rows)):
             if i != r and not _is_zero(rows[i][c]):
@@ -110,23 +101,59 @@ def rref(a):
     return rows, pivots
 
 
+def _rational_rref(rows):
+    """rref of a non-empty matrix of ints and Fractions, over Z.  Each row
+    is cleared by the lcm of its denominators; then fraction-free
+    Gauss-Jordan: with p the pivot and d the pivot before it, every other
+    row becomes (p row - row[c] pivot_row) / d, an exact division.  Every
+    pivot row ends up with the last pivot d on its pivot, and the rows that
+    are not pivot rows are zero, so the RREF is the matrix over d."""
+    ints = []
+    for row in rows:
+        den = lcm(*[x.denominator for x in row])
+        ints.append([x.numerator * (den // x.denominator) for x in row])
+    n = len(ints)
+    pivots = []
+    d = 1
+    for c in range(len(ints[0])):
+        r = len(pivots)
+        piv = next((i for i in range(r, n) if ints[i][c]), None)
+        if piv is None:
+            continue
+        ints[r], ints[piv] = ints[piv], ints[r]
+        pivot_row = ints[r]
+        p = pivot_row[c]
+        for i, row in enumerate(ints):
+            f = row[c]
+            if f and i != r:
+                ints[i] = [(p * x - f * y) // d
+                           for x, y in zip(row, pivot_row)]
+            elif not f and p != d and any(row):
+                ints[i] = [p * x // d for x in row]
+        d = p
+        pivots.append(c)
+        if len(pivots) == n:
+            break
+    return [[Fraction(x, d) for x in row] for row in ints], pivots
+
+
 def rank(a) -> int:
     return len(rref(a)[1])
 
 
 def nullspace(a):
     """Basis of the right kernel {x : a x = 0}, one vector per free column."""
-    if not a:
+    if not a or not a[0]:
         return []
     ncols = len(a[0])
     rows, pivots = rref(a)
-    free = [c for c in range(ncols) if c not in pivots]
-    if not a[0]:
-        return []
     one = _one_like(a)
+    zero = _zero_of(one)
     basis = []
-    for fc in free:
-        vec = [_zero_of(a[0][0]) for _ in range(ncols)]
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [zero] * ncols
         vec[fc] = one
         for r, pc in enumerate(pivots):
             vec[pc] = -rows[r][fc]
@@ -135,12 +162,10 @@ def nullspace(a):
 
 
 def _one_like(a):
-    for row in a:
-        for x in row:
-            if isinstance(x, Fraction):
-                return Fraction(1)
-            return x.field.one() if hasattr(x, "field") else 1
-    return Fraction(1)
+    """1 in the field of the entries of a: Fraction(1) unless one of them
+    is cyclotomic."""
+    return next((x.field.one() for row in a for x in row
+                 if hasattr(x, "field")), Fraction(1))
 
 
 def solve(a, b):
@@ -150,23 +175,18 @@ def solve(a, b):
 
 
 def solve_many(a, b):
-    """Solve a X = B columnwise; None if any column is inconsistent."""
-    n = len(a)
+    """Solve a X = B columnwise; None if any column is inconsistent, that
+    is, if the augmented matrix [a | B] has a pivot among B's columns."""
     ncols = len(a[0]) if a else 0
     k = len(b[0])
-    aug = [list(a[i]) + list(b[i]) for i in range(n)]
+    aug = [list(a[i]) + list(b[i]) for i in range(len(a))]
     rows, pivots = rref(aug)
-    for row in rows:
-        if all(_is_zero(x) for x in row[:ncols]) and any(
-                not _is_zero(x) for x in row[ncols:]):
-            return None
-    zero = _zero_of(aug[0][0]) if aug and aug[0] else Fraction(0)
-    out = [[zero for _ in range(k)] for _ in range(ncols)]
-    for r, pc in enumerate(pivots):
-        if pc >= ncols:
-            return None
-        for j in range(k):
-            out[pc][j] = rows[r][ncols + j]
+    if pivots and pivots[-1] >= ncols:
+        return None
+    zero = _zero_of(_one_like(aug))
+    out = [[zero] * k for _ in range(ncols)]
+    for row, pc in zip(rows, pivots):
+        out[pc] = row[ncols:]
     return out
 
 

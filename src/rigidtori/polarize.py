@@ -22,9 +22,13 @@ in F, and Tr(zeta u x conj(u y)) = Tr(zeta x conj(y)).  Otherwise the
 integer check on the generators runs first, and a form it finds not
 invariant is replaced by its G-average.  Each fact is proved once: the
 certificate checks E^T = -E first, which gives relation I at b < a from
-b > a and the Gram matrix's lower triangle from its upper one; relation
-II reads conj(E u_b) off relation I's products E u_b, E being rational;
-a trace form, alternating as conj(zeta) = -zeta, is computed at s < t.
+b > a; both relations read one pairing U^T E [U | conj(U)] of the exact
+structure, a packed integer product, relation II its right half; a trace
+form, alternating as conj(zeta) = -zeta, is computed at s < t.  The form
+itself is formed in integers: E = W^-T B W^-1 is a positive multiple of
+M^T (d B d) M, with M the integer multiple of the inverse of the frame's
+integer columns, so its primitive integral form needs no rational
+product.
 
 zeta needs no search.  For a CM field with k conjugate pairs,
 x -> (Im sigma_a x)_a over the designated embeddings maps the imaginary
@@ -284,7 +288,8 @@ def assemble_polarization(rep: IntegralRepresentation,
     decomp = spec.decomposition
     if structure is None:
         structure = exact_structure_from_spec(rep, spec)
-    columns = []          # 2n column vectors over Q
+    columns = []          # 2n integer column vectors d S_k v
+    scales = []           # the denominator d of each column
     blocks = []           # per copy: exact block matrix
     provenance = []
     linear = True         # every active character of degree 1
@@ -295,18 +300,21 @@ def assemble_polarization(rep: IntegralRepresentation,
         tau = spec.summands[orbit_index].tau_dict()
         zeta = find_zeta(fspec, [a for a in fspec.coset_reps() if tau[a] > 0])
         pivots, omegas = _pivot_classes(decomp.table, orbit.representative,
-                                        copies[0])
+                                        copies[0][1])
         block = trace_form(fspec, zeta, omegas)
-        for images in copies:
+        for den, images in copies:
             columns += [images[k] for k in pivots]
+            scales += [den] * len(pivots)
             blocks.append(block)
         provenance.append((orbit_index, len(copies),
                            tuple(fspec.coordinates(zeta.element)),
                            zeta.sign_table))
-    w_inv = linalg.inverse(linalg.transpose(columns))
-    e_mat = linalg.mat_mul(linalg.transpose(w_inv),
-                           linalg.mat_mul(_block_diag(blocks), w_inv))
-    e_mat = _primitive_integral(e_mat)
+    # W = N diag(1/d) for the integer N of the columns, so that
+    # E = W^-T B W^-1 = N^-T diag(d) B diag(d) N^-1; with N^-1 = M / L for
+    # an integer M, E is a positive multiple of M^T (diag(d) B diag(d)) M
+    m = _integral(linalg.inverse(linalg.transpose(columns)))
+    e_mat = _primitive_integral(linalg.mat_mul(
+        linalg.transpose(m), linalg.mat_mul(_block_diag(blocks, scales), m)))
     if not (linear or _verify_g_invariance(e_mat, rep)["invariant"]):
         # |G| times the G-average of D * E: both scales come off again
         e_mat = _primitive_integral(rep.congruence_sum(_integral(e_mat)))
@@ -332,16 +340,19 @@ def _pivot_classes(table, row, images):
     return pivots, omegas
 
 
-def _block_diag(blocks):
-    n = sum(len(b) for b in blocks)
-    out = [[Fraction(0)] * n for _ in range(n)]
+def _block_diag(blocks, scales):
+    """diag(d) B diag(d) for the block-diagonal B of the rational `blocks`
+    and the scales d, times the least positive integer that makes it an
+    integer matrix."""
+    n = len(scales)
+    out = [[0] * n for _ in range(n)]
     off = 0
     for b in blocks:
-        for i, row in enumerate(b):
-            for j, x in enumerate(row):
-                out[off + i][off + j] = Fraction(x)
+        for i, row in enumerate(b, off):
+            for j, x in enumerate(row, off):
+                out[i][j] = x * scales[i] * scales[j]
         off += len(b)
-    return out
+    return _integral(out)
 
 
 def _integral(e_mat):
@@ -392,15 +403,13 @@ def verify_polarization(
 def _verify_symbolic(e_rows, structure: ExactHodgeStructure):
     K = structure.field
     n = structure.n
-    e_k = [[K.from_rational(x) for x in row] for row in e_rows]
     u_cols = structure.u_columns
+    # E_C(u_a, p_b) on U against P = [U | conj(U)], one packed product
+    pairs = structure.pairing(e_rows)
     # relation I: E_C(U, U) = 0 exactly, for b > a as E is alternating
-    e_u = [linalg.mat_vec(e_k, col) for col in u_cols]
     for a in range(n):
         for b in range(a + 1, n):
-            acc = K.zero()
-            for x, y in zip(u_cols[b], e_u[a]):
-                acc = acc + x * y
+            acc = pairs[b][a]
             if not acc.is_zero():
                 raise RelationIFails(
                     "E_C does not vanish on V^{1,0} x V^{1,0}",
@@ -411,21 +420,12 @@ def _verify_symbolic(e_rows, structure: ExactHodgeStructure):
                             tuple(x.as_string() for x in u_cols[b]),
                             tuple(x.as_string() for x in u_cols[a])),
                     })
-    # relation II: exact LDL pivots of the Hermitian form -i E_C(u, conj u);
-    # the pivots are purely imaginary elements of K before the -i twist, so
-    # each sign is decided by the certified machinery.  E is rational, so
-    # E conj(u_b) = conj(E u_b); it is alternating and real, so
-    # conj(m[a][b]) = -m[b][a].
-    m = [[None] * n for _ in range(n)]
-    for b in range(n):
-        ev = [x.conjugate() for x in e_u[b]]
-        for a in range(b + 1):
-            acc = K.zero()
-            for x, y in zip(u_cols[a], ev):
-                acc = acc + x * y
-            m[a][b] = acc
-        m[b][:b] = [-m[a][b].conjugate() for a in range(b)]
-    witness = _hermitian_nonpositive_witness(m, K, structure)
+    # relation II: exact LDL pivots of the Hermitian form -i E_C(u, conj u),
+    # the right half of the pairing; the pivots are purely imaginary
+    # elements of K before the -i twist, so each sign is decided by the
+    # certified machinery
+    witness = _hermitian_nonpositive_witness([row[n:] for row in pairs], K,
+                                             structure)
     if witness is not None:
         raise NotPositiveDefinite(
             "the Hermitian form -i E_C(v, conj v) is not positive definite",

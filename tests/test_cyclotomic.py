@@ -447,3 +447,17 @@ def test_product_of_irrational_elements_builds_no_fraction(monkeypatch):
     assert products[0] == products[1]
     assert products[0].coeffs == _ref_mul(a, b, 15)
     assert products[2].coeffs == _ref_mul(a, a, 15)
+
+
+def test_zeta_box_is_kept_per_embedding_and_precision():
+    # every element embedded at sigma_a reads the same rectangle around
+    # zeta^a: one mpmath evaluation per (m, a, precision)
+    from rigidtori.cyclotomic import _zeta_box
+    F = CyclotomicField(7)
+    _zeta_box.cache_clear()
+    x, y = F.zeta() + 2, F.zeta(3) * 5 - 1
+    boxes = [z.embed(a, 64) for z in (x, y) for a in (1, 2)]
+    assert _zeta_box.cache_info().misses == 2
+    assert _zeta_box(7, 1, 64) == _zeta_box.__wrapped__(7, 1, 64)
+    assert boxes == [z.embed(a, 64) for z in (x, y) for a in (1, 2)]
+    assert _zeta_box.cache_info().maxsize is not None

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -411,9 +412,12 @@ def test_f_module_basis_dimensions():
     cm_index = next(j for j, o in enumerate(decomp.orbits) if o.tag == "CM")
     images, orbits = f_module_basis(pieces[cm_index][1], centre_mats)
     assert len(images) == 1
-    gen = images[0][0]
+    # the images S_k w of w = d v in integers, d the lcm of v's denominators
+    (den, vectors), = images
+    gen = [Fraction(x, den) for x in vectors[0]]
     assert gen in pieces[cm_index][1]
-    assert images == [[linalg.mat_vec(mat, gen) for mat in centre_mats]]
+    assert den == lcm(*(x.denominator for x in gen))
+    assert vectors == [linalg.mat_vec(mat, vectors[0]) for mat in centre_mats]
     assert len(orbits[0]) == 2
     # doubled copy: two generators with independent orbits
     from rigidtori.fixtures import _double_rep
@@ -736,6 +740,60 @@ def test_structure_rejects_u_not_g_stable():
     _, good = _gaussian_structure(-i)
     with pytest.raises(InvalidRepresentation):
         brute_force_hom_dimension(st, good.hodge_character())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_packed_products_match_products_over_k(seed):
+    # X rho(g) P, the projector's traces and the pairing U^T F P, all read
+    # from packed integers, against the full inverse P^-1 and products over
+    # K; the second structure scales U by a rational past the 64-bit
+    # slots, which leaves rho's action on U alone
+    rep, st = random_hodge_fixture(random.Random(seed), groups=small_groups())
+    big = Fraction(2**70 + 1, 3)
+    scaled = ExactHodgeStructure(rep, st.field, [[x * big for x in col]
+                                                 for col in st.u_columns])
+    table = table_for(rep.group)
+    rng = random.Random(seed)
+    form = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+             for _ in range(rep.rank)] for _ in range(rep.rank)]
+    form_k = [[st.field.from_rational(x) for x in row] for row in form]
+    for s in (st, scaled):
+        n = s.n
+        full = s.u_columns + [[x.conjugate() for x in col]
+                              for col in s.u_columns]
+        p = linalg.transpose(full)
+        inverse = linalg.inverse(p)
+        for g in set(rep.generator_indices()) | set(
+                table.classes.representatives):
+            rho = [[s.field.from_rational(x) for x in row]
+                   for row in rep.matrices[g]]
+            action = linalg.mat_mul(inverse, linalg.mat_mul(rho, p))
+            assert s.restricted_action(g) == (
+                [row[:n] for row in action[:n]],
+                [row[n:] for row in action[n:]])
+        assert s.hodge_character() == st.hodge_character()
+        assert s.pairing(form) == linalg.mat_mul(
+            s.u_columns, linalg.mat_mul(form_k, p))
+    a, _ = scaled.restricted_action(rep.generator_indices()[0])
+    assert a == st.restricted_action(rep.generator_indices()[0])[0]
+
+
+def test_packed_slots_hold_their_bound():
+    # with every coefficient at the peak, the middle slot of a product of
+    # packed matrices reaches the bound of _slot_bits itself: the inner
+    # dimension times phi(m) products of two peaks
+    from rigidtori.cyclotomic import _reduce
+    from rigidtori.hodge import _pack, _slot_bits, _unpacker
+    field = CyclotomicField(7)
+    deg = field.degree
+    for peak in (1, 3, 2**8, 2**63 - 1):
+        for sign in (1, -1):
+            bits = _slot_bits(3 * deg * peak * peak)
+            (value,), = linalg.mat_mul(_pack([[(peak,) * deg] * 3], bits),
+                                  _pack([[(sign * peak,) * deg]] * 3, bits))
+            conv = [sign * 3 * peak * peak * min(k + 1, 2 * deg - 1 - k)
+                    for k in range(2 * deg - 1)]
+            assert _unpacker(field, bits)(value) == _reduce(field, conv)
 
 
 def test_structure_rejects_u_that_does_not_span():
