@@ -43,6 +43,15 @@ omega = (|C| / chi(1)) chi, built exactly.  A multiplicity outside
 of each transform, z^(-(m/e)jt)/e mod p, are built once per element order
 e and table.
 
+This recovery runs once per Galois orbit.  For a unit a of Z/m,
+sigma_a(chi)(g) = chi(g^a) (Isaacs, Character Theory of Finite Groups),
+and the a-th power map on classes keeps their sizes, so the omega of
+sigma_a(chi) is omega read through it; so is its component, as reduction
+mod p commutes with the permutation.  That component is looked up among
+the d, distinct mod p; a miss raises TableComputationError.  Its row and
+vector are the representative's, permuted alike and sharing its values.
+Which row sigma_a takes each row to is kept.
+
 One exact certificate decides, for d vectors w with w_0 = 1.  A set S of
 classes is chosen so that the tuples (w_s), s in S, are pairwise distinct.
 Checked exactly: sum_k a_sjk w_k = w_s w_j for every s in S and every j,
@@ -81,10 +90,12 @@ b with 2^b > 2 R'^2; so is row j of M_s M_i.  The rows are formed from the
 sparse rows of M_i, one multiply-add per nonzero constant, and no
 product matrix is built.
 
-The degrees need no check of their own: each exact w reduces mod p to the
-component it was recovered from (the multiplicities invert the transform
-mod p), so when w = omega_psi, psi(1)^2 = chi(1)^2 mod p, and both lie in
-[1, sqrt(|G|)].  The degree squares must sum to |G|.  A failed
+No row needs a degree check of its own.  A recovered w reduces mod p to
+its component (the multiplicities invert the transform mod p), so when
+w = omega_psi, psi(1)^2 = chi(1)^2 mod p, both in [1, sqrt(|G|)]: the row
+is psi.  A conjugate row, the recovered one through the a-th power map,
+is then sigma_a(psi), of degree psi(1).  The degree squares must sum to
+|G|.  A failed
 certificate raises TableComputationError.  Rows come out in canonical
 order, so the table depends on neither p nor z; they are sorted on their
 integer power-basis numerators (character values are algebraic integers,
@@ -108,15 +119,15 @@ become 56.  On its cold-groups stream, where 4 of 94 tables come twice and
 none three times, admitting every table on first sight instead raised the
 serving process's peak RSS from 21.5 to 25.2 MB and lowered its throughput
 from 246 to 235 requests/s (10 alternating pairs on a shared 2-core
-host).  `galois_orbits` is computed
-once per table object and then returns that same result; its orbits are
-also the field summands of the centre of Q[G].  Galois images of rows are
-read through the power maps, sigma_a(chi)(g) = chi(g^a), by permuting
-columns; the power maps on classes come with the class data.  An orbit's
-idempotent is summed in integers, chi(1) times the numerators over the
-orbit, and divided by |G| once per class.  The character field's Q-basis
-is built only when it is read: `analyze` reports the conductor, the fixing
-subgroup and the degree, and builds none.
+host).  `galois_orbits` is computed once per table object and then returns
+that same result; its orbits are also the field summands of the centre of
+Q[G].  Orbits, stabilizers and coset rows are read off the images the
+table keeps, as row indices after the canonical sort.  As a runs over the
+units, sigma_a(chi) meets each member of chi's orbit |stabilizer| times,
+so sum_psi psi(g) = Tr_Q(zeta_m)/Q(chi(g)) / |stabilizer| over the orbit:
+the idempotent's coefficient on g, (1/|G|) sum_psi psi(1) psi(g^-1), is
+one trace per class, rational by construction.  The character field's
+Q-basis is built only when it is read (`analyze` builds none).
 """
 
 from __future__ import annotations
@@ -152,12 +163,14 @@ class CharacterTable:
     """Exact d x d table of irreducible character values over Q(zeta_m)."""
 
     def __init__(self, group: FiniteGroup, classes: ConjugacyClassData,
-                 field, rows, degrees):
+                 field, rows, degrees, galois_images):
         self.group = group
         self.classes = classes
         self.field = field
         self.rows = tuple(tuple(r) for r in rows)
         self.degrees = tuple(degrees)
+        # galois_images[r][u] is the row sigma_a(chi_r), a = field.units[u]
+        self.galois_images = tuple(tuple(i) for i in galois_images)
         self._orbits = None   # galois_orbits(self), once computed
         self._embedding = None   # see rounded_decomposition
 
@@ -260,13 +273,16 @@ def character_table(group: FiniteGroup) -> CharacterTable:
     classes = group.conjugacy_classes()
     d = classes.count
     field = CyclotomicField(group.exponent)
-    rows, degs = _dixon_schneider(classes, field)
+    images = []
+    rows, degs = _dixon_schneider(classes, field, images)
     if sum(dd * dd for dd in degs) != group.order:
         raise TableComputationError("degree squares do not sum to |G|")
     order = sorted(range(d), key=lambda r: (degs[r], _row_key(rows[r])))
+    position = {r: t for t, r in enumerate(order)}
     return CharacterTable(group, classes, field,
                           [rows[r] for r in order],
-                          [degs[r] for r in order])
+                          [degs[r] for r in order],
+                          [[position[j] for j in images[r]] for r in order])
 
 
 _LAST = None        # (Cayley table, its CharacterTable) of the last group
@@ -420,12 +436,12 @@ def _slot_width(bound: int) -> int:
     return bound.bit_length() + 1
 
 
-def _dixon_schneider(classes: ConjugacyClassData, field):
-    """(rows, degrees) of the d irreducible characters: the central
-    characters split over F_p, their values recovered exactly from
-    eigenvalue multiplicities, and the central characters certified.  Raises
-    TableComputationError when a step or the certificate fails.  The
-    module docstring shows why the degrees need no check of their own."""
+def _dixon_schneider(classes: ConjugacyClassData, field, images=None):
+    """(rows, degrees) of the d irreducible characters, by the method of the
+    module docstring: one exact recovery per Galois orbit, then the
+    certificate.  A list passed as `images` receives images[r], the rows
+    sigma_a(chi_r), a in field.units.  Raises TableComputationError when a
+    step fails."""
     group = classes.group
     d = classes.count
     m = field.m
@@ -435,6 +451,9 @@ def _dixon_schneider(classes: ConjugacyClassData, field):
     # z^t in the power basis, as (position, integer coefficient) pairs
     power_basis = field.power_table
     powers = classes.power_classes
+    # the a-th power map on classes for each unit a: k -> class of g_k^a
+    power_maps = [[pw[a % len(pw)] for pw in powers] for a in field.units]
+    slot = {a % m: u for u, a in enumerate(field.units)}
     # a class of largest order in its cyclic subgroup first, so that its
     # power classes are filled from its multiplicities
     by_order = sorted(range(d), key=lambda k: -len(powers[k]))
@@ -442,9 +461,15 @@ def _dixon_schneider(classes: ConjugacyClassData, field):
     size_inv = [pow(size, -1, p) for size in classes.sizes]
     bound = math.isqrt(group.order)
     transforms = {}   # element order e -> its multiplicity transform
-    vectors, rows, degrees = [], [], []
+    components = _split_mod_p(classes, p)
+    where = {tuple(v): i for i, v in enumerate(components)}
+    if len(where) != d:
+        raise TableComputationError("two components agree mod p")
+    rows, vectors, degrees, found = ([None] * d for _ in range(4))
     shared = {}   # one tuple per distinct value: values repeat across rows
-    for v in _split_mod_p(classes, p):
+    for i, v in enumerate(components):
+        if rows[i] is not None:
+            continue   # a Galois conjugate of an orbit already recovered
         norm = sum(v[k] * v[inverse[k]] * size_inv[k] for k in range(d)) % p
         if not norm:
             raise TableComputationError("a component has norm 0 mod p")
@@ -470,22 +495,38 @@ def _dixon_schneider(classes: ConjugacyClassData, field):
                 if values[c] is None:
                     coords = [0] * field.degree
                     for power, n in support:
-                        for i, x in power_basis[power * t % m]:
-                            coords[i] += n * x
+                        for pos, x in power_basis[power * t % m]:
+                            coords[pos] += n * x
                     values[c] = coords
         # values are integral, so each row is canonical over 1
-        rows.append([_new(field, shared.setdefault(t, t), 1)
-                     for t in map(tuple, values)])
+        row = [_new(field, shared.setdefault(t, t), 1)
+               for t in map(tuple, values)]
         # w_k = |C_k| chi(g_k) / chi(1) is integral for a central character
         scaled = [[x * size for x in coords]
                   for coords, size in zip(values, classes.sizes)]
         if any(x % deg for coords in scaled for x in coords):
             raise TableComputationError("a central character is not integral")
-        vectors.append([shared.setdefault(w, w) for w in (
-            tuple(x // deg for x in coords) for coords in scaled)])
-        degrees.append(deg)
+        w = [shared.setdefault(x, x) for x in (
+            tuple(y // deg for y in coords) for coords in scaled)]
+        # sigma_a(chi) is chi read through the a-th power map, and so is its
+        # component mod p: look it up, and fill its row and vector
+        image = []
+        for pm in power_maps:
+            j = where.get(tuple([v[k] for k in pm]))
+            if j is None:
+                raise TableComputationError(
+                    "a Galois conjugate of a component is not a component")
+            if rows[j] is None:
+                rows[j], vectors[j] = [row[k] for k in pm], [w[k] for k in pm]
+                degrees[j] = deg
+            image.append(j)
+        # sigma_a sigma_b = sigma_ab gives the images of every member
+        for b, j in zip(field.units, image):
+            found[j] = [image[slot[a * b % m]] for a in field.units]
     if not _certify(classes, field, vectors):
         raise TableComputationError("recovered vectors fail the certificate")
+    if images is not None:
+        images[:] = found
     return rows, degrees
 
 
@@ -660,73 +701,30 @@ def galois_orbits(table: CharacterTable) -> GaloisOrbitDecomposition:
 
 
 def _galois_orbits(table):
-    # sigma_a(chi)(g) = chi(g^a): the image of a row is the row read through
-    # the a-th power map on classes
+    # images come with the table, idempotents by trace (module docstring)
     field = table.field
-    d = table.size
-    values = {}   # value coefficients -> small id, so row keys hash fast
-    keys = [tuple(values.setdefault((v.num, v.den), len(values)) for v in row)
-            for row in table.rows]
-    key_to_row = {key: r for r, key in enumerate(keys)}
-    powers = table.classes.power_classes
-    power_map = {a: [pw[a % len(pw)] for pw in powers] for a in field.units}
-
-    def image(r, a):
-        return key_to_row.get(tuple(keys[r][k] for k in power_map[a]))
-
-    assigned = [False] * d
-    orbits = []
-    for r in range(d):
-        if assigned[r]:
-            continue
-        stabilizer = []
-        members = []
-        for a in field.units:
-            row_img = image(r, a)
-            if row_img is None:
-                raise TableComputationError("Galois image is not a table row")
-            if row_img == r:
-                stabilizer.append(a)
-            if row_img not in members:
-                members.append(row_img)
-        spec = SubfieldSpec(field, stabilizer)
-        coset_to_row = {rep: image(r, rep) for rep in spec.coset_reps()}
-        for m in members:
-            assigned[m] = True
-        idem = _orbit_idempotent(table, members)
-        tag = "TotallyReal" if spec.is_totally_real() else "CM"
-        orbits.append(GaloisOrbit(
-            rows=tuple(members),
-            coset_to_row=tuple(sorted(coset_to_row.items())),
-            idempotent=tuple(idem),
-            field_spec=spec,
-            tag=tag,
-        ))
-    orbits.sort(key=lambda o: o.rows[0])
-    return GaloisOrbitDecomposition(table=table, orbits=tuple(orbits))
-
-
-def _orbit_idempotent(table: CharacterTable, member_rows):
-    """e_K(chi) = sum over the orbit of e_chi; coefficients must be rational.
-
-    The coefficient of g is (1/|G|) sum_chi chi(1) chi(g^-1), one per class.
-    Character values are algebraic integers (denominator 1), so the sum is
-    taken over their integer numerators; it is rational exactly when every
-    coordinate but the first vanishes."""
     g = table.group
-    per_class = []
-    for k in range(table.size):
-        acc = [0] * table.field.degree
-        for row in member_rows:
-            deg = table.degrees[row]
-            for i, x in enumerate(table.rows[row][k].num):
-                acc[i] += deg * x
-        per_class.append(None if any(acc[1:]) else Fraction(acc[0], g.order))
-    out = []
-    for elem in range(g.order):
-        q = per_class[table.classes.membership[g.inverse[elem]]]
-        if q is None:
-            raise TableComputationError(
-                f"orbit idempotent has irrational coefficient at element {elem}")
-        out.append(q)
-    return out
+    trace = [sum(dict(field.power_table[a * t % field.m]).get(0, 0)
+                 for a in field.units) for t in range(field.degree)]
+    assigned = set()
+    orbits = []
+    for r, image in enumerate(table.galois_images):
+        if r in assigned:
+            continue
+        members = tuple(dict.fromkeys(image))
+        assigned.update(members)
+        by_unit = dict(zip(field.units, image))
+        spec = SubfieldSpec(field, [a for a in field.units if by_unit[a] == r])
+        scale = g.order * len(field.units) // len(members)
+        per_class = [Fraction(table.degrees[r] * sum(map(mul, trace, x.num)),
+                              scale) for x in table.rows[r]]
+        orbits.append(GaloisOrbit(
+            rows=members,
+            coset_to_row=tuple((a, by_unit[a])
+                               for a in sorted(spec.coset_reps())),
+            idempotent=tuple(per_class[table.classes.membership[h]]
+                             for h in g.inverse),
+            field_spec=spec,
+            tag="TotallyReal" if spec.is_totally_real() else "CM",
+        ))
+    return GaloisOrbitDecomposition(table=table, orbits=tuple(orbits))

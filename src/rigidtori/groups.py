@@ -13,7 +13,9 @@ gives the one pair (x, x^-1 g_k), in classes (i, j) read off the membership
 table.  That is |G| steps per class, |G| d in all for d classes, and at most
 |G| d nonzero constants.  They are stored as sparse rows,
 coefficients[i][j] = {k: a_ijk}, row j of the class matrix M_i, which is
-the form the character code reads.
+the form the character code reads.  A group with more than `CLASS_CAP`
+classes is refused (InvalidGroup) as soon as the class count passes it,
+before the d x d grid of rows is built.
 
 A Cayley table is validated completely: rows and columns permute 0..n-1,
 0 is the identity, and associativity holds by Light's test (Clifford and
@@ -40,6 +42,13 @@ CLOSURE_CAP = 10000
 # tuple of all points, so a cap on elements alone leaves the work unbounded
 # in the degree.  A group at the element cap may act on up to 100 points.
 CLOSURE_WORK_CAP = 100 * CLOSURE_CAP
+# Class count above which the class data is refused, before its d x d grid
+# of structure constants.  Measured on the abelian Z2^k (d = |G|, the worst
+# case) on a shared 2-core x86 host, the class data and table take 2.0 s and
+# 42 MB at d = 256, 6.5-11.5 s and 130 MB at d = 512, and 25 s and 454 MB at
+# d = 1024; at d = 8192 (Z2^13) the grid alone is 67 M dicts, about 4.3 GB.
+# The largest d of the tests, demos and benchmark workloads is 64.
+CLASS_CAP = 512
 
 
 class InvalidGroup(DomainError, ValueError):
@@ -226,6 +235,10 @@ class FiniteGroup:
             for x in orbit:
                 seen[x] = True
             classes.append(tuple(orbit))
+            if len(classes) > CLASS_CAP:
+                raise InvalidGroup(
+                    f"more than {CLASS_CAP} conjugacy classes: the class "
+                    f"algebra's structure constants are refused")
         # canonical order: size, then element order, then smallest member
         classes.sort(key=lambda c: (len(c), self.element_order[c[0]], c[0]))
         membership = [0] * n

@@ -639,16 +639,21 @@ def test_relabelled_cayley_tables_give_identical_rows(data):
         g, [0] + data.draw(st.permutations(range(1, g.order))))
 
 
-def _assert_relabelling_keeps_the_table(g, perm):
-    """The table of g's Cayley table with element x renamed perm[x] has the
-    same degrees and, column by column, the same rows."""
+def _relabelled(g, perm):
+    """g's Cayley table with element x renamed perm[x]."""
     from rigidtori.groups import FiniteGroup
     table = [[0] * g.order for _ in range(g.order)]
     for x in range(g.order):
         for y in range(g.order):
             table[perm[x]][perm[y]] = perm[g.table[x][y]]
+    return FiniteGroup(table, name="relabelled")
+
+
+def _assert_relabelling_keeps_the_table(g, perm):
+    """The table of g's Cayley table with element x renamed perm[x] has the
+    same degrees and, column by column, the same rows."""
     want = character_table(g)
-    got = character_table(FiniteGroup(table, name="relabelled"))
+    got = character_table(_relabelled(g, perm))
     # column k of `want` is the class of perm[g_k] in the relabelled group
     cols = [got.classes.membership[perm[r]]
             for r in want.classes.representatives]
@@ -675,3 +680,175 @@ def test_tables_verify_and_ignore_the_labelling(group, data):
     table.verify_columns()
     _assert_relabelling_keeps_the_table(
         group, [0] + data.draw(st.permutations(range(1, group.order))))
+
+
+# -- recovery per Galois orbit, against the per-row recovery ----------------
+
+
+def reference_dixon_schneider(classes, field):
+    """The per-row recovery: every component's values recovered from its
+    own multiplicities, then the same certificate.  The oracle of the
+    recovery per Galois orbit, which must give the same rows in the same
+    order."""
+    group = classes.group
+    d = classes.count
+    m = field.m
+    p = _prime(group.order, m)
+    z = _root_of_unity(m, p)
+    zpow = [pow(z, t, p) for t in range(m)]
+    powers = classes.power_classes
+    by_order = sorted(range(d), key=lambda k: -len(powers[k]))
+    inverse = [classes.inverse_class(k) for k in range(d)]
+    size_inv = [pow(size, -1, p) for size in classes.sizes]
+    vectors, rows, degrees = [], [], []
+    for v in characters._split_mod_p(classes, p):
+        norm = sum(v[k] * v[inverse[k]] * size_inv[k] for k in range(d)) % p
+        deg_sq = group.order * pow(norm, -1, p) % p
+        deg = next(c for c in range(1, math.isqrt(group.order) + 1)
+                   if c * c % p == deg_sq)
+        chi = [x * deg * s % p for x, s in zip(v, size_inv)]
+        values = [None] * d
+        for k in by_order:
+            if values[k] is not None:
+                continue
+            pw = powers[k]
+            e = len(pw)
+            mults = _multiplicities([chi[c] for c in pw], deg,
+                                    _multiplicity_transform(e, zpow, p), p)
+            for t, c in enumerate(pw):
+                if values[c] is None:
+                    coords = [0] * field.degree
+                    for j, n in enumerate(mults):
+                        for i, x in field.power_table[m // e * j * t % m]:
+                            coords[i] += n * x
+                    values[c] = coords
+        rows.append([characters._new(field, tuple(t), 1) for t in values])
+        vectors.append([tuple(x * size // deg for x in coords)
+                        for coords, size in zip(values, classes.sizes)])
+        degrees.append(deg)
+    assert characters._certify(classes, field, vectors)
+    return rows, degrees
+
+
+def reference_galois_orbits(table):
+    """The row-keyed orbit decomposition: each row's image under sigma_a
+    found by keying every row and reading it through the a-th power map,
+    and each orbit idempotent summed over its members.  Returns, per orbit,
+    (rows, fixing subgroup, coset_to_row, idempotent, tag)."""
+    from rigidtori.cyclotomic import SubfieldSpec
+    field = table.field
+    g = table.group
+    key_to_row = {_row_key(row): r for r, row in enumerate(table.rows)}
+    powers = table.classes.power_classes
+
+    def image(r, a):
+        return key_to_row[_row_key(
+            [table.rows[r][pw[a % len(pw)]] for pw in powers])]
+
+    assigned = set()
+    out = []
+    for r in range(table.size):
+        if r in assigned:
+            continue
+        members = []
+        for a in field.units:
+            if image(r, a) not in members:
+                members.append(image(r, a))
+        assigned.update(members)
+        spec = SubfieldSpec(field, [a for a in field.units if image(r, a) == r])
+        per_class = []
+        for k in range(table.size):
+            total = sum((table.rows[s][k] * table.degrees[s] for s in members),
+                        field.zero())
+            q = total.as_rational()
+            assert q is not None   # the idempotent is rational
+            per_class.append(q / g.order)
+        out.append((
+            tuple(members), spec.fixing_subgroup,
+            tuple(sorted((a, image(r, a)) for a in spec.coset_reps())),
+            tuple(per_class[table.classes.membership[g.inverse[x]]]
+                  for x in range(g.order)),
+            "TotallyReal" if spec.is_totally_real() else "CM"))
+    return out
+
+
+def _orbit_data(decomp):
+    return [(o.rows, o.field_spec.fixing_subgroup, o.coset_to_row,
+             o.idempotent, o.tag) for o in decomp.orbits]
+
+
+ORBIT_GROUPS = BUNDLED + [_pool_group(name) for name in POOL]
+
+
+@pytest.mark.parametrize("group", ORBIT_GROUPS,
+                         ids=[g.name for g in ORBIT_GROUPS])
+def test_orbit_recovery_matches_the_per_row_recovery(group):
+    classes = group.conjugacy_classes()
+    field = CyclotomicField(group.exponent)
+    images = []
+    rows, degrees = _dixon_schneider(classes, field, images)
+    want_rows, want_degrees = reference_dixon_schneider(classes, field)
+    assert degrees == want_degrees
+    assert [_row_key(r) for r in rows] == [_row_key(r) for r in want_rows]
+    # each conjugate row is its orbit representative's values, the same
+    # objects, read through a power map
+    for image in images:
+        rep = min(image)
+        for u, j in enumerate(image):
+            a = field.units[u]
+            assert rows[j] == [rows[image[0]][pw[a % len(pw)]]
+                               for pw in classes.power_classes]
+            assert {id(x) for x in rows[j]} <= {id(x) for x in rows[rep]}
+
+
+@pytest.mark.parametrize("group", ORBIT_GROUPS,
+                         ids=[g.name for g in ORBIT_GROUPS])
+def test_orbits_match_the_row_keyed_decomposition(group):
+    table = character_table(group)
+    assert _orbit_data(galois_orbits(table)) == reference_galois_orbits(table)
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_orbits_of_relabelled_tables_match_the_row_keyed_decomposition(data):
+    g = data.draw(st.sampled_from(ORBIT_GROUPS))
+    table = character_table(_relabelled(
+        g, [0] + data.draw(st.permutations(range(1, g.order)))))
+    assert _orbit_data(galois_orbits(table)) == reference_galois_orbits(table)
+
+
+@pytest.mark.parametrize("name", ["Z5", "Z12", "Z21", "F21", "Z2xZ2xZ6"])
+def test_a_corrupted_conjugate_component_raises(monkeypatch, name):
+    group = _pool_group(name) if name in POOL else group_by_name(name)
+    classes = group.conjugacy_classes()
+    field = CyclotomicField(group.exponent)
+    images = []
+    _dixon_schneider(classes, field, images)
+    # a component that is the image of one before it: not a representative
+    target = next(j for j, image in enumerate(images) if min(image) < j)
+    split = characters._split_mod_p
+
+    def corrupted(classes, p):
+        vectors = split(classes, p)
+        vectors[target][-1] = (vectors[target][-1] + 1) % p
+        return vectors
+
+    monkeypatch.setattr(characters, "_split_mod_p", corrupted)
+    with pytest.raises(TableComputationError, match="Galois conjugate"):
+        _dixon_schneider(classes, field)
+
+
+def test_a_corrupted_power_map_raises():
+    import dataclasses
+    classes = cyclic(5).conjugacy_classes()
+    field = CyclotomicField(5)
+    # class 1 fills every value from its own powers, so class 2's power
+    # classes are read by the Galois lookup alone; swap g^2 and g^3 there
+    powers = list(classes.power_classes)
+    pw = list(powers[2])
+    pw[2], pw[3] = pw[3], pw[2]
+    powers[2] = tuple(pw)
+    assert sorted(pw) == sorted(classes.power_classes[2])
+    fake = dataclasses.replace(classes, power_classes=tuple(powers))
+    with pytest.raises(TableComputationError, match="Galois conjugate"):
+        _dixon_schneider(fake, field)

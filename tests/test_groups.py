@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -186,6 +187,28 @@ def test_long_permutations_refuse_within_the_work_cap():
     with pytest.raises(InvalidGroup, match="work cap"):
         FiniteGroup.from_permutations([cycle, swap])
     assert time.perf_counter() - start < 0.5
+
+
+def test_too_many_classes_refuse_before_the_structure_constants(
+        monkeypatch, tmp_path):
+    # Z2^8 has 256 classes: its d x d grid of structure-constant rows is
+    # 65 536 dicts, about 4 MB; a cap of 64 refuses it before the grid
+    from rigidtori import groups
+    monkeypatch.setattr(groups, "CLASS_CAP", 64)
+    group = abelian([2] * 8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidGroup, match="more than 64 conjugacy"):
+            group.conjugacy_classes()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    # the refusal is the declared domain error of `analyze`: exit status 1
+    doc = tmp_path / "z2_8.json"
+    doc.write_text(json.dumps({"name": "Z2^8",
+                               "cayley_table": [list(r) for r in group.table]}))
+    assert main(["analyze", "--input", str(doc)]) == 1
 
 
 def test_dicyclic_structure():
