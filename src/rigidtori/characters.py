@@ -65,15 +65,14 @@ i: the d vectors are the d central characters.  Their coordinates are
 integers (central characters are algebraic integers), so the products are
 taken in integers, M_i M_s too, over the sparse rows.
 
-Both checks compare packed integers (Kronecker substitution; Harvey,
-J. Symb. Comput. 44, 2009).  Integer vectors with entries at most X in
-absolute value, packed as sum_i c_i 2^(b i) with 2^b > 2X (`_slot_width`),
-are equal exactly when their packings are: a nonzero difference has a
-lowest nonzero slot, below 2^b in absolute value.  For the eigen
-equations, each w_k is replaced by the integer w_k(2^K), its coordinates
-packed at width K, and the sides are compared modulo n = Phi_m(2^K):
-z -> 2^K is a ring map Z[z] -> Z/n, so an equation that holds holds mod
-n, and each equation costs one integer product and one reduction per w.
+Both checks compare integers packed by `cyclotomic._pack`: vectors with
+entries at most X in absolute value are equal exactly when their packings
+at a width b with 2^b > 2X are (`cyclotomic._slot_width`'s lemma), and
+each check states only its own X.  For the eigen equations, each w_k is
+replaced by the integer w_k(2^K), its coordinates packed at width K, and
+the sides are compared modulo n = Phi_m(2^K): z -> 2^K is a ring map
+Z[z] -> Z/n, so an equation that holds holds mod n, and each equation
+costs one integer product and one reduction per w.
 Conversely, every coordinate of either side is at most
 X = max(R, N B) N in absolute value, where N is the largest sum of
 |coordinates| of one w_k, R the largest row sum sum_k |a_sjk| of an M_s,
@@ -138,7 +137,7 @@ from fractions import Fraction
 from operator import add, mul, sub
 
 from .cyclotomic import (CyclotomicField, CyclotomicNumber, SubfieldSpec,
-                         _new)
+                         _new, _pack, _slot_width)
 from .groups import ConjugacyClassData, FiniteGroup
 
 __all__ = [
@@ -359,8 +358,7 @@ def _certify(classes: ConjugacyClassData, field, coords) -> bool:
     at widths the module docstring shows to decide each equation
     exactly."""
     d = classes.count
-    phi = field.degree
-    one = (1,) + (0,) * (phi - 1)
+    one = (1,) + (0,) * (field.degree - 1)
     if len(coords) != d or any(w[0] != one for w in coords):
         return False
     mats = classes.coefficients
@@ -373,9 +371,8 @@ def _certify(classes: ConjugacyClassData, field, coords) -> bool:
     bits = _evaluation_width(field, norm, max(
         (sum(map(abs, row.values())) for s in separating for row in mats[s]),
         default=0))
-    at = [1 << bits * i for i in range(phi + 1)]
-    n = sum(map(mul, field.modulus, at))
-    by_class = list(zip(*[[sum(map(mul, x, at)) for x in w] for w in coords]))
+    n = _pack(field.modulus, bits)
+    by_class = list(zip(*[[_pack(x, bits) for x in w] for w in coords]))
     for s in separating:
         for j, row in enumerate(mats[s]):
             lhs = [0] * d
@@ -426,14 +423,6 @@ def _evaluation_width(field, norm: int, row_sum: int) -> int:
                   for _, c in power)
     bound = max(row_sum, norm * reduced) * norm
     return _slot_width(bound + (max(map(abs, field.modulus)) + 1) // 2)
-
-
-def _slot_width(bound: int) -> int:
-    """Slot width b for packing integer vectors whose entries, on both
-    sides of an equation, are at most `bound` in absolute value: each
-    difference of entries is then below 2^b in absolute value, so equal
-    packed sums mean equal vectors."""
-    return bound.bit_length() + 1
 
 
 def _dixon_schneider(classes: ConjugacyClassData, field, images=None):

@@ -19,6 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from struct import Struct
 
 __all__ = [
     "CyclotomicField",
@@ -423,7 +424,7 @@ def _reduce(field: _Field, conv) -> list:
     below 2 phi(m) - 1: each z^k with k >= phi(m) replaced by its integral
     reduction."""
     deg = field.degree
-    acc = conv[:deg]
+    acc = list(conv[:deg])
     table = field.power_table
     for k in range(deg, len(conv)):
         ck = conv[k]
@@ -431,6 +432,57 @@ def _reduce(field: _Field, conv) -> list:
             for i, t in table[k]:
                 acc[i] += ck * t
     return acc
+
+
+# -- packed integers: the one kernel of every exact integer product ---------
+
+
+def _slot_width(bound: int) -> int:
+    """The least b with 2^b > 2 `bound`.  The slot lemma (Kronecker
+    substitution; Harvey, J. Symb. Comput. 44, 2009): pack integer vectors c
+    as sum_s c_s 2^(b s) (`_pack`).  If all entries are at most X in
+    absolute value and 2^b > 2X, two vectors are equal exactly when their
+    packings are (a nonzero difference has a lowest nonzero slot, below 2^b
+    in absolute value), and each entry reads back as a signed b-bit slot
+    once 2^(b - 1) is added to every slot, as then no slot borrows
+    (`_reader`); so does any wider slot.  Packed vectors multiply to their
+    packed convolution: a consumer states X for its convolution sums."""
+    return bound.bit_length() + 1
+
+
+def _pack(vector, width: int) -> int:
+    """sum_s c_s 2^(width s) over the integers c of `vector`."""
+    packed = 0
+    for c in reversed(vector):
+        packed = (packed << width) + c
+    return packed
+
+
+@lru_cache(maxsize=256)
+def _reader(bound: int, slots: int):
+    """(width, read): `_slot_width(bound)` rounded up to 8, 16, 32 or 64 if
+    at most 64, and the reader of the tuple of `slots` signed entries packed
+    at that width, by `struct` (each slot's top bit flipped back) or shifts."""
+    width = _slot_width(bound)
+    if width <= 64:
+        width = max(8, 1 << (width - 1).bit_length())
+    half = 1 << (width - 1)
+    offset = sum(half << width * s for s in range(slots))
+    if width <= 64:
+        unpack = Struct(f"<{slots}{'bhiq'[width.bit_length() - 4]}").unpack
+        size = width // 8 * slots
+        return width, lambda value: unpack(
+            ((value + offset) ^ offset).to_bytes(size, "little"))
+    mask, shifts = (1 << width) - 1, range(0, width * slots, width)
+    return width, lambda value: tuple([((value + offset) >> s & mask) - half
+                                       for s in shifts])
+
+
+def _reducer(field: _Field, bound: int):
+    """`_reader` for packed polynomials of degree below 2 phi(m) - 1,
+    read as their numerators mod Phi_m (`_reduce`)."""
+    width, read = _reader(bound, 2 * field.degree - 1)
+    return width, lambda value: _reduce(field, read(value))
 
 
 @lru_cache(maxsize=1024)

@@ -35,9 +35,13 @@ them), after which each Hodge-character value is a trace tr(rho(g) Pi)
 through the projector Pi = U X onto U along conj(U), with no elimination
 per conjugacy class.  These products run in integers: a matrix over K is
 the power-basis numerators of its entries over one denominator, each entry
-packed into one integer (`_pack`), so that a product over K is one product
-of integer matrices, whose entries are unreduced convolutions, reduced mod
-Phi_m and canonicalized once per entry.
+packed into one integer (`cyclotomic._pack`), so that a product over K is
+one product of integer matrices, read back mod Phi_m (`cyclotomic._reducer`)
+once per entry.  By `cyclotomic._slot_width`'s lemma each product states
+only a bound on its convolution sums, peaks over the numerators:
+(2n)^2 phi max|X| max|rho| max|P| for X rho(g) P, n phi max|U| max|X| for
+Pi = U X, (2n)^2 max|Pi| max|rho| per trace, (2n)^2 phi max|P|^2 max|F|
+for U^T F P.
 """
 
 from __future__ import annotations
@@ -48,12 +52,12 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from operator import mul
-from struct import Struct
 
 from . import linalg
 from .characters import (CharacterTable, GaloisOrbitDecomposition,
                          galois_orbits, table_for)
-from .cyclotomic import CyclotomicField, CyclotomicNumber, _reduce
+from .cyclotomic import (CyclotomicField, CyclotomicNumber, _pack, _reader,
+                         _reducer)
 from .errors import DomainError
 from .groups import FiniteGroup
 
@@ -126,10 +130,15 @@ class IntegralRepresentation:
         rho(e) = I, rho(x) rho(s) = rho(xs) on every edge gives
         rho(a) rho(b) = rho(ab) for all b, by induction on a word for b.
 
-        Each generator is read once (`_RightFactor`), as Python integers,
-        so the products are the representation's matrices as they are
-        stored."""
+        Each generator is checked to be n x n, n the size of the first,
+        and read once (`_RightFactor`), as Python integers, so the products
+        are the representation's matrices as they are stored."""
         n = len(generator_matrices[0]) if generator_matrices else 0
+        for i, g_mat in enumerate(generator_matrices):
+            if len(g_mat) != n or any(len(row) != n for row in g_mat):
+                raise InvalidRepresentation(
+                    f"generator matrix {i} is not {n} x {n}: its rows have "
+                    f"lengths {[len(row) for row in g_mat]}")
         ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         mats = {0: ident}
         frontier = [0]
@@ -148,9 +157,6 @@ class IntegralRepresentation:
                         f"not a homomorphism at pair ({x},{g_idx})")
         if len(mats) != group.order:
             raise InvalidRepresentation("generators do not generate the group")
-        if any(len(m) != n or any(len(row) != n for row in m)
-               for m in mats.values()):
-            raise InvalidRepresentation("ragged matrix")
         return IntegralRepresentation._of_int_tuples(
             group, tuple(mats[g] for g in range(group.order)))
 
@@ -280,48 +286,26 @@ def _exact_dtype(bound):
 
 class _RightFactor:
     """A matrix b read once for the products a b of `from_generators`: its
-    columns, as tuples of Python integers, and its rows packed 64 bits per
-    entry into one integer each (row t is sum_j b_tj 2^(64 j)), so that row
-    i of a b is the single integer sum_t a_it row_t, whose 64-bit slots
-    are the entries wherever each is proven below 2^63.  An empty or
-    ragged b raises the IndexError that indexing its entries one by one
-    raises."""
+    rows of Python integers, its peak |entry| and its rows packed per width."""
 
-    __slots__ = ("cols", "rows", "bound", "offset", "unpack")
+    __slots__ = ("rows", "cols", "peak", "packed")
 
     def __init__(self, b):
-        m = len(b[0])
-        self.cols = tuple(tuple(map(int, col)) for col in zip(*b))
-        if len(self.cols) != m:
-            raise IndexError("list index out of range")
-        self.rows = [sum(x << (64 * j) for j, x in enumerate(row))
-                     for row in zip(*self.cols)]
-        # |(a b)_ij| <= (rows of b) max|a| max|b|
-        self.bound = len(b) * max(
-            (abs(x) for col in self.cols for x in col), default=0)
-        self.offset = sum(1 << (64 * j + 63) for j in range(m))
-        self.unpack = Struct(f"<{m}q").unpack
+        self.rows = tuple(tuple(map(int, row)) for row in b)
+        self.cols = len(self.rows[0]) if self.rows else 0
+        self.peak = max((abs(x) for row in self.rows for x in row), default=0)
+        self.packed = {}   # slot width -> the packed rows
 
 
 def _int_mat_mul(a, b):
-    """a b for integer matrices, a given as rows and b as its
-    `_RightFactor`, as a tuple of row tuples of Python integers.  Where
-    (rows of b) max|a| max|b| < 2^63, every entry fits its signed 64-bit
-    slot: each row is one sum of packed rows, its slots read back at once
-    (2^63 is added to every slot so that no slot borrows, then flipped
-    back).  Beyond, each row of a meets each column of b.  A row of a
-    shorter than b is tall raises the IndexError that indexing its entries
-    one by one raises."""
-    cols = b.cols
-    if cols and any(len(row) < len(cols[0]) for row in a):
-        raise IndexError("list index out of range")
+    """a b for integer matrices, a as rows and b as its `_RightFactor`, as
+    row tuples of Python integers: row i is the one integer sum_t a_it row_t
+    of b's packed rows, read at the bound (rows of b) max|a| max|b|."""
     peak = max((max(map(abs, row), default=0) for row in a), default=0)
-    if peak * b.bound < 2**63:
-        size, offset = 8 * len(cols), b.offset
-        return tuple([b.unpack(((sum(map(mul, row, b.rows)) + offset)
-                                ^ offset).to_bytes(size, "little"))
-                      for row in a])
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+    width, read = _reader(len(b.rows) * peak * b.peak, b.cols)
+    rows = b.packed.get(width) or b.packed.setdefault(
+        width, [_pack(row, width) for row in b.rows])
+    return tuple([read(sum(map(mul, row, rows))) for row in a])
 
 
 # -- Hodge characters -------------------------------------------------------
@@ -643,12 +627,12 @@ class ExactHodgeStructure:
         n, field = self.n, self.field
         rho = self.rep.matrices[g]
         (x, x_den), (p, p_den) = self._top_inverse, self._basis
-        bits = _slot_bits(len(rho) ** 2 * field.degree * _peak(x)
-                          * max(map(abs, itertools.chain(*rho))) * _peak(p))
-        read = _unpacker(field, bits)
+        bits, read = _reducer(field, len(rho) ** 2 * field.degree * _peak(x)
+                              * max(map(abs, itertools.chain(*rho)))
+                              * _peak(p))
         a = []
-        x_rho = linalg.mat_mul(_pack(x, bits), rho)
-        for row in linalg.mat_mul(x_rho, _pack(p, bits)):
+        x_rho = linalg.mat_mul(_packed(x, bits), rho)
+        for row in linalg.mat_mul(x_rho, _packed(p, bits)):
             if any(any(read(v)) for v in row[n:]):
                 raise InvalidRepresentation("rho(g) mixes U and conj(U)")
             a.append([CyclotomicNumber(field, read(v), x_den * p_den)
@@ -674,15 +658,13 @@ class ExactHodgeStructure:
         n, field = self.n, self.field
         (x, x_den), (p, p_den) = self._top_inverse, self._basis
         u = [row[:n] for row in p]
-        bits = _slot_bits(n * field.degree * _peak(u) * _peak(x))
-        read = _unpacker(field, bits)
+        bits, read = _reducer(field, n * field.degree * _peak(u) * _peak(x))
         proj = [[read(v) for v in row]
-                for row in linalg.mat_mul(_pack(u, bits), _pack(x, bits))]
+                for row in linalg.mat_mul(_packed(u, bits), _packed(x, bits))]
         mats = [self.rep.matrices[g] for g in table.classes.representatives]
-        bits = _slot_bits(len(proj) ** 2 * _peak(proj) * max(
+        bits, read = _reducer(field, len(proj) ** 2 * _peak(proj) * max(
             abs(v) for m in mats for row in m for v in row))
-        read = _unpacker(field, bits)
-        proj_cols = _pack(list(zip(*proj)), bits)   # column i: Pi_ji over j
+        proj_cols = _packed(list(zip(*proj)), bits)   # column i: Pi_ji over j
         values = []
         for rho in mats:
             packed = sum(sum(map(mul, row, col))
@@ -701,10 +683,9 @@ class ExactHodgeStructure:
         den = lcm(*(x.denominator for row in form for x in row))
         f = [[x.numerator * (den // x.denominator) for x in row]
              for row in form]
-        bits = _slot_bits(len(p) ** 2 * field.degree * _peak(p) ** 2
-                          * max(map(abs, itertools.chain(*f))))
-        read = _unpacker(field, bits)
-        packed = _pack(p, bits)
+        bits, read = _reducer(field, len(p) ** 2 * field.degree * _peak(p) ** 2
+                              * max(map(abs, itertools.chain(*f))))
+        packed = _packed(p, bits)
         u_t = list(zip(*packed))[:n]
         return [[CyclotomicNumber(field, read(v), den * p_den * p_den)
                  for v in row]
@@ -763,36 +744,9 @@ def _peak(rows) -> int:
     return max((abs(c) for row in rows for x in row for c in x), default=0)
 
 
-def _slot_bits(bound: int) -> int:
-    """Bits per slot for packed coefficients at most `bound` in absolute
-    value: one more than `bound` needs, for the sign."""
-    return bound.bit_length() + 1
-
-
-def _pack(rows, bits):
-    """A matrix of numerator tuples c as the integers sum_s c_s 2^(bits s):
-    its power-basis coordinate planes, packed.  Packing is additive and a
-    product of packed tuples is their packed convolution, so a matrix
-    product over Z of packed matrices is the packed matrix of unreduced
-    convolution sums."""
-    return [[sum(c << bits * s for s, c in enumerate(x)) for x in row]
-            for row in rows]
-
-
-def _unpacker(field, bits):
-    """The reader of packed polynomials of degree below 2 phi(m) - 1 whose
-    coefficients are below 2^(bits - 1) in absolute value: their
-    numerators mod Phi_m.  2^(bits - 1) is added to every slot, so that no
-    slot borrows, and taken off again."""
-    half = 1 << (bits - 1)
-    mask = (1 << bits) - 1
-    shifts = range(0, bits * (2 * field.degree - 1), bits)
-    offset = sum(half << s for s in shifts)
-
-    def read(value):
-        value += offset
-        return _reduce(field, [(value >> s & mask) - half for s in shifts])
-    return read
+def _packed(rows, width):
+    """A matrix of numerator tuples with each tuple packed (`_pack`)."""
+    return [[_pack(x, width) for x in row] for row in rows]
 
 
 def _coerce_to_subcyclotomic(x: CyclotomicNumber, small) -> CyclotomicNumber:

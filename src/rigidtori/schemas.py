@@ -331,6 +331,8 @@ def _write(value, nl, out, memo):
         out.append(_encode_str(value))
     elif kind is int:
         out.append(int.__repr__(value))
+    elif kind is Fraction:   # in lowest terms: no gcd to take
+        out.append(f'"{value.numerator}/{value.denominator}"')
     elif kind is list or kind is tuple:
         _write_array(value, nl, out, memo)
     elif kind is dict:

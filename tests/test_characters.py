@@ -15,8 +15,8 @@ from rigidtori.characters import (TableComputationError, character_table,
                                   _evaluation_width, _multiplicities,
                                   _multiplicity_transform, _prime,
                                   _root_of_unity, _row_key,
-                                  _separating_classes, _slot_width)
-from rigidtori.cyclotomic import CyclotomicField
+                                  _separating_classes)
+from rigidtori.cyclotomic import CyclotomicField, _slot_width
 from rigidtori.fixtures import (abelian, cyclic, dicyclic, dihedral,
                                 group_by_name, quaternion_8, small_groups,
                                 symmetric_3, symmetric_4)

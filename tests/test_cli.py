@@ -894,6 +894,34 @@ def test_representation_documents_are_validated(tmp_path, capsys, command,
     assert capsys.readouterr().err.startswith("input error: ")
 
 
+@pytest.mark.parametrize("matrices, message", [
+    ([[[0, -1], [1]]], "generator matrix 0 is not 2 x 2: its rows have "
+                       "lengths [2, 1]"),
+    ([[[0, -1], [1, 0]], [[1]]], "generator matrix 1 is not 2 x 2: its "
+                                 "rows have lengths [1]"),
+], ids=["ragged", "mixed-sizes"])
+def test_generator_matrix_shapes_are_named(tmp_path, capsys, matrices,
+                                           message):
+    # a ragged or mixed-size generator_matrices document is refused with
+    # the shape it has, not with an indexing error
+    inp = write(tmp_path, "doc.json",
+                dict(GAUSSIAN_DOC, generator_matrices=matrices,
+                     generator_elements=[1] * len(matrices)))
+    assert main(["rigidity", "--input", inp]) == 2
+    assert capsys.readouterr().err == \
+        f"input error: invalid representation: {message}\n"
+
+
+def test_empty_generator_matrix_is_refused_by_its_rank(tmp_path, capsys):
+    # a 0 x 0 generator passes the shape check and expands to rank 0
+    inp = write(tmp_path, "doc.json",
+                dict(GAUSSIAN_DOC, generator_matrices=[[]],
+                     generator_elements=[1]))
+    assert main(["rigidity", "--input", inp]) == 2
+    assert capsys.readouterr().err == \
+        "input error: declared rank 2 but matrices have rank 0\n"
+
+
 @pytest.mark.parametrize("module, cap, doc, site", [
     # CyclotomicNumber.sign_imag (from 64 bits): the zeta of a rigid action
     # (W, the proposal for zeta, is taken at `cap` bits; see below)

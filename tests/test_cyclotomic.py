@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rigidtori.cyclotomic import (ConductorMismatch, CyclotomicField,
-                                  SubfieldSpec, _cyclotomic_coeffs)
+                                  SubfieldSpec, _cyclotomic_coeffs, _pack,
+                                  _reader, _slot_width)
 
 
 def from_coeffs(field, coeffs):
@@ -461,3 +462,38 @@ def test_zeta_box_is_kept_per_embedding_and_precision():
     assert _zeta_box(7, 1, 64) == _zeta_box.__wrapped__(7, 1, 64)
     assert boxes == [z.embed(a, 64) for z in (x, y) for a in (1, 2)]
     assert _zeta_box.cache_info().maxsize is not None
+
+
+# -- the packed-integer kernel ----------------------------------------------
+
+
+@pytest.mark.parametrize("slots", [2, 3, 8])
+@pytest.mark.parametrize("width", [8, 16, 32, 64, 100])
+def test_packed_slots_hold_all_peak_entries_and_no_more(width, slots):
+    # the least and the largest bound of each width: every reader branch
+    # (struct at 8, 16, 32 and 64 bits, shift and mask at 100) reads
+    # all-peak entries of both signs back, and one bit less collides
+    for bound in (2 ** (width - 2), 2 ** (width - 1) - 1):
+        assert _slot_width(bound) == width
+        got, read = _reader(bound, slots)
+        assert got == width
+        for signs in ((1,) * slots, (-1,) * slots,
+                      tuple((-1) ** s for s in range(slots))):
+            peaks = tuple(sign * bound for sign in signs)
+            assert read(_pack(peaks, width)) == peaks
+        near = (bound - 2 ** (width - 1), 1) + (0,) * (slots - 2)
+        assert max(map(abs, near)) <= bound
+        at_bound = (bound,) + (0,) * (slots - 1)
+        assert _pack(near, width - 1) == _pack(at_bound, width - 1)
+        assert _pack(near, width) != _pack(at_bound, width)
+
+
+def test_reader_rounds_widths_up_to_whole_machine_words():
+    for least in range(1, 70):
+        bound = 2 ** (least - 1) - 1
+        assert _slot_width(bound) == least
+        width, read = _reader(bound, 3)
+        assert width == (next(w for w in (8, 16, 32, 64) if w >= least)
+                         if least <= 64 else least)
+        peaks = (bound, -bound, 0)
+        assert read(_pack(peaks, width)) == peaks

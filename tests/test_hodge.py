@@ -89,37 +89,56 @@ def _indexed_product(a, b):
             for i in range(n)]
 
 
-# entries past 2^63 too: their products leave the packed 64-bit slots
-_rows = st.lists(st.lists(st.one_of(st.integers(-9, 9),
-                                    st.integers(-2**70, 2**70)),
-                          max_size=4), max_size=4)
+# entries past 2^63 too: their products are packed wider than 64 bits
+_entries = st.one_of(st.integers(-9, 9), st.integers(-2**70, 2**70))
 
 
-@given(_rows, _rows)
-@example([[1, 2]], [[1, 2], [3]])   # a short row of b
-@example([[1]], [[1], [2]])         # a row of a shorter than b is tall
-@example([[1]], [[], []])           # no columns: nothing is indexed
-@example([], [[1], []])             # no rows
-@example([[1]], [])                 # no b[0]
-@example([[2**62, -2**62]], [[1, -1], [1, 1]])  # bound 2^63: not packed
-@example([[2**63 - 1], [1 - 2**63]], [[1, -1, 0]])  # the slots' extremes
-@example([[-2**63]], [[-1]])        # 2^63, one past the slots
-def test_int_mat_mul_matches_indexed_product(a, b):
-    # ragged and empty shapes included: the same product, or the same error
-    try:
-        expected = _indexed_product(a, b)
-    except IndexError as exc:
-        with pytest.raises(IndexError) as raised:
-            _int_mat_mul(a, _RightFactor(b))
-        assert str(raised.value) == str(exc)
-        return
-    if not a and any(len(row) < len(b[0]) for row in b):
-        # b is read first, so a ragged b is refused even against an a with
-        # no rows, which the indexed product never reads b for
-        with pytest.raises(IndexError, match="list index out of range"):
-            _RightFactor(b)
-    else:
-        assert _int_mat_mul(a, _RightFactor(b)) == tuple(map(tuple, expected))
+def _matrices(rows, cols):
+    return st.lists(st.lists(_entries, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+# a is r x t and b is t x c; the shapes of b are checked by from_generators
+_factors = st.tuples(st.integers(0, 4), st.integers(1, 4),
+                     st.integers(0, 4)).flatmap(
+    lambda shape: st.tuples(_matrices(*shape[:2]), _matrices(*shape[1:])))
+
+
+@given(_factors)
+@example(([[1]], [[]]))                     # no columns
+@example(([], [[1], [2]]))                  # no rows
+@example(([[2**62, -2**62]], [[1, -1], [1, 1]]))  # bound 2^63: past 64 bits
+@example(([[2**63 - 1], [1 - 2**63]], [[1, -1, 0]]))  # 64-bit extremes
+@example(([[-2**63]], [[-1]]))              # 2^63, one past 64 bits
+@example(([[127, -127]], [[-1], [-1]]))     # 8-bit extremes
+def test_int_mat_mul_matches_indexed_product(factors):
+    a, b = factors
+    expected = _indexed_product(a, b)
+    assert _int_mat_mul(a, _RightFactor(b)) == tuple(map(tuple, expected))
+
+
+@pytest.mark.parametrize("matrices, message", [
+    ([[[1, 2], [3]]], "generator matrix 0 is not 2 x 2: its rows have "
+                      "lengths [2, 1]"),
+    ([[[1], [2]]], "generator matrix 0 is not 2 x 2: its rows have "
+                   "lengths [1, 1]"),
+    ([[[], []]], "generator matrix 0 is not 2 x 2: its rows have "
+                 "lengths [0, 0]"),
+    ([[[1], []]], "generator matrix 0 is not 2 x 2: its rows have "
+                  "lengths [1, 0]"),
+    ([[[0, -1], [1, 0]], []], "generator matrix 1 is not 2 x 2: its rows "
+                              "have lengths []"),
+    ([[[0, -1], [1, 0]], [[1]]], "generator matrix 1 is not 2 x 2: its "
+                                 "rows have lengths [1]"),
+], ids=["short-row", "tall", "no-columns", "ragged", "no-rows",
+        "mixed-sizes"])
+def test_generator_shapes_are_checked_before_the_closure(matrices, message):
+    # every generator is n x n, n the size of the first, before any product
+    group = cyclic(4)
+    with pytest.raises(InvalidRepresentation) as raised:
+        IntegralRepresentation.from_generators(group, [1] * len(matrices),
+                                               matrices)
+    assert str(raised.value) == message
 
 
 def test_generator_closure_makes_one_product_per_edge(monkeypatch):
@@ -780,20 +799,20 @@ def test_packed_products_match_products_over_k(seed):
 
 def test_packed_slots_hold_their_bound():
     # with every coefficient at the peak, the middle slot of a product of
-    # packed matrices reaches the bound of _slot_bits itself: the inner
-    # dimension times phi(m) products of two peaks
-    from rigidtori.cyclotomic import _reduce
-    from rigidtori.hodge import _pack, _slot_bits, _unpacker
+    # packed matrices reaches the bound the reader is built for itself: the
+    # inner dimension times phi(m) products of two peaks
+    from rigidtori.cyclotomic import _reduce, _reducer
+    from rigidtori.hodge import _packed
     field = CyclotomicField(7)
     deg = field.degree
     for peak in (1, 3, 2**8, 2**63 - 1):
         for sign in (1, -1):
-            bits = _slot_bits(3 * deg * peak * peak)
-            (value,), = linalg.mat_mul(_pack([[(peak,) * deg] * 3], bits),
-                                  _pack([[(sign * peak,) * deg]] * 3, bits))
+            bits, read = _reducer(field, 3 * deg * peak * peak)
+            (value,), = linalg.mat_mul(_packed([[(peak,) * deg] * 3], bits),
+                                  _packed([[(sign * peak,) * deg]] * 3, bits))
             conv = [sign * 3 * peak * peak * min(k + 1, 2 * deg - 1 - k)
                     for k in range(2 * deg - 1)]
-            assert _unpacker(field, bits)(value) == _reduce(field, conv)
+            assert read(value) == _reduce(field, conv)
 
 
 def test_structure_rejects_u_that_does_not_span():

@@ -298,8 +298,9 @@ def test_ragged_generator_matrix_is_a_schema_error():
     doc = dict(GAUSSIAN_DOC, generator_matrices=[[[0, -1], [1]]])
     with pytest.raises(SchemaError) as raised:
         load_representation_doc(doc)
-    assert str(raised.value) == \
-        "invalid representation: list index out of range"
+    assert str(raised.value) == ("invalid representation: generator "
+                                 "matrix 0 is not 2 x 2: its rows have "
+                                 "lengths [2, 1]")
 
 
 @pytest.mark.parametrize("table", [[[0, 1], [1, 0.6]], [[0, "1"], [True, 0]]],
