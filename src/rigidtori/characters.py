@@ -132,7 +132,6 @@ Q-basis is built only when it is read (`analyze` builds none).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, sub
 
@@ -372,7 +371,9 @@ def _certify(classes: ConjugacyClassData, field, coords) -> bool:
         (sum(map(abs, row.values())) for s in separating for row in mats[s]),
         default=0))
     n = _pack(field.modulus, bits)
-    by_class = list(zip(*[[_pack(x, bits) for x in w] for w in coords]))
+    # values repeat across the vectors: each distinct one is packed once
+    packed = {x: _pack(x, bits) for x in {x for w in coords for x in w}}
+    by_class = list(zip(*[[packed[x] for x in w] for w in coords]))
     for s in separating:
         for j, row in enumerate(mats[s]):
             lhs = [0] * d
@@ -487,16 +488,21 @@ def _dixon_schneider(classes: ConjugacyClassData, field, images=None):
                         for pos, x in power_basis[power * t % m]:
                             coords[pos] += n * x
                     values[c] = coords
+        values = [shared.setdefault(t, t) for t in map(tuple, values)]
         # values are integral, so each row is canonical over 1
-        row = [_new(field, shared.setdefault(t, t), 1)
-               for t in map(tuple, values)]
-        # w_k = |C_k| chi(g_k) / chi(1) is integral for a central character
-        scaled = [[x * size for x in coords]
-                  for coords, size in zip(values, classes.sizes)]
-        if any(x % deg for coords in scaled for x in coords):
-            raise TableComputationError("a central character is not integral")
-        w = [shared.setdefault(x, x) for x in (
-            tuple(y // deg for y in coords) for coords in scaled)]
+        row = [_new(field, t, 1) for t in values]
+        # w_k = |C_k| chi(g_k) / chi(1) is integral for a central character,
+        # and is chi(g_k) itself where |C_k| = chi(1)
+        w = []
+        for t, size in zip(values, classes.sizes):
+            if size != deg:
+                scaled = [x * size for x in t]
+                if any(x % deg for x in scaled):
+                    raise TableComputationError(
+                        "a central character is not integral")
+                t = tuple([x // deg for x in scaled])
+                t = shared.setdefault(t, t)
+            w.append(t)
         # sigma_a(chi) is chi read through the a-th power map, and so is its
         # component mod p: look it up, and fill its row and vector
         image = []
@@ -653,17 +659,20 @@ def _evaluate(poly, x: int, p: int) -> int:
 # -- Galois orbits ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class GaloisOrbit:
     """A Galois orbit of irreducible characters with its rational idempotent,
     character field, and totally-real / CM classification.  The character
     fields of the orbits are the field summands of the centre of Q[G]."""
 
-    rows: tuple                 # member row indices, orbit representative first
-    coset_to_row: tuple         # pairs (coset representative a, row index)
-    idempotent: tuple           # |G| exact rational coefficients
-    field_spec: SubfieldSpec
-    tag: str                    # "TotallyReal" or "CM"
+    __slots__ = ("rows", "coset_to_row", "idempotent", "field_spec", "tag")
+
+    def __init__(self, rows: tuple, coset_to_row: tuple, idempotent: tuple,
+                 field_spec: SubfieldSpec, tag: str):
+        self.rows = rows                  # member rows, representative first
+        self.coset_to_row = coset_to_row  # pairs (coset representative, row)
+        self.idempotent = idempotent      # |G| exact rational coefficients
+        self.field_spec = field_spec
+        self.tag = tag                    # "TotallyReal" or "CM"
 
     @property
     def representative(self) -> int:
@@ -674,10 +683,12 @@ class GaloisOrbit:
         return self.field_spec.degree
 
 
-@dataclass(frozen=True)
 class GaloisOrbitDecomposition:
-    table: CharacterTable
-    orbits: tuple
+    __slots__ = ("table", "orbits")
+
+    def __init__(self, table: CharacterTable, orbits: tuple):
+        self.table = table
+        self.orbits = orbits
 
 
 def galois_orbits(table: CharacterTable) -> GaloisOrbitDecomposition:
@@ -705,8 +716,11 @@ def _galois_orbits(table):
         by_unit = dict(zip(field.units, image))
         spec = SubfieldSpec(field, [a for a in field.units if by_unit[a] == r])
         scale = g.order * len(field.units) // len(members)
-        per_class = [Fraction(table.degrees[r] * sum(map(mul, trace, x.num)),
-                              scale) for x in table.rows[r]]
+        # values repeat across the classes: one trace per distinct value
+        per_value = {t: Fraction(table.degrees[r] * sum(map(mul, trace, t)),
+                                 scale)
+                     for t in {x.num for x in table.rows[r]}}
+        per_class = [per_value[x.num] for x in table.rows[r]]
         orbits.append(GaloisOrbit(
             rows=members,
             coset_to_row=tuple((a, by_unit[a])

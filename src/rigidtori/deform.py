@@ -14,7 +14,6 @@ and the residual |J'^2 + 1| are floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from math import gcd, lcm
@@ -56,12 +55,14 @@ class BudgetExhausted(DomainError, RuntimeError):
 # -- exact invariants -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class InvariantTwoFormSpace:
     """Integer basis of the G-invariant alternating forms over Q."""
 
-    rank: int                  # 2n
-    basis: tuple               # tuple of 2n x 2n integer matrices
+    __slots__ = ("rank", "basis")
+
+    def __init__(self, rank: int, basis: tuple):
+        self.rank = rank    # 2n
+        self.basis = basis  # tuple of 2n x 2n integer matrices
 
     @property
     def dimension(self) -> int:
@@ -238,17 +239,26 @@ def newton_solve(a, max_iter: int = NEWTON_MAX_ITER):
 # -- the search ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class DeformationResult:
-    xi_coords: tuple            # exact rational coordinates, invariant basis
-    denominator: int
-    t_matrix: tuple             # chart coordinate of J', as (re, im) pairs
-    t_norm: float               # its Frobenius norm: the chart distance
-    residual: float             # |J'^2 + 1| (Frobenius)
-    positivity_margin: float    # least eigenvalue of xi J'
-    iterations: int
-    chart_dimension: int        # dim Hom_G(V^{0,1}, V^{1,0})
-    certificate: dict           # exact rank of xi, positive LDL pivots of S
+    __slots__ = ("xi_coords", "denominator", "t_matrix", "t_norm",
+                 "residual", "positivity_margin", "iterations",
+                 "chart_dimension", "certificate")
+
+    def __init__(self, xi_coords: tuple, denominator: int, t_matrix: tuple,
+                 t_norm: float, residual: float, positivity_margin: float,
+                 iterations: int, chart_dimension: int, certificate: dict):
+        self.xi_coords = xi_coords  # exact rational, invariant basis
+        self.denominator = denominator
+        self.t_matrix = t_matrix    # chart coordinate of J', (re, im) pairs
+        self.t_norm = t_norm        # its Frobenius norm: the chart distance
+        self.residual = residual    # |J'^2 + 1| (Frobenius)
+        # least eigenvalue of xi J'
+        self.positivity_margin = positivity_margin
+        self.iterations = iterations
+        # dim Hom_G(V^{0,1}, V^{1,0})
+        self.chart_dimension = chart_dimension
+        # exact rank of xi, positive LDL pivots of S
+        self.certificate = certificate
 
 
 def _ladder(omega_coords, max_denominator: int):

@@ -29,7 +29,6 @@ associates.  A closure of permutations is associative and is not checked.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
 
@@ -276,7 +275,6 @@ class FiniteGroup:
         )
 
 
-@dataclass(frozen=True)
 class ConjugacyClassData:
     """Classes in canonical order with class-algebra structure constants.
 
@@ -284,13 +282,19 @@ class ConjugacyClassData:
     of the class matrix M_i, (M_i)[j][k] = a_ijk; power_classes[k] lists
     the classes of g_k^t for 0 <= t < ord(g_k)."""
 
-    group: FiniteGroup
-    classes: tuple
-    membership: tuple
-    sizes: tuple
-    representatives: tuple
-    coefficients: tuple
-    power_classes: tuple
+    __slots__ = ("group", "classes", "membership", "sizes",
+                 "representatives", "coefficients", "power_classes")
+
+    def __init__(self, group: FiniteGroup, classes: tuple, membership: tuple,
+                 sizes: tuple, representatives: tuple, coefficients: tuple,
+                 power_classes: tuple):
+        self.group = group
+        self.classes = classes
+        self.membership = membership
+        self.sizes = sizes
+        self.representatives = representatives
+        self.coefficients = coefficients
+        self.power_classes = power_classes
 
     @property
     def count(self) -> int:

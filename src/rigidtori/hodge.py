@@ -47,7 +47,6 @@ for U^T F P.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -311,13 +310,13 @@ def _int_mat_mul(a, b):
 # -- Hodge characters -------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class HodgeCharacter:
     """The trace function of the group action on V^{1,0}, one exact
     cyclotomic value per conjugacy class (canonical class order)."""
 
-    table: CharacterTable
-    values: tuple  # CyclotomicNumber per class
+    def __init__(self, table: CharacterTable, values: tuple):
+        self.table = table
+        self.values = values  # CyclotomicNumber per class
 
     @cached_property
     def multiplicities(self):
@@ -485,27 +484,30 @@ def hodge_character_from_numeric(rep: IntegralRepresentation,
 # -- symbolic Hodge types ----------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SummandType:
     """Hodge data on one centre field F_j: multiplicity and tau values."""
 
-    orbit_index: int
-    multiplicity: int
-    tau: tuple  # sorted pairs (coset representative, tau value)
+    __slots__ = ("orbit_index", "multiplicity", "tau")
+
+    def __init__(self, orbit_index: int, multiplicity: int, tau: tuple):
+        self.orbit_index = orbit_index
+        self.multiplicity = multiplicity
+        self.tau = tau  # sorted pairs (coset representative, tau value)
 
     def tau_dict(self):
         return dict(self.tau)
 
 
-@dataclass(frozen=True)
 class SymbolicHodgeSpec:
     """Hodge type of an action through the centre decomposition, valid by
     construction: building one checks Hodge symmetry."""
 
-    decomposition: GaloisOrbitDecomposition
-    summands: tuple  # SummandType, one per orbit
+    __slots__ = ("decomposition", "summands")
 
-    def __post_init__(self):
+    def __init__(self, decomposition: GaloisOrbitDecomposition,
+                 summands: tuple):
+        self.decomposition = decomposition
+        self.summands = summands  # SummandType, one per orbit
         self.validate_hs()
 
     def validate_hs(self):
@@ -530,12 +532,16 @@ class SymbolicHodgeSpec:
 # -- rigidity reports -------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class RigidityReport:
-    hom_dimension: int | None    # None from the centre pathway
-    is_rigid: bool
-    tau_rows: tuple | None       # (orbit, coset, tau, tau_conj, product);
-                                 # None from the character pathway
+    __slots__ = ("hom_dimension", "is_rigid", "tau_rows")
+
+    def __init__(self, hom_dimension: int | None, is_rigid: bool,
+                 tau_rows: tuple | None):
+        self.hom_dimension = hom_dimension  # None from the centre pathway
+        self.is_rigid = is_rigid
+        # (orbit, coset, tau, tau_conj, product); None from the character
+        # pathway
+        self.tau_rows = tau_rows
 
 
 def rigidity_by_character(chi10: HodgeCharacter) -> RigidityReport:

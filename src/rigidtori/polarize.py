@@ -43,7 +43,6 @@ obstruction, else one row per class gives the square system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -106,13 +105,16 @@ class RosatiFails(DomainError, _RelationError):
 # -- imaginary elements ------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ImaginaryElement:
     """zeta with conj(zeta) = -zeta and a certified sign table per coset."""
 
-    field_spec: SubfieldSpec
-    element: CyclotomicNumber
-    sign_table: tuple  # pairs (coset representative, sign of Im sigma_a)
+    __slots__ = ("field_spec", "element", "sign_table")
+
+    def __init__(self, field_spec: SubfieldSpec, element: CyclotomicNumber,
+                 sign_table: tuple):
+        self.field_spec = field_spec
+        self.element = element
+        self.sign_table = sign_table  # pairs (coset rep a, sign of Im sigma_a)
 
 
 def imaginary_subspace(field_spec: SubfieldSpec):
@@ -241,22 +243,30 @@ def trace_form(field_spec: SubfieldSpec, zeta: ImaginaryElement, basis):
 # -- assembly ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class PolarizationForm:
-    rank: int
-    matrix: tuple                 # 2n x 2n exact rational, primitive integral
-    provenance: tuple             # per summand:
-                                  # (orbit, copies, zeta coords, sign table)
-    certificate: "PolarizationCertificate"
+    __slots__ = ("rank", "matrix", "provenance", "certificate")
+
+    def __init__(self, rank: int, matrix: tuple, provenance: tuple,
+                 certificate: PolarizationCertificate):
+        self.rank = rank
+        # 2n x 2n exact rational, primitive integral
+        self.matrix = matrix
+        # per summand: (orbit, copies, zeta coords, sign table)
+        self.provenance = provenance
+        self.certificate = certificate
 
 
-@dataclass(frozen=True)
 class PolarizationCertificate:
-    relation_i: dict
-    relation_ii: dict
-    rosati: dict
-    g_invariant: dict
-    mode: str  # always "symbolic": every certificate is exact
+    __slots__ = ("relation_i", "relation_ii", "rosati", "g_invariant",
+                 "mode")
+
+    def __init__(self, relation_i: dict, relation_ii: dict, rosati: dict,
+                 g_invariant: dict, mode: str):
+        self.relation_i = relation_i
+        self.relation_ii = relation_ii
+        self.rosati = rosati
+        self.g_invariant = g_invariant
+        self.mode = mode  # always "symbolic": every certificate is exact
 
 
 def assemble_polarization(rep: IntegralRepresentation,
@@ -493,12 +503,15 @@ def _verify_g_invariance(e_rows, rep: IntegralRepresentation):
 # -- the existence decision ---------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ExistenceCertificate:
-    verdict: str                       # "exists-with-witness" or "infeasible"
-    witness: tuple | None              # coefficient vector of zeta, power basis
-    witness_signs: tuple | None        # per root index: certified sign of Im
-    obstruction: dict | None
+    __slots__ = ("verdict", "witness", "witness_signs", "obstruction")
+
+    def __init__(self, verdict: str, witness: tuple | None,
+                 witness_signs: tuple | None, obstruction: dict | None):
+        self.verdict = verdict  # "exists-with-witness" or "infeasible"
+        self.witness = witness  # coefficient vector of zeta, power basis
+        self.witness_signs = witness_signs  # per root index: sign of Im
+        self.obstruction = obstruction
 
     @property
     def exists(self) -> bool:

@@ -62,7 +62,6 @@ so importing this module stays cheap.  No computer-algebra system is used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 
@@ -259,14 +258,18 @@ class _Residue:
 # -- the field ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ConjugatePairData:
-    root_indices: tuple        # (i, ibar)
-    theta_minpoly: tuple       # Fraction coefficients, low first, monic
-    p_modulus: tuple           # monic polynomial over Q(theta) vanishing at
-                               # p = alpha*conj(alpha); linear in the generic
-                               # case, of higher degree when several
-                               # conjugate pairs share the same theta
+    __slots__ = ("root_indices", "theta_minpoly", "p_modulus")
+
+    def __init__(self, root_indices: tuple, theta_minpoly: tuple,
+                 p_modulus: tuple):
+        self.root_indices = root_indices    # (i, ibar)
+        # Fraction coefficients, low first, monic
+        self.theta_minpoly = theta_minpoly
+        # monic polynomial over Q(theta) vanishing at p = alpha*conj(alpha);
+        # linear in the generic case, of higher degree when several
+        # conjugate pairs share the same theta
+        self.p_modulus = p_modulus
 
 
 class PolynomialField:

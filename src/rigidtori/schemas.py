@@ -111,6 +111,12 @@ def load_representation_doc(doc):
             isinstance(doc["generator_elements"], list)
             and all(map(_is_int, doc["generator_elements"]))):
         raise SchemaError("generator_elements must be a list of integers")
+    for g in doc.get("generator_elements", ()):
+        if not 0 <= g < group.order:
+            # a negative index would read the Cayley table from its end
+            raise SchemaError(
+                f"generator_elements entry {g} is outside 0 ... "
+                f"{group.order - 1} (|G| = {group.order})")
     try:
         if "element_matrices" in doc:
             if "generator_matrices" in doc:

@@ -20,6 +20,7 @@ from rigidtori.cyclotomic import CyclotomicField, _slot_width
 from rigidtori.fixtures import (abelian, cyclic, dicyclic, dihedral,
                                 group_by_name, quaternion_8, small_groups,
                                 symmetric_3, symmetric_4)
+from rigidtori.groups import ConjugacyClassData
 
 
 # -- an all-exact oracle: eigenspace refinement against candidate values ----
@@ -401,6 +402,13 @@ def _dixon(group):
         for row, deg in zip(rows, degrees)]
 
 
+def _altered(classes, **fields):
+    """A new ConjugacyClassData: `classes` with `fields` replaced."""
+    kept = {name: getattr(classes, name)
+            for name in ConjugacyClassData.__slots__}
+    return ConjugacyClassData(**{**kept, **fields})
+
+
 def _certify(classes, vectors):
     """`characters._certify` on cyclotomic vectors, which it takes as their
     integer power-basis coordinates; every vector here is integral."""
@@ -435,7 +443,6 @@ def test_certificate_rejects_vectors_no_class_separates():
 
 
 def test_certificate_rejects_non_commuting_structure_constants():
-    import dataclasses
     classes, _, vectors = _dixon(cyclic(6))
     separating = _separating_classes(vectors)
     assert _certify(classes, vectors)
@@ -443,8 +450,7 @@ def test_certificate_rejects_non_commuting_structure_constants():
     # one corrupted constant, a_i00, in the sparse row 0 of M_i
     broken = [list(map(dict, m)) for m in classes.coefficients]
     broken[i][0][0] = broken[i][0].get(0, 0) + 1
-    fake = dataclasses.replace(
-        classes, coefficients=tuple(tuple(m) for m in broken))
+    fake = _altered(classes, coefficients=tuple(tuple(m) for m in broken))
     mats = np.array([class_matrix(fake, t) for t in range(fake.count)])
     genuine = np.array([class_matrix(classes, t)
                         for t in range(classes.count)])
@@ -482,7 +488,6 @@ def test_certificate_rejects_coordinates_moved_across_the_slot_width(group):
 
 
 def test_certificate_rejects_a_structure_constant_raised_across_the_width():
-    import dataclasses
     classes, _, vectors = _dixon(cyclic(6))
     width = _slot_width(max(sum(row.values()) for m in classes.coefficients
                             for row in m) ** 2)
@@ -492,7 +497,7 @@ def test_certificate_rejects_a_structure_constant_raised_across_the_width():
                 for k in range(classes.count):
                     broken = [list(map(dict, m)) for m in classes.coefficients]
                     broken[i][j][k] = broken[i][j].get(k, 0) + 2 ** shift
-                    fake = dataclasses.replace(
+                    fake = _altered(
                         classes, coefficients=tuple(map(tuple, broken)))
                     assert not _certify(fake, vectors), (shift, i, j, k)
 
@@ -839,7 +844,6 @@ def test_a_corrupted_conjugate_component_raises(monkeypatch, name):
 
 
 def test_a_corrupted_power_map_raises():
-    import dataclasses
     classes = cyclic(5).conjugacy_classes()
     field = CyclotomicField(5)
     # class 1 fills every value from its own powers, so class 2's power
@@ -849,6 +853,6 @@ def test_a_corrupted_power_map_raises():
     pw[2], pw[3] = pw[3], pw[2]
     powers[2] = tuple(pw)
     assert sorted(pw) == sorted(classes.power_classes[2])
-    fake = dataclasses.replace(classes, power_classes=tuple(powers))
+    fake = _altered(classes, power_classes=tuple(powers))
     with pytest.raises(TableComputationError, match="Galois conjugate"):
         _dixon_schneider(fake, field)

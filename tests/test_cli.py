@@ -325,6 +325,32 @@ def test_cayley_group_needs_generator_elements(tmp_path):
     assert report["result"]["hom_dimension"] == 1
 
 
+Z4_CAYLEY_DOC = dict(GAUSSIAN_DOC, group={
+    "name": "Z4",
+    "cayley_table": [[(i + j) % 4 for j in range(4)] for i in range(4)]})
+
+
+@pytest.mark.parametrize("element", [-3, 7, 4])
+def test_generator_elements_outside_the_group_are_refused(tmp_path, capsys,
+                                                          element):
+    # an index into the Cayley table would read -3 from its end, as
+    # element 1, and fail on 7 and |G| = 4 with "tuple index out of range"
+    inp = write(tmp_path, "doc.json",
+                dict(Z4_CAYLEY_DOC, generator_elements=[element]))
+    assert main(["rigidity", "--input", inp]) == 2
+    assert capsys.readouterr().err == (
+        f"input error: generator_elements entry {element} is outside "
+        "0 ... 3 (|G| = 4)\n")
+
+
+def test_generator_element_in_range_is_accepted(tmp_path):
+    inp = write(tmp_path, "doc.json",
+                dict(Z4_CAYLEY_DOC, generator_elements=[1]))
+    out = tmp_path / "r.json"
+    assert main(["rigidity", "--input", inp, "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["result"]["hom_dimension"] == 0
+
+
 HEAVY_MODULES = ("numpy", "mpmath", "sympy", "scipy")
 # The package's modules that no `analyze` request runs
 DEFERRED_MODULES = tuple(f"rigidtori.{name}" for name in (
@@ -386,6 +412,28 @@ def test_import_loads_only_the_serving_core():
         f"rigidtori{suffix}" for suffix in (
             "", ".characters", ".cli", ".cyclotomic", ".errors", ".groups",
             ".schemas")])
+
+
+def test_cold_start_imports_neither_dataclasses_nor_inspect(tmp_path):
+    # the package's records are plain classes: `dataclasses` costs a cold
+    # start its import (with inspect, ast, dis and tokenize) and a code
+    # generator run per record
+    group = write(tmp_path, "s4.json", {
+        "name": "S4", "permutation_generators": [[1, 2, 3, 0], [1, 0, 2, 3]]})
+    code = ("import sys\n"
+            "from rigidtori.cli import main\n"
+            f"assert main(['analyze', '--input', {group!r}]) == 0")
+    assert _loaded_after(code, ("dataclasses", "inspect")) == "[]"
+
+
+def test_no_module_of_the_package_imports_dataclasses():
+    import pkgutil
+
+    import rigidtori
+    code = "import importlib, sys\n" + "".join(
+        f"importlib.import_module('rigidtori.{info.name}')\n"
+        for info in pkgutil.iter_modules(rigidtori.__path__))
+    assert _loaded_after(code, ("dataclasses",)) == "[]"
 
 
 def test_analyze_leaves_the_other_layers_unloaded(tmp_path):

@@ -94,7 +94,8 @@ def test_invariant_forms_over_q_when_the_prime_divides_a_minor(monkeypatch):
     # must then come from elimination over Q, and be the same
     expected = invariant_two_forms(gaussian_action())
     monkeypatch.setattr(deform, "_PRIME", 2)
-    assert invariant_two_forms(gaussian_action()) == expected
+    space = invariant_two_forms(gaussian_action())
+    assert (space.rank, space.basis) == (expected.rank, expected.basis)
 
 
 def test_kahler_class_rank2():
