@@ -9,25 +9,34 @@ Each M_i is read one matrix at a time as the sparse rows the class data
 stores, coefficients[i][j] = {k: a_ijk}; no d x d x d object is built.
 
 The eigenvectors are split over a prime field.  p is the smallest prime with
-p = 1 (mod m) and p > 2 sqrt(|G|).  Then p does not divide |G|, F_p holds the
-m-th roots of unity, so the class algebra over F_p is split semisimple and
-its d central characters stay distinct mod p; and chi(1) <= sqrt(|G|) < p/2.
-Fix z of order m in F_p, the image of zeta_m under a prime of Z[zeta_m]
-above p.  The identity-class vector e_0 equals sum_chi (chi(1)^2/|G|) w_chi
-(column orthogonality), with every coefficient nonzero mod p.  Mod p, each
-M_k is diagonal on the w_chi, with eigenvalues their coordinates w_chi(k).
-So the minimal polynomial mu of a vector v under M_k, read off its Krylov
-sequence, has one simple root lambda per eigenvalue that v meets, found by
-evaluating mu at every element of F_p; the component of v in the
-lambda-eigenspace is q(M_k) v with q = mu/(x - lambda).  e_0 is split by
-one class matrix, each component by the next, and so on (Schneider 1990):
-a component is then the sum of the c_chi w_chi whose eigenvalues agree on
-every class used so far.  The d vectors w_chi are distinct mod p, so a
-sweep over all classes leaves d components, each a multiple of one w_chi;
-the sweep stops as soon as there are d.  Classes are taken by descending
-element order, one class per set of power classes first: Galois-conjugate
-classes have the same power classes and tell the same characters apart.
-Nothing is drawn at random, and the components do not depend on the order.
+p = 1 (mod m) and p > 2 sqrt(|G|).  Then p does not divide |G|, F_p holds
+the m-th roots of unity, so the class algebra over F_p is split semisimple
+and its d central characters stay distinct mod p; and chi(1) <= sqrt(|G|) <
+p/2.  Fix z of order m in F_p, the image of zeta_m under a prime of
+Z[zeta_m] above p.  The identity-class vector e_0 equals sum_chi
+(chi(1)^2/|G|) w_chi (column orthogonality), with every coefficient nonzero
+mod p.  Mod p, each M_k is diagonal on the w_chi, with eigenvalues their
+coordinates w_chi(k).  So the minimal polynomial mu of a vector v under M_k,
+read off its Krylov sequence, has one simple root lambda per eigenvalue that
+v meets, found by evaluating mu at every element of F_p; the component of v
+in the lambda-eigenspace is q(M_k) v with q = mu/(x - lambda).  A central
+class (|C_k| = 1) needs neither: row j of M_k is {pi(j): 1}, pi(j) the class
+of g_k g_j, so M_k permutes the coordinates and M_k^e = 1, e the order of
+g_k.  As M_k acts on w_chi by the e-th root of unity lambda_chi =
+chi(g_k)/chi(1), sum_(t<e) lambda^(-t) M_k^t v is e times the
+lambda-component of v, for lambda = z^((m/e) j), j < e (the sum of the
+powers of lambda_chi/lambda != 1 vanishes).  Along a cycle (c_0 ... c_(L-1))
+of pi, L | e, it is 0 unless lambda^L = 1, and then (e/L) lambda^r sum_(u<L)
+lambda^(-u) v_(c_u) at c_r: one transform of length L per cycle that v
+meets, O(e d) per vector, no root search.  e_0 is split by one class matrix,
+each component by the next, and so on (Schneider 1990): a component is then
+the sum of the c_chi w_chi whose eigenvalues agree on every class used so
+far.  The d vectors w_chi are distinct mod p, so a sweep over all classes
+leaves d components, each a multiple of one w_chi; the sweep stops as soon
+as there are d.  Classes are taken by descending element order, one class
+per set of power classes first: Galois-conjugate classes have the same power
+classes and tell the same characters apart.  Nothing is drawn at random, and
+the components do not depend on the order.
 
 The exact values follow with no tolerance.  Scaled to w_0 = 1, a component
 gives chi(1) as the unique integer in [1, sqrt(|G|)] whose square is
@@ -41,7 +50,11 @@ per class of largest order in its cyclic subgroup fills the whole vector:
 omega = (|C| / chi(1)) chi, built exactly.  A multiplicity outside
 [0, chi(1)] raises TableComputationError; there is no fallback.  The rows
 of each transform, z^(-(m/e)jt)/e mod p, are built once per element order
-e and table.
+e and table.  A linear character (chi(1) = 1) needs no transform: chi(g_k)
+is a root of unity zeta_m^t, reduced to z^t = w_k / |C_k| mod p, and t < m
+is unique as z has order m; so chi(g_k) = zeta_m^t, t read off one table
+of discrete logs of the powers of z.  A residue outside <z> raises
+TableComputationError.
 
 This recovery runs once per Galois orbit.  For a unit a of Z/m,
 sigma_a(chi)(g) = chi(g^a) (Isaacs, Character Theory of Finite Groups),
@@ -90,15 +103,15 @@ sparse rows of M_i, one multiply-add per nonzero constant, and no
 product matrix is built.
 
 No row needs a degree check of its own.  A recovered w reduces mod p to
-its component (the multiplicities invert the transform mod p), so when
-w = omega_psi, psi(1)^2 = chi(1)^2 mod p, both in [1, sqrt(|G|)]: the row
-is psi.  A conjugate row, the recovered one through the a-th power map,
-is then sigma_a(psi), of degree psi(1).  The degree squares must sum to
-|G|.  A failed
-certificate raises TableComputationError.  Rows come out in canonical
-order, so the table depends on neither p nor z; they are sorted on their
-integer power-basis numerators (character values are algebraic integers,
-so every denominator is 1).
+its component (the multiplicities invert the transform mod p, and zeta_m^t
+reduces to z^t), so when w = omega_psi, psi(1)^2 = chi(1)^2 mod p, both in
+[1, sqrt(|G|)]: the row is psi.  A conjugate row, the recovered one
+through the a-th power map, is then sigma_a(psi), of degree psi(1).  The
+degree squares must sum to |G|.  A failed certificate raises
+TableComputationError.  Rows come out in canonical order, so the table
+depends on neither p nor z; they are sorted on their integer power-basis
+numerators (character values are algebraic integers, so every denominator
+is 1).
 `CharacterTable.verify` (row orthonormality) stays public as an independent
 check but is not part of the computation.
 
@@ -366,13 +379,14 @@ def _certify(classes: ConjugacyClassData, field, coords) -> bool:
         return False
     # each w_k becomes the integer w_k(2^K), and each eigen equation is
     # compared modulo n = Phi_m(2^K), for every w at once
-    norm = max(sum(map(abs, x)) for w in coords for x in w)
+    # values repeat across the vectors: each distinct one is read once
+    distinct = {x for w in coords for x in w}
+    norm = max(sum(map(abs, x)) for x in distinct)
     bits = _evaluation_width(field, norm, max(
         (sum(map(abs, row.values())) for s in separating for row in mats[s]),
         default=0))
     n = _pack(field.modulus, bits)
-    # values repeat across the vectors: each distinct one is packed once
-    packed = {x: _pack(x, bits) for x in {x for w in coords for x in w}}
+    packed = {x: _pack(x, bits) for x in distinct}
     by_class = list(zip(*[[packed[x] for x in w] for w in coords]))
     for s in separating:
         for j, row in enumerate(mats[s]):
@@ -451,12 +465,16 @@ def _dixon_schneider(classes: ConjugacyClassData, field, images=None):
     size_inv = [pow(size, -1, p) for size in classes.sizes]
     bound = math.isqrt(group.order)
     transforms = {}   # element order e -> its multiplicity transform
+    log = {x: t for t, x in enumerate(zpow)}   # z^t -> t, for linear rows
+    roots = [None] * m   # zeta_m^t as integer coordinates, once read
     components = _split_mod_p(classes, p)
     where = {tuple(v): i for i, v in enumerate(components)}
     if len(where) != d:
         raise TableComputationError("two components agree mod p")
     rows, vectors, degrees, found = ([None] * d for _ in range(4))
-    shared = {}   # one tuple per distinct value: values repeat across rows
+    # values repeat across rows: one tuple per distinct value, and one
+    # CyclotomicNumber per distinct character value
+    shared, numbers = {}, {}
     for i, v in enumerate(components):
         if rows[i] is not None:
             continue   # a Galois conjugate of an orbit already recovered
@@ -470,27 +488,47 @@ def _dixon_schneider(classes: ConjugacyClassData, field, images=None):
             raise TableComputationError("no degree squares to |G|/norm mod p")
         chi = [x * deg * s % p for x, s in zip(v, size_inv)]
         values = [None] * d   # integer power-basis coordinates of chi_k
-        for k in by_order:
-            if values[k] is not None:
-                continue
-            pw = powers[k]
-            e = len(pw)
-            if e not in transforms:
-                transforms[e] = _multiplicity_transform(e, zpow, p)
-            mults = _multiplicities([chi[c] for c in pw], deg,
-                                    transforms[e], p)
-            # zeta_e^j = z^(m/e j), with its multiplicity, for n_j > 0
-            support = [(m // e * j, n) for j, n in enumerate(mults) if n]
-            for t, c in enumerate(pw):
-                if values[c] is None:
+        if deg == 1:
+            # chi(g_k) is a root of unity zeta_m^t, reduced to z^t
+            for k, x in enumerate(chi):
+                t = log.get(x)
+                if t is None:
+                    raise TableComputationError(
+                        f"a linear character's value {x} mod {p} is not a "
+                        f"power of z")
+                if roots[t] is None:
                     coords = [0] * field.degree
-                    for power, n in support:
-                        for pos, x in power_basis[power * t % m]:
-                            coords[pos] += n * x
-                    values[c] = coords
+                    for pos, c in power_basis[t]:
+                        coords[pos] = c
+                    roots[t] = tuple(coords)
+                values[k] = roots[t]
+        else:
+            for k in by_order:
+                if values[k] is not None:
+                    continue
+                pw = powers[k]
+                e = len(pw)
+                if e not in transforms:
+                    transforms[e] = _multiplicity_transform(e, zpow, p)
+                mults = _multiplicities([chi[c] for c in pw], deg,
+                                        transforms[e], p)
+                # zeta_e^j = z^(m/e j), with its multiplicity, for n_j > 0
+                support = [(m // e * j, n) for j, n in enumerate(mults) if n]
+                for t, c in enumerate(pw):
+                    if values[c] is None:
+                        coords = [0] * field.degree
+                        for power, n in support:
+                            for pos, x in power_basis[power * t % m]:
+                                coords[pos] += n * x
+                        values[c] = coords
         values = [shared.setdefault(t, t) for t in map(tuple, values)]
         # values are integral, so each row is canonical over 1
-        row = [_new(field, t, 1) for t in values]
+        row = []
+        for t in values:
+            x = numbers.get(t)
+            if x is None:
+                x = numbers[t] = _new(field, t, 1)
+            row.append(x)
         # w_k = |C_k| chi(g_k) / chi(1) is integral for a central character,
         # and is chi(g_k) itself where |C_k| = chi(1)
         w = []
@@ -575,7 +613,9 @@ def _root_of_unity(m: int, p: int) -> int:
 def _split_mod_p(classes: ConjugacyClassData, p: int):
     """The d central characters mod p, each scaled to w_0 = 1: e_0 split
     into eigencomponents by one class matrix at a time until there are d,
-    which a sweep over every class reaches (see the module docstring)."""
+    which a sweep over every class reaches (see the module docstring).  A
+    central class splits by a transform along its cycles, any other by
+    its minimal polynomials."""
     d = classes.count
     powers = classes.power_classes
     by_order = sorted(range(1, d), key=lambda k: -len(powers[k]))
@@ -583,12 +623,23 @@ def _split_mod_p(classes: ConjugacyClassData, p: int):
     for k in by_order:
         first.setdefault(frozenset(powers[k]), k)
     components = [[1] + [0] * (d - 1)]
+    zpow = None   # the powers of z, built when a central class needs them
     for k in sorted(by_order,
                     key=lambda k: first[frozenset(powers[k])] != k):
         if len(components) == d:
             break
+        mat = classes.coefficients[k]
+        if classes.sizes[k] != 1:
+            components = [piece for v in components
+                          for piece in _eigencomponents(mat, v, p)]
+            continue
+        if zpow is None:
+            m = classes.group.exponent
+            z = _root_of_unity(m, p)
+            zpow = [pow(z, t, p) for t in range(m)]
+        cycles = _cycles([next(iter(row)) for row in mat])
         components = [piece for v in components for piece in
-                      _eigencomponents(classes.coefficients[k], v, p)]
+                      _cycle_components(cycles, len(powers[k]), v, zpow, p)]
     out = []
     for v in components:
         if not v[0]:
@@ -596,6 +647,54 @@ def _split_mod_p(classes: ConjugacyClassData, p: int):
         inv = pow(v[0], -1, p)
         out.append([x * inv % p for x in v])
     return out
+
+
+def _cycles(perm):
+    """The cycles (c_0 ... c_(L-1)) of a permutation, perm[c_u] = c_(u+1)."""
+    seen = [False] * len(perm)
+    cycles = []
+    for start in range(len(perm)):
+        if not seen[start]:
+            cycle = []
+            c = start
+            while not seen[c]:
+                seen[c] = True
+                cycle.append(c)
+                c = perm[c]
+            cycles.append(cycle)
+    return cycles
+
+
+def _cycle_components(cycles, e: int, v, zpow, p: int):
+    """The nonzero components of v in the eigenspaces of a central class's
+    matrix, which moves coordinate c_(u+1) to c_u along `cycles`, each of
+    length L dividing the element order e.  On a cycle, the component for
+    lambda is 0 unless lambda^L = 1, that is lambda = z^((m/L) i) for an
+    i < L, and then (e/L) lambda^r sum_u lambda^(-u) v_(c_u) at c_r (module
+    docstring): one transform of length L per cycle that v meets.
+    Components come in the order of the exponent of lambda."""
+    m = len(zpow)
+    by_power = {}   # exponent of lambda -> its component
+    for cycle in cycles:
+        met = [(u, v[c]) for u, c in enumerate(cycle) if v[c]]
+        if not met:
+            continue
+        length = len(cycle)
+        step = m // length
+        scale = e // length
+        for i in range(length):
+            power = step * i
+            total = 0
+            for u, x in met:
+                total += zpow[-power * u % m] * x
+            total = total * scale % p
+            if total:
+                comp = by_power.get(power)
+                if comp is None:
+                    comp = by_power[power] = [0] * len(v)
+                for r, c in enumerate(cycle):
+                    comp[c] = zpow[power * r % m] * total % p
+    return [by_power[power] for power in sorted(by_power)]
 
 
 def _eigencomponents(mat, v, p: int):

@@ -43,10 +43,11 @@ CLOSURE_CAP = 10000
 CLOSURE_WORK_CAP = 100 * CLOSURE_CAP
 # Class count above which the class data is refused, before its d x d grid
 # of structure constants.  Measured on the abelian Z2^k (d = |G|, the worst
-# case) on a shared 2-core x86 host, the class data and table take 2.0 s and
-# 42 MB at d = 256, 6.5-11.5 s and 130 MB at d = 512, and 25 s and 454 MB at
-# d = 1024; at d = 8192 (Z2^13) the grid alone is 67 M dicts, about 4.3 GB.
-# The largest d of the tests, demos and benchmark workloads is 64.
+# case) on a shared 2-core x86 host, `analyze` in a fresh process takes
+# 0.8-0.9 s and 37 MB at d = 256, 3.7-4.8 s and 102 MB at d = 512, and
+# 21-28 s and 362 MB at d = 1024 (run with the cap raised); at d = 8192
+# (Z2^13) the grid alone is 67 M dicts, about 4.3 GB.  The largest d of the
+# tests, demos and benchmark workloads is 64.
 CLASS_CAP = 512
 
 

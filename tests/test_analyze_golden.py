@@ -1,9 +1,10 @@
 """`analyze` reports, captured as sha256 digests of `dump_report`, for every
-bundled group, S4 and the pool of `tests/test_characters.py`.  A report
-holds the character table, each Galois orbit's member rows in order, its
-fixing subgroup, tag and idempotent, and the centre fields, so these pin
+bundled group, S4 and the pools `POOL` and `COLD_POOL` of
+`tests/test_characters.py` (together, the benchmark's cold-groups pool).  A
+report holds the character table, each Galois orbit's member rows in order,
+its fixing subgroup, tag and idempotent, and the centre fields, so these pin
 the orbit decomposition byte for byte.  Bundled groups are sent by name,
-the pool by Cayley table."""
+the pools by Cayley table."""
 
 import hashlib
 from argparse import Namespace
@@ -13,7 +14,7 @@ import pytest
 from rigidtori.cli import run_analyze
 from rigidtori.fixtures import small_groups
 from rigidtori.schemas import dump_report
-from test_characters import POOL, _pool_group
+from test_characters import COLD_POOL, POOL, _pool_group
 
 GOLDEN = {
     "Z1":
@@ -86,18 +87,43 @@ GOLDEN = {
         "ac4d886a18eab360056c27a9a457ababac28798c55494dc0dc6c973f9c1b69c9",
     "Z2xZ2xZ6":
         "091345c734027f670acbe42c9e4624c82c1037801145951c26b4072331b34177",
+    "Z16":
+        "bcbacc091dc17032f52d1ea1652210a8b88af94981077ed0b4ad906e7062b679",
+    "Z4xZ4":
+        "2331869915d2f2eb327c7ed5f418be4390352ead1f34adb454c56d6d9be00941",
+    "Z2xZ8":
+        "a8eb813c4cfa12ea2e1d6591124485dc4d2f2ac9f5469bd9975366a01308ad6a",
+    "Z2xZ2xZ4":
+        "66f2e5e0b0b11d8ea11de58e413aa421c357502830afbcb18cefb7d382de3aa5",
+    "Z2xZ2xZ2xZ2":
+        "3ed6c3f6970914bfffbd5542c8cd98be46c6e8f79944b9600891c6aa16ef1059",
+    "D8":
+        "5b24a09d0d558fe8544224c52d233cd4e6ebad50fabe67f900c684de8426bac6",
+    "Dic4":
+        "bb3a3868614bccb427dc87a69b3c8bf514f2bc7494769f80f855bfac77f24a6e",
+    "Z2xD4":
+        "10d47556325d054b57c185fcbe6af3a43da3cc441bea40bb7e8cb3112428655a",
+    "Z2xQ8":
+        "ebb451bd407528c1faeb92087c929722533c60805e5c289417f313c2dbac4174",
+    "F20":
+        "98a01b9927e207e1f3515a08da1cf4854a616d57279b032d66a3730691af0f8d",
+    "Z20":
+        "b643d5f8ae8b70873c0ce2da204e67be7eeb5c2b46971757aa6a65ce23e2f616",
+    "D10":
+        "ce0efe5dbee923e36478f1c8781854fffeda0125a749f89686df58764ec51e52",
 }
 
 
 def _document(name):
-    if name in POOL:
+    if name in POOL or name in COLD_POOL:
         group = _pool_group(name)
         return {"name": name, "cayley_table": [list(r) for r in group.table]}
     return {"builtin": name}
 
 
 def test_golden_covers_the_bundled_groups_and_the_pool():
-    assert set(GOLDEN) == {g.name for g in small_groups()} | {"S4"} | set(POOL)
+    assert set(GOLDEN) == {g.name for g in small_groups()} | {"S4"} | \
+        set(POOL) | set(COLD_POOL)
 
 
 @pytest.mark.parametrize("name", list(GOLDEN))

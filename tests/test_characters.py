@@ -18,8 +18,8 @@ from rigidtori.characters import (TableComputationError, character_table,
                                   _separating_classes)
 from rigidtori.cyclotomic import CyclotomicField, _slot_width
 from rigidtori.fixtures import (abelian, cyclic, dicyclic, dihedral,
-                                group_by_name, quaternion_8, small_groups,
-                                symmetric_3, symmetric_4)
+                                direct_product, group_by_name, quaternion_8,
+                                small_groups, symmetric_3, symmetric_4)
 from rigidtori.groups import ConjugacyClassData
 
 
@@ -378,17 +378,27 @@ def test_table_for_evicts_the_least_recently_used_table(monkeypatch):
 
 
 def _pool_group(name):
+    """A group of `POOL` or `COLD_POOL`, built as the benchmark's
+    cold-groups pool builds it, so with the same Cayley table."""
     from rigidtori.groups import FiniteGroup
     perms = {
         "A5": [(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)],
         "S5": [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)],
+        "F20": [(1, 2, 3, 4, 0), (0, 2, 4, 1, 3)],
         "F21": [(1, 2, 3, 4, 5, 6, 0), (0, 2, 4, 6, 1, 3, 5)],
     }
     if name in perms:
         return FiniteGroup.from_permutations(perms[name], name=name)
-    if name == "Z2xZ2xZ6":
-        return abelian([2, 2, 6])
-    return cyclic(int(name[1:]))
+    if name in ("Z2xD4", "Z2xQ8"):
+        g = direct_product(cyclic(2), dihedral(4) if name == "Z2xD4"
+                           else quaternion_8())
+        g.name = name
+        return g
+    if name.startswith("Dic"):
+        return dicyclic(int(name[3:]))
+    if name.startswith("D"):
+        return dihedral(int(name[1:]))
+    return abelian([int(f[1:]) for f in name.split("x")])
 
 
 def _dixon(group):
@@ -551,6 +561,10 @@ def test_evaluation_width_decides_equality_modulo_phi_at_two_to_the_width(m):
 
 
 POOL = ["S5", "A5", "Z21", "Z24", "F21", "Z2xZ2xZ6"]
+# the rest of the benchmark's cold-groups pool: the groups beyond the
+# bundled ones, S4 and POOL
+COLD_POOL = ["Z16", "Z4xZ4", "Z2xZ8", "Z2xZ2xZ4", "Z2xZ2xZ2xZ2", "D8", "Dic4",
+             "Z2xD4", "Z2xQ8", "F20", "Z20", "D10"]
 
 
 @pytest.mark.parametrize("name", POOL)
@@ -856,3 +870,144 @@ def test_a_corrupted_power_map_raises():
     fake = _altered(classes, power_classes=tuple(powers))
     with pytest.raises(TableComputationError, match="Galois conjugate"):
         _dixon_schneider(fake, field)
+
+
+# -- central classes split along their cycles, linear rows by discrete log --
+
+
+ALL_GROUPS = ORBIT_GROUPS + [_pool_group(name) for name in COLD_POOL]
+
+
+def _projective(vectors):
+    """Each vector mod p scaled to 1 at its first nonzero coordinate (w_0
+    for every component of e_0 with w_0 != 0), as a set of tuples."""
+    out = set()
+    for v, p in vectors:
+        inv = pow(next(x for x in v if x), -1, p)
+        out.add(tuple(x * inv % p for x in v))
+    return out
+
+
+@pytest.mark.parametrize("group", ALL_GROUPS, ids=[g.name for g in ALL_GROUPS])
+def test_central_classes_split_by_their_cycles_as_by_minimal_polynomials(
+        group):
+    classes = group.conjugacy_classes()
+    d = classes.count
+    p = _prime(group.order, group.exponent)
+    z = _root_of_unity(group.exponent, p)
+    zpow = [pow(z, t, p) for t in range(group.exponent)]
+    e_0 = [1] + [0] * (d - 1)
+    # already-split components: e_0's components under the class of largest
+    # element order, split by the general path
+    largest = max(range(d), key=lambda k: len(classes.power_classes[k]))
+    split = characters._eigencomponents(classes.coefficients[largest], e_0, p)
+    central = [k for k in range(d) if classes.sizes[k] == 1]
+    assert central[0] == 0
+    for k in central:
+        mat = classes.coefficients[k]
+        assert all(len(row) == 1 and 1 in row.values() for row in mat)
+        cycles = characters._cycles([next(iter(row)) for row in mat])
+        e = len(classes.power_classes[k])
+        assert all(e % len(cycle) == 0 for cycle in cycles)
+        for v in [e_0] + split:
+            fast = characters._cycle_components(cycles, e, v, zpow, p)
+            slow = characters._eigencomponents(mat, v, p)
+            assert len(fast) == len(slow)
+            assert _projective((w, p) for w in fast) == \
+                _projective((w, p) for w in slow)
+
+
+@pytest.mark.parametrize("group", ALL_GROUPS, ids=[g.name for g in ALL_GROUPS])
+def test_linear_rows_by_discrete_log_match_the_transform(group):
+    classes = group.conjugacy_classes()
+    field = CyclotomicField(group.exponent)
+    rows, degrees = _dixon_schneider(classes, field)
+    want_rows, want_degrees = reference_dixon_schneider(classes, field)
+    assert degrees.count(1) == want_degrees.count(1) >= 1
+    assert sorted(_row_key(r) for r, deg in zip(rows, degrees) if deg == 1) \
+        == sorted(_row_key(r) for r, deg in zip(want_rows, want_degrees)
+                  if deg == 1)
+
+
+def _refuse(name):
+    def refuse(*args):
+        raise AssertionError(f"{name} called")
+    return refuse
+
+
+@pytest.mark.parametrize("name", ["Z24", "Z2xZ2xZ6", "Z4xZ4", "Z21"])
+def test_an_abelian_table_needs_no_minimal_polynomial_or_transform(
+        monkeypatch, name):
+    want = character_table(_pool_group(name))
+    for helper in ("_eigencomponents", "_multiplicities"):
+        monkeypatch.setattr(characters, helper, _refuse(helper))
+    got = character_table(_pool_group(name))
+    assert got.degrees == want.degrees and got.rows == want.rows
+
+
+def test_a_non_abelian_table_still_takes_the_general_path(monkeypatch):
+    calls = {"_eigencomponents": 0, "_multiplicities": 0}
+    for helper in calls:
+        original = getattr(characters, helper)
+
+        def counted(*args, helper=helper, original=original):
+            calls[helper] += 1
+            return original(*args)
+        monkeypatch.setattr(characters, helper, counted)
+    character_table(symmetric_4())
+    assert all(calls.values()), calls
+
+
+def test_a_corrupted_abelian_component_raises(monkeypatch):
+    split = characters._split_mod_p
+
+    def corrupted(classes, p):
+        vectors = split(classes, p)
+        vectors[-1][-1] = (vectors[-1][-1] + 1) % p
+        return vectors
+
+    monkeypatch.setattr(characters, "_split_mod_p", corrupted)
+    with pytest.raises(TableComputationError):
+        character_table(cyclic(24))
+
+
+def test_a_linear_value_outside_the_roots_of_unity_raises(monkeypatch):
+    # Z3 at p = 7: <z> = {1, 2, 4}.  [1, 3, 5] has norm 1 + 2 * 3 * 5 = 3
+    # mod 7, so degree 1, but chi(g) = 3 is no cube root of unity mod 7
+    group = cyclic(3)
+    classes = group.conjugacy_classes()
+    assert _prime(3, 3) == 7 and classes.inverse_class(1) == 2
+    monkeypatch.setattr(characters, "_split_mod_p",
+                        lambda classes, p: [[1, 1, 1], [1, 3, 5], [1, 5, 3]])
+    with pytest.raises(TableComputationError, match="not a power of z"):
+        character_table(group)
+
+
+@st.composite
+def relabelled_abelian(draw):
+    """Z_n1 x ... x Z_nk with |G| <= 64, under a random relabelling of the
+    non-identity elements of its Cayley table."""
+    factors = [draw(st.integers(2, 64))]
+    while math.prod(factors) <= 32 and draw(st.booleans()):
+        factors.append(draw(st.integers(2, 64 // math.prod(factors))))
+    g = abelian(factors)
+    return _relabelled(g, [0] + draw(st.permutations(range(1, g.order))))
+
+
+@settings(max_examples=15)
+@given(group=relabelled_abelian())
+def test_abelian_rows_are_the_homomorphisms_read_off_the_cayley_table(group):
+    # independent of Dixon-Schneider: every value is a root of unity
+    # zeta_m^t, and chi(gh) = chi(g) chi(h) is t(gh) = t(g) + t(h) mod m
+    table = character_table(group)
+    n, m = group.order, table.field.m
+    assert table.size == n and set(table.degrees) == {1}
+    assert len({_row_key(row) for row in table.rows}) == n
+    log = {table.field.zeta(t): t for t in range(m)}
+    membership = table.classes.membership
+    for row in table.rows:
+        t = [log[row[membership[x]]] for x in range(n)]
+        assert t[0] == 0
+        for x in range(n):
+            assert all((t[x] + t[y] - t[product]) % m == 0
+                       for y, product in enumerate(group.table[x]))

@@ -1,9 +1,9 @@
 """Exact character tables, captured as digests: the sha256 of the degrees
 and the integer power-basis numerators of every row, in the canonical row
-and class order, for every bundled group and the pool of
-`tests/test_characters.py`.  The table is unique (rows sorted on degree,
-then numerators; classes in the class data's order), so any correct
-implementation reproduces these digests exactly."""
+and class order, for every bundled group and the pools `POOL` and
+`COLD_POOL` of `tests/test_characters.py`.  The table is unique (rows
+sorted on degree, then numerators; classes in the class data's order), so
+any correct implementation reproduces these digests exactly."""
 
 import hashlib
 
@@ -11,7 +11,7 @@ import pytest
 
 from rigidtori.characters import character_table
 from rigidtori.fixtures import group_by_name, small_groups
-from test_characters import POOL, _pool_group
+from test_characters import COLD_POOL, POOL, _pool_group
 
 GOLDEN = {
     "Z1":
@@ -84,6 +84,30 @@ GOLDEN = {
         "4fdb30fc1e8bc1047ba7d5280e5c8969bc56a7b2712d06e25fafba10c10da06b",
     "Z2xZ2xZ6":
         "ebc67d27d04a09b1ed1c4a2bc08936f6809267283aca6d4afb203b86faf668ca",
+    "Z16":
+        "845c49a503124962d251e43a17bbb602dacc80ce2c8c702b020f311b96997907",
+    "Z4xZ4":
+        "5ae67de1710495681eca0d3fcff44937ce0e4c6a089aecc0ee650ebf12916097",
+    "Z2xZ8":
+        "d918a22620203b50b7f64b33db389504f66cebe80a213fd1455387b74abab1b6",
+    "Z2xZ2xZ4":
+        "769d5c4264ec98a069e1faeafff3acc076c2bf4fcc5518510bfa41b1dd416b70",
+    "Z2xZ2xZ2xZ2":
+        "2291eb33b56632172460576a331782727b9335f6320ab0bb86703eb767577cf3",
+    "D8":
+        "fe4fb8c5e480b496bcdc41f4707079b8f35c099a0e7b290bc96ad4179df4e9dd",
+    "Dic4":
+        "fe4fb8c5e480b496bcdc41f4707079b8f35c099a0e7b290bc96ad4179df4e9dd",
+    "Z2xD4":
+        "8daa52b0a618d8e7000ed8eaab7d1d77348785286a6748fcef0bf83ce9005ee5",
+    "Z2xQ8":
+        "7195a8c14f3f2032cdae2cc420fcc2e1753c93912b2d211b9debd8c9e102abe4",
+    "F20":
+        "a52878c80b7dd5b2f57f59cf60010cbef7766c3f91c3b13991b03647ade9f366",
+    "Z20":
+        "baeaf3a5e2a8da0673835c78caee551982eb4d7e1019f2857511450adb4a654e",
+    "D10":
+        "46049605dd880be0de5e30f18675bcebfb222e5be0dc15ef9a6a47ad8f432fa2",
 }
 
 
@@ -95,11 +119,14 @@ def table_digest(group):
 
 
 def _group(name):
-    return _pool_group(name) if name in POOL else group_by_name(name)
+    if name in POOL or name in COLD_POOL:
+        return _pool_group(name)
+    return group_by_name(name)
 
 
 def test_golden_covers_the_bundled_groups_and_the_pool():
-    assert set(GOLDEN) == {g.name for g in small_groups()} | {"S4"} | set(POOL)
+    assert set(GOLDEN) == {g.name for g in small_groups()} | {"S4"} | \
+        set(POOL) | set(COLD_POOL)
 
 
 @pytest.mark.parametrize("name", list(GOLDEN))
