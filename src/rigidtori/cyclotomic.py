@@ -8,10 +8,10 @@ hashing compare tuples of ints.  Phi_m is monic with integer coefficients,
 so the reduction of z^k is integral and a product is an integer convolution,
 one integral reduction and one gcd, with no rational arithmetic per
 coordinate.  An embedding sigma_a : z -> exp(2*pi*i*a/m) evaluates x's
-power-basis polynomial by `polyfields`' exact box Horner on the rectangle of
-one outward-rounded mpmath cos/sin pair around z^a, so every enclosure is
-certified.  Sign queries are decided exactly: the zero case is settled by
-the Galois action (never by floats), nonzero cases on the one precision ladder.
+power-basis polynomial by `polyfields`' exact box Horner on an exact dyadic
+rectangle around z^a, built in integers, so every enclosure is certified.
+Sign queries are decided exactly: the zero case is settled by the Galois
+action (never by floats), nonzero cases on the one precision ladder.
 """
 
 from __future__ import annotations
@@ -487,25 +487,21 @@ def _reducer(field: _Field, bound: int):
 
 @lru_cache(maxsize=1024)
 def _zeta_box(m: int, k: int, precision: int) -> tuple:
-    """The exact rectangle (re_lo, re_hi, im_lo, im_hi) around
-    exp(2*pi*i*k/m) of one mpmath interval cos/sin pair at `precision`,
-    kept per (m, k, precision): the same rectangle serves every element of
-    Q(zeta_m) that is embedded at sigma_k."""
-    from mpmath import iv
-    old = iv.prec
-    try:
-        iv.prec = precision
-        angle = 2 * iv.pi * iv.mpf(k) / iv.mpf(m)
-        return _iv_bounds(iv.cos(angle)) + _iv_bounds(iv.sin(angle))
-    finally:
-        iv.prec = old
-
-
-def _iv_bounds(x):
-    """Exact rational bounds of an mpmath interval (endpoints are dyadic)."""
-    from mpmath.libmp import to_rational
-    lo, hi = x._mpi_
-    return Fraction(*to_rational(lo)), Fraction(*to_rational(hi))
+    """`polyfields`' exact dyadic rectangle around exp(2*pi*i*k/m), kept
+    per (m, k, precision): the same rectangle serves every element of
+    Q(zeta_m) embedded at sigma_k.  Its error budget, in ulps of 2^-p at
+    p = precision + bitlen(precision) + 8 bits: k/m reduces exactly, by a
+    quarter turn and a reflection in the octant, to an angle 2*pi*r with r
+    in [0, 1/8], where cos and sin are monotone, so they are bounded by
+    their bounds at the two ends of the angle's interval; pi lies in
+    Machin's enclosure, off by under one ulp per floored term of each
+    arctangent plus one for its tail, and the ends round outward; cos and
+    sin at each end follow their alternating Taylor series, each floored
+    term within two ulps and the first omitted term, under two, bounding
+    the tail.  Together that stays under 2^(bitlen(precision) + 6) ulps,
+    so each side is at most 2^(2 - precision) wide."""
+    from .polyfields import _zeta_rectangle
+    return _zeta_rectangle(m, k, precision)
 
 
 class SubfieldSpec:

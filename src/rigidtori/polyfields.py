@@ -21,15 +21,17 @@ does not depend on the order of the arithmetic.
 
 Root enclosures come from the inclusion-disc bound (Henrici, Applied and
 Computational Complex Analysis I, 6.4): for any z, the disc of radius
-n |f(z)/f'(z)| around z holds a root of f.  All n roots start on a circle,
-as Aberth's method usually does, and are polished per precision by Newton
-steps with Aberth's deflation in mpmath.  Each centre
-z = (a + bi)/2^e is certified exactly in integer arithmetic at a
-precision c >= prec: n^2 |f(z)|^2 <= 4^-c |f'(z)|^2, so the disc has
-radius at most 2^-c, and the n centres are more than 4 * 2^-c apart,
-so the discs are disjoint and each holds exactly one root.  c starts at
-prec and doubles while two centres are too close; the returned radius
-stays 2^-prec, so boxes of roots closer than that may overlap.
+n |f(z)/f'(z)| around z holds a root of f.  All n roots start on a circle
+of float points, as Aberth's method usually does, and are polished per
+precision by Newton steps with Aberth's deflation in Gaussian fixed point,
+each approximation an integer triple (a, b, w) standing for (a + bi)/2^w.
+Each centre z = (a + bi)/2^e, read off a triple by a shift, is certified
+exactly in integer arithmetic at a precision c >= prec:
+n^2 |f(z)|^2 <= 4^-c |f'(z)|^2, so the disc has radius at most 2^-c, and
+the n centres are more than 4 * 2^-c apart, so the discs are disjoint and
+each holds exactly one root.  c starts at prec and doubles while two
+centres are too close; the returned radius stays 2^-prec, so boxes of
+roots closer than that may overlap.
 
 Root indices follow the order of sympy's `all_roots`, which the conjugate
 pairing, designated roots and callers rely on: upper half-plane roots by
@@ -46,7 +48,8 @@ than 4 eps from that one.
 
 Every certified evaluation, here and in `cyclotomic`, is one exact
 rational box Horner (`_enclosure`) on a rectangle around a root: a root
-box here, the rectangle of one mpmath cos/sin pair around zeta_m^a there.
+box, or the dyadic rectangle around zeta_m^a that `_zeta_rectangle` builds
+in integers from Machin's pi and the Taylor series of cos and sin.
 The Horner runs in integers, on the coefficients times their common
 denominator and the box ends times theirs, and divides its four bounds
 once at the end; positive scaling commutes with min and max, so they are
@@ -63,7 +66,8 @@ so importing this module stays cheap.  No computer-algebra system is used.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, lcm
+from functools import lru_cache
+from math import comb, cos, gcd, lcm, ldexp, pi, sin
 
 from . import linalg
 from .errors import DomainError
@@ -338,14 +342,13 @@ class PolynomialField:
         4 * 2^-cert of each other; the guard bits of the polish double while
         a disc fails its certificate.  Neither climbs past
         PRECISION_BITS_CAP."""
-        import mpmath
         cert, guard = prec_bits, _GUARD_BITS
         while max(cert, guard) <= PRECISION_BITS_CAP:
             bits = cert + guard
             self._approx = _polish(self.coeffs, self._approx, bits)
-            # centres on the grid 2^-bits (ldexp and int are exact)
-            points = [(int(mpmath.ldexp(z.real, bits)),
-                       int(mpmath.ldexp(z.imag, bits))) for z in self._approx]
+            # centres on the grid 2^-bits
+            points = [(_on_grid(a, w, bits), _on_grid(b, w, bits))
+                      for a, b, w in self._approx]
             if not all(_inclusion_disc_fits(self.coeffs, a, b, bits, cert)
                        for a, b in points):
                 guard *= 2
@@ -605,15 +608,16 @@ def _charpoly(mat):
 
 def _circle(coeffs):
     """Aberth's usual start: n points on a circle about the origin whose
-    radius max |c_k|^(1/(n-k)) is within a factor 2 n of the largest root.
-    No point is real and no two are conjugate: for a real polynomial the
-    iteration would keep such points real or conjugate."""
-    import mpmath
+    radius max |c_k|^(1/(n-k)) is within a factor 2 n of the largest root,
+    as triples (a, b, 64) from floats (see `_polish`).  No point is real and
+    no two are conjugate: for a real polynomial the iteration would keep
+    such points real or conjugate."""
     n = len(coeffs) - 1
     radius = max(abs(c) ** (1 / (n - k))
                  for k, c in enumerate(coeffs[:-1]) if c)
-    return [mpmath.mpc(mpmath.mpf(radius) * mpmath.expjpi(2 * k / n + 0.13))
-            for k in range(n)]
+    angles = (pi * (2 * k / n + 0.13) for k in range(n))
+    return [(int(ldexp(radius * cos(t), 64)), int(ldexp(radius * sin(t), 64)),
+             64) for t in angles]
 
 
 def _match(old, old_eps, new, new_eps):
@@ -638,34 +642,68 @@ def _match(old, old_eps, new, new_eps):
     return order
 
 
+def _on_grid(x, w, bits):
+    """x / 2^w on the grid 2^-bits: x 2^(bits - w), floored."""
+    return x >> (w - bits) if w >= bits else x << (bits - w)
+
+
 def _polish(coeffs, approx, bits):
     """Newton steps on all roots at once, with Aberth's deflation term so
     that no two approximations converge to the same root, until every step
     is below 2^-bits relative to its root.  Each step about doubles the
     correct bits, so the working precision climbs to `bits` by doubling.
-    Certification happens afterwards; this only proposes."""
-    import mpmath
-    high_first = list(reversed(coeffs))
+    Certification happens afterwards; this only proposes.
+
+    It runs in Gaussian fixed point: an approximation is a triple (a, b, w)
+    standing for (a + bi)/2^w, and a precision level works at w = level + 16
+    fractional bits, every product and quotient floored to that grid."""
     ladder = [bits]
     while ladder[-1] > 128:
         ladder.append(ladder[-1] // 2)
-    z = list(approx)
+    n = len(coeffs) - 1
+    z = approx
     for level in reversed(ladder):
-        with mpmath.workprec(level + 16):
-            tol = mpmath.ldexp(1, -level)
-            z = [mpmath.mpc(w) for w in z]
-            for _step in range(8 + 2 * level.bit_length()):
-                steps = []
-                for i, zi in enumerate(z):
-                    val, der = mpmath.polyval(high_first, zi, derivative=True)
-                    deflation = mpmath.fsum(
-                        1 / (zi - zj) for j, zj in enumerate(z) if j != i)
-                    # f/f' / (1 - f/f' * deflation), kept finite where f' = 0
-                    steps.append(val / (der - val * deflation))
-                z = [zi - step for zi, step in zip(z, steps)]
-                if all(abs(step) <= tol * max(1, abs(zi))
-                       for zi, step in zip(z, steps)):
-                    break
+        w = level + 16
+        lower = [c << w for c in reversed(coeffs[:-1])]    # f is monic
+        z = [(_on_grid(a, u, w), _on_grid(b, u, w)) for a, b, u in z]
+        for _step in range(8 + 2 * level.bit_length()):
+            # the deflation sums of 1/(z_i - z_j), each pair once
+            sums = [[0, 0] for _ in z]
+            for i, (a, b) in enumerate(z):
+                for j in range(i + 1, n):
+                    xr, xi = a - z[j][0], b - z[j][1]
+                    q = xr * xr + xi * xi
+                    if q:
+                        xr, xi = (xr << 2 * w) // q, (xi << 2 * w) // q
+                        sums[i][0] += xr
+                        sums[i][1] -= xi
+                        sums[j][0] -= xr
+                        sums[j][1] += xi
+            moved, small = [], True
+            for (a, b), (sr, si) in zip(z, sums):
+                # f (vr, vi) and f' (dr, di) by one Horner pass
+                vr, vi, dr, di = 1 << w, 0, 0, 0
+                for c in lower:
+                    dr, di = ((dr * a - di * b >> w) + vr,
+                              (dr * b + di * a >> w) + vi)
+                    vr, vi = (vr * a - vi * b >> w) + c, vr * b + vi * a >> w
+                # f/f' / (1 - f/f' * deflation) = f / (f' - f deflation),
+                # kept finite where f' = 0
+                dr -= vr * sr - vi * si >> w
+                di -= vr * si + vi * sr >> w
+                q = dr * dr + di * di
+                if q:
+                    tr = ((vr * dr + vi * di) << w) // q
+                    ti = ((vi * dr - vr * di) << w) // q
+                    a, b = a - tr, b - ti
+                    # |step| <= 2^-level max(1, |z|), squared, times 4^w
+                    small = small and ((tr * tr + ti * ti) << 2 * level
+                                       <= max(1 << 2 * w, a * a + b * b))
+                moved.append((a, b))
+            z = moved
+            if small:
+                break
+        z = [(a, b, w) for a, b in z]
     return z
 
 
@@ -702,3 +740,63 @@ def _pairwise_apart(points, bits, prec_bits):
     return all((a1 - a2) ** 2 + (b1 - b2) ** 2 > bound
                for k, (a1, b1) in enumerate(points)
                for a2, b2 in points[k + 1:])
+
+
+# -- the rectangle around a root of unity ------------------------------------
+
+
+@lru_cache(maxsize=16)
+def _pi_bounds(p):
+    """Integers lo <= pi 2^p <= hi by Machin's formula
+    pi = 16 atan(1/5) - 4 atan(1/239).  Term j of atan(1/x) 2^p is floored
+    once, floor(2^p / ((2j + 1) x^(2j+1))), so it is off by under one ulp,
+    and the series stops at the first term whose floor is 0, which bounds
+    the alternating remainder by one ulp more."""
+    total = slack = 0
+    for weight, x in ((16, 5), (-4, 239)):
+        power, j = (1 << p) // x, 0
+        while power:
+            term = power // (2 * j + 1)
+            total += -weight * term if j % 2 else weight * term
+            power //= x * x
+            j += 1
+        slack += abs(weight) * (j + 1)
+    return total - slack, total + slack
+
+
+def _sin_cos(x, p):
+    """(s, c, slack): 2^p sin(x 2^-p) and 2^p cos(x 2^-p) lie within slack
+    of s and c, for 0 <= x <= 2^p.  The Taylor terms x^k / k! come from one
+    chain t_k = floor(t_(k-1) x / (k 2^p)), whose error e_k is under
+    1 + e_(k-1)/k, so under 2 ulps, and stop at the first that floors to 0;
+    both series alternate with decreasing terms, so the first omitted one,
+    under 2 ulps, bounds each remainder."""
+    sums = [1 << p, 0]      # cos, sin
+    term, k = 1 << p, 0
+    while term:
+        k += 1
+        term = term * x // k >> p
+        sums[k % 2] += -term if k % 4 >= 2 else term
+    return sums[1], sums[0], 2 * k
+
+
+def _zeta_rectangle(m, k, precision):
+    """An exact dyadic rectangle (re_lo, re_hi, im_lo, im_hi) around
+    exp(2 pi i k/m), each side at most 2^(2 - precision) wide (see
+    `cyclotomic._zeta_box` for its error budget)."""
+    p = precision + precision.bit_length() + 8
+    quarter, rest = divmod(4 * (k % m), m)
+    # exp(2 pi i k/m) = i^quarter exp(2 pi i rest/4m); past the octant,
+    # exp(2 pi i s) for s in (1/8, 1/4) is (sin, cos) of 2 pi (1/4 - s)
+    num = rest if 2 * rest <= m else m - rest
+    lo, hi = _pi_bounds(p)
+    # the angle 2 pi num/4m in [0, pi/4], where sin rises and cos falls
+    s_lo, c_hi, e_lo = _sin_cos(lo * num // (2 * m), p)
+    s_hi, c_lo, e_hi = _sin_cos(-(-hi * num // (2 * m)), p)
+    re = (c_lo - e_hi, c_hi + e_lo)
+    im = (s_lo - e_lo, s_hi + e_hi)
+    if num != rest:
+        re, im = im, re
+    for _ in range(quarter):
+        re, im = (-im[1], -im[0]), re
+    return tuple(Fraction(x, 1 << p) for x in re + im)

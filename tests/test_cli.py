@@ -358,9 +358,9 @@ DEFERRED_MODULES = tuple(f"rigidtori.{name}" for name in (
     "linalg"))
 
 
-def _loaded_after(code, modules=HEAVY_MODULES):
-    """Those of `modules` (the heavy ones by default) loaded once `code` has
-    run in a fresh interpreter that imports rigidtori from this checkout."""
+def _run_fresh(code, check=True):
+    """`code` run in a fresh interpreter that imports rigidtori from this
+    checkout, as a completed process with its stdout captured."""
     import os
     import subprocess
     import sys
@@ -371,15 +371,21 @@ def _loaded_after(code, modules=HEAVY_MODULES):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=check,
+                          timeout=300)
+
+
+def _loaded_after(code, modules=HEAVY_MODULES):
+    """Those of `modules` (the heavy ones by default) loaded once `code` has
+    run in a fresh interpreter that imports rigidtori from this checkout."""
     code += f"\nprint(sorted(set({modules!r}) & set(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    return out.stdout.strip().splitlines()[-1]
+    return _run_fresh(code).stdout.strip().splitlines()[-1]
 
 
 def test_import_leaves_sympy_and_scipy_unloaded():
     # numpy, mpmath, sympy and scipy cost most of a cold start; only the
-    # numeric J_matrix, deformation and standalone-field paths load them
+    # numeric J_matrix and deformation paths load one of them, numpy
     assert _loaded_after("import sys, rigidtori.cli") == "[]"
 
 
@@ -394,9 +400,51 @@ def test_analyze_and_symbolic_rigidity_leave_heavy_modules_unloaded(
             f"assert main(['rigidity', '--input', {symbolic!r}]) == 0")
     assert _loaded_after(code) == "[]"
     # symbolic polarize expands the same generators by the same closure,
-    # which loads no numpy; only its interval signs load mpmath
-    code += f"\nassert main(['polarize', '--input', {symbolic!r}]) == 0"
-    assert _loaded_after(code) == "['mpmath']"
+    # which loads no numpy, and its interval signs and a standalone field's
+    # root boxes are integer code
+    field = write(tmp_path, "field.json", {
+        "polynomial": [68, 0, 28, 0, 1], "designated_roots": [1, 2]})
+    code += (f"\nassert main(['polarize', '--input', {symbolic!r}]) == 0"
+             f"\nassert main(['polarize', '--input', {field!r}]) == 0")
+    assert _loaded_after(code) == "[]"
+
+
+# Refuses every import of the named top-level packages, as an environment
+# without them would
+_BLOCKER = """import sys
+class _Absent:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] in {names!r}:
+            raise ModuleNotFoundError(f"No module named {{name!r}}")
+sys.meta_path.insert(0, _Absent())
+"""
+
+
+def _cli_run(argv, blocked=()):
+    """(exit status, stdout) of `rigidtori.cli.main(argv)` in a fresh
+    interpreter that imports none of the packages in `blocked`."""
+    out = _run_fresh(_BLOCKER.format(names=set(blocked)) + (
+        f"from rigidtori.cli import main\nsys.exit(main({argv!r}))"),
+        check=False)
+    return out.returncode, out.stdout
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("analyze", {"builtin": "Q8"}),
+    ("rigidity", SYMBOLIC_DOC),
+    ("polarize", SYMBOLIC_DOC),
+    ("polarize", GAUSSIAN_DOC),
+    ("polarize", {"polynomial": [37, 1, 0, 0, 1], "designated_roots": [1, 2]}),
+    ("deform", GAUSSIAN_DOC),
+], ids=["analyze", "rigidity", "polarize-symbolic", "polarize-J_matrix",
+        "polarize-field", "deform"])
+def test_serving_paths_run_without_mpmath(tmp_path, command, doc):
+    # mpmath is a test-only dependency (sympy's, and the tests' oracle): a
+    # process that cannot import it serves every command alike
+    argv = [command, "--input", write(tmp_path, "doc.json", doc)]
+    plain = _cli_run(argv)
+    assert plain[0] == 0 and plain[1]
+    assert _cli_run(argv, blocked=("mpmath",)) == plain
 
 
 def test_import_loads_only_the_serving_core():
@@ -653,7 +701,7 @@ def test_polarize_symbolic_structure_error_wins_over_not_rigid(tmp_path):
 
 def test_polarize_loads_neither_numpy_nor_scipy(tmp_path):
     # the square-solve witness needs no LP: a symbolic document certifies
-    # in exact arithmetic and mpmath intervals (its embeddings go through
+    # in exact arithmetic and integer rectangles (its embeddings go through
     # polyfields' box Horner), and a standalone field adds no computer
     # algebra system: its factoring, Sturm counts and root order are exact
     # integer code
@@ -724,8 +772,8 @@ def test_uncertified_roots_are_a_domain_error(tmp_path, monkeypatch):
     # (exit 3)
     from rigidtori import polyfields
 
-    monkeypatch.setattr(polyfields, "_polish",
-                        lambda coeffs, approx, bits: [z + 0.25 for z in approx])
+    monkeypatch.setattr(polyfields, "_polish", lambda coeffs, approx, bits: [
+        (a + (1 << (w - 2)), b, w) for a, b, w in approx])
     inp = write(tmp_path, "field.json", {"polynomial": [1, 0, 1],
                                          "designated_roots": [0]})
     out = tmp_path / "err.json"
@@ -733,6 +781,34 @@ def test_uncertified_roots_are_a_domain_error(tmp_path, monkeypatch):
     error = json.loads(out.read_text())["error"]
     assert error["error"] == "PrecisionCapReached"
     assert "internal" not in error
+
+
+def test_a_failed_root_certificate_doubles_the_guard_bits(monkeypatch):
+    # a first polish that leaves each root a quarter off fails its
+    # certificate; the second, from there with twice the guard bits,
+    # certifies the same roots in the same order
+    from rigidtori import polyfields
+
+    coeffs = (37, 1, 0, 0, 1)
+    clean = polyfields.PolynomialField(coeffs)
+    expected = [clean.root_box(i) for i in range(4)]
+    polish, asked = polyfields._polish, []
+
+    def corrupt_first(coeffs, approx, bits):
+        asked.append(bits)
+        z = polish(coeffs, approx, bits)
+        if len(asked) > 1:
+            return z
+        return [(a + (1 << (w - 2)), b, w) for a, b, w in z]
+
+    monkeypatch.setattr(polyfields, "_polish", corrupt_first)
+    field = polyfields.PolynomialField(coeffs)
+    boxes = [field.root_box(i) for i in range(4)]
+    guard = polyfields._GUARD_BITS
+    assert asked[:2] == [64 + guard, 64 + 2 * guard]
+    for (re, im, rad), (re0, im0, rad0) in zip(boxes, expected):
+        assert rad == rad0
+        assert abs(re - re0) <= 2 * rad and abs(im - im0) <= 2 * rad
 
 
 def test_internal_error_exits_3_with_a_payload(tmp_path, monkeypatch,

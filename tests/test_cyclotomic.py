@@ -452,7 +452,7 @@ def test_product_of_irrational_elements_builds_no_fraction(monkeypatch):
 
 def test_zeta_box_is_kept_per_embedding_and_precision():
     # every element embedded at sigma_a reads the same rectangle around
-    # zeta^a: one mpmath evaluation per (m, a, precision)
+    # zeta^a: one integer evaluation per (m, a, precision)
     from rigidtori.cyclotomic import _zeta_box
     F = CyclotomicField(7)
     _zeta_box.cache_clear()
@@ -462,6 +462,43 @@ def test_zeta_box_is_kept_per_embedding_and_precision():
     assert _zeta_box(7, 1, 64) == _zeta_box.__wrapped__(7, 1, 64)
     assert boxes == [z.embed(a, 64) for z in (x, y) for a in (1, 2)]
     assert _zeta_box.cache_info().maxsize is not None
+
+
+def _mpf_fraction(x):
+    from mpmath.libmp import to_rational
+    return Fraction(*to_rational(x._mpf_))
+
+
+@pytest.mark.parametrize("precision", [64, 256, 1024])
+def test_zeta_boxes_hold_mpmath_values_and_are_narrow(precision):
+    # the reference is mpmath at twice the precision: exp(2 pi i/m) and its
+    # powers, each product off by about an ulp of 2 precision + 16 bits,
+    # far inside the rectangles' margins of an ulp at p > precision bits
+    import mpmath
+    from rigidtori.cyclotomic import _zeta_box
+    width = Fraction(4, 2 ** precision)
+    with mpmath.workprec(2 * precision + 16):
+        for m in range(1, 121):
+            step, z = mpmath.expjpi(mpmath.mpf(2) / m), mpmath.mpc(1)
+            for k in range(m):
+                re_lo, re_hi, im_lo, im_hi = _zeta_box.__wrapped__(
+                    m, k, precision)
+                assert re_lo <= _mpf_fraction(z.real) <= re_hi, (m, k)
+                assert im_lo <= _mpf_fraction(z.imag) <= im_hi, (m, k)
+                assert re_hi - re_lo <= width and im_hi - im_lo <= width
+                z *= step
+
+
+@pytest.mark.parametrize("precision", [32, 64, 256, 1024])
+def test_zeta_boxes_hold_the_exact_points(precision):
+    # k = 0, 4k = m, 2k = m and 4k = 3m: 1, i, -1 and -i
+    from rigidtori.cyclotomic import _zeta_box
+    for m in (4, 8, 12, 60, 120):
+        for k, (re, im) in ((0, (1, 0)), (m // 4, (0, 1)), (m // 2, (-1, 0)),
+                            (3 * m // 4, (0, -1))):
+            re_lo, re_hi, im_lo, im_hi = _zeta_box.__wrapped__(
+                m, k, precision)
+            assert re_lo <= re <= re_hi and im_lo <= im <= im_hi, (m, k)
 
 
 # -- the packed-integer kernel ----------------------------------------------

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rigidtori.polyfields import (COEFFICIENT_BITS_CAP, DEGREE_CAP,
@@ -247,6 +247,159 @@ def test_root_box_order_matches_all_roots_across_families():
                 assert abs(re - x) <= 2 * rad, (family, coeffs, k)
                 assert abs(im - y) <= 2 * rad, (family, coeffs, k)
             assert len(set(nearest)) == F.degree, (family, coeffs)
+
+
+@st.composite
+def _cm_like_polynomials(draw):
+    """Monic g^2 + c h^2 with deg h < deg g in 1 ... 8 and c > 0: no real
+    roots, degree 2 to 16, irreducible more often than not."""
+    half = draw(st.integers(1, 8))
+    g = draw(st.lists(st.integers(-3, 3), min_size=half, max_size=half))
+    h = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=half))
+    c = draw(st.integers(1, 20))
+    return tuple(_add(_mul(g + [1], g + [1]), _mul(h, h), c))
+
+
+def _argsort(boxes):
+    """Root indices by (re, im) of their boxes on the grid 2^-32."""
+    return tuple(sorted(range(len(boxes)), key=lambda i: (
+        round(boxes[i][0] * 2 ** 32), round(boxes[i][1] * 2 ** 32))))
+
+
+# The root order of the fields the test below draws (derandomized), as
+# `_argsort` of their 64-bit boxes, recorded when mpmath's polish proposed
+# the discs
+ROOT_ORDERS = {
+    (1, 0, 1):
+        (0, 1),
+    (2, -2, 1):
+        (0, 1),
+    (2, 2, 1):
+        (0, 1),
+    (5, -2, 1):
+        (0, 1),
+    (13, -6, 1):
+        (0, 1),
+    (49, 2, 1):
+        (0, 1),
+    (1, 0, 4, 4, 1):
+        (0, 1, 2, 3),
+    (4, 0, 1, -2, 1):
+        (0, 1, 2, 3),
+    (9, -36, 40, 4, 1):
+        (0, 1, 2, 3),
+    (10, 4, -4, -2, 1):
+        (0, 1, 2, 3),
+    (13, 0, 4, 4, 1):
+        (0, 1, 2, 3),
+    (17, -8, 0, 4, 1):
+        (0, 1, 2, 3),
+    (49, 12, 10, 4, 1):
+        (0, 1, 2, 3),
+    (2, -4, 6, -2, -3, 2, 1):
+        (0, 1, 2, 3, 4, 5),
+    (2, -2, 3, 0, -1, 2, 1):
+        (0, 1, 4, 5, 2, 3),
+    (4, 0, 9, -18, 3, 6, 1):
+        (0, 1, 2, 3, 4, 5),
+    (4, 0, 9, 0, -6, 0, 1):
+        (0, 1, 2, 3, 4, 5),
+    (15, -4, 4, 2, -4, 0, 1):
+        (0, 1, 4, 5, 2, 3),
+    (17, 28, 22, -2, -3, 2, 1):
+        (0, 1, 2, 3, 4, 5),
+    (17, 36, 18, -6, -3, 2, 1):
+        (0, 1, 2, 3, 4, 5),
+    (17, 60, 70, -2, -3, 2, 1):
+        (0, 1, 2, 3, 4, 5),
+    (18, -40, 94, -66, 62, 0, 1):
+        (0, 1, 2, 3, 4, 5),
+    (20, 40, 12, -12, 0, 4, 1):
+        (0, 1, 2, 3, 4, 5),
+    (49, 100, 56, 10, 6, 0, -3, -2, 1):
+        (2, 3, 0, 1, 6, 7, 4, 5),
+    (76, -136, 88, 72, -67, -14, 35, -18, 10, -4, 1):
+        (0, 1, 2, 3, 4, 5, 8, 9, 6, 7),
+    (76, -136, 88, 84, -55, 4, 26, -6, 4, -4, 1):
+        (0, 1, 2, 3, 4, 5, 6, 7, 8, 9),
+    (76, -132, -51, 222, -1, -82, 33, -18, 10, -4, 1):
+        (0, 1, 2, 3, 4, 5, 6, 7, 8, 9),
+    (76, -132, 93, 78, -73, -10, 33, -18, 10, -4, 1):
+        (0, 1, 2, 3, 4, 5, 8, 9, 6, 7),
+    (76, -132, 237, -66, -1, 62, 33, -18, 10, -4, 1):
+        (0, 1, 2, 3, 4, 5, 6, 7, 8, 9),
+    (4, -12, 14, 2, -1, -24, 23, 4, 8, -4, 14, -4, 1):
+        (0, 1, 2, 3, 6, 7, 8, 9, 4, 5, 10, 11),
+    (4, -12, 26, 2, -25, -48, -13, 28, 68, 44, 62, -4, 1):
+        (0, 1, 2, 3, 6, 7, 4, 5, 10, 11, 8, 9),
+    (4, 12, 6, -14, -27, -8, 18, 6, 12, -4, 14, -4, 1):
+        (2, 3, 0, 1, 4, 5, 8, 9, 6, 7, 10, 11),
+    (4, 12, 6, -14, -25, -8, 15, 4, 8, -4, 14, -4, 1):
+        (2, 3, 4, 5, 0, 1, 8, 9, 6, 7, 10, 11),
+    (56, -64, 26, 54, 27, 56, -13, 28, 68, 44, 62, -4, 1):
+        (2, 3, 4, 5, 0, 1, 8, 9, 6, 7, 10, 11),
+    (4, -8, 12, -4, 0, 8, 4, -8, 14, 18, -21, 2, 15, 2, 1):
+        (2, 3, 0, 1, 4, 5, 6, 7, 10, 11, 8, 9, 12, 13),
+    (4, -8, 12, -4, 12, -4, 28, -8, -10, 18, -21, 2, 15, 2, 1):
+        (2, 3, 0, 1, 4, 5, 10, 11, 8, 9, 6, 7, 12, 13),
+    (4, -8, 12, -4, 12, 20, 28, 16, -10, -6, -21, 2, 15, 2, 1):
+        (2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 12, 13),
+    (4, -8, 16, -8, 17, 22, 28, 18, -8, -4, -21, 2, 15, 2, 1):
+        (2, 3, 0, 1, 4, 5, 10, 11, 8, 9, 6, 7, 12, 13),
+    (4, 0, 4, -8, 0, 4, -3, 0, 2, 6, 3, 2, 3, 2, 1):
+        (0, 1, 6, 7, 4, 5, 2, 3, 12, 13, 10, 11, 8, 9),
+    (4, 0, 9, -18, 9, -12, 6, 12, -8, 10, -3, 2, 3, -2, 1):
+        (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 10, 11),
+    (8, -8, 12, -4, 0, 8, 1, 4, 2, 6, 3, 2, 3, 2, 1):
+        (0, 1, 2, 3, 4, 5, 8, 9, 12, 13, 10, 11, 6, 7),
+    (19, 6, -17, 6, 7, -32, 22, 26, -27, 12, 7, -20, 3, 6, 1):
+        (0, 1, 2, 3, 4, 5, 10, 11, 8, 9, 6, 7, 12, 13),
+    (24, 0, 0, 0, 1, 0, 6, -2, 15, -8, 19, -12, 11, -6, 1):
+        (0, 1, 2, 3, 4, 5, 10, 11, 8, 9, 6, 7, 12, 13),
+    (24, 0, 1, 2, 1, 6, 4, 4, 13, -8, 19, -12, 11, -6, 1):
+        (0, 1, 2, 3, 4, 5, 10, 11, 8, 9, 6, 7, 12, 13),
+    (24, 48, 24, 0, 1, 0, 6, -2, 15, -8, 19, -12, 11, -6, 1):
+        (4, 5, 2, 3, 0, 1, 8, 9, 10, 11, 6, 7, 12, 13),
+    (56, 0, -47, 94, -89, -12, 230, -128, 48, 66, -101, 58, 59, -2, 1):
+        (0, 1, 2, 3, 6, 7, 8, 9, 4, 5, 12, 13, 10, 11),
+    (81, -72, 156, 78, -17, 124, 67, 6, 7, 12, 23, 6, -2, -4, 1):
+        (2, 3, 0, 1, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13),
+    (4, -8, 64, 20, 4, -36, 1, 34, -1, -22, -5, 0, 4, 10, 5, 2, 1):
+        (0, 1, 2, 3, 4, 5, 12, 13, 6, 7, 10, 11, 8, 9, 14, 15),
+}
+
+
+@settings(max_examples=50)
+@given(_cm_like_polynomials())
+def test_certified_centres_agree_with_polyroots(coeffs):
+    # every certified centre lies within eps of mpmath's root at 60 digits,
+    # each of a different root, and the root order is the recorded one
+    import mpmath
+    try:
+        F = PolynomialField(coeffs)
+    except ReduciblePolynomial:
+        assume(False)
+    boxes = [F.root_box(i, 64) for i in range(F.degree)]
+    with mpmath.workdps(60):
+        refs = [(_mpf_fraction(z.real), _mpf_fraction(z.imag))
+                for z in mpmath.polyroots(list(reversed(coeffs)),
+                                          maxsteps=400, extraprec=400)]
+    reach = (Fraction(1, 2 ** 64) + Fraction(1, 2 ** 120)) ** 2
+    nearest = []
+    for re, im, rad in boxes:
+        dist, k = min(((re - x) ** 2 + (im - y) ** 2, k)
+                      for k, (x, y) in enumerate(refs))
+        assert dist <= reach, coeffs
+        nearest.append(k)
+    assert len(set(nearest)) == F.degree
+    assert _argsort(boxes) == ROOT_ORDERS.get(coeffs, _argsort(boxes))
+
+
+@pytest.mark.parametrize("coeffs", sorted(ROOT_ORDERS))
+def test_root_order_is_the_recorded_one(coeffs):
+    F = PolynomialField(coeffs)
+    boxes = [F.root_box(i, 64) for i in range(F.degree)]
+    assert _argsort(boxes) == ROOT_ORDERS[coeffs]
 
 
 def test_fields_never_run_the_disjoint_refinement(monkeypatch):
