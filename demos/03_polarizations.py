@@ -42,7 +42,7 @@ def full_assembly():
     decomp = galois_orbits(character_table(rep.group))
     pieces = isotypic_split(rep, decomp)
     mults = [len(img) // o.field_spec.degree
-             for (p, img), o in zip(pieces, decomp.orbits)]
+             for img, o in zip(pieces, decomp.orbits)]
     for k, spec in enumerate(enumerate_rigid_types(decomp, mults)):
         form = assemble_polarization(rep, spec=spec)
         print(f"type {k}: E = {[list(r) for r in form.matrix]}, "

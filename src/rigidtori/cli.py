@@ -325,7 +325,7 @@ def run_enumerate(doc, args):
     decomp = galois_orbits(table_for(rep.group))
     pieces = isotypic_split(rep, decomp)
     mults = [len(img) // orbit.field_spec.degree
-             for (p, img), orbit in zip(pieces, decomp.orbits)]
+             for img, orbit in zip(pieces, decomp.orbits)]
     specs = enumerate_rigid_types(decomp, mults)
     active = [orbit for orbit, m in zip(decomp.orbits, mults) if m > 0]
     expected = (0 if any(orbit.tag == "TotallyReal" for orbit in active) else

@@ -250,7 +250,7 @@ def random_hodge_fixture(rng: random.Random, groups=None, max_rank: int = 8):
         pieces = isotypic_split(reg, decomp)
         options = []
         for j, orbit in enumerate(decomp.orbits):
-            block_rank = len(pieces[j][1])
+            block_rank = len(pieces[j])
             deg_chi = table.degrees[orbit.representative]
             if orbit.tag == "CM" and block_rank <= max_rank:
                 options.append(("cm", j, block_rank))
@@ -281,14 +281,14 @@ def random_hodge_fixture(rng: random.Random, groups=None, max_rank: int = 8):
 def _build_block(reg, decomp, pieces, kind, orbit_index, rng):
     from .hodge import (SummandType, SymbolicHodgeSpec,
                         exact_structure_from_spec, isotypic_split)
-    model, _ = integral_model(reg, pieces[orbit_index][1])
+    model, _ = integral_model(reg, pieces[orbit_index])
     model_pieces = isotypic_split(model, decomp)  # same group, same orbits
     summands = []
     for j, orbit in enumerate(decomp.orbits):
         fs = orbit.field_spec
-        mult = len(model_pieces[j][1]) // fs.degree
+        mult = len(model_pieces[j]) // fs.degree
         if mult == 0 or j != orbit_index:
-            if len(model_pieces[j][1]):
+            if len(model_pieces[j]):
                 raise AssertionError("isotypic model leaked across orbits")
             summands.append(SummandType(j, 0, tuple(
                 (a, 0) for a in fs.coset_reps())))

@@ -809,15 +809,10 @@ def brute_force_hom_dimension(structure: ExactHodgeStructure,
 
 def isotypic_split(rep: IntegralRepresentation,
                    decomposition: GaloisOrbitDecomposition):
-    """Rational projectors P_j from the orbit idempotents through rho.
-
-    Returns a list of (projector matrix, image basis rows); the projectors
-    satisfy P_j^2 = P_j, P_i P_j = 0 and sum to the identity, exactly.
-    An idempotent is a class function, so P_j = sum_k c_k S_k over the
-    integer class sums S_k; over the common denominator D of the c_k the
-    sum runs in integers and is divided by D once.  The image basis is the
-    RREF of the columns of D P_j, which is that of P_j's columns.
-    """
+    """The image of each orbit's projector P_j through rho, in orbit order,
+    as the RREF basis of the columns of D P_j: an idempotent is a class
+    function, so P_j = sum_k c_k S_k over the integer class sums S_k, and
+    D P_j, for the common denominator D of the c_k, is an integer sum."""
     n2 = rep.rank
     representatives = decomposition.table.classes.representatives
     out = []
@@ -832,8 +827,7 @@ def isotypic_split(rep: IntegralRepresentation,
                     for j, x in enumerate(row):
                         if x:
                             acc_row[j] += w * x
-        p = [[Fraction(x, den) for x in row] for row in acc]
-        out.append((p, linalg.row_space_basis(list(zip(*acc)))))
+        out.append(linalg.row_space_basis(list(zip(*acc))))
     return out
 
 
@@ -976,7 +970,7 @@ def exact_structure_from_spec(rep: IntegralRepresentation,
     pieces = isotypic_split(rep, spec.decomposition)
     u_cols = []
     frame = []
-    for s, (proj, image) in zip(spec.summands, pieces):
+    for s, image in zip(spec.summands, pieces):
         if s.multiplicity == 0:
             if image:
                 raise InvalidRepresentation(

@@ -30,15 +30,15 @@ M^T (d B d) M, with M the integer multiple of the inverse of the frame's
 integer columns, so its primitive integral form needs no rational
 product.
 
-zeta needs no search.  For a CM field with k conjugate pairs,
-x -> (Im sigma_a x)_a over the designated embeddings maps the imaginary
-elements F^- (conj x = -x) isomorphically onto R^k, so zeta solves one
-k x k system W q = (1, ..., 1), rounded and certified exactly.  A
-standalone field has F^- = K^- for its largest CM subfield K of degree 2k
-(a purely imaginary x generates a CM field, and a compositum of CM fields
-is CM), so its designated rows of W are pairwise equal, opposite or
-independent, k classes up to sign: a class mixing signs is an exact
-obstruction, else one row per class gives the square system.
+One witness search finds zeta, for the CM summands of a rigid action and
+for a standalone field alike.  A purely imaginary x generates a CM field
+and a compositum of CM fields is CM, so the imaginary elements F^- of F
+(conj x = -x) are K^- for its largest CM subfield K, of degree 2k, and
+the rows x -> Im sigma_a x on F^- at the designated embeddings a are
+pairwise equal, opposite or independent, k classes up to sign (when F is
+CM, the k designated rows).  A class mixing signs is an exact
+obstruction; else one row per class gives the k x k system
+W q = (1, ..., 1), whose solution is rounded and certified exactly.
 """
 
 from __future__ import annotations
@@ -136,42 +136,88 @@ def imaginary_subspace(field_spec: SubfieldSpec):
 
 
 def find_zeta(field_spec: SubfieldSpec, designated) -> ImaginaryElement:
-    """An imaginary zeta with certified Im sigma_a(zeta) > 0 for a in the
-    designated set (one coset per conjugate pair): F is CM, so zeta solves
-    one k x k system W q = (1, ..., 1) (see the module docstring).
-    """
+    """An imaginary zeta with certified Im sigma_a(zeta) > 0 at the designated
+    cosets a, one per conjugate pair, by the module docstring's search."""
     designated = sorted({field_spec._coset_rep(a) for a in designated})
-    _validate_designated(field_spec, designated)
     basis = imaginary_subspace(field_spec)
+    reps = field_spec.coset_reps()
+    _check_designation({frozenset((a, field_spec.conjugate_coset(a)))
+                        for a in reps}, designated, ValueError)
     if not basis:
         raise NotCMField("imaginary subspace is zero")
+    found = _witness_search(
+        basis, designated, reps, CyclotomicNumber.embed,
+        CyclotomicNumber.sign_imag,
+        lambda q: sum((b * c for b, c in zip(basis, q)),
+                      basis[0].field.zero()))
+    if found is None:
+        raise _cap_reached(
+            f"no certified zeta for designated cosets {designated}")
+    zeta, signs, pair = found
+    if pair is not None:
+        raise NotCMField(f"designated cosets {pair} are opposite on F^-")
+    return ImaginaryElement(field_spec, zeta, tuple(zip(reps, signs)))
 
+
+def _check_designation(pairs, designated, error):
+    """Raise `error` unless `designated` is one embedding per pair."""
+    chosen = set(designated)
+    if len(chosen) != len(pairs) or any(len(chosen & set(pair)) != 1
+                                        for pair in pairs):
+        raise error(
+            "designated set must pick exactly one embedding from each "
+            f"conjugate pair; got {sorted(chosen)} against the pairs "
+            f"{sorted(map(sorted, pairs))}")
+
+
+def _witness_search(basis, designated, embeddings, enclose, sign, combine):
+    """The witness search of the module docstring over the imaginary
+    `basis`: enclose(b, a, prec) boxes sigma_a(b) as (re, im, radius),
+    sign(x, a) is the certified sign of Im sigma_a(x) or None, combine(q)
+    the element of coordinates q.  Returns (x, its signs at `embeddings`,
+    None); (None, None, (r, i)) for designated rows r, i opposite on every
+    imaginary element; or None at the top of the ladder."""
     def certify(coords):
-        zeta = _combine(basis, coords)
-        signs = _certify_signs(field_spec, zeta, designated)
-        if signs is None:
-            return None
-        return ImaginaryElement(field_spec=field_spec, element=zeta,
-                                sign_table=tuple(signs))
+        x = combine(coords)
+        signs = []
+        for a in embeddings:
+            s = sign(x, a)
+            if s is None or a in designated and s != 1:
+                return None
+            signs.append(s)
+        return x, signs, None
 
-    # W at a doubled precision while it is too coarse for the certificate
     for prec in _precisions():
+        boxes = {a: [enclose(b, a, prec)[1:] for b in basis]
+                 for a in designated}
+        # in integers: every box times one common denominator, the same q
+        den = lcm(*(x.denominator for row in boxes.values() for box in row
+                    for x in box))
+        boxes = {a: [(im.numerator * (den // im.denominator),
+                      rad.numerator * (den // rad.denominator))
+                     for im, rad in row] for a, row in boxes.items()}
+        classes = _row_classes(boxes, len(basis))
+        if classes is None:
+            continue
+        reps, (r, i) = classes
+        if i is not None:
+            return None, None, (r, i)
         found = _square_solve_witness(
-            [[b.embed(a, prec)[1] for b in basis] for a in designated],
-            certify)
+            [[im for im, _ in boxes[a]] for a in reps], certify)
         if found is not None:
             return found
-    raise _cap_reached(f"no certified zeta for designated cosets {designated}")
+    return None
 
 
 def _square_solve_witness(rows, certify):
-    """The witness primitive behind every zeta search: `rows` approximates
-    the invertible k x k matrix W of imaginary parts (designated embeddings
-    by imaginary basis elements).  The solution of W q = (1, ..., 1), scaled
-    by s to max |q| = 1, is rounded to the denominators 1, 2, 4, ... for
-    `certify`, whose first non-None result is returned.  At D >= 4k max|W| s
-    rounding moves each designated imaginary part by at most 1/8 of it, so
-    only a too coarse W gives None."""
+    """The rounding step of the witness search: `rows` approximates a
+    positive multiple of the invertible k x k matrix W of imaginary parts
+    (designated embeddings by imaginary basis elements).  The solution of
+    W q = (1, ..., 1), scaled by s to max |q| = 1, is rounded to the
+    denominators 1, 2, 4, ... for `certify`, whose first non-None result
+    is returned.  At D >= 4k max|W| s rounding moves each designated
+    imaginary part by at most 1/8 of it, so only a too coarse W gives
+    None; neither the rounded q nor D depends on the multiple."""
     k = len(rows)
     q = linalg.solve(rows, [Fraction(1)] * k)
     if q is None:
@@ -184,42 +230,6 @@ def _square_solve_witness(rows, certify):
         if found is not None or denom >= last:
             return found
         denom *= 2
-
-
-def _validate_designated(field_spec, designated):
-    reps = field_spec.coset_reps()
-    pairs = set()
-    for a in reps:
-        pairs.add(frozenset((a, field_spec.conjugate_coset(a))))
-    if any(len(p) == 1 for p in pairs):
-        raise RealEmbeddingPresent("field has a real embedding")
-    chosen = set(designated)
-    for p in pairs:
-        if len(chosen & p) != 1:
-            raise ValueError(
-                "designated set must pick exactly one embedding from each "
-                f"conjugate pair; got {sorted(chosen)} against pair {sorted(p)}")
-    if len(chosen) != len(pairs):
-        raise ValueError("designated set has extraneous cosets")
-
-
-def _combine(basis, coords):
-    acc = basis[0].field.zero()
-    for b, c in zip(basis, coords):
-        acc = acc + b * c
-    return acc
-
-
-def _certify_signs(field_spec, zeta, designated):
-    if zeta.conjugate() != -zeta:
-        return None
-    signs = []
-    for a in field_spec.coset_reps():
-        s = zeta.sign_imag(a)
-        if a in designated and s != 1:
-            return None
-        signs.append((a, s))
-    return signs
 
 
 # -- trace forms -------------------------------------------------------------
@@ -521,67 +531,54 @@ class ExistenceCertificate:
 def polarization_exists(poly_coefficients,
                         designated) -> ExistenceCertificate:
     """Exact feasibility of the polarization sign cone for a standalone
-    totally imaginary field Q[t]/f, by the k row classes of the module
+    totally imaginary field Q[t]/f, by the witness search of the module
     docstring.  Feasible: zeta purely imaginary (exact) with certified
     positive imaginary part at the designated roots.  Infeasible: a
     designated pair (i, j) with Im sigma_i = -Im sigma_j on the imaginary
     elements, or, when these are zero, the full-rank linear system itself.
-    """
+    A designation not one root per conjugate pair raises SchemaError."""
     F = PolynomialField(poly_coefficients)
     designated = sorted(set(designated))
-    _validate_poly_designated(F, designated)
+    _check_designation(F.pairs, designated, SchemaError)
     basis = F.imaginary_subspace()
     if not basis:
-        pair = F.pairs[0]
         return ExistenceCertificate(
             verdict="infeasible", witness=None, witness_signs=None,
             obstruction={
                 "reason": "imaginary-constraint space is zero",
-                "pair": pair,
+                "pair": F.pairs[0],
                 "constraint_rank": F.degree,
                 "identity": "Im sigma_j(x) = 0 for all j forces x = 0",
             })
-
-    def certify(coords):
-        zeta = [sum(Fraction(b[t]) * c0 for b, c0 in zip(basis, coords))
-                for t in range(F.degree)]
-        signs = _certify_poly_signs(F, zeta, designated)
-        if signs is None:
-            return None
+    found = _witness_search(
+        basis, designated, range(F.degree), F.evaluate_box, F.sign_imag,
+        lambda q: [sum(Fraction(b[t]) * c for b, c in zip(basis, q))
+                   for t in range(F.degree)])
+    if found is None:
+        raise _cap_reached(
+            f"no certified witness for the designated roots {designated}")
+    zeta, signs, pair = found
+    if pair is not None:
+        i, j = pair
         return ExistenceCertificate(
-            verdict="exists-with-witness", witness=tuple(zeta),
-            witness_signs=tuple(signs), obstruction=None)
-
-    for prec in _precisions():
-        boxes = {i: [F.evaluate_box(b, i, prec)[1:] for b in basis]
-                 for i in designated}
-        classes = _row_classes(boxes, len(basis))
-        if classes is None:
-            continue
-        reps, (i, j) = classes
-        if j is not None:
-            return ExistenceCertificate(
-                verdict="infeasible", witness=None, witness_signs=None,
-                obstruction={
-                    "reason": "two designated roots have opposite imaginary "
-                              "parts on every purely imaginary element",
-                    "pair": (i, j),
-                    "imaginary_dimension": len(basis),
-                    "identity": f"Im sigma_{i}(x) = -Im sigma_{j}(x) for "
-                                "every purely imaginary x"})
-        found = _square_solve_witness(
-            [[im for im, _ in boxes[r]] for r in reps], certify)
-        if found is not None:
-            return found
-    raise _cap_reached(
-        f"no certified witness for the designated roots {designated}")
+            verdict="infeasible", witness=None, witness_signs=None,
+            obstruction={
+                "reason": "two designated roots have opposite imaginary "
+                          "parts on every purely imaginary element",
+                "pair": (i, j),
+                "imaginary_dimension": len(basis),
+                "identity": f"Im sigma_{i}(x) = -Im sigma_{j}(x) for "
+                            "every purely imaginary x"})
+    return ExistenceCertificate(
+        verdict="exists-with-witness", witness=tuple(zeta),
+        witness_signs=tuple(signs), obstruction=None)
 
 
 def _row_classes(boxes, k):
-    """(representatives, (r, i)): one designated root per class of equal or
-    opposite rows boxes[i] = [(Im sigma_i(b), radius)], and the first row i
-    opposite to its representative r (else (None, None)); None while too
-    wide.  True equal or opposite rows overlap, so representatives that
+    """(representatives, (r, i)): one designated embedding per class of
+    equal or opposite rows boxes[i] = [(Im sigma_i(b), radius)], all scaled
+    alike, and the first row i opposite to its representative r (else
+    (None, None)); None while too wide.  True equal or opposite rows overlap, so representatives that
     overlap no earlier one lie in distinct classes; with k of them each
     class has one, and a row overlapping one of them in one sign is in it.
     """
@@ -599,26 +596,3 @@ def _row_classes(boxes, k):
         return None
     return reps, next(((h[0][0], i) for i, h in found.items()
                        if h[0][1] < 0), (None, None))
-
-
-def _validate_poly_designated(F: PolynomialField, designated):
-    """One root per conjugate pair; a designation that is not one is an
-    error in the input, raised as SchemaError."""
-    chosen = set(designated)
-    for i, ibar in F.pairs:
-        if len(chosen & {i, ibar}) != 1:
-            raise SchemaError(
-                "designated set must pick exactly one root from each "
-                f"conjugate pair; offending pair ({i},{ibar})")
-    if len(chosen) != len(F.pairs):
-        raise SchemaError("designated set has extraneous roots")
-
-
-def _certify_poly_signs(F, zeta, designated):
-    signs = []
-    for i in range(F.degree):
-        s = F.sign_imag(zeta, i)
-        if s is None or i in designated and s != 1:
-            return None
-        signs.append(s)
-    return signs

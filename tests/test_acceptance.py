@@ -179,7 +179,7 @@ def test_criterion_5_polarizations_for_rigid_actions(suite_orbits):
         decomp = galois_orbits(character_table(rep.group))
         pieces = isotypic_split(rep, decomp)
         mults = [len(img) // o.field_spec.degree
-                 for (p, img), o in zip(pieces, decomp.orbits)]
+                 for img, o in zip(pieces, decomp.orbits)]
         for spec in enumerate_rigid_types(decomp, mults):
             f = assemble_polarization(rep, spec=spec)
             cert = f.certificate
@@ -197,12 +197,12 @@ def test_criterion_5_polarizations_for_rigid_actions(suite_orbits):
         reg = regular_representation(g)
         pieces = isotypic_split(reg, decomp)
         for j, orbit in enumerate(decomp.orbits):
-            if orbit.tag != "CM" or not pieces[j][1]:
+            if orbit.tag != "CM" or not pieces[j]:
                 continue
-            model, _ = integral_model(reg, pieces[j][1])
+            model, _ = integral_model(reg, pieces[j])
             model_pieces = isotypic_split(model, decomp)
             mults = [len(img) // o.field_spec.degree
-                     for (p, img), o in zip(model_pieces, decomp.orbits)]
+                     for img, o in zip(model_pieces, decomp.orbits)]
             spec = enumerate_rigid_types(decomp, mults)[0]
             f = assemble_polarization(model, spec=spec)
             cert = f.certificate

@@ -975,9 +975,12 @@ def test_j_matrix_entries_are_validated(tmp_path, command, j_matrix):
     {"polynomial": [1, 0, 1], "designated_roots": [True]},
     {"polynomial": [1, 0, 1], "designated_roots": [0, 1]},
     {"polynomial": [1, 0, 1], "designated_roots": []},
+    {"polynomial": [1, 0, 1], "designated_roots": [-1]},
+    {"polynomial": [1, 0, 1], "designated_roots": [0, 2]},
 ], ids=["float-coefficient", "string-coefficient", "bool-coefficient",
         "scalar-polynomial", "scalar-roots", "root-out-of-range",
-        "string-root", "bool-root", "both-roots-of-a-pair", "no-root"])
+        "string-root", "bool-root", "both-roots-of-a-pair", "no-root",
+        "negative-root", "extra-root-out-of-range"])
 def test_polynomial_documents_are_validated(tmp_path, doc):
     inp = write(tmp_path, "field.json", doc)
     assert main(["polarize", "--input", inp]) == 2

@@ -33,7 +33,7 @@ def full_hodge_spec(rep, tau_builder):
     summands = []
     for j, orbit in enumerate(decomp.orbits):
         fs = orbit.field_spec
-        mult = len(pieces[j][1]) // fs.degree
+        mult = len(pieces[j]) // fs.degree
         summands.append(SummandType(j, mult, tau_builder(j, orbit, mult)))
     return SymbolicHodgeSpec(decomposition=decomp, summands=tuple(summands))
 
@@ -369,10 +369,10 @@ def test_centre_tau_rows_match_the_oracle_on_every_rigid_type():
         reg = regular_representation(group)
         pieces = isotypic_split(reg, decomp)
         for j, orbit in enumerate(decomp.orbits):
-            if orbit.tag != "CM" or len(pieces[j][1]) > 8:
+            if orbit.tag != "CM" or len(pieces[j]) > 8:
                 continue
-            model, _ = integral_model(reg, pieces[j][1])
-            mults = [len(img) // o.field_spec.degree for (_, img), o in
+            model, _ = integral_model(reg, pieces[j])
+            mults = [len(img) // o.field_spec.degree for img, o in
                      zip(isotypic_split(model, decomp), decomp.orbits)]
             for spec in enumerate_rigid_types(decomp, mults):
                 chi = exact_structure_from_spec(model, spec).hodge_character()
@@ -382,25 +382,24 @@ def test_centre_tau_rows_match_the_oracle_on_every_rigid_type():
     assert swept == 116, swept
 
 
-def test_isotypic_projectors_properties():
+def test_isotypic_images_properties():
+    # each image is stable under the generators, and the images' ranks sum
+    # to the rank while together they span Q^{2n}: a direct sum
     for build in (gaussian_action, eisenstein_action,
                   lambda: regular_representation(cyclic(3)),
                   lambda: regular_representation(symmetric_3())):
         rep = build()
         table = character_table(rep.group)
         decomp = galois_orbits(table)
-        pieces = isotypic_split(rep, decomp)
-        n2 = rep.rank
-        total = [[Fraction(0)] * n2 for _ in range(n2)]
-        for idx, (p, image) in enumerate(pieces):
-            assert linalg.mat_mul(p, p) == p
-            assert len(image) == linalg.rank(p)
-            total = [[x + y for x, y in zip(ra, rb)]
-                     for ra, rb in zip(total, p)]
-            for p2, _ in pieces[idx + 1:]:
-                prod = linalg.mat_mul(p, p2)
-                assert all(all(x == 0 for x in row) for row in prod)
-        assert total == linalg.identity(n2)
+        images = isotypic_split(rep, decomp)
+        assert len(images) == len(decomp.orbits)
+        for image in images:
+            for g in rep.generator_indices():
+                for v in image:
+                    assert linalg.in_span(image,
+                                          linalg.mat_vec(rep.matrices[g], v))
+        assert sum(len(image) for image in images) == rep.rank
+        assert linalg.rank([v for image in images for v in image]) == rep.rank
 
 
 def test_isotypic_split_gaussian_single_summand():
@@ -408,7 +407,7 @@ def test_isotypic_split_gaussian_single_summand():
     decomp = galois_orbits(character_table(rep.group))
     pieces = isotypic_split(rep, decomp)
     ranks = {decomp.orbits[j].tag: len(img)
-             for j, (p, img) in enumerate(pieces) if img}
+             for j, img in enumerate(pieces) if img}
     assert ranks == {"CM": 2}
 
 
@@ -417,7 +416,7 @@ def test_isotypic_split_regular_z3():
     decomp = galois_orbits(character_table(rep.group))
     pieces = isotypic_split(rep, decomp)
     by_tag = sorted((decomp.orbits[j].tag, len(img))
-                    for j, (p, img) in enumerate(pieces))
+                    for j, img in enumerate(pieces))
     assert by_tag == [("CM", 2), ("TotallyReal", 1)]
 
 
@@ -429,12 +428,12 @@ def test_f_module_basis_dimensions():
     pieces = isotypic_split(rep, decomp)
     centre_mats = rep.class_sums
     cm_index = next(j for j, o in enumerate(decomp.orbits) if o.tag == "CM")
-    images, orbits = f_module_basis(pieces[cm_index][1], centre_mats)
+    images, orbits = f_module_basis(pieces[cm_index], centre_mats)
     assert len(images) == 1
     # the images S_k w of w = d v in integers, d the lcm of v's denominators
     (den, vectors), = images
     gen = [Fraction(x, den) for x in vectors[0]]
-    assert gen in pieces[cm_index][1]
+    assert gen in pieces[cm_index]
     assert den == lcm(*(x.denominator for x in gen))
     assert vectors == [linalg.mat_vec(mat, vectors[0]) for mat in centre_mats]
     assert len(orbits[0]) == 2
@@ -443,7 +442,7 @@ def test_f_module_basis_dimensions():
     rep2 = _double_rep(rep)
     pieces2 = isotypic_split(rep2, decomp)
     centre2 = rep2.class_sums
-    images2, orbits2 = f_module_basis(pieces2[cm_index][1], centre2)
+    images2, orbits2 = f_module_basis(pieces2[cm_index], centre2)
     assert len(images2) == 2
     combined = [v for orb in orbits2 for v in orb]
     assert linalg.rank(combined) == 4
@@ -457,13 +456,12 @@ def test_exact_structure_maps_each_generator_once(monkeypatch):
     reg5 = regular_representation(cyclic(5))
     decomp = galois_orbits(character_table(cyclic(5)))
     cm = next(j for j, o in enumerate(decomp.orbits) if o.tag == "CM")
-    model, _ = integral_model(reg5, isotypic_split(reg5, decomp)[cm][1])
+    model, _ = integral_model(reg5, isotypic_split(reg5, decomp)[cm])
     from rigidtori.fixtures import _double_rep
     rep = _double_rep(model)
     assert rep.rank == 8
     mults = [len(img) // o.field_spec.degree
-             for (p, img), o in zip(isotypic_split(rep, decomp),
-                                    decomp.orbits)]
+             for img, o in zip(isotypic_split(rep, decomp), decomp.orbits)]
     spec = enumerate_rigid_types(decomp, mults)[0]
     calls = []
     mat_vec = linalg.mat_vec
@@ -500,7 +498,7 @@ def test_cm_columns_are_character_eigenvectors():
         decomp = galois_orbits(table)
         pieces = isotypic_split(rep, decomp)
         mults = [len(img) // o.field_spec.degree
-                 for (p, img), o in zip(pieces, decomp.orbits)]
+                 for img, o in zip(pieces, decomp.orbits)]
         omegas = [[table.rows[r][k] * Fraction(size, table.degrees[r])
                    for k, size in enumerate(table.classes.sizes)]
                   for r in range(table.size)]
@@ -529,17 +527,17 @@ def test_enumerate_rigid_types_counts():
     decomp = galois_orbits(character_table(rep.group))
     pieces = isotypic_split(rep, decomp)
     mults = [len(img) // o.field_spec.degree
-             for (p, img), o in zip(pieces, decomp.orbits)]
+             for img, o in zip(pieces, decomp.orbits)]
     assert len(enumerate_rigid_types(decomp, mults)) == 2
     # Q(zeta5), multiplicity 1 -> 4 types
     reg5 = regular_representation(cyclic(5))
     decomp5 = galois_orbits(character_table(cyclic(5)))
     pieces5 = isotypic_split(reg5, decomp5)
     cm = next(j for j, o in enumerate(decomp5.orbits) if o.tag == "CM")
-    model, _ = integral_model(reg5, pieces5[cm][1])
+    model, _ = integral_model(reg5, pieces5[cm])
     pieces_model = isotypic_split(model, decomp5)
     mults5 = [len(img) // o.field_spec.degree
-              for (p, img), o in zip(pieces_model, decomp5.orbits)]
+              for img, o in zip(pieces_model, decomp5.orbits)]
     assert mults5[cm] == 1 and sum(mults5) == 1
     assert len(enumerate_rigid_types(decomp5, mults5)) == 4
     # any active totally real field -> no rigid types
@@ -573,7 +571,7 @@ def test_brute_force_z3_rotation_rigid():
     decomp = galois_orbits(character_table(rep.group))
     pieces = isotypic_split(rep, decomp)
     mults = [len(img) // o.field_spec.degree
-             for (p, img), o in zip(pieces, decomp.orbits)]
+             for img, o in zip(pieces, decomp.orbits)]
     spec = enumerate_rigid_types(decomp, mults)[0]
     st = exact_structure_from_spec(rep, spec)
     assert brute_force_hom_dimension(st) == 0
@@ -602,7 +600,7 @@ def test_brute_force_cross_checks_chi10():
     decomp = galois_orbits(character_table(rep.group))
     pieces = isotypic_split(rep, decomp)
     mults = [len(img) // o.field_spec.degree
-             for (p, img), o in zip(pieces, decomp.orbits)]
+             for img, o in zip(pieces, decomp.orbits)]
     specs = enumerate_rigid_types(decomp, mults)
     st0 = exact_structure_from_spec(rep, specs[0])
     st1 = exact_structure_from_spec(rep, specs[1])

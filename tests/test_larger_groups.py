@@ -72,11 +72,11 @@ def test_sl23_full_pipeline():
                if o.tag == "CM" and table.degrees[o.representative] == 2)
     reg = regular_representation(g)
     pieces = isotypic_split(reg, decomp)
-    assert len(pieces[cm2][1]) == 8
-    model, _ = integral_model(reg, pieces[cm2][1])
+    assert len(pieces[cm2]) == 8
+    model, _ = integral_model(reg, pieces[cm2])
     model_pieces = isotypic_split(model, decomp)
     mults = [len(img) // o.field_spec.degree
-             for (p, img), o in zip(model_pieces, decomp.orbits)]
+             for img, o in zip(model_pieces, decomp.orbits)]
     specs = enumerate_rigid_types(decomp, mults)
     assert len(specs) == 2  # one CM field of degree 2
     st = exact_structure_from_spec(model, specs[0])
@@ -134,10 +134,10 @@ def test_f21_degree_three_cm_orbit_polarization():
                if o.tag == "CM" and table.degrees[o.representative] == 3)
     reg = regular_representation(g)
     pieces = isotypic_split(reg, decomp)
-    model, _ = integral_model(reg, pieces[cm3][1])
+    model, _ = integral_model(reg, pieces[cm3])
     model_pieces = isotypic_split(model, decomp)
     mults = [len(img) // o.field_spec.degree
-             for (p, img), o in zip(model_pieces, decomp.orbits)]
+             for img, o in zip(model_pieces, decomp.orbits)]
     assert mults[cm3] == 9 and model.rank == 18
     spec = enumerate_rigid_types(decomp, mults)[0]
     st = exact_structure_from_spec(model, spec)
@@ -159,12 +159,12 @@ def test_nonscalar_real_summand_rejected():
     pieces = isotypic_split(reg, decomp)
     target = next(j for j, o in enumerate(decomp.orbits)
                   if o.field_spec.degree == 2 and o.tag == "TotallyReal")
-    model, _ = integral_model(reg, pieces[target][1])
+    model, _ = integral_model(reg, pieces[target])
     from rigidtori.fixtures import _double_rep
     doubled = _double_rep(model)
     model_pieces = isotypic_split(doubled, decomp)
     mults = [len(img) // o.field_spec.degree
-             for (p, img), o in zip(model_pieces, decomp.orbits)]
+             for img, o in zip(model_pieces, decomp.orbits)]
     from rigidtori.hodge import SummandType, SymbolicHodgeSpec
     summands = []
     for j, o in enumerate(decomp.orbits):

@@ -25,6 +25,7 @@ from rigidtori.polarize import (ExistenceCertificate, NotPositiveDefinite,
                                 trace_form)
 from rigidtori.polarize import _integral, _verify_g_invariance
 from rigidtori.polyfields import RealEmbeddingPresent, ReduciblePolynomial
+from rigidtori.schemas import SchemaError
 from rigidtori import linalg, polarize
 
 
@@ -136,6 +137,10 @@ def test_find_zeta_validates_designation():
         find_zeta(S, [1, 4])  # both from one conjugate pair
     with pytest.raises(ValueError):
         find_zeta(S, [1])     # missing the other pair
+    with pytest.raises(ValueError):
+        find_zeta(cm_subfield(4), [2])  # 2 is not a unit mod 4
+    with pytest.raises(RealEmbeddingPresent):
+        find_zeta(cm_subfield(5, (1, 4)), [1])  # Q(sqrt 5) is real
 
 
 def test_trace_form_golden_qi():
@@ -227,7 +232,7 @@ def test_g_averaged_form_is_invariant_and_verifies():
     decomp = galois_orbits(character_table(rep.group))
     pieces = isotypic_split(rep, decomp)
     mults = [len(img) // o.field_spec.degree
-             for (p, img), o in zip(pieces, decomp.orbits)]
+             for img, o in zip(pieces, decomp.orbits)]
     spec = enumerate_rigid_types(decomp, mults)[0]
     form = assemble_polarization(rep, spec=spec)
     assert form.certificate.g_invariant["invariant"]
@@ -243,7 +248,7 @@ def test_scaling_preserves_verdicts():
     decomp = galois_orbits(character_table(rep.group))
     pieces = isotypic_split(rep, decomp)
     mults = [len(img) // o.field_spec.degree
-             for (p, img), o in zip(pieces, decomp.orbits)]
+             for img, o in zip(pieces, decomp.orbits)]
     spec = enumerate_rigid_types(decomp, mults)[0]
     st = exact_structure_from_spec(rep, spec)
     form = assemble_polarization(rep, spec=spec)
@@ -265,7 +270,7 @@ def test_verify_rejects_sign_flip():
     decomp = galois_orbits(character_table(rep.group))
     pieces = isotypic_split(rep, decomp)
     mults = [len(img) // o.field_spec.degree
-             for (p, img), o in zip(pieces, decomp.orbits)]
+             for img, o in zip(pieces, decomp.orbits)]
     st = exact_structure_from_numeric(rep, [[0.0, -1.0], [1.0, 0.0]])
     flipped = [[-x for x in row] for row in form.matrix]
     with pytest.raises(NotPositiveDefinite) as err:
@@ -323,11 +328,11 @@ def test_basis_independence_of_assembly():
     decomp = galois_orbits(character_table(rep.group))
     pieces = isotypic_split(rep, decomp)
     mults = [len(img) // o.field_spec.degree
-             for (p, img), o in zip(pieces, decomp.orbits)]
+             for img, o in zip(pieces, decomp.orbits)]
     spec = enumerate_rigid_types(decomp, mults)[0]
     st = exact_structure_from_spec(rep, spec)
     (active, _), = st.frame
-    image = pieces[active][1]
+    image = pieces[active]
     mixed = [[a + 2 * b for a, b in zip(image[0], image[2])],
              image[1], image[2], image[3]]
     forms = []
@@ -421,6 +426,10 @@ def test_polarization_exists_rejects_bad_inputs():
         polarization_exists((-2, 0, 1), (0,))  # x^2 - 2
     with pytest.raises(ValueError):
         polarization_exists((1, 0, 1), (0, 1))  # both roots designated
+    # a root index out of range or negative is an error in the input
+    for designated in ((2,), (0, 2), (-1,), (0, -1)):
+        with pytest.raises(SchemaError):
+            polarization_exists((1, 0, 1), designated)
 
 
 def _imaginary_rows_opposite(F, i, j):
