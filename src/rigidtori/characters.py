@@ -148,8 +148,8 @@ import math
 from fractions import Fraction
 from operator import add, mul, sub
 
-from .cyclotomic import (CyclotomicField, CyclotomicNumber, SubfieldSpec,
-                         _new, _pack, _slot_width)
+from .cyclotomic import (CyclotomicField, SubfieldSpec, _new, _pack,
+                         _slot_width)
 from .groups import ConjugacyClassData, FiniteGroup
 
 __all__ = [
@@ -188,13 +188,6 @@ class CharacterTable:
     @property
     def size(self) -> int:
         return len(self.rows)
-
-    def inner_product(self, row_a, row_b) -> CyclotomicNumber:
-        """(1/|G|) sum_g chi_a(g) conj(chi_b(g)), exact."""
-        acc = self.field.zero()
-        for k, size in enumerate(self.classes.sizes):
-            acc = acc + self.rows[row_a][k] * self.rows[row_b][k].conjugate() * size
-        return acc * Fraction(1, self.group.order)
 
     def decompose(self, values):
         """Multiplicities of a class function against the irreducible rows.
@@ -235,13 +228,9 @@ class CharacterTable:
 
     def verify(self):
         """Exact row orthonormality and the degree sum; raises on failure."""
-        one = self.field.one()
-        zero = self.field.zero()
         for a in range(self.size):
-            for b in range(a, self.size):
-                got = self.inner_product(a, b)
-                want = one if a == b else zero
-                if got != want:
+            for b, got in enumerate(self.decompose(self.rows[a])):
+                if got != int(a == b):
                     raise TableComputationError(
                         f"row orthogonality fails at ({a},{b}): {got}")
         if sum(d * d for d in self.degrees) != self.group.order:

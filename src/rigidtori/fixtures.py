@@ -353,18 +353,19 @@ def _direct_sum_structures(built):
             off += rep.rank
         mats.append(big)
     rep_sum = IntegralRepresentation(group, mats)
-    u_cols = []
+    u_cols, x_rows = [], []   # U and X, block-diagonal
     off = 0
     for rep, st in built:
         ratio = big_m // st.field.m
-        for col in st.u_columns:
-            big_col = [field.zero()] * total
-            for i, x in enumerate(col):
-                big_col[off + i] = field.from_exponent_dict(
-                    {ratio * t: c for t, c in enumerate(x.coeffs) if c})
-            u_cols.append(big_col)
+        for vectors, out in ((st.u_columns, u_cols), (st.top_inverse, x_rows)):
+            for vec in vectors:
+                big = [field.zero()] * total
+                for i, x in enumerate(vec):
+                    big[off + i] = field.from_exponent_dict(
+                        {ratio * t: c for t, c in enumerate(x.coeffs) if c})
+                out.append(big)
         off += rep.rank
-    return rep_sum, ExactHodgeStructure(rep_sum, field, u_cols)
+    return rep_sum, ExactHodgeStructure(rep_sum, field, u_cols, x_rows)
 
 
 def _random_unimodular_conjugate(rep, structure, rng):
@@ -391,4 +392,5 @@ def _random_unimodular_conjugate(rep, structure, rng):
     field = structure.field
     t_k = [[field.from_rational(x) for x in row] for row in t]
     new_cols = [linalg.mat_vec(t_k, col) for col in structure.u_columns]
-    return new_rep, ExactHodgeStructure(new_rep, field, new_cols)
+    return new_rep, ExactHodgeStructure(   # P^-1 becomes P^-1 T^-1
+        new_rep, field, new_cols, linalg.mat_mul(structure.top_inverse, t_inv))

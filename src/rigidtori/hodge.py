@@ -23,11 +23,12 @@ sum of the isotypic components e_chi (V (x) K) of the characters chi at the
 designated embeddings, and e_chi = (chi(1)/|G|) sum_k conj(chi(g_k)) S_k
 (Serre, Linear Representations of Finite Groups, 2.6).
 
-An exact structure costs one elimination, at construction, for half of a
-basis inverse.  Its basis matrix P = [U | conj(U)] has conj(P) = P S, S the
-swap of the two halves, so P^-1 = [X; conj(X)]: only the top half X is
-solved for, from X P = [I | 0], and a solution is the proof that
-U + conj(U) spans, as then [X; conj(X)] P = I.  rho(g) acts on U by
+An exact structure costs no elimination over K.  Its basis matrix
+P = [U | conj(U)] has conj(P) = P S, S the swap of the two halves, so
+P^-1 = [X; conj(X)] for the X with X P = [I | 0]: a structure is given X,
+read off the character table through its frame's one rational inverse
+(`_top_half`), and checks X P = [I | 0] at construction, the proof that
+U + conj(U) spans.  rho(g) acts on U by
 A_g = X rho(g) U and on conj(U) by conj(A_g), and U is stable iff
 X rho(g) conj(U) = 0.  G-stability of U is certified on a generating set
 only (a subspace stable under the generators is stable under every word in
@@ -39,9 +40,9 @@ packed into one integer (`cyclotomic._pack`), so that a product over K is
 one product of integer matrices, read back mod Phi_m (`cyclotomic._reducer`)
 once per entry.  By `cyclotomic._slot_width`'s lemma each product states
 only a bound on its convolution sums, peaks over the numerators:
-(2n)^2 phi max|X| max|rho| max|P| for X rho(g) P, n phi max|U| max|X| for
-Pi = U X, (2n)^2 max|Pi| max|rho| per trace, (2n)^2 phi max|P|^2 max|F|
-for U^T F P.
+2n phi max|X| max|P| for X P, (2n)^2 phi max|X| max|rho| max|P| for
+X rho(g) P, n phi max|U| max|X| for Pi = U X, (2n)^2 max|Pi| max|rho| per
+trace, (2n)^2 phi max|P|^2 max|F| for U^T F P.
 """
 
 from __future__ import annotations
@@ -588,37 +589,41 @@ def rigidity_by_centre(spec: SymbolicHodgeSpec) -> RigidityReport:
 
 class ExactHodgeStructure:
     """An exact basis of U = V^{1,0} inside V (x) K, K a cyclotomic field
-    containing Q(zeta_exponent).  The authoritative object for the
+    containing Q(zeta_exponent), with X, the top half of the basis inverse
+    (module docstring), as n rows over K.  The authoritative object for the
     brute-force pathway; conj(U) is computed coefficientwise.
 
-    `frame` is the F-module frame U was built from, one entry
-    (orbit index, copies) per active CM summand of the realized spec: for
-    each F-module generator v of the summand, its class-sum images over
-    one denominator as `f_module_basis` gives them, (d, [S_k w]) with
-    w = d v (k in canonical class order, S_0 w = w).  Empty for a
-    structure not built by `exact_structure_from_spec`."""
+    `frame` is (summands, W^-1): per active summand of the realized spec,
+    (orbit index, pivot classes k, copies), a copy (d, [S_k w]) per F-module
+    generator v, w = d v, and the inverse of the rational basis W of all
+    the S_k v in that order.  Empty for a structure not built by
+    `exact_structure_from_spec`."""
 
     def __init__(self, rep: IntegralRepresentation, field, u_columns,
-                 frame=()):
+                 top_inverse, frame=()):
         self.rep = rep
         self.field = field
         self.u_columns = [list(col) for col in u_columns]
-        self.frame = tuple(frame)
+        self.top_inverse = [list(row) for row in top_inverse]
+        self.frame = frame
         n, n2 = len(self.u_columns), rep.rank
-        if n * 2 != n2:
-            raise InvalidRepresentation("U must have half the rank")
-        full = self.u_columns + [[c.conjugate() for c in col]
-                                 for col in self.u_columns]
-        # X P = [I | 0], solved as P^T X^T = [I; 0]; see the module docstring
-        one, zero = field.one(), field.zero()
-        top = linalg.solve_many(full, [[one if i == j else zero
-                                        for j in range(n)]
-                                       for i in range(n2)])
-        if top is None:
-            raise InvalidRepresentation("U + conj(U) does not span")
-        self._basis_matrix = [list(row) for row in zip(*full)]
-        self._basis = _numerators(self._basis_matrix)
-        self._top_inverse = _numerators(list(zip(*top)))
+        if n * 2 != n2 or len(self.top_inverse) != n:
+            raise InvalidRepresentation(
+                "U needs rank/2 columns and X rank/2 rows")
+        self._basis = _numerators([list(row) + [c.conjugate() for c in row]
+                                   for row in zip(*self.u_columns)])
+        self._top_inverse = _numerators(self.top_inverse)
+        # X P = [I | 0], one packed product; see the module docstring
+        (x, x_den), (p, p_den) = self._top_inverse, self._basis
+        bits, read = _reducer(field, n2 * field.degree * _peak(x) * _peak(p))
+        zero = [0] * field.degree
+        unit = [x_den * p_den] + zero[1:]
+        cols = list(zip(*_packed(p, bits)))
+        if any(read(sum(map(mul, row, col))) != (unit if i == j else zero)
+               for i, row in enumerate(_packed(x, bits))
+               for j, col in enumerate(cols)):
+            raise InvalidRepresentation(
+                "U + conj(U) does not span: X P is not [I | 0]")
         self._generator_actions = None   # see generator_actions
 
     @property
@@ -703,11 +708,14 @@ class ExactHodgeStructure:
         in floats, or too ill-conditioned for J to come out real raises
         RoundingFailure."""
         import numpy as np
+        (p, den), m = self._basis, self.field.m
         # entries near the float range overflow to inf and nan here,
         # silently: a non-finite J is a RoundingFailure below
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                P = np.array(self._basis_matrix_columns_complex(),
+                P = np.array([[sum(c / den * np.exp(2j * np.pi * t / m)
+                                   for t, c in enumerate(x) if c)
+                               for x in col] for col in zip(*p)],
                              dtype=complex).T
             except OverflowError:
                 raise RoundingFailure(
@@ -721,19 +729,6 @@ class ExactHodgeStructure:
         if not (np.isfinite(J).all() and np.max(np.abs(J.imag)) <= 1e-8):
             raise RoundingFailure("J failed to come out real")
         return J.real
-
-    def _basis_matrix_columns_complex(self):
-        import numpy as np
-        m = self.field.m
-        out = []
-        for j in range(2 * self.n):
-            col = []
-            for i in range(self.rep.rank):
-                x = self._basis_matrix[i][j]
-                col.append(sum(float(c) * np.exp(2j * np.pi * t / m)
-                               for t, c in enumerate(x.coeffs) if c))
-            out.append(col)
-        return out
 
 
 def _numerators(matrix):
@@ -958,18 +953,19 @@ def exact_structure_from_spec(rep: IntegralRepresentation,
     of the characters chi = sigma_a(chi_j) at the designated cosets a: each
     F-module generator v of the summand gives one column e_chi v per
     designated a, with e_chi read through the class-sum images S_k v (see
-    `_character_component`); those images are kept as the structure's
-    `frame`.  For real character fields with even multiplicity the
-    duplicated copies are paired by the graph construction v -> (v, mu v)
-    with mu a fixed non-real cyclotomic.
+    `_character_component`).  For real character fields with even
+    multiplicity the duplicated copies are paired by the graph construction
+    u = w1 + mu w2 with mu a fixed non-real cyclotomic.  The frame's columns
+    are the S_k v at the first classes k independent on the summand's first
+    generator, and X is read off them (`_top_half`).
     """
     table = spec.decomposition.table
     m = table.field.m
     K = CyclotomicField(m if m > 2 else 4)
     mu = K.zeta()  # non-real: K = Q(zeta_m) with m > 2
     pieces = isotypic_split(rep, spec.decomposition)
-    u_cols = []
-    frame = []
+    u_cols, coefficients, frame = [], [], []
+    offset = 0     # the summand's first column of W
     for s, image in zip(spec.summands, pieces):
         if s.multiplicity == 0:
             if image:
@@ -982,26 +978,25 @@ def exact_structure_from_spec(rep: IntegralRepresentation,
             raise InvalidRepresentation(
                 "spec multiplicity disagrees with the isotypic rank")
         tau = s.tau_dict()
+        copies, _ = f_module_basis(image, rep.class_sums)
+        _, pivots = linalg.rref(list(zip(*copies[0][1])))
         if orbit.tag == "CM":
             sides = [a for a in fs.coset_reps() if tau[a] == s.multiplicity]
             if sorted(tau.values()) != sorted(
                     [s.multiplicity] * len(sides) + [0] * len(sides)):
                 raise HSViolation("CM tau values must be one-sided")
-            copies, _ = f_module_basis(image, rep.class_sums)
-            coset_to_row = dict(orbit.coset_to_row)
-            for images in copies:
-                for a in sides:
-                    u_cols.append(_character_component(
-                        table, coset_to_row[a], images))
-            frame.append((s.orbit_index, tuple(copies)))
+            rows = list(map(dict(orbit.coset_to_row).get, sides))
+            omegas = [_central_characters(table, r, pivots) for r in rows]
+            for c, images in enumerate(copies):
+                for r, omega in zip(rows, omegas):
+                    u_cols.append(_character_component(table, r, images))
+                    coefficients.append((offset + c * len(pivots), omega))
         else:
             # totally real field: tau = n/2 on each embedding; pair copies.
             # Only rational scalar pieces are realizable here: for a real
             # character of degree > 1 the graph pairing of module copies is
             # centre-invariant but not G-invariant.
-            rep_row = orbit.representative
-            if orbit.field_spec.degree != 1 or \
-                    spec.decomposition.table.degrees[rep_row] != 1:
+            if fs.degree != 1 or table.degrees[orbit.representative] != 1:
                 raise InvalidRepresentation(
                     "cannot realize an exact complex structure on a "
                     "totally real summand of character degree > 1 or "
@@ -1012,13 +1007,56 @@ def exact_structure_from_spec(rep: IntegralRepresentation,
                 raise HSViolation(
                     "real summand with odd multiplicity cannot carry "
                     "a Hodge structure")
-            _, orbits = f_module_basis(image, rep.class_sums)
+            inv = (mu.conjugate() - mu).inverse()
             for i in range(0, n_j, 2):
-                for w1, w2 in zip(orbits[i], orbits[i + 1]):
-                    col = [K.from_rational(x) + mu * Fraction(y)
-                           for x, y in zip(w1, w2)]
-                    u_cols.append(col)
-    return ExactHodgeStructure(rep, K, u_cols, frame)
+                (d1, (w1, *_)), (d2, (w2, *_)) = copies[i:i + 2]
+                u_cols.append([K.from_rational(Fraction(x, d1))
+                               + mu * Fraction(y, d2)
+                               for x, y in zip(w1, w2)])
+                coefficients.append((offset + i, [mu.conjugate() * inv, -inv]))
+        frame.append((s.orbit_index, tuple(pivots),
+                      tuple((den, [images[k] for k in pivots])
+                            for den, images in copies)))
+        offset += len(image)
+    w_inverse = linalg.inverse(list(zip(*(
+        [Fraction(x, den) for x in column] for _, _, copies in frame
+        for den, columns in copies for column in columns))))
+    return ExactHodgeStructure(rep, K, u_cols,
+                               _top_half(K, coefficients, w_inverse),
+                               (tuple(frame), w_inverse))
+
+
+def _central_characters(table: CharacterTable, row: int, classes):
+    """omega_k = |C_k| chi(g_k) / chi(1) of the character in `row` at the
+    given classes k: the scalar by which the class sum S_k acts on its
+    isotypic component."""
+    sizes, degree = table.classes.sizes, table.degrees[row]
+    chi = table.rows[row]
+    return [CyclotomicNumber(table.field, [v * sizes[k] for v in chi[k].num],
+                             chi[k].den * degree) for k in classes]
+
+
+def _top_half(field, coefficients, w_inverse):
+    """X = C W^-1 for the frame's rational basis W, where the row of C for
+    a column of U is `values` from W's column `start` on, for its
+    `coefficients` (start, values).  On a copy F v, P = W Omega^-1
+    for Omega[b, j] = omega_{k_j}(sigma_b chi), as S_k acts on the
+    component of sigma_b(chi) as omega_k(sigma_b chi): the row of e_chi v
+    is Omega's row for chi.  A pair w1 + mu w2 takes (conj(mu), -1) /
+    (conj(mu) - mu) at w1, w2.  One packed product, W^-1 = M / D."""
+    den = lcm(*(x.denominator for row in w_inverse for x in row))
+    m = [[x.numerator * (den // x.denominator) for x in row]
+         for row in w_inverse]
+    rows = [[field.zero()] * len(m) for _ in coefficients]
+    for row, (start, values) in zip(rows, coefficients):
+        row[start:start + len(values)] = values
+    c, c_den = _numerators(rows)
+    width, read = _reader(len(m) * _peak(c) * max(map(abs, itertools.chain(
+        *m))), field.degree)
+    cols = list(zip(*m))
+    return [[CyclotomicNumber(field, read(sum(map(mul, row, col))),
+                              c_den * den) for col in cols]
+            for row in _packed(c, width)]
 
 
 def _character_component(table: CharacterTable, row: int, images):

@@ -4,31 +4,31 @@ The construction follows the CM trace form: on each active centre field F
 (necessarily CM when the action is rigid), pick an imaginary element zeta
 with certified-positive imaginary part at the embeddings designated
 V^{1,0}, and take E(x, y) = Tr_{F/Q}(zeta * x * conj(y)) on each F-module
-copy.  The copies F v are those of the exact structure's frame, which
-holds each generator's class-sum images S_k v.  S_k acts on the summand
-as the central character omega_k = |C_k| chi(g_k) / chi(1) in F, so the
-S_k v at pivot classes whose omega_k are a Q-basis of F (chosen once per
-summand) are a Q-basis of every copy, and the copy's block is the trace
-form of those omega_k; E does not depend on the basis.  Verification is
-one exact certificate against the exact Hodge structure, with no
-tolerance: E alternating, E G-invariant, then both bilinear relations.
-The Rosati property on the centre follows from G-invariance and is not
-checked again: rho(g)^T E rho(g) = E gives rho(g)^T E = E rho(g^-1), and
-summed over a class C_k this is S_k^T E = E S_k', C_k' the class of the
-inverses.  Every returned form is G-invariant, and only the returned
-form is certified.  A trace form needs no check of its own when every
-active character is linear: g then acts on each copy as a root of unity u
-in F, and Tr(zeta u x conj(u y)) = Tr(zeta x conj(y)).  Otherwise the
-integer check on the generators runs first, and a form it finds not
-invariant is replaced by its G-average.  Each fact is proved once: the
-certificate checks E^T = -E first, which gives relation I at b < a from
-b > a; both relations read one pairing U^T E [U | conj(U)] of the exact
-structure, a packed integer product, relation II its right half; a trace
-form, alternating as conj(zeta) = -zeta, is computed at s < t.  The form
-itself is formed in integers: E = W^-T B W^-1 is a positive multiple of
-M^T (d B d) M, with M the integer multiple of the inverse of the frame's
-integer columns, so its primitive integral form needs no rational
-product.
+copy.  The copies F v are those of the exact structure's frame, which holds
+each generator's class-sum images S_k v at the summand's pivot classes.
+S_k acts on the summand as the central character
+omega_k = |C_k| chi(g_k) / chi(1) in F, so those S_k v, whose omega_k are a
+Q-basis of F, are a Q-basis of every copy, and the copy's block is the
+trace form of those omega_k; E does not depend on the basis.  Verification
+is one exact certificate against the exact Hodge structure, with no
+tolerance: E alternating, E G-invariant, then both bilinear relations.  The
+Rosati property on the centre follows from G-invariance and is not checked
+again: rho(g)^T E rho(g) = E gives rho(g)^T E = E rho(g^-1), and summed
+over a class C_k this is S_k^T E = E S_k', C_k' the class of the inverses.
+Every returned form is G-invariant, and only the returned form is
+certified.  A trace form needs no check of its own when every active
+character is linear: g then acts on each copy as a root of unity u in F,
+and Tr(zeta u x conj(u y)) = Tr(zeta x conj(y)).  Otherwise the integer
+check on the generators runs first, and a form it finds not invariant is
+replaced by its G-average.  Each fact is proved once: the certificate
+checks E^T = -E first, which gives relation I at b < a from b > a; both
+relations read one pairing U^T E [U | conj(U)] of the exact structure, a
+packed integer product, relation II its right half; a trace form,
+alternating as conj(zeta) = -zeta, is computed at s < t.  The form itself
+is formed in integers: E = W^-T B W^-1 is a positive multiple of
+M^T (D B) M, with M the integer multiple of the frame's W^-1, the inverse
+the structure's X was read through, so polarize inverts nothing of its own
+and the primitive integral form needs no rational product.
 
 One witness search finds zeta, for the CM summands of a rigid action and
 for a standalone field alike.  A purely imaginary x generates a CM field
@@ -50,7 +50,8 @@ from . import linalg
 from .cyclotomic import CyclotomicNumber, SubfieldSpec
 from .errors import DomainError
 from .hodge import (ExactHodgeStructure, IntegralRepresentation,
-                    SymbolicHodgeSpec, exact_structure_from_spec,
+                    SymbolicHodgeSpec, _central_characters,
+                    exact_structure_from_spec,
                     hodge_character_from_numeric, rigidity_by_centre,
                     spec_from_character)
 from .polyfields import (PolynomialField, RealEmbeddingPresent, _cap_reached,
@@ -289,9 +290,9 @@ def assemble_polarization(rep: IntegralRepresentation,
     Input is a symbolic Hodge type or a numeric (rho, J) pair (converted
     via the character bridge).  The exact structure the form is built on
     and certified against is built from the spec unless `structure`,
-    already built from that same spec, is given; its F-module frame gives
-    the copies F v.  The form is G-invariant: when the trace form is not
-    (an active character of degree > 1 can make it so), it is replaced by
+    already built from that same spec, is given; its frame gives the
+    copies F v and W^-1.  The form is G-invariant: when the trace form is
+    not (an active character of degree > 1 can make it so), it is replaced by
     its G-average, which is again a polarization (each rho(g)^T E rho(g)
     is one, rho(g) commuting with J), and only the form returned is
     certified.  Raises NotRigid when the action is not rigid.
@@ -308,33 +309,28 @@ def assemble_polarization(rep: IntegralRepresentation,
     decomp = spec.decomposition
     if structure is None:
         structure = exact_structure_from_spec(rep, spec)
-    columns = []          # 2n integer column vectors d S_k v
-    scales = []           # the denominator d of each column
-    blocks = []           # per copy: exact block matrix
+    summands, w_inverse = structure.frame
+    b = []                # B: per copy, its summand's trace form
     provenance = []
     linear = True         # every active character of degree 1
-    for orbit_index, copies in structure.frame:
+    for orbit_index, pivots, copies in summands:
         orbit = decomp.orbits[orbit_index]
         linear = linear and decomp.table.degrees[orbit.representative] == 1
         fspec = orbit.field_spec
         tau = spec.summands[orbit_index].tau_dict()
         zeta = find_zeta(fspec, [a for a in fspec.coset_reps() if tau[a] > 0])
-        pivots, omegas = _pivot_classes(decomp.table, orbit.representative,
-                                        copies[0][1])
-        block = trace_form(fspec, zeta, omegas)
-        for den, images in copies:
-            columns += [images[k] for k in pivots]
-            scales += [den] * len(pivots)
-            blocks.append(block)
+        block = trace_form(fspec, zeta, _central_characters(
+            decomp.table, orbit.representative, pivots))
+        for _ in copies:   # on the diagonal
+            b += [[0] * len(b) + row + [0] * (rep.rank - len(b) - len(row))
+                  for row in block]
         provenance.append((orbit_index, len(copies),
                            tuple(fspec.coordinates(zeta.element)),
                            zeta.sign_table))
-    # W = N diag(1/d) for the integer N of the columns, so that
-    # E = W^-T B W^-1 = N^-T diag(d) B diag(d) N^-1; with N^-1 = M / L for
-    # an integer M, E is a positive multiple of M^T (diag(d) B diag(d)) M
-    m = _integral(linalg.inverse(linalg.transpose(columns)))
+    # E = W^-T B W^-1 is a positive multiple of M^T (D B) M, M = L W^-1
+    m = _integral(w_inverse)
     e_mat = _primitive_integral(linalg.mat_mul(
-        linalg.transpose(m), linalg.mat_mul(_block_diag(blocks, scales), m)))
+        linalg.transpose(m), linalg.mat_mul(_integral(b), m)))
     if not (linear or _verify_g_invariance(e_mat, rep)["invariant"]):
         # |G| times the G-average of D * E: both scales come off again
         e_mat = _primitive_integral(rep.congruence_sum(_integral(e_mat)))
@@ -344,35 +340,6 @@ def assemble_polarization(rep: IntegralRepresentation,
         matrix=tuple(tuple(row) for row in e_mat),
         provenance=tuple(provenance),
         certificate=cert)
-
-
-def _pivot_classes(table, row, images):
-    """(pivots, omegas): the first classes k, in class order, whose images
-    S_k v of one F-module generator v are Q-independent, and the central
-    characters omega_k = |C_k| chi(g_k) / chi(1) of the orbit's
-    representative chi there.  S_k acts on the summand as omega_k, so the
-    omegas are a Q-basis of F and the S_k v a Q-basis of F v, for every
-    generator v of the summand."""
-    _, pivots = linalg.rref(linalg.transpose(images))
-    omegas = [table.rows[row][k] * Fraction(table.classes.sizes[k],
-                                            table.degrees[row])
-              for k in pivots]
-    return pivots, omegas
-
-
-def _block_diag(blocks, scales):
-    """diag(d) B diag(d) for the block-diagonal B of the rational `blocks`
-    and the scales d, times the least positive integer that makes it an
-    integer matrix."""
-    n = len(scales)
-    out = [[0] * n for _ in range(n)]
-    off = 0
-    for b in blocks:
-        for i, row in enumerate(b, off):
-            for j, x in enumerate(row, off):
-                out[i][j] = x * scales[i] * scales[j]
-        off += len(b)
-    return _integral(out)
 
 
 def _integral(e_mat):
@@ -454,11 +421,6 @@ def _verify_symbolic(e_rows, structure: ExactHodgeStructure):
             {"mode": "exact", "ok": True, "pivots_positive": n})
 
 
-def _rotated_positive_sign(d: CyclotomicNumber) -> int:
-    """Exact sign of the real number -i*d, for a pivot d (see the caller)."""
-    return 0 if d.is_zero() else d.sign_imag()
-
-
 def _hermitian_nonpositive_witness(m, K, structure):
     """None when the form c -> -i sum c_a M_ab conj(c_b) is positive
     definite; otherwise a concrete nonpositive vector in V (x) K.
@@ -472,8 +434,8 @@ def _hermitian_nonpositive_witness(m, K, structure):
     trans = [[K.one() if i == j else K.zero() for j in range(n)]
              for i in range(n)]
     for k in range(n):
-        sign = _rotated_positive_sign(h[k][k])
-        if sign <= 0:
+        # the exact sign of the real pivot -i h[k][k]
+        if h[k][k].is_zero() or h[k][k].sign_imag() <= 0:
             combo = trans[k]
             vec = [K.zero()] * structure.rep.rank
             for a, c in enumerate(combo):

@@ -132,6 +132,10 @@ def load_representation_doc(doc):
                         "generator_elements is required with a Cayley-table "
                         "group")
                 gen_elems = _permutation_generator_indices(group, doc)
+            if len(gen_elems) != len(doc["generator_matrices"]):
+                raise SchemaError(f"{len(gen_elems)} generators but "
+                                  f"{len(doc['generator_matrices'])} "
+                                  "generator_matrices")
             rep = IntegralRepresentation.from_generators(
                 group, gen_elems, doc["generator_matrices"])
         else:

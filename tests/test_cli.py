@@ -986,6 +986,15 @@ def test_polynomial_documents_are_validated(tmp_path, doc):
     assert main(["polarize", "--input", inp]) == 2
 
 
+Z4_TABLE_DOC = {
+    "group": {"name": "Z4", "cayley_table": [[(i + j) % 4 for j in range(4)]
+                                            for i in range(4)]},
+    "rank": 2,
+    "generator_matrices": [[[0, -1], [1, 0]]],
+    "symbolic_spec": SYMBOLIC_DOC["symbolic_spec"],
+}
+
+
 def _with_spec(**spec):
     return dict(SYMBOLIC_DOC, symbolic_spec=dict(SYMBOLIC_DOC["symbolic_spec"],
                                                  **spec))
@@ -1008,11 +1017,19 @@ def _with_spec(**spec):
     {"group": {"name": "Z1", "cayley_table": [[0]]}, "rank": 2,
      "element_matrices": [[[1.7, 0], [0, 1]]],
      "J_matrix": [[0.0, -1.0], [1.0, 0.0]]},
+    # generators and matrices that differ in number: the extras were
+    # dropped, and each document was answered
+    dict(Z4_TABLE_DOC, generator_elements=[1, 3]),
+    dict(Z4_TABLE_DOC, generator_elements=[1], generator_matrices=[
+        [[0, -1], [1, 0]], [[5, 7], [1, 1]]]),
+    dict(SYMBOLIC_DOC, group={"name": "Z4", "permutation_generators": [
+        [1, 2, 3, 0], [3, 0, 1, 2]]}),
 ], ids=["float-tau", "string-tau", "bool-tau", "negative-tau",
         "unknown-orbit", "list-tau", "string-orbit-tau", "float-multiplicity",
         "bool-multiplicity", "negative-multiplicity", "scalar-multiplicities",
         "float-generator-entry", "bool-generator-entry",
-        "float-element-entry"])
+        "float-element-entry", "extra-generator-element",
+        "extra-generator-matrix", "extra-permutation-generator"])
 @pytest.mark.parametrize("command", ["rigidity", "polarize"])
 def test_representation_documents_are_validated(tmp_path, capsys, command,
                                                 doc):

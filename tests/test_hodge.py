@@ -26,6 +26,21 @@ from rigidtori.hodge import (BRUTE_FORCE_RANK_CAP, ExactHodgeStructure,
 from rigidtori import linalg
 
 
+def reference_structure(rep, field, u_columns):
+    """The structure on U with X solved for, P^T X^T = [I; 0] by one
+    elimination over K: the reference that the X read off the character
+    table is checked against.  Where no X exists (U + conj(U) does not
+    span) it passes X = 0, which the structure refuses."""
+    n2, n = rep.rank, len(u_columns)
+    full = [list(col) for col in u_columns] + [
+        [c.conjugate() for c in col] for col in u_columns]
+    top = linalg.solve_many(full, [[field.one() if i == j else field.zero()
+                                    for j in range(n)] for i in range(n2)])
+    x = ([[field.zero()] * n2 for _ in range(n)] if top is None
+         else linalg.transpose(top))
+    return ExactHodgeStructure(rep, field, u_columns, x)
+
+
 def full_hodge_spec(rep, tau_builder):
     table = character_table(rep.group)
     decomp = galois_orbits(table)
@@ -472,7 +487,7 @@ def test_exact_structure_maps_each_generator_once(monkeypatch):
 
     monkeypatch.setattr(linalg, "mat_vec", counted)
     st = exact_structure_from_spec(rep, spec)
-    (_, copies), = st.frame
+    ((_, _, copies),), _ = st.frame
     assert len(copies) == 2
     assert len(calls) == len(copies) * len(rep.class_sums) == 10
 
@@ -590,7 +605,7 @@ def test_brute_force_rank_cap():
         col[k] = K.one()
         col[n // 2 + k] = z
         cols.append(col)
-    st = ExactHodgeStructure(rep, K, cols)
+    st = reference_structure(rep, K, cols)
     with pytest.raises(InvalidRepresentation):
         brute_force_hom_dimension(st)
 
@@ -743,7 +758,7 @@ def _gaussian_structure(second):
     """The Gaussian action on Z^2 with U spanned by (1, second) over Q(i)."""
     rep = gaussian_action()
     K = CyclotomicField(4)
-    return rep, ExactHodgeStructure(rep, K, [[K.one(), K.one() * second]])
+    return rep, reference_structure(rep, K, [[K.one(), K.one() * second]])
 
 
 def test_structure_rejects_u_not_g_stable():
@@ -767,8 +782,9 @@ def test_packed_products_match_products_over_k(seed):
     # slots, which leaves rho's action on U alone
     rep, st = random_hodge_fixture(random.Random(seed), groups=small_groups())
     big = Fraction(2**70 + 1, 3)
-    scaled = ExactHodgeStructure(rep, st.field, [[x * big for x in col]
-                                                 for col in st.u_columns])
+    scaled = ExactHodgeStructure(
+        rep, st.field, [[x * big for x in col] for col in st.u_columns],
+        [[x * (1 / big) for x in row] for row in st.top_inverse])
     table = table_for(rep.group)
     rng = random.Random(seed)
     form = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4))
@@ -865,6 +881,123 @@ def test_hodge_character_is_the_trace_of_the_restricted_action():
             assert _coerce_to_subcyclotomic(tr, chi.table.field) == \
                 chi.values[k]
             assert [[x.conjugate() for x in row] for row in a] == b
+
+
+def companion_action(m):
+    """Z_m on Z[zeta_m]: a generator acts by the companion matrix of
+    Phi_m, multiplication by zeta_m in the power basis."""
+    phi = CyclotomicField(m).modulus
+    d = len(phi) - 1
+    comp = [[int(i == j + 1) for j in range(d)] for i in range(d)]
+    for i in range(d):
+        comp[i][d - 1] = -phi[i]
+    group = cyclic(m)
+    gen = next(x for x in range(m) if group.element_order[x] == m)
+    return IntegralRepresentation.from_generators(group, [gen], [comp])
+
+
+def _rigid_specs(rep):
+    """The first and the last rigid type of the action."""
+    decomp = galois_orbits(table_for(rep.group))
+    mults = [len(img) // o.field_spec.degree
+             for img, o in zip(isotypic_split(rep, decomp), decomp.orbits)]
+    specs = enumerate_rigid_types(decomp, mults)
+    return [specs[0], specs[-1]]
+
+
+def _wreath_specs():
+    from test_deform import wreath_action
+    for k, n in ((4, 2), (4, 3), (6, 2), (6, 3)):
+        rep, j = wreath_action(k, n)
+        yield rep, spec_from_character(hodge_character_from_numeric(rep, j))
+
+
+def _assert_x_is_the_solved_half_inverse(st):
+    assert st.top_inverse == reference_structure(
+        st.rep, st.field, st.u_columns).top_inverse
+
+
+def test_x_from_the_table_is_the_solved_half_inverse_on_the_catalogue():
+    # every catalogue action: the X its fixture carries (block-diagonal,
+    # then times T^-1) and, for every type that is realizable, the X read
+    # off the table, rigid ones and real pairs (w1 + mu w2) alike
+    rigid = paired = 0
+    rng = random.Random("actions/catalogue")
+    for g in small_groups():
+        for _ in range(2):
+            rep, fixture = random_hodge_fixture(rng, groups=[g])
+            _assert_x_is_the_solved_half_inverse(fixture)
+            chi = fixture.hodge_character()
+            spec = spec_from_character(chi)
+            try:
+                st = exact_structure_from_spec(rep, spec)
+            except (HSViolation, InvalidRepresentation):
+                assert not rigidity_by_character(chi).is_rigid
+                continue
+            _assert_x_is_the_solved_half_inverse(st)
+            rigid += rigidity_by_character(chi).is_rigid
+            paired += any(spec.decomposition.orbits[s.orbit_index].tag
+                          != "CM" for s in spec.summands if s.multiplicity)
+    assert rigid >= 8 and paired >= 8, (rigid, paired)
+
+
+@pytest.mark.parametrize("m", range(3, 22))
+def test_x_from_the_table_is_the_solved_half_inverse_on_z_m(m):
+    rep = companion_action(m)
+    for spec in _rigid_specs(rep):
+        _assert_x_is_the_solved_half_inverse(
+            exact_structure_from_spec(rep, spec))
+
+
+def test_x_from_the_table_is_the_solved_half_inverse_on_wreath_products():
+    for rep, spec in _wreath_specs():
+        _assert_x_is_the_solved_half_inverse(
+            exact_structure_from_spec(rep, spec))
+
+
+def test_an_x_moved_by_one_entry_is_refused():
+    # X P = [I | 0] is certified at construction: moving any one entry of
+    # X by 1 breaks it
+    st = exact_structure_from_spec(companion_action(5),
+                                   _rigid_specs(companion_action(5))[0])
+    for i, row in enumerate(st.top_inverse):
+        for j in range(len(row)):
+            x = [list(r) for r in st.top_inverse]
+            x[i][j] = x[i][j] + 1
+            with pytest.raises(InvalidRepresentation, match="does not span"):
+                ExactHodgeStructure(st.rep, st.field, st.u_columns, x)
+
+
+def test_structures_and_polarizations_run_no_elimination_over_k(
+        monkeypatch):
+    # a structure is built with one rational inverse (the frame's) and no
+    # elimination over a cyclotomic field; the polarization built on it
+    # reuses that inverse and runs none of its own
+    from rigidtori.cyclotomic import CyclotomicNumber
+    from rigidtori.polarize import assemble_polarization
+    rref, inverse = linalg.rref, linalg.inverse
+    inverses = []
+
+    def rational_rref(a):
+        if any(isinstance(x, CyclotomicNumber) for row in a for x in row):
+            raise AssertionError("an elimination over a cyclotomic field")
+        return rref(a)
+
+    cases = [(companion_action(m), spec) for m in (7, 9, 15, 16)
+             for spec in _rigid_specs(companion_action(m))]
+    for rep, spec in cases + list(_wreath_specs()):
+        # a subfield inverts its basis once, on its first coordinates
+        assemble_polarization(rep, spec=spec)
+        with monkeypatch.context() as patched:
+            patched.setattr(linalg, "rref", rational_rref)
+            patched.setattr(linalg, "inverse",
+                            lambda a: inverses.append(1) or inverse(a))
+            st = exact_structure_from_spec(rep, spec)
+            assert len(inverses) == 1
+            st.hodge_character()
+            assemble_polarization(rep, spec=spec, structure=st)
+            assert len(inverses) == 1
+        del inverses[:]
 
 
 def test_equal_tables_compute_their_classes_once(monkeypatch):

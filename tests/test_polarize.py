@@ -309,11 +309,11 @@ def test_verify_rejects_rosati_violation():
         verify_polarization(e, structure=st)
 
 
-def test_basis_independence_of_assembly():
+def test_basis_independence_of_assembly(monkeypatch):
     # a different greedy order for the F-module basis gives a different
     # frame, hence a different lattice form, that still passes the full
     # certificate against the same structure
-    from rigidtori.hodge import ExactHodgeStructure, f_module_basis
+    from rigidtori import hodge
 
     rep0 = gaussian_action()
     mats = []
@@ -331,15 +331,18 @@ def test_basis_independence_of_assembly():
              for img, o in zip(pieces, decomp.orbits)]
     spec = enumerate_rigid_types(decomp, mults)[0]
     st = exact_structure_from_spec(rep, spec)
-    (active, _), = st.frame
+    ((active, _, _),), _ = st.frame
     image = pieces[active]
     mixed = [[a + 2 * b for a, b in zip(image[0], image[2])],
              image[1], image[2], image[3]]
     forms = []
+    f_module_basis = hodge.f_module_basis
     for ordering in (list(image), mixed):
-        copies, _ = f_module_basis(ordering, rep.class_sums)
-        framed = ExactHodgeStructure(rep, st.field, st.u_columns,
-                                     frame=[(active, tuple(copies))])
+        # the structure's frame is the F-module basis of `ordering`
+        monkeypatch.setattr(hodge, "f_module_basis",
+                            lambda _, sums: f_module_basis(ordering, sums))
+        framed = exact_structure_from_spec(rep, spec)
+        monkeypatch.undo()
         form = assemble_polarization(rep, spec=spec, structure=framed)
         cert = verify_polarization(form.matrix, structure=st)
         assert cert.relation_i["ok"] and cert.relation_ii["ok"]
@@ -626,7 +629,8 @@ def test_polarization_matrices_are_pinned():
 
 def _change_basis(rep, structure, t):
     """(T rho T^-1, T U): the action and V^{1,0} in the lattice basis
-    changed by the unimodular T, so that J becomes T J T^-1."""
+    changed by the unimodular T, so that J becomes T J T^-1 and X
+    becomes X T^-1."""
     from rigidtori.hodge import ExactHodgeStructure
     t_q = [[Fraction(x) for x in row] for row in t]
     t_inv = linalg.inverse(t_q)
@@ -639,7 +643,8 @@ def _change_basis(rep, structure, t):
     field = structure.field
     t_k = [[field.from_rational(x) for x in row] for row in t]
     cols = [linalg.mat_vec(t_k, col) for col in structure.u_columns]
-    return new_rep, ExactHodgeStructure(new_rep, field, cols)
+    return new_rep, ExactHodgeStructure(
+        new_rep, field, cols, linalg.mat_mul(structure.top_inverse, t_inv))
 
 
 def _verdicts(rep, structure):

@@ -347,6 +347,27 @@ def test_generator_elements_must_be_json_integers(tmp_path, elements):
     _refused(tmp_path, "rigidity", doc, "generator_elements")
 
 
+_Z4_TABLE = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+_I = [[0, -1], [1, 0]]
+
+
+@pytest.mark.parametrize("group, elements, matrices, counts", [
+    ({"name": "Z4", "cayley_table": _Z4_TABLE}, [1, 3], [_I],
+     "2 generators but 1 generator_matrices"),
+    ({"name": "Z4", "cayley_table": _Z4_TABLE}, [1], [_I, [[5, 7], [1, 1]]],
+     "1 generators but 2 generator_matrices"),
+    ({"name": "Z4", "permutation_generators": [[1, 2, 3, 0], [3, 0, 1, 2]]},
+     None, [_I], "2 generators but 1 generator_matrices"),
+], ids=["extra-element", "extra-matrix", "extra-permutation"])
+def test_generator_counts_must_match_the_matrices(tmp_path, group, elements,
+                                                  matrices, counts):
+    # zip dropped the extras: each of these was answered with exit 0
+    doc = {"group": group, "rank": 2, "generator_matrices": matrices}
+    if elements is not None:
+        doc["generator_elements"] = elements
+    _refused(tmp_path, "rigidity", doc, counts)
+
+
 @pytest.mark.parametrize("name", [None, 5, ["Z2"]],
                          ids=["null", "number", "list"])
 def test_group_name_must_be_a_string(tmp_path, name):
