@@ -65,11 +65,12 @@ the d, distinct mod p; a miss raises TableComputationError.  Its row and
 vector are the representative's, permuted alike and sharing its values.
 Which row sigma_a takes each row to is kept.
 
-One exact certificate decides, for d vectors w with w_0 = 1.  A set S of
-classes is chosen so that the tuples (w_s), s in S, are pairwise distinct.
-Checked exactly: sum_k a_sjk w_k = w_s w_j for every s in S and every j,
-and M_i M_s = M_s M_i, in integers, for every i and every s in S.  Then
-each w is a joint eigenvector of {M_s} with eigenvalues (w_s), and d
+One exact certificate decides, for d vectors w with w_0 = 1 (an abelian
+group takes a cheaper one, below).  A set S of classes is chosen so that
+the tuples (w_s), s in S, are pairwise distinct.  Checked exactly:
+sum_k a_sjk w_k = w_s w_j for every s in S and every j, and
+M_i M_s = M_s M_i, in integers, for every i and every s in S.  Then each
+w is a joint eigenvector of {M_s} with eigenvalues (w_s), and d
 vectors with pairwise distinct joint eigenvalues are a basis, so every
 joint eigenspace of {M_s} is a line.  Each M_i commutes with every M_s, so
 it preserves these lines: M_i w = lambda w.  Since a_i0k = delta_ik (class
@@ -101,6 +102,20 @@ of M_i M_s, for every s in S side by side, is one packed integer at width
 b with 2^b > 2 R'^2; so is row j of M_s M_i.  The rows are formed from the
 sparse rows of M_i, one multiply-add per nonzero constant, and no
 product matrix is built.
+
+An abelian group (d = |G|: every class a singleton, every row linear)
+takes a cheaper certificate, on the exponents t of its rows chi = zeta_m^t,
+the discrete logs read above (a conjugate row carries them through its
+power map).  Checked exactly: t(e) = 0, t(x s) = t(x) + t(s) mod m for
+every x and every s in `group.generators`, read on the Cayley table, and
+the d rows pairwise distinct.  Every element of the finite G is a product
+of generators, so by induction on its length t(x g) = t(x) + t(g) for all
+x, g: each row is a homomorphism G -> C^x, a linear and so irreducible
+character.  d = |G| distinct irreducible characters are all of them, as G
+has one per class (Serre, Linear Representations of Finite Groups, 3.1).
+That is |G| #gens d integer comparisons in place of the |S| d^2 packed
+products and the commutation above, which every non-abelian table still
+takes.
 
 No row needs a degree check of its own.  A recovered w reduces mod p to
 its component (the multiplicities invert the transform mod p, and zeta_m^t
@@ -227,9 +242,18 @@ class CharacterTable:
             return None
 
     def verify(self):
-        """Exact row orthonormality and the degree sum; raises on failure."""
-        for a in range(self.size):
-            for b, got in enumerate(self.decompose(self.rows[a])):
+        """Exact row orthonormality and the degree sum; raises on failure.
+        Each <chi_a, chi_b> is computed once, for b >= a: <chi_b, chi_a> is
+        its conjugate, so it is 0 or 1 with it."""
+        weighted = [[x.conjugate() * size
+                     for x, size in zip(row, self.classes.sizes)]
+                    for row in self.rows]
+        for a, row in enumerate(self.rows):
+            for b in range(a, self.size):
+                acc = self.field.zero()
+                for x, y in zip(row, weighted[b]):
+                    acc = acc + x * y
+                got = acc * Fraction(1, self.group.order)
                 if got != int(a == b):
                     raise TableComputationError(
                         f"row orthogonality fails at ({a},{b}): {got}")
@@ -418,6 +442,36 @@ def _certify(classes: ConjugacyClassData, field, coords) -> bool:
     return True
 
 
+def _certify_homomorphisms(classes: ConjugacyClassData, m: int,
+                           exponents) -> bool:
+    """Exact check, for a group whose d = |G| classes are all singletons,
+    that the rows chi = zeta_m^t, given by their exponents (t_k for class k,
+    None for a row that is not linear), are the d irreducible characters:
+    t(e) = 0, t(x s) = t(x) + t(s) mod m for every x and every generator s,
+    read on the Cayley table, and the d rows pairwise distinct.  The module
+    docstring shows why this suffices.  |G| #gens d comparisons."""
+    group = classes.group
+    d = classes.count
+    if d != group.order or len(exponents) != d or None in exponents:
+        return False
+    if len(set(map(tuple, exponents))) != d:
+        return False
+    membership = classes.membership
+    table = group.table
+    # per generator s: its class, and the class of g_k s for each class k
+    shifts = [(membership[s], [membership[table[g][s]]
+                               for g in classes.representatives])
+              for s in group.generators]
+    for t in exponents:
+        if t[0]:
+            return False
+        for s, shifted in shifts:
+            step = t[s]
+            if [t[c] for c in shifted] != [(x + step) % m for x in t]:
+                return False
+    return True
+
+
 def _evaluation_width(field, norm: int, row_sum: int) -> int:
     """K with 2^K > 2X + H for the eigen equations, where X bounds every
     coordinate of either side and H every coefficient of Phi_m (see the
@@ -432,9 +486,9 @@ def _evaluation_width(field, norm: int, row_sum: int) -> int:
 def _dixon_schneider(classes: ConjugacyClassData, field, images=None):
     """(rows, degrees) of the d irreducible characters, by the method of the
     module docstring: one exact recovery per Galois orbit, then the
-    certificate.  A list passed as `images` receives images[r], the rows
-    sigma_a(chi_r), a in field.units.  Raises TableComputationError when a
-    step fails."""
+    certificate (on the rows' exponents for an abelian group).  A list
+    passed as `images` receives images[r], the rows sigma_a(chi_r), a in
+    field.units.  Raises TableComputationError when a step fails."""
     group = classes.group
     d = classes.count
     m = field.m
@@ -461,6 +515,7 @@ def _dixon_schneider(classes: ConjugacyClassData, field, images=None):
     if len(where) != d:
         raise TableComputationError("two components agree mod p")
     rows, vectors, degrees, found = ([None] * d for _ in range(4))
+    exponents = [None] * d   # per linear row, t with chi(g_k) = zeta_m^t_k
     # values repeat across rows: one tuple per distinct value, and one
     # CyclotomicNumber per distinct character value
     shared, numbers = {}, {}
@@ -477,14 +532,15 @@ def _dixon_schneider(classes: ConjugacyClassData, field, images=None):
             raise TableComputationError("no degree squares to |G|/norm mod p")
         chi = [x * deg * s % p for x, s in zip(v, size_inv)]
         values = [None] * d   # integer power-basis coordinates of chi_k
+        logs = None
         if deg == 1:
             # chi(g_k) is a root of unity zeta_m^t, reduced to z^t
-            for k, x in enumerate(chi):
-                t = log.get(x)
+            logs = [log.get(x) for x in chi]
+            for k, t in enumerate(logs):
                 if t is None:
                     raise TableComputationError(
-                        f"a linear character's value {x} mod {p} is not a "
-                        f"power of z")
+                        f"a linear character's value {chi[k]} mod {p} is not "
+                        f"a power of z")
                 if roots[t] is None:
                     coords = [0] * field.degree
                     for pos, c in power_basis[t]:
@@ -541,11 +597,17 @@ def _dixon_schneider(classes: ConjugacyClassData, field, images=None):
             if rows[j] is None:
                 rows[j], vectors[j] = [row[k] for k in pm], [w[k] for k in pm]
                 degrees[j] = deg
+                if logs is not None:
+                    exponents[j] = [logs[k] for k in pm]
             image.append(j)
         # sigma_a sigma_b = sigma_ab gives the images of every member
         for b, j in zip(field.units, image):
             found[j] = [image[slot[a * b % m]] for a in field.units]
-    if not _certify(classes, field, vectors):
+    if d == group.order:
+        certified = _certify_homomorphisms(classes, m, exponents)
+    else:
+        certified = _certify(classes, field, vectors)
+    if not certified:
         raise TableComputationError("recovered vectors fail the certificate")
     if images is not None:
         images[:] = found

@@ -7,15 +7,26 @@ the class algebra, the input for the character-table computation, and the
 power maps on classes.  A group computes its class data and its generating
 set (`generators`) once, on first use, and keeps them.
 
+The classes are the orbits under conjugation by a generating set: the
+maps x -> s x s^-1, s in `generators`, generate G acting by conjugation,
+so |G| #gens conjugations find every class (conjugating each new
+representative by all of G took d |G|, which is |G|^2 for an abelian
+group).  A permutation closure counts its classes the same way before its
+Cayley table exists: the closure meets every left product g j, and with
+the right multiplications that gives x -> g^-1 x g on element indices for
+each given generator g; the group keeps those orbits for its class data.
+More than `CLASS_CAP` classes is refused (InvalidGroup, exit 1 from the
+command line) as soon as the count passes it: for a permutation document
+before the |G|^2 table, for a Cayley table before the d x d grid of
+structure constants.
+
 The structure constants a_ijk = #{(x, y) in C_i x C_j : xy = g_k} are
 counted at the class representatives g_k only: for each k, every x in G
 gives the one pair (x, x^-1 g_k), in classes (i, j) read off the membership
 table.  That is |G| steps per class, |G| d in all for d classes, and at most
 |G| d nonzero constants.  They are stored as sparse rows,
 coefficients[i][j] = {k: a_ijk}, row j of the class matrix M_i, which is
-the form the character code reads.  A group with more than `CLASS_CAP`
-classes is refused (InvalidGroup) as soon as the class count passes it,
-before the d x d grid of rows is built.
+the form the character code reads.
 
 A Cayley table is validated completely: rows and columns permute 0..n-1,
 0 is the identity, and associativity holds by Light's test (Clifford and
@@ -52,7 +63,10 @@ CLASS_CAP = 512
 
 
 class InvalidGroup(DomainError, ValueError):
-    """The supplied table or generators do not define a group."""
+    """The supplied table or generators do not define a group, or define
+    one with more than `CLASS_CAP` classes (`too_many_classes`)."""
+
+    too_many_classes = False
 
 
 def _permutation_order(perm) -> int:
@@ -79,6 +93,7 @@ class FiniteGroup:
         self.order = len(self.table)
         self.name = name
         self._classes = None   # see conjugacy_classes
+        self._orbits = None    # the classes, unordered, once counted
         if validate:
             self._validate()
         self.inverse = self._inverses()
@@ -108,26 +123,33 @@ class FiniteGroup:
         elements = [ident]
         index = {ident: 0}
         parent = [None]   # per element j = g . j', the pair (j', g)
+        below = [{} for _ in gens]   # per generator g: g j -> j
         frontier = [0]
         while frontier:
             j = frontier.pop()
             cur = elements[j]
             for gi, g in enumerate(gens):
                 prod = tuple(g[cur[i]] for i in range(npts))
-                if prod not in index:
+                k = index.get(prod)
+                if k is None:
                     if len(elements) >= CLOSURE_CAP:
                         raise InvalidGroup("closure exceeds the element cap")
                     if (len(elements) + 1) * npts > CLOSURE_WORK_CAP:
                         raise InvalidGroup(
                             f"closure exceeds the work cap {CLOSURE_WORK_CAP} "
                             f"(elements x points) on {npts} points")
-                    index[prod] = len(elements)
+                    k = index[prod] = len(elements)
                     elements.append(prod)
                     parent.append((j, gi))
-                    frontier.append(index[prod])
+                    frontier.append(k)
+                below[gi][k] = j
         # right multiplication by each generator, on element indices
         right = [[index[tuple(p[g[k]] for k in range(npts))]
                   for p in elements] for g in gens]
+        # conjugation x -> g^-1 x g by each generator: the classes, and the
+        # class-count refusal, before any |G|^2 object
+        orbits = _class_orbits([[r[u[x]] for x in range(len(elements))]
+                                for r, u in zip(right, below)])
         # column j = g . j' is column j' read through i -> i g, since
         # i (g j') = (i g) j'; a parent is found before its children
         columns = [list(range(len(elements)))]
@@ -139,6 +161,7 @@ class FiniteGroup:
         # the identity and inverses, so the table needs no validation
         group = FiniteGroup(table, name=name, validate=False)
         group.permutations = tuple(elements)
+        group._orbits = orbits
         return group
 
     # -- validation -------------------------------------------------------
@@ -226,21 +249,12 @@ class FiniteGroup:
 
     def _class_data(self) -> "ConjugacyClassData":
         n = self.order
-        seen = [False] * n
-        classes = []
-        for g in range(n):
-            if seen[g]:
-                continue
-            orbit = sorted({self.conjugate(g, h) for h in range(n)})
-            for x in orbit:
-                seen[x] = True
-            classes.append(tuple(orbit))
-            if len(classes) > CLASS_CAP:
-                raise InvalidGroup(
-                    f"more than {CLASS_CAP} conjugacy classes: the class "
-                    f"algebra's structure constants are refused")
+        orbits = self._orbits or _class_orbits(
+            [[self.conjugate(x, s) for x in range(n)]
+             for s in self.generators])
         # canonical order: size, then element order, then smallest member
-        classes.sort(key=lambda c: (len(c), self.element_order[c[0]], c[0]))
+        classes = sorted(orbits, key=lambda c: (
+            len(c), self.element_order[c[0]], c[0]))
         membership = [0] * n
         for idx, cls in enumerate(classes):
             for x in cls:
@@ -274,6 +288,37 @@ class FiniteGroup:
             coefficients=tuple(tuple(m) for m in coeffs),
             power_classes=tuple(powers),
         )
+
+
+def _class_orbits(conjugations):
+    """The conjugacy classes, as sorted tuples of element indices, from the
+    maps x -> h x h^-1 of a generating set of h, each a list on the element
+    indices: the orbits of the group those maps generate, which is G acting
+    by conjugation.  One lookup per element and map.  More than
+    `CLASS_CAP` classes is refused (InvalidGroup) as the count passes it."""
+    n = len(conjugations[0])
+    seen = [False] * n
+    orbits = []
+    for g in range(n):
+        if seen[g]:
+            continue
+        seen[g] = True
+        orbit = [g]
+        for x in orbit:   # the orbit grows while it is read
+            for c in conjugations:
+                y = c[x]
+                if not seen[y]:
+                    seen[y] = True
+                    orbit.append(y)
+        orbit.sort()
+        orbits.append(tuple(orbit))
+        if len(orbits) > CLASS_CAP:
+            error = InvalidGroup(
+                f"more than {CLASS_CAP} conjugacy classes: the class "
+                f"algebra's structure constants are refused")
+            error.too_many_classes = True
+            raise error
+    return orbits
 
 
 class ConjugacyClassData:

@@ -78,6 +78,8 @@ def load_group_doc(doc) -> FiniteGroup:
         return FiniteGroup.from_permutations(
             doc["permutation_generators"], name=doc["name"])
     except (ValueError, TypeError, IndexError) as exc:
+        if getattr(exc, "too_many_classes", False):
+            raise   # a group, refused as its Cayley table would be: exit 1
         raise SchemaError(f"invalid group: {exc}") from exc
 
 

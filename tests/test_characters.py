@@ -938,15 +938,18 @@ def _refuse(name):
 @pytest.mark.parametrize("name", ["Z24", "Z2xZ2xZ6", "Z4xZ4", "Z21"])
 def test_an_abelian_table_needs_no_minimal_polynomial_or_transform(
         monkeypatch, name):
+    # nor the general certificate: the rows are certified as homomorphisms
     want = character_table(_pool_group(name))
-    for helper in ("_eigencomponents", "_multiplicities"):
+    for helper in ("_eigencomponents", "_multiplicities", "_certify",
+                   "_separating_classes"):
         monkeypatch.setattr(characters, helper, _refuse(helper))
     got = character_table(_pool_group(name))
     assert got.degrees == want.degrees and got.rows == want.rows
 
 
 def test_a_non_abelian_table_still_takes_the_general_path(monkeypatch):
-    calls = {"_eigencomponents": 0, "_multiplicities": 0}
+    calls = {"_eigencomponents": 0, "_multiplicities": 0, "_certify": 0,
+             "_separating_classes": 0}
     for helper in calls:
         original = getattr(characters, helper)
 
@@ -1011,3 +1014,138 @@ def test_abelian_rows_are_the_homomorphisms_read_off_the_cayley_table(group):
         for x in range(n):
             assert all((t[x] + t[y] - t[product]) % m == 0
                        for y, product in enumerate(group.table[x]))
+
+
+# -- the abelian certificate: the rows are the homomorphisms to C^x ---------
+
+
+# the products of cyclic groups, Z_a x Z_b x ...
+ABELIAN_POOL = [name for name in POOL + COLD_POOL
+                if all(f[0] == "Z" and f[1:].isdigit()
+                       for f in name.split("x"))]
+
+
+def _exponents(table):
+    """Per row, the exponents t with chi(g_k) = zeta_m^t_k, for a table
+    whose rows are all linear."""
+    log = {table.field.zeta(t): t for t in range(table.field.m)}
+    return [[log[x] for x in row] for row in table.rows]
+
+
+def _assert_certificates_accept(group):
+    table = character_table(group)
+    classes, field = table.classes, table.field
+    assert classes.count == group.order
+    assert characters._certify_homomorphisms(classes, field.m,
+                                             _exponents(table))
+    # the general certificate, the oracle: here w_k = chi(g_k)
+    assert characters._certify(classes, field,
+                               [[x.num for x in row] for row in table.rows])
+
+
+@pytest.mark.parametrize("name", ABELIAN_POOL)
+def test_homomorphism_certificate_accepts_the_abelian_pool(name):
+    _assert_certificates_accept(_pool_group(name))
+
+
+@settings(max_examples=10)
+@given(group=relabelled_abelian())
+def test_homomorphism_certificate_accepts_relabelled_abelian_tables(group):
+    _assert_certificates_accept(group)
+
+
+@pytest.mark.parametrize("name", ["Z2xZ2xZ6", "Z4xZ4", "Z21", "Z2xZ2xZ2xZ2"])
+def test_homomorphism_certificate_rejects_corrupted_exponents(name):
+    table = character_table(_pool_group(name))
+    classes, m = table.classes, table.field.m
+    exponents = _exponents(table)
+    d = len(exponents)
+
+    def accepts(rows):
+        return characters._certify_homomorphisms(classes, m, rows)
+
+    assert accepts(exponents)
+    for r in range(d):
+        for k in range(d):
+            bad = [list(t) for t in exponents]
+            bad[r][k] = (bad[r][k] + 1) % m
+            assert not accepts(bad), (r, k)
+        assert not accepts(exponents[:r] + exponents[r + 1:])   # dropped
+        other = (r + 1) % d
+        assert not accepts([exponents[other] if i == r else t
+                            for i, t in enumerate(exponents)])  # duplicated
+        assert not accepts([[1] + t[1:] if i == r else t
+                            for i, t in enumerate(exponents)])  # t(e) != 0
+    assert not accepts(exponents[:-1] + [None])   # a row that is not linear
+
+
+def test_homomorphism_certificate_refuses_a_non_abelian_group():
+    table = character_table(symmetric_3())
+    # three rows of exponents that are homomorphisms on classes, but d < |G|
+    assert not characters._certify_homomorphisms(
+        table.classes, table.field.m, [[0, 0, 0], [0, 1, 0], [0, 0, 2]])
+
+
+# -- class data: orbits under conjugation by the generators -----------------
+
+
+def reference_classes(group):
+    """The canonical classes by conjugating each new representative by all
+    of G, d |G| conjugations: the oracle of the generator orbits."""
+    n = group.order
+    seen = [False] * n
+    classes = []
+    for g in range(n):
+        if not seen[g]:
+            orbit = sorted({group.conjugate(g, h) for h in range(n)})
+            for x in orbit:
+                seen[x] = True
+            classes.append(tuple(orbit))
+    return tuple(sorted(classes, key=lambda c: (
+        len(c), group.element_order[c[0]], c[0])))
+
+
+def _assert_orbits_are_the_classes(group, monkeypatch):
+    from rigidtori.groups import FiniteGroup
+    want = reference_classes(group)
+    conjugate = FiniteGroup.conjugate
+    count = [0]
+
+    def counted(self, g, h):
+        count[0] += 1
+        return conjugate(self, g, h)
+
+    monkeypatch.setattr(FiniteGroup, "conjugate", counted)
+    # the group as built (a permutation closure counts its classes in the
+    # closure, with no conjugation through the table), and from its table
+    built = []
+    for g in (group, FiniteGroup(group.table)):
+        count[0] = 0
+        classes = g.conjugacy_classes()
+        assert count[0] <= g.order * len(g.generators)
+        assert classes.classes == want
+        assert classes.membership == tuple(
+            next(i for i, c in enumerate(want) if x in c)
+            for x in range(g.order))
+        built.append(classes)
+    for field in ("coefficients", "power_classes"):
+        assert getattr(built[0], field) == getattr(built[1], field), field
+
+
+@pytest.mark.parametrize("name", POOL + COLD_POOL)
+def test_generator_orbits_are_the_classes_on_the_pools(name, monkeypatch):
+    _assert_orbits_are_the_classes(_pool_group(name), monkeypatch)
+
+
+@settings(max_examples=10)
+@given(data=st.data())
+def test_generator_orbits_are_the_classes_of_relabelled_tables(data):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        if data.draw(st.booleans()):
+            group = data.draw(relabelled_abelian())
+        else:
+            g = data.draw(st.sampled_from(BUNDLED))
+            group = _relabelled(
+                g, [0] + data.draw(st.permutations(range(1, g.order))))
+        _assert_orbits_are_the_classes(group, monkeypatch)
+

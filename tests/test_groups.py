@@ -211,6 +211,32 @@ def test_too_many_classes_refuse_before_the_structure_constants(
     assert main(["analyze", "--input", str(doc)]) == 1
 
 
+def test_too_many_classes_refuse_before_the_permutation_table(
+        monkeypatch, tmp_path):
+    # Z2^8 as 8 disjoint transpositions on 16 points: the classes are
+    # counted as orbits of the closure under conjugation by the generators,
+    # so a cap of 64 refuses before the 256 x 256 Cayley table, whose rows
+    # alone hold 256^2 pointers
+    from rigidtori import groups
+    monkeypatch.setattr(groups, "CLASS_CAP", 64)
+    gens = [[2 * i + 1 - (p == 2 * i + 1) if p in (2 * i, 2 * i + 1) else p
+             for p in range(16)] for i in range(8)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidGroup, match="more than 64 conjugacy"):
+            FiniteGroup.from_permutations(gens)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 256 * 8
+    # the same domain error, exit status 1, as a Cayley table refused for
+    # its class count, not an input error
+    doc = tmp_path / "z2_8.json"
+    doc.write_text(json.dumps({"name": "Z2^8",
+                               "permutation_generators": gens}))
+    assert main(["analyze", "--input", str(doc)]) == 1
+
+
 def test_dicyclic_structure():
     q8 = dicyclic(2)
     assert q8.order == 8
