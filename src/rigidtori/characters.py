@@ -1,9 +1,11 @@
 """Exact character tables, central idempotents, and Galois-orbit data.
 
-The table is computed by the Dixon-Schneider method (Dixon, Numer. Math. 10,
-1967; Schneider, J. Symb. Comput. 9, 1990).  The class-sum matrices M_i,
-(M_i)[j][k] = a_ijk, commute, and their joint eigenvectors, normalized at
-the identity class, are the vectors of central-character values
+A non-abelian table is computed by the Dixon-Schneider method (Dixon,
+Numer. Math. 10, 1967; Schneider, J. Symb. Comput. 9, 1990); an abelian
+one is read off as the homomorphisms to C^x (below).  The class-sum
+matrices M_i, (M_i)[j][k] = a_ijk, commute, and their joint eigenvectors,
+normalized at the identity class, are the vectors of central-character
+values
 omega_k = |C_k| chi(g_k) / chi(1), which lie in Z[zeta_m], m = exponent(G).
 Each M_i is read one matrix at a time as the sparse rows the class data
 stores, coefficients[i][j] = {k: a_ijk}; no d x d x d object is built.
@@ -65,8 +67,8 @@ the d, distinct mod p; a miss raises TableComputationError.  Its row and
 vector are the representative's, permuted alike and sharing its values.
 Which row sigma_a takes each row to is kept.
 
-One exact certificate decides, for d vectors w with w_0 = 1 (an abelian
-group takes a cheaper one, below).  A set S of classes is chosen so that
+One exact certificate decides, for d vectors w with w_0 = 1.  A set S of
+classes is chosen so that
 the tuples (w_s), s in S, are pairwise distinct.  Checked exactly:
 sum_k a_sjk w_k = w_s w_j for every s in S and every j, and
 M_i M_s = M_s M_i, in integers, for every i and every s in S.  Then each
@@ -97,25 +99,12 @@ nonzero difference D of the two sides has D(2^K) != 0 (its coordinates
 are at most 2X < 2^K) and |D(2^K)| <= 2X (2^(K phi) - 1) / (2^K - 1) < n
 (as n >= 2^(K phi) - H (2^(K phi) - 1) / (2^K - 1)), so D(2^K) is not
 0 mod n.  For the commutation, every entry of M_i M_s and M_s M_i is at
-most R'^2 in absolute value, R' the largest row sum of any M_i, and row j
+most R'^2 in absolute value, R' the largest row sum of any M_i (recorded
+as the class data counts the constants), and row j
 of M_i M_s, for every s in S side by side, is one packed integer at width
 b with 2^b > 2 R'^2; so is row j of M_s M_i.  The rows are formed from the
 sparse rows of M_i, one multiply-add per nonzero constant, and no
 product matrix is built.
-
-An abelian group (d = |G|: every class a singleton, every row linear)
-takes a cheaper certificate, on the exponents t of its rows chi = zeta_m^t,
-the discrete logs read above (a conjugate row carries them through its
-power map).  Checked exactly: t(e) = 0, t(x s) = t(x) + t(s) mod m for
-every x and every s in `group.generators`, read on the Cayley table, and
-the d rows pairwise distinct.  Every element of the finite G is a product
-of generators, so by induction on its length t(x g) = t(x) + t(g) for all
-x, g: each row is a homomorphism G -> C^x, a linear and so irreducible
-character.  d = |G| distinct irreducible characters are all of them, as G
-has one per class (Serre, Linear Representations of Finite Groups, 3.1).
-That is |G| #gens d integer comparisons in place of the |S| d^2 packed
-products and the commutation above, which every non-abelian table still
-takes.
 
 No row needs a degree check of its own.  A recovered w reduces mod p to
 its component (the multiplicities invert the transform mod p, and zeta_m^t
@@ -127,6 +116,42 @@ TableComputationError.  Rows come out in canonical order, so the table
 depends on neither p nor z; they are sorted on their integer power-basis
 numerators (character values are algebraic integers, so every denominator
 is 1).
+
+An abelian group (d = |G|: every class a singleton) takes none of the
+above: no class algebra, no split mod p and no recovery.  Its characters
+are the homomorphisms G -> C^x (Serre, Linear Representations of Finite
+Groups, 3.1), each value an m-th root of unity, so they are chi = zeta_m^t
+for the homomorphisms t: G -> Z/m.  These are built by extension along the
+chain H_0 = {e}, H_i = <s_1 ... s_i> of the generators s_i of
+`group.generators`.  Let k_i be the least k >= 1 with s_i^k in H_(i-1).
+The k with s_i^k in H_(i-1) are the multiples of k_i, so k_i divides the
+order of s_i and so m, and as G is abelian every element of H_i is
+h s_i^j, h in H_(i-1), j < k_i, in exactly one way.  So a t on H_(i-1)
+extends to H_i exactly by t(h s_i^j) = t(h) + j t(s_i) with
+k_i t(s_i) = c, c = t(s_i^(k_i)) (that is a homomorphism: where j + j'
+passes k_i, s_i^(k_i) is folded into H_(i-1) at the value c).  The
+character zeta_m^t of H_(i-1) extends to G, C^x being divisible, with
+values m-th roots of unity; so k_i divides c, and the solutions are
+t(s_i) = c/k_i + j m/k_i, j < k_i: exactly k_i extensions.  That gives
+prod k_i = |G| homomorphisms, pairwise distinct as they differ on a
+generator, and |G| distinct irreducible characters are all of them, as G
+has one per class.  Each row's values on H_i are its values on H_(i-1)
+shifted by j t(s_i) block by block: sum_i |H_i|^2 <= 4/3 |G|^2 integer
+steps in all.  A row is keyed by its values on the generators, which
+determine it, and sigma_a(chi) = chi^a has the key a t(s_i): the Galois
+images are one lookup per unit, one orbit at a time (sigma_a sigma_b =
+sigma_ab), with no d-tuple per row and unit.  Nothing is taken on trust:
+a k_i that does not divide m, or a c that is no multiple of k_i, raises
+TableComputationError, and the rows pass a certificate on their
+exponents t.  Checked exactly: t(e) = 0, t(x s) = t(x) + t(s) mod m for
+every x and every s in `group.generators`, read on the Cayley table, and
+the d rows pairwise distinct.  Every element of the finite G is a product
+of generators, so by induction on its length t(x g) = t(x) + t(g) for all
+x, g: each row is a homomorphism, so an irreducible character, and d
+distinct ones are all of them.  That is |G| #gens d integer comparisons.
+The rows are then put in the canonical order above.
+`_dixon_schneider` still computes an abelian table when called directly,
+under the general certificate; the tests use it as the oracle.
 `CharacterTable.verify` (row orthonormality) stays public as an independent
 check but is not part of the computation.
 
@@ -153,8 +178,11 @@ table keeps, as row indices after the canonical sort.  As a runs over the
 units, sigma_a(chi) meets each member of chi's orbit |stabilizer| times,
 so sum_psi psi(g) = Tr_Q(zeta_m)/Q(chi(g)) / |stabilizer| over the orbit:
 the idempotent's coefficient on g, (1/|G|) sum_psi psi(1) psi(g^-1), is
-one trace per class, rational by construction.  The character field's
-Q-basis is built only when it is read (`analyze` builds none).
+one trace per class, rational by construction.  The trace vector, and
+for each fixing subgroup its SubfieldSpec with the spec's coset
+representatives and totally-real flag, are computed once per conductor
+and kept on the cached CyclotomicField.  The character field's Q-basis is
+built only when it is read (`analyze` builds none).
 """
 
 from __future__ import annotations
@@ -297,10 +325,13 @@ def character_table(group: FiniteGroup) -> CharacterTable:
     classes = group.conjugacy_classes()
     d = classes.count
     field = CyclotomicField(group.exponent)
-    images = []
-    rows, degs = _dixon_schneider(classes, field, images)
-    if sum(dd * dd for dd in degs) != group.order:
-        raise TableComputationError("degree squares do not sum to |G|")
+    if d == group.order:
+        rows, degs, images = _abelian_table(classes, field)
+    else:
+        images = []
+        rows, degs = _dixon_schneider(classes, field, images)
+        if sum(dd * dd for dd in degs) != group.order:
+            raise TableComputationError("degree squares do not sum to |G|")
     order = sorted(range(d), key=lambda r: (degs[r], _row_key(rows[r])))
     position = {r: t for t, r in enumerate(order)}
     return CharacterTable(group, classes, field,
@@ -411,8 +442,7 @@ def _certify(classes: ConjugacyClassData, field, coords) -> bool:
                 return False
     # the commutation, for each i and each row j: row j of M_i M_s and of
     # M_s M_i for every s in S side by side, slot (s, k) at width (d s + k)
-    row_sum = max(sum(map(abs, row.values())) for m in mats for row in m)
-    width = _slot_width(row_sum * row_sum)
+    width = _slot_width(classes.row_sum ** 2)
     span = width * d
     shift = [width * k for k in range(d)]
     side = [0] * d                     # row l of every M_s, s in S
@@ -472,6 +502,83 @@ def _certify_homomorphisms(classes: ConjugacyClassData, m: int,
     return True
 
 
+def _abelian_table(classes: ConjugacyClassData, field):
+    """(rows, degrees, galois_images) of an abelian group, d = |G|, in the
+    form `_dixon_schneider` gives them: every homomorphism t: G -> Z/m,
+    m = field.m, by extension along the chain H_i = <s_1 ... s_i> of
+    `group.generators`, then certified by `_certify_homomorphisms` (module
+    docstring).  Raises TableComputationError when a step fails."""
+    group = classes.group
+    table = group.table
+    m = field.m
+    # the elements of H_i in normal-form order h s_i^j, h in H_(i-1) in its
+    # own order, j < k_i; position[x] is x's place in that list
+    elements = [0]
+    position = [None] * group.order
+    position[0] = 0
+    steps = []   # per generator: k_i, and the place of s_i^(k_i) in H_(i-1)
+    for s in group.generators:
+        k, power = 1, s
+        while position[power] is None:
+            k, power = k + 1, table[power][s]
+        if m % k:
+            raise TableComputationError(
+                f"the index {k} of a generator's step does not divide {m}")
+        steps.append((k, position[power]))
+        base, power = elements[:], s
+        for _ in range(1, k):
+            for h in base:
+                x = table[h][power]
+                position[x] = len(elements)
+                elements.append(x)
+            power = table[power][s]
+    if len(elements) != group.order:
+        raise TableComputationError("the generators do not generate G")
+    # each t on H_(i-1) extends in exactly k_i ways: the values on H_i are
+    # those on H_(i-1) shifted by j t(s_i), block by block
+    homs = [((), [0])]   # (t on the generators so far, t on H_(i-1))
+    for k, at in steps:
+        extended = []
+        for key, values in homs:
+            c = values[at]
+            if c % k:
+                raise TableComputationError(
+                    f"{k} t(s) = {c} mod {m} has no solution")
+            for step in _extensions(c, k, m):
+                row = values[:]
+                block = values
+                for _ in range(1, k):
+                    block = [(v + step) % m for v in block]
+                    row += block
+                extended.append((key + (step,), row))
+        homs = extended
+    at_class = [position[x] for x in classes.representatives]
+    exponents = [list(map(values.__getitem__, at_class))
+                 for _, values in homs]
+    if not _certify_homomorphisms(classes, m, exponents):
+        raise TableComputationError("the extensions fail the certificate")
+    # sigma_a(chi) = chi^a is keyed by a t on the generators; images one
+    # orbit at a time, as sigma_a sigma_b = sigma_ab
+    where = {key: r for r, (key, _) in enumerate(homs)}
+    units = field.units
+    slot = {a % m: u for u, a in enumerate(units)}
+    images = [None] * len(homs)
+    for r, (key, _) in enumerate(homs):
+        if images[r] is None:
+            image = [where[tuple([a * x % m for x in key])] for a in units]
+            for b, j in zip(units, image):
+                images[j] = [image[slot[a * b % m]] for a in units]
+    roots = [field.zeta(t) for t in range(m)]
+    return ([[roots[t] for t in row] for row in exponents],
+            [1] * len(homs), images)
+
+
+def _extensions(c: int, k: int, m: int):
+    """The k values of t(s) in Z/m with k t(s) = c, for k dividing m and c:
+    c/k + j m/k, j < k."""
+    return [c // k + j * (m // k) for j in range(k)]
+
+
 def _evaluation_width(field, norm: int, row_sum: int) -> int:
     """K with 2^K > 2X + H for the eigen equations, where X bounds every
     coordinate of either side and H every coefficient of Phi_m (see the
@@ -486,9 +593,11 @@ def _evaluation_width(field, norm: int, row_sum: int) -> int:
 def _dixon_schneider(classes: ConjugacyClassData, field, images=None):
     """(rows, degrees) of the d irreducible characters, by the method of the
     module docstring: one exact recovery per Galois orbit, then the
-    certificate (on the rows' exponents for an abelian group).  A list
-    passed as `images` receives images[r], the rows sigma_a(chi_r), a in
-    field.units.  Raises TableComputationError when a step fails."""
+    certificate.  `character_table` takes it for non-abelian groups only;
+    on an abelian one it still computes the table, under the same
+    certificate.  A list passed as `images` receives images[r], the rows
+    sigma_a(chi_r), a in field.units.  Raises TableComputationError when a
+    step fails."""
     group = classes.group
     d = classes.count
     m = field.m
@@ -510,12 +619,11 @@ def _dixon_schneider(classes: ConjugacyClassData, field, images=None):
     transforms = {}   # element order e -> its multiplicity transform
     log = {x: t for t, x in enumerate(zpow)}   # z^t -> t, for linear rows
     roots = [None] * m   # zeta_m^t as integer coordinates, once read
-    components = _split_mod_p(classes, p)
+    components = _split_mod_p(classes, p, zpow)
     where = {tuple(v): i for i, v in enumerate(components)}
     if len(where) != d:
         raise TableComputationError("two components agree mod p")
     rows, vectors, degrees, found = ([None] * d for _ in range(4))
-    exponents = [None] * d   # per linear row, t with chi(g_k) = zeta_m^t_k
     # values repeat across rows: one tuple per distinct value, and one
     # CyclotomicNumber per distinct character value
     shared, numbers = {}, {}
@@ -532,11 +640,10 @@ def _dixon_schneider(classes: ConjugacyClassData, field, images=None):
             raise TableComputationError("no degree squares to |G|/norm mod p")
         chi = [x * deg * s % p for x, s in zip(v, size_inv)]
         values = [None] * d   # integer power-basis coordinates of chi_k
-        logs = None
         if deg == 1:
             # chi(g_k) is a root of unity zeta_m^t, reduced to z^t
-            logs = [log.get(x) for x in chi]
-            for k, t in enumerate(logs):
+            for k, x in enumerate(chi):
+                t = log.get(x)
                 if t is None:
                     raise TableComputationError(
                         f"a linear character's value {chi[k]} mod {p} is not "
@@ -597,17 +704,11 @@ def _dixon_schneider(classes: ConjugacyClassData, field, images=None):
             if rows[j] is None:
                 rows[j], vectors[j] = [row[k] for k in pm], [w[k] for k in pm]
                 degrees[j] = deg
-                if logs is not None:
-                    exponents[j] = [logs[k] for k in pm]
             image.append(j)
         # sigma_a sigma_b = sigma_ab gives the images of every member
         for b, j in zip(field.units, image):
             found[j] = [image[slot[a * b % m]] for a in field.units]
-    if d == group.order:
-        certified = _certify_homomorphisms(classes, m, exponents)
-    else:
-        certified = _certify(classes, field, vectors)
-    if not certified:
+    if not _certify(classes, field, vectors):
         raise TableComputationError("recovered vectors fail the certificate")
     if images is not None:
         images[:] = found
@@ -661,12 +762,12 @@ def _root_of_unity(m: int, p: int) -> int:
     raise TableComputationError(f"no element of order {m} mod {p}")
 
 
-def _split_mod_p(classes: ConjugacyClassData, p: int):
+def _split_mod_p(classes: ConjugacyClassData, p: int, zpow):
     """The d central characters mod p, each scaled to w_0 = 1: e_0 split
     into eigencomponents by one class matrix at a time until there are d,
     which a sweep over every class reaches (see the module docstring).  A
     central class splits by a transform along its cycles, any other by
-    its minimal polynomials."""
+    its minimal polynomials; zpow holds the powers z^t, t < m."""
     d = classes.count
     powers = classes.power_classes
     by_order = sorted(range(1, d), key=lambda k: -len(powers[k]))
@@ -674,7 +775,6 @@ def _split_mod_p(classes: ConjugacyClassData, p: int):
     for k in by_order:
         first.setdefault(frozenset(powers[k]), k)
     components = [[1] + [0] * (d - 1)]
-    zpow = None   # the powers of z, built when a central class needs them
     for k in sorted(by_order,
                     key=lambda k: first[frozenset(powers[k])] != k):
         if len(components) == d:
@@ -684,10 +784,6 @@ def _split_mod_p(classes: ConjugacyClassData, p: int):
             components = [piece for v in components
                           for piece in _eigencomponents(mat, v, p)]
             continue
-        if zpow is None:
-            m = classes.group.exponent
-            z = _root_of_unity(m, p)
-            zpow = [pow(z, t, p) for t in range(m)]
         cycles = _cycles([next(iter(row)) for row in mat])
         components = [piece for v in components for piece in
                       _cycle_components(cycles, len(powers[k]), v, zpow, p)]
@@ -854,8 +950,7 @@ def _galois_orbits(table):
     # images come with the table, idempotents by trace (module docstring)
     field = table.field
     g = table.group
-    trace = [sum(dict(field.power_table[a * t % field.m]).get(0, 0)
-                 for a in field.units) for t in range(field.degree)]
+    trace = field.traces
     assigned = set()
     orbits = []
     for r, image in enumerate(table.galois_images):
@@ -864,7 +959,7 @@ def _galois_orbits(table):
         members = tuple(dict.fromkeys(image))
         assigned.update(members)
         by_unit = dict(zip(field.units, image))
-        spec = SubfieldSpec(field, [a for a in field.units if by_unit[a] == r])
+        spec = field.subfield([a for a in field.units if by_unit[a] == r])
         scale = g.order * len(field.units) // len(members)
         # values repeat across the classes: one trace per distinct value
         per_value = {t: Fraction(table.degrees[r] * sum(map(mul, trace, t)),
@@ -873,8 +968,7 @@ def _galois_orbits(table):
         per_class = [per_value[x.num] for x in table.rows[r]]
         orbits.append(GaloisOrbit(
             rows=members,
-            coset_to_row=tuple((a, by_unit[a])
-                               for a in sorted(spec.coset_reps())),
+            coset_to_row=tuple((a, by_unit[a]) for a in spec.coset_reps()),
             idempotent=tuple(per_class[table.classes.membership[h]]
                              for h in g.inverse),
             field_spec=spec,

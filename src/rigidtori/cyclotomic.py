@@ -17,7 +17,7 @@ action (never by floats), nonzero cases on the one precision ladder.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from struct import Struct
 
@@ -87,6 +87,24 @@ class _Field:
         self.power_table = table
         self.units = tuple(a for a in range(1, m + 1) if gcd(a, m) == 1)
         self._zero = _new(self, (0,) * deg, 1)
+        self._subfields = {}   # fixing subgroup -> its SubfieldSpec
+
+    @cached_property
+    def traces(self) -> tuple:
+        """Tr_(Q(zeta_m)/Q)(z^t) for t < phi(m): the sum over the units a of
+        the constant coordinate of z^(a t)."""
+        return tuple(sum(dict(self.power_table[a * t % self.m]).get(0, 0)
+                         for a in self.units) for t in range(self.degree))
+
+    def subfield(self, fixing_subgroup) -> "SubfieldSpec":
+        """The fixed field of H <= (Z/m)^*, one SubfieldSpec per H: its
+        basis, coset representatives and the rest are built once, however
+        many character tables read it.  No caller changes a spec."""
+        key = frozenset(a % self.m for a in fixing_subgroup)
+        spec = self._subfields.get(key)
+        if spec is None:
+            spec = self._subfields[key] = SubfieldSpec(self, fixing_subgroup)
+        return spec
 
     def __repr__(self):
         return f"CyclotomicField({self.m})"
@@ -509,7 +527,8 @@ class SubfieldSpec:
 
     Carries an exact Q-basis of the fixed field; embeddings are indexed by
     cosets aH, with sigma_(-a)H the complex conjugate of sigma_aH.  The
-    orbit-sum basis is built, and checked, the first time `basis` is read.
+    orbit-sum basis is built, and checked, the first time `basis` is read,
+    the coset representatives the first time they are read.
     """
 
     def __init__(self, field: _Field, fixing_subgroup):
@@ -526,6 +545,8 @@ class SubfieldSpec:
                     raise ValueError("fixing subgroup not closed under multiplication")
         self.fixing_subgroup = tuple(H)
         self.degree = len(field.units) // len(H)
+        self._totally_real = norm(-1) in H
+        self._coset_reps = None
         self._basis = None
         self._reduced = None   # (pivot positions, inverse), see coordinates
 
@@ -575,18 +596,20 @@ class SubfieldSpec:
         r = a % m
         return r if r else m  # r == 0 impossible for units when m > 1
 
-    def coset_reps(self):
-        """One representative per coset aH, smallest member first."""
-        seen = set()
-        reps = []
-        for a in self.field.units:
-            a = self._norm(a)
-            if a in seen:
-                continue
-            coset = {self._norm(a * h) for h in self.fixing_subgroup}
-            seen |= coset
-            reps.append(min(coset))
-        return reps
+    def coset_reps(self) -> list:
+        """The smallest member of each coset aH, ascending, as a new list
+        (computed once): the units ascend, so each coset is met first at
+        its smallest member."""
+        if self._coset_reps is None:
+            seen = set()
+            reps = []
+            for a in self.field.units:
+                a = self._norm(a)
+                if a not in seen:
+                    seen |= {self._norm(a * h) for h in self.fixing_subgroup}
+                    reps.append(a)
+            self._coset_reps = tuple(reps)
+        return list(self._coset_reps)
 
     def conjugate_coset(self, a: int) -> int:
         """Representative of the coset (-a)H."""
@@ -596,7 +619,7 @@ class SubfieldSpec:
         return min(self._norm(a * h) for h in self.fixing_subgroup)
 
     def is_totally_real(self) -> bool:
-        return self._norm(-1) in self.fixing_subgroup
+        return self._totally_real
 
     def contains(self, x: CyclotomicNumber) -> bool:
         return all(x.galois(a) == x for a in self.fixing_subgroup)

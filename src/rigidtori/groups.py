@@ -2,10 +2,13 @@
 
 Groups are accepted either as an explicit multiplication table (0-indexed,
 element 0 the identity) or as a list of permutation generators, which are
-expanded by orbit closure.  Class data includes the structure constants of
-the class algebra, the input for the character-table computation, and the
-power maps on classes.  A group computes its class data and its generating
-set (`generators`) once, on first use, and keeps them.
+expanded by orbit closure.  Class data holds the classes, their sizes,
+representatives and membership, and, built the first time they are read,
+the structure constants of the class algebra (the input of a non-abelian
+character table) and the power maps on classes.  An abelian table reads
+neither, so an abelian group never builds its d x d grid, d = |G|.  A
+group computes its class data and its generating set (`generators`) once,
+on first use, and keeps them.
 
 The classes are the orbits under conjugation by a generating set: the
 maps x -> s x s^-1, s in `generators`, generate G acting by conjugation,
@@ -17,8 +20,8 @@ the right multiplications that gives x -> g^-1 x g on element indices for
 each given generator g; the group keeps those orbits for its class data.
 More than `CLASS_CAP` classes is refused (InvalidGroup, exit 1 from the
 command line) as soon as the count passes it: for a permutation document
-before the |G|^2 table, for a Cayley table before the d x d grid of
-structure constants.
+before the |G|^2 table, for a Cayley table before the d x d character
+table and any grid of structure constants.
 
 The structure constants a_ijk = #{(x, y) in C_i x C_j : xy = g_k} are
 counted at the class representatives g_k only: for each k, every x in G
@@ -26,7 +29,9 @@ gives the one pair (x, x^-1 g_k), in classes (i, j) read off the membership
 table.  That is |G| steps per class, |G| d in all for d classes, and at most
 |G| d nonzero constants.  They are stored as sparse rows,
 coefficients[i][j] = {k: a_ijk}, row j of the class matrix M_i, which is
-the form the character code reads.
+the form the character code reads; the largest row sum sum_k a_ijk, which
+the character certificate's packing width needs, is added up as they are
+counted.
 
 A Cayley table is validated completely: rows and columns permute 0..n-1,
 0 is the identity, and associativity holds by Light's test (Clifford and
@@ -52,13 +57,12 @@ CLOSURE_CAP = 10000
 # tuple of all points, so a cap on elements alone leaves the work unbounded
 # in the degree.  A group at the element cap may act on up to 100 points.
 CLOSURE_WORK_CAP = 100 * CLOSURE_CAP
-# Class count above which the class data is refused, before its d x d grid
-# of structure constants.  Measured on the abelian Z2^k (d = |G|, the worst
-# case) on a shared 2-core x86 host, `analyze` in a fresh process takes
-# 0.8-0.9 s and 37 MB at d = 256, 3.7-4.8 s and 102 MB at d = 512, and
-# 21-28 s and 362 MB at d = 1024 (run with the cap raised); at d = 8192
-# (Z2^13) the grid alone is 67 M dicts, about 4.3 GB.  The largest d of the
-# tests, demos and benchmark workloads is 64.
+# Class count above which the class data is refused, before the d x d
+# character table and, for a non-abelian group, the d x d grid of structure
+# constants (at d = 8192 the grid alone would be 67 M dicts, about 4.3 GB).
+# The abelian groups, d = |G|, build no grid; their tables and reports
+# still grow as d^2.  The largest d of the tests, demos and benchmark
+# workloads is 256.
 CLASS_CAP = 512
 
 
@@ -259,34 +263,12 @@ class FiniteGroup:
         for idx, cls in enumerate(classes):
             for x in cls:
                 membership[x] = idx
-        d = len(classes)
-        reps = tuple(cls[0] for cls in classes)
-        sizes = tuple(len(cls) for cls in classes)
-        # a_ijk: u = x^-1 runs over G, with x in C_i and y = u g_k in C_j;
-        # k ascends, so each row lists its classes in order
-        inverse_class = [membership[x] for x in self.inverse]
-        coeffs = [[{} for _ in range(d)] for _ in range(d)]
-        for k, rep in enumerate(reps):
-            pairs = Counter(zip(inverse_class,
-                                [membership[row[rep]] for row in self.table]))
-            for (i, j), a in pairs.items():
-                coeffs[i][j][k] = a
-        # per class k, the classes of g_k^t for 0 <= t < ord(g_k)
-        powers = []
-        for g in reps:
-            pw, cur = [0], g
-            while cur != 0:
-                pw.append(membership[cur])
-                cur = self.table[cur][g]
-            powers.append(tuple(pw))
         return ConjugacyClassData(
             group=self,
             classes=tuple(classes),
             membership=tuple(membership),
-            sizes=sizes,
-            representatives=reps,
-            coefficients=tuple(tuple(m) for m in coeffs),
-            power_classes=tuple(powers),
+            sizes=tuple(len(cls) for cls in classes),
+            representatives=tuple(cls[0] for cls in classes),
         )
 
 
@@ -326,26 +308,81 @@ class ConjugacyClassData:
 
     coefficients[i][j] is the sparse row {k: a_ijk} (nonzero entries only)
     of the class matrix M_i, (M_i)[j][k] = a_ijk; power_classes[k] lists
-    the classes of g_k^t for 0 <= t < ord(g_k)."""
+    the classes of g_k^t for 0 <= t < ord(g_k).  Both are built the first
+    time they are read (an abelian character table reads neither), and a
+    value given to the constructor is used as given.  `row_sum`, the
+    largest row sum sum_k a_ijk of any M_i, is recorded while the
+    coefficients are built, and read off given ones."""
 
     __slots__ = ("group", "classes", "membership", "sizes",
-                 "representatives", "coefficients", "power_classes")
+                 "representatives", "coefficients", "power_classes",
+                 "_row_sum")
 
     def __init__(self, group: FiniteGroup, classes: tuple, membership: tuple,
-                 sizes: tuple, representatives: tuple, coefficients: tuple,
-                 power_classes: tuple):
+                 sizes: tuple, representatives: tuple,
+                 coefficients: tuple = None, power_classes: tuple = None):
         self.group = group
         self.classes = classes
         self.membership = membership
         self.sizes = sizes
         self.representatives = representatives
-        self.coefficients = coefficients
-        self.power_classes = power_classes
+        self._row_sum = None
+        if coefficients is not None:
+            self.coefficients = coefficients
+        if power_classes is not None:
+            self.power_classes = power_classes
+
+    def __getattr__(self, name):
+        # reached only for a slot not yet set
+        if name == "coefficients":
+            self.coefficients, self._row_sum = self._structure_constants()
+            return self.coefficients
+        if name == "power_classes":
+            self.power_classes = self._power_classes()
+            return self.power_classes
+        raise AttributeError(name)
 
     @property
     def count(self) -> int:
         return len(self.classes)
 
+    @property
+    def row_sum(self) -> int:
+        mats = self.coefficients   # building them records the row sum
+        if self._row_sum is None:
+            self._row_sum = max(sum(row.values()) for m in mats for row in m)
+        return self._row_sum
+
     def inverse_class(self, i: int) -> int:
         g = self.representatives[i]
         return self.membership[self.group.inverse[g]]
+
+    def _structure_constants(self):
+        """(coefficients, their largest row sum), by the module docstring's
+        count: a_ijk from u = x^-1 running over G, with x in C_i and
+        y = u g_k in C_j; k ascends, so each row lists its classes in
+        order."""
+        d = self.count
+        membership = self.membership
+        inverse_class = [membership[x] for x in self.group.inverse]
+        coeffs = [[{} for _ in range(d)] for _ in range(d)]
+        sums = [[0] * d for _ in range(d)]   # sum_k a_ijk, as they are counted
+        for k, rep in enumerate(self.representatives):
+            pairs = Counter(zip(inverse_class, [membership[row[rep]]
+                                                for row in self.group.table]))
+            for (i, j), a in pairs.items():
+                coeffs[i][j][k] = a
+                sums[i][j] += a
+        return tuple(tuple(m) for m in coeffs), max(map(max, sums))
+
+    def _power_classes(self):
+        """Per class k, the classes of g_k^t for 0 <= t < ord(g_k)."""
+        table, membership = self.group.table, self.membership
+        powers = []
+        for g in self.representatives:
+            pw, cur = [0], g
+            while cur != 0:
+                pw.append(membership[cur])
+                cur = table[cur][g]
+            powers.append(tuple(pw))
+        return tuple(powers)

@@ -413,9 +413,11 @@ def _dixon(group):
 
 
 def _altered(classes, **fields):
-    """A new ConjugacyClassData: `classes` with `fields` replaced."""
+    """A new ConjugacyClassData: `classes` with `fields` replaced (and what
+    it records privately, the row sum, read off them anew)."""
     kept = {name: getattr(classes, name)
-            for name in ConjugacyClassData.__slots__}
+            for name in ConjugacyClassData.__slots__
+            if not name.startswith("_")}
     return ConjugacyClassData(**{**kept, **fields})
 
 
@@ -612,8 +614,8 @@ def test_corrupted_component_raises_without_fallback(monkeypatch):
     from rigidtori import characters
     split = characters._split_mod_p
 
-    def corrupted(classes, p):
-        vectors = split(classes, p)
+    def corrupted(classes, p, zpow):
+        vectors = split(classes, p, zpow)
         vectors[-1][-1] = (vectors[-1][-1] + 1) % p
         return vectors
 
@@ -720,7 +722,7 @@ def reference_dixon_schneider(classes, field):
     inverse = [classes.inverse_class(k) for k in range(d)]
     size_inv = [pow(size, -1, p) for size in classes.sizes]
     vectors, rows, degrees = [], [], []
-    for v in characters._split_mod_p(classes, p):
+    for v in characters._split_mod_p(classes, p, zpow):
         norm = sum(v[k] * v[inverse[k]] * size_inv[k] for k in range(d)) % p
         deg_sq = group.order * pow(norm, -1, p) % p
         deg = next(c for c in range(1, math.isqrt(group.order) + 1)
@@ -847,8 +849,8 @@ def test_a_corrupted_conjugate_component_raises(monkeypatch, name):
     target = next(j for j, image in enumerate(images) if min(image) < j)
     split = characters._split_mod_p
 
-    def corrupted(classes, p):
-        vectors = split(classes, p)
+    def corrupted(classes, p, zpow):
+        vectors = split(classes, p, zpow)
         vectors[target][-1] = (vectors[target][-1] + 1) % p
         return vectors
 
@@ -938,10 +940,11 @@ def _refuse(name):
 @pytest.mark.parametrize("name", ["Z24", "Z2xZ2xZ6", "Z4xZ4", "Z21"])
 def test_an_abelian_table_needs_no_minimal_polynomial_or_transform(
         monkeypatch, name):
-    # nor the general certificate: the rows are certified as homomorphisms
+    # nor the split mod p or the general certificate: the rows are the
+    # homomorphisms, built along the generators and certified as such
     want = character_table(_pool_group(name))
-    for helper in ("_eigencomponents", "_multiplicities", "_certify",
-                   "_separating_classes"):
+    for helper in ("_dixon_schneider", "_split_mod_p", "_eigencomponents",
+                   "_multiplicities", "_certify", "_separating_classes"):
         monkeypatch.setattr(characters, helper, _refuse(helper))
     got = character_table(_pool_group(name))
     assert got.degrees == want.degrees and got.rows == want.rows
@@ -962,28 +965,124 @@ def test_a_non_abelian_table_still_takes_the_general_path(monkeypatch):
 
 
 def test_a_corrupted_abelian_component_raises(monkeypatch):
-    split = characters._split_mod_p
+    # the last extension of every step moved by one: two rows coincide, or
+    # a row is no homomorphism, and the certificate refuses the table
+    extensions = characters._extensions
 
-    def corrupted(classes, p):
-        vectors = split(classes, p)
-        vectors[-1][-1] = (vectors[-1][-1] + 1) % p
-        return vectors
+    def corrupted(c, k, m):
+        values = extensions(c, k, m)
+        values[-1] = (values[-1] + 1) % m
+        return values
 
-    monkeypatch.setattr(characters, "_split_mod_p", corrupted)
-    with pytest.raises(TableComputationError):
-        character_table(cyclic(24))
+    monkeypatch.setattr(characters, "_extensions", corrupted)
+    for name in ("Z24", "Z2xZ2xZ6", "Z4xZ4", "Z21"):
+        with pytest.raises(TableComputationError):
+            character_table(_pool_group(name))
+
+
+@pytest.mark.parametrize("name", ["Z2xZ2xZ6", "Z2xZ6", "Z2xZ4"])
+def test_a_corrupted_abelian_extension_raises(monkeypatch, name):
+    # where the solutions of k t(s) = t(s^k) lie m/k > 1 apart, the first
+    # moved by one is none of them: the rows stay distinct, but some row
+    # is no homomorphism, and the certificate refuses the table
+    extensions = characters._extensions
+    moved = []
+
+    def corrupted(c, k, m):
+        values = extensions(c, k, m)
+        if k < m:
+            values[0] += 1
+            moved.append(k)
+        return values
+
+    group = (_pool_group(name) if name in POOL + COLD_POOL
+             else group_by_name(name))
+    monkeypatch.setattr(characters, "_extensions", corrupted)
+    with pytest.raises(TableComputationError, match="certificate"):
+        character_table(group)
+    assert moved
+
+
+@pytest.mark.parametrize("group, m", [
+    (cyclic(4), 2), (abelian([2, 4]), 2), (cyclic(6), 3), (cyclic(6), 2),
+    (abelian([3, 3]), 1)], ids=["Z4", "Z2xZ4", "Z6-3", "Z6-2", "Z3xZ3"])
+def test_an_abelian_table_over_a_wrong_exponent_raises(group, m):
+    # no step of index k reaches Z/m when k does not divide m
+    with pytest.raises(TableComputationError, match="does not divide"):
+        characters._abelian_table(group.conjugacy_classes(),
+                                  CyclotomicField(m))
+
+
+def test_a_step_with_no_solution_raises():
+    # Z4 generated by 2, then 1: 1^2 = 2 lies in <2>, and over Z/2 the
+    # row with t(2) = 1 has no t(1) with 2 t(1) = 1
+    from rigidtori.groups import FiniteGroup
+    group = FiniteGroup(cyclic(4).table)
+    group.generators = (2, 1)
+    with pytest.raises(TableComputationError, match="no solution"):
+        characters._abelian_table(group.conjugacy_classes(),
+                                  CyclotomicField(2))
 
 
 def test_a_linear_value_outside_the_roots_of_unity_raises(monkeypatch):
-    # Z3 at p = 7: <z> = {1, 2, 4}.  [1, 3, 5] has norm 1 + 2 * 3 * 5 = 3
-    # mod 7, so degree 1, but chi(g) = 3 is no cube root of unity mod 7
-    group = cyclic(3)
+    # F21 at p = 43: z has odd order 21, so -1 is no power of z.  The
+    # trivial character's component (|C_k|) with both classes of a
+    # non-real pair negated keeps its norm |G|, so its degree 1, but its
+    # value there is -1
+    group = _pool_group("F21")
     classes = group.conjugacy_classes()
-    assert _prime(3, 3) == 7 and classes.inverse_class(1) == 2
-    monkeypatch.setattr(characters, "_split_mod_p",
-                        lambda classes, p: [[1, 1, 1], [1, 3, 5], [1, 5, 3]])
+    assert _prime(group.order, group.exponent) == 43
+    pair = next((k, classes.inverse_class(k)) for k in range(classes.count)
+                if classes.inverse_class(k) != k)
+    split = characters._split_mod_p
+
+    def corrupted(classes, p, zpow):
+        vectors = split(classes, p, zpow)
+        trivial = vectors[vectors.index([s % p for s in classes.sizes])]
+        for k in pair:
+            trivial[k] = -trivial[k] % p
+        return vectors
+
+    monkeypatch.setattr(characters, "_split_mod_p", corrupted)
     with pytest.raises(TableComputationError, match="not a power of z"):
         character_table(group)
+
+
+def _assert_abelian_table_is_dixon_schneiders(group):
+    """The abelian table has `_dixon_schneider`'s rows, degrees and Galois
+    images, in canonical row order."""
+    classes = group.conjugacy_classes()
+    field = CyclotomicField(group.exponent)
+    got = character_table(group)
+    want_images = []
+    rows, degrees = _dixon_schneider(classes, field, want_images)
+    order = sorted(range(len(rows)), key=lambda r: _row_key(rows[r]))
+    place = {r: q for q, r in enumerate(order)}
+    assert got.rows == tuple(tuple(rows[r]) for r in order)
+    assert got.degrees == tuple(degrees[r] for r in order) == \
+        (1,) * group.order
+    assert got.galois_images == tuple(
+        tuple(place[j] for j in want_images[r]) for r in order)
+
+
+BUNDLED_ABELIAN = [g for g in small_groups()
+                   if g.conjugacy_classes().count == g.order]
+
+
+@pytest.mark.parametrize("group", BUNDLED_ABELIAN,
+                         ids=[g.name for g in BUNDLED_ABELIAN])
+def test_abelian_tables_are_dixon_schneiders_on_the_bundled_groups(group):
+    _assert_abelian_table_is_dixon_schneiders(group)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_abelian_tables_are_dixon_schneiders_on_elementary_2_groups(k):
+    _assert_abelian_table_is_dixon_schneiders(abelian([2] * k))
+
+
+def test_abelian_tables_are_dixon_schneiders_on_the_cyclic_groups():
+    for n in range(1, 65):
+        _assert_abelian_table_is_dixon_schneiders(cyclic(n))
 
 
 @st.composite
@@ -1052,6 +1151,12 @@ def test_homomorphism_certificate_accepts_the_abelian_pool(name):
 @given(group=relabelled_abelian())
 def test_homomorphism_certificate_accepts_relabelled_abelian_tables(group):
     _assert_certificates_accept(group)
+
+
+@settings(max_examples=10)
+@given(group=relabelled_abelian())
+def test_abelian_tables_are_dixon_schneiders_on_relabelled_tables(group):
+    _assert_abelian_table_is_dixon_schneiders(group)
 
 
 @pytest.mark.parametrize("name", ["Z2xZ2xZ6", "Z4xZ4", "Z21", "Z2xZ2xZ2xZ2"])

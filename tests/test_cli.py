@@ -924,6 +924,36 @@ def test_analyze_builds_no_subfield_basis(monkeypatch, fresh_tables):
             assert _fresh_analyze_report(fresh_tables, name) == want
 
 
+def test_analyze_leaves_an_abelian_class_algebra_unbuilt(monkeypatch,
+                                                        fresh_tables):
+    # an abelian table is read off the homomorphisms: neither the
+    # structure constants nor the power classes are built.  Cayley-table
+    # documents, so that each run builds its group afresh
+    from argparse import Namespace
+
+    from rigidtori import cli
+    from rigidtori.groups import ConjugacyClassData
+    from rigidtori.schemas import dump_report
+
+    def refuse(self):
+        raise AssertionError("class algebra built for an abelian group")
+
+    for helper in ("_structure_constants", "_power_classes"):
+        monkeypatch.setattr(ConjugacyClassData, helper, refuse)
+    for g in small_groups():
+        if g.conjugacy_classes().count != g.order:
+            continue
+        doc = {"name": g.name, "cayley_table": [list(r) for r in g.table]}
+        fresh_tables()
+        got = dump_report(cli.run_analyze(doc, Namespace()))
+        classes = cli.table_for(cli.load_group_doc(doc)).classes
+        assert classes.group is not g
+        for field in ("coefficients", "power_classes"):
+            with pytest.raises(AssertionError, match="class algebra"):
+                getattr(classes, field)
+        assert got == _fresh_analyze_report(fresh_tables, g.name)
+
+
 def test_analyze_runs_without_cyclotomic_products_or_elimination(
         monkeypatch, fresh_tables):
     # tables, Galois orbits, idempotents and the report are computed on

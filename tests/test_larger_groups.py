@@ -6,8 +6,8 @@ import itertools
 
 import pytest
 
-from rigidtori.characters import (_prime, _split_mod_p, character_table,
-                                  galois_orbits)
+from rigidtori.characters import (_prime, _root_of_unity, _split_mod_p,
+                                  character_table, galois_orbits)
 from rigidtori.fixtures import (abelian, cyclic, dicyclic, dihedral,
                                 integral_model, regular_representation)
 from rigidtori.groups import FiniteGroup
@@ -181,8 +181,11 @@ def test_nonscalar_real_summand_rejected():
     ids=["Z2^6", "Z4^3", "D50"])
 def test_class_by_class_splitting_beyond_the_fixtures(group):
     classes = group.conjugacy_classes()
-    p = _prime(group.order, group.exponent)
-    assert len(_split_mod_p(classes, p)) == classes.count
+    m = group.exponent
+    p = _prime(group.order, m)
+    z = _root_of_unity(m, p)
+    zpow = [pow(z, t, p) for t in range(m)]
+    assert len(_split_mod_p(classes, p, zpow)) == classes.count
     table = character_table(group)
     table.verify()
     table.verify_columns()
